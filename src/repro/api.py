@@ -161,8 +161,8 @@ def join(
         * ``"lw"`` — Algorithm 1 (Loomis-Whitney instances only);
         * ``"generic"`` / ``"leapfrog"`` — the extension WCOJ algorithms;
         * ``"arity2"`` — Theorem 7.3's algorithm (arity <= 2 only);
-        * ``"auto"`` — let the planner pick a specialist when the query
-          shape allows, with a cost-based attribute order otherwise.
+        * ``"auto"`` — Algorithm 1 on Loomis-Whitney instances, Generic
+          Join with a cost-based attribute order otherwise.
     cover:
         Optional fractional edge cover (defaults to the LP optimum).  Only
         consulted by the cover-driven algorithms (``nprr``, ``arity2``).

@@ -74,8 +74,9 @@ class ShardWorker:
                 if op == "ping":
                     channel.send({"op": "pong", "id": header.get("id")})
                 elif op == "shutdown":
-                    channel.send({"op": "bye"})
+                    # Flag first: whoever reads "bye" may check it at once.
                     self.stopped.set()
+                    channel.send({"op": "bye"})
                     return
                 elif op == "task":
                     self._run_task(channel, header, payload)

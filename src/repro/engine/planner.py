@@ -11,9 +11,12 @@ and index-backend choice live in one place, modeled on the
 
 The product is an inspectable :class:`JoinPlan`:
 
-* **algorithm** — a specialist when the query shape allows it (Algorithm 1
-  for Loomis-Whitney instances, Theorem 7.3's decomposition for arity-2
-  queries), else a generic WCOJ executor;
+* **algorithm** — Algorithm 1 for Loomis-Whitney instances, Generic Join
+  for every other shape, binary relations included.  Theorem 7.3's
+  arity-2 decomposition is worst-case optimal too, but far from the
+  worst case it still does worst-case work (warm, 1.4x Generic Join's
+  wall time on a 4-star, 18x on a 4-cycle, 435x on a 3-path), so it is
+  pinnable (``algorithm="arity2"``) and never chosen;
 * **attribute order** — a greedy descent on *estimated partial-result
   sizes*: each step multiplies the candidate attribute's min-distinct
   count by the sampled conditional selectivities against the relations
@@ -54,7 +57,6 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 
 import os
 
-from repro.core.estimates import subquery_estimates
 from repro.core.query import JoinQuery
 from repro.engine.backends import validate_backend
 from repro.engine.compact import CompactArrayIndex
@@ -508,15 +510,14 @@ def _prefix_clamp(
     return estimate
 
 
-def _subquery_bounds(query: JoinQuery) -> dict[frozenset, float]:
+def _subquery_bounds(
+    query: JoinQuery, stats: StatsProvider
+) -> Mapping[frozenset, float]:
     """AGM sub-bounds for the order descents (skipped for very wide
     queries — ``subquery_estimates`` enumerates relation subsets)."""
     if len(query.edge_ids) > MAX_SUBQUERY_RELATIONS:
         return {}
-    return {
-        subset: estimate.bound
-        for subset, estimate in subquery_estimates(query).items()
-    }
+    return stats.subquery_bounds(query)
 
 
 class _DescentState:
@@ -628,7 +629,7 @@ def plan_attribute_order_sampled(
     """
     scores = stats.attribute_scores(query)
     relations = query.relations
-    sub_bounds = _subquery_bounds(query)
+    sub_bounds = _subquery_bounds(query, stats)
     consulted: dict[tuple[str, str], float] = {}
 
     def sampled_estimate(attribute: str, state: _DescentState) -> float:
@@ -697,7 +698,7 @@ def plan_attribute_order_feedback(
     scores = stats.attribute_scores(query)
     relations = query.relations
     sampling = stats.config.sampling
-    sub_bounds = _subquery_bounds(query)
+    sub_bounds = _subquery_bounds(query, stats)
     baselines: list[tuple[str, float]] = []
     consulted: dict[tuple[str, str], float] = {}
 
@@ -778,12 +779,6 @@ def _choose_algorithm(
             "the LW bound (Theorem 4.1)"
         )
         return "lw"
-    if query.hypergraph.is_graph():
-        reasons.append(
-            "every relation has arity <= 2: Theorem 7.3's decomposition "
-            "(arity2) has O(m) query complexity"
-        )
-        return "arity2"
     reasons.append(
         "general shape: Generic Join streams attribute-at-a-time within "
         "the AGM bound"

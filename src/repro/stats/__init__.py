@@ -31,7 +31,6 @@ from repro.stats.sampling import (
     conditional_selectivity,
     projection_values,
     sample_rows,
-    stable_rank,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "profile_relation",
     "projection_values",
     "sample_rows",
-    "stable_rank",
 ]

@@ -13,17 +13,27 @@ intersection.  :class:`AttributeProfile` records exactly that split
 table) alongside the distinct count the classical smallest-domain
 heuristic uses.
 
-Profiles are computed in **one linear scan** per relation
-(:func:`profile_relation`) and are deterministic: top-k tables sort by
-``(-count, repr(value))`` so ties never depend on hash-set iteration
-order, which varies across processes for string values.
+Profiles are computed in **one cheap scan** per relation
+(:func:`profile_relation`): each column is counted by
+``collections.Counter``'s C loop over an ``itemgetter``, so no
+Python-level work is done — and no object allocated — per row.  What
+follows is linear in the *distinct* values only: a pass over the counts
+for the heavy split, and a bounded selection (never a full sort) for
+the top-k table.
+
+Profiles are deterministic: top-k tables order by ``(-count,
+repr(value))``, so ties never depend on hash-set iteration order, which
+varies across processes for string values.  ``repr`` is only taken of
+the values tied at the table's last count.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.relations.relation import Relation, Value
 
@@ -158,25 +168,38 @@ class RelationProfile:
         return max((p.heavy_mass for p in self.attributes), default=0.0)
 
 
+def _top_values(counter: Counter, k: int) -> tuple[tuple[Value, int], ...]:
+    """The first ``k`` of ``counter.items()`` in ``(-count, repr(value))``
+    order, without sorting (or taking the ``repr`` of) every item."""
+    if k <= 0 or not counter:
+        return ()
+    cutoff = heapq.nlargest(k, counter.values())[-1]
+    above = sorted(
+        (item for item in counter.items() if item[1] > cutoff),
+        key=lambda item: (-item[1], repr(item[0])),
+    )
+    tied = heapq.nsmallest(
+        k - len(above),
+        (value for value, count in counter.items() if count == cutoff),
+        key=repr,
+    )
+    return tuple(above) + tuple((value, cutoff) for value in tied)
+
+
 def profile_relation(
     relation: Relation, top_k: int = DEFAULT_TOP_K
 ) -> RelationProfile:
-    """Profile every attribute of ``relation`` in one linear scan."""
+    """Profile every attribute of ``relation``: one C-level counting
+    pass per column, then work linear in the distinct values."""
     total = len(relation)
-    counters: list[Counter] = [Counter() for _ in relation.attributes]
-    for row in relation.tuples:
-        for counter, value in zip(counters, row):
-            counter[value] += 1
     threshold = heavy_threshold(total)
     profiles = []
-    for attribute, counter in zip(relation.attributes, counters):
-        ranked = sorted(
-            counter.items(), key=lambda item: (-item[1], repr(item[0]))
-        )
-        heavy = [count for _value, count in ranked if count >= threshold]
+    for position, attribute in enumerate(relation.attributes):
+        counter = Counter(map(itemgetter(position), relation.tuples))
+        heavy = [count for count in counter.values() if count >= threshold]
         int_min = int_max = None
         if counter and all(
-            isinstance(value, int) for value in counter
+            issubclass(kind, int) for kind in set(map(type, counter))
         ):
             int_min = int(min(counter))
             int_max = int(max(counter))
@@ -185,7 +208,7 @@ def profile_relation(
                 attribute=attribute,
                 distinct=len(counter),
                 total=total,
-                top=tuple(ranked[:top_k]),
+                top=_top_values(counter, top_k),
                 heavy_threshold=threshold,
                 heavy_count=len(heavy),
                 heavy_mass=(sum(heavy) / total) if total else 0.0,

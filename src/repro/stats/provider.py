@@ -7,9 +7,9 @@ One object sits between the planner and the statistics machinery:
   hashable, so a :class:`~repro.relations.database.Database` can keep
   one provider per distinct configuration.
 * :class:`StatsProvider` — serves :class:`~repro.stats.profiles.
-  RelationProfile` objects, process-stable samples, projection sets, and
-  sampled conditional selectivities, caching each behind **relation
-  identity**:
+  RelationProfile` objects, process-stable samples, projection sets,
+  sampled conditional selectivities, and AGM sub-bounds, caching each
+  behind **relation identity**:
 
   - For relations catalogued in a ``Database`` (the provider checks
     ``database[name] is relation``), payloads live in the database's
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.estimates import subquery_estimates
 from repro.relations.relation import Relation, Row
 from repro.stats.profiles import (
     DEFAULT_TOP_K,
@@ -347,14 +348,15 @@ class StatsProvider:
                     scores[name] = count
         return scores
 
-    # -- runtime feedback ---------------------------------------------------
+    # -- per-query payloads -------------------------------------------------
 
-    # Observations recorded during execution (per-level telemetry,
-    # per-shard wall times) are cached under the same two regimes as
-    # computed statistics — the database stats cache when every relation
-    # of the query is the catalogued object (so replacing or dropping
-    # ANY of them invalidates the observation: each relation's name is a
-    # direct element of the payload key, which is exactly what
+    # Payloads that belong to a whole query — observations recorded
+    # during execution (per-level telemetry, per-shard wall times) and
+    # the AGM sub-bounds — are cached under the same two regimes as
+    # per-relation statistics: the database stats cache when every
+    # relation of the query is the catalogued object (so replacing or
+    # dropping ANY of them invalidates the payload: each relation's name
+    # is a direct element of the payload key, which is exactly what
     # ``Database._drop_cached`` matches on), the provider-local cache
     # otherwise.  The local entries are keyed by relation *value*
     # (name, schema, size — verified by full equality on lookup, with an
@@ -363,13 +365,13 @@ class StatsProvider:
     # from an earlier run's observations, and reloaded relations are
     # equal-but-not-identical objects.
 
-    def _feedback_relations(self, query: "JoinQuery") -> tuple:
+    def _query_relations(self, query: "JoinQuery") -> tuple:
         return tuple(
             query.relations[name] for name in sorted(query.relations)
         )
 
-    def _feedback_get(self, query: "JoinQuery", kind: str, scope: tuple):
-        relations = self._feedback_relations(query)
+    def _query_get(self, query: "JoinQuery", kind: str, scope: tuple):
+        relations = self._query_relations(query)
         names = tuple(rel.name for rel in relations)
         db = self.database
         if db is not None and all(db.is_catalogued(rel) for rel in relations):
@@ -379,7 +381,7 @@ class StatsProvider:
             # the same relations never share observations.
             return db.stats_cache_get(names[0], (kind,) + names + (scope,))
         entry = self._local.get(
-            (kind,) + self._feedback_signature(relations) + (scope,)
+            (kind,) + self._query_signature(relations) + (scope,)
         )
         if entry is None:
             return None
@@ -390,10 +392,10 @@ class StatsProvider:
             return payload
         return None
 
-    def _feedback_put(
+    def _query_put(
         self, query: "JoinQuery", kind: str, scope: tuple, payload: object
     ) -> None:
-        relations = self._feedback_relations(query)
+        relations = self._query_relations(query)
         names = tuple(rel.name for rel in relations)
         db = self.database
         if db is not None and all(db.is_catalogued(rel) for rel in relations):
@@ -402,16 +404,35 @@ class StatsProvider:
             )
             return
         self._local_put(
-            (kind,) + self._feedback_signature(relations) + (scope,),
+            (kind,) + self._query_signature(relations) + (scope,),
             relations,
             payload,
         )
 
     @staticmethod
-    def _feedback_signature(relations: tuple) -> tuple:
+    def _query_signature(relations: tuple) -> tuple:
         return tuple(
             (rel.name, rel.attributes, len(rel)) for rel in relations
         )
+
+    def subquery_bounds(self, query: "JoinQuery") -> dict[frozenset, float]:
+        """The AGM bound of every connected relation subset of ``query``
+        (:func:`~repro.core.estimates.subquery_estimates`), cached.
+
+        One exact-``Fraction`` cover LP per subset, and a pure function
+        of the edge sets and relation sizes — which is what the per-query
+        cache keys and invalidates on — so a repeated plan solves none.
+        """
+        bounds = self._query_get(query, "agm_sub_bounds", ())
+        if bounds is None:
+            bounds = {
+                subset: estimate.bound
+                for subset, estimate in subquery_estimates(query).items()
+            }
+            self._query_put(query, "agm_sub_bounds", (), bounds)
+        return bounds
+
+    # -- runtime feedback ---------------------------------------------------
 
     def record_levels(
         self, query: "JoinQuery", telemetry, scope: tuple = ()
@@ -433,10 +454,10 @@ class StatsProvider:
         if not telemetry.complete or not telemetry.levels:
             return
         history = dict(
-            self._feedback_get(query, "feedback_levels", scope) or {}
+            self._query_get(query, "feedback_levels", scope) or {}
         )
         history[telemetry.attribute_order] = telemetry
-        self._feedback_put(query, "feedback_levels", scope, history)
+        self._query_put(query, "feedback_levels", scope, history)
 
     def observed_history(
         self, query: "JoinQuery", scope: tuple = ()
@@ -445,7 +466,7 @@ class StatsProvider:
         recorded run of every order this query has executed under (for
         this filter ``scope``), or ``{}``."""
         return dict(
-            self._feedback_get(query, "feedback_levels", scope) or {}
+            self._query_get(query, "feedback_levels", scope) or {}
         )
 
     def observed_telemetry(self, query: "JoinQuery", scope: tuple = ()):
@@ -485,11 +506,11 @@ class StatsProvider:
         if not observations:
             return
         merged = dict(
-            self._feedback_get(query, "feedback_shards", scope) or {}
+            self._query_get(query, "feedback_shards", scope) or {}
         )
         for observation in observations:
             merged[observation.key] = observation
-        self._feedback_put(query, "feedback_shards", scope, merged)
+        self._query_put(query, "feedback_shards", scope, merged)
 
     def observed_shards(
         self, query: "JoinQuery", scope: tuple = ()
@@ -497,7 +518,7 @@ class StatsProvider:
         """``{ShardKey: ShardObservation}`` recorded for ``query`` (may
         span several runs and split depths), or ``{}``."""
         return dict(
-            self._feedback_get(query, "feedback_shards", scope) or {}
+            self._query_get(query, "feedback_shards", scope) or {}
         )
 
     def heavy_hitters(

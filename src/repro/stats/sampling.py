@@ -14,17 +14,23 @@ Determinism is load-bearing: identical seeds must give identical samples
 Python's ``frozenset`` iteration order depends on value hashes, and
 string hashing is randomized per process (``PYTHONHASHSEED``), so
 neither ``random.sample`` over a set nor hash-order truncation is
-reproducible.  Instead each row is ranked by a keyed BLAKE2b digest of
-its ``repr`` (stable for the built-in value types relations hold), and
-the sample is the ``k`` lowest-ranked rows: effectively a uniform random
-sample, yet a pure function of ``(rows, seed)``.
+reproducible.  :func:`sample_rows` therefore first puts the rows in
+*sorted* order — the one order that is a function of the row values
+alone — and draws ``k`` positions from it with a ``random.Random``
+seeded by the caller: a uniform sample without replacement, and a pure
+function of ``(rows, seed)``.  Rows whose values do not compare (a
+column mixing, say, ints and strings) are ordered by ``repr`` instead,
+which is stable for the built-in value types relations hold.
+
+The scan is cheap on purpose — one C-level sort and ``k`` draws, no
+per-row Python call: a plan must cost less than the join it plans.
 """
 
 from __future__ import annotations
 
-import hashlib
-import heapq
-from collections.abc import Iterable, Sequence
+import random
+from collections.abc import Iterable, Iterator, Sequence
+from operator import itemgetter
 
 from repro.relations.relation import Relation, Row
 
@@ -32,50 +38,43 @@ __all__ = [
     "conditional_selectivity",
     "projection_values",
     "sample_rows",
-    "stable_rank",
 ]
-
-
-def stable_rank(row: Row, seed: int) -> int:
-    """A process-stable pseudo-random rank for one row.
-
-    Keyed BLAKE2b over ``repr(row)`` — deterministic for the built-in
-    value types (ints, strings, floats, tuples) whatever
-    ``PYTHONHASHSEED`` says, and effectively uniform over rows, so
-    "the k lowest-ranked rows" is an unbiased sample.
-    """
-    digest = hashlib.blake2b(
-        repr(row).encode("utf-8", "backslashreplace"),
-        digest_size=8,
-        key=seed.to_bytes(8, "big", signed=True),
-    ).digest()
-    return int.from_bytes(digest, "big")
 
 
 def sample_rows(relation: Relation, k: int, seed: int) -> tuple[Row, ...]:
     """Up to ``k`` rows of ``relation``, a pure function of the seed.
 
-    Rows are ranked by :func:`stable_rank` and the ``k`` smallest are
-    returned in rank order (``O(N log k)`` via a bounded heap).  With
-    ``k >= len(relation)`` every row is returned, still in rank order,
-    so downstream consumers never depend on set iteration order.
+    A uniform sample without replacement, drawn by ``random.Random(seed)``
+    from the rows in sorted order (``repr`` order when values do not
+    compare), so it never depends on set iteration order.  With
+    ``k >= len(relation)`` every row is returned.
     """
     if k <= 0:
         return ()
-    ranked = heapq.nsmallest(
-        k, relation.tuples, key=lambda row: stable_rank(row, seed)
-    )
-    return tuple(ranked)
+    try:
+        rows = sorted(relation.tuples)
+    except TypeError:
+        # A failed sort is no accident of the starting order: rows that
+        # sort at all are totally ordered, so every process lands here.
+        rows = sorted(relation.tuples, key=repr)
+    return tuple(random.Random(seed).sample(rows, min(k, len(rows))))
+
+
+def _project(rows: Iterable[Row], indices: Sequence[int]) -> Iterator[Row]:
+    """``tuple(row[i] for i in indices)`` per row, looped in C."""
+    if len(indices) == 1:
+        # zip over one iterable wraps each value in a 1-tuple.
+        return zip(map(itemgetter(indices[0]), rows))
+    if not indices:
+        return (() for _row in rows)
+    return map(itemgetter(*indices), rows)
 
 
 def projection_values(
     relation: Relation, attributes: Sequence[str]
 ) -> frozenset[Row]:
     """``pi_attributes(relation)`` as a frozenset of value tuples."""
-    idx = relation.positions(attributes)
-    return frozenset(
-        tuple(row[i] for i in idx) for row in relation.tuples
-    )
+    return frozenset(_project(relation.tuples, relation.positions(attributes)))
 
 
 def conditional_selectivity(
@@ -97,13 +96,7 @@ def conditional_selectivity(
     An empty sample (empty source relation) reports 0.0: a tuple drawn
     from an empty relation matches nothing because there is no tuple.
     """
-    idx = source.positions(shared)
-    total = 0
-    matches = 0
-    for row in sample:
-        total += 1
-        if tuple(row[i] for i in idx) in target_projection:
-            matches += 1
-    if total == 0:
+    keys = list(_project(sample, source.positions(shared)))
+    if not keys:
         return 0.0
-    return matches / total
+    return sum(map(target_projection.__contains__, keys)) / len(keys)

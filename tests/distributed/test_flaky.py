@@ -10,6 +10,7 @@ bounded retry budget; faults past the budget must abort loudly with
 rows as if complete.
 """
 
+import threading
 from collections import Counter
 
 import pytest
@@ -61,6 +62,7 @@ class FlakyChannel:
         if op == "rows" and script.kill_mid_shard > 0:
             # Worker dies while streaming: rows are in flight, no ack.
             script.kill_mid_shard -= 1
+            script.fired.set()
             self.channel.close()
             raise ConnectionClosed("worker killed mid-shard (injected)")
         if op in ("done", "state") and script.drop_ack > 0:
@@ -68,6 +70,7 @@ class FlakyChannel:
             # the sharpest exactly-once case — the work happened, yet
             # the driver must discard it and re-run from zero rows.
             script.drop_ack -= 1
+            script.fired.set()
             self.channel.close()
             raise ConnectionClosed("ack dropped (injected)")
         if op == "done" and script.duplicate_ack > 0:
@@ -78,7 +81,14 @@ class FlakyChannel:
 
 class FlakyTransport:
     """A loopback worker slot with scripted faults (shared across
-    reconnections, like a flaky rack: each fault fires once)."""
+    reconnections, like a flaky rack: each fault fires once).
+
+    ``after=other`` makes this slot join the fleet only once ``other``
+    has killed a worker.  Drivers race for shards, so an ungated healthy
+    slot can drain the whole board before the faulty one claims a shard
+    that streams rows — then no fault fires and there is nothing to
+    retry (about 1 run in 8 on a busy two-core host).
+    """
 
     def __init__(
         self,
@@ -87,14 +97,19 @@ class FlakyTransport:
         drop_ack=0,
         duplicate_ack=0,
         delay_pong=0,
+        after=None,
     ) -> None:
         self.inner = LoopbackTransport()
         self.kill_mid_shard = kill_mid_shard
         self.drop_ack = drop_ack
         self.duplicate_ack = duplicate_ack
         self.delay_pong = delay_pong
+        self.fired = threading.Event()
+        self.after = after
 
     def connect(self):
+        if self.after is not None and not self.after.fired.wait(timeout=10):
+            raise OSError("the faulty slot never killed a worker")
         return FlakyChannel(self.inner.connect(), self)
 
 
@@ -128,9 +143,10 @@ class TestFaultParity:
     ):
         query = skewed_query()
         serial = Counter(iter_join(query, algorithm=algorithm))
+        dying = FlakyTransport(kill_mid_shard=2)
         rows, scheduler = run_fleet(
             query,
-            [FlakyTransport(kill_mid_shard=2), FlakyTransport()],
+            [dying, FlakyTransport(after=dying)],
             algorithm=algorithm,
             backend=backend,
         )
@@ -142,9 +158,10 @@ class TestFaultParity:
     ):
         query = skewed_query()
         serial = Counter(iter_join(query, algorithm=algorithm))
+        dropping = FlakyTransport(drop_ack=1)
         rows, scheduler = run_fleet(
             query,
-            [FlakyTransport(drop_ack=1), FlakyTransport()],
+            [dropping, FlakyTransport(after=dropping)],
             algorithm=algorithm,
             backend=backend,
         )

@@ -7,6 +7,7 @@ import pytest
 from repro import FractionalCover, output_bound
 from repro.api import explain, join
 from repro.baselines.naive import naive_join
+from repro.core.generic_join import GenericJoin
 from repro.core.query import JoinQuery
 from repro.engine.planner import (
     JoinPlan,
@@ -15,10 +16,11 @@ from repro.engine.planner import (
     plan_join,
 )
 from repro.errors import QueryError
+from repro.query.builder import Q
 from repro.relations.relation import Relation
 from repro.workloads import generators, queries
 
-from tests.helpers import triangle_query
+from tests.helpers import oracle_join, triangle_query
 
 
 class TestPlanShape:
@@ -27,10 +29,12 @@ class TestPlanShape:
         assert plan.algorithm == "lw"
         assert plan.estimated_bound == pytest.approx(3**1.5, rel=1e-6)
 
-    def test_auto_picks_arity2_for_graphs(self):
+    def test_arity2_stays_pinnable(self):
         q = generators.random_instance(queries.cycle_query(4), 20, 4, seed=0)
-        plan = plan_join(q)
+        plan = plan_join(q, "arity2")
         assert plan.algorithm == "arity2"
+        assert plan.cover is not None
+        assert plan.execute().equivalent(naive_join(q))
 
     def test_auto_picks_generic_for_general_shapes(self):
         q = generators.random_instance(queries.paper_figure2(), 20, 3, seed=0)
@@ -108,6 +112,55 @@ class TestPlanShape:
         assert isinstance(plan, JoinPlan)
         result = plan.execute()
         assert result.equivalent(naive_join(triangle_query()))
+
+
+#: Binary-relation shapes that Theorem 7.3's decomposition (``arity2``)
+#: accepts and that are not Loomis-Whitney instances.
+GRAPH_SHAPES = {
+    "path2": queries.path_query(2),
+    "path3": queries.path_query(3),
+    "path4": queries.path_query(4),
+    "cycle4": queries.cycle_query(4),
+    "cycle5": queries.cycle_query(5),
+    "star4": queries.star_query(4),
+    "clique4": queries.clique_query(4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GRAPH_SHAPES))
+class TestAutoRoutesGraphsToGeneric:
+    """``auto`` sends binary-relation queries to Generic Join: the
+    arity-2 decomposition is worst-case optimal but does worst-case work
+    on every instance (ISSUE 13's ledger: 1.4-435x slower warm)."""
+
+    def query(self, shape):
+        return generators.random_instance(GRAPH_SHAPES[shape], 18, 4, seed=7)
+
+    def test_auto_plans_generic(self, shape):
+        q = self.query(shape)
+        assert q.hypergraph.is_graph() and not q.is_lw_instance()
+        plan = plan_join(q)
+        assert plan.algorithm == "generic"
+        assert plan.backend == "trie"
+        assert sorted(plan.attribute_order) == sorted(q.attributes)
+
+    def test_same_rows_as_arity2_and_the_oracle(self, shape):
+        q = self.query(shape)
+        expected = sorted(oracle_join(q))
+        assert sorted(Q(q).stream()) == expected
+        assert sorted(Q(q).using(algorithm="arity2").stream()) == expected
+
+    def test_count_takes_the_native_fold(self, shape, monkeypatch):
+        q = self.query(shape)
+        folds = []
+        fold = GenericJoin.fold
+        monkeypatch.setattr(
+            GenericJoin,
+            "fold",
+            lambda self, folder: folds.append(self) or fold(self, folder),
+        )
+        assert Q(q).count() == len(oracle_join(q))
+        assert len(folds) == 1
 
 
 class TestOrderHeuristic:

@@ -1,4 +1,5 @@
-"""Shared builders and the brute-force aggregate oracle for the test suite.
+"""Shared builders, the backtracking join oracle and the brute-force
+aggregate oracle for the test suite.
 
 The oracle functions compute every aggregate the query layer offers by
 plain Python over a *materialized* row list — no folds, no pruning, no
@@ -26,6 +27,30 @@ def triangle_query(
             Relation("T", ("A", "C"), t_rows),
         ]
     )
+
+
+def oracle_join(query: JoinQuery) -> list[tuple]:
+    """The join by backtracking over the raw tuples — no index, no plan,
+    no cover — as a list (a multiset: a duplicated row would show), rows
+    in ``query.attributes`` order."""
+    relations = list(query.relations.values())
+    rows: list[tuple] = []
+
+    def extend(position: int, assignment: dict) -> None:
+        if position == len(relations):
+            rows.append(tuple(assignment[a] for a in query.attributes))
+            return
+        relation = relations[position]
+        for row in relation.tuples:
+            candidate = dict(assignment)
+            if all(
+                candidate.setdefault(attribute, value) == value
+                for attribute, value in zip(relation.attributes, row)
+            ):
+                extend(position + 1, candidate)
+
+    extend(0, {})
+    return rows
 
 
 def two_path_query() -> JoinQuery:

@@ -6,8 +6,8 @@ shard count — are identical across runs *and across process
 boundaries*.  Cross-process is the sharp edge: string hashing is
 randomized per process (``PYTHONHASHSEED``), so anything that iterates
 a set/frozenset of strings in hash order is run-to-run stable but
-process-to-process unstable.  The sampler ranks rows by a keyed BLAKE2b
-digest precisely to dodge this; these tests pin it with string-valued
+process-to-process unstable.  The sampler draws from the rows in sorted
+order precisely to dodge this; these tests pin it with string-valued
 relations and explicitly different hash seeds.
 """
 

@@ -1,9 +1,19 @@
 """Profiles: distinct counts, heavy/light split, deterministic top-k."""
 
+import pickle
 import random
+from collections import Counter
+
+import pytest
 
 from repro.relations.relation import Relation
-from repro.stats.profiles import heavy_threshold, profile_relation
+from repro.stats.profiles import (
+    DEFAULT_TOP_K,
+    AttributeProfile,
+    RelationProfile,
+    heavy_threshold,
+    profile_relation,
+)
 from repro.workloads import generators
 
 
@@ -102,3 +112,118 @@ class TestAttributeProfile:
     def test_determinism(self):
         rel = skewed_relation()
         assert profile_relation(rel) == profile_relation(rel)
+
+
+def reference_profile_relation(relation, top_k=DEFAULT_TOP_K):
+    """The pre-ISSUE-13 ``profile_relation``, kept as the reference: one
+    Python-level pass over the rows, then a full sort of every column's
+    distinct values by ``(-count, repr(value))``."""
+    total = len(relation)
+    counters = [Counter() for _ in relation.attributes]
+    for row in relation.tuples:
+        for counter, value in zip(counters, row):
+            counter[value] += 1
+    threshold = heavy_threshold(total)
+    profiles = []
+    for attribute, counter in zip(relation.attributes, counters):
+        ranked = sorted(
+            counter.items(), key=lambda item: (-item[1], repr(item[0]))
+        )
+        heavy = [count for _value, count in ranked if count >= threshold]
+        int_min = int_max = None
+        if counter and all(isinstance(value, int) for value in counter):
+            int_min = int(min(counter))
+            int_max = int(max(counter))
+        profiles.append(
+            AttributeProfile(
+                attribute=attribute,
+                distinct=len(counter),
+                total=total,
+                top=tuple(ranked[:top_k]),
+                heavy_threshold=threshold,
+                heavy_count=len(heavy),
+                heavy_mass=(sum(heavy) / total) if total else 0.0,
+                int_min=int_min,
+                int_max=int_max,
+            )
+        )
+    return RelationProfile(
+        name=relation.name, size=total, attributes=tuple(profiles)
+    )
+
+
+def _differential_corpus():
+    rng = random.Random(13)
+    yield "empty", Relation("E", ("A", "B"))
+    yield "nullary", Relation("N", (), [()])
+    yield "single-row", Relation("O", ("A",), [(7,)])
+    yield "zipf", skewed_relation()
+    yield "keys", Relation("K", ("A", "B"), [(i, -i) for i in range(300)])
+    # Few values, many rows each: the top-k cut falls inside a tie.
+    yield "duplicate-heavy", Relation(
+        "D",
+        ("A", "B", "C"),
+        [(i % 3, i % 20, i) for i in range(600)],
+    )
+    yield "ties-at-cut", Relation(
+        "T", ("A", "B"), [(i % 12, i) for i in range(48)]
+    )
+    yield "strings", Relation(
+        "S",
+        ("A", "B"),
+        [
+            (f"a{rng.randrange(40)}", f"b{rng.randrange(9)}")
+            for _ in range(400)
+        ],
+    )
+    yield "mixed-types", Relation(
+        "M",
+        ("A", "B"),
+        [
+            (rng.choice([1, "1", 1.5, None, (1, 2), True]), rng.randrange(5))
+            for _ in range(200)
+        ],
+    )
+    yield "bools-are-ints", Relation(
+        "B", ("A", "B"), [(i % 2 == 0, i % 5) for i in range(50)]
+    )
+    yield "floats", Relation(
+        "F", ("A",), [(rng.randrange(30) / 4,) for _ in range(200)]
+    )
+
+
+class TestOneScanMatchesReference:
+    """The one-scan pass must yield a byte-identical ``RelationProfile``
+    to the reference (plans, explain output and goldens depend on it)."""
+
+    @pytest.mark.parametrize(
+        "relation",
+        [pytest.param(rel, id=label) for label, rel in _differential_corpus()],
+    )
+    @pytest.mark.parametrize("top_k", [0, 1, 3, DEFAULT_TOP_K, 1000])
+    def test_identical_profile(self, relation, top_k):
+        new = profile_relation(relation, top_k)
+        old = reference_profile_relation(relation, top_k)
+        assert new == old
+        assert pickle.dumps(new) == pickle.dumps(old)
+        for new_attr, old_attr in zip(new.attributes, old.attributes):
+            # == treats 1, 1.0 and True alike; the tables must not.
+            assert repr(new_attr.top) == repr(old_attr.top)
+            assert type(new_attr.int_min) is type(old_attr.int_min)
+
+    def test_random_relations(self):
+        rng = random.Random(99)
+        for _ in range(60):
+            arity = rng.randrange(1, 4)
+            domain = rng.choice([2, 5, 50])
+            rel = generators.random_relation(
+                "R",
+                tuple("ABC"[:arity]),
+                rng.randrange(0, 120),
+                domain,
+                rng,
+            )
+            top_k = rng.randrange(0, 12)
+            assert profile_relation(rel, top_k) == reference_profile_relation(
+                rel, top_k
+            )

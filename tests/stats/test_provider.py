@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.query import JoinQuery
+from repro.engine.planner import plan_join
 from repro.relations.database import Database
 from repro.relations.relation import Relation
 from repro.stats import StatsConfig, StatsProvider
+from repro.workloads import generators, queries
 
 
 def triangle_relations():
@@ -127,3 +129,61 @@ class TestQueries:
         masses = [mass for *_ignored, mass in found]
         assert masses == sorted(masses, reverse=True)
         assert found[0][0] == "R"
+
+
+class TestCoverLpSolvedOncePerCatalog:
+    """The AGM sub-bounds the order descent clamps by are one exact
+    simplex solve per connected relation subset — a pure function of the
+    edge sets and sizes, so only the first plan over a catalog pays."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        from repro.hypergraph import agm, simplex
+
+        calls = []
+
+        def counting(costs, rows, rhs):
+            calls.append(len(costs))
+            return simplex.solve_min_geq(costs, rows, rhs)
+
+        monkeypatch.setattr(agm, "solve_min_geq", counting)
+        return calls
+
+    def chain_db(self):
+        return Database(
+            generators.random_instance(
+                queries.path_query(4), 40, 8, seed=2
+            ).relations.values()
+        )
+
+    def test_second_plan_solves_no_lp(self, solves):
+        db = self.chain_db()
+        query = JoinQuery(list(db))
+        first = plan_join(query, database=db)
+        assert first.algorithm == "generic"
+        assert len(solves) == 6  # connected subsets of a 4-chain
+        del solves[:]
+        second = plan_join(query, database=db)
+        assert solves == []
+        assert second.attribute_order == first.attribute_order
+        assert second.statistics == first.statistics
+
+    def test_replacing_a_relation_solves_again(self, solves):
+        db = self.chain_db()
+        plan_join(JoinQuery(list(db)), database=db)
+        del solves[:]
+        name = db.names()[0]
+        smaller = Relation(
+            name, db[name].attributes, sorted(db[name].tuples)[:5]
+        )
+        db.add(smaller, replace=True)
+        plan_join(JoinQuery(list(db)), database=db)
+        assert len(solves) == 6
+
+    def test_adhoc_relations_reuse_the_providers_memo(self, solves):
+        provider = StatsProvider()
+        query = JoinQuery(list(self.chain_db()))
+        plan_join(query, stats=provider)
+        del solves[:]
+        plan_join(query, stats=provider)
+        assert solves == []

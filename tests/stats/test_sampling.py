@@ -7,7 +7,6 @@ from repro.stats.sampling import (
     conditional_selectivity,
     projection_values,
     sample_rows,
-    stable_rank,
 )
 from repro.workloads import generators
 
@@ -16,18 +15,6 @@ def big_relation(seed=0):
     return generators.random_relation(
         "R", ("A", "B"), 500, 100, random.Random(seed)
     )
-
-
-class TestStableRank:
-    def test_deterministic(self):
-        assert stable_rank((1, "x"), 7) == stable_rank((1, "x"), 7)
-
-    def test_seed_changes_rank(self):
-        assert stable_rank((1, "x"), 7) != stable_rank((1, "x"), 8)
-
-    def test_rows_spread(self):
-        ranks = {stable_rank((i,), 0) for i in range(100)}
-        assert len(ranks) == 100
 
 
 class TestSampleRows:
@@ -57,6 +44,46 @@ class TestSampleRows:
         assert all(isinstance(row[0], str) for row in first)
 
 
+    def test_mixed_type_column_falls_back_to_repr_order(self):
+        # 1 < "x" raises, so the rows cannot be sorted by value.
+        rel = Relation(
+            "R", ("A", "B"), [(i, i if i % 2 else f"s{i}") for i in range(40)]
+        )
+        first = sample_rows(rel, 8, 3)
+        assert first == sample_rows(rel, 8, 3)
+        assert len(set(first)) == 8 and set(first) <= rel.tuples
+
+    def test_independent_of_construction_order(self):
+        # Set iteration order depends on insertion history; the sample
+        # must depend on the rows alone.
+        rows = [(i * 7919 % 1000, i) for i in range(300)]
+        forward = Relation("R", ("A", "B"), rows)
+        backward = Relation("R", ("A", "B"), reversed(rows))
+        assert sample_rows(forward, 32, 1) == sample_rows(backward, 32, 1)
+
+    def test_uniform_over_rows(self):
+        # Deterministic chi-squared (fixed relation, consecutive seeds,
+        # pinned 0.9999 critical value — the idiom of
+        # tests/aggregate/test_sample_uniformity.py): every row must be
+        # equally likely to land in a k-sample.
+        rel = Relation("R", ("A", "B"), [(i % 6, i) for i in range(30)])
+        k, seeds, cells = 5, 1200, len(rel)
+        counts: dict = {}
+        for seed in range(seeds):
+            for row in sample_rows(rel, k, seed):
+                counts[row] = counts.get(row, 0) + 1
+        expected = seeds * k / cells
+        chi_squared = sum(
+            (counts.get(row, 0) - expected) ** 2 / expected
+            for row in rel.tuples
+        )
+        df = cells - 1
+        critical = df * (
+            1.0 - 2.0 / (9.0 * df) + 3.72 * (2.0 / (9.0 * df)) ** 0.5
+        ) ** 3
+        assert chi_squared < critical
+
+
 class TestProjection:
     def test_projection_values(self):
         rel = Relation("R", ("A", "B"), [(1, 2), (1, 3), (4, 2)])
@@ -64,6 +91,10 @@ class TestProjection:
         assert projection_values(rel, ("B", "A")) == {
             (2, 1), (3, 1), (2, 4)
         }
+
+    def test_projection_onto_no_attributes(self):
+        rel = Relation("R", ("A", "B"), [(1, 2), (1, 3)])
+        assert projection_values(rel, ()) == {()}
 
 
 class TestConditionalSelectivity:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import ALGORITHMS, main
 from repro.errors import SchemaError
 from repro.io import load_database_csv, load_relation_csv, save_relation_csv
 from repro.relations.relation import Relation
@@ -94,10 +94,23 @@ class TestCLI:
         result = load_relation_csv(out_path, name="J")
         assert len(result) == 3
 
-    @pytest.mark.parametrize("algorithm", ["nprr", "lw", "generic"])
+    @pytest.mark.parametrize("algorithm", ["nprr", "lw", "generic", "arity2"])
     def test_join_algorithms(self, triangle_files, capsys, algorithm):
         assert main(["join", *triangle_files, "--algorithm", algorithm]) == 0
         assert "0,1,5" in capsys.readouterr().out
+
+    def test_arity2_stays_pinnable_though_auto_never_picks_it(
+        self, triangle_files, capsys
+    ):
+        # The paper's Theorem 7.3 reference implementation: still a
+        # choice of explain/join/repl/serve, no longer one of auto's.
+        assert main(
+            ["explain", *triangle_files[:2], "--algorithm", "arity2"]
+        ) == 0
+        assert "algorithm: arity2" in capsys.readouterr().out
+        assert main(["explain", *triangle_files[:2]]) == 0
+        assert "algorithm: generic" in capsys.readouterr().out
+        assert "arity2" in ALGORITHMS  # the choices of all four commands
 
     def test_bound(self, triangle_files, capsys):
         assert main(["bound", *triangle_files]) == 0
@@ -406,21 +419,20 @@ class TestCLIQueryLayer:
 
     EXPLAIN_WHERE_GOLDEN = """\
 query: JoinQuery(R(B) * S(B,C) * T(C))
-algorithm: arity2
+algorithm: generic
 attribute order: B, C
 bound attributes: A=0 (levels eliminated by sectioning)
 residual filters: B in {1, 2}
 select: C (streamed projection)
-index backend: none
+index backend: trie
 shards: 1
 batch size: row-at-a-time
 estimated output (AGM bound): 1.000 tuples
 relation sizes: R=1, S=3, T=1
-fractional cover: x[R]=1, x[S]=0, x[T]=1
 decisions:
-  - every relation has arity <= 2: Theorem 7.3's decomposition (arity2) has O(m) query complexity
-  - arity2 derives its own order; keeping query order
-  - arity2 builds no per-order indexes
+  - general shape: Generic Join streams attribute-at-a-time within the AGM bound
+  - attribute order by sampled selectivity descent: B(~0.333), C(~0.333)
+  - hash-trie backend: O(1) probes and precomputed counts
 """
 
     def test_explain_where_golden_plan_block(self, triangle_files, capsys):
@@ -454,9 +466,10 @@ decisions:
 class TestCLIFeedback:
     """``--feedback``: record on join, plan from observations on explain.
 
-    The tiny triangle is all-binary, so ``auto`` would dispatch to
-    arity2 (no per-level telemetry); every test pins ``generic``, the
-    order-sensitive executor the feedback loop instruments.
+    The tiny triangle is a Loomis-Whitney instance, so ``auto`` would
+    dispatch to lw (no per-level telemetry); every test pins
+    ``generic``, the order-sensitive executor the feedback loop
+    instruments.
     """
 
     FEEDBACK_STATS_GOLDEN = """\

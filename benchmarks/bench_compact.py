@@ -86,7 +86,7 @@ class CountingSeq:
 def _instrument(executor) -> list:
     """Wrap every index's value storage in place; returns the counter."""
     counter = [0]
-    for index in executor._indexes:
+    for index in executor._binding.indexes:
         if isinstance(index, SortedArrayIndex):
             index.rows = CountingSeq(index.rows, counter)
         elif isinstance(index, CompactArrayIndex):

@@ -38,12 +38,12 @@ the aggregate spec reads (``1 + max rank of spec.needs``).  A ``count()``
 has cutoff 0 and prunes as early as the query shape allows; ``sum("C")``
 with C at rank 2 keeps enumerating through rank 2, then prunes below.
 
-The descent binds to an executor through the same five attributes both
-enumeration executors already expose (``_indexes``, ``_participants``,
-``_filters``, ``order``, and the backend node protocol ``items`` /
-``child`` / ``count`` / ``fanout_hint``), which is why one
-implementation serves GenericJoin over any backend *and* Leapfrog over
-its sorted/compact cursor layouts.
+The fold is a sink over the descent kernel
+(:func:`repro.core.descent.walk` with the hash-probe level strategy): it
+reads the executor's :class:`~repro.core.descent.Binding` and needs only
+the backend node protocol (``items`` / ``child`` / ``count`` /
+``fanout_hint``), which is why one implementation serves GenericJoin
+over any backend *and* Leapfrog over its sorted/compact cursor layouts.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.aggregate.specs import AggregateSpec
+from repro.core.descent import hash_levels, walk
 from repro.errors import QueryError
 
 __all__ = ["Folder", "fold_executor", "fold_rows", "fold_state"]
@@ -110,94 +111,52 @@ def _prune_depth(participants, filters, cutoff: int, total: int) -> int:
 def fold_executor(executor, folder: Folder) -> Folder:
     """Run the folding descent over an executor's indexes.
 
-    The executor must expose ``order``, ``_indexes``, ``_participants``,
-    and ``_filters`` (GenericJoin and LeapfrogTriejoin both do).  The
-    folder's order must match the executor's.
+    The executor must expose ``order`` and its descent ``_binding``
+    (GenericJoin and LeapfrogTriejoin both do).  The folder's order must
+    match the executor's.
     """
     if folder.order != tuple(executor.order):
         raise QueryError(
             f"folder order {folder.order!r} does not match the "
             f"executor's attribute order {tuple(executor.order)!r}"
         )
-    indexes = executor._indexes
-    participants = executor._participants
-    filters = executor._filters
+    binding = executor._binding
+    indexes = binding.indexes
+    participants = binding.participants
     total = len(folder.order)
-    prune = _prune_depth(participants, filters, folder.cutoff, total)
-    # Leaf counting fires when the descent reaches the deepest level in
-    # full (prune == total) yet the spec never reads that level's value:
-    # all completions under one parent share the needed-values tuple, so
-    # the whole intersection folds into one multiplicity-weighted add.
-    countable_leaf = prune == total and total - 1 >= folder.cutoff
-    # Remaining-level tally per relation at the prune frontier: relation
-    # i contributes count(node_i, tail[i]) distinct completions.
-    tally: dict[int, int] = {}
-    for depth in range(prune, total):
-        position = participants[depth][0]
-        tally[position] = tally.get(position, 0) + 1
-    tail = tuple(tally.items())
-
-    def descend(depth: int, nodes: list, prefix: list) -> None:
-        if depth == prune:
-            if prune == total:
-                folder.add(prefix, 1)
-                return
+    prune = _prune_depth(participants, binding.filters, folder.cutoff, total)
+    levels = hash_levels(binding)
+    root = binding.roots()
+    add = folder.add
+    if prune < total:
+        # Remaining-level tally per relation at the prune frontier:
+        # relation i contributes count(node_i, tail[i]) completions.
+        tally: dict[int, int] = {}
+        for depth in range(prune, total):
+            position = participants[depth][0]
+            tally[position] = tally.get(position, 0) + 1
+        tail = tuple(tally.items())
+        for prefix, nodes in walk(levels, root, prune):
             multiplicity = 1
-            for position, levels in tail:
+            for position, remaining in tail:
                 multiplicity *= indexes[position].count(
-                    nodes[position], levels
+                    nodes[position], remaining
                 )
-                if not multiplicity:
-                    return
-            folder.add(prefix, multiplicity)
-            return
-        level = participants[depth]
-        if not level:
-            raise QueryError(
-                f"attribute {folder.order[depth]!r} is in no relation"
-            )
-        smallest = min(
-            level, key=lambda i: indexes[i].fanout_hint(nodes[i])
-        )
-        base = indexes[smallest]
-        others = [i for i in level if i != smallest]
-        level_filter = filters[depth]
-        if countable_leaf and depth == total - 1:
-            multiplicity = 0
-            for value, _child in base.items(nodes[smallest]):
-                if level_filter is not None and not level_filter(value):
-                    continue
-                for i in others:
-                    if indexes[i].child(nodes[i], value) is None:
-                        break
-                else:
-                    multiplicity += 1
             if multiplicity:
-                folder.add(prefix, multiplicity)
-            return
-        for value, child in base.items(nodes[smallest]):
-            if level_filter is not None and not level_filter(value):
-                continue
-            advanced = None
-            ok = True
-            for i in others:
-                nxt = indexes[i].child(nodes[i], value)
-                if nxt is None:
-                    ok = False
-                    break
-                if advanced is None:
-                    advanced = list(nodes)
-                advanced[i] = nxt
-            if not ok:
-                continue
-            if advanced is None:
-                advanced = list(nodes)
-            advanced[smallest] = child
-            prefix.append(value)
-            descend(depth + 1, advanced, prefix)
-            prefix.pop()
-
-    descend(0, [index.root for index in indexes], [])
+                add(prefix, multiplicity)
+    elif total - 1 >= folder.cutoff:
+        # Leaf counting: the descent reaches the deepest level in full
+        # yet the spec never reads that level's value.  All completions
+        # under one parent share the needed-values tuple, so the whole
+        # intersection folds into one multiplicity-weighted add.
+        leaf = levels[-1].leaf
+        for prefix, nodes in walk(levels, root, total - 1):
+            multiplicity = len(leaf(nodes, None))
+            if multiplicity:
+                add(prefix, multiplicity)
+    else:
+        for prefix, _nodes in walk(levels, root, total):
+            add(prefix, 1)
     return folder
 
 

@@ -37,25 +37,26 @@ Practicalities:
   falls back once to exact enumeration over the same indexes and draws
   the sample directly; the fallback costs one worst-case-optimal join,
   which the stall itself proves is cheap relative to further rejection.
-* The sampler is **algorithm independent**: it owns its descent, so the
-  query layer can surface it unchanged no matter which enumeration
-  algorithm the plan would have picked, over any index backend that
-  implements ``items``/``child``/``count``/``fanout_hint``.
+* The sampler is **algorithm independent**: it binds its own indexes and
+  takes its candidates from the descent kernel's hash-probe level
+  strategy (:mod:`repro.core.descent`), so the query layer can surface
+  it unchanged no matter which enumeration algorithm the plan would have
+  picked, over any index backend that implements
+  ``items``/``child``/``count``/``fanout_hint``.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 
-from repro.core.filters import per_position_filters
+from repro.core.descent import bind, hash_levels, walk
 from repro.core.query import JoinQuery
 from repro.hypergraph.agm import best_agm_bound
 from repro.relations.database import (
     DEFAULT_BACKEND,
     INDEX_BACKENDS,
     Database,
-    build_index,
 )
 from repro.relations.relation import Row, Value
 
@@ -86,33 +87,22 @@ class JoinSampler:
         filters: Mapping[str, Callable[[Value], bool]] | None = None,
     ) -> None:
         self.query = query
-        order = query.attributes
-        self.order = order
+        self.order = query.attributes
         kind = backend if backend in INDEX_BACKENDS else DEFAULT_BACKEND
         self.backend = kind
-        rank = {a: i for i, a in enumerate(order)}
-        self._indexes = []
-        self._arity: list[int] = []
-        for eid in query.edge_ids:
-            relation = query.relation(eid)
-            index_order = tuple(
-                sorted(relation.attributes, key=rank.__getitem__)
-            )
-            if database is not None and database.is_catalogued(relation):
-                index = database.index(eid, index_order, kind)
-            else:
-                index = build_index(relation, index_order, kind)
-            self._indexes.append(index)
-            self._arity.append(len(index_order))
-        self._participants: list[list[int]] = [
-            [
-                i
-                for i, eid in enumerate(query.edge_ids)
-                if attribute in query.relation(eid).attribute_set
-            ]
-            for attribute in order
+        self._binding = bind(query, None, kind, database, filters)
+        self._levels = hash_levels(self._binding)
+        self._root = self._binding.roots()
+        # _remaining[d][i]: levels of relation i still unbound before
+        # depth d (row 0 is each index's arity, the last row all zeros).
+        remaining = [
+            len(index.attributes) for index in self._binding.indexes
         ]
-        self._filters = per_position_filters(filters, order, order)
+        self._remaining = [tuple(remaining)]
+        for level in self._binding.participants:
+            for i in level:
+                remaining[i] -= 1
+            self._remaining.append(tuple(remaining))
         cover, self.agm = best_agm_bound(query.hypergraph, query.sizes())
         self._weights = [
             float(cover.get(eid)) for eid in query.edge_ids
@@ -121,117 +111,47 @@ class JoinSampler:
     # -- one rejection trial -------------------------------------------------
 
     def _trial(self, rng: random.Random) -> Row | None:
-        """One AGM-weighted descent; a full row or None (rejected)."""
-        indexes = self._indexes
+        """One AGM-weighted descent; a full row or None (rejected).
+
+        Walks one root-to-leaf path and never backtracks, so it is not a
+        :func:`~repro.core.descent.walk`; its candidates — filtered
+        values are simply absent, which keeps surviving rows uniform
+        over the *filtered* join — come from the same level strategy.
+        """
+        indexes = self._binding.indexes
         weights = self._weights
-        nodes = [index.root for index in indexes]
-        remaining = list(self._arity)
+        nodes = self._root
         weight = 1.0
         for i, index in enumerate(indexes):
-            count = index.count(nodes[i], remaining[i])
+            count = index.count(nodes[i], self._remaining[0][i])
             if count == 0:
                 return None  # an empty relation: the join is empty
             weight *= count ** weights[i]
         prefix: list[Value] = []
-        for depth in range(len(self.order)):
-            level = self._participants[depth]
+        for depth, level in enumerate(self._levels):
+            remaining = self._remaining[depth + 1]
             # Non-participants keep their node; their factors are shared
             # by every candidate's mass at this level.
             shared = 1.0
-            for i in range(len(indexes)):
-                if i not in level:
-                    shared *= (
-                        indexes[i].count(nodes[i], remaining[i])
+            for i, index in enumerate(indexes):
+                if i not in level.participants:
+                    shared *= index.count(nodes[i], remaining[i]) ** weights[i]
+            draw = rng.random() * weight
+            for value, advanced in level.expand(nodes, None):
+                weight = shared
+                for i in level.participants:
+                    weight *= (
+                        indexes[i].count(advanced[i], remaining[i])
                         ** weights[i]
                     )
-            smallest = min(
-                level, key=lambda i: indexes[i].fanout_hint(nodes[i])
-            )
-            base = indexes[smallest]
-            draw = rng.random() * weight
-            chosen = None
-            for value, base_child in base.items(nodes[smallest]):
-                mass = shared
-                children = {}
-                dead = False
-                for i in level:
-                    child = (
-                        base_child
-                        if i == smallest
-                        else indexes[i].child(nodes[i], value)
-                    )
-                    if child is None:
-                        dead = True
-                        break
-                    count = indexes[i].count(child, remaining[i] - 1)
-                    if count == 0:
-                        dead = True
-                        break
-                    children[i] = child
-                    mass *= count ** weights[i]
-                if dead:
-                    continue
-                draw -= mass
+                draw -= weight
                 if draw < 0.0:
-                    chosen = (value, children, mass)
                     break
-            if chosen is None:
+            else:
                 return None  # the draw fell into the Hölder slack
-            value, children, weight = chosen
-            level_filter = self._filters[depth]
-            if level_filter is not None and not level_filter(value):
-                return None  # dead mass: keeps filtered rows uniform
-            for i, child in children.items():
-                nodes[i] = child
-                remaining[i] -= 1
+            nodes = advanced
             prefix.append(value)
         return tuple(prefix)
-
-    # -- exact enumeration fallback ------------------------------------------
-
-    def _enumerate(self) -> list[Row]:
-        """All join rows via plain smallest-first descent (the fallback)."""
-        indexes = self._indexes
-        participants = self._participants
-        filters = self._filters
-        total = len(self.order)
-        rows: list[Row] = []
-
-        def descend(depth: int, nodes: list, prefix: list) -> None:
-            if depth == total:
-                rows.append(tuple(prefix))
-                return
-            level = participants[depth]
-            smallest = min(
-                level, key=lambda i: indexes[i].fanout_hint(nodes[i])
-            )
-            base = indexes[smallest]
-            others = [i for i in level if i != smallest]
-            level_filter = filters[depth]
-            for value, child in base.items(nodes[smallest]):
-                if level_filter is not None and not level_filter(value):
-                    continue
-                advanced = None
-                ok = True
-                for i in others:
-                    nxt = indexes[i].child(nodes[i], value)
-                    if nxt is None:
-                        ok = False
-                        break
-                    if advanced is None:
-                        advanced = list(nodes)
-                    advanced[i] = nxt
-                if not ok:
-                    continue
-                if advanced is None:
-                    advanced = list(nodes)
-                advanced[smallest] = child
-                prefix.append(value)
-                descend(depth + 1, advanced, prefix)
-                prefix.pop()
-
-        descend(0, [index.root for index in indexes], [])
-        return rows
 
     # -- public surface --------------------------------------------------------
 
@@ -254,7 +174,12 @@ class JoinSampler:
                 # Exact fallback: enumerate once, draw directly.  The
                 # draw ignores rows found so far — rng.sample is already
                 # uniform without replacement over the whole result.
-                rows = sorted(set(self._enumerate()))
+                rows = sorted(
+                    tuple(prefix)
+                    for prefix, _nodes in walk(
+                        self._levels, self._root, len(self.order)
+                    )
+                )
                 if len(rows) <= k:
                     return rows
                 return rng.sample(rows, k)

@@ -1,0 +1,366 @@
+"""The descent kernel: one binding, one walk, two level strategies.
+
+Generic Join and Leapfrog Triejoin are the same recursion over a global
+attribute order — at each level, intersect the candidate values of the
+relations containing the attribute, then descend per surviving value —
+and enumeration, per-level counting, aggregate folding and the sampler's
+exact fallback differ only in what happens at a node (Capelli, Irwin and
+Salvati, "A Simple Algorithm for Worst-Case Optimal Join and Sampling").
+This module holds the three pieces every such search shares:
+
+* :func:`bind` resolves a query, an attribute order, index backends and
+  residual filters into an immutable :class:`Binding` — the only place
+  that validates the order and consults the catalog's index cache;
+* :func:`walk` is the one loop that owns depth, prefix and backtracking;
+* :class:`HashLevel` and :class:`LeapfrogLevel` are the two ways to
+  intersect one level — the only code that differs between the
+  algorithms.
+
+The callers (:class:`~repro.core.generic_join.GenericJoin`,
+:class:`~repro.core.leapfrog.LeapfrogTriejoin`,
+:func:`~repro.aggregate.fold.fold_executor`,
+:class:`~repro.aggregate.sampling.JoinSampler`) are sinks over
+:func:`walk`.  Nothing here imports ``repro.engine`` or
+``repro.aggregate``: both reach back into ``repro.core``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from typing import NamedTuple
+
+from repro.core.filters import per_position_filters
+from repro.core.query import JoinQuery
+from repro.errors import QueryError
+from repro.relations.database import DEFAULT_BACKEND, Database, build_index
+from repro.relations.relation import Value
+
+Filter = Callable[[Value], bool]
+
+
+class Binding(NamedTuple):
+    """A query bound to an attribute order and per-relation indexes."""
+
+    #: The global attribute order (a permutation of the query's schema).
+    order: tuple[str, ...]
+    #: One index per relation, in ``query.edge_ids`` order, each levelled
+    #: by the relation's attributes sorted into :attr:`order`.
+    indexes: tuple
+    #: Per depth, the positions (into :attr:`indexes`) of the relations
+    #: containing that depth's attribute; never empty.
+    participants: tuple[tuple[int, ...], ...]
+    #: Per depth, the residual filter on that attribute (None = none).
+    filters: tuple[Filter | None, ...]
+    #: Permutation taking an order-aligned row to the query's schema.
+    output_perm: tuple[int, ...]
+
+    def roots(self) -> list:
+        """Every index's root node: the hash-probe walk's root state."""
+        return [index.root for index in self.indexes]
+
+
+def bind(
+    query: JoinQuery,
+    attribute_order: Sequence[str] | None,
+    backend: str | Mapping[str, str],
+    database: Database | None,
+    filters: Mapping[str, Filter] | None,
+) -> Binding:
+    """Resolve everything a descent needs before its first step.
+
+    ``attribute_order`` defaults to the query's; ``backend`` is one index
+    kind for every relation or a mapping of relation name to kind
+    (absent relations get the default kind).
+    """
+    order = (
+        tuple(attribute_order)
+        if attribute_order is not None
+        else query.attributes
+    )
+    if set(order) != set(query.attributes) or len(order) != len(
+        query.attributes
+    ):
+        raise QueryError(
+            f"attribute order {order!r} is not a permutation of "
+            f"{query.attributes!r}"
+        )
+    rank = {a: i for i, a in enumerate(order)}
+    indexes = []
+    participants: list[list[int]] = [[] for _ in order]
+    for position, eid in enumerate(query.edge_ids):
+        relation = query.relation(eid)
+        kind = (
+            backend.get(eid, DEFAULT_BACKEND)
+            if isinstance(backend, Mapping)
+            else backend
+        )
+        index_order = tuple(sorted(relation.attributes, key=rank.__getitem__))
+        # The catalog cache is consulted per relation, and only for
+        # the exact object catalogued under the name (identity, not
+        # equality): an ad-hoc relation — e.g. a section created by
+        # equality pushdown — that shares a catalog name must never
+        # be served (or store) the full relation's index.
+        if database is not None and database.is_catalogued(relation):
+            index = database.index(eid, index_order, kind)
+        else:
+            index = build_index(relation, index_order, kind)
+        indexes.append(index)
+        for attribute in index_order:
+            participants[rank[attribute]].append(position)
+    for attribute, level in zip(order, participants):
+        if not level:
+            # Impossible for validated queries; checked once, here.
+            raise QueryError(f"attribute {attribute!r} is in no relation")
+    return Binding(
+        order,
+        tuple(indexes),
+        tuple(tuple(level) for level in participants),
+        tuple(per_position_filters(filters, order, query.attributes)),
+        tuple(rank[a] for a in query.attributes),
+    )
+
+
+def walk(
+    levels: Sequence,
+    root: object,
+    stop: int,
+    probe=None,
+) -> Iterator[tuple[list, object]]:
+    """Yield ``(prefix, state)`` for every search node at depth ``stop``.
+
+    ``levels[d].expand(state, candidates)`` iterates the ``(value,
+    next state)`` pairs surviving level ``d`` below ``state``.  The walk
+    owns depth, prefix and backtracking — an explicit stack of open
+    levels, so a row is handed up through this one frame rather than one
+    per attribute.  ``prefix`` is a single list of length ``stop``
+    reused across yields: copy what you keep.  At full depth (``stop ==
+    len(levels)``) nothing can use the deepest state, so a strategy that
+    offers ``leaf(state, candidates)`` — the surviving values alone —
+    runs its deepest level through it and the yielded state is ``None``.
+
+    With a :class:`~repro.feedback.telemetry.TelemetryProbe` attached the
+    walk owns its counters: ``partials[d]`` counts openings of level
+    ``d``, ``matches[d]`` the candidates that survived it, and
+    ``candidates[d]`` is handed to the level strategy to bump per value
+    it enumerates.  Every level still open when the consumer abandons
+    the walk (or a filter raises) is closed, deepest first.
+    """
+    prefix: list = [None] * stop
+    if stop == 0:
+        yield prefix, root
+        return
+    counting = probe is not None
+    if counting:
+        partials, matches = probe.partials, probe.matches
+        candidates = probe.candidates
+    else:
+        candidates = None
+    expand = [level.expand for level in levels[:stop]]
+    last = stop - 1
+    leaf = levels[last].leaf if stop == len(levels) else None
+    stack: list = []
+    state = root
+    depth = 0
+    try:
+        while True:
+            if counting:
+                partials[depth] += 1
+            if depth == last and leaf is not None:
+                for value in leaf(state, candidates):
+                    if counting:
+                        matches[depth] += 1
+                    prefix[depth] = value
+                    yield prefix, None
+            else:
+                stack.append(expand[depth](state, candidates))
+            # Step the deepest open level that still has a survivor.
+            while stack:
+                for value, state in stack[-1]:
+                    break
+                else:
+                    stack.pop()
+                    continue
+                depth = len(stack) - 1
+                if counting:
+                    matches[depth] += 1
+                prefix[depth] = value
+                if depth == last:
+                    yield prefix, state
+                    continue
+                depth += 1
+                break
+            else:
+                return
+    finally:
+        while stack:
+            stack.pop().close()
+
+
+class HashLevel:
+    """Generic Join's level: iterate the smallest participant, probe the
+    rest.  State is the list of every relation's current index node."""
+
+    __slots__ = ("participants", "keep", "depth", "_operands", "_others")
+
+    def __init__(
+        self,
+        indexes: Sequence,
+        participants: Sequence[int],
+        keep: Filter | None,
+        depth: int,
+    ) -> None:
+        self.participants = participants
+        self.keep = keep
+        self.depth = depth
+        # Bound once per level, not looked up once per node visit.
+        self._operands = [
+            (i, indexes[i].fanout_hint, indexes[i].items)
+            for i in participants
+        ]
+        # Keyed by the smallest participant: the probes of the rest.
+        self._others = {
+            i: [(j, indexes[j].child) for j in participants if j != i]
+            for i in participants
+        }
+
+    def _open(self, nodes: Sequence):
+        """``(smallest, its items, [(position, child probe)])``:
+        smallest-first intersection, ranked by the O(1) fanout hint
+        (exact for tries; the first participant wins a tie)."""
+        best = least = None
+        for operand in self._operands:
+            size = operand[1](nodes[operand[0]])
+            if best is None or size < least:
+                best = operand
+                least = size
+        smallest = best[0]
+        return smallest, best[2](nodes[smallest]), self._others[smallest]
+
+    def expand(self, nodes: Sequence, candidates: list[int] | None):
+        """``(value, advanced nodes)`` per value present in every
+        participant and passing the level's filter."""
+        smallest, items, others = self._open(nodes)
+        keep = self.keep
+        depth = self.depth
+        for value, child in items:
+            if candidates is not None:
+                candidates[depth] += 1
+            if keep is not None and not keep(value):
+                continue
+            advanced = None
+            for i, probe in others:
+                nxt = probe(nodes[i], value)
+                if nxt is None:
+                    break
+                if advanced is None:
+                    advanced = list(nodes)
+                advanced[i] = nxt
+            else:
+                if advanced is None:
+                    advanced = list(nodes)
+                advanced[smallest] = child
+                yield value, advanced
+
+    def leaf(self, nodes: Sequence, candidates: list[int] | None) -> list:
+        """The values :meth:`expand` would yield, in one tight loop that
+        builds no node lists (the deepest level, and the fold's count)."""
+        _smallest, items, others = self._open(nodes)
+        keep = self.keep
+        depth = self.depth
+        values = []
+        for value, _child in items:
+            if candidates is not None:
+                candidates[depth] += 1
+            if keep is not None and not keep(value):
+                continue
+            for i, probe in others:
+                if probe(nodes[i], value) is None:
+                    break
+            else:
+                values.append(value)
+        return values
+
+
+def hash_levels(binding: Binding) -> list[HashLevel]:
+    """One :class:`HashLevel` per depth; the walk's root state is
+    ``binding.roots()``."""
+    return [
+        HashLevel(binding.indexes, ids, keep, depth)
+        for depth, (ids, keep) in enumerate(
+            zip(binding.participants, binding.filters)
+        )
+    ]
+
+
+class LeapfrogLevel:
+    """Leapfrog Triejoin's level: open the participants' cursors, emit
+    the keys all of them hold, restore them.  State lives in the cursors
+    (the walk's state value is unused)."""
+
+    __slots__ = ("cursors", "keep", "depth")
+
+    #: No node lists to skip building: the deepest level runs
+    #: :meth:`expand` like every other.
+    leaf = None
+
+    def __init__(
+        self, cursors: Sequence, keep: Filter | None, depth: int
+    ) -> None:
+        self.cursors = cursors
+        self.keep = keep
+        self.depth = depth
+
+    def expand(self, state: None, candidates: list[int] | None):
+        """``(key, state)`` per key the leapfrog intersection emits and
+        the level's filter keeps.  A candidate here is an *emitted* key —
+        values the seeks skipped were never enumerated."""
+        cursors = self.cursors
+        keep = self.keep
+        depth = self.depth
+        for cursor in cursors:
+            cursor.open()
+        try:
+            if not any(cursor.at_end for cursor in cursors):
+                for value in _leapfrog(cursors):
+                    if candidates is not None:
+                        candidates[depth] += 1
+                    if keep is None or keep(value):
+                        yield value, state
+        finally:
+            for cursor in cursors:
+                cursor.up()
+
+
+def leapfrog_levels(binding: Binding) -> list[LeapfrogLevel]:
+    """One :class:`LeapfrogLevel` per depth over *fresh* cursors sharing
+    the binding's indexes; the walk's root state is ``None``."""
+    cursors = [index.cursor() for index in binding.indexes]
+    return [
+        LeapfrogLevel([cursors[i] for i in ids], keep, depth)
+        for depth, (ids, keep) in enumerate(
+            zip(binding.participants, binding.filters)
+        )
+    ]
+
+
+def _leapfrog(cursors: Sequence):
+    """Yield every key present in all cursors at the open level."""
+    ordered = sorted(cursors, key=lambda it: it.key())
+    k = len(ordered)
+    p = 0
+    current_max = ordered[k - 1].key()
+    while True:
+        it = ordered[p]
+        key = it.key()
+        if key == current_max:
+            yield key
+            it.next()
+            if it.at_end:
+                return
+            current_max = it.key()
+        else:
+            it.seek(current_max)
+            if it.at_end:
+                return
+            current_max = it.key()
+        p = (p + 1) % k

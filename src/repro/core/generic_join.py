@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
 
-from repro.core.filters import per_position_filters
+from repro.core.descent import bind, hash_levels, walk
 from repro.core.query import JoinQuery
 from repro.errors import QueryError
-from repro.relations.database import DEFAULT_BACKEND, Database, build_index
+from repro.relations.database import DEFAULT_BACKEND, Database
 from repro.relations.relation import Relation, Row, Value
 
 
@@ -63,10 +63,10 @@ class GenericJoin:
         pays for completions the selection would discard.
     telemetry:
         Optional :class:`~repro.feedback.telemetry.TelemetryProbe` whose
-        ``order`` matches this executor's.  When attached, the search
-        runs an instrumented twin of :meth:`_search` that counts
-        partials, candidates, and matches per level; when ``None`` (the
-        default) the uninstrumented path runs — zero added cost.
+        ``order`` matches this executor's.  When attached, the descent
+        kernel (:func:`repro.core.descent.walk`) counts partials,
+        candidates, and matches per level into it; ``None`` (the
+        default) skips the counting branches.
     """
 
     def __init__(
@@ -79,71 +79,23 @@ class GenericJoin:
         telemetry=None,
     ) -> None:
         self.query = query
-        order = (
-            tuple(attribute_order)
-            if attribute_order is not None
-            else query.attributes
-        )
-        if set(order) != set(query.attributes) or len(order) != len(
-            query.attributes
-        ):
-            raise QueryError(
-                f"attribute order {order!r} is not a permutation of "
-                f"{query.attributes!r}"
-            )
-        self.order = order
         if isinstance(backend, Mapping):
-            per_relation = dict(backend)
             # Label from what each relation will actually get: a partial
             # mapping leaves the absent relations on the default kind.
             kinds = {
-                per_relation.get(eid, DEFAULT_BACKEND)
-                for eid in query.edge_ids
+                backend.get(eid, DEFAULT_BACKEND) for eid in query.edge_ids
             }
             self.backend = kinds.pop() if len(kinds) == 1 else "mixed"
         else:
-            per_relation = None
             self.backend = backend
-        rank = {a: i for i, a in enumerate(order)}
-        self._indexes = []
-        for eid in query.edge_ids:
-            relation = query.relation(eid)
-            kind = (
-                per_relation.get(eid, DEFAULT_BACKEND)
-                if per_relation is not None
-                else backend
-            )
-            index_order = tuple(
-                sorted(relation.attributes, key=rank.__getitem__)
-            )
-            # The catalog cache is consulted per relation, and only for
-            # the exact object catalogued under the name (identity, not
-            # equality): an ad-hoc relation — e.g. a section created by
-            # equality pushdown — that shares a catalog name must never
-            # be served (or store) the full relation's index.
-            if database is not None and database.is_catalogued(relation):
-                index = database.index(eid, index_order, kind)
-            else:
-                index = build_index(relation, index_order, kind)
-            self._indexes.append(index)
-        # For each depth, which relations participate (contain the attr).
-        self._participants: list[list[int]] = []
-        for attribute in order:
-            self._participants.append(
-                [
-                    i
-                    for i, eid in enumerate(query.edge_ids)
-                    if attribute in query.relation(eid).attribute_set
-                ]
-            )
-        # Permutation taking an order-aligned row to the query's schema.
-        self._output_perm = tuple(rank[a] for a in query.attributes)
-        # Per-depth residual filter (None = unfiltered level).
-        self._filters = per_position_filters(filters, order, query.attributes)
-        if telemetry is not None and tuple(telemetry.order) != order:
+        self._binding = bind(
+            query, attribute_order, backend, database, filters
+        )
+        self.order = self._binding.order
+        if telemetry is not None and tuple(telemetry.order) != self.order:
             raise QueryError(
                 f"telemetry probe order {telemetry.order!r} does not match "
-                f"the executor's attribute order {order!r}"
+                f"the executor's attribute order {self.order!r}"
             )
         self.telemetry = telemetry
 
@@ -154,13 +106,12 @@ class GenericJoin:
         nothing is materialized, so callers can stop early or pipeline the
         output.
         """
-        perm = self._output_perm
-        nodes = [index.root for index in self._indexes]
-        search = (
-            self._search if self.telemetry is None else self._search_observed
-        )
-        for row in search(0, nodes, []):
-            yield tuple(row[i] for i in perm)
+        binding = self._binding
+        perm = binding.output_perm
+        for prefix, _nodes in walk(
+            hash_levels(binding), binding.roots(), len(perm), self.telemetry
+        ):
+            yield tuple(prefix[i] for i in perm)
 
     def execute(self, name: str = "J") -> Relation:
         """Run Generic Join; returns the join in query attribute order."""
@@ -169,7 +120,7 @@ class GenericJoin:
     def fold(self, folder):
         """Fold an aggregate through the level loops, skipping rows.
 
-        Runs the same smallest-first descent as :meth:`_search`, but
+        Runs the same smallest-first descent as :meth:`iter_join`, but
         feeds each surviving prefix to ``folder`` instead of yielding
         rows, and collapses suffixes where every remaining level has a
         single unfiltered participant into one factorized count — see
@@ -180,108 +131,6 @@ class GenericJoin:
         from repro.aggregate.fold import fold_executor
 
         return fold_executor(self, folder)
-
-    def _search(
-        self,
-        depth: int,
-        nodes: list[object],
-        prefix: list[object],
-    ) -> Iterator[Row]:
-        if depth == len(self.order):
-            yield tuple(prefix)
-            return
-        participants = self._participants[depth]
-        if not participants:
-            # Attribute in no relation: impossible for validated queries.
-            raise QueryError(
-                f"attribute {self.order[depth]!r} is in no relation"
-            )
-        # Smallest-first intersection of the candidate child key sets
-        # (ranked by the O(1) fanout hint, exact for tries).
-        indexes = self._indexes
-        smallest = min(
-            participants, key=lambda i: indexes[i].fanout_hint(nodes[i])
-        )
-        base = indexes[smallest]
-        others = [i for i in participants if i != smallest]
-        level_filter = self._filters[depth]
-        for value, child in base.items(nodes[smallest]):
-            if level_filter is not None and not level_filter(value):
-                continue
-            advanced = None
-            ok = True
-            for i in others:
-                nxt = indexes[i].child(nodes[i], value)
-                if nxt is None:
-                    ok = False
-                    break
-                if advanced is None:
-                    advanced = list(nodes)
-                advanced[i] = nxt
-            if not ok:
-                continue
-            if advanced is None:
-                advanced = list(nodes)
-            advanced[smallest] = child
-            prefix.append(value)
-            yield from self._search(depth + 1, advanced, prefix)
-            prefix.pop()
-
-    def _search_observed(
-        self,
-        depth: int,
-        nodes: list[object],
-        prefix: list[object],
-    ) -> Iterator[Row]:
-        """:meth:`_search` with telemetry counters.
-
-        A deliberate twin rather than a flag inside :meth:`_search`: the
-        uninstrumented search loop is the engine's hottest path, and
-        "zero-cost when disabled" means zero — not one branch per
-        candidate value.  Any change to :meth:`_search` must land here
-        too; ``tests/feedback/test_telemetry.py`` asserts the two paths
-        yield identical rows.
-        """
-        probe = self.telemetry
-        if depth == len(self.order):
-            yield tuple(prefix)
-            return
-        probe.partials[depth] += 1
-        participants = self._participants[depth]
-        if not participants:
-            raise QueryError(
-                f"attribute {self.order[depth]!r} is in no relation"
-            )
-        indexes = self._indexes
-        smallest = min(
-            participants, key=lambda i: indexes[i].fanout_hint(nodes[i])
-        )
-        base = indexes[smallest]
-        others = [i for i in participants if i != smallest]
-        level_filter = self._filters[depth]
-        for value, child in base.items(nodes[smallest]):
-            probe.candidates[depth] += 1
-            if level_filter is not None and not level_filter(value):
-                continue
-            advanced = None
-            ok = True
-            for i in others:
-                nxt = indexes[i].child(nodes[i], value)
-                if nxt is None:
-                    ok = False
-                    break
-                if advanced is None:
-                    advanced = list(nodes)
-                advanced[i] = nxt
-            if not ok:
-                continue
-            probe.matches[depth] += 1
-            if advanced is None:
-                advanced = list(nodes)
-            advanced[smallest] = child
-            prefix.append(value)
-            yield from self._search_observed(depth + 1, advanced, prefix)
-            prefix.pop()
 
 
 def generic_join(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
 
-from repro.core.filters import per_position_filters
+from repro.core.descent import bind, leapfrog_levels, walk
 from repro.core.query import JoinQuery
 from repro.errors import QueryError
 from repro.relations.database import Database
@@ -78,7 +78,7 @@ class LeapfrogTriejoin:
         a key the leapfrog intersection *emitted* (values the seeks
         skipped were never enumerated), so unfiltered levels observe
         ``candidates == matches`` and fan-out is the informative
-        number.  ``None`` (default) keeps the uninstrumented path.
+        number.  ``None`` (default) skips the counting branches.
     """
 
     def __init__(
@@ -97,55 +97,14 @@ class LeapfrogTriejoin:
                 f" (supported: {CURSOR_BACKENDS})"
             )
         self.backend = backend
-        order = (
-            tuple(attribute_order)
-            if attribute_order is not None
-            else query.attributes
+        self._binding = bind(
+            query, attribute_order, backend, database, filters
         )
-        if set(order) != set(query.attributes) or len(order) != len(
-            query.attributes
-        ):
-            raise QueryError(
-                f"attribute order {order!r} is not a permutation of "
-                f"{query.attributes!r}"
-            )
-        self.order = order
-        rank = {a: i for i, a in enumerate(order)}
-        if backend == SortedArrayIndex.kind:
-            index_type = SortedArrayIndex
-        else:
-            # Lazy: repro.core must not import repro.engine at module
-            # load (executors would re-enter this module mid-init), but
-            # by construction time the engine package is initialized.
-            from repro.engine.compact import CompactArrayIndex
-
-            index_type = CompactArrayIndex
-        self._indexes: list = []
-        # Per depth: positions (into _indexes) of participating relations.
-        self._participants: list[list[int]] = [[] for _ in order]
-        for eid in query.edge_ids:
-            relation = query.relation(eid)
-            index_order = tuple(
-                sorted(relation.attributes, key=rank.__getitem__)
-            )
-            # Cache only for the exact catalogued object (identity):
-            # same-named ad-hoc relations (e.g. pushdown sections) build
-            # privately instead of being served the full index.
-            if database is not None and database.is_catalogued(relation):
-                index = database.index(eid, index_order, backend)
-            else:
-                index = index_type(relation, index_order)
-            position = len(self._indexes)
-            self._indexes.append(index)
-            for attribute in index_order:
-                self._participants[rank[attribute]].append(position)
-        self._output_perm = tuple(rank[a] for a in query.attributes)
-        # Per-depth residual filter (None = unfiltered level).
-        self._filters = per_position_filters(filters, order, query.attributes)
-        if telemetry is not None and tuple(telemetry.order) != order:
+        self.order = self._binding.order
+        if telemetry is not None and tuple(telemetry.order) != self.order:
             raise QueryError(
                 f"telemetry probe order {telemetry.order!r} does not match "
-                f"the executor's attribute order {order!r}"
+                f"the executor's attribute order {self.order!r}"
             )
         self.telemetry = telemetry
 
@@ -156,16 +115,12 @@ class LeapfrogTriejoin:
         an executor can be run repeatedly and generators can be abandoned
         mid-stream without corrupting state.
         """
-        if any(len(index) == 0 for index in self._indexes):
-            return
-        cursors = [index.cursor() for index in self._indexes]
-        levels = [
-            [cursors[i] for i in ids] for ids in self._participants
-        ]
-        if self.telemetry is None:
-            yield from self._level(0, levels, [])
-        else:
-            yield from self._level_observed(0, levels, [])
+        binding = self._binding
+        perm = binding.output_perm
+        for prefix, _state in walk(
+            leapfrog_levels(binding), None, len(perm), self.telemetry
+        ):
+            yield tuple(prefix[i] for i in perm)
 
     def execute(self, name: str = "J") -> Relation:
         """Run the triejoin; returns the join in query attribute order."""
@@ -182,104 +137,11 @@ class LeapfrogTriejoin:
         prunable suffixes collapse to factorized counts instead of
         being leapfrogged through.  Returns the folder.
         """
-        # Lazy for the same reason as the compact-backend import above.
+        # Lazy: repro.core must not import repro.aggregate at module
+        # load (the aggregate package reaches back into repro.core).
         from repro.aggregate.fold import fold_executor
 
         return fold_executor(self, folder)
-
-    def _level(
-        self,
-        depth: int,
-        levels: list[list[SortedTrieIterator]],
-        prefix: list[object],
-    ) -> Iterator[Row]:
-        if depth == len(self.order):
-            perm = self._output_perm
-            yield tuple(prefix[i] for i in perm)
-            return
-        iterators = levels[depth]
-        if not iterators:
-            raise QueryError(
-                f"attribute {self.order[depth]!r} is in no relation"
-            )
-        for it in iterators:
-            it.open()
-        level_filter = self._filters[depth]
-        try:
-            if not any(it.at_end for it in iterators):
-                for value in self._leapfrog(iterators):
-                    if level_filter is not None and not level_filter(value):
-                        continue
-                    prefix.append(value)
-                    yield from self._level(depth + 1, levels, prefix)
-                    prefix.pop()
-        finally:
-            for it in iterators:
-                it.up()
-
-    def _level_observed(
-        self,
-        depth: int,
-        levels: list[list[SortedTrieIterator]],
-        prefix: list[object],
-    ) -> Iterator[Row]:
-        """:meth:`_level` with telemetry counters.
-
-        A deliberate twin of :meth:`_level` (same reasoning as
-        ``GenericJoin._search_observed``: the disabled path must stay
-        branch-free).  Any change to :meth:`_level` must land here too;
-        the telemetry tests assert row parity between the paths.
-        """
-        probe = self.telemetry
-        if depth == len(self.order):
-            perm = self._output_perm
-            yield tuple(prefix[i] for i in perm)
-            return
-        probe.partials[depth] += 1
-        iterators = levels[depth]
-        if not iterators:
-            raise QueryError(
-                f"attribute {self.order[depth]!r} is in no relation"
-            )
-        for it in iterators:
-            it.open()
-        level_filter = self._filters[depth]
-        try:
-            if not any(it.at_end for it in iterators):
-                for value in self._leapfrog(iterators):
-                    probe.candidates[depth] += 1
-                    if level_filter is not None and not level_filter(value):
-                        continue
-                    probe.matches[depth] += 1
-                    prefix.append(value)
-                    yield from self._level_observed(depth + 1, levels, prefix)
-                    prefix.pop()
-        finally:
-            for it in iterators:
-                it.up()
-
-    @staticmethod
-    def _leapfrog(iterators: list[SortedTrieIterator]):
-        """Yield every key present in all iterators at the open level."""
-        ordered = sorted(iterators, key=lambda it: it.key())
-        k = len(ordered)
-        p = 0
-        current_max = ordered[k - 1].key()
-        while True:
-            it = ordered[p]
-            key = it.key()
-            if key == current_max:
-                yield key
-                it.next()
-                if it.at_end:
-                    return
-                current_max = it.key()
-            else:
-                it.seek(current_max)
-                if it.at_end:
-                    return
-                current_max = it.key()
-            p = (p + 1) % k
 
 
 def leapfrog_join(

@@ -18,8 +18,8 @@ everywhere at once.
 
 **Residual filters.**  The query layer (:mod:`repro.query`) pushes
 single-attribute selection predicates down to the executors.  The
-attribute-at-a-time executors in :data:`NATIVE_FILTERS` evaluate them at
-the level that binds the attribute, pruning subtrees; the blocking
+attribute-at-a-time executors in :data:`DESCENT_ALGORITHMS` evaluate
+them at the level that binds the attribute, pruning subtrees; the blocking
 specialists (``lw``, ``arity2``, ``nprr``) are wrapped in
 :class:`RowFilterExecutor`, which applies the same predicates to emitted
 rows — identical semantics, no early pruning.
@@ -44,9 +44,7 @@ from repro.relations.sorted_index import SortedArrayIndex
 
 __all__ = [
     "EXECUTORS",
-    "NATIVE_FILTERS",
-    "NATIVE_FOLD",
-    "NATIVE_TELEMETRY",
+    "DESCENT_ALGORITHMS",
     "RowFilterExecutor",
     "algorithm_names",
     "build_executor",
@@ -197,23 +195,17 @@ EXECUTORS = {
     "arity2": _make_arity_two,
 }
 
-#: Algorithms whose executors evaluate residual filters *at the level
-#: binding the attribute* (pruning subtrees).  Everything else is
-#: wrapped in :class:`RowFilterExecutor` when filters are present.
-NATIVE_FILTERS = frozenset({"generic", "leapfrog"})
-
-#: Algorithms whose executors accept a per-level
-#: :class:`~repro.feedback.telemetry.TelemetryProbe`.  The blocking
-#: specialists have no global per-attribute levels to count, so the
-#: feedback loop records nothing for them (their executions are still
-#: parity-identical with feedback enabled).
-NATIVE_TELEMETRY = frozenset({"generic", "leapfrog"})
-
-#: Algorithms whose executors expose ``fold(folder)`` — aggregation
-#: pushed into the level loops with factorized subtree pruning (see
-#: :mod:`repro.aggregate.fold`).  Aggregates over the rest fold the
-#: executor's row stream instead (same results, enumeration cost).
-NATIVE_FOLD = frozenset({"generic", "leapfrog"})
+#: Algorithms that run on the descent kernel (:mod:`repro.core.descent`).
+#: One fact, three consequences: their executors evaluate residual
+#: filters *at the level binding the attribute* (pruning subtrees;
+#: everything else is wrapped in :class:`RowFilterExecutor`), accept a
+#: per-level :class:`~repro.feedback.telemetry.TelemetryProbe` (the
+#: blocking specialists have no global per-attribute levels to count, so
+#: the feedback loop records nothing for them), and expose
+#: ``fold(folder)`` — aggregation pushed into the level loops with
+#: factorized subtree pruning (see :mod:`repro.aggregate.fold`;
+#: aggregates over the rest fold the executor's row stream instead).
+DESCENT_ALGORITHMS = frozenset({"generic", "leapfrog"})
 
 
 def algorithm_names(include_auto: bool = True) -> tuple[str, ...]:
@@ -239,9 +231,9 @@ def build_executor(
     planner, not here).  Raises :class:`~repro.errors.QueryError` for an
     unknown name before touching any relation data.  ``filters`` attach
     the query layer's residual predicates — natively for the algorithms
-    in :data:`NATIVE_FILTERS`, via :class:`RowFilterExecutor` otherwise.
+    in :data:`DESCENT_ALGORITHMS`, via :class:`RowFilterExecutor` otherwise.
     ``telemetry`` attaches a per-level probe to the algorithms in
-    :data:`NATIVE_TELEMETRY` and is ignored for the rest.
+    :data:`DESCENT_ALGORITHMS` and is ignored for the rest.
     """
     try:
         factory = EXECUTORS[algorithm]
@@ -250,7 +242,7 @@ def build_executor(
             f"unknown algorithm {algorithm!r}; "
             f"choose one of {algorithm_names()}"
         ) from None
-    native = filters if algorithm in NATIVE_FILTERS else None
+    native = filters if algorithm in DESCENT_ALGORITHMS else None
     executor = factory(
         query,
         cover=cover,
@@ -258,8 +250,8 @@ def build_executor(
         backend=backend,
         database=database,
         filters=native,
-        telemetry=telemetry if algorithm in NATIVE_TELEMETRY else None,
+        telemetry=telemetry if algorithm in DESCENT_ALGORITHMS else None,
     )
-    if filters and algorithm not in NATIVE_FILTERS:
+    if filters and algorithm not in DESCENT_ALGORITHMS:
         executor = RowFilterExecutor(executor, query, filters)
     return executor

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 from repro.aggregate.fold import Folder, fold_state
 from repro.core.query import JoinQuery
-from repro.engine.executors import NATIVE_FOLD
+from repro.engine.executors import DESCENT_ALGORITHMS
 from repro.engine.planner import plan_join
 from repro.errors import PlanError, require_positive_int
 from repro.feedback.resharding import ShardPlanEntry, expand_shards
@@ -944,8 +944,8 @@ def _shard_fold_state(task: _ShardTask, spec):
     """Fold one shard into a partial aggregate state (worker primitive).
 
     Same skip/plan discipline as :func:`_shard_rows`; algorithms in
-    :data:`~repro.engine.executors.NATIVE_FOLD` push the fold into their
-    level loops, the rest fold their row stream.  Returns the *raw*
+    :data:`~repro.engine.executors.DESCENT_ALGORITHMS` push the fold into
+    their level loops, the rest fold their row stream.  Returns the *raw*
     state (not ``spec.finish``) so the parent can merge across shards.
     """
     if any(len(rel) == 0 for rel in task.query.relations.values()):
@@ -958,7 +958,7 @@ def _shard_fold_state(task: _ShardTask, spec):
         backend=task.backend,
     )
     filters = dict(task.filters) if task.filters else None
-    if plan.algorithm in NATIVE_FOLD:
+    if plan.algorithm in DESCENT_ALGORITHMS:
         executor = plan.executor(filters=filters)
         folder = Folder(spec, plan.attribute_order)
         executor.fold(folder)

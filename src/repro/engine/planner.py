@@ -232,7 +232,7 @@ class JoinPlan:
         filter emitted rows for the blocking specialists.  ``telemetry``
         attaches a :class:`~repro.feedback.telemetry.TelemetryProbe` to
         executors that support per-level counting (see
-        :data:`~repro.engine.executors.NATIVE_TELEMETRY`).
+        :data:`~repro.engine.executors.DESCENT_ALGORITHMS`).
         """
         backend: str | dict[str, str] = self.backend
         if self.relation_backends is not None:

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, replace as _dc_replace
 from time import perf_counter
 
-from repro.engine.executors import NATIVE_TELEMETRY
+from repro.engine.executors import DESCENT_ALGORITHMS
 from repro.feedback.telemetry import (
     TelemetryProbe,
     feedback_scope,
@@ -255,7 +255,7 @@ def analyze_query(builder) -> ExplainAnalysis:
         compiled.satisfiable
         and compiled.residual is not None
         and not ctx.parallel
-        and plan.algorithm in NATIVE_TELEMETRY
+        and plan.algorithm in DESCENT_ALGORITHMS
     ):
         # The measured serial path: drive the executor ourselves so the
         # probe exists regardless of the feedback configuration.

@@ -243,7 +243,7 @@ class MetricsRegistry:
 
     def record_rows(self, rows: int) -> None:
         """Row-count-only ingest for executions without a per-level
-        probe (algorithms outside ``NATIVE_TELEMETRY``, sharded runs)."""
+        probe (algorithms outside ``DESCENT_ALGORITHMS``, sharded runs)."""
         self.counter(
             "repro_rows_emitted_total",
             "Result rows emitted by measured executions",

@@ -67,7 +67,7 @@ from repro.aggregate.specs import (
 )
 from repro.core.query import JoinQuery
 from repro.engine import parallel as _parallel
-from repro.engine.executors import NATIVE_FOLD, NATIVE_TELEMETRY
+from repro.engine.executors import DESCENT_ALGORITHMS
 from repro.engine.planner import NO_BACKEND, JoinPlan, plan_join
 from repro.errors import QueryError, require_positive_int
 from repro.feedback.telemetry import TelemetryProbe, feedback_scope
@@ -627,7 +627,7 @@ class QueryBuilder:
         probe = None
         if (
             ctx.feedback is not None
-            and plan.algorithm in NATIVE_TELEMETRY
+            and plan.algorithm in DESCENT_ALGORITHMS
         ):
             probe = TelemetryProbe(plan.attribute_order)
         with tracer.activate() if tracer else _nullcontext():
@@ -690,7 +690,7 @@ class QueryBuilder:
         Dispatch, in order of preference:
 
         1. **Folded** into the level loops of a native executor
-           (:data:`~repro.engine.executors.NATIVE_FOLD`) — no rows are
+           (:data:`~repro.engine.executors.DESCENT_ALGORITHMS`) — no rows are
            materialized and prunable subtrees contribute factorized
            counts in O(1).  Requires: no projection, no feedback loop,
            serial execution, and no aggregate input read from a bound
@@ -743,7 +743,7 @@ class QueryBuilder:
                 context=ctx,
                 feedback_scope=feedback_scope(compiled.filters),
             )
-            if plan.algorithm in NATIVE_FOLD:
+            if plan.algorithm in DESCENT_ALGORITHMS:
                 plan = _dc_replace(plan, aggregate=mode)
                 executor = plan.executor(
                     database=self._execution_database(),

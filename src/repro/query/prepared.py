@@ -35,7 +35,7 @@ from dataclasses import replace as _dc_replace
 from repro.aggregate.fold import Folder, fold_rows
 from repro.aggregate.specs import Avg, Count, CountDistinct, Max, Min, Sum
 from repro.engine import parallel as _parallel
-from repro.engine.executors import NATIVE_FOLD, NATIVE_TELEMETRY
+from repro.engine.executors import DESCENT_ALGORITHMS
 from repro.engine.planner import JoinPlan
 from repro.errors import QueryError
 from repro.feedback.telemetry import (
@@ -101,7 +101,7 @@ class PreparedQuery:
         ):
             if (
                 builder.context.feedback is not None
-                and plan.algorithm in NATIVE_TELEMETRY
+                and plan.algorithm in DESCENT_ALGORITHMS
             ):
                 probe = TelemetryProbe(plan.attribute_order)
             executor = plan.executor(
@@ -258,7 +258,7 @@ class PreparedQuery:
         # Anything execution-relevant changed — order, algorithm, or a
         # backend choice flipped by the fresh evidence: rebuild.
         probe = None
-        if plan.algorithm in NATIVE_TELEMETRY:
+        if plan.algorithm in DESCENT_ALGORITHMS:
             probe = TelemetryProbe(plan.attribute_order)
         executor = plan.executor(
             database=self._builder._execution_database(),
@@ -283,7 +283,8 @@ class PreparedQuery:
         """One aggregate over the prepared query — no re-planning, ever.
 
         The frozen executor's level loops fold the spec directly when
-        the plan is native (:data:`~repro.engine.executors.NATIVE_FOLD`),
+        the plan runs on the descent kernel
+        (:data:`~repro.engine.executors.DESCENT_ALGORITHMS`),
         reusing the indexes built at prepare time; rebinding via
         :meth:`bind` keeps this path (the rebound prepared query carries
         its own executor over the re-sectioned relations).  Projection,
@@ -307,7 +308,7 @@ class PreparedQuery:
             self._executor is not None
             and self._probe is None
             and self._builder.selected is None
-            and self._plan.algorithm in NATIVE_FOLD
+            and self._plan.algorithm in DESCENT_ALGORITHMS
             and set(spec.needs) <= set(self._plan.attribute_order)
         ):
             folder = Folder(spec, self._plan.attribute_order)

@@ -136,7 +136,9 @@ class TestSharedIndexCache:
         first = LeapfrogTriejoin(query, database=db)
         second = LeapfrogTriejoin(query, database=db)
         assert all(
-            a is b for a, b in zip(first._indexes, second._indexes)
+            a is b for a, b in zip(
+                first._binding.indexes, second._binding.indexes
+            )
         )
 
     def test_generic_sorted_backend_shares_leapfrog_cache(self):

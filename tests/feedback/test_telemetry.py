@@ -1,10 +1,13 @@
-"""Telemetry counters: parity with the uninstrumented paths, and the
-counter invariants that make the feedback loop's arithmetic sound."""
+"""Telemetry counters: the invariants that make the feedback loop's
+arithmetic sound, for both level strategies of the descent kernel.
+(Row parity of observed and plain runs, per sink and backend, lives in
+``tests/core/test_descent.py``.)"""
 
 import pytest
 
 from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
+from repro.core.query import JoinQuery
 from repro.errors import QueryError
 from repro.feedback.telemetry import (
     ExecutionTelemetry,
@@ -12,7 +15,9 @@ from repro.feedback.telemetry import (
     TelemetryProbe,
     estimate_divergence,
 )
+from repro.relations.relation import Relation
 from repro.workloads import generators
+from tests.helpers import assert_counter_chain
 
 
 @pytest.fixture(scope="module")
@@ -20,58 +25,6 @@ def trap():
     return generators.zipf_trap_triangle(
         120, 500, seed=7, match_fraction=0.05, decoy_domain=8
     )
-
-
-ORDERS = [("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B")]
-
-
-class TestProbeParity:
-    """The instrumented search twins must yield exactly the plain rows."""
-
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_generic_rows_identical(self, trap, order):
-        plain = list(GenericJoin(trap, attribute_order=order).iter_join())
-        probe = TelemetryProbe(order)
-        observed = list(
-            GenericJoin(
-                trap, attribute_order=order, telemetry=probe
-            ).iter_join()
-        )
-        assert observed == plain
-
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_leapfrog_rows_identical(self, trap, order):
-        plain = list(
-            LeapfrogTriejoin(trap, attribute_order=order).iter_join()
-        )
-        probe = TelemetryProbe(order)
-        observed = list(
-            LeapfrogTriejoin(
-                trap, attribute_order=order, telemetry=probe
-            ).iter_join()
-        )
-        assert observed == plain
-
-    def test_generic_with_filters(self, trap):
-        filters = {"B": lambda v: v != 0}
-        order = ("B", "A", "C")
-        plain = list(
-            GenericJoin(
-                trap, attribute_order=order, filters=filters
-            ).iter_join()
-        )
-        probe = TelemetryProbe(order)
-        observed = list(
-            GenericJoin(
-                trap,
-                attribute_order=order,
-                filters=filters,
-                telemetry=probe,
-            ).iter_join()
-        )
-        assert observed == plain
-        # The filter rejects candidates before they become matches.
-        assert probe.candidates[0] > probe.matches[0]
 
 
 class TestCounterInvariants:
@@ -84,16 +37,52 @@ class TestCounterInvariants:
 
     @pytest.mark.parametrize("cls", [GenericJoin, LeapfrogTriejoin])
     def test_chain_invariants(self, trap, cls):
+        probe, rows = self._run(trap, cls, ("B", "C", "A"))
+        assert_counter_chain(probe, len(rows))
+
+    @pytest.mark.parametrize("cls", [GenericJoin, LeapfrogTriejoin])
+    @pytest.mark.parametrize("empty", ["R", "S", "T"])
+    def test_empty_input(self, trap, cls, empty):
+        # Leapfrog used to return before counting anything
+        # (partials == [0, 0, 0]) where Generic Join reported the root.
+        query = JoinQuery(
+            [
+                Relation(
+                    name, rel.attributes, [] if name == empty else rel.tuples
+                )
+                for name, rel in trap.relations.items()
+            ]
+        )
+        probe, rows = self._run(query, cls, ("A", "B", "C"))
+        assert rows == []
+        assert_counter_chain(probe, 0)
+
+    @pytest.mark.parametrize("cls", [GenericJoin, LeapfrogTriejoin])
+    def test_filtered(self, trap, cls):
+        order = ("B", "A", "C")
+        probe = TelemetryProbe(order)
+        executor = cls(
+            trap,
+            attribute_order=order,
+            filters={"B": lambda v: v != 0},
+            telemetry=probe,
+        )
+        rows = list(executor.iter_join())
+        assert rows and all(row[1] != 0 for row in rows)
+        assert_counter_chain(probe, len(rows))
+        # The filter rejects candidates before they become matches.
+        assert probe.candidates[0] > probe.matches[0]
+
+    @pytest.mark.parametrize("cls", [GenericJoin, LeapfrogTriejoin])
+    @pytest.mark.parametrize("taken", [1, 2, 57])
+    def test_abandoned_mid_stream(self, trap, cls, taken):
         order = ("B", "C", "A")
-        probe, rows = self._run(trap, cls, order)
-        # The root is entered exactly once; each level's matches are the
-        # next level's partials; the last level's matches are the rows.
-        assert probe.partials[0] == 1
-        for depth in range(1, len(order)):
-            assert probe.partials[depth] == probe.matches[depth - 1]
-        assert probe.matches[-1] == len(rows)
-        for depth in range(len(order)):
-            assert probe.candidates[depth] >= probe.matches[depth]
+        probe = TelemetryProbe(order)
+        stream = cls(trap, attribute_order=order, telemetry=probe).iter_join()
+        for _ in range(taken):
+            next(stream)
+        stream.close()
+        assert_counter_chain(probe, taken)
 
     def test_generic_sees_dead_ends(self, trap):
         # The trap's payoff attribute prunes hard when bound last: the

@@ -53,6 +53,20 @@ def oracle_join(query: JoinQuery) -> list[tuple]:
     return rows
 
 
+def assert_counter_chain(probe, rows_out: int) -> None:
+    """The invariants of a :class:`TelemetryProbe` after a run that
+    delivered ``rows_out`` rows (complete or abandoned): the root is
+    entered exactly once; each level's matches are the next level's
+    partials; the last level's matches are the rows; no level matches
+    more than it enumerated."""
+    assert probe.partials[0] == 1
+    for depth in range(1, len(probe.order)):
+        assert probe.partials[depth] == probe.matches[depth - 1]
+    assert probe.matches[-1] == rows_out
+    for depth in range(len(probe.order)):
+        assert probe.candidates[depth] >= probe.matches[depth]
+
+
 def two_path_query() -> JoinQuery:
     """R(A,B) join S(B,C) — the simplest two-relation query."""
     return JoinQuery(

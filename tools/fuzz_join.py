@@ -7,9 +7,13 @@ is replayable), then checks for each instance that
 * ``iter_join`` under a randomly chosen algorithm/backend/shard config
   yields exactly the oracle's row set,
 * ``count()`` equals the oracle's row count (the fold must agree with
-  enumeration even though it never enumerates), and
+  enumeration even though it never enumerates),
 * ``sample(k, seed=...)`` returns ``min(k, |J|)`` distinct oracle rows
-  and is deterministic for the seed,
+  and is deterministic for the seed, and
+* one iteration in four, ``explain(analyze=True)`` — the observed run —
+  counts the oracle's rows and its per-level counters chain (the root
+  is entered once, each level's matches are the next level's partials,
+  the last level's matches are the rows, candidates >= matches),
 
 occasionally through a ``where``-binding and a ``where_in`` filter so
 the sectioned/filtered paths get fuzzed too.  The oracle is a
@@ -163,6 +167,36 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> None:
     assert len(sample) == len(set(sample)), "sample has duplicates"
     assert set(sample) <= expected, "sample drew a non-result row"
     assert builder.sample(k, seed=seed) == sample, "sample not seed-stable"
+
+    if rng.random() < 0.25:
+        check_observed(builder, len(expected), options)
+
+
+def check_observed(builder, expected_rows: int, options: dict) -> None:
+    """The observed sink: ``explain(analyze=True)`` under the drawn
+    configuration; counters are checked wherever the run reports them
+    (serial runs of the descent-kernel algorithms)."""
+    analysis = builder.explain(analyze=True)
+    assert analysis.rows == expected_rows, (
+        f"explain(analyze=True) counted {analysis.rows} rows vs "
+        f"{expected_rows} expected under {options}"
+    )
+    levels = [lv for lv in analysis.levels if lv.partials is not None]
+    if not levels:
+        return
+    counters = [(lv.partials, lv.candidates, lv.matches) for lv in levels]
+    context = f"counters {counters} under {options}"
+    assert levels[0].partials == 1, f"root entered != once: {context}"
+    for above, below in zip(levels, levels[1:]):
+        assert below.partials == above.matches, (
+            f"partials[d+1] != matches[d]: {context}"
+        )
+    assert levels[-1].matches == analysis.rows, (
+        f"matches[-1] != rows out: {context}"
+    )
+    assert all(lv.candidates >= lv.matches for lv in levels), (
+        f"candidates < matches: {context}"
+    )
 
 
 def run_one(iter_seed: int) -> None:

@@ -40,7 +40,7 @@ import pathlib
 import pickle
 import sys
 
-from repro.api import aiter_join, iter_join, join_batched, shard_join
+from repro.api import execute, iter_join
 from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
 from repro.engine.compact import CompactArrayIndex
@@ -221,7 +221,9 @@ def bench_parity(query) -> dict:
     reference = set(iter_join(query, algorithm="generic", backend="trie"))
 
     async def _collect_async():
-        stream = aiter_join(query, algorithm="generic", backend="compact")
+        stream = execute(
+            query, algorithm="generic", backend="compact"
+        ).astream()
         return {row async for row in stream}
 
     checks = {
@@ -238,7 +240,7 @@ def bench_parity(query) -> dict:
         "lw": set(iter_join(query, algorithm="lw")),
         "arity2": set(iter_join(query, algorithm="arity2")),
         "sharded_compact": set(
-            shard_join(
+            execute(
                 query,
                 shards=3,
                 algorithm="generic",
@@ -248,12 +250,12 @@ def bench_parity(query) -> dict:
         ),
         "batched_compact": {
             row
-            for batch in join_batched(
+            for batch in execute(
                 query,
                 algorithm="generic",
                 backend="compact",
                 batch_size=512,
-            )
+            ).batches()
             for row in batch
         },
         "async_compact": asyncio.run(_collect_async()),

@@ -15,8 +15,8 @@ measures, against the serial streaming engine:
   JSON) may expose a single core, where a pool cannot beat serial no
   matter the algorithm;
 * ``wall_seconds`` / ``wall_speedup`` — the observed end-to-end time of
-  ``shard_join(..., mode="process")`` *on this host*, pool and pickling
-  overhead included;
+  ``execute(..., shards=k, mode="process")`` *on this host*, pool and
+  pickling overhead included;
 * ``balance``           — ``max(shard_seconds) / mean(shard_seconds)``
   (1.0 = perfectly balanced shards; the LPT partitioning keeps this low
   even under Zipf skew);
@@ -37,12 +37,8 @@ import os
 import pathlib
 import sys
 
-from repro.engine.parallel import (
-    batches,
-    iter_shard_rows,
-    plan_shards,
-    shard_join,
-)
+from repro.api import execute
+from repro.engine.parallel import batches, plan_shards, shard_query
 from repro.engine.planner import plan_join
 from repro.utils.timing import timed
 from repro.workloads import generators, queries
@@ -91,7 +87,10 @@ def bench_shards(query) -> dict:
         shard_runs = [
             timed(
                 lambda spec=spec: sum(
-                    1 for _ in iter_shard_rows(query, spec, ALGORITHM)
+                    1
+                    for _ in plan_join(
+                        shard_query(query, spec), ALGORITHM
+                    ).iter_rows()
                 )
             )
             for spec in specs
@@ -101,8 +100,8 @@ def bench_shards(query) -> dict:
         mean = sum(shard_seconds) / len(shard_seconds)
         wall = timed(
             lambda count=count: set(
-                shard_join(query, shards=count, algorithm=ALGORITHM,
-                           mode="process")
+                execute(query, shards=count, algorithm=ALGORITHM,
+                        mode="process")
             )
         )
         parity = wall.result == serial_rows
@@ -154,7 +153,7 @@ def run(scale: int) -> dict:
             "shard); shards are timed one at a time to avoid "
             "contention on hosts with fewer cores than shards",
             "wall_speedup": "serial_seconds / wall_seconds of "
-            "shard_join(mode='process') observed on THIS host — "
+            "execute(shards=k, mode='process') observed on THIS host — "
             "bounded by host.cpus, plus pool and pickling overhead",
         },
         "scale": scale,

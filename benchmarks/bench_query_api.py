@@ -39,7 +39,7 @@ import os
 import pathlib
 from collections import Counter
 
-from repro.api import join
+from repro.api import execute
 from repro.query.builder import Q
 from repro.relations.database import Database
 from repro.utils.timing import timed
@@ -89,7 +89,10 @@ def bench_pushdown(query, value) -> dict:
     )
     post = timed(
         lambda: sorted(
-            join(query, algorithm=ALGORITHM).select_equals("A", value).tuples
+            execute(query, algorithm=ALGORITHM)
+            .relation()
+            .select_equals("A", value)
+            .tuples
         )
     )
     return {

@@ -11,7 +11,7 @@ of planning the same generic-join query:
   selectivity descent, ``shards="auto"`` sized from heavy-hitter mass
   (each hot value of the first attribute gets its own shard).
 
-Both plans execute through ``plan_shards`` + ``iter_shard_rows`` with
+Both plans execute through ``plan_shards`` + ``shard_query`` with
 each shard timed *one at a time* (no pool contention), so the reported
 ``critical_path_seconds = max(shard_seconds)`` is the wall time of a
 pool with one core per shard — the honest number on CI hosts that may
@@ -50,7 +50,7 @@ import os
 import pathlib
 import sys
 
-from repro.engine.parallel import iter_shard_rows, plan_shards
+from repro.engine.parallel import plan_shards, shard_query
 from repro.engine.planner import (
     AUTO_SHARD_MIN_TUPLES,
     MAX_AUTO_SHARDS,
@@ -105,12 +105,11 @@ def _run_plan(query, plan, shard_count: int) -> dict:
     for spec in specs:
         run = timed(
             lambda spec=spec: list(
-                iter_shard_rows(
-                    query,
-                    spec,
+                plan_join(
+                    shard_query(query, spec),
                     ALGORITHM,
                     attribute_order=plan.attribute_order,
-                )
+                ).iter_rows()
             )
         )
         rows.update(run.result)

@@ -22,9 +22,9 @@ from repro import (
     JoinQuery,
     NPRRJoin,
     Relation,
+    execute,
     explain,
     iter_join,
-    join,
     output_bound,
 )
 from repro.baselines.hash_join import chain_hash_join
@@ -57,16 +57,18 @@ def main() -> None:
     print(f"\nAGM bound: {bound:.2f} tuples  (5^(3/2) = 11.18)")
 
     # ------------------------------------------------------------------
-    # 3. Join! `join` picks a worst-case optimal algorithm automatically;
+    # 3. Join! `execute` picks a worst-case optimal algorithm automatically;
     #    every named algorithm returns the same tuples.
     # ------------------------------------------------------------------
-    result = join([follows, mentions, likes])
+    result = execute([follows, mentions, likes]).relation()
     print(f"\nTriangles found ({len(result)}):")
     for row in sorted(result.tuples):
         print(f"  A={row[0]}  B={row[1]}  C={row[2]}")
 
     for algorithm in ("nprr", "lw", "generic", "leapfrog", "arity2"):
-        alt = join([follows, mentions, likes], algorithm=algorithm)
+        alt = execute(
+            [follows, mentions, likes], algorithm=algorithm
+        ).relation()
         assert alt.equivalent(result)
     print("\nnprr / lw / generic / leapfrog / arity2 all agree.")
 
@@ -104,7 +106,7 @@ def main() -> None:
     n = 2000
     hard = instances.triangle_hard_instance(n)
     start = time.perf_counter()
-    wcoj_out = join(hard, algorithm="nprr")
+    wcoj_out = execute(hard, algorithm="nprr").relation()
     wcoj_time = time.perf_counter() - start
 
     start = time.perf_counter()

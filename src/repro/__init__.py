@@ -44,20 +44,15 @@ from repro.aggregate import (
 )
 from repro.api import (
     ALGORITHMS,
-    aiter_join,
     count_join,
     execute,
     explain,
     iter_join,
-    join,
-    join_batched,
     output_bound,
     sample_join,
-    shard_join,
 )
 from repro.distributed import (
     DispatchScheduler,
-    LocalPoolScheduler,
     LoopbackTransport,
     Scheduler,
     ShardWorker,
@@ -211,7 +206,6 @@ __all__ = [
     "LangError",
     "LeapfrogTriejoin",
     "LinearProgramError",
-    "LocalPoolScheduler",
     "LoopbackTransport",
     "Max",
     "MetricsRegistry",
@@ -253,7 +247,6 @@ __all__ = [
     "WarmReport",
     "WorkerServer",
     "agm_bound",
-    "aiter_join",
     "arity_two_join",
     "best_agm_bound",
     "compile_query",
@@ -264,8 +257,6 @@ __all__ = [
     "fd_aware_join",
     "generic_join",
     "iter_join",
-    "join",
-    "join_batched",
     "leapfrog_join",
     "lw_hypergraph",
     "lw_join",
@@ -278,7 +269,6 @@ __all__ = [
     "plan_join",
     "relaxed_join",
     "sample_join",
-    "shard_join",
     "tighten_cover",
     "triangle_join",
     "verify_bt",

@@ -26,13 +26,13 @@ declared once instead of re-spelled per entry point::
     for row in execute([r, s, t], context=ctx):
         ...
 
-The pre-``execute`` entry points (:func:`join`, :func:`join_batched`,
-:func:`shard_join`, :func:`aiter_join`) remain as signature-frozen
-shims — each is one ``execute`` call — and emit
-:class:`DeprecationWarning`; :func:`iter_join` stays first-class (it
-*is* the streaming seam the paper's algorithms share), as do
-:func:`count_join`, :func:`sample_join`, :func:`explain`, and
-:func:`output_bound`.
+The keyword-style conveniences :func:`iter_join` (the streaming seam
+the paper's algorithms share), :func:`count_join`, :func:`sample_join`,
+:func:`explain` and :func:`output_bound` are each one ``execute`` call.
+The 1.x entry points ``join``, ``join_batched``, ``shard_join`` and
+``aiter_join`` are gone in 2.0: they were the ``.relation()``,
+``.batches()``, iteration under ``shards=`` and ``.astream()`` views of
+the stream ``execute`` returns (``docs/API.md``, "Migrating from 1.x").
 
 Every entry point validates its arguments when *called* — an
 incompatible algorithm/backend/order combination raises
@@ -42,11 +42,9 @@ at first ``next()``.
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import AsyncIterator, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.core.query import JoinQuery
-from repro.engine import parallel as _parallel
 from repro.engine.executors import algorithm_names
 from repro.engine.planner import JoinPlan
 from repro.errors import QueryError
@@ -71,14 +69,6 @@ def _check_algorithm(algorithm: str) -> None:
         raise QueryError(
             f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}"
         )
-
-
-def _deprecated(name: str, hint: str) -> None:
-    warnings.warn(
-        f"repro.{name}() is deprecated; use {hint}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def execute(
@@ -136,62 +126,6 @@ def execute(
     return ResultStream(builder)
 
 
-def join(
-    relations: Sequence[Relation] | JoinQuery,
-    algorithm: str = "auto",
-    cover: FractionalCover | None = None,
-    name: str = "J",
-    attribute_order: Sequence[str] | None = None,
-    backend: str | None = None,
-    database: Database | None = None,
-    feedback: FeedbackConfig | None = None,
-) -> Relation:
-    """Compute the natural join of ``relations``, worst-case optimally.
-
-    .. deprecated:: this release
-        Use ``execute(relations, ...).relation(name)`` — same plan,
-        same result, options declared once on the context.
-
-    Parameters
-    ----------
-    relations:
-        The relations to join (or an existing :class:`JoinQuery`).
-    algorithm:
-        * ``"nprr"`` — Algorithm 2 (works for every query);
-        * ``"lw"`` — Algorithm 1 (Loomis-Whitney instances only);
-        * ``"generic"`` / ``"leapfrog"`` — the extension WCOJ algorithms;
-        * ``"arity2"`` — Theorem 7.3's algorithm (arity <= 2 only);
-        * ``"auto"`` — Algorithm 1 on Loomis-Whitney instances, Generic
-          Join with a cost-based attribute order otherwise.
-    cover:
-        Optional fractional edge cover (defaults to the LP optimum).  Only
-        consulted by the cover-driven algorithms (``nprr``, ``arity2``).
-    attribute_order:
-        Optional global variable order for the order-sensitive algorithms;
-        by default the planner chooses one from data statistics.
-    backend:
-        Optional index backend kind (``"trie"`` or ``"sorted"``).
-    database:
-        Optional catalog whose index cache should be used (Remark 5.2's
-        ahead-of-time indexing) — repeated queries then skip index builds.
-    feedback:
-        Optional :class:`~repro.feedback.config.FeedbackConfig` enabling
-        the runtime feedback loop: this run records per-level execution
-        telemetry, and repeated runs of the same query re-plan from the
-        observed statistics instead of the sampled estimates.
-    """
-    _deprecated("join", "execute(relations, ...).relation(name)")
-    return execute(
-        relations,
-        algorithm=algorithm,
-        cover=cover,
-        attribute_order=attribute_order,
-        backend=backend,
-        database=database,
-        feedback=feedback,
-    ).relation(name)
-
-
 def iter_join(
     relations: Sequence[Relation] | JoinQuery,
     algorithm: str = "auto",
@@ -224,142 +158,6 @@ def iter_join(
             feedback=feedback,
         )
     )
-
-
-def join_batched(
-    relations: Sequence[Relation] | JoinQuery,
-    batch_size: int | str = _parallel.DEFAULT_BATCH_SIZE,
-    algorithm: str = "auto",
-    cover: FractionalCover | None = None,
-    attribute_order: Sequence[str] | None = None,
-    backend: str | None = None,
-    database: Database | None = None,
-    feedback: FeedbackConfig | None = None,
-) -> Iterator[list[Row]]:
-    """Stream the natural join in fixed-size row batches.
-
-    .. deprecated:: this release
-        Use ``execute(relations, ...).batches(size)``.
-
-    Exactly :func:`iter_join`, delivered as lists of ``batch_size`` rows
-    (the last batch may be shorter; no empty batch is yielded), so
-    per-row overhead — function calls, syscalls, network frames — is
-    paid once per batch.  ``batch_size`` may be ``"auto"`` to let the
-    planner size batches from the AGM output estimate.
-
-    >>> import warnings
-    >>> from repro import Relation
-    >>> r = Relation("R", ("A", "B"), [(i, i + 1) for i in range(5)])
-    >>> s = Relation("S", ("B", "C"), [(i + 1, i) for i in range(5)])
-    >>> with warnings.catch_warnings():
-    ...     warnings.simplefilter("ignore", DeprecationWarning)
-    ...     [len(batch) for batch in join_batched([r, s], batch_size=2)]
-    [2, 2, 1]
-    """
-    _deprecated("join_batched", "execute(relations, ...).batches(size)")
-    return execute(
-        relations,
-        algorithm=algorithm,
-        cover=cover,
-        attribute_order=attribute_order,
-        backend=backend,
-        batch_size=batch_size,
-        database=database,
-        feedback=feedback,
-    ).batches()
-
-
-def shard_join(
-    relations: Sequence[Relation] | JoinQuery,
-    shards: int | str | None = None,
-    algorithm: str = "auto",
-    cover: FractionalCover | None = None,
-    attribute_order: Sequence[str] | None = None,
-    backend: str | None = None,
-    mode: str = "auto",
-    workers: int | None = None,
-    database: Database | None = None,
-    feedback: FeedbackConfig | None = None,
-) -> Iterator[Row]:
-    """Stream the natural join, sharded on the planner's first attribute.
-
-    .. deprecated:: this release
-        Use ``execute(relations, shards=ShardSpec(n))`` (or a context
-        carrying the spec — and, for a remote fleet, a
-        ``DispatchScheduler``) and iterate the stream.
-
-    The first attribute's candidate values are partitioned into
-    ``shards`` work-balanced groups and the whole engine runs once per
-    shard — on a process pool by default (``mode="auto"`` falls back to
-    threads for unpicklable values; ``"serial"`` chains the shards
-    in-process).  The yielded row *set* equals serial :func:`iter_join`;
-    arrival order depends on shard completion.  ``shards`` may be an
-    int, ``"auto"`` (sized from heavy-hitter mass and CPU count, so hot
-    values land in their own shard), or ``None`` (same as ``"auto"``).
-    ``database`` lets the parent plan reuse the catalog's cached
-    statistics.  With ``feedback`` set, every shard's wall time is
-    recorded and shards that ran hot are re-partitioned on the next
-    attribute on the following run (the online "Skew Strikes Back"
-    split).  See :mod:`repro.engine.parallel`.
-    """
-    _deprecated(
-        "shard_join",
-        "execute(relations, shards=ShardSpec(n)) and iterate the stream",
-    )
-    return iter(
-        execute(
-            relations,
-            algorithm=algorithm,
-            cover=cover,
-            attribute_order=attribute_order,
-            backend=backend,
-            shards=shards if shards is not None else "auto",
-            mode=mode,
-            workers=workers,
-            database=database,
-            feedback=feedback,
-        )
-    )
-
-
-def aiter_join(
-    relations: Sequence[Relation] | JoinQuery,
-    algorithm: str = "auto",
-    cover: FractionalCover | None = None,
-    attribute_order: Sequence[str] | None = None,
-    backend: str | None = None,
-    shards: int | str | None = None,
-    batch_size: int = _parallel.DEFAULT_BATCH_SIZE,
-    database: Database | None = None,
-    feedback: FeedbackConfig | None = None,
-) -> AsyncIterator[Row]:
-    """Async variant of :func:`iter_join` for event-loop servers.
-
-    .. deprecated:: this release
-        Use ``execute(relations, ...).astream(batch_size)``.
-
-    Returns an async iterator: the blocking join generator runs on
-    worker threads (``asyncio.to_thread``) and rows reach the loop
-    ``batch_size`` at a time, so the loop never blocks on the search for
-    more than one batch.  With ``shards`` set, execution is sharded as
-    in :func:`shard_join`.  ``database`` reuses the catalog's cached
-    indexes and statistics across requests.  Planning and validation
-    happen in this synchronous call, not at first ``anext()``::
-
-        async for row in aiter_join([r, s, t]):
-            await websocket.send(render(row))
-    """
-    _deprecated("aiter_join", "execute(relations, ...).astream(batch_size)")
-    return execute(
-        relations,
-        algorithm=algorithm,
-        cover=cover,
-        attribute_order=attribute_order,
-        backend=backend,
-        shards=shards,
-        database=database,
-        feedback=feedback,
-    ).astream(batch_size=batch_size)
 
 
 def count_join(

@@ -91,10 +91,10 @@ def find_pattern(
     """
     # Imported here: repro.api imports repro.core, so a module-level import
     # would be circular.
-    from repro.api import join as run_join
+    from repro.api import execute
 
     query = pattern_query(edges, pattern)
-    return run_join(query, algorithm=algorithm, name=name)
+    return execute(query, algorithm=algorithm).relation(name)
 
 
 def count_pattern(

@@ -11,8 +11,8 @@ to a worker fleet without changing a single caller-visible signature:
 * :mod:`~repro.distributed.worker` — the stateless shard worker and
   the ``python -m repro worker`` server;
 * :mod:`~repro.distributed.scheduler` — the :class:`Scheduler`
-  protocol (``ExecutionContext.scheduler``), the local-pool
-  implementation, and :class:`DispatchScheduler`: per-shard retry with
+  protocol (``ExecutionContext.scheduler``) and
+  :class:`DispatchScheduler`: per-shard retry with
   backoff, exactly-once shard accounting, graceful drain;
 * :mod:`~repro.distributed.stealing` — predictive pre-splitting of
   hub-heavy shards and the within-run steal-rate model.
@@ -32,11 +32,7 @@ Typical use::
     )
 """
 
-from repro.distributed.scheduler import (
-    DispatchScheduler,
-    LocalPoolScheduler,
-    Scheduler,
-)
+from repro.distributed.scheduler import DispatchScheduler, Scheduler
 from repro.distributed.stealing import RateModel, predictive_presplit
 from repro.distributed.transport import (
     Channel,
@@ -51,7 +47,6 @@ __all__ = [
     "Channel",
     "ConnectionClosed",
     "DispatchScheduler",
-    "LocalPoolScheduler",
     "LoopbackTransport",
     "RateModel",
     "Scheduler",

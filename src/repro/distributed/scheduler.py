@@ -6,10 +6,8 @@ The engine's drivers (:func:`repro.engine.parallel.shard_join` /
 :class:`~repro.query.context.ExecutionContext` carries as its
 ``scheduler``:
 
-* ``None`` — the engine's own local pools, unchanged behavior;
-* :class:`LocalPoolScheduler` — the same local pools behind the
-  protocol, for callers who want to pin mode/width per scheduler
-  rather than per context;
+* ``None`` — the engine's own local pools (``mode`` / ``workers`` on
+  the context pick and size them);
 * :class:`DispatchScheduler` — a remote worker fleet with per-shard
   retry, exactly-once accounting, and within-run work stealing.
 
@@ -49,15 +47,11 @@ from typing import Protocol, runtime_checkable
 
 from repro.distributed.stealing import RateModel, split_entry
 from repro.distributed.wire import ConnectionClosed
-from repro.engine.parallel import (
-    ShardJob,
-    _dispatch_local_fold,
-    _dispatch_local_join,
-)
-from repro.errors import DistributedError, require_positive_int
+from repro.engine.parallel import ShardJob
+from repro.errors import DistributedError
 from repro.feedback.resharding import ShardPlanEntry
 
-__all__ = ["DispatchScheduler", "LocalPoolScheduler", "Scheduler"]
+__all__ = ["DispatchScheduler", "Scheduler"]
 
 
 @runtime_checkable
@@ -69,37 +63,6 @@ class Scheduler(Protocol):
 
     def run_fold(self, job: ShardJob, spec) -> list:
         """Run a fold job; return the per-shard partial states."""
-
-
-class LocalPoolScheduler:
-    """The engine's local pools, behind the :class:`Scheduler` protocol.
-
-    ``context.scheduler = LocalPoolScheduler()`` is byte-for-byte the
-    default path; ``mode`` / ``workers`` here override the job's (so a
-    scheduler instance can pin, say, thread mode for every query that
-    routes through it, without touching each context).
-    """
-
-    def __init__(
-        self, mode: str | None = None, workers: int | None = None
-    ) -> None:
-        if workers is not None:
-            require_positive_int(workers, "workers")
-        self.mode = mode
-        self.workers = workers
-
-    def _tune(self, job: ShardJob) -> ShardJob:
-        if self.mode is not None:
-            job.mode = self.mode
-        if self.workers is not None:
-            job.workers = self.workers
-        return job
-
-    def run_join(self, job: ShardJob) -> Iterator:
-        return _dispatch_local_join(self._tune(job))
-
-    def run_fold(self, job: ShardJob, spec) -> list:
-        return _dispatch_local_fold(self._tune(job), spec)
 
 
 class _Item:

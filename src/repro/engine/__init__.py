@@ -33,9 +33,7 @@ from repro.engine.parallel import (
     SHARD_MODES,
     ShardJob,
     ShardSlice,
-    aiter_join,
     batches,
-    iter_shard_rows,
     plan_shards,
     shard_join,
     shard_query,
@@ -59,14 +57,12 @@ __all__ = [
     "SHARD_MODES",
     "ShardJob",
     "ShardSlice",
-    "aiter_join",
     "algorithm_names",
     "attribute_statistics",
     "backend_kinds",
     "batches",
     "build_executor",
     "build_index",
-    "iter_shard_rows",
     "plan_attribute_order",
     "plan_attribute_order_feedback",
     "plan_attribute_order_sampled",

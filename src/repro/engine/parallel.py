@@ -1,4 +1,4 @@
-"""Parallel execution: batching, first-attribute sharding, async delivery.
+"""Parallel execution: batching and first-attribute sharding.
 
 PR 1 put every algorithm behind one streaming ``iter_join()`` interface;
 this module scales that interface out without touching any executor:
@@ -14,12 +14,9 @@ this module scales that interface out without touching any executor:
   preserves the AGM worst-case guarantee per shard — each shard is just
   the same query over restricted relations ("Skew Strikes Back",
   arXiv:1310.3314; Ngo's survey, arXiv:1803.09930) — so the union is
-  exactly the serial result, order aside;
-* :func:`aiter_join` — an ``async`` wrapper for event-loop servers: the
-  blocking generator runs on a worker thread, rows are handed to the
-  loop a batch at a time.
+  exactly the serial result, order aside.
 
-Shard execution modes (``mode=`` on :func:`shard_join`):
+Shard execution modes (``ExecutionContext.mode``):
 
 ``"process"``
     A ``multiprocessing`` pool, one task per shard — true parallelism
@@ -41,7 +38,8 @@ Shard execution modes (``mode=`` on :func:`shard_join`):
 Every public function validates its arguments *eagerly* (raising
 :class:`~repro.errors.PlanError` / :class:`~repro.errors.QueryError`
 before returning an iterator), so misconfiguration surfaces at the call
-site, not at first ``next()``.
+site, not at first ``next()``; ``mode`` and ``workers`` are validated
+by the :class:`~repro.query.context.ExecutionContext` that carries them.
 """
 
 from __future__ import annotations
@@ -52,7 +50,8 @@ import queue as queue_module
 import threading
 import time
 from collections import Counter
-from collections.abc import AsyncIterator, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.aggregate.fold import Folder, fold_state
@@ -72,9 +71,7 @@ __all__ = [
     "SHARD_MODES",
     "ShardJob",
     "ShardSlice",
-    "aiter_join",
     "batches",
-    "iter_shard_rows",
     "plan_shards",
     "shard_fold",
     "shard_join",
@@ -84,22 +81,12 @@ __all__ = [
 #: Rows per batch when no explicit batch size is requested.
 DEFAULT_BATCH_SIZE = 1024
 
-#: Recognized ``mode=`` values for :func:`shard_join`.
+#: Recognized ``ExecutionContext.mode`` values.
 SHARD_MODES = ("auto", "process", "thread", "serial")
 
 #: Rows buffered per queue message in thread mode (amortizes queue
 #: synchronization without delaying delivery noticeably).
 _THREAD_CHUNK = 256
-
-
-def _as_query(relations: Sequence[Relation] | JoinQuery) -> JoinQuery:
-    # Mirrors api._as_query; api.py imports this module, so the helper
-    # lives here to avoid the cycle.
-    return (
-        relations
-        if isinstance(relations, JoinQuery)
-        else JoinQuery(list(relations))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,34 +357,6 @@ def _run_shard_pickled_traced(
     )
 
 
-def iter_shard_rows(
-    query: JoinQuery,
-    spec: ShardSlice,
-    algorithm: str = "generic",
-    cover: FractionalCover | None = None,
-    attribute_order: Sequence[str] | None = None,
-    backend: str | None = None,
-    filters=None,
-) -> Iterator[Row]:
-    """Stream a single shard of ``query`` in-process.
-
-    Building block for custom drivers (and the parallel benchmark's
-    per-shard critical-path timing); :func:`shard_join` is the
-    end-to-end driver.
-    """
-    task = _ShardTask(
-        query=shard_query(query, spec),
-        algorithm=algorithm,
-        cover=cover,
-        attribute_order=(
-            tuple(attribute_order) if attribute_order is not None else None
-        ),
-        backend=backend,
-        filters=tuple(filters.items()) if filters else None,
-    )
-    return _shard_rows(task)
-
-
 def _iter_serial(
     tasks: list[_ShardTask],
     times: dict[int, tuple[float, int]] | None = None,
@@ -626,12 +585,8 @@ class ShardJob:
 
 
 def _dispatch_local_join(job: ShardJob) -> Iterator[Row]:
-    """Run a join job on the local pools (the default scheduler path).
-
-    This is the dispatch logic :func:`shard_join` always had, factored
-    out so :class:`~repro.distributed.LocalPoolScheduler` can expose the
-    identical behavior behind the ``Scheduler`` protocol.
-    """
+    """Run a join job on the local pools (the path of a context that
+    carries no scheduler)."""
     tasks = job.tasks()
     if job.mode == "serial" or len(tasks) == 1:
         return _iter_serial(tasks, job.times, job.tracer)
@@ -666,204 +621,148 @@ def _dispatch_local_join(job: ShardJob) -> Iterator[Row]:
     return _iter_thread(tasks, pool_width, job.times, job.tracer)
 
 
-def shard_join(
-    relations: Sequence[Relation] | JoinQuery,
-    shards: int | str | None = None,
-    algorithm: str = "auto",
-    cover: FractionalCover | None = None,
-    attribute_order: Sequence[str] | None = None,
-    backend: str | None = None,
-    mode: str = "auto",
-    workers: int | None = None,
-    database=None,
-    filters=None,
-    context=None,
-) -> Iterator[Row]:
-    """Run a join sharded on the planner's first attribute; union streams.
+def _plan_job(query: JoinQuery, context, filters, plan) -> ShardJob | None:
+    """Plan ``query`` once and partition it into a :class:`ShardJob`
+    (``None`` when no value of the sharded attribute can join).
 
-    The planner resolves algorithm / order / backend exactly as for the
-    serial engine, then the first attribute's candidate values are
-    partitioned into ``shards`` work-balanced groups
-    (:func:`plan_shards`) and the whole engine runs once per shard.  The
-    yielded row *set* is identical to serial ``iter_join`` — shards are
-    disjoint slices of the output — but arrival order depends on shard
-    completion order.
+    The planner resolves algorithm / order / backend / shard count
+    exactly as for the serial engine — or the caller hands in the
+    ``plan`` it already made, which is used as is — then the first
+    attribute's candidate values are partitioned into work-balanced
+    groups (:func:`plan_shards`).  Two refinements follow, both on the
+    next attribute of the plan's order:
 
-    Parameters mirror :func:`repro.api.iter_join`, plus:
-
-    shards:
-        Positive int, ``"auto"`` (from data statistics and CPU count),
-        or ``None`` (same as ``"auto"``).
-    mode:
-        ``"process"``, ``"thread"``, ``"serial"``, or ``"auto"`` — see
-        the module docstring.
-    workers:
-        Pool width for process/thread modes; defaults to the shard
-        count.
-    database:
-        Optional :class:`~repro.relations.database.Database` whose
-        statistics cache the *parent* plan consults (``shards="auto"``
-        heavy-hitter sizing, attribute order).  Shard workers still
-        build indexes from their restricted relations.
-    filters:
-        Residual per-attribute predicates (the query layer's pushdown);
-        shipped to every shard worker and applied inside each shard's
-        executor.
-    context:
-        An :class:`~repro.query.context.ExecutionContext` replacing the
-        individual option keywords wholesale (``shards`` of ``None`` in
-        a context means ``"auto"`` here, matching this function's
-        historical default).
-
-    All validation (unknown algorithm, incompatible backend, bad shard
-    count or mode) happens *before* this returns an iterator.
+    * the feedback re-split: shards this query's earlier runs measured
+      as hot (wall time above the configured multiple of their sibling
+      median) are re-partitioned and their sub-shards dispatched in
+      their place — the online "Skew Strikes Back" split.  Without
+      recorded observations the expansion is exactly the static plan;
+    * the predictive pre-split (``ShardSpec.predictive``): shards whose
+      value group holds a heavy-hitter value are split at first-plan
+      time, so run one of a hub-heavy query behaves the way run two
+      used to after feedback.
     """
-    if context is not None:
-        # Only the fields this driver consumes directly; the planner
-        # reads the rest from the context itself (no re-explosion).
-        cover = context.cover
-        attribute_order = context.attribute_order
-        backend = context.backend
-        mode = context.mode
-        workers = context.workers
-    if mode not in SHARD_MODES:
-        raise PlanError(
-            f"unknown shard mode {mode!r}; choose one of {SHARD_MODES}"
-        )
-    if workers is not None:
-        require_positive_int(workers, "workers")
-    query = _as_query(relations)
-    tracer = context.tracer if context is not None else None
-    metrics = context.metrics if context is not None else None
-    if context is not None:
-        parent_context = context.replace(
-            shards=context.shards if context.shards is not None else "auto"
-        )
-        if tracer is not None:
-            # The parent's planning phase (one plan for all shards);
-            # per-shard re-planning is traced inside each shard span.
-            with tracer.activate():
-                plan = plan_join(query, context=parent_context)
-        else:
-            plan = plan_join(query, context=parent_context)
-    else:
-        plan = plan_join(
-            query,
-            algorithm,
-            cover=cover,
-            attribute_order=attribute_order,
-            backend=backend,
-            shards=shards if shards is not None else "auto",
-            database=database,
-        )
+    scope = feedback_scope(filters)
+    if plan is None:
+        tracer = context.tracer
+        # The parent's planning phase (one plan for all shards);
+        # per-shard re-planning is traced inside each shard span.
+        with tracer.activate() if tracer else nullcontext():
+            plan = plan_join(
+                query,
+                context=context.replace(
+                    shards=context.shards
+                    if context.shards is not None
+                    else "auto"
+                ),
+                feedback_scope=scope,
+            )
     attribute = plan.attribute_order[0]
     specs = plan_shards(query, plan.shards, attribute)
     if not specs:
-        return iter(())
-
-    # Options the distributed layer consumes ride on the ShardSpec the
-    # context normalized; read duck-typed — this engine module never
-    # imports the query layer (see the planner for the same rule).
-    spec_obj = context.shards if context is not None else None
-    predictive = bool(getattr(spec_obj, "predictive", False))
-    steal = getattr(spec_obj, "steal", None)
-    scheduler = context.scheduler if context is not None else None
-
-    # The feedback re-split path: shards this query's earlier runs
-    # measured as hot (wall time above the configured multiple of their
-    # sibling median) are re-partitioned on the next attribute of the
-    # plan's order and their sub-shards dispatched in their place — the
-    # online "Skew Strikes Back" split.  Without recorded observations
-    # the expansion is exactly the static plan.
-    feedback = context.feedback if context is not None else None
-    provider = None
-    scope = ()
-    if feedback is not None or predictive:
-        scope = feedback_scope(filters)
-        provider = resolve_provider(
-            context.database if context is not None else database,
-            context.stats if context is not None else None,
-        )
-    restricted_queries = _shard_queries(query, specs)
+        return None
     entries = [
         ShardPlanEntry(
             key=((attribute, spec.values),),
             query=restricted,
             weight=spec.weight,
         )
-        for spec, restricted in zip(specs, restricted_queries)
+        for spec, restricted in zip(specs, _shard_queries(query, specs))
     ]
-    if feedback is not None:
+    spec = context.shards
+    predictive = spec is not None and spec.predictive
+    if context.feedback is not None or predictive:
+        provider = resolve_provider(context.database, context.stats)
+    if context.feedback is not None:
         observed = provider.observed_shards(query, scope)
         if observed:
             entries = expand_shards(
-                entries, plan.attribute_order, observed, feedback
+                entries, plan.attribute_order, observed, context.feedback
             )
     presplits = 0
     if predictive:
-        # Predictive pre-split: shards whose value group holds a
-        # heavy-hitter value are split one attribute deeper at
-        # first-plan time — run one of a hub-heavy query behaves the
-        # way run two used to after feedback.  Lazy import: the
-        # distributed package imports this module.
+        # Lazy import: the distributed package imports this module.
         from repro.distributed.stealing import predictive_presplit
 
         entries, presplits = predictive_presplit(
             entries, plan.attribute_order, provider
         )
-
-    task_filters = tuple(filters.items()) if filters else None
-    times: dict[int, tuple[float, int]] | None = (
-        {}
-        if (
-            feedback is not None
-            or metrics is not None
-            or scheduler is not None
-        )
-        else None
-    )
     job = ShardJob(
         query=query,
         entries=entries,
         algorithm=plan.algorithm,
-        cover=cover,
-        attribute_order=(
-            tuple(attribute_order) if attribute_order is not None else None
-        ),
-        backend=backend,
-        filters=task_filters,
+        cover=context.cover,
+        attribute_order=context.attribute_order,
+        backend=context.backend,
+        filters=tuple(filters.items()) if filters else None,
         order=plan.attribute_order,
-        mode=mode,
-        workers=workers,
-        times=times,
-        tracer=tracer,
-        steal=steal,
+        mode=context.mode,
+        workers=context.workers,
+        steal=spec.steal if spec is not None else None,
     )
     if presplits:
         job.stats["presplits"] = presplits
+    return job
 
+
+def shard_join(
+    query: JoinQuery, context, filters=None, plan=None
+) -> Iterator[Row]:
+    """Run a join sharded on the planner's first attribute; union streams.
+
+    The whole engine runs once per shard of the :class:`ShardJob`
+    :func:`_plan_job` builds.  The yielded row *set* is identical to the
+    serial join — shards are disjoint slices of the output — but arrival
+    order depends on shard completion order.
+
+    context:
+        The :class:`~repro.query.context.ExecutionContext` carrying
+        every option: the planner reads its share, this driver reads
+        ``mode`` / ``workers`` (see the module docstring), the
+        ``ShardSpec`` policies, ``scheduler``, ``feedback``, ``tracer``
+        and ``metrics``.  ``shards`` of ``None`` means ``"auto"`` here.
+        Its database serves the *parent* plan's statistics; shard
+        workers still build indexes from their restricted relations.
+    filters:
+        Residual per-attribute predicates (the query layer's pushdown);
+        shipped to every shard worker and applied inside each shard's
+        executor.
+    plan:
+        The parent :class:`~repro.engine.planner.JoinPlan` when the
+        caller already holds one (a prepared query's frozen plan).
+
+    All validation (unknown algorithm, incompatible backend, bad shard
+    count) happens *before* this returns an iterator.
+    """
+    job = _plan_job(query, context, filters, plan)
+    if job is None:
+        return iter(())
+    feedback, metrics = context.feedback, context.metrics
+    tracer, scheduler = context.tracer, context.scheduler
+    if feedback is not None or metrics is not None or scheduler is not None:
+        job.times = {}
+    job.tracer = tracer
     if scheduler is not None:
         stream = scheduler.run_join(job)
     else:
         stream = _dispatch_local_join(job)
     if feedback is not None:
-        # ``job.entries``/``job.times``, not the locals: a stealing
-        # scheduler rewrites both to what actually ran before the
-        # wrapper records them.
+        # The job's entries and times, not copies: a stealing scheduler
+        # rewrites both to what actually ran before they are recorded.
         stream = _recorded_shard_stream(
-            stream, job.times, job.entries, provider, query, scope
+            stream,
+            job,
+            resolve_provider(context.database, context.stats),
+            feedback_scope(filters),
         )
     if metrics is not None:
         stream = _metered_shard_stream(
-            stream,
-            job.times,
-            metrics,
-            context.database if context is not None else database,
+            stream, job.times, metrics, context.database
         )
     if tracer is not None:
         # Outermost, so the per-shard spans (opened or attached while
         # the inner streams drain) nest under this execute span.
-        stream = _traced_shard_stream(tracer, stream, len(entries))
+        stream = _traced_shard_stream(tracer, stream, len(job.entries))
     return stream
 
 
@@ -905,12 +804,7 @@ def _metered_shard_stream(
 
 
 def _recorded_shard_stream(
-    stream: Iterator[Row],
-    times: dict[int, tuple[float, int]],
-    entries: list[ShardPlanEntry],
-    provider,
-    query: JoinQuery,
-    scope: tuple,
+    stream: Iterator[Row], job: ShardJob, provider, scope: tuple
 ) -> Iterator[Row]:
     """Drain a sharded run, then record its per-shard observations.
 
@@ -919,9 +813,10 @@ def _recorded_shard_stream(
     timings must not drive next-run split decisions.
     """
     yield from stream
+    entries, times = job.entries, job.times
     if len(times) == len(entries):
         provider.record_shards(
-            query,
+            job.query,
             [
                 ShardObservation(
                     key=entries[index].key,
@@ -976,24 +871,11 @@ def _run_shard_fold_pickled(payload: bytes):
     return _shard_fold_state(task, spec)
 
 
-def shard_fold(
-    relations: Sequence[Relation] | JoinQuery,
-    spec,
-    shards: int | str | None = None,
-    algorithm: str = "auto",
-    cover: FractionalCover | None = None,
-    attribute_order: Sequence[str] | None = None,
-    backend: str | None = None,
-    mode: str = "auto",
-    workers: int | None = None,
-    database=None,
-    filters=None,
-    context=None,
-):
+def shard_fold(query: JoinQuery, spec, context, filters=None, plan=None):
     """Aggregate a sharded join without materializing it anywhere.
 
-    Plans and partitions exactly like :func:`shard_join`, but each
-    worker folds its shard into a partial
+    Plans and partitions exactly like :func:`shard_join` (same
+    parameters), but each worker folds its shard into a partial
     :class:`~repro.aggregate.specs.AggregateSpec` state and ships only
     that state back; the parent merges the partials with ``spec.merge``
     and returns the merged *raw* state (callers apply ``spec.finish``).
@@ -1009,85 +891,13 @@ def shard_fold(
     are exactly what the fold avoids computing; the query layer routes
     feedback-enabled aggregates through the recorded row stream instead.
     """
-    if context is not None:
-        cover = context.cover
-        attribute_order = context.attribute_order
-        backend = context.backend
-        mode = context.mode
-        workers = context.workers
-    if mode not in SHARD_MODES:
-        raise PlanError(
-            f"unknown shard mode {mode!r}; choose one of {SHARD_MODES}"
-        )
-    if workers is not None:
-        require_positive_int(workers, "workers")
-    query = _as_query(relations)
-    if context is not None:
-        plan = plan_join(
-            query,
-            context=context.replace(
-                shards=context.shards if context.shards is not None else "auto"
-            ),
-        )
-    else:
-        plan = plan_join(
-            query,
-            algorithm,
-            cover=cover,
-            attribute_order=attribute_order,
-            backend=backend,
-            shards=shards if shards is not None else "auto",
-            database=database,
-        )
-    attribute = plan.attribute_order[0]
-    specs = plan_shards(query, plan.shards, attribute)
     state = spec.start()
-    if not specs:
+    job = _plan_job(query, context, filters, plan)
+    if job is None:
         return state
-    spec_obj = context.shards if context is not None else None
-    predictive = bool(getattr(spec_obj, "predictive", False))
-    steal = getattr(spec_obj, "steal", None)
-    scheduler = context.scheduler if context is not None else None
-    restricted_queries = _shard_queries(query, specs)
-    entries = [
-        ShardPlanEntry(
-            key=((attribute, shard.values),),
-            query=restricted,
-            weight=shard.weight,
-        )
-        for shard, restricted in zip(specs, restricted_queries)
-    ]
-    presplits = 0
-    if predictive:
-        from repro.distributed.stealing import predictive_presplit
-
-        provider = resolve_provider(
-            context.database if context is not None else database,
-            context.stats if context is not None else None,
-        )
-        entries, presplits = predictive_presplit(
-            entries, plan.attribute_order, provider
-        )
-    task_filters = tuple(filters.items()) if filters else None
-    job = ShardJob(
-        query=query,
-        entries=entries,
-        algorithm=plan.algorithm,
-        cover=cover,
-        attribute_order=(
-            tuple(attribute_order) if attribute_order is not None else None
-        ),
-        backend=backend,
-        filters=task_filters,
-        order=plan.attribute_order,
-        mode=mode,
-        workers=workers,
-        times={} if scheduler is not None else None,
-        steal=steal,
-    )
-    if presplits:
-        job.stats["presplits"] = presplits
+    scheduler = context.scheduler
     if scheduler is not None:
+        job.times = {}
         partials = scheduler.run_fold(job, spec)
     else:
         partials = _dispatch_local_fold(job, spec)
@@ -1132,70 +942,3 @@ def _dispatch_local_fold(job: ShardJob, spec) -> list:
         return list(
             pool.map(lambda task: _shard_fold_state(task, spec), tasks)
         )
-
-
-# ---------------------------------------------------------------------------
-# Async consumption
-# ---------------------------------------------------------------------------
-
-
-def aiter_join(
-    relations: Sequence[Relation] | JoinQuery,
-    algorithm: str = "auto",
-    cover: FractionalCover | None = None,
-    attribute_order: Sequence[str] | None = None,
-    backend: str | None = None,
-    shards: int | str | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    database=None,
-) -> AsyncIterator[Row]:
-    """Async wrapper over the streaming engine for event-loop servers.
-
-    Returns an async iterator of rows.  The blocking join generator runs
-    on worker threads via ``asyncio.to_thread`` and hands rows to the
-    event loop ``batch_size`` at a time, so the loop blocks once per
-    batch instead of once per row.  With ``shards`` set, rows come from
-    :func:`shard_join`; otherwise from the serial engine.  ``database``
-    supplies cached indexes and statistics — exactly what a long-lived
-    server answering repeated queries wants.
-
-    Planning — and therefore all argument validation — happens *now*,
-    in this synchronous call, not at first ``anext()``: a bad request
-    raises here, matching ``join`` / ``iter_join``.  (Context- and
-    filter-carrying async consumption lives in the query layer —
-    ``Q(...).astream()`` — which post-processes rows this function
-    never sees; this entry point stays the bare async adapter.)
-    """
-    if shards is not None:
-        rows = shard_join(
-            relations,
-            shards=shards,
-            algorithm=algorithm,
-            cover=cover,
-            attribute_order=attribute_order,
-            backend=backend,
-            database=database,
-        )
-    else:
-        plan = plan_join(
-            _as_query(relations),
-            algorithm,
-            cover=cover,
-            attribute_order=attribute_order,
-            backend=backend,
-            database=database,
-        )
-        rows = plan.iter_rows(database=database)
-    batched = batches(rows, batch_size)
-
-    async def stream() -> AsyncIterator[Row]:
-        import asyncio
-
-        while True:
-            batch = await asyncio.to_thread(next, batched, None)
-            if batch is None:
-                return
-            for row in batch:
-                yield row
-
-    return stream()

@@ -46,8 +46,8 @@ Every data-driven decision is recorded on the plan:
 them.
 
 ``JoinPlan.execute`` / ``JoinPlan.iter_rows`` hand off to the executor
-registry, so ``repro.join`` / ``repro.iter_join`` and the CLI ``explain``
-command are thin wrappers over this module.
+registry, so ``repro.execute`` / ``repro.iter_join`` and the CLI
+``explain`` command are thin wrappers over this module.
 """
 
 from __future__ import annotations
@@ -269,25 +269,6 @@ class JoinPlan:
         fields; this method is the per-worker (and per-shard) primitive.
         """
         return self.executor(database, filters=filters).iter_join()
-
-    def iter_batches(
-        self,
-        database: Database | None = None,
-        batch_size: int | None = None,
-        filters: Mapping[str, Callable[[Value], bool]] | None = None,
-    ) -> Iterator[list[Row]]:
-        """Run the plan, streaming rows in fixed-size batches.
-
-        ``batch_size`` defaults to the plan's :attr:`batch_size` field
-        (or 1024 when the plan carries none).  The final batch may be
-        short; no empty batch is ever yielded.
-        """
-        from repro.engine.parallel import DEFAULT_BATCH_SIZE, batches
-
-        size = batch_size if batch_size is not None else self.batch_size
-        if size is None:
-            size = DEFAULT_BATCH_SIZE
-        return batches(self.iter_rows(database=database, filters=filters), size)
 
     def index_requirements(self) -> tuple[tuple[str, tuple[str, ...], str], ...]:
         """The ``(relation name, index order, backend kind)`` triples this

@@ -32,12 +32,7 @@ import json
 from dataclasses import dataclass, replace as _dc_replace
 from time import perf_counter
 
-from repro.engine.executors import DESCENT_ALGORITHMS
-from repro.feedback.telemetry import (
-    TelemetryProbe,
-    feedback_scope,
-    level_estimates,
-)
+from repro.feedback.telemetry import level_estimates
 from repro.observe.tracing import Tracer
 from repro.version import __version__
 
@@ -224,11 +219,11 @@ def analyze_query(builder) -> ExplainAnalysis:
     """Execute ``builder``'s query measured and traced; line estimates
     up against observations.
 
-    The run is *complete* (the whole result is drained — that is what
-    ANALYZE means) but rows are only counted, never materialized.  A
-    per-level :class:`TelemetryProbe` is attached whenever the plan runs
-    a natively instrumented algorithm serially — independent of whether
-    a feedback context is configured; with one, the observation is also
+    The run is a one-shot prepared run with the per-level probe forced
+    on, drained completely (that is what ANALYZE means) with rows only
+    counted, never materialized.  The probe exists whenever the plan
+    runs on the descent kernel serially — independent of whether a
+    feedback context is configured; with one, the observation is also
     recorded into the statistics provider exactly as a normal measured
     run would.  Sharded and non-native executions still report rows,
     wall time, and spans, with per-level counters marked unknown.
@@ -236,68 +231,23 @@ def analyze_query(builder) -> ExplainAnalysis:
     The context's own tracer is reused when set (the analysis then
     appends to the caller's trace); otherwise a private one is created.
     """
-    from repro.stats.provider import resolve_provider
+    from repro.query.prepared import PreparedQuery
 
-    ctx = builder.context
-    tracer = ctx.tracer if isinstance(ctx.tracer, Tracer) else None
+    tracer = builder.context.tracer
     if tracer is None:
         tracer = Tracer(name="explain-analyze")
         builder = builder.using(tracer=tracer)
-        ctx = builder.context
-    compiled = builder._compile()
-    with tracer.activate():
-        plan = builder.plan()
-
-    telemetry = None
-    rows = 0
+    prepared = PreparedQuery._one_shot(builder, analyze=True)
     started = perf_counter()
-    if (
-        compiled.satisfiable
-        and compiled.residual is not None
-        and not ctx.parallel
-        and plan.algorithm in DESCENT_ALGORITHMS
-    ):
-        # The measured serial path: drive the executor ourselves so the
-        # probe exists regardless of the feedback configuration.
-        probe = TelemetryProbe(plan.attribute_order)
-        with tracer.activate():
-            executor = plan.executor(
-                database=builder._execution_database(),
-                filters=compiled.filters,
-                telemetry=probe,
-            )
-        with tracer.span("execute", algorithm=plan.algorithm) as span:
-            stream = executor.iter_join()
-            if compiled.merge is not None:
-                stream = map(compiled.merge, stream)
-            for _ in builder._project(stream):
-                rows += 1
-            span.meta["rows"] = rows
-        wall = perf_counter() - started
-        telemetry = probe.snapshot(rows, wall, complete=True)
-        if ctx.feedback is not None:
-            provider = resolve_provider(ctx.database, ctx.stats)
-            provider.record_levels(
-                plan.query, telemetry, feedback_scope(compiled.filters)
-            )
-    else:
-        # Degenerate, sharded, or non-native: run through the normal
-        # streaming path (which opens its own execute / shard spans from
-        # the context's tracer) and count.  The plan above is handed
-        # through so the serial path does not plan (and span) twice.
-        for _ in builder._project(builder._full_rows(compiled, plan=plan)):
-            rows += 1
-        wall = perf_counter() - started
-
-    if ctx.metrics is not None and telemetry is not None:
-        # The streaming path above already fed the registry through the
-        # ordinary measured-rows hook; only the probe-driven path needs
-        # an explicit ingest.
-        ctx.metrics.record_run(telemetry)
-        if ctx.database is not None:
-            ctx.metrics.record_cache(ctx.database.cache_info())
-
-    plan = _observed_statistics(plan, telemetry)
+    rows = sum(1 for _ in prepared.stream())
+    wall = perf_counter() - started
+    probe = prepared._probe
+    telemetry = (
+        probe.snapshot(rows, wall, complete=True)
+        if probe is not None
+        else None
+    )
+    plan = _observed_statistics(prepared.plan, telemetry)
     return ExplainAnalysis(
         plan=plan,
         levels=_merge_levels(plan, telemetry),

@@ -53,7 +53,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass, replace as _dc_replace
 
-from repro.aggregate.fold import Folder, fold_rows
 from repro.aggregate.sampling import reservoir_sample, sample_query
 from repro.aggregate.specs import (
     AggregateSpec,
@@ -66,13 +65,10 @@ from repro.aggregate.specs import (
     grouped,
 )
 from repro.core.query import JoinQuery
-from repro.engine import parallel as _parallel
-from repro.engine.executors import DESCENT_ALGORITHMS
 from repro.engine.planner import NO_BACKEND, JoinPlan, plan_join
-from repro.errors import QueryError, require_positive_int
-from repro.feedback.telemetry import TelemetryProbe, feedback_scope
+from repro.errors import QueryError
+from repro.feedback.telemetry import feedback_scope
 from repro.query.context import ExecutionContext
-from repro.stats.provider import resolve_provider
 from repro.query.predicates import (
     Callback,
     ResidualPredicate,
@@ -114,96 +110,6 @@ class _Compiled:
     merge: Callable[[Row], Row] | None
     #: The full output schema (the original query's attributes).
     output_attributes: tuple[str, ...]
-
-
-def recorded_rows(
-    rows: Iterator[Row],
-    probe,
-    provider,
-    query,
-    scope: tuple = (),
-    metrics=None,
-    database=None,
-) -> Iterator[Row]:
-    """Stream ``rows``, then feed the run's measurements back.
-
-    Everything is recorded only when the stream is exhausted *naturally*
-    — a consumer that stops early closed the generator, and its
-    undercounted telemetry must not reach the planner (or inflate the
-    metrics registry's run counters).  Three sinks, each optional:
-
-    * ``probe``/``provider`` — the feedback loop: the probe's per-level
-      counters are snapshotted and recorded into the statistics provider
-      (the pre-observability behavior, unchanged);
-    * ``metrics`` — a :class:`~repro.observe.metrics.MetricsRegistry`:
-      fed the probe's snapshot when one exists, the bare row count
-      otherwise (no instrumentation twin is ever built for metrics
-      alone);
-    * ``database`` — with ``metrics``, its ``cache_info()`` counters are
-      mirrored into the registry after the run.
-
-    Shared by the builder's serial path and :class:`~repro.query.
-    prepared.PreparedQuery` runs.
-    """
-    from time import perf_counter
-
-    started = perf_counter()
-    count = 0
-    for row in rows:
-        count += 1
-        yield row
-    telemetry = None
-    if probe is not None:
-        telemetry = probe.snapshot(
-            count, perf_counter() - started, complete=True
-        )
-        if provider is not None:
-            provider.record_levels(query, telemetry, scope)
-    if metrics is not None:
-        if telemetry is not None:
-            metrics.record_run(telemetry)
-        else:
-            metrics.record_rows(count)
-        if database is not None:
-            metrics.record_cache(database.cache_info())
-
-
-def traced_rows(tracer, rows: Iterator[Row], **meta) -> Iterator[Row]:
-    """Stream ``rows`` inside an ``execute`` span of ``tracer``.
-
-    The span covers first ``next()`` to exhaustion (or early close) and
-    records the row count on natural exhaustion.  Must wrap the
-    *outermost* row stream so recording/metrics wrappers fall inside the
-    measured window.
-    """
-    with tracer.span("execute", **meta) as span:
-        count = 0
-        for row in rows:
-            count += 1
-            yield row
-        span.meta["rows"] = count
-
-
-def drain_async(batched: Iterator[list[Row]]):
-    """Adapt a batch iterator into an async row iterator.
-
-    The blocking ``next()`` runs on worker threads via
-    ``asyncio.to_thread``; the event loop receives rows one batch at a
-    time.  Shared by :meth:`QueryBuilder.astream` and
-    :meth:`~repro.query.prepared.PreparedQuery.astream`.
-    """
-
-    async def _astream():
-        import asyncio
-
-        while True:
-            batch = await asyncio.to_thread(next, batched, None)
-            if batch is None:
-                return
-            for row in batch:
-                yield row
-
-    return _astream()
 
 
 def Q(*relations, context: ExecutionContext | None = None) -> "QueryBuilder":
@@ -587,75 +493,14 @@ class QueryBuilder:
 
         return dedup()
 
-    def _full_rows(
-        self, compiled: _Compiled, plan: JoinPlan | None = None
-    ) -> Iterator[Row]:
-        """Stream full-schema rows (bound values merged back in).
+    def _one_shot(self):
+        """This query prepared for a single run: every executing view
+        below is one, so the builder, ``prepare()`` and ``EXPLAIN
+        ANALYZE`` plan, measure, batch and fold by the same code (see
+        :mod:`repro.query.prepared`)."""
+        from repro.query.prepared import PreparedQuery
 
-        ``plan`` lets a caller that already planned the residual query
-        (``batches()`` resolving ``"auto"``) avoid planning it twice.
-        """
-        if not compiled.satisfiable:
-            return iter(())
-        if compiled.residual is None:
-            constants = dict(compiled.bound)
-            return iter(
-                (tuple(constants[a] for a in compiled.output_attributes),)
-            )
-        ctx = self._residual_context()
-        if ctx.parallel:
-            rows: Iterator[Row] = _parallel.shard_join(
-                compiled.residual, context=ctx, filters=compiled.filters
-            )
-            # The sharded driver opens its own execute span (the
-            # per-shard spans nest under it) and feeds the metrics
-            # registry itself — no wrapping here.
-            if compiled.merge is not None:
-                rows = map(compiled.merge, rows)
-            return rows
-        tracer = ctx.tracer
-        # Planning and index builds are synchronous phases, so ambient
-        # activation is safe here; the streaming execute span below uses
-        # the tracer directly (a generator must not own a context-var).
-        if plan is None:
-            with tracer.activate() if tracer else _nullcontext():
-                plan = plan_join(
-                    compiled.residual,
-                    context=ctx,
-                    feedback_scope=feedback_scope(compiled.filters),
-                )
-        probe = None
-        if (
-            ctx.feedback is not None
-            and plan.algorithm in DESCENT_ALGORITHMS
-        ):
-            probe = TelemetryProbe(plan.attribute_order)
-        with tracer.activate() if tracer else _nullcontext():
-            executor = plan.executor(
-                database=self._execution_database(),
-                filters=compiled.filters,
-                telemetry=probe,
-            )
-        rows = executor.iter_join()
-        if probe is not None or ctx.metrics is not None:
-            rows = recorded_rows(
-                rows,
-                probe,
-                (
-                    resolve_provider(ctx.database, ctx.stats)
-                    if probe is not None
-                    else None
-                ),
-                plan.query,
-                feedback_scope(compiled.filters),
-                metrics=ctx.metrics,
-                database=ctx.database,
-            )
-        if compiled.merge is not None:
-            rows = map(compiled.merge, rows)
-        if tracer is not None:
-            rows = traced_rows(tracer, rows, algorithm=plan.algorithm)
-        return rows
+        return PreparedQuery._one_shot(self)
 
     def stream(self) -> Iterator[Row]:
         """Stream result rows (schema: :attr:`output_attributes`).
@@ -664,7 +509,7 @@ class QueryBuilder:
         first ``next()``.  With ``context.shards`` set, rows come from
         the sharded parallel driver; otherwise from the serial engine.
         """
-        return self._project(self._full_rows(self._compile()))
+        return self._one_shot().stream()
 
     def run(self, name: str = "J") -> Relation:
         """Execute and materialize the result as a :class:`Relation`."""
@@ -673,91 +518,10 @@ class QueryBuilder:
     # -- aggregation & sampling ----------------------------------------------
 
     def _aggregate(self, spec: AggregateSpec, mode: str):
-        """Dispatch one aggregate, under a ``fold`` span when traced.
-
-        The span wraps whichever strategy :meth:`_aggregate_impl` picks,
-        so a streamed fallback's ``execute`` span nests inside it.
-        """
-        tracer = self.context.tracer
-        if tracer is None:
-            return self._aggregate_impl(spec, mode)
-        with tracer.span("fold", aggregate=mode):
-            return self._aggregate_impl(spec, mode)
-
-    def _aggregate_impl(self, spec: AggregateSpec, mode: str):
-        """Run one aggregate spec over this query's result.
-
-        Dispatch, in order of preference:
-
-        1. **Folded** into the level loops of a native executor
-           (:data:`~repro.engine.executors.DESCENT_ALGORITHMS`) — no rows are
-           materialized and prunable subtrees contribute factorized
-           counts in O(1).  Requires: no projection, no feedback loop,
-           serial execution, and no aggregate input read from a bound
-           (constant) attribute.
-        2. **Sharded**: per-shard partial states computed by the
-           parallel driver's workers and merged by the spec's picklable
-           combiner (``context.shards`` set, same conditions otherwise).
-        3. **Streamed**: fold the ordinary (projected, merged, possibly
-           telemetry-recorded) row stream — the universal fallback,
-           exact for every algorithm and option combination.  With the
-           feedback loop enabled this path is chosen *deliberately*:
-           the observed stream records full per-level telemetry, so
-           aggregate executions keep feeding the feedback store the
-           same cardinalities enumeration would.
-        """
-        missing = [
-            a for a in spec.needs if a not in self.output_attributes
-        ]
-        if missing:
-            raise QueryError(
-                f"aggregate reads attributes {missing!r} that are not in "
-                f"the output schema {self.output_attributes!r}"
-            )
-        compiled = self._compile()
-        if not compiled.satisfiable:
-            return spec.finish(spec.start())
-        if compiled.residual is None:
-            # Fully bound: at most one constants row survives the guards.
-            return fold_rows(self.stream(), spec, self.output_attributes)
-        ctx = self._residual_context()
-        bound_attrs = {a for a, _v in compiled.bound}
-        foldable = (
-            self.selected is None
-            and ctx.feedback is None
-            and not (set(spec.needs) & bound_attrs)
-        )
-        if ctx.parallel:
-            if foldable:
-                state = _parallel.shard_fold(
-                    compiled.residual,
-                    spec,
-                    context=ctx,
-                    filters=compiled.filters,
-                )
-                return spec.finish(state)
-            return fold_rows(self.stream(), spec, self.output_attributes)
-        if foldable:
-            plan = plan_join(
-                compiled.residual,
-                context=ctx,
-                feedback_scope=feedback_scope(compiled.filters),
-            )
-            if plan.algorithm in DESCENT_ALGORITHMS:
-                plan = _dc_replace(plan, aggregate=mode)
-                executor = plan.executor(
-                    database=self._execution_database(),
-                    filters=compiled.filters,
-                )
-                folder = Folder(spec, plan.attribute_order)
-                executor.fold(folder)
-                return folder.result()
-            # Blocking specialists have no level loops to fold into;
-            # stream their rows (still nothing is materialized at once).
-            return fold_rows(
-                self._full_rows(compiled, plan), spec, self.query.attributes
-            )
-        return fold_rows(self.stream(), spec, self.output_attributes)
+        """Run one aggregate spec over this query's result (the dispatch
+        table is :meth:`PreparedQuery._aggregate
+        <repro.query.prepared.PreparedQuery._aggregate>`'s)."""
+        return self._one_shot()._aggregate(spec, mode)
 
     def count(self) -> int:
         """Number of result rows — *without* enumerating them when the
@@ -844,40 +608,11 @@ class QueryBuilder:
         """Stream the result in fixed-size row batches.
 
         ``size`` defaults to the context's ``batch_size`` (``"auto"``
-        resolves from the residual query's AGM estimate in serial mode),
-        then to the context's ``ShardSpec.batch_size`` when one is set,
-        and finally to :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`.
+        resolves from the residual query's AGM estimate), then to the
+        context's ``ShardSpec.batch_size`` when one is set, and finally
+        to :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`.
         """
-        compiled = self._compile()
-        ctx = self.context
-        plan = None
-        if compiled.residual is not None and not ctx.parallel:
-            plan = plan_join(
-                compiled.residual,
-                context=self._residual_context(),
-                feedback_scope=feedback_scope(compiled.filters),
-            )
-        resolved = size
-        if resolved is None and ctx.batch_size is not None:
-            if ctx.batch_size == "auto":
-                resolved = plan.batch_size if plan is not None else None
-            else:
-                resolved = require_positive_int(
-                    ctx.batch_size, "batch_size", " or 'auto'"
-                )
-        spec_batch = getattr(ctx.shards, "batch_size", None)
-        if resolved is None and spec_batch is not None:
-            if spec_batch == "auto":
-                resolved = plan.batch_size if plan is not None else None
-            else:
-                resolved = require_positive_int(
-                    spec_batch, "batch_size", " or 'auto'"
-                )
-        if resolved is None:
-            resolved = _parallel.DEFAULT_BATCH_SIZE
-        return _parallel.batches(
-            self._project(self._full_rows(compiled, plan)), resolved
-        )
+        return self._one_shot().batches(size)
 
     def astream(self, batch_size: int | None = None):
         """Async iteration for event-loop servers (``async for row in
@@ -885,7 +620,7 @@ class QueryBuilder:
         rows reach the loop ``batch_size`` at a time (resolved exactly
         as :meth:`batches` resolves it, including ``"auto"``).
         Planning and validation happen in this synchronous call."""
-        return drain_async(self.batches(batch_size))
+        return self._one_shot().astream(batch_size)
 
     def prepare(self) -> "PreparedQuery":
         """Freeze this query into a :class:`~repro.query.prepared.

@@ -7,9 +7,9 @@ list — ``algorithm``, ``cover``, ``attribute_order``, ``backend``,
 lists drifted apart with every PR.  :class:`ExecutionContext` replaces
 that kwargs plumbing with one immutable value object: the fluent builder
 (:mod:`repro.query.builder`) carries one, the planner unpacks one
-(``plan_join(query, context=ctx)``), the parallel drivers accept one,
-and the legacy ``repro.api`` functions construct one from their frozen
-keyword signatures.
+(``plan_join(query, context=ctx)``), the parallel drivers take one,
+and the keyword conveniences in ``repro.api`` build one through
+``execute``.
 
 A context answers *how* to execute — it says nothing about *what* to
 compute (relations, predicates, projections live on the builder).  It is
@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.errors import PlanError
+from repro.errors import PlanError, require_positive_int
 from repro.feedback.config import FeedbackConfig
 from repro.hypergraph.covers import FractionalCover
 from repro.observe.metrics import MetricsRegistry
@@ -46,8 +46,8 @@ class ExecutionContext:
     """Every execution option the engine consumes, in one frozen object.
 
     Fields mirror the planner's and parallel drivers' parameters; the
-    defaults reproduce the behavior of calling ``repro.join`` with no
-    keywords.  ``None`` consistently means "the engine decides" (or, for
+    defaults reproduce the behavior of calling ``repro.execute`` with
+    no keywords.  ``None`` consistently means "the engine decides" (or, for
     ``shards``/``batch_size``, "stay serial / row-at-a-time").
     """
 
@@ -123,6 +123,8 @@ class ExecutionContext:
             raise PlanError(
                 f"unknown shard mode {self.mode!r}; choose one of {_MODES}"
             )
+        if self.workers is not None:
+            require_positive_int(self.workers, "workers")
         if self.feedback is True:
             # ``feedback=True`` is a natural spelling; normalize it to
             # the default config instead of rejecting it.

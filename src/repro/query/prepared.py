@@ -14,6 +14,12 @@ Each ``run()`` / ``stream()`` then re-drives the same executor: zero
 planning, zero index builds — on a warm catalog, ``Database.
 cache_info()`` shows no new misses across any number of runs.
 
+This class is also the *only* code that runs a query: the builder's own
+``stream()`` / ``batches()`` / ``count()`` and ``explain(analyze=True)``
+are one-shot prepared runs (Remark 5.2's split — choose the order and
+build the indexes ahead of time, then join — taken literally), so every
+surface measures, batches and folds by the same rules.
+
 :meth:`PreparedQuery.bind` rebinds the equality parameters (``where``
 values) *without re-planning*: the residual query has the same shape for
 any parameter values, so the frozen algorithm / order / backend carry
@@ -22,15 +28,18 @@ the classical prepared-statement contract.
 
 Sharded execution (a context with ``shards`` set) cannot reuse one
 in-process executor — shard workers build their own restricted indexes
-— so a parallel prepared query delegates each run to the sharded
-driver; the frozen *plan* is still reused for ``describe()`` and shard
-sizing.
+— so a parallel prepared query hands each run to the sharded driver;
+the frozen *plan* is still reused for ``describe()``, for the batch
+size and for shard sizing: the driver partitions by it instead of
+planning the parent again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import nullcontext as _nullcontext
 from dataclasses import replace as _dc_replace
+from time import perf_counter
 
 from repro.aggregate.fold import Folder, fold_rows
 from repro.aggregate.specs import Avg, Count, CountDistinct, Max, Min, Sum
@@ -44,7 +53,7 @@ from repro.feedback.telemetry import (
     feedback_scope,
     level_estimates,
 )
-from repro.query.builder import GroupedQuery, QueryBuilder, drain_async
+from repro.query.builder import GroupedQuery, QueryBuilder
 from repro.relations.relation import Relation, Row, Value
 from repro.stats.provider import resolve_provider
 
@@ -66,55 +75,90 @@ class PreparedQuery:
         "_executor",
         "_probe",
         "_replans",
+        "_observe",
+        "_held",
     )
 
     def __init__(
         self, builder: QueryBuilder, _reuse_plan: JoinPlan | None = None
     ) -> None:
+        self._freeze(builder, _reuse_plan, analyze=False, held=True)
+
+    @classmethod
+    def _one_shot(
+        cls, builder: QueryBuilder, analyze: bool = False
+    ) -> "PreparedQuery":
+        """The prepared query behind one builder view or one ``EXPLAIN
+        ANALYZE``: nobody holds it to run it again, so a completed run
+        checks no divergence and re-plans nothing.  ``analyze`` forces
+        the per-level probe on with or without a feedback context."""
+        self = cls.__new__(cls)
+        self._freeze(builder, None, analyze=analyze, held=False)
+        return self
+
+    def _freeze(
+        self,
+        builder: QueryBuilder,
+        reuse_plan: JoinPlan | None,
+        analyze: bool,
+        held: bool,
+    ) -> None:
+        """Plan → probe → executor, under the context tracer (so the
+        ``plan`` / ``stats-profile`` / ``index-build`` spans exist)."""
         compiled = builder._compile()
-        if _reuse_plan is None:
-            plan = builder.plan()
-        elif compiled.residual is None:
-            plan = builder._guard_plan(compiled)
-        elif _reuse_plan.algorithm == "none":
-            # The original prepare was degenerate (a guard proved it
-            # empty before planning), so there is no real plan to
-            # reuse; the rebound values resurrected a residual query —
-            # plan it now.
-            plan = builder.plan()
-        else:
-            # Rebinding: same residual shape, new parameter values — the
-            # frozen algorithm / order / backend stay valid, only the
-            # data (and the lazily cached AGM bound) changed.
-            plan = _dc_replace(
-                _reuse_plan,
-                query=compiled.residual,
-                bound=compiled.bound,
-                _bound=None,
-            )
-        executor = None
-        probe = None
+        for name, value in (
+            ("_builder", builder),
+            ("_compiled", compiled),
+            ("_replans", 0),
+            ("_observe", analyze or builder.context.feedback is not None),
+            ("_held", held),
+        ):
+            object.__setattr__(self, name, value)
+        tracer = builder.context.tracer
+        with tracer.activate() if tracer else _nullcontext():
+            if reuse_plan is None:
+                plan = builder.plan()
+            elif compiled.residual is None:
+                plan = builder._guard_plan(compiled)
+            elif reuse_plan.algorithm == "none":
+                # The original prepare was degenerate (a guard proved it
+                # empty before planning), so there is no real plan to
+                # reuse; the rebound values resurrected a residual query
+                # — plan it now.
+                plan = builder.plan()
+            else:
+                # Rebinding: same residual shape, new parameter values —
+                # the frozen algorithm / order / backend stay valid, only
+                # the data (and the lazily cached AGM bound) changed.
+                plan = _dc_replace(
+                    reuse_plan,
+                    query=compiled.residual,
+                    bound=compiled.bound,
+                    _bound=None,
+                )
+            self._install(plan)
+
+    def _install(self, plan: JoinPlan) -> None:
+        """Adopt ``plan``: build its probe and executor (none when no
+        residual query remains, or when shard workers will build their
+        own)."""
+        compiled = self._compiled
+        executor = probe = None
         if (
             compiled.satisfiable
             and compiled.residual is not None
-            and not builder.context.parallel
+            and not self._builder.context.parallel
         ):
-            if (
-                builder.context.feedback is not None
-                and plan.algorithm in DESCENT_ALGORITHMS
-            ):
+            if self._observe and plan.algorithm in DESCENT_ALGORITHMS:
                 probe = TelemetryProbe(plan.attribute_order)
             executor = plan.executor(
-                database=builder._execution_database(),
+                database=self._builder._execution_database(),
                 filters=compiled.filters,
                 telemetry=probe,
             )
-        object.__setattr__(self, "_builder", builder)
-        object.__setattr__(self, "_compiled", compiled)
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_executor", executor)
         object.__setattr__(self, "_probe", probe)
-        object.__setattr__(self, "_replans", 0)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("PreparedQuery instances are immutable")
@@ -160,62 +204,106 @@ class PreparedQuery:
 
         No planning and no index builds happen here — every run walks
         the indexes frozen at prepare time.  (With a parallel context,
-        runs delegate to the sharded driver instead; see the module
-        docstring.)
+        each run goes to the sharded driver, which partitions by the
+        frozen plan; see the module docstring.)  Unless the context
+        measures (feedback, metrics, tracer) the stream is the
+        executor's own generator.
         """
         compiled = self._compiled
+        builder = self._builder
         if not compiled.satisfiable:
             return iter(())
         if compiled.residual is None:
             constants = dict(compiled.bound)
-            rows: Iterator[Row] = iter(
-                (tuple(constants[a] for a in compiled.output_attributes),)
+            return builder._project(
+                iter(
+                    (tuple(constants[a] for a in compiled.output_attributes),)
+                )
             )
-            return self._builder._project(rows)
-        if self._executor is None:
-            return self._builder.stream()  # parallel context: shard per run
-        if self._probe is not None:
-            rows = self._observed_rows()
+        context = builder.context
+        sharded = self._executor is None
+        if sharded:
+            rows: Iterator[Row] = _parallel.shard_join(
+                compiled.residual,
+                builder._residual_context(),
+                compiled.filters,
+                self._plan,
+            )
         else:
             rows = self._executor.iter_join()
         if compiled.merge is not None:
             rows = map(compiled.merge, rows)
-        return self._builder._project(rows)
+        # The sharded driver opens its own execute span (the per-shard
+        # spans nest under it) and feeds the metrics registry itself.
+        if not sharded and (
+            self._probe is not None
+            or context.metrics is not None
+            or context.tracer is not None
+        ):
+            rows = self._measured(rows, self._plan, self._probe)
+        return builder._project(rows)
 
-    def _observed_rows(self) -> Iterator[Row]:
-        """One measured run of the prepared executor.
+    def _measured(
+        self, rows: Iterator[Row], plan: JoinPlan, probe
+    ) -> Iterator[Row]:
+        """Stream one serial run inside its ``execute`` span, then feed
+        the run's measurements back.
 
-        On natural exhaustion the telemetry is recorded into the
-        context's statistics provider and checked against the frozen
-        plan's estimates; past the tolerance, the query re-plans with
-        the fresh observations (see :attr:`replans`).  The probe is
-        shared across runs (reset here), so concurrent streams of one
-        prepared query must not overlap under feedback.
+        Everything is recorded only when the stream is exhausted
+        *naturally* — a consumer that stops early closed the generator,
+        and its undercounted telemetry must not reach the planner or
+        inflate the metrics registry.  The probe's per-level counters go
+        to the statistics provider under a feedback context; the metrics
+        registry gets the probe's snapshot when one exists, the bare row
+        count otherwise, and the database's cache counters.  A *held*
+        prepared query then checks the telemetry against the frozen
+        plan's estimates and, past the tolerance, re-plans (see
+        :attr:`replans`).  The probe is shared across runs (reset here),
+        so concurrent streams of one prepared query must not overlap
+        when it is on.
         """
-        from time import perf_counter
-
-        probe = self._probe
-        probe.reset()
-        started = perf_counter()
-        count = 0
-        for row in self._executor.iter_join():
-            count += 1
-            yield row
-        telemetry = probe.snapshot(
-            count, perf_counter() - started, complete=True
-        )
         context = self._builder.context
-        provider = resolve_provider(context.database, context.stats)
-        provider.record_levels(
-            self._plan.query,
-            telemetry,
-            feedback_scope(self._compiled.filters),
-        )
-        if context.metrics is not None:
-            context.metrics.record_run(telemetry)
-            if context.database is not None:
-                context.metrics.record_cache(context.database.cache_info())
-        self._maybe_replan(telemetry)
+        tracer, metrics = context.tracer, context.metrics
+        if probe is not None:
+            probe.reset()
+        telemetry = None
+        with (
+            tracer.span("execute", algorithm=plan.algorithm)
+            if tracer
+            else _nullcontext()
+        ) as span:
+            started = perf_counter()
+            count = 0
+            for row in rows:
+                count += 1
+                yield row
+            if span is not None:
+                span.meta["rows"] = count
+            if probe is not None:
+                telemetry = probe.snapshot(
+                    count, perf_counter() - started, complete=True
+                )
+                if context.feedback is not None:
+                    resolve_provider(
+                        context.database, context.stats
+                    ).record_levels(
+                        plan.query,
+                        telemetry,
+                        feedback_scope(self._compiled.filters),
+                    )
+            if metrics is not None:
+                if telemetry is not None:
+                    metrics.record_run(telemetry)
+                else:
+                    metrics.record_rows(count)
+                if context.database is not None:
+                    metrics.record_cache(context.database.cache_info())
+        if (
+            self._held
+            and telemetry is not None
+            and context.feedback is not None
+        ):
+            self._maybe_replan(telemetry)
 
     def _level_estimates(self) -> tuple[tuple[str, float], ...]:
         """The frozen plan's per-level partial-size estimates (see
@@ -257,17 +345,7 @@ class PreparedQuery:
             return
         # Anything execution-relevant changed — order, algorithm, or a
         # backend choice flipped by the fresh evidence: rebuild.
-        probe = None
-        if plan.algorithm in DESCENT_ALGORITHMS:
-            probe = TelemetryProbe(plan.attribute_order)
-        executor = plan.executor(
-            database=self._builder._execution_database(),
-            filters=self._compiled.filters,
-            telemetry=probe,
-        )
-        object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_executor", executor)
-        object.__setattr__(self, "_probe", probe)
+        self._install(plan)
         object.__setattr__(self, "_replans", self._replans + 1)
         metrics = self._builder.context.metrics
         if metrics is not None:
@@ -280,18 +358,29 @@ class PreparedQuery:
     # -- aggregation & sampling ----------------------------------------------
 
     def _aggregate(self, spec, mode: str):
-        """One aggregate over the prepared query — no re-planning, ever.
+        """Run one aggregate spec over the result — no re-planning —
+        under a ``fold`` span when traced (a streamed fallback's
+        ``execute`` span nests inside it).
 
-        The frozen executor's level loops fold the spec directly when
-        the plan runs on the descent kernel
-        (:data:`~repro.engine.executors.DESCENT_ALGORITHMS`),
-        reusing the indexes built at prepare time; rebinding via
-        :meth:`bind` keeps this path (the rebound prepared query carries
-        its own executor over the re-sectioned relations).  Projection,
-        feedback telemetry, or aggregate inputs outside the residual
-        order fall back to folding the prepared row stream; a parallel
-        context delegates to the builder (whose sharded driver merges
-        per-shard partial states).
+        Dispatch, in order of preference:
+
+        1. **Folded** into the level loops of the frozen executor when
+           the plan runs on the descent kernel
+           (:data:`~repro.engine.executors.DESCENT_ALGORITHMS`) — no rows are
+           materialized and prunable subtrees contribute factorized
+           counts in O(1).  Requires: no projection, no feedback loop,
+           and no aggregate input read from a bound (constant)
+           attribute.
+        2. **Sharded**: per-shard partial states computed by the
+           parallel driver's workers and merged by the spec's picklable
+           combiner (``context.shards`` set, same conditions otherwise).
+        3. **Streamed**: fold the ordinary (projected, merged, possibly
+           measured) row stream — the universal fallback, exact for
+           every algorithm and option combination.  With the feedback
+           loop enabled this path is chosen *deliberately*: the
+           observed stream records full per-level telemetry, so
+           aggregate executions keep feeding the feedback store the
+           same cardinalities enumeration would.
         """
         missing = [a for a in spec.needs if a not in self.output_attributes]
         if missing:
@@ -300,21 +389,35 @@ class PreparedQuery:
                 f"the output schema {self.output_attributes!r}"
             )
         compiled = self._compiled
-        if not compiled.satisfiable:
-            return spec.finish(spec.start())
-        if self._executor is None and compiled.residual is not None:
-            return self._builder._aggregate(spec, mode)  # parallel context
-        if (
-            self._executor is not None
-            and self._probe is None
-            and self._builder.selected is None
-            and self._plan.algorithm in DESCENT_ALGORITHMS
-            and set(spec.needs) <= set(self._plan.attribute_order)
-        ):
-            folder = Folder(spec, self._plan.attribute_order)
-            self._executor.fold(folder)
-            return folder.result()
-        return fold_rows(self.stream(), spec, self.output_attributes)
+        builder = self._builder
+        context = builder.context
+        tracer = context.tracer
+        with tracer.span("fold", aggregate=mode) if tracer else _nullcontext():
+            if not compiled.satisfiable:
+                return spec.finish(spec.start())
+            foldable = (
+                compiled.residual is not None
+                and builder.selected is None
+                and context.feedback is None
+                and set(spec.needs) <= set(compiled.residual.attributes)
+            )
+            if foldable and context.parallel:
+                return spec.finish(
+                    _parallel.shard_fold(
+                        compiled.residual,
+                        spec,
+                        builder._residual_context(),
+                        compiled.filters,
+                        self._plan,
+                    )
+                )
+            if foldable and self._plan.algorithm in DESCENT_ALGORITHMS:
+                folder = Folder(spec, self._plan.attribute_order)
+                self._executor.fold(folder)
+                return folder.result()
+            # Blocking specialists have no level loops to fold into;
+            # stream their rows (still nothing is materialized at once).
+            return fold_rows(self.stream(), spec, self.output_attributes)
 
     def count(self) -> int:
         """Number of result rows, folded into the frozen executor's
@@ -359,22 +462,39 @@ class PreparedQuery:
         return self._builder.sample(k, seed)
 
     def batches(self, size: int | None = None) -> Iterator[list[Row]]:
-        """Stream the result in fixed-size row batches."""
-        resolved = size
-        if resolved is None and isinstance(
-            self._builder.context.batch_size, int
-        ):
-            resolved = self._builder.context.batch_size
-        if resolved is None and self._plan.batch_size is not None:
-            resolved = self._plan.batch_size
-        if resolved is None:
-            resolved = _parallel.DEFAULT_BATCH_SIZE
-        return _parallel.batches(self.stream(), resolved)
+        """Stream the result in fixed-size row batches.
+
+        ``size`` defaults to the frozen plan's ``batch_size`` — the
+        planner resolved it from the context's ``batch_size``, then the
+        context's ``ShardSpec.batch_size`` (``"auto"`` is the residual
+        query's AGM estimate for either, serial or sharded) — and
+        finally to :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`.
+        """
+        if size is None:
+            size = self._plan.batch_size
+        if size is None:
+            size = _parallel.DEFAULT_BATCH_SIZE
+        return _parallel.batches(self.stream(), size)
 
     def astream(self, batch_size: int | None = None):
-        """Async iteration over the prepared executor (see
-        :meth:`QueryBuilder.astream`)."""
-        return drain_async(self.batches(batch_size))
+        """Async iteration for event-loop servers (``async for row in
+        q.astream()``): the blocking ``next()`` runs on worker threads
+        via ``asyncio.to_thread`` and rows reach the loop ``batch_size``
+        at a time (resolved exactly as :meth:`batches` resolves it).
+        Planning and validation happen in this synchronous call."""
+        batched = self.batches(batch_size)
+
+        async def rows():
+            import asyncio
+
+            while True:
+                batch = await asyncio.to_thread(next, batched, None)
+                if batch is None:
+                    return
+                for row in batch:
+                    yield row
+
+        return rows()
 
     # -- rebinding ----------------------------------------------------------
 

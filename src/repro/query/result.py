@@ -1,12 +1,12 @@
 """ResultStream: every way to consume one executed query.
 
 :func:`repro.execute` returns one of these instead of committing the
-caller to a consumption style up front.  The legacy entry points each
+caller to a consumption style up front.  The 1.x entry points each
 hard-wired one view — ``join`` materialized, ``iter_join`` streamed,
 ``join_batched`` batched, ``aiter_join`` went async — and so each
-needed its own copy of the execution keywords.  A
-:class:`ResultStream` is all of those views over one underlying
-builder::
+needed its own copy of the execution keywords (all but ``iter_join``
+are gone in 2.0).  A :class:`ResultStream` is all of those views over
+one underlying builder::
 
     stream = execute([r, s, t], shards=ShardSpec(4))
     for row in stream: ...                   # iterate

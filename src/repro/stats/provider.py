@@ -546,8 +546,8 @@ class StatsProvider:
 #: The provider ``plan_join`` falls back to when the caller supplies
 #: neither a ``database`` nor a ``stats`` provider.  Shared on purpose:
 #: relations are immutable and the cache is identity-keyed, so repeated
-#: ad-hoc plans over the same relation objects (``join([r, s, t])`` in a
-#: loop) reuse profiles, samples, and selectivities instead of
+#: ad-hoc plans over the same relation objects (``execute([r, s, t])`` in
+#: a loop) reuse profiles, samples, and selectivities instead of
 #: recomputing them per call; the FIFO-bounded local cache caps memory.
 _DEFAULT_PROVIDER = StatsProvider()
 

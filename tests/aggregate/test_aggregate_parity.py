@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.query.builder import Q, drain_async
+from repro.query.builder import Q
 from repro.relations.relation import Relation
 from tests.helpers import (
     oracle_avg,
@@ -136,7 +136,6 @@ def test_aggregates_agree_with_async_stream():
     assert builder.sum("B") == oracle_sum(
         rows, builder.output_attributes, "B"
     )
-    assert drain_async is not None  # imported for parity with the builder
 
 
 @pytest.mark.parametrize("algorithm", ["generic", "leapfrog", "nprr"])

@@ -20,7 +20,7 @@ from repro.api import count_join, sample_join
 from repro.core.query import JoinQuery
 from repro.engine.parallel import shard_fold
 from repro.engine.planner import plan_join
-from repro.errors import QueryError
+from repro.errors import PlanError, QueryError
 from repro.query.builder import Q
 from repro.query.context import ExecutionContext
 from repro.relations.relation import Relation
@@ -117,15 +117,14 @@ def test_shard_fold_merges_partial_states():
     expected = len(list(plan_join(query, "generic").iter_rows()))
     for mode in ("serial", "thread", "process"):
         context = ExecutionContext(shards=3, mode=mode)
-        assert shard_fold(query, Count(), context=context) == expected
+        assert shard_fold(query, Count(), context) == expected
 
 
-def test_shard_fold_validates_eagerly():
-    query = JoinQuery(list(_relations()))
-    with pytest.raises(Exception):
-        shard_fold(query, Count(), mode="bogus")
-    with pytest.raises(Exception):
-        shard_fold(query, Count(), workers=0)
+def test_shard_fold_options_validate_on_the_context():
+    with pytest.raises(PlanError):
+        ExecutionContext(shards=3, mode="bogus")
+    with pytest.raises(PlanError):
+        ExecutionContext(shards=3, workers=0)
 
 
 # -- prepared queries --------------------------------------------------------

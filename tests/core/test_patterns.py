@@ -127,3 +127,14 @@ class TestValidation:
         rel = Relation("R", ("a", "b", "c"), [])
         with pytest.raises(QueryError):
             pattern_query(rel, TRIANGLE)
+
+
+def test_pattern_helpers_run_clean_under_warnings_as_errors():
+    # Library code must not trip over the library's own deprecations.
+    import warnings
+
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert count_pattern(edges, TRIANGLE) == 3
+        assert len(find_pattern(edges, TRIANGLE)) == 3

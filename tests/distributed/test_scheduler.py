@@ -13,7 +13,6 @@ from repro import Q, execute
 from repro.api import iter_join
 from repro.distributed import (
     DispatchScheduler,
-    LocalPoolScheduler,
     LoopbackTransport,
     Scheduler,
 )
@@ -99,24 +98,13 @@ class TestLoopbackParity:
         assert sorted(execute(query, context=context)) == serial
 
 
-class TestLocalPoolScheduler:
+class TestSchedulerProtocol:
     def test_protocol_conformance(self):
-        assert isinstance(LocalPoolScheduler(), Scheduler)
         assert isinstance(DispatchScheduler([LoopbackTransport()]), Scheduler)
 
-    def test_parity_with_default_path(self):
-        query = triangle_query()
-        serial = sorted(iter_join(query, algorithm="generic"))
-        context = ExecutionContext(
-            algorithm="generic",
-            shards=ShardSpec(2),
-            scheduler=LocalPoolScheduler(mode="serial"),
-        )
-        assert sorted(execute(query, context=context)) == serial
-
-    def test_workers_validated(self):
+    def test_context_validates_workers(self):
         with pytest.raises(PlanError):
-            LocalPoolScheduler(workers=0)
+            ExecutionContext(workers=0)
 
     def test_context_rejects_non_schedulers(self):
         with pytest.raises(PlanError):

@@ -7,14 +7,13 @@ import time
 
 import pytest
 
-from repro.api import aiter_join, iter_join, join_batched, shard_join
+from repro.api import execute, iter_join
 from repro.core.generic_join import GenericJoin
 from repro.core.query import JoinQuery
 from repro.engine import parallel
 from repro.engine.parallel import (
     ShardSlice,
     batches,
-    iter_shard_rows,
     plan_shards,
     shard_query,
 )
@@ -161,7 +160,7 @@ class TestShardJoinParity:
         for query in _workload_queries():
             serial = set(iter_join(query, algorithm="generic"))
             sharded = set(
-                shard_join(query, shards=3, algorithm="generic", mode=mode)
+                execute(query, shards=3, algorithm="generic", mode=mode)
             )
             assert sharded == serial
 
@@ -169,7 +168,7 @@ class TestShardJoinParity:
     def test_shard_counts_match_serial(self, shards):
         query = _workload_queries()[0]
         serial = set(iter_join(query))
-        assert set(shard_join(query, shards=shards, mode="serial")) == serial
+        assert set(execute(query, shards=shards, mode="serial")) == serial
 
     @pytest.mark.parametrize(
         "algorithm", ["nprr", "lw", "generic", "leapfrog", "arity2"]
@@ -177,7 +176,7 @@ class TestShardJoinParity:
     def test_every_algorithm(self, triangle_query, algorithm):
         serial = set(iter_join(triangle_query, algorithm=algorithm))
         sharded = set(
-            shard_join(
+            execute(
                 triangle_query, shards=2, algorithm=algorithm, mode="serial"
             )
         )
@@ -192,7 +191,7 @@ class TestShardJoinParity:
         serial = set(iter_join(triangle_query, cover=cover))
         assert (
             set(
-                shard_join(
+                execute(
                     triangle_query, shards=2, cover=cover, mode="serial"
                 )
             )
@@ -206,11 +205,11 @@ class TestShardJoinParity:
                 Relation("S", ("B", "C"), [(9, 2)]),
             ]
         )
-        assert list(shard_join(q, shards=4, mode="serial")) == []
+        assert list(execute(q, shards=4, mode="serial")) == []
 
     def test_single_relation(self):
         q = JoinQuery([Relation("R", ("A", "B"), [(0, 1), (1, 2)])])
-        assert set(shard_join(q, shards=2, mode="serial")) == {(0, 1), (1, 2)}
+        assert set(execute(q, shards=2, mode="serial")) == {(0, 1), (1, 2)}
 
     def test_auto_falls_back_to_thread_for_unpicklable(self):
         class Local:  # unpicklable: defined inside a function
@@ -225,7 +224,7 @@ class TestShardJoinParity:
         )
         with pytest.raises(Exception):
             pickle.dumps(q)
-        assert set(shard_join(q, shards=2, mode="auto")) == set(iter_join(q))
+        assert set(execute(q, shards=2, mode="auto")) == set(iter_join(q))
 
     def test_auto_mode_with_mixed_picklability(self):
         # Regression: one heavy *picklable* value monopolizes the first
@@ -243,13 +242,13 @@ class TestShardJoinParity:
                 Relation("T", ("A", "C"), rows),
             ]
         )
-        assert set(shard_join(q, shards=2, mode="auto")) == set(iter_join(q))
+        assert set(execute(q, shards=2, mode="auto")) == set(iter_join(q))
 
     def test_workers_cap(self):
         query = _workload_queries()[0]
         serial = set(iter_join(query, algorithm="generic"))
         got = set(
-            shard_join(
+            execute(
                 query,
                 shards=4,
                 algorithm="generic",
@@ -265,9 +264,7 @@ class TestShardJoinParity:
 
         monkeypatch.setattr(parallel, "_shard_rows", boom)
         with pytest.raises(RuntimeError, match="shard exploded"):
-            list(
-                shard_join(triangle_query, shards=2, mode="thread")
-            )
+            list(execute(triangle_query, shards=2, mode="thread"))
 
     def test_explicit_process_mode_rejects_unpicklable_eagerly(self):
         class Local:
@@ -283,14 +280,14 @@ class TestShardJoinParity:
         # auto falls back to threads; an explicit process request must
         # surface the pickling failure at the call site instead.
         with pytest.raises(Exception):
-            shard_join(q, shards=2, mode="process")
+            iter(execute(q, shards=2, mode="process"))
 
     def test_thread_mode_workers_retire_on_early_close(self):
         query = generators.random_instance(
             queries.triangle(), 800, 20, seed=8, skew=1.2
         )
         before = threading.active_count()
-        stream = shard_join(query, shards=4, mode="thread")
+        stream = iter(execute(query, shards=4, mode="thread"))
         next(stream)
         stream.close()
         deadline = time.monotonic() + 5.0
@@ -303,14 +300,19 @@ class TestShardJoinParity:
 
     def test_eager_validation(self, triangle_query):
         with pytest.raises(PlanError):
-            shard_join(triangle_query, shards=0)
+            execute(triangle_query, shards=0)
         with pytest.raises(PlanError):
-            shard_join(triangle_query, shards=2, mode="warp")
+            execute(triangle_query, shards=2, mode="warp")
         with pytest.raises(PlanError):
-            shard_join(triangle_query, shards=2, workers=0)
+            execute(triangle_query, shards=2, workers=0)
         with pytest.raises(PlanError):
-            shard_join(
-                triangle_query, shards=2, algorithm="nprr", backend="sorted"
+            iter(
+                execute(
+                    triangle_query,
+                    shards=2,
+                    algorithm="nprr",
+                    backend="sorted",
+                )
             )
 
 
@@ -322,7 +324,7 @@ class TestCompactBackendParallel:
     def test_sharded_modes(self, triangle_query, algorithm, mode):
         expected = set(iter_join(triangle_query, algorithm=algorithm))
         sharded = set(
-            shard_join(
+            execute(
                 triangle_query,
                 shards=2,
                 algorithm=algorithm,
@@ -336,12 +338,12 @@ class TestCompactBackendParallel:
     def test_batched(self, triangle_query, algorithm):
         flat = {
             row
-            for batch in join_batched(
+            for batch in execute(
                 triangle_query,
                 algorithm=algorithm,
                 backend="compact",
                 batch_size=2,
-            )
+            ).batches()
             for row in batch
         }
         assert flat == set(iter_join(triangle_query, algorithm=algorithm))
@@ -349,9 +351,9 @@ class TestCompactBackendParallel:
     @pytest.mark.parametrize("algorithm", ["generic", "leapfrog"])
     def test_async(self, triangle_query, algorithm):
         async def collect():
-            stream = aiter_join(
+            stream = execute(
                 triangle_query, algorithm=algorithm, backend="compact"
-            )
+            ).astream()
             return {row async for row in stream}
 
         assert asyncio.run(collect()) == set(
@@ -365,7 +367,7 @@ class TestCompactBackendParallel:
                 iter_join(query, algorithm="generic", backend="compact")
             )
             assert expected == set(
-                shard_join(
+                execute(
                     query,
                     shards=3,
                     algorithm="leapfrog",
@@ -375,12 +377,13 @@ class TestCompactBackendParallel:
             )
 
 
-class TestIterShardRows:
+class TestShardQueryRows:
     def test_streams_one_shard(self, triangle_query):
         specs = plan_shards(triangle_query, 3, "A")
         rows = set()
         for spec in specs:
-            rows |= set(iter_shard_rows(triangle_query, spec, "generic"))
+            shard = shard_query(triangle_query, spec)
+            rows |= set(plan_join(shard, "generic").iter_rows())
         assert rows == set(iter_join(triangle_query, algorithm="generic"))
 
 
@@ -388,33 +391,33 @@ class TestJoinBatched:
     def test_flattens_to_iter_join(self, triangle_query):
         flat = [
             row
-            for batch in join_batched(triangle_query, batch_size=2)
+            for batch in execute(triangle_query, batch_size=2).batches()
             for row in batch
         ]
         assert set(flat) == set(iter_join(triangle_query))
         assert len(flat) == len(set(flat))
 
     def test_batch_size_auto(self, triangle_query):
-        out = list(join_batched(triangle_query, batch_size="auto"))
+        out = list(execute(triangle_query, batch_size="auto").batches())
         assert {row for b in out for row in b} == set(
             iter_join(triangle_query)
         )
 
     def test_invalid_batch_size_raises_eagerly(self, triangle_query):
         with pytest.raises(PlanError):
-            join_batched(triangle_query, batch_size=0)
+            execute(triangle_query, batch_size=0).batches()
 
 
 class TestAiterJoin:
     def test_parity(self, triangle_query):
         async def collect():
-            return {row async for row in aiter_join(triangle_query)}
+            return {row async for row in execute(triangle_query).astream()}
 
         assert asyncio.run(collect()) == set(iter_join(triangle_query))
 
     def test_sharded(self, triangle_query):
         async def collect():
-            stream = aiter_join(triangle_query, shards=2, batch_size=2)
+            stream = execute(triangle_query, shards=2).astream(2)
             return {row async for row in stream}
 
         assert asyncio.run(collect()) == set(iter_join(triangle_query))
@@ -423,7 +426,9 @@ class TestAiterJoin:
         # Misconfiguration must raise in the synchronous call, not at
         # first anext() inside a running loop.
         with pytest.raises(PlanError):
-            aiter_join(triangle_query, algorithm="leapfrog", backend="trie")
+            execute(
+                triangle_query, algorithm="leapfrog", backend="trie"
+            ).astream()
 
 
 class TestPlannerParallelFields:
@@ -457,18 +462,6 @@ class TestPlannerParallelFields:
         ).describe()
         assert "shards: 2" in text
         assert "batch size: 10" in text
-
-    def test_iter_batches(self, triangle_query):
-        plan = plan_join(triangle_query, "generic", batch_size=2)
-        out = list(plan.iter_batches())
-        assert [len(b) for b in out] == [2, 1]
-
-    def test_iter_batches_rejects_zero_like_every_other_layer(
-        self, triangle_query
-    ):
-        plan = plan_join(triangle_query, "generic")
-        with pytest.raises(PlanError):
-            plan.iter_batches(batch_size=0)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_invalid_shards(self, triangle_query, bad):

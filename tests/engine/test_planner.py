@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro import FractionalCover, output_bound
-from repro.api import explain, join
+from repro.api import execute, explain
 from repro.baselines.naive import naive_join
 from repro.core.generic_join import GenericJoin
 from repro.core.query import JoinQuery
@@ -230,7 +230,7 @@ class TestEarlyValidation:
         # The relations argument is never touched: validation precedes
         # query construction and index building.
         with pytest.raises(QueryError):
-            join(None, algorithm="quantum")
+            execute(None, algorithm="quantum").relation()
 
     def test_unknown_algorithm_rejected_by_planner(self):
         with pytest.raises(QueryError):

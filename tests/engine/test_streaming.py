@@ -1,14 +1,14 @@
 """Streaming parity: iter_join agrees with join for every algorithm.
 
 The acceptance property of the streaming engine:
-``sorted(iter_join(q)) == sorted(join(q).tuples)`` across the workload
-generators, for all five algorithms — plus laziness and index-cache
-behavior of the streaming path.
+``sorted(iter_join(q)) == sorted(execute(q).relation().tuples)`` across
+the workload generators, for all five algorithms — plus laziness and
+index-cache behavior of the streaming path.
 """
 
 import pytest
 
-from repro.api import iter_join, join
+from repro.api import execute, iter_join
 from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
 from repro.core.nprr import NPRRJoin
@@ -50,7 +50,7 @@ WORKLOADS = [
 def test_streaming_parity_across_workloads(name, builder, algorithms):
     query = builder()
     for algorithm in algorithms:
-        materialized = join(query, algorithm=algorithm)
+        materialized = execute(query, algorithm=algorithm).relation()
         streamed = sorted(iter_join(query, algorithm=algorithm))
         assert streamed == sorted(materialized.tuples), (
             f"{algorithm} disagrees with itself on {name}"
@@ -61,13 +61,13 @@ def test_streaming_parity_across_workloads(name, builder, algorithms):
 def test_streaming_parity_auto_vs_fixed(algorithm):
     query = triangle_query()
     assert sorted(iter_join(query, algorithm=algorithm)) == sorted(
-        join(query).tuples
+        execute(query).relation().tuples
     )
 
 
 def test_rows_follow_query_attribute_order():
     query = generators.random_instance(queries.triangle(), 30, 5, seed=9)
-    expected = join(query)
+    expected = execute(query).relation()
     assert expected.attributes == query.attributes
     for algorithm in ALL_ALGORITHMS:
         rows = set(iter_join(query, algorithm=algorithm))
@@ -104,7 +104,7 @@ class TestLaziness:
         rows = iter_join(query, algorithm=algorithm)
         taken = [row for _, row in zip(range(2), rows)]
         rows.close()
-        full = sorted(join(query, algorithm=algorithm).tuples)
+        full = sorted(execute(query, algorithm=algorithm).relation().tuples)
         assert len(full) >= 2
         for row in taken:
             assert row in set(full)
@@ -160,9 +160,9 @@ class TestSharedIndexCache:
     def test_api_join_accepts_database(self):
         query = triangle_query()
         db = Database(list(query.relations.values()))
-        first = join(query, algorithm="leapfrog", database=db)
+        first = execute(query, algorithm="leapfrog", database=db).relation()
         cached = db.cached_index_count("sorted")
         assert cached == 3
-        second = join(query, algorithm="leapfrog", database=db)
+        second = execute(query, algorithm="leapfrog", database=db).relation()
         assert db.cached_index_count("sorted") == cached
         assert first.equivalent(second)

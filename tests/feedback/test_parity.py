@@ -9,7 +9,7 @@ import asyncio
 
 import pytest
 
-from repro import Q, join
+from repro import Q, execute
 from repro.api import ALGORITHMS
 from repro.feedback.config import FeedbackConfig
 from repro.query.context import ExecutionContext
@@ -165,6 +165,6 @@ class TestMaterializedParity:
         query = generators.random_instance(
             queries.triangle(), 200, 20, seed=3
         )
-        plain = join(query)
-        observed = join(query, feedback=FeedbackConfig())
+        plain = execute(query).relation()
+        observed = execute(query, feedback=FeedbackConfig()).relation()
         assert set(observed.tuples) == set(plain.tuples)

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.api import (
-    aiter_join,
-    explain,
-    iter_join,
-    join,
-    join_batched,
-    shard_join,
-)
+from repro.api import execute, explain, iter_join
 from repro.engine.planner import plan_join
 from repro.errors import PlanError, QueryError
 from repro.query.builder import Q
@@ -92,17 +85,17 @@ class TestApiWrappersDelegate:
 
     def test_join_parity(self):
         query = triangle_query()
-        assert sorted(join(query).tuples) == sorted(iter_join(query))
+        assert sorted(execute(query).relation().tuples) == sorted(iter_join(query))
 
     def test_join_batched_parity(self):
         query = triangle_query()
-        rows = [r for batch in join_batched(query, batch_size=2) for r in batch]
-        assert sorted(rows) == sorted(join(query).tuples)
+        rows = [r for batch in execute(query, batch_size=2).batches() for r in batch]
+        assert sorted(rows) == sorted(execute(query).relation().tuples)
 
     def test_shard_join_parity(self):
         query = triangle_query()
-        assert sorted(shard_join(query, shards=2)) == sorted(
-            join(query).tuples
+        assert sorted(execute(query, shards=2)) == sorted(
+            execute(query).relation().tuples
         )
 
     def test_aiter_join_parity(self):
@@ -111,9 +104,11 @@ class TestApiWrappersDelegate:
         query = triangle_query()
 
         async def collect():
-            return [row async for row in aiter_join(query)]
+            return [row async for row in execute(query).astream()]
 
-        assert sorted(asyncio.run(collect())) == sorted(join(query).tuples)
+        assert sorted(asyncio.run(collect())) == sorted(
+            execute(query).relation().tuples
+        )
 
     def test_explain_records_context_options(self):
         query = triangle_query()
@@ -124,11 +119,11 @@ class TestApiWrappersDelegate:
     def test_eager_validation_preserved(self):
         query = triangle_query()
         with pytest.raises(QueryError):
-            join(query, algorithm="nope")
+            execute(query, algorithm="nope").relation()
         with pytest.raises(PlanError):
-            join_batched(query, batch_size=0)
+            execute(query, batch_size=0).batches()
         with pytest.raises(PlanError):
-            shard_join(query, mode="sideways")
+            execute(query, mode="sideways", shards="auto")
         with pytest.raises(PlanError):
             iter_join(query, algorithm="lw", backend="sorted")
 
@@ -172,10 +167,10 @@ class TestBuilderHonorsContext:
         assert after.hits == middle.hits + 1  # S served from cache
         assert db.cached_index_count() == 1
         assert rows == sorted(
-            join(query).select_equals("A", 0).tuples
+            execute(query).relation().select_equals("A", 0).tuples
         )
 
     def test_shards_route_through_parallel_driver(self):
         query = triangle_query()
         rows = sorted(Q(query).using(shards=2, mode="serial").stream())
-        assert rows == sorted(join(query).tuples)
+        assert rows == sorted(execute(query).relation().tuples)

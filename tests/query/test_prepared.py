@@ -4,9 +4,10 @@ import pickle
 
 import pytest
 
-from repro.api import join
-from repro.errors import QueryError
+from repro.api import execute
+from repro.errors import PlanError, QueryError
 from repro.query.builder import Q
+from repro.query.shards import ShardSpec
 from repro.relations.database import Database
 from repro.relations.relation import Relation
 from repro.workloads import generators, queries
@@ -26,7 +27,7 @@ class TestPreparedExecution:
     def test_run_matches_unprepared(self):
         query = instance()
         prepared = Q(query).using(algorithm="generic").prepare()
-        assert sorted(prepared.stream()) == sorted(join(query).tuples)
+        assert sorted(prepared.stream()) == sorted(execute(query).relation().tuples)
 
     def test_repeated_runs_agree(self):
         _db, builder = catalogued()
@@ -55,11 +56,11 @@ class TestPreparedExecution:
         rows = sorted(prepared.run("J").tuples)
         after = db.cache_info()
         assert after.misses == before.misses, "a warm run built an index"
-        assert rows == sorted(join(builder.query).tuples)
+        assert rows == sorted(execute(builder.query).relation().tuples)
 
     def test_prepared_with_pushdown(self):
         query = instance()
-        full = join(query)
+        full = execute(query).relation()
         value = sorted(full.tuples)[0][0]
         prepared = (
             Q(query).where(A=value).select("B", "C").prepare()
@@ -74,7 +75,7 @@ class TestPreparedExecution:
         query = instance()
         prepared = Q(query).prepare()
         total = prepared.count()
-        assert total == len(join(query))
+        assert total == len(execute(query).relation())
         assert sum(len(b) for b in prepared.batches(16)) == total
 
     def test_prepared_async(self):
@@ -86,12 +87,14 @@ class TestPreparedExecution:
         async def collect():
             return [row async for row in prepared.astream(batch_size=8)]
 
-        assert sorted(asyncio.run(collect())) == sorted(join(query).tuples)
+        assert sorted(asyncio.run(collect())) == sorted(
+            execute(query).relation().tuples
+        )
 
     def test_prepared_parallel_context_delegates(self):
         query = instance()
         prepared = Q(query).using(shards=2, mode="thread").prepare()
-        assert sorted(prepared.stream()) == sorted(join(query).tuples)
+        assert sorted(prepared.stream()) == sorted(execute(query).relation().tuples)
 
     def test_immutable(self):
         prepared = Q(instance()).prepare()
@@ -102,7 +105,7 @@ class TestPreparedExecution:
 class TestBind:
     def test_bind_rebinds_without_replanning(self):
         query = instance()
-        full = join(query)
+        full = execute(query).relation()
         values = sorted({row[0] for row in full.tuples})
         prepared = Q(query).using(algorithm="generic").where(A=values[0]).prepare()
         rebound = prepared.bind(A=values[1])
@@ -125,7 +128,7 @@ class TestBind:
     def test_bind_loop_over_parameters(self):
         # The prepared-statement workload: one plan, many parameters.
         query = instance()
-        full = join(query)
+        full = execute(query).relation()
         prepared = Q(query).where(A=0).select("C").prepare()
         for value in sorted({row[0] for row in full.tuples})[:4]:
             expected = sorted(
@@ -172,7 +175,7 @@ class TestDatabasePrepare:
         query = instance()
         db = Database(query.relations.values())
         prepared = db.prepare([db["R"], db["S"], db["T"]])
-        assert sorted(prepared.stream()) == sorted(join(query).tuples)
+        assert sorted(prepared.stream()) == sorted(execute(query).relation().tuples)
 
     def test_overrides_builder_database(self):
         query = instance()
@@ -189,3 +192,167 @@ def test_prepared_on_degenerate_all_bound():
     assert list(prepared.stream()) == [(1, 2)]
     missing = prepared.bind(A=3, B=2)
     assert list(missing.stream()) == []
+
+
+class TestPreparedRunsAreMeasured:
+    """A prepared run reaches the context's tracer and metrics exactly
+    as the builder's own run does (it used to reach neither)."""
+
+    VIEWS = {
+        "stream": (lambda b: list(b.stream()), lambda p: list(p.stream())),
+        "batches": (
+            lambda b: list(b.batches(16)),
+            lambda p: list(p.batches(16)),
+        ),
+        "count": (lambda b: b.count(), lambda p: p.count()),
+        "run": (lambda b: b.run(), lambda p: p.run()),
+    }
+
+    @staticmethod
+    def _left_behind(context):
+        spans = rows = None
+        if context.tracer is not None:
+            spans = sorted(span.name for span in context.tracer.walk())
+        if context.metrics is not None:
+            rows = context.metrics.counter(
+                "repro_rows_emitted_total"
+            ).value()
+        return spans, rows
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize(
+        "sinks", [("tracer",), ("metrics",), ("tracer", "metrics")]
+    )
+    def test_same_spans_and_rows_as_the_builder(self, sinks, view):
+        on_builder, on_prepared = self.VIEWS[view]
+        left = []
+        for run, prepare in ((on_builder, False), (on_prepared, True)):
+            _db, builder = catalogued()
+            builder = builder.using(
+                algorithm="generic", **{sink: True for sink in sinks}
+            )
+            run(builder.prepare() if prepare else builder)
+            left.append(self._left_behind(builder.context))
+        assert left[0] == left[1]
+        spans, rows = left[0]
+        if spans is not None:
+            assert "plan" in spans
+            assert ("fold" if view == "count" else "execute") in spans
+        if rows is not None and view != "count":
+            assert rows == len(execute(instance()).relation())
+
+
+class TestOneBatchRule:
+    """explicit size -> the plan's batch size -> the default, on every
+    surface, serial or sharded."""
+
+    #: 3 x 32 x 32 rows; the AGM bound 96 * 96 makes "auto" 96.
+    RELATIONS = (
+        Relation("R", ("A", "B"), [(a, b) for a in range(32) for b in range(3)]),
+        Relation("S", ("B", "C"), [(b, c) for b in range(3) for c in range(32)]),
+    )
+    ROWS = 3 * 32 * 32
+
+    @staticmethod
+    def _lengths(batched):
+        return [len(batch) for batch in batched]
+
+    def _surfaces(self, builder):
+        return {
+            "builder": builder.batches,
+            "prepared": builder.prepare().batches,
+            "result-stream": execute(builder).batches,
+        }
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize(
+        "spelling",
+        ["explicit", "context-int", "context-auto", "spec-int", "spec-auto",
+         "nothing"],
+    )
+    def test_every_surface_batches_alike(self, spelling, sharded):
+        count = 2 if sharded else 1
+        options = {"mode": "serial"}
+        size = None
+        if spelling == "explicit":
+            size = 7
+        elif spelling.startswith("context"):
+            options["batch_size"] = 7 if spelling == "context-int" else "auto"
+        if spelling.startswith("spec"):
+            options["shards"] = ShardSpec(
+                count, batch_size=7 if spelling == "spec-int" else "auto"
+            )
+        elif sharded:
+            options["shards"] = count
+        builder = Q(*self.RELATIONS).using(**options)
+        lengths = {
+            name: self._lengths(batches(size))
+            for name, batches in self._surfaces(builder).items()
+        }
+        assert lengths["builder"] == lengths["prepared"]
+        assert lengths["builder"] == lengths["result-stream"]
+        assert sum(lengths["builder"]) == self.ROWS
+        if spelling in ("explicit", "context-int", "spec-int"):
+            expected = 7
+        elif spelling == "nothing":
+            expected = 1024
+        else:
+            expected = 96
+        assert set(lengths["builder"][:-1]) == {expected}
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_non_positive_sizes_raise_alike(self, bad, sharded):
+        options = {"shards": 2, "mode": "serial"} if sharded else {}
+        builder = Q(*self.RELATIONS).using(**options)
+        for batches in self._surfaces(builder).values():
+            with pytest.raises(PlanError, match="batch size"):
+                batches(bad)
+        configured = builder.using(batch_size=bad)
+        for run in (
+            configured.batches,
+            configured.prepare,
+            execute(configured).batches,
+        ):
+            with pytest.raises(PlanError, match="batch_size"):
+                run()
+
+
+class TestShardedParentPlansOnce:
+    def test_prepare_plus_one_run_plans_parent_once(self, monkeypatch):
+        from repro.engine import planner
+
+        calls = []
+        real = planner._plan_join
+
+        def counting(query, *args, **kwargs):
+            calls.append(query)
+            return real(query, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "_plan_join", counting)
+        query = instance()
+        prepared = Q(query).using(shards=2, mode="serial").prepare()
+        assert len(calls) == 1
+        rows = sorted(prepared.stream())
+        # One parent at prepare(), one plan per shard at run time.
+        assert len(calls) == 3
+        assert calls[0] is prepared.plan.query
+        monkeypatch.undo()
+        assert rows == sorted(execute(query).relation().tuples)
+
+    def test_the_driver_partitions_by_the_frozen_plan(self, monkeypatch):
+        from repro.engine import parallel
+
+        seen = []
+        real = parallel.plan_shards
+
+        def spying(query, shards, attribute=None):
+            seen.append((shards, attribute))
+            return real(query, shards, attribute)
+
+        monkeypatch.setattr(parallel, "plan_shards", spying)
+        prepared = Q(instance()).using(shards=2, mode="serial").prepare()
+        list(prepared.stream())
+        assert seen == [
+            (prepared.plan.shards, prepared.plan.attribute_order[0])
+        ]

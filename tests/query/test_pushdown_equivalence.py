@@ -24,7 +24,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.api import join
+from repro.api import execute
 from repro.query.builder import Q
 from repro.relations.relation import Relation
 from repro.workloads import generators, queries
@@ -48,7 +48,7 @@ def lw4_instance(seed=13):
 
 def naive(query, equalities=None, members=None, selected=None):
     """Reference semantics: full join, then sigma, then pi."""
-    result = join(query)
+    result = execute(query).relation()
     for attribute, value in (equalities or {}).items():
         result = result.select_equals(attribute, value)
     for attribute, values in (members or {}).items():
@@ -299,7 +299,7 @@ class TestEdgeCases:
 
     def test_all_attributes_bound_equals_naive(self):
         query = triangle_instance()
-        full = join(query)
+        full = execute(query).relation()
         hit = sorted(full.tuples)[0]
         binding = dict(zip(("A", "B", "C"), hit))
         assert sorted(Q(query).where(**binding).stream()) == naive(
@@ -312,7 +312,7 @@ class TestEdgeCases:
 
     def test_all_bound_with_projection(self):
         query = triangle_instance()
-        hit = sorted(join(query).tuples)[0]
+        hit = sorted(execute(query).relation().tuples)[0]
         binding = dict(zip(("A", "B", "C"), hit))
         rows = list(Q(query).where(**binding).select("B").stream())
         assert rows == naive(query, equalities=binding, selected=("B",))

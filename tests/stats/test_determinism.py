@@ -147,10 +147,10 @@ class TestShardedExecutionDeterminism:
         q = generators.random_instance(
             generators.random_hypergraph(3, 3, 2, seed=1), 2600, 40, seed=5
         )
-        from repro.api import iter_join, shard_join
+        from repro.api import execute, iter_join
 
         serial = set(iter_join(q, algorithm="generic"))
         sharded = set(
-            shard_join(q, shards="auto", algorithm="generic", mode="serial")
+            execute(q, shards="auto", algorithm="generic", mode="serial")
         )
         assert sharded == serial

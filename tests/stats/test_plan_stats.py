@@ -270,7 +270,7 @@ class TestAiterJoinDatabase:
     def test_database_reused_for_async_plans(self):
         import asyncio
 
-        from repro.api import aiter_join
+        from repro.api import execute
 
         db = Database(
             [
@@ -284,9 +284,9 @@ class TestAiterJoinDatabase:
         async def collect():
             return {
                 row
-                async for row in aiter_join(
+                async for row in execute(
                     q, algorithm="generic", database=db
-                )
+                ).astream()
             }
 
         rows = asyncio.run(collect())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Relation, iter_join, join, output_bound
+from repro import Relation, execute, iter_join, output_bound
 from repro.baselines.naive import naive_join
 from repro.core.query import JoinQuery
 from repro.errors import PlanError, QueryError
@@ -20,7 +20,7 @@ def relations():
 
 class TestJoin:
     def test_default_auto(self, relations):
-        out = join(relations)
+        out = execute(relations).relation()
         assert len(out) == 3
 
     @pytest.mark.parametrize(
@@ -28,19 +28,19 @@ class TestJoin:
     )
     def test_every_algorithm(self, relations, algorithm):
         expected = naive_join(JoinQuery(relations))
-        assert join(relations, algorithm=algorithm).equivalent(expected)
+        assert execute(relations, algorithm=algorithm).relation().equivalent(expected)
 
     def test_accepts_query_object(self, relations):
         q = JoinQuery(relations)
-        assert join(q).equivalent(naive_join(q))
+        assert execute(q).relation().equivalent(naive_join(q))
 
     def test_unknown_algorithm(self, relations):
         with pytest.raises(QueryError):
-            join(relations, algorithm="quantum")
+            execute(relations, algorithm="quantum").relation()
 
     def test_auto_falls_back_to_nprr(self):
         q = generators.random_instance(queries.paper_figure2(), 20, 3, seed=0)
-        assert join(q).equivalent(naive_join(q))
+        assert execute(q).relation().equivalent(naive_join(q))
 
     def test_auto_with_cover_uses_nprr(self, relations):
         from fractions import Fraction
@@ -49,10 +49,10 @@ class TestJoin:
 
         q = JoinQuery(relations)
         cover = FractionalCover.uniform(q.hypergraph, Fraction(1, 2))
-        assert join(q, cover=cover).equivalent(naive_join(q))
+        assert execute(q, cover=cover).relation().equivalent(naive_join(q))
 
     def test_custom_name(self, relations):
-        assert join(relations, name="Out").name == "Out"
+        assert execute(relations).relation("Out").name == "Out"
 
 
 class TestIterJoinEagerValidation:
@@ -68,7 +68,7 @@ class TestIterJoinEagerValidation:
         with pytest.raises(PlanError) as via_iter:
             iter_join(relations, algorithm="leapfrog", backend="trie")
         with pytest.raises(PlanError) as via_join:
-            join(relations, algorithm="leapfrog", backend="trie")
+            execute(relations, algorithm="leapfrog", backend="trie").relation()
         assert str(via_iter.value) == str(via_join.value)
 
     def test_rejected_attribute_order_raises_at_call(self, relations):
@@ -96,7 +96,7 @@ class TestOutputBound:
     def test_bound_dominates_output(self):
         for seed in range(5):
             q = generators.random_instance(queries.triangle(), 30, 5, seed=seed)
-            assert len(join(q)) <= output_bound(q) + 1e-6
+            assert len(execute(q).relation()) <= output_bound(q) + 1e-6
 
 
 class TestDocstringExample:
@@ -104,4 +104,4 @@ class TestDocstringExample:
         r = Relation("R", ("A", "B"), [(1, 2), (2, 3)])
         s = Relation("S", ("B", "C"), [(2, 9), (3, 7)])
         t = Relation("T", ("A", "C"), [(1, 9), (2, 7)])
-        assert sorted(join([r, s, t]).tuples) == [(1, 2, 9), (2, 3, 7)]
+        assert sorted(execute([r, s, t]).relation().tuples) == [(1, 2, 9), (2, 3, 7)]

@@ -1,30 +1,17 @@
-"""The ExecutionContext-first API: execute(), ResultStream, shims.
+"""The ExecutionContext-first API: execute() and ResultStream.
 
-Two contracts:
-
-* ``execute(query, context=...)`` is the one entry point; every
-  consumption style is a view on its :class:`ResultStream`, and views
-  agree with each other and with the legacy functions.
-* The legacy mode-specific entry points are *frozen*: same signatures,
-  same results, plus a :class:`DeprecationWarning` — and nothing else.
+``execute(query, context=...)`` is the one entry point; every
+consumption style is a view on its :class:`ResultStream`, and views
+agree with each other and with the keyword conveniences.
 """
 
 import asyncio
-import inspect
 import warnings
 
 import pytest
 
 from repro import ExecutionContext, Q, ResultStream, ShardSpec, execute
-from repro.api import (
-    aiter_join,
-    count_join,
-    iter_join,
-    join,
-    join_batched,
-    sample_join,
-    shard_join,
-)
+from repro.api import count_join, iter_join, sample_join
 from repro.errors import QueryError
 from tests.helpers import triangle_query
 
@@ -96,28 +83,7 @@ class TestExecute:
         assert sorted(stream) == SERIAL  # fresh execution, same rows
 
 
-class TestDeprecatedShims:
-    def test_each_shim_warns_and_agrees(self):
-        with pytest.warns(DeprecationWarning, match="repro.join"):
-            materialized = join(QUERY)
-        assert sorted(materialized.tuples) == SERIAL
-
-        with pytest.warns(DeprecationWarning, match="join_batched"):
-            batched = join_batched(QUERY, batch_size=8)
-        assert sorted(r for b in batched for r in b) == SERIAL
-
-        with pytest.warns(DeprecationWarning, match="shard_join"):
-            sharded = shard_join(QUERY, shards=2, mode="serial")
-        assert sorted(sharded) == SERIAL
-
-        with pytest.warns(DeprecationWarning, match="aiter_join"):
-            stream = aiter_join(QUERY)
-
-        async def drain():
-            return [row async for row in stream]
-
-        assert sorted(asyncio.run(drain())) == SERIAL
-
+class TestKeywordConveniences:
     def test_streaming_and_aggregate_entry_points_stay_quiet(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -125,28 +91,3 @@ class TestDeprecatedShims:
             assert count_join(QUERY) == len(SERIAL)
             assert len(sample_join(QUERY, 2, seed=1)) == 2
             assert sorted(execute(QUERY)) == SERIAL
-
-    def test_shim_signatures_are_frozen(self):
-        """The deprecation must not change any callable's shape."""
-        frozen = {
-            join: (
-                "relations", "algorithm", "cover", "name",
-                "attribute_order", "backend", "database", "feedback",
-            ),
-            join_batched: (
-                "relations", "batch_size", "algorithm", "cover",
-                "attribute_order", "backend", "database", "feedback",
-            ),
-            shard_join: (
-                "relations", "shards", "algorithm", "cover",
-                "attribute_order", "backend", "mode", "workers",
-                "database", "feedback",
-            ),
-            aiter_join: (
-                "relations", "algorithm", "cover", "attribute_order",
-                "backend", "shards", "batch_size", "database", "feedback",
-            ),
-        }
-        for function, parameters in frozen.items():
-            found = tuple(inspect.signature(function).parameters)
-            assert found == parameters, function.__name__

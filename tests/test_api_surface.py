@@ -35,26 +35,11 @@ def test_live_surface_matches_snapshot():
     assert not problems, "\n".join(problems)
 
 
-def test_frozen_shims_match_their_table():
-    # The deprecated entry points have no --update path: the tool's
-    # FROZEN_SHIMS table must match the live package verbatim.
-    tool = _load_tool()
-    assert tool.check_frozen_shims() == []
-
-
-def test_frozen_shim_drift_is_reported():
-    tool = _load_tool()
-    tool.FROZEN_SHIMS = dict(tool.FROZEN_SHIMS, join="(relations)")
-    problems = tool.check_frozen_shims()
-    assert len(problems) == 1
-    assert "repro.join" in problems[0]
-
-
 def test_diff_reports_changes():
     tool = _load_tool()
     live = tool.current_surface()
     mutated = dict(live)
-    mutated["join"] = "(relations)"  # pretend the signature shrank
+    mutated["execute"] = "(relations)"  # pretend the signature shrank
     del mutated["iter_join"]
     mutated["brand_new"] = "(x)"
     problems = tool.diff(mutated, live)

@@ -35,18 +35,6 @@ import sys
 
 SNAPSHOT_PATH = pathlib.Path(__file__).parent / "api_surface.json"
 
-#: The deprecated mode-specific entry points (superseded by
-#: ``repro.execute``) are signature-FROZEN: they exist only so old
-#: call sites keep working, so *any* change to their shape is a bug.
-#: Unlike the snapshot, this table is deliberately NOT touched by
-#: ``--update`` — re-snapshotting cannot absorb shim drift.
-FROZEN_SHIMS = {
-    "join": "(relations: 'Sequence[Relation] | JoinQuery', algorithm: 'str' = 'auto', cover: 'FractionalCover | None' = None, name: 'str' = 'J', attribute_order: 'Sequence[str] | None' = None, backend: 'str | None' = None, database: 'Database | None' = None, feedback: 'FeedbackConfig | None' = None) -> 'Relation'",
-    "join_batched": "(relations: 'Sequence[Relation] | JoinQuery', batch_size: 'int | str' = 1024, algorithm: 'str' = 'auto', cover: 'FractionalCover | None' = None, attribute_order: 'Sequence[str] | None' = None, backend: 'str | None' = None, database: 'Database | None' = None, feedback: 'FeedbackConfig | None' = None) -> 'Iterator[list[Row]]'",
-    "shard_join": "(relations: 'Sequence[Relation] | JoinQuery', shards: 'int | str | None' = None, algorithm: 'str' = 'auto', cover: 'FractionalCover | None' = None, attribute_order: 'Sequence[str] | None' = None, backend: 'str | None' = None, mode: 'str' = 'auto', workers: 'int | None' = None, database: 'Database | None' = None, feedback: 'FeedbackConfig | None' = None) -> 'Iterator[Row]'",
-    "aiter_join": "(relations: 'Sequence[Relation] | JoinQuery', algorithm: 'str' = 'auto', cover: 'FractionalCover | None' = None, attribute_order: 'Sequence[str] | None' = None, backend: 'str | None' = None, shards: 'int | str | None' = None, batch_size: 'int' = 1024, database: 'Database | None' = None, feedback: 'FeedbackConfig | None' = None) -> 'AsyncIterator[Row]'",
-}
-
 #: Memory addresses in default-value reprs would make snapshots flap.
 _ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
@@ -122,21 +110,6 @@ def diff(snapshot: dict, live: dict) -> list[str]:
     return problems
 
 
-def check_frozen_shims() -> list[str]:
-    """The deprecated shims must match :data:`FROZEN_SHIMS` verbatim."""
-    from repro import api
-
-    problems = []
-    for name, expected in FROZEN_SHIMS.items():
-        found = _signature(getattr(api, name))
-        if found != expected:
-            problems.append(
-                f"frozen shim changed: repro.{name}\n"
-                f"  frozen: {expected}\n  live:   {found}"
-            )
-    return problems
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -145,17 +118,6 @@ def main(argv: list[str] | None = None) -> int:
         help="re-snapshot the live surface into tools/api_surface.json",
     )
     args = parser.parse_args(argv)
-    frozen_problems = check_frozen_shims()
-    if frozen_problems:
-        # Checked before --update so a re-snapshot can never launder a
-        # shim change: the frozen table has no update path by design.
-        print(
-            "deprecated shims are signature-frozen and have drifted:",
-            file=sys.stderr,
-        )
-        for problem in frozen_problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
     live = current_surface()
     if args.update:
         SNAPSHOT_PATH.write_text(

@@ -4,8 +4,12 @@
 Generates random small schemas and relations (seeded, so every failure
 is replayable), then checks for each instance that
 
-* ``iter_join`` under a randomly chosen algorithm/backend/shard config
-  yields exactly the oracle's row set,
+* the row stream under a randomly chosen algorithm/backend/shard config
+  — consumed through a randomly chosen route: the builder's own views,
+  ``prepare()``, or ``prepare()`` re-bound from another parameter value
+  — yields exactly the oracle's row set,
+* one iteration in four, under a ``tracer`` + ``metrics`` context, the
+  registry's ``repro_rows_emitted_total`` equals the oracle's row count,
 * ``count()`` equals the oracle's row count (the fold must agree with
   enumeration even though it never enumerates),
 * ``sample(k, seed=...)`` returns ``min(k, |J|)`` distinct oracle rows
@@ -50,6 +54,8 @@ sys.path.insert(
 )
 
 from repro.core.query import JoinQuery  # noqa: E402
+from repro.observe.metrics import MetricsRegistry  # noqa: E402
+from repro.observe.tracing import Tracer  # noqa: E402
 from repro.query.builder import Q  # noqa: E402
 from repro.relations.relation import Relation  # noqa: E402
 
@@ -119,23 +125,24 @@ def oracle_join(relations: list[Relation]) -> set[tuple]:
 
 def check_instance(rng: random.Random, relations: list[Relation]) -> None:
     """One fuzz iteration; raises AssertionError on any disagreement."""
-    builder = Q(*relations)
     expected = oracle_join(relations)
-    attributes = builder.output_attributes
+    attributes = JoinQuery(relations).attributes
 
     # Optional clauses stress sectioning and the filtered sampler.
+    binding = membership = None
     if expected and rng.random() < 0.3:
         attribute = rng.choice(attributes)
         position = attributes.index(attribute)
-        value = rng.choice(sorted({row[position] for row in expected}))
-        builder = builder.where(**{attribute: value})
-        expected = {row for row in expected if row[position] == value}
+        values = sorted({row[position] for row in expected})
+        binding = (attribute, rng.choice(values), values)
+        expected = {row for row in expected if row[position] == binding[1]}
     if rng.random() < 0.3:
         attribute = rng.choice(attributes)
         position = attributes.index(attribute)
-        keep = tuple(range(0, 5, 2))
-        builder = builder.where_in(attribute, keep)
-        expected = {row for row in expected if row[position] in keep}
+        membership = (attribute, tuple(range(0, 5, 2)))
+        expected = {
+            row for row in expected if row[position] in membership[1]
+        }
 
     algorithm, backends = rng.choice(CONFIGS)
     options = {"algorithm": algorithm}
@@ -144,32 +151,66 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> None:
         options["backend"] = backend
     if rng.random() < 0.2:
         options.update(shards=rng.randint(2, 3), mode="serial")
-    builder = builder.using(**options)
+    metrics = None
+    if rng.random() < 0.25:
+        metrics = MetricsRegistry()
+        options.update(tracer=Tracer(), metrics=metrics)
 
-    streamed = list(builder.stream())
+    def assemble(value=None):
+        builder = Q(*relations)
+        if binding is not None:
+            builder = builder.where(**{binding[0]: value})
+        if membership is not None:
+            builder = builder.where_in(*membership)
+        return builder.using(**options)
+
+    builder = assemble(binding[1] if binding is not None else None)
+
+    # The consumption route: the builder's own views, a prepared query,
+    # or a prepared query re-bound from another value of the parameter.
+    route = rng.choice(
+        ("builder", "prepare") + (("bind",) if binding is not None else ())
+    )
+    if route == "builder":
+        target = builder
+    elif route == "prepare":
+        target = builder.prepare()
+    else:
+        other = assemble(rng.choice(binding[2]))
+        target = other.prepare().bind(**{binding[0]: binding[1]})
+    config = dict(options, route=route)
+
+    streamed = list(target.stream())
     assert len(streamed) == len(set(streamed)), "duplicate streamed rows"
     assert set(streamed) == expected, (
         f"iter_join mismatch: {len(streamed)} streamed vs "
-        f"{len(expected)} expected under {options}"
+        f"{len(expected)} expected under {config}"
     )
+    # A guards-only plan ("none") runs no executor: nothing to measure.
+    if metrics is not None and builder.plan().algorithm != "none":
+        emitted = metrics.counter("repro_rows_emitted_total").value()
+        assert emitted == len(expected), (
+            f"repro_rows_emitted_total {emitted} != oracle "
+            f"{len(expected)} under {config}"
+        )
 
-    counted = builder.count()
+    counted = target.count()
     assert counted == len(expected), (
-        f"count() {counted} != oracle {len(expected)} under {options}"
+        f"count() {counted} != oracle {len(expected)} under {config}"
     )
 
     k = rng.randint(0, 6)
     seed = rng.randrange(1 << 16)
-    sample = builder.sample(k, seed=seed)
+    sample = target.sample(k, seed=seed)
     assert len(sample) == min(k, len(expected)), (
         f"sample size {len(sample)} != min({k}, {len(expected)})"
     )
     assert len(sample) == len(set(sample)), "sample has duplicates"
     assert set(sample) <= expected, "sample drew a non-result row"
-    assert builder.sample(k, seed=seed) == sample, "sample not seed-stable"
+    assert target.sample(k, seed=seed) == sample, "sample not seed-stable"
 
     if rng.random() < 0.25:
-        check_observed(builder, len(expected), options)
+        check_observed(builder, len(expected), config)
 
 
 def check_observed(builder, expected_rows: int, options: dict) -> None:

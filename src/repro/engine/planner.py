@@ -11,12 +11,15 @@ and index-backend choice live in one place, modeled on the
 
 The product is an inspectable :class:`JoinPlan`:
 
-* **algorithm** — Algorithm 1 for Loomis-Whitney instances, Generic Join
-  for every other shape, binary relations included.  Theorem 7.3's
-  arity-2 decomposition is worst-case optimal too, but far from the
-  worst case it still does worst-case work (warm, 1.4x Generic Join's
-  wall time on a 4-star, 18x on a 4-cycle, 435x on a 3-path), so it is
-  pinnable (``algorithm="arity2"``) and never chosen;
+* **algorithm** — Generic Join for every shape, Loomis-Whitney instances
+  and binary relations included: it meets the bound of each of the
+  paper's specialists ("Skew Strikes Back") and is the one executor
+  with cached indexes, a native fold and level filters.  Algorithm 1
+  re-partitions its input on every request (warm, 9x Generic Join's
+  wall time on a skewed triangle, 4x on Example 2.2) and Theorem 7.3's
+  arity-2 decomposition does worst-case work far from the worst case
+  (1.4x on a 4-star, 18x on a 4-cycle, 435x on a 3-path), so both are
+  pinnable (``algorithm="lw"`` / ``"arity2"``) and never chosen;
 * **attribute order** — a greedy descent on *estimated partial-result
   sizes*: each step multiplies the candidate attribute's min-distinct
   count by the sampled conditional selectivities against the relations
@@ -29,9 +32,9 @@ The product is an inspectable :class:`JoinPlan`:
   layout; callers may fix ``"compact"`` for packed runs with radix
   seeks); for Generic Join a **per-relation** choice driven by cached-
   index availability in the ``Database`` and each relation's profile:
-  heavy first levels get O(1) hash-trie probes, dense integer or large
-  low-skew first levels get the ``"compact"`` packed flat arrays, hash
-  tries otherwise (O(1) probes, precomputed (ST2) counts);
+  large low-skew relations get the ``"compact"`` packed flat arrays for
+  their size, everything else the hash trie (O(1) probes, precomputed
+  (ST2) counts);
 * **shards** — ``shards="auto"`` sizes the shard count from input size,
   CPU count, *and* the first attribute's heavy-hitter mass, so hot
   values ("Skew Strikes Back"'s heavy side) land in their own shard;
@@ -120,27 +123,12 @@ MIN_AUTO_BATCH, MAX_AUTO_BATCH = 64, 4096
 MAX_SUBQUERY_RELATIONS = 6
 
 #: Relations at or above this size with a low-skew first index level get
-#: a flat-array backend (``"compact"``) when no cached index exists: one
-#: ``O(N log N)`` sort builds cheaper (and far leaner in memory) than N
-#: per-tuple dict-chain inserts, and without heavy values the log-factor
-#: probes are not concentrated on hot paths.
+#: the packed flat-array backend (``"compact"``) when no cached index
+#: exists, for size alone: packed arrays are a small fraction of the
+#: trie's dict weight, and without heavy values the log-factor probes
+#: are not concentrated on hot paths.  The descent is 2-3x slower over
+#: ``compact`` than over the trie, dense integer keys included.
 LARGE_FLAT_RELATION = 32768
-
-#: Backwards-compatible alias for the pre-compact name of the flat-array
-#: size threshold.
-LARGE_SORTED_RELATION = LARGE_FLAT_RELATION
-
-#: Relations whose first index level is all-integer and at least this
-#: dense (``distinct / span``) get the ``"compact"`` backend: most of its
-#: value runs are dense or near-dense, so seeks resolve by radix
-#: arithmetic or a short interpolated gallop instead of hash probes.
-#: Matches ``1 / repro.engine.compact.DENSITY_THRESHOLD``.
-DENSE_FIRST_LEVEL = 0.25
-
-#: The density rule only fires at or above this relation size — tiny
-#: relations are nearly always "dense" by accident, and the trie's O(1)
-#: probes win outright when everything fits in cache anyway.
-DENSE_COMPACT_RELATION = 2048
 
 
 @dataclass(frozen=True)
@@ -735,13 +723,18 @@ def plan_attribute_order_feedback(
 
 
 def _choose_algorithm(
-    query: JoinQuery,
     cover: FractionalCover | None,
     attribute_order: Sequence[str] | None,
     backend: str | None,
     reasons: list[str],
 ) -> str:
-    """Shape-directed algorithm selection for ``"auto"``."""
+    """Algorithm selection for ``"auto"``: what the caller fixed decides.
+
+    A cover means Algorithm 2; anything else means Generic Join, on
+    every query shape.  The shape specialists (``lw``, ``arity2``) meet
+    the same bound but index nothing the ``Database`` can keep, so every
+    warm request repeats their whole cost: pinnable, never chosen.
+    """
     if cover is not None:
         reasons.append(
             "caller supplied a fractional cover: Algorithm 2 (nprr) is the "
@@ -754,14 +747,8 @@ def _choose_algorithm(
             "honors both (the shape specialists derive their own)"
         )
         return "generic"
-    if query.is_lw_instance():
-        reasons.append(
-            "query is a Loomis-Whitney instance: Algorithm 1 (lw) runs in "
-            "the LW bound (Theorem 4.1)"
-        )
-        return "lw"
     reasons.append(
-        "general shape: Generic Join streams attribute-at-a-time within "
+        "every shape: Generic Join streams attribute-at-a-time within "
         "the AGM bound"
     )
     return "generic"
@@ -785,16 +772,13 @@ def _relation_backends(
        above the provider's threshold) gets the hash trie: the hot
        values are probed over and over, and the trie answers in O(1)
        where the flat backends pay a log factor per probe.
-    3. **Density** — all-integer first levels at least
-       :data:`DENSE_FIRST_LEVEL` dense on relations of at least
-       :data:`DENSE_COMPACT_RELATION` tuples get the compact backend:
-       its radix/interpolated seeks need no hashing at all, and packed
-       arrays are a fraction of the trie's per-node dict weight.
-    4. **Size** — large low-skew relations
+    3. **Size** — large low-skew relations
        (>= :data:`LARGE_FLAT_RELATION` tuples) get the compact flat
-       array: one sort builds cheaper and leaner than per-tuple dict
-       chains, and without hot values the log-factor probes stay spread.
-    5. Default: the hash trie.
+       array: packed arrays are a fraction of the trie's dict weight,
+       and without hot values the log-factor probes stay spread.  Size
+       is the only thing that picks ``compact``: the descent over it is
+       2-3x slower than over the trie however dense the keys are.
+    4. Default: the hash trie.
 
     Returns ``(backend label, per-relation pairs or None)`` — the pairs
     are ``None`` when every relation landed on the trie default, so
@@ -826,20 +810,11 @@ def _relation_backends(
                 f"{eid}: trie ({profile.heavy_count} heavy value(s) carry "
                 f"{profile.heavy_mass:.0%} of first level)"
             )
-        elif (
-            len(relation) >= DENSE_COMPACT_RELATION
-            and profile.density >= DENSE_FIRST_LEVEL
-        ):
-            choices[eid] = CompactArrayIndex.kind
-            notes.append(
-                f"{eid}: compact ({profile.density:.0%}-dense integer "
-                "first level: radix seeks beat hash probes)"
-            )
         elif len(relation) >= LARGE_FLAT_RELATION:
             choices[eid] = CompactArrayIndex.kind
             notes.append(
                 f"{eid}: compact ({len(relation)} low-skew tuples: packed "
-                "arrays build and probe leaner than per-tuple trie inserts)"
+                "arrays are far leaner than the trie's dicts)"
             )
         else:
             choices[eid] = TrieIndex.kind
@@ -851,7 +826,7 @@ def _relation_backends(
         return TrieIndex.kind, None
     pairs = tuple(sorted(choices.items()))
     reasons.append(
-        "per-relation backends from skew, density, and cached indexes: "
+        "per-relation backends from skew, size, and cached indexes: "
         + "; ".join(notes)
     )
     if len(kinds) == 1:
@@ -1052,7 +1027,7 @@ def _plan_join(
     reasons: list[str] = []
     if algorithm == "auto":
         algorithm = _choose_algorithm(
-            query, cover, attribute_order, backend, reasons
+            cover, attribute_order, backend, reasons
         )
     else:
         reasons.append(f"algorithm {algorithm!r} fixed by caller")

@@ -15,18 +15,23 @@ from repro.engine.planner import (
     plan_attribute_order,
     plan_join,
 )
+from repro.__main__ import main
 from repro.errors import QueryError
+from repro.io import save_relation_csv
 from repro.query.builder import Q
 from repro.relations.relation import Relation
-from repro.workloads import generators, queries
+from repro.workloads import generators, instances, queries
 
 from tests.helpers import oracle_join, triangle_query
 
 
 class TestPlanShape:
-    def test_auto_picks_lw_for_lw_instance(self):
-        plan = plan_join(triangle_query())
-        assert plan.algorithm == "lw"
+    def test_auto_picks_generic_for_lw_instance(self):
+        q = triangle_query()
+        assert q.is_lw_instance()
+        plan = plan_join(q)
+        assert plan.algorithm == "generic"
+        assert plan.backend == "trie"
         assert plan.estimated_bound == pytest.approx(3**1.5, rel=1e-6)
 
     def test_arity2_stays_pinnable(self):
@@ -114,6 +119,18 @@ class TestPlanShape:
         assert result.equivalent(naive_join(triangle_query()))
 
 
+def recorded_folds(monkeypatch) -> list:
+    """Patch ``GenericJoin.fold`` to log each executor it runs on."""
+    folds = []
+    fold = GenericJoin.fold
+    monkeypatch.setattr(
+        GenericJoin,
+        "fold",
+        lambda self, folder: folds.append(self) or fold(self, folder),
+    )
+    return folds
+
+
 #: Binary-relation shapes that Theorem 7.3's decomposition (``arity2``)
 #: accepts and that are not Loomis-Whitney instances.
 GRAPH_SHAPES = {
@@ -152,15 +169,70 @@ class TestAutoRoutesGraphsToGeneric:
 
     def test_count_takes_the_native_fold(self, shape, monkeypatch):
         q = self.query(shape)
-        folds = []
-        fold = GenericJoin.fold
-        monkeypatch.setattr(
-            GenericJoin,
-            "fold",
-            lambda self, folder: folds.append(self) or fold(self, folder),
-        )
+        folds = recorded_folds(monkeypatch)
         assert Q(q).count() == len(oracle_join(q))
         assert len(folds) == 1
+
+
+#: Loomis-Whitney instances (n attributes, every relation on n - 1 of
+#: them): the paper's hard families for n = 3 and 4, and a skewed one.
+LW_INSTANCES = {
+    "triangle_hard": lambda: instances.triangle_hard_instance(60),
+    "lw_hard_3": lambda: instances.lw_hard_instance(3, 27),
+    "lw_hard_4": lambda: instances.lw_hard_instance(4, 81),
+    "hub_triangle": lambda: generators.hub_triangle(
+        light_domain=12, b_domain=15, c_domain=40,
+        r_size=60, s_size=120, t_size=200, seed=5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LW_INSTANCES))
+class TestAutoRoutesLWToGeneric:
+    """``auto`` sends Loomis-Whitney instances to Generic Join: it meets
+    Algorithm 1's bound, and unlike ``lw`` it runs over indexes a
+    ``Database`` keeps (ISSUE 16's ledger: 4-9x faster warm)."""
+
+    def test_auto_plans_generic(self, name):
+        q = LW_INSTANCES[name]()
+        assert q.is_lw_instance()
+        plan = plan_join(q)
+        assert plan.algorithm == "generic"
+        assert plan.backend == "trie"
+        assert sorted(plan.attribute_order) == sorted(q.attributes)
+
+    def test_same_rows_as_lw_and_the_oracle(self, name):
+        q = LW_INSTANCES[name]()
+        expected = sorted(oracle_join(q))
+        assert sorted(Q(q).stream()) == expected
+        assert sorted(Q(q).using(algorithm="lw").stream()) == expected
+
+    def test_count_takes_the_native_fold(self, name, monkeypatch):
+        q = LW_INSTANCES[name]()
+        folds = recorded_folds(monkeypatch)
+        assert Q(q).count() == len(oracle_join(q))
+        assert len(folds) == 1
+
+    def test_lw_stays_pinnable(self, name, tmp_path, capsys):
+        q = LW_INSTANCES[name]()
+        expected = sorted(oracle_join(q))
+        plan = plan_join(q, "lw")
+        assert plan.algorithm == "lw"
+        assert plan.backend == "none"
+        assert sorted(plan.iter_rows()) == expected
+        assert sorted(execute(q, algorithm="lw")) == expected
+        paths = []
+        for eid, relation in q.relations.items():
+            paths.append(str(tmp_path / f"{eid}.csv"))
+            save_relation_csv(relation, paths[-1])
+        assert main(["explain", *paths, "--algorithm", "lw"]) == 0
+        assert "algorithm: lw" in capsys.readouterr().out
+        assert main(["join", *paths, "--algorithm", "lw", "--stream"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(q.attributes)
+        assert sorted(lines[1:]) == sorted(
+            ",".join(map(str, row)) for row in expected
+        )
 
 
 class TestOrderHeuristic:

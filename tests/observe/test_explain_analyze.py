@@ -13,6 +13,7 @@ from repro.observe.explain import (
 )
 from repro.observe.tracing import Tracer
 from repro.version import __version__
+from repro.workloads import instances
 
 TRIANGLE = (
     Relation("R", ("A", "B"), [(0, 1), (1, 2)]),
@@ -87,6 +88,35 @@ class TestAnalyzeNativePath:
         builder.explain(analyze=True)
         registry = builder.context.metrics
         assert registry.counter("repro_rows_emitted_total").value() == 2
+
+
+class TestWorkWithinAGMThroughTheFrontDoor:
+    """The paper's guarantee where a user would read it: ``auto`` on the
+    paper's hard Loomis-Whitney instances runs Generic Join, and the
+    candidates EXPLAIN ANALYZE reports, summed over levels, stay within
+    the AGM bound the same plan estimated (tests/core/test_descent.py
+    asserts this for pinned executors and every order)."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            pytest.param(instances.triangle_hard_instance(200), id="ex2.2-200"),
+            pytest.param(instances.triangle_hard_instance(400), id="ex2.2-400"),
+            pytest.param(instances.triangle_hard_instance(800), id="ex2.2-800"),
+            pytest.param(instances.lw_hard_instance(3, 27), id="lw-3-27"),
+            pytest.param(instances.lw_hard_instance(4, 81), id="lw-4-81"),
+        ],
+    )
+    def test_auto_on_the_hard_instances(self, query):
+        assert query.is_lw_instance()
+        analysis = Q(query).explain(analyze=True)
+        assert analysis.plan.algorithm == "generic"
+        candidates = [level.candidates for level in analysis.levels]
+        assert None not in candidates and len(candidates) == len(
+            query.attributes
+        )
+        assert sum(candidates) <= analysis.plan.estimated_bound
+        assert analysis.levels[-1].matches == analysis.rows
 
 
 class TestAnalyzeOtherPaths:

@@ -78,8 +78,9 @@ class TestPlanStatisticsRecord:
         assert stats.order_estimates
 
     def test_absent_when_no_statistics_consulted(self):
-        # lw derives its own order; nothing data-driven was decided.
-        plan = plan_join(triangle_query())
+        # A pinned lw derives its own order and builds no index:
+        # nothing data-driven was decided.
+        plan = plan_join(triangle_query(), "lw")
         assert plan.algorithm == "lw"
         assert plan.statistics is None
 
@@ -153,28 +154,36 @@ class TestPerRelationBackends:
         assert plan.relation_backends is None
 
     def test_dense_first_level_gets_compact(self):
+        """Density picks nothing: R's first index level (B = i % 977) is
+        a full integer interval at both sizes, and only the relation the
+        size rule covers gets compact."""
         import repro.engine.planner as planner_module
 
-        # R's first index level (B = i % 977) is a full integer interval:
-        # density 1.0, well past the DENSE_FIRST_LEVEL cut.
-        big = Relation(
-            "R", ("A", "B"), [(i, i % 977) for i in range(40000)]
-        )
-        small = Relation("S", ("B", "C"), [(i % 977, i) for i in range(500)])
-        q = JoinQuery([big, small])
-        assert len(big) >= planner_module.DENSE_COMPACT_RELATION
-        plan = plan_join(q, "generic")
-        assert plan.backend == "mixed"
-        assert ("R", "compact") in plan.relation_backends
-        assert ("S", "trie") in plan.relation_backends
-        assert any("dense integer" in r for r in plan.reasons)
+        def plan_for(size):
+            dense = Relation(
+                "R", ("A", "B"), [(i, i % 977) for i in range(size)]
+            )
+            small = Relation(
+                "S", ("B", "C"), [(i % 977, i) for i in range(500)]
+            )
+            return plan_join(JoinQuery([dense, small]), "generic")
+
+        assert 4000 < planner_module.LARGE_FLAT_RELATION <= 40000
+        large = plan_for(40000)
+        assert large.backend == "mixed"
+        assert ("R", "compact") in large.relation_backends
+        assert ("S", "trie") in large.relation_backends
+        assert any("low-skew tuples" in r for r in large.reasons)
+        assert not any("dense integer" in r for r in large.reasons)
+        medium = plan_for(4000)
+        assert medium.backend == "trie"
+        assert medium.relation_backends is None
 
     def test_large_low_skew_relation_gets_compact(self):
         import repro.engine.planner as planner_module
 
         # B = (i % 977) * 5 leaves gaps: 977 distinct over a span of
-        # 4881 (~20% dense), below the density rule — so only the
-        # large-low-skew rule can pick compact here.
+        # 4881 (~20% dense) — the size rule does not look at density.
         big = Relation(
             "R", ("A", "B"), [(i, (i % 977) * 5) for i in range(40000)]
         )
@@ -183,9 +192,6 @@ class TestPerRelationBackends:
         )
         q = JoinQuery([big, small])
         assert len(big) >= planner_module.LARGE_FLAT_RELATION
-        assert planner_module.LARGE_SORTED_RELATION == (
-            planner_module.LARGE_FLAT_RELATION
-        )
         plan = plan_join(q, "generic")
         assert plan.backend == "mixed"
         assert ("R", "compact") in plan.relation_backends

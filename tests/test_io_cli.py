@@ -249,17 +249,17 @@ class TestCLIGoldenOutput:
 
     EXPLAIN_GOLDEN = """\
 query: JoinQuery(R(A,B) * S(B,C) * T(A,C))
-algorithm: lw
+algorithm: generic
 attribute order: A, B, C
-index backend: none
+index backend: trie
 shards: 1
 batch size: row-at-a-time
 estimated output (AGM bound): 5.196 tuples
 relation sizes: R=3, S=3, T=3
 decisions:
-  - query is a Loomis-Whitney instance: Algorithm 1 (lw) runs in the LW bound (Theorem 4.1)
-  - lw derives its own order; keeping query order
-  - lw builds no per-order indexes
+  - every shape: Generic Join streams attribute-at-a-time within the AGM bound
+  - attribute order by sampled selectivity descent: A(~3), B(~3), C(~3)
+  - hash-trie backend: O(1) probes and precomputed counts
 
 Algorithm 2 query-plan tree (for --algorithm nprr):
 [k=3] univ={B,A,C} anchor=T
@@ -430,7 +430,7 @@ batch size: row-at-a-time
 estimated output (AGM bound): 1.000 tuples
 relation sizes: R=1, S=3, T=1
 decisions:
-  - general shape: Generic Join streams attribute-at-a-time within the AGM bound
+  - every shape: Generic Join streams attribute-at-a-time within the AGM bound
   - attribute order by sampled selectivity descent: B(~0.333), C(~0.333)
   - hash-trie backend: O(1) probes and precomputed counts
 """

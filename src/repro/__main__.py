@@ -365,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_batch_size,
         default=None,
         metavar="N",
-        help="rows per streamed response line (default: "
-        "the server default)",
+        help="rows on a response's first streamed line; each later "
+        "line doubles, up to 4096 (default: the server default, 256)",
     )
 
     return parser

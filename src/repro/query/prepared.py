@@ -36,8 +36,9 @@ planning the parent again.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import AsyncIterator, Generator, Iterator
 from contextlib import nullcontext as _nullcontext
+from contextlib import suppress as _suppress
 from dataclasses import replace as _dc_replace
 from time import perf_counter
 
@@ -479,18 +480,13 @@ class PreparedQuery:
     def astream(self, batch_size: int | None = None):
         """Async iteration for event-loop servers (``async for row in
         q.astream()``): the blocking ``next()`` runs on worker threads
-        via ``asyncio.to_thread`` and rows reach the loop ``batch_size``
-        at a time (resolved exactly as :meth:`batches` resolves it).
-        Planning and validation happen in this synchronous call."""
+        (:func:`_pump`) and rows reach the loop ``batch_size`` at a time
+        (resolved exactly as :meth:`batches` resolves it).  Planning and
+        validation happen in this synchronous call."""
         batched = self.batches(batch_size)
 
         async def rows():
-            import asyncio
-
-            while True:
-                batch = await asyncio.to_thread(next, batched, None)
-                if batch is None:
-                    return
+            async for batch in _pump(batched):
                 for row in batch:
                     yield row
 
@@ -532,3 +528,31 @@ class PreparedQuery:
 
     def __repr__(self) -> str:
         return f"PreparedQuery({self._builder!r}, plan={self._plan.algorithm})"
+
+
+async def _pump(blocking: Generator) -> AsyncIterator:
+    """Iterate a blocking generator from an event loop: the one
+    loop↔worker hand-off, an ``asyncio.to_thread`` hop per item.
+
+    Both async surfaces are this loop — :meth:`PreparedQuery.astream`
+    over :meth:`PreparedQuery.batches`, the server over its encoded
+    response lines — so everything ``next(blocking)`` does (descend,
+    batch, encode) runs on the worker and the loop only passes items on.
+    A hop starts when the consumer asks for the next item, never before:
+    a consumer that waits between items (a socket that will not drain)
+    holds the descent where it is.  Closing the pump closes
+    ``blocking``, so an abandoned stream stops descending.
+    """
+    import asyncio
+
+    done = object()
+    try:
+        while (
+            item := await asyncio.to_thread(next, blocking, done)
+        ) is not done:
+            yield item
+    finally:
+        # A hop cancelled in flight still runs ``blocking`` on its
+        # worker ("generator already executing"); that item is its last.
+        with _suppress(ValueError):
+            blocking.close()

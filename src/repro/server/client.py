@@ -128,6 +128,10 @@ class ServerClient:
     def request(self, op: str, **fields) -> tuple[list[dict], dict]:
         """Send one request; returns ``(batch_messages, final)``.
 
+        Every ``rows`` array, streamed or inline on the final line, is a
+        list of tuples, converted as its line arrives — while the server
+        is producing the next one, not after the last.
+
         Raises :class:`ServerError` when the final line carries
         ``ok: false``, and :class:`ConnectionError` when the server
         hangs up mid-response.
@@ -165,9 +169,11 @@ class ServerClient:
                 raise ConnectionError(
                     "server closed the connection mid-response"
                 )
-            response = json.loads(line.decode("utf-8"))
+            response = json.loads(line)
             if response.get("id") not in (request_id, None):
                 continue  # a stale line from an aborted request
+            if "rows" in response:
+                response["rows"] = list(map(tuple, response["rows"]))
             if response.get("final"):
                 self._last_used = time.monotonic()
                 if not response.get("ok"):
@@ -191,11 +197,10 @@ class ServerClient:
             fields["trace"] = True
         batches, final = self.request("query", **fields)
         rows = [
-            tuple(row)
-            for message in batches
+            row
+            for message in (*batches, final)
             for row in message.get("rows", ())
         ]
-        rows.extend(tuple(row) for row in final.get("rows", ()))
         return QueryOutcome(
             columns=tuple(final.get("columns", ())),
             rows=rows,

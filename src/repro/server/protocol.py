@@ -15,10 +15,21 @@ for prefixing EXPLAIN), ``ping``, ``stats`` (catalog and cache
 counters), ``metrics`` (Prometheus text).
 
 Responses for a row-streaming query: zero or more ``{"id": 1, "rows":
-[[...], ...]}`` batch lines, then a final line ``{"id": 1, "ok": true,
+[[...], ...]}`` row lines, then a final line ``{"id": 1, "ok": true,
 "final": true, "columns": [...], "rows_total": N, ...}``.  Non-row
 results (aggregates, groups, explains) return a single final line
 carrying ``columns`` and ``rows`` inline.
+
+How many rows a line holds: a request's ``batch`` is a hard ceiling on
+every line (itself capped at 65536).  With no ``batch`` the first line
+holds at most the server's ``batch_rows`` (256 by default) and every
+following line twice the one before, up to 4096 — first rows early, and
+O(log rows) lines for a result instead of one per 256 rows.  Only the
+last row line may be shorter than the one before it; a client must rely
+on none of this beyond the ceiling it asked for.  Each row line is
+encoded on the worker thread that produced its rows, so the event loop
+only writes bytes.  A request line longer than 1 MiB is answered one
+``protocol`` error (``id`` null) and the connection is closed.
 
 Failures are a single final line with a **typed** error payload::
 
@@ -74,7 +85,8 @@ class AdmissionRejected(ReproError):
 
 
 def encode(message: dict) -> bytes:
-    """One response line: compact JSON plus the newline delimiter."""
+    """One response line: compact JSON plus the newline delimiter.
+    Rows go in as the tuples they are (JSON arrays either way)."""
     return (
         json.dumps(message, separators=(",", ":"), default=str) + "\n"
     ).encode("utf-8")

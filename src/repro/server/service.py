@@ -4,14 +4,17 @@ One process, one catalog, many concurrent clients: ``python -m repro
 serve R.csv S.csv ...`` (or :class:`JoinServer` embedded).  The event
 loop owns connections and scheduling; query execution — which is
 CPU-bound, synchronous engine code — runs on worker threads via
-``asyncio.to_thread``, delivering rows to the loop one batch at a time
-(the existing ``batch_size`` machinery), so a slow client applies TCP
-backpressure to its own query without stalling anyone else's.
+``asyncio.to_thread``, one hop per response line: the worker descends
+for the line's rows *and* encodes them, the loop only writes the bytes
+and drains.  The next hop starts after the drain, so a slow client
+applies TCP backpressure to its own query without stalling anyone
+else's, and a client that hangs up stops its descent within a line.
 
 Life of a request line:
 
 1. **decode** (:mod:`repro.server.protocol`) — malformed JSON or an
-   unknown op answers a typed ``protocol`` error.
+   unknown op answers a typed ``protocol`` error; so does a line over
+   :data:`MAX_REQUEST_BYTES`, after which the connection is closed.
 2. **parse + compile** — the same front-end the REPL uses; errors
    answer typed ``parse`` / ``compile`` payloads with caret text.
 3. **admission** (:mod:`repro.server.admission`) — the plan's AGM
@@ -21,8 +24,15 @@ Life of a request line:
 4. **prepared cache** (:mod:`repro.server.cache`) — repeated
    normalized text reuses the frozen plan: zero replanning, zero index
    builds on hits.
-5. **execute** — row queries stream batch lines then a final line;
-   aggregates/groups/explains answer one final line.  Every phase runs
+5. **execute** — row queries stream row lines then a final line;
+   aggregates/groups/explains answer one final line.  A request's
+   ``batch`` is a hard ceiling on every line's rows.  Without one the
+   first line holds at most the server's ``batch_rows`` (256, so the
+   first rows leave early) and each line after it doubles, up to
+   :data:`MAX_LINE_ROWS` (4096): an answer of n rows is handed to the
+   wire O(log n) + n / 4096 times, not n / 256.  A client that hangs
+   up mid-stream is counted as a ``disconnect`` (not an error of the
+   server's) and its row generator is closed.  Every phase runs
    under a per-request :class:`~repro.observe.tracing.Tracer` span
    (returned to the client when the request sets ``"trace": true``),
    and the shared :class:`~repro.observe.metrics.MetricsRegistry`
@@ -37,15 +47,19 @@ integration tests drive.
 from __future__ import annotations
 
 import asyncio
-from contextlib import suppress
+from collections.abc import Iterator
+from contextlib import aclosing, suppress
+from itertools import islice
 
-from repro.errors import LangError, ReproError
+from repro.errors import LangError, ReproError, require_positive_int
 from repro.lang.compiler import compile_query
 from repro.lang.parser import parse
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracing import Tracer
 from repro.query.context import ExecutionContext
+from repro.query.prepared import _pump
 from repro.relations.database import Database
+from repro.relations.relation import Row
 from repro.server.admission import AdmissionController
 from repro.server.cache import CacheEntry, PreparedCache
 from repro.server.protocol import (
@@ -58,12 +72,40 @@ from repro.version import __version__
 
 __all__ = ["JoinServer", "DEFAULT_BATCH_ROWS"]
 
-#: Rows per streamed response line unless the request asks otherwise.
+#: Rows on the first streamed response line unless the request asks
+#: otherwise (a server's ``batch_rows``): small, so the first rows leave
+#: early.
 DEFAULT_BATCH_ROWS = 256
 
 #: Ceiling on a request's ``batch`` field (a huge batch defeats
 #: backpressure by buffering the whole result in one message).
 MAX_BATCH_ROWS = 65536
+
+#: Rows a line grows to when the request names no ``batch``: each line
+#: doubles the one before up to this many, so a result of n rows costs
+#: O(log n) + n / 4096 worker hops, socket writes and client reads
+#: instead of n / 256.
+MAX_LINE_ROWS = 4096
+
+#: Longest request line read, in bytes (the stream reader's limit); a
+#: longer one is answered a ``protocol`` error and the connection closed.
+MAX_REQUEST_BYTES = 1 << 20
+
+
+def _row_lines(
+    rows: Iterator[Row], request_id, first: int, ceiling: int
+) -> Iterator[tuple[int, bytes]]:
+    """One answer's row lines, ``(row count, encoded line)`` each: at
+    most ``first`` rows on the first, then doubling up to ``ceiling``.
+
+    Driven by :func:`~repro.query.prepared._pump`, so a line's descent,
+    batching and JSON encoding are one worker hop and the event loop
+    only writes bytes.  The encoder takes the row tuples as they are.
+    """
+    size = first
+    while batch := list(islice(rows, size)):
+        yield len(batch), encode({"id": request_id, "rows": batch})
+        size = min(2 * size, ceiling)
 
 
 class JoinServer:
@@ -91,7 +133,7 @@ class JoinServer:
         self.context = (
             context if context is not None else ExecutionContext()
         )
-        self.batch_rows = batch_rows
+        self.batch_rows = require_positive_int(batch_rows, "batch_rows")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
@@ -110,7 +152,10 @@ class JoinServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting connections; returns the address."""
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._on_connection,
+            self.host,
+            self.port,
+            limit=MAX_REQUEST_BYTES,
         )
         return self.address
 
@@ -182,23 +227,26 @@ class JoinServer:
         write_lock = asyncio.Lock()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as end:
+                    line = end.partial  # end of stream
+                except asyncio.LimitOverrunError as overrun:
+                    await self._refuse_oversized(
+                        reader, writer, write_lock, overrun.consumed
+                    )
+                    break
                 if not line:
                     break
                 if not line.strip():
                     continue
                 if self._draining:
-                    await self._send(
+                    await self._refuse(
                         writer,
                         write_lock,
                         {
-                            "id": None,
-                            "ok": False,
-                            "final": True,
-                            "error": {
-                                "type": "shutdown",
-                                "message": "server is shutting down",
-                            },
+                            "type": "shutdown",
+                            "message": "server is shutting down",
                         },
                     )
                     continue
@@ -218,17 +266,73 @@ class JoinServer:
                 writer.close()
                 await writer.wait_closed()
 
+    async def _refuse_oversized(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+        held: int,
+    ) -> None:
+        """Answer a request line over :data:`MAX_REQUEST_BYTES` (``held``
+        bytes of it are buffered) with one ``protocol`` error, then read
+        it to its end so the caller can hang up.  A peer that never ends
+        the line is held, like any idle one, until it hangs up itself."""
+        error = ProtocolError(
+            f"request line exceeds the limit of {MAX_REQUEST_BYTES} bytes"
+        )
+        self._count_error("protocol")
+        await self._refuse(writer, write_lock, error_payload(error))
+        # Closing a socket with input unread resets the connection, and
+        # the reset can overtake the answer: drop the rest of the line
+        # (memory stays under the reader's limit) before hanging up.
+        while True:
+            try:
+                await reader.readexactly(held)
+                await reader.readuntil(b"\n")
+                return
+            except asyncio.LimitOverrunError as overrun:
+                held = overrun.consumed
+            except asyncio.IncompleteReadError:
+                return  # the peer hung up first
+
+    async def _refuse(
+        self,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+        error: dict,
+    ) -> None:
+        """The one line answering a request that was never decoded (no
+        ``id`` to echo)."""
+        await self._send(
+            writer,
+            write_lock,
+            {"id": None, "ok": False, "final": True, "error": error},
+        )
+
     async def _send(
         self,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         message: dict,
     ) -> None:
+        await self._write_line(writer, write_lock, encode(message))
+
+    async def _write_line(
+        self,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+        line: bytes,
+    ) -> None:
         async with write_lock:
-            writer.write(encode(message))
+            writer.write(line)
             # drain() inside the lock: TCP backpressure from a slow
             # client pauses exactly the tasks writing to that client.
             await writer.drain()
+
+    def _count_error(self, kind: str) -> None:
+        self.metrics.counter(
+            "repro_server_errors_total", "typed errors by kind"
+        ).inc(type=kind)
 
     # -- requests ------------------------------------------------------------
 
@@ -256,15 +360,16 @@ class JoinServer:
             if isinstance(error, asyncio.CancelledError):
                 raise
             payload = error_payload(error)
-            self.metrics.counter(
-                "repro_server_errors_total", "typed errors by kind"
-            ).inc(type=payload["type"])
+            self._count_error(payload["type"])
             final = {"ok": False, "error": payload}
+        except ConnectionError:
+            # The client hung up mid-answer: its own outcome, not a
+            # fault of ours, and nobody is left to send a final line to.
+            self._count_error("disconnect")
+            return
         except Exception as error:  # internal: never kill the connection
             payload = error_payload(error)
-            self.metrics.counter(
-                "repro_server_errors_total", "typed errors by kind"
-            ).inc(type="internal")
+            self._count_error("internal")
             final = {"ok": False, "error": payload}
         final["id"] = request_id
         final["final"] = True
@@ -329,17 +434,21 @@ class JoinServer:
             },
         }
 
-    def _batch_rows_for(self, message: dict) -> int:
+    def _line_rows_for(self, message: dict) -> tuple[int, int]:
+        """``(first, ceiling)`` rows per line: a request's ``batch`` is
+        a hard ceiling on every line; without one, lines start at the
+        server's ``batch_rows`` and double up to ``MAX_LINE_ROWS``."""
         batch = message.get("batch")
         if batch is None:
-            return self.batch_rows
+            return self.batch_rows, max(self.batch_rows, MAX_LINE_ROWS)
         if not isinstance(batch, int) or isinstance(batch, bool) or (
             batch < 1
         ):
             raise ProtocolError(
                 f"'batch' must be a positive integer, got {batch!r}"
             )
-        return min(batch, MAX_BATCH_ROWS)
+        batch = min(batch, MAX_BATCH_ROWS)
+        return batch, batch
 
     async def _run_query(
         self,
@@ -350,7 +459,7 @@ class JoinServer:
         tracer: Tracer,
     ) -> dict:
         request_id = message.get("id")
-        batch_rows = self._batch_rows_for(message)
+        line_rows = self._line_rows_for(message)
         with tracer.span("parse"):
             statement = parse(text)
         normalized = statement.normalized
@@ -400,7 +509,7 @@ class JoinServer:
                         total = await self._stream_rows(
                             request_id,
                             entry,
-                            batch_rows,
+                            line_rows,
                             writer,
                             write_lock,
                         )
@@ -424,27 +533,20 @@ class JoinServer:
         self,
         request_id,
         entry: CacheEntry,
-        batch_rows: int,
+        line_rows: tuple[int, int],
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> int:
-        batched = entry.prepared.batches(batch_rows)
         total = 0
-        try:
-            while True:
-                batch = await asyncio.to_thread(next, batched, None)
-                if batch is None:
-                    break
-                total += len(batch)
-                await self._send(
-                    writer,
-                    write_lock,
-                    {
-                        "id": request_id,
-                        "rows": [list(row) for row in batch],
-                    },
-                )
-        finally:
-            with suppress(Exception):
-                batched.close()
+        # aclosing: a failed write (the client is gone) closes the pump
+        # and with it the descent, here and now rather than at some
+        # later collection.
+        async with aclosing(
+            _pump(
+                _row_lines(entry.prepared.stream(), request_id, *line_rows)
+            )
+        ) as lines:
+            async for count, line in lines:
+                total += count
+                await self._write_line(writer, write_lock, line)
         return total

@@ -7,6 +7,7 @@ import pytest
 from repro.api import execute
 from repro.errors import PlanError, QueryError
 from repro.query.builder import Q
+from repro.query.prepared import _pump
 from repro.query.shards import ShardSpec
 from repro.relations.database import Database
 from repro.relations.relation import Relation
@@ -90,6 +91,63 @@ class TestPreparedExecution:
         assert sorted(asyncio.run(collect())) == sorted(
             execute(query).relation().tuples
         )
+
+    def test_astream_hops_once_per_batch(self, monkeypatch):
+        # astream() and the server share one pump: a worker hop per
+        # batch plus the one that finds the stream exhausted.
+        import asyncio
+
+        prepared = Q(instance()).prepare()
+        rows = sorted(prepared.stream())
+        hops = []
+        to_thread = asyncio.to_thread
+
+        async def counting(function, *args):
+            hops.append(function)
+            return await to_thread(function, *args)
+
+        monkeypatch.setattr(asyncio, "to_thread", counting)
+
+        async def collect():
+            return [row async for row in prepared.astream(batch_size=8)]
+
+        assert sorted(asyncio.run(collect())) == rows
+        assert len(hops) == -(-len(rows) // 8) + 1
+
+    def test_abandoned_pump_closes_its_producer(self):
+        import asyncio
+
+        state = {"made": 0, "closed": False}
+
+        def producer():
+            try:
+                for item in range(100):
+                    state["made"] += 1
+                    yield item
+            finally:
+                state["closed"] = True
+
+        async def take_two():
+            pump = _pump(producer())
+            taken = [await anext(pump), await anext(pump)]
+            await pump.aclose()
+            return taken
+
+        assert asyncio.run(take_two()) == [0, 1]
+        assert state == {"made": 2, "closed": True}
+
+    def test_pump_raises_what_the_producer_raises(self):
+        import asyncio
+
+        def producer():
+            yield 1
+            raise QueryError("mid-stream")
+
+        async def collect():
+            return [item async for item in _pump(producer())]
+
+        with pytest.raises(QueryError, match="mid-stream"):
+            asyncio.run(collect())
 
     def test_prepared_parallel_context_delegates(self):
         query = instance()

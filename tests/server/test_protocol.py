@@ -17,6 +17,14 @@ class TestCodec:
         assert b": " not in line  # compact separators
         assert json.loads(line) == {"id": 1, "ok": True, "rows": [[1, 2]]}
 
+    def test_row_tuples_encode_to_the_bytes_row_lists_did(self):
+        # The server hands the encoder its row tuples uncopied; the line
+        # on the wire is what the per-row list() copies used to produce.
+        rows = [(1, "a", None), (2, "bé", 2.5), ()]
+        assert encode({"id": 7, "rows": rows}) == encode(
+            {"id": 7, "rows": [list(row) for row in rows]}
+        )
+
     def test_encode_stringifies_exotic_values(self):
         line = encode({"value": float("inf").__class__})  # a type object
         assert json.loads(line)  # default=str keeps it serializable

@@ -1,13 +1,21 @@
 """Server integration: concurrency, the prepared cache, admission, and
 graceful shutdown — over real sockets."""
 
+import asyncio
 import json
+import math
 import socket
 import threading
+import time
 
 import pytest
 
+from repro.lang.compiler import compile_query
+from repro.lang.parser import parse
 from repro.query.builder import Q
+from repro.query.prepared import PreparedQuery
+from repro.relations.database import Database
+from repro.relations.relation import Relation
 from repro.server import (
     AdmissionController,
     JoinServer,
@@ -15,11 +23,60 @@ from repro.server import (
     ServerClient,
     ServerError,
 )
+from repro.server.cache import CacheEntry
+from repro.server.service import (
+    DEFAULT_BATCH_ROWS,
+    MAX_LINE_ROWS,
+    MAX_REQUEST_BYTES,
+)
 
 
 def triangle_rows(database):
     relations = [database[name] for name in ("R", "S", "T")]
     return sorted(Q(*relations).on(database).stream())
+
+
+#: ``select * from U, V`` over :func:`wide_database` — the row count of
+#: the ledger's ``lifted_triangle`` answer.
+WIDE_ROWS = 11_114
+WIDE = "select * from U, V;"
+
+
+@pytest.fixture()
+def wide_database():
+    u = Relation("U", ("A", "B"), [(0, 0), (1, 0)])
+    v = Relation("V", ("B", "C"), [(0, c) for c in range(WIDE_ROWS // 2)])
+    return Database([u, v])
+
+
+def wide_oracle():
+    return sorted((a, 0, c) for a in (0, 1) for c in range(WIDE_ROWS // 2))
+
+
+def counted_stream(monkeypatch):
+    """Wrap every ``PreparedQuery.stream``: ``seen["pulled"]`` counts the
+    rows the server took, ``seen["closed"]`` says the descent's generator
+    was closed (or ran out)."""
+    seen = {"pulled": 0, "closed": False}
+    stream = PreparedQuery.stream
+
+    def counting(self):
+        try:
+            for row in stream(self):
+                seen["pulled"] += 1
+                yield row
+        finally:
+            seen["closed"] = True
+
+    monkeypatch.setattr(PreparedQuery, "stream", counting)
+    return seen
+
+
+def wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
 
 
 class TestQueries:
@@ -42,6 +99,15 @@ class TestQueries:
         assert len(batches) >= 2  # 40 rows at 4 per line
         assert all(len(b["rows"]) <= 4 for b in batches)
         assert final["rows_total"] == 40
+
+    def test_zero_rows_is_one_final_line(self, live_server, database):
+        live = live_server(JoinServer(database))
+        with ServerClient(live.host, live.port) as client:
+            batches, final = client.request(
+                "query", q="select * from R, S, T where A in (999);"
+            )
+        assert batches == []
+        assert final["ok"] is True and final["rows_total"] == 0
 
     def test_aggregates_answer_inline(self, live_server, database):
         live = live_server(JoinServer(database))
@@ -71,6 +137,126 @@ class TestQueries:
         assert spans[0]["name"] == "request"
         child_names = [c["name"] for c in spans[0]["children"]]
         assert "parse" in child_names and "execute" in child_names
+
+
+class TestLineSizing:
+    """With no ``batch`` a line doubles the one before: O(log rows)
+    hand-offs per answer, and the first rows still leave early."""
+
+    def test_default_lines_double_to_the_ceiling(
+        self, live_server, wide_database
+    ):
+        live = live_server(JoinServer(wide_database))
+        with ServerClient(live.host, live.port) as client:
+            batches, final = client.request("query", q=WIDE)
+        sizes = [len(message["rows"]) for message in batches]
+        assert sizes[0] <= DEFAULT_BATCH_ROWS
+        assert sizes[:-1] == sorted(sizes[:-1])  # only the last may shrink
+        assert max(sizes) <= MAX_LINE_ROWS
+        assert len(sizes) <= (
+            math.ceil(math.log2(MAX_LINE_ROWS / DEFAULT_BATCH_ROWS))
+            + math.ceil(WIDE_ROWS / MAX_LINE_ROWS)
+            + 1
+        )
+        assert len(sizes) <= 8  # 44 lines of 256 before
+        rows = [row for message in batches for row in message["rows"]]
+        assert sorted(rows) == wide_oracle()
+        assert final["rows_total"] == WIDE_ROWS
+
+    def test_request_batch_is_a_ceiling_on_every_line(
+        self, live_server, wide_database
+    ):
+        live = live_server(JoinServer(wide_database))
+        with ServerClient(live.host, live.port) as client:
+            batches, final = client.request("query", q=WIDE, batch=1000)
+        sizes = [len(message["rows"]) for message in batches]
+        assert sizes == [1000] * 11 + [114]
+        assert final["rows_total"] == WIDE_ROWS
+
+    def test_server_batch_rows_sizes_the_first_line(
+        self, live_server, wide_database
+    ):
+        live = live_server(JoinServer(wide_database, batch_rows=3000))
+        with ServerClient(live.host, live.port) as client:
+            batches, _final = client.request("query", q=WIDE)
+        sizes = [len(message["rows"]) for message in batches]
+        assert sizes == [3000, MAX_LINE_ROWS, WIDE_ROWS - 3000 - MAX_LINE_ROWS]
+
+    def test_batch_rows_above_the_ceiling_never_shrinks(
+        self, live_server, wide_database
+    ):
+        live = live_server(JoinServer(wide_database, batch_rows=5000))
+        with ServerClient(live.host, live.port) as client:
+            batches, _final = client.request("query", q=WIDE)
+        assert [len(m["rows"]) for m in batches] == [5000, 5000, 1114]
+
+    def test_query_returns_tuples_streamed_or_inline(
+        self, live_server, database
+    ):
+        live = live_server(JoinServer(database))
+        with ServerClient(live.host, live.port) as client:
+            streamed = client.query("select * from R;", batch=7)
+            inline = client.query("select A, B, count(*) from R group by A, B;")
+        assert streamed.final.get("rows") is None  # every row on a row line
+        assert inline.final["rows"]  # every row on the final line
+        assert sorted(streamed.rows) == sorted(database["R"].tuples)
+        assert sorted(row[:2] for row in inline.rows) == sorted(streamed.rows)
+        assert all(type(row) is tuple for row in streamed.rows + inline.rows)
+
+
+class StalledWriter:
+    """A ``StreamWriter`` double whose peer reads one line, then stalls
+    until ``resume`` is set."""
+
+    def __init__(self):
+        self.lines = []
+        self.resume = asyncio.Event()
+
+    def write(self, data):
+        self.lines.append(data)
+
+    async def drain(self):
+        await self.resume.wait()
+
+
+class TestBackpressure:
+    def test_stalled_reader_holds_the_descent(
+        self, wide_database, monkeypatch
+    ):
+        seen = counted_stream(monkeypatch)
+        server = JoinServer(wide_database)
+        entry = CacheEntry(
+            compile_query(parse(WIDE), wide_database, server.context)
+        )
+
+        async def scenario():
+            writer = StalledWriter()
+            streaming = asyncio.ensure_future(
+                server._stream_rows(
+                    1,
+                    entry,
+                    (DEFAULT_BATCH_ROWS, MAX_LINE_ROWS),
+                    writer,
+                    asyncio.Lock(),
+                )
+            )
+            while not writer.lines:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.2)  # room to run ahead, were it going to
+            stalled = (len(writer.lines), seen["pulled"], seen["closed"])
+            writer.resume.set()
+            return stalled, await streaming, writer.lines
+
+        stalled, total, lines = asyncio.run(scenario())
+        # One line written, and the worker no further than the next one.
+        assert stalled[0] == 1
+        assert stalled[1] <= DEFAULT_BATCH_ROWS + 2 * DEFAULT_BATCH_ROWS
+        assert stalled[2] is False
+        assert total == WIDE_ROWS == seen["pulled"]
+        rows = [
+            tuple(row) for line in lines for row in json.loads(line)["rows"]
+        ]
+        assert sorted(rows) == wide_oracle()
 
 
 class TestPreparedCache:
@@ -186,6 +372,34 @@ class TestProtocolOverTheWire:
         assert response["ok"] is False
         assert response["error"]["type"] == "protocol"
 
+    def test_oversized_request_line_answers_then_hangs_up(
+        self, live_server, database, caplog
+    ):
+        live = live_server(JoinServer(database))
+        oversized = json.dumps(
+            {"id": 1, "op": "query", "q": "x" * (MAX_REQUEST_BYTES + 1)}
+        ).encode()
+        with socket.create_connection(
+            (live.host, live.port), timeout=10
+        ) as raw:
+            raw.sendall(oversized + b"\n")
+            with raw.makefile("rb") as reader:
+                response = json.loads(reader.readline())
+                # ... then a clean close, not a reset.
+                assert reader.readline() == b""
+        assert response["ok"] is False and response["final"] is True
+        assert response["error"]["type"] == "protocol"
+        assert str(MAX_REQUEST_BYTES) in response["error"]["message"]
+        # A line just under the limit (asyncio's own default is 64 KiB)
+        # is an ordinary request.
+        with ServerClient(live.host, live.port) as client:
+            with pytest.raises(ServerError) as info:
+                client.query("x" * 70_000)
+            assert info.value.kind == "parse"
+            assert 'errors_total{type="protocol"} 1' in client.metrics()
+        # Nothing "Unhandled exception in client_connected_cb"-like.
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
     def test_bad_batch_field(self, live_server, database):
         live = live_server(JoinServer(database))
         with ServerClient(live.host, live.port) as client:
@@ -225,6 +439,33 @@ class TestConcurrency:
         assert len(results) == 8
         assert all(results.values())
 
+    def test_vanished_client_is_a_disconnect_and_stops_the_descent(
+        self, live_server, wide_database, monkeypatch
+    ):
+        seen = counted_stream(monkeypatch)
+        live = live_server(JoinServer(wide_database))
+        with socket.create_connection(
+            (live.host, live.port), timeout=10
+        ) as raw:
+            raw.sendall(
+                json.dumps(
+                    {"id": 1, "op": "query", "q": WIDE, "batch": 1}
+                ).encode() + b"\n"
+            )
+            first = json.loads(raw.makefile("rb").readline())
+            assert len(first["rows"]) == 1
+        # The peer is gone: the row generator is closed, not exhausted.
+        assert wait_until(lambda: seen["closed"])
+        assert seen["pulled"] < WIDE_ROWS
+        with ServerClient(live.host, live.port) as client:
+            assert wait_until(
+                lambda: 'errors_total{type="disconnect"} 1'
+                in client.metrics()
+            )
+            metrics = client.metrics()
+        assert 'type="internal"' not in metrics
+        assert "repro_server_rows_sent_total" not in metrics
+
     def test_one_connection_pipelines_requests(self, live_server,
                                                database):
         live = live_server(JoinServer(database))
@@ -248,37 +489,49 @@ class TestConcurrency:
         assert all(f["ok"] for f in finals.values())
 
 
+def stop_with_drain_after_first_line(live, **fields):
+    """Send one query, read its first row line, ``stop(drain=True)``
+    mid-stream, read on: ``(first line's rows, every row, final)``."""
+    with socket.create_connection((live.host, live.port), timeout=30) as raw:
+        raw.sendall(
+            json.dumps({"id": 1, "op": "query", **fields}).encode() + b"\n"
+        )
+        reader = raw.makefile("rb")
+        first = json.loads(reader.readline())["rows"]  # one line in flight
+        stopper = live.submit(live.server.stop(drain=True))
+        rows = list(first)
+        final = None
+        while final is None:
+            response = json.loads(reader.readline())
+            if response.get("final"):
+                final = response
+            else:
+                rows.extend(response["rows"])
+        stopper.result(timeout=30)
+    return first, sorted(tuple(row) for row in rows), final
+
+
 class TestShutdown:
     def test_drain_finishes_in_flight_queries(self, live_server,
                                               database):
         live = live_server(JoinServer(database))
-        with socket.create_connection(
-            (live.host, live.port), timeout=30
-        ) as raw:
-            raw.sendall(
-                json.dumps(
-                    {"id": 1, "op": "query",
-                     "q": "select * from R, S, T;", "batch": 1}
-                ).encode() + b"\n"
-            )
-            reader = raw.makefile("rb")
-            first = json.loads(reader.readline())  # one batch in flight
-            assert first.get("rows")
-            # Stop with drain while the stream is mid-flight.
-            stopper = live.submit(live.server.stop(drain=True))
-            rows = list(first["rows"])
-            final = None
-            while final is None:
-                response = json.loads(reader.readline())
-                if response.get("final"):
-                    final = response
-                else:
-                    rows.extend(response["rows"])
-            stopper.result(timeout=30)
+        first, rows, final = stop_with_drain_after_first_line(
+            live, q="select * from R, S, T;", batch=1
+        )
+        assert first
         # Every row arrived and the final line flushed before teardown.
         assert final["ok"] is True
-        assert sorted(tuple(r) for r in rows) == triangle_rows(database)
+        assert rows == triangle_rows(database)
         assert final["rows_total"] == len(rows)
+
+    def test_drain_finishes_a_default_sized_stream(
+        self, live_server, wide_database
+    ):
+        live = live_server(JoinServer(wide_database))
+        first, rows, final = stop_with_drain_after_first_line(live, q=WIDE)
+        assert 0 < len(first) <= DEFAULT_BATCH_ROWS
+        assert final["ok"] is True and final["rows_total"] == WIDE_ROWS
+        assert rows == wide_oracle()
 
     def test_new_requests_during_drain_get_shutdown_error(
         self, live_server, database

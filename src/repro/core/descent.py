@@ -10,7 +10,9 @@ This module holds the three pieces every such search shares:
 
 * :func:`bind` resolves a query, an attribute order, index backends and
   residual filters into an immutable :class:`Binding` — the only place
-  that validates the order and consults the catalog's index cache;
+  that validates the order and consults the catalog's index cache
+  (:func:`narrow` derives a shard's binding from it: one more value
+  filter per key link, nothing rebuilt);
 * :func:`walk` is the one loop that owns depth, prefix and backtracking;
 * :class:`HashLevel` and :class:`LeapfrogLevel` are the two ways to
   intersect one level — the only code that differs between the
@@ -118,6 +120,29 @@ def bind(
         tuple(per_position_filters(filters, order, query.attributes)),
         tuple(rank[a] for a in query.attributes),
     )
+
+
+def narrow(binding: Binding, key: Sequence[tuple[str, frozenset]]) -> Binding:
+    """``binding`` under a shard key: the same order and the same
+    indexes, with each ``(attribute, value group)`` link of ``key``
+    conjoined onto the residual filter at the depth that binds the
+    attribute.  A walk of the result visits exactly the subtrees whose
+    values lie in every link's group — (ST1)'s section reached by
+    walking, never by copying tuples — so the walks of a partition of
+    an attribute's values partition the full walk's rows."""
+    rank = {attribute: depth for depth, attribute in enumerate(binding.order)}
+    filters = list(binding.filters)
+    for attribute, values in key:
+        depth = rank[attribute]
+        keep, member = filters[depth], values.__contains__
+        filters[depth] = (
+            member
+            if keep is None
+            else lambda value, member=member, keep=keep: (
+                member(value) and keep(value)
+            )
+        )
+    return binding._replace(filters=tuple(filters))
 
 
 def walk(

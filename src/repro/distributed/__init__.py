@@ -8,8 +8,10 @@ to a worker fleet without changing a single caller-visible signature:
   — length-prefixed frames (JSON header + pickled payload) over TCP
   (:class:`SocketTransport`) or an in-process ``socketpair``
   (:class:`LoopbackTransport`, the test and benchmark fleet);
-* :mod:`~repro.distributed.worker` — the stateless shard worker and
-  the ``python -m repro worker`` server;
+* :mod:`~repro.distributed.worker` — the shard worker (it binds the
+  driver's plan once per connection, then runs shard keys over it;
+  it never profiles or plans) and the ``python -m repro worker``
+  server;
 * :mod:`~repro.distributed.scheduler` — the :class:`Scheduler`
   protocol (``ExecutionContext.scheduler``) and
   :class:`DispatchScheduler`: per-shard retry with

@@ -1,7 +1,8 @@
 """Schedulers: where a sharded execution's work actually runs.
 
 The engine's drivers (:func:`repro.engine.parallel.shard_join` /
-``shard_fold``) plan and partition a query, package the result as a
+``shard_fold``) partition the caller's plan into shard keys, package
+them with the bound plan as a
 :class:`~repro.engine.parallel.ShardJob`, and hand it to whatever the
 :class:`~repro.query.context.ExecutionContext` carries as its
 ``scheduler``:
@@ -15,14 +16,18 @@ Exactly-once, in one paragraph: every shard lives on a *board* in one
 of three states — pending, running (owned by exactly one driver
 thread), or finished.  A driver buffers the rows of its current
 attempt privately and commits them in a single critical section when
-the worker's ``done`` frame arrives; commit moves the shard to
+the worker's ``done`` frame arrives (a fold's one ``state`` frame is a
+one-item attempt, committed the same way); commit moves the shard to
 finished and releases the rows to the consumer.  A worker death
 (connection drop or timeout) before ``done`` discards the buffered
 rows and returns the shard to pending with a backoff stamp — the rows
 never reached the consumer, so the retry cannot duplicate them; a
 death *after* commit loses nothing because the shard is no longer on
 the board.  Frames from an abandoned attempt are skipped by request
-id.  A typed ``error`` frame is a permanent failure (the same bytes
+id.  The board knows nothing of connections: the job (the pickled plan,
+once per run) is installed on a connection right after its liveness
+probe, so a reconnect after a death re-sends it before the retried
+shard's key.  A typed ``error`` frame is a permanent failure (the same bytes
 would fail the same way everywhere) and aborts the run; exhausted
 retries and a fully dead fleet abort likewise, with
 :class:`~repro.errors.DistributedError` raised in the consumer.
@@ -45,11 +50,11 @@ import time
 from collections.abc import Iterator
 from typing import Protocol, runtime_checkable
 
-from repro.distributed.stealing import RateModel, split_entry
+from repro.distributed.stealing import RateModel
 from repro.distributed.wire import ConnectionClosed
 from repro.engine.parallel import ShardJob
 from repro.errors import DistributedError
-from repro.feedback.resharding import ShardPlanEntry
+from repro.feedback.resharding import ShardPlanEntry, split_entry
 
 __all__ = ["DispatchScheduler", "Scheduler"]
 
@@ -79,8 +84,17 @@ class _Item:
 class _Run:
     """The shared board for one job: shard states, rate model, sink."""
 
-    def __init__(self, job: ShardJob, policy, max_retries, backoff) -> None:
+    def __init__(
+        self, job: ShardJob, spec, policy, max_retries, backoff
+    ) -> None:
         self.job = job
+        #: The fold spec; ``None`` for a join.
+        self.spec = spec
+        #: What every connection binds before its first key: the plan
+        #: and the spec, pickled once per run.
+        self.payload = pickle.dumps(
+            (job.runner, spec), protocol=pickle.HIGHEST_PROTOCOL
+        )
         self.policy = policy
         self.max_retries = max_retries
         self.backoff = backoff
@@ -166,7 +180,10 @@ class _Run:
                     and self.model.hot(item.entry.weight, self.policy)
                 ):
                     subs = split_entry(
-                        item.entry, self.job.order, self.policy.split_factor
+                        self.job.query,
+                        item.entry,
+                        self.job.order,
+                        self.policy.split_factor,
                     )
                     if len(subs) > 1:
                         # The parent never ran: replacing it with its
@@ -185,32 +202,18 @@ class _Run:
 
     # -- state transitions --------------------------------------------------
 
-    def commit(self, item: _Item, rows, seconds: float, span=None) -> None:
-        """One shard done: release its rows, exactly once."""
+    def commit(self, item: _Item, items, seconds: float, span=None) -> None:
+        """One shard done: release its items — its rows, or a fold's
+        one partial state — exactly once."""
         with self.cond:
             if self.failure is not None or self.stopped:
                 return
             self.running.pop(id(item), None)
-            self.finished.append(
-                (item.entry, seconds, len(rows) if rows is not None else 0)
-            )
+            self.finished.append((item.entry, seconds, len(items)))
             self.model.observe(seconds, item.entry.weight)
             if span is not None and self.job.tracer is not None:
                 self.job.tracer.attach(span)
-            self.sink.put(("rows", rows))
-            if not self.pending and not self.running:
-                self._complete()
-            self.cond.notify_all()
-
-    def commit_state(self, item: _Item, state, seconds: float) -> None:
-        """Fold flavor of :meth:`commit`: release one partial state."""
-        with self.cond:
-            if self.failure is not None or self.stopped:
-                return
-            self.running.pop(id(item), None)
-            self.finished.append((item.entry, seconds, 0))
-            self.model.observe(seconds, item.entry.weight)
-            self.sink.put(("state", state))
+            self.sink.put(("items", items))
             if not self.pending and not self.running:
                 self._complete()
             self.cond.notify_all()
@@ -291,12 +294,12 @@ class DispatchScheduler:
     ``transports`` is a sequence of
     :class:`~repro.distributed.transport.SocketTransport` /
     ``LoopbackTransport`` (or anything with ``connect()``) — one per
-    worker slot.  Each driver connects, probes with a ping, then loops:
-    claim a shard from the board, ship its pickled task, buffer the row
-    frames, commit on ``done``.  A connection failure anywhere in that
-    loop requeues the claimed shard (backoff, bounded by
-    ``max_retries`` per shard) and reconnects through the same
-    transport — a transport is the durable name of a slot, so a
+    worker slot.  Each driver connects, probes with a ping, installs the
+    run's job, then loops: claim a shard from the board, ship its pickled
+    key, buffer the row frames, commit on ``done``.  A connection
+    failure anywhere in that loop requeues the claimed shard (backoff,
+    bounded by ``max_retries`` per shard) and reconnects through the
+    same transport — a transport is the durable name of a slot, so a
     restarted worker resumes service transparently.
 
     ``steal=`` overrides the job's
@@ -340,29 +343,16 @@ class DispatchScheduler:
     # -- Scheduler protocol -------------------------------------------------
 
     def run_join(self, job: ShardJob) -> Iterator:
-        run, threads = self._start(job)
-        return self._consume_rows(run, threads)
+        return self._consume(*self._start(job))
 
     def run_fold(self, job: ShardJob, spec) -> list:
-        run, threads = self._start(job, spec=spec, fold=True)
-        states = []
-        try:
-            while True:
-                kind, payload = run.sink.get()
-                if kind == "state":
-                    states.append(payload)
-                elif kind == "done":
-                    return states
-                else:
-                    raise payload
-        finally:
-            self._wind_down(run, threads)
+        return list(self._consume(*self._start(job, spec)))
 
     # -- machinery ----------------------------------------------------------
 
-    def _start(self, job: ShardJob, spec=None, fold: bool = False):
+    def _start(self, job: ShardJob, spec=None):
         policy = self.steal if self.steal is not None else job.steal
-        run = _Run(job, policy, self.max_retries, self.retry_backoff)
+        run = _Run(job, spec, policy, self.max_retries, self.retry_backoff)
         if not job.entries:
             with run.cond:
                 run._complete()
@@ -370,9 +360,7 @@ class DispatchScheduler:
         width = min(len(self.transports), len(job.entries))
         threads = [
             threading.Thread(
-                target=self._drive,
-                args=(run, transport, spec, fold),
-                daemon=True,
+                target=self._drive, args=(run, transport), daemon=True
             )
             for transport in self.transports[:width]
         ]
@@ -382,11 +370,11 @@ class DispatchScheduler:
             thread.start()
         return run, threads
 
-    def _consume_rows(self, run: _Run, threads) -> Iterator:
+    def _consume(self, run: _Run, threads) -> Iterator:
         try:
             while True:
                 kind, payload = run.sink.get()
-                if kind == "rows":
+                if kind == "items":
                     yield from payload
                 elif kind == "done":
                     return
@@ -404,8 +392,10 @@ class DispatchScheduler:
         for key in ("shards", "steals", "retries", "presplits"):
             self.stats[key] += self.last_run.get(key, 0)
 
-    def _connect(self, transport):
-        """One connection attempt with a liveness probe; None on failure."""
+    def _connect(self, run: _Run, transport):
+        """One connection attempt: a liveness probe, then the job.
+        ``None`` on failure — a transient one retires this slot quietly,
+        a worker that *refuses* the job aborts the run."""
         try:
             channel = transport.connect()
         except (OSError, DistributedError):
@@ -418,15 +408,23 @@ class DispatchScheduler:
                 raise ConnectionClosed(
                     f"expected pong, got {header.get('op')!r}"
                 )
+            channel.send({"op": "job", "id": 0}, run.payload)
+            header, _payload = channel.recv()
+            op = header.get("op")
+            if op == "error":
+                # Typed, so permanent; the slot still closes below.
+                run.abort(_worker_error("the job", header))
+            if op != "ready":
+                raise ConnectionClosed(f"expected ready, got {op!r}")
         except (OSError, DistributedError):
             channel.close()
             return None
         return channel
 
-    def _drive(self, run: _Run, transport, spec, fold: bool) -> None:
+    def _drive(self, run: _Run, transport) -> None:
         channel = None
         try:
-            channel = self._connect(transport)
+            channel = self._connect(run, transport)
             if channel is None:
                 return
             while True:
@@ -434,18 +432,16 @@ class DispatchScheduler:
                 if item is None:
                     return
                 try:
-                    if fold:
-                        self._execute_fold(run, channel, item, spec)
-                    else:
-                        self._execute_join(run, channel, item)
+                    self._execute(run, channel, item)
                 except (ConnectionClosed, OSError) as error:
                     # Transient: this worker (or its link) died mid-
                     # shard.  The buffered rows of the attempt die with
                     # this frame of the stack — nothing reached the
-                    # consumer — so the retry starts from zero rows.
+                    # consumer — so the retry starts from zero rows, on
+                    # a connection that has been sent the job again.
                     run.requeue(item, error)
                     channel.close()
-                    channel = self._connect(transport)
+                    channel = self._connect(run, transport)
                     if channel is None:
                         return
         finally:
@@ -453,14 +449,18 @@ class DispatchScheduler:
                 channel.close()
             run.driver_retired()
 
-    def _execute_join(self, run: _Run, channel, item: _Item) -> None:
+    def _execute(self, run: _Run, channel, item: _Item) -> None:
+        """Ship one key — as a ``fold`` when the run carries a spec, a
+        ``task`` otherwise — and buffer its answer until the frame that
+        ends it commits the shard."""
         rid = run.next_rid()
-        payload = pickle.dumps(
-            run.job.task_for(item.entry), protocol=pickle.HIGHEST_PROTOCOL
-        )
         channel.send(
-            {"op": "task", "id": rid, "trace": run.job.tracer is not None},
-            payload,
+            {
+                "op": "task" if run.spec is None else "fold",
+                "id": rid,
+                "trace": run.job.tracer is not None,
+            },
+            pickle.dumps(item.entry.key, protocol=pickle.HIGHEST_PROTOCOL),
         )
         buffered: list = []
         while True:
@@ -471,45 +471,23 @@ class DispatchScheduler:
                 # Skipping by id is what makes duplicate acks harmless.
                 continue
             op = header.get("op")
+            seconds = float(header.get("seconds", 0.0))
             if op == "rows":
                 buffered.extend(pickle.loads(data))
             elif op == "done":
                 span = (
                     pickle.loads(data) if header.get("span") and data else None
                 )
-                run.commit(
-                    item, buffered, float(header.get("seconds", 0.0)), span
-                )
+                run.commit(item, buffered, seconds, span)
+                return
+            elif op == "state":
+                run.commit(item, [pickle.loads(data)], seconds)
                 return
             elif op == "error":
-                run.abort(_worker_error(item, header))
+                run.abort(_worker_error(f"shard {item.entry.key!r}", header))
                 return
             else:
                 raise ConnectionClosed(f"unexpected frame op {op!r}")
-
-    def _execute_fold(self, run: _Run, channel, item: _Item, spec) -> None:
-        rid = run.next_rid()
-        payload = pickle.dumps(
-            (run.job.task_for(item.entry), spec),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        channel.send({"op": "fold", "id": rid}, payload)
-        while True:
-            header, data = channel.recv()
-            if header.get("id") != rid:
-                continue
-            op = header.get("op")
-            if op == "state":
-                run.commit_state(
-                    item,
-                    pickle.loads(data),
-                    float(header.get("seconds", 0.0)),
-                )
-                return
-            if op == "error":
-                run.abort(_worker_error(item, header))
-                return
-            raise ConnectionClosed(f"unexpected frame op {op!r}")
 
     # -- fleet management ---------------------------------------------------
 
@@ -538,10 +516,10 @@ class DispatchScheduler:
                 channel.close()
 
 
-def _worker_error(item: _Item, header: dict) -> DistributedError:
+def _worker_error(what: str, header: dict) -> DistributedError:
     error = header.get("error") or {}
     return DistributedError(
-        f"worker failed shard {item.entry.key!r} permanently "
+        f"worker failed {what} permanently "
         f"[{error.get('type', 'internal')}]: "
         f"{error.get('message', 'no detail')}"
     )

@@ -1,7 +1,7 @@
 """Work stealing: split hot shards before and during a run.
 
-Two layers, both reusing the feedback loop's split mechanics
-(:mod:`repro.feedback.resharding`): a shard's key grows one
+Two layers, both splitting with the feedback loop's own
+:func:`~repro.feedback.resharding.split_entry`: a shard's key grows one
 ``(attribute, value group)`` link per split, sub-shards partition the
 parent's output slice exactly, and observations recorded for sub-keys
 feed the same store the across-run expansion reads.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from statistics import median
 
-from repro.feedback.resharding import ShardPlanEntry
+from repro.feedback.resharding import ShardPlanEntry, split_entry
 
 __all__ = ["RateModel", "predictive_presplit"]
 
@@ -92,50 +92,18 @@ class RateModel:
         )
 
 
-def split_entry(
-    entry: ShardPlanEntry, order, factor: int
-) -> list[ShardPlanEntry]:
-    """Split one entry on the next attribute of the plan's order.
-
-    Returns the sub-entries (keys extended by one link), or ``[entry]``
-    unchanged when the entry is at maximum depth for the order or the
-    next attribute has too few candidate values to partition — the same
-    give-up conditions as the across-run expansion.
-    """
-    # Deferred: parallel.py lazily imports this module from inside
-    # shard_join, so at module-import time the engine may not be ready.
-    from repro.engine.parallel import _shard_queries, plan_shards
-
-    depth = len(entry.key)
-    if depth >= len(order):
-        return [entry]
-    attribute = order[depth]
-    sub_specs = plan_shards(entry.query, factor, attribute)
-    if len(sub_specs) < 2:
-        return [entry]
-    sub_queries = _shard_queries(entry.query, sub_specs)
-    return [
-        ShardPlanEntry(
-            key=entry.key + ((attribute, spec.values),),
-            query=sub_query,
-            weight=spec.weight,
-        )
-        for spec, sub_query in zip(sub_specs, sub_queries)
-    ]
-
-
 def predictive_presplit(
-    entries, order, provider, factor: int = PRESPLIT_FACTOR
+    query, entries, order, provider, factor: int = PRESPLIT_FACTOR
 ) -> tuple[list[ShardPlanEntry], int]:
     """Pre-split hub-heavy shards at first-plan time.
 
-    ``entries`` are the planned shards (after any feedback expansion),
-    ``order`` the plan's attribute order, ``provider`` a
-    :class:`~repro.stats.provider.StatsProvider` whose cached relation
-    profiles supply the heavy values.  Returns ``(new entries, number
-    of parents split)``; with no heavy values and no weight outliers
-    the entries pass through untouched, so switching ``predictive=True``
-    on is free for balanced data.
+    ``entries`` are the planned shards of ``query`` (after any feedback
+    expansion), ``order`` the plan's attribute order, ``provider`` the
+    run's :class:`~repro.stats.provider.StatsProvider`, whose cached
+    profiles of the query's relations supply the heavy values.  Returns
+    ``(new entries, number of parents split)``; with no heavy values and
+    no weight outliers the entries pass through untouched, so switching
+    ``predictive=True`` on is free for balanced data.
 
     Only top-level (depth-1) entries are candidates: deeper keys came
     from feedback or an earlier split and already isolate a hot region.
@@ -150,9 +118,9 @@ def predictive_presplit(
             continue
         attribute, values = entry.key[0]
         if entry.weight > weight_cut or _holds_heavy_value(
-            entry, attribute, values, provider
+            query, attribute, values, provider
         ):
-            sub_entries = split_entry(entry, order, factor)
+            sub_entries = split_entry(query, entry, order, factor)
             if len(sub_entries) > 1:
                 splits += 1
             result.extend(sub_entries)
@@ -161,25 +129,19 @@ def predictive_presplit(
     return result, splits
 
 
-def _holds_heavy_value(
-    entry: ShardPlanEntry, attribute: str, values, provider
-) -> bool:
+def _holds_heavy_value(query, attribute: str, values, provider) -> bool:
     """Does any participant relation show a heavy value in this group?
 
-    Profiles are taken over the entry's *restricted* relations (what
-    the provider caches per relation identity): a hub value dominates
-    its own shard's slice even harder than the full relation, so
-    restriction never hides a heavy hitter from this test.  The
-    ``top`` table bounds how many heavy values are visible; the weight
-    cut in :func:`predictive_presplit` backstops anything below it.
+    Reads the provider's profiles of the *full* relations — the ones the
+    planner already took and cached, so nothing is profiled per shard.
+    The ``top`` table bounds how many heavy values are visible; the
+    weight cut in :func:`predictive_presplit` backstops anything below
+    it.
     """
-    for rel in entry.query.relations.values():
+    for rel in query.relations.values():
         if attribute not in rel.attribute_set or len(rel) == 0:
             continue
-        try:
-            profile = provider.profile(rel).attribute(attribute)
-        except KeyError:  # pragma: no cover - schema and query agree
-            continue
+        profile = provider.profile(rel).attribute(attribute)
         for value, count in profile.top:
             if count >= profile.heavy_threshold and value in values:
                 return True

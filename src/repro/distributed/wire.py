@@ -6,21 +6,23 @@ One frame = one header line + an optional binary payload:
   same newline-delimited-JSON convention as the query server's
   :mod:`repro.server.protocol`, so the two wires read alike in a packet
   capture;
-* when the frame carries a payload (pickled shard tasks, row chunks,
-  fold states, finished trace spans), the header's ``"len"`` field
-  gives its exact byte length and the payload follows the newline
+* when the frame carries a payload (the pickled job, shard keys, row
+  chunks, fold states, finished trace spans), the header's ``"len"``
+  field gives its exact byte length and the payload follows the newline
   verbatim.
 
 Headers stay JSON (debuggable, versionable); payloads stay pickle
-(rows and tasks round-trip exactly, and the driver pickles each task
-once — workers receive those same bytes).  Frames in this direction of
-trust only ever travel between a driver and workers *it* started; the
-worker CLI binds to localhost by default for exactly that reason.
+(rows and keys round-trip exactly, and the driver pickles the job once
+per run — every worker connection receives those same bytes).  Frames
+in this direction of trust only ever travel between a driver and
+workers *it* started; the worker CLI binds to localhost by default for
+exactly that reason.
 
 Ops over this framing (see :mod:`repro.distributed.worker`):
-``ping``/``pong``, ``task`` -> ``rows``* -> ``done``, ``fold`` ->
-``state``, ``shutdown`` -> ``bye``, and ``error`` with the same typed
-payloads as :func:`repro.server.protocol.error_payload`.
+``ping``/``pong``, ``job`` -> ``ready`` (once per connection, before its
+first key), ``task`` -> ``rows``* -> ``done``, ``fold`` -> ``state``,
+``shutdown`` -> ``bye``, and ``error`` with the same typed payloads as
+:func:`repro.server.protocol.error_payload`.
 """
 
 from __future__ import annotations

@@ -1,37 +1,45 @@
 """The worker side of the shard fabric.
 
-A worker is deliberately dumb: it holds no job state, makes no
-scheduling decisions, and keeps nothing between tasks.  It receives a
-pickled :class:`~repro.engine.parallel._ShardTask` (the same payload
-the local process pool ships), plans and runs the shard with the
-ordinary engine, and streams the result back in row chunks followed by
-a ``done`` frame carrying its own wall-clock measurement — the number
-the dispatcher's steal-rate model and the feedback store both consume.
-All smarts (retry, exactly-once accounting, stealing) live in the
-dispatcher, which is what makes worker death survivable: anything a
-dead worker knew can be recomputed from the task bytes.
+A worker makes no decisions: it neither profiles nor plans nor
+schedules.  Per connection it is told once what to run — a ``job``
+frame carrying the pickled :class:`~repro.engine.parallel.ShardRunner`
+(the driver's plan: relations, algorithm, cover, order, backends,
+residual filters) and the fold spec, bound right there: unpickling
+builds the indexes, once — and then which slices of it: every ``task``
+/ ``fold`` frame carries a pickled shard *key* and nothing else.  A
+``task`` streams the key's rows back in chunks followed by a ``done``
+frame carrying the worker's own wall-clock measurement — the number the
+dispatcher's steal-rate model and the feedback store both consume.  All
+smarts (retry, exactly-once accounting, stealing) live in the
+dispatcher, which is what makes worker death survivable: the bound job
+dies with its connection and the dispatcher re-sends it on the next.
 
 Frames handled (see :mod:`repro.distributed.wire` for the framing):
 
 ``{"op": "ping", "id": n}``
     -> ``{"op": "pong", "id": n}`` — liveness probe.
-``{"op": "task", "id": n, "trace": bool}`` + pickled task
+``{"op": "job", "id": n}`` + pickled ``(runner, spec)``
+    -> ``{"op": "ready", "id": n}`` once the job is bound; it replaces
+    whatever this connection had bound before.
+``{"op": "task", "id": n, "trace": bool}`` + pickled key
     -> zero or more ``{"op": "rows", "id": n}`` + pickled row list,
     then ``{"op": "done", "id": n, "seconds": s, "count": c}`` (with a
     pickled finished :class:`~repro.observe.tracing.Span` as payload
     when tracing was requested).
-``{"op": "fold", "id": n}`` + pickled ``(task, spec)``
-    -> ``{"op": "state", "id": n, "seconds": s}`` + pickled raw state.
+``{"op": "fold", "id": n}`` + pickled key
+    -> ``{"op": "state", "id": n, "seconds": s}`` + pickled raw state
+    of the job's spec folded over the key.
 ``{"op": "shutdown"}``
     -> ``{"op": "bye"}`` and the connection (and, for a
     :class:`WorkerServer`, the accept loop) winds down.
 
-Failures inside a task become a single ``{"op": "error", "id": n,
+Failures inside a frame become a single ``{"op": "error", "id": n,
 "error": {...}}`` frame with the same typed payload the query server
-uses (:func:`repro.server.protocol.error_payload`) — the dispatcher
-treats a typed error as *permanent* (re-running the same bytes would
-fail the same way) and aborts the run, while a dead connection is
-*transient* and retried.
+uses (:func:`repro.server.protocol.error_payload`; an unknown op, or a
+``task`` / ``fold`` before any ``job``, is a ``protocol`` error) — the
+dispatcher treats a typed error as *permanent* (re-running the same
+bytes would fail the same way) and aborts the run, while a dead
+connection is *transient* and retried.
 """
 
 from __future__ import annotations
@@ -43,10 +51,9 @@ import time
 
 from repro.distributed.transport import Channel
 from repro.distributed.wire import ConnectionClosed
-from repro.engine.parallel import _shard_fold_state, _shard_rows
 from repro.errors import DistributedError
 from repro.observe.tracing import Tracer
-from repro.server.protocol import error_payload
+from repro.server.protocol import ProtocolError, error_payload
 
 __all__ = ["ShardWorker", "WorkerServer"]
 
@@ -55,91 +62,89 @@ CHUNK_ROWS = 512
 
 
 class ShardWorker:
-    """Serves shard tasks over one channel at a time."""
+    """Serves shard keys over one channel at a time."""
 
     def __init__(self) -> None:
         self.stopped = threading.Event()
-        #: Tasks completed over this worker's lifetime (observability).
+        #: Keys completed over this worker's lifetime (observability).
         self.completed = 0
 
     def serve_connection(self, channel: Channel) -> None:
         """Handle frames until the peer disconnects or says shutdown."""
+        #: ``(runner, spec)`` of this connection's ``job`` frame.
+        work = None
         while not self.stopped.is_set():
             try:
                 header, payload = channel.recv()
+                work = self._handle(channel, header, payload, work)
             except (ConnectionClosed, OSError):
-                return  # dispatcher went away; nothing to clean up
-            op = header.get("op")
-            try:
-                if op == "ping":
-                    channel.send({"op": "pong", "id": header.get("id")})
-                elif op == "shutdown":
-                    # Flag first: whoever reads "bye" may check it at once.
-                    self.stopped.set()
-                    channel.send({"op": "bye"})
-                    return
-                elif op == "task":
-                    self._run_task(channel, header, payload)
-                elif op == "fold":
-                    self._run_fold(channel, header, payload)
-                else:
-                    channel.send(
-                        {
-                            "op": "error",
-                            "id": header.get("id"),
-                            "error": {
-                                "type": "protocol",
-                                "message": f"unknown op {op!r}",
-                            },
-                        }
-                    )
-            except (ConnectionClosed, OSError):
-                return  # peer died while we streamed; drop the work
+                # The dispatcher went away, between frames or while we
+                # streamed: drop the work, nothing to clean up.
+                return
 
-    def _run_task(
-        self, channel: Channel, header: dict, payload: bytes
-    ) -> None:
-        rid = header.get("id")
+    def _handle(self, channel: Channel, header: dict, payload: bytes, work):
+        """Answer one frame; returns the job the connection now holds."""
+        op, rid = header.get("op"), header.get("id")
         try:
-            task = pickle.loads(payload)
-            started = time.perf_counter()
-            count = 0
-            span_bytes = b""
-            if header.get("trace"):
-                # Like the process pool's traced entry point: a local
-                # tracer so the shard's plan/index spans nest, the
-                # finished root shipped home as plain data.
-                local = Tracer(name=f"worker-shard-{rid}")
-                with local.activate(), local.span(
-                    "shard", shard=rid, remote=True
-                ) as span:
-                    count = self._stream_rows(channel, rid, task)
-                    span.meta["rows"] = count
-                span_bytes = pickle.dumps(local.roots[0])
+            if op == "ping":
+                channel.send({"op": "pong", "id": rid})
+            elif op == "shutdown":
+                # Flag first: whoever reads "bye" may check it at once.
+                self.stopped.set()
+                channel.send({"op": "bye"})
+            elif op == "job":
+                work = pickle.loads(payload)  # binds: indexes built here
+                channel.send({"op": "ready", "id": rid})
+            elif op in ("task", "fold"):
+                if work is None:
+                    raise ProtocolError(f"{op!r} frame before any job frame")
+                self._run_key(channel, header, payload, *work)
             else:
-                count = self._stream_rows(channel, rid, task)
-            seconds = time.perf_counter() - started
-            self.completed += 1
-            done = {
-                "op": "done",
-                "id": rid,
-                "seconds": seconds,
-                "count": count,
-            }
-            if span_bytes:
-                done["span"] = True
-            channel.send(done, span_bytes)
+                raise ProtocolError(f"unknown op {op!r}")
         except (ConnectionClosed, OSError):
             raise
         except Exception as error:  # typed, permanent: never retried
             channel.send(
                 {"op": "error", "id": rid, "error": error_payload(error)}
             )
+        return work
 
-    def _stream_rows(self, channel: Channel, rid, task) -> int:
+    def _run_key(
+        self, channel: Channel, header: dict, payload: bytes, runner, spec
+    ) -> None:
+        """One ``task`` (stream the key's rows, then ``done``) or one
+        ``fold`` (the key's partial state), timed by this worker."""
+        rid = header.get("id")
+        key = pickle.loads(payload)
+        started = time.perf_counter()
+        if header["op"] == "fold":
+            (state,) = runner.stream(key, spec)
+            reply = {"op": "state", "id": rid}
+            data = pickle.dumps(state)
+        elif header.get("trace"):
+            # Like the process pool's traced entry point: a local
+            # tracer, the finished shard span shipped home as plain
+            # data.
+            local = Tracer(name=f"worker-shard-{rid}")
+            with local.activate(), local.span(
+                "shard", shard=rid, remote=True
+            ) as span:
+                count = self._stream_rows(channel, rid, runner.stream(key))
+                span.meta["rows"] = count
+            reply = {"op": "done", "id": rid, "count": count, "span": True}
+            data = pickle.dumps(local.roots[0])
+        else:
+            count = self._stream_rows(channel, rid, runner.stream(key))
+            reply = {"op": "done", "id": rid, "count": count}
+            data = b""
+        reply["seconds"] = time.perf_counter() - started
+        self.completed += 1
+        channel.send(reply, data)
+
+    def _stream_rows(self, channel: Channel, rid, rows) -> int:
         count = 0
         chunk = []
-        for row in _shard_rows(task):
+        for row in rows:
             chunk.append(row)
             count += 1
             if len(chunk) >= CHUNK_ROWS:
@@ -154,30 +159,6 @@ class ShardWorker:
                 pickle.dumps(chunk),
             )
         return count
-
-    def _run_fold(
-        self, channel: Channel, header: dict, payload: bytes
-    ) -> None:
-        rid = header.get("id")
-        try:
-            task, spec = pickle.loads(payload)
-            started = time.perf_counter()
-            state = _shard_fold_state(task, spec)
-            self.completed += 1
-            channel.send(
-                {
-                    "op": "state",
-                    "id": rid,
-                    "seconds": time.perf_counter() - started,
-                },
-                pickle.dumps(state),
-            )
-        except (ConnectionClosed, OSError):
-            raise
-        except Exception as error:
-            channel.send(
-                {"op": "error", "id": rid, "error": error_payload(error)}
-            )
 
 
 class WorkerServer:
@@ -229,6 +210,10 @@ class WorkerServer:
             self._sock.close()
 
     def _serve_one(self, conn: socket.socket) -> None:
+        # A key's answer is several small frames written back to back
+        # (``rows``*, then ``done``): without this the second waits out
+        # the driver's delayed ACK, ~40 ms per key.
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         channel = Channel(conn)
         try:
             self.worker.serve_connection(channel)

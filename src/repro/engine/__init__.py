@@ -35,8 +35,8 @@ from repro.engine.parallel import (
     ShardSlice,
     batches,
     plan_shards,
+    restrict,
     shard_join,
-    shard_query,
 )
 from repro.engine.planner import (
     JoinPlan,
@@ -68,7 +68,7 @@ __all__ = [
     "plan_attribute_order_sampled",
     "plan_join",
     "plan_shards",
+    "restrict",
     "shard_join",
-    "shard_query",
     "validate_backend",
 ]

@@ -6,33 +6,50 @@ this module scales that interface out without touching any executor:
 * :func:`batches` — the ``batches(n)`` adapter over the executor
   protocol: drive any streaming join in fixed-size row batches, so
   network sinks and downstream operators amortize per-row overhead;
-* :func:`shard_join` — first-attribute sharding.  Partition the values
-  of the planner-chosen first attribute into ``k`` disjoint groups
-  (balanced by estimated per-value work), run the *whole engine* once
-  per shard, and union the disjoint result streams.  Sharding on the
-  first attribute of any WCOJ order is embarrassingly parallel and
-  preserves the AGM worst-case guarantee per shard — each shard is just
-  the same query over restricted relations ("Skew Strikes Back",
-  arXiv:1310.3314; Ngo's survey, arXiv:1803.09930) — so the union is
-  exactly the serial result, order aside.
+* :func:`shard_join` / :func:`shard_fold` — first-attribute sharding.
+  Partition the values of the plan's first attribute into ``k``
+  disjoint groups (balanced by estimated per-value work) and run each
+  group as a *key* over the one plan the caller already made.  Sharding
+  on the first attribute of any WCOJ order is embarrassingly parallel
+  and preserves the AGM worst-case guarantee per shard ("Skew Strikes
+  Back", arXiv:1310.3314; Ngo's survey, arXiv:1803.09930), so the union
+  is exactly the serial result, order aside.
+
+**A shard is a key, not a second engine run.**  A key is a chain of
+``(attribute, value group)`` links (:data:`~repro.feedback.telemetry.
+ShardKey`; one link for a planned shard, one more per split).  The
+drivers plan nothing, profile nothing and copy no relation: a
+:class:`ShardRunner` holds the parent's plan and its already-built
+executor, and runs a key
+
+* for the algorithms in :data:`~repro.engine.executors.
+  DESCENT_ALGORITHMS` as a walk of the *same* indexes with the key's
+  value groups conjoined onto the residual filters at the depths that
+  bind those attributes (:func:`repro.core.descent.narrow` — (ST1)'s
+  section reached by walking, Remark 5.2's indexes built once);
+* for the three blocking specialists (``lw``, ``nprr``, ``arity2``),
+  which have no level to hook, over :func:`restrict`'s copy of the
+  relations — the only place restricted relations are still built,
+  shared with :func:`~repro.feedback.resharding.split_entry`, which
+  weighs the next attribute's values under a hot key.
 
 Shard execution modes (``ExecutionContext.mode``):
 
 ``"process"``
-    A ``multiprocessing`` pool, one task per shard — true parallelism
-    for CPU-bound joins.  Shard queries are pickled to the workers
-    (:class:`~repro.relations.relation.Relation` and
-    :class:`~repro.core.query.JoinQuery` define ``__reduce__`` for
-    exactly this); each worker materializes its shard and the parent
-    streams the per-shard results as they arrive, in completion order.
+    A ``multiprocessing`` pool.  The runner — relations, algorithm,
+    cover, order, backends, residual filters — and the fold spec are
+    pickled once per run and bound once per pool process (the pool's
+    initializer builds the indexes there); each task is a shard index
+    and its key.  Workers materialize a shard and the parent streams the
+    per-shard results as they arrive, in completion order.
 ``"thread"``
-    A thread pool feeding a bounded queue — no pickling requirement and
-    row-level streaming, the fallback for unpicklable values.
+    A thread pool feeding a bounded queue — nothing is pickled, every
+    walk shares the parent's indexes, rows stream as they are found.
 ``"serial"``
-    Shards run one after another in-process — deterministic, zero
-    overhead, the baseline the parity tests compare against.
+    Keys run one after another in-process over the parent's indexes —
+    deterministic, the baseline the parity tests compare against.
 ``"auto"``
-    ``"process"`` when the shard payloads pickle, else ``"thread"``;
+    ``"process"`` when the runner pickles, else ``"thread"``;
     ``"serial"`` when only one shard remains after value partitioning.
 
 Every public function validates its arguments *eagerly* (raising
@@ -44,25 +61,30 @@ by the :class:`~repro.query.context.ExecutionContext` that carries them.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import pickle
 import queue as queue_module
 import threading
 import time
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.aggregate.fold import Folder, fold_state
+from repro.core.descent import narrow
 from repro.core.query import JoinQuery
 from repro.engine.executors import DESCENT_ALGORITHMS
-from repro.engine.planner import plan_join
+from repro.engine.planner import JoinPlan
 from repro.errors import PlanError, require_positive_int
 from repro.feedback.resharding import ShardPlanEntry, expand_shards
-from repro.feedback.telemetry import ShardObservation, feedback_scope
-from repro.hypergraph.covers import FractionalCover
-from repro.observe.tracing import Span, SpanContext, Tracer
+from repro.feedback.telemetry import (
+    ShardKey,
+    ShardObservation,
+    feedback_scope,
+)
+from repro.observe.tracing import Span, Tracer
 from repro.relations.relation import Relation, Row, Value
 from repro.stats.provider import resolve_provider
 
@@ -70,12 +92,13 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "SHARD_MODES",
     "ShardJob",
+    "ShardRunner",
     "ShardSlice",
     "batches",
     "plan_shards",
+    "restrict",
     "shard_fold",
     "shard_join",
-    "shard_query",
 ]
 
 #: Rows per batch when no explicit batch size is requested.
@@ -210,243 +233,184 @@ def plan_shards(
     )
 
 
-def shard_query(query: JoinQuery, spec: ShardSlice) -> JoinQuery:
-    """Restrict ``query`` to one shard's slice of the data.
+def restrict(query: JoinQuery, key: ShardKey) -> JoinQuery:
+    """Restrict ``query`` to the slice of the data under a shard key.
 
-    Every relation containing the sharded attribute keeps only the
-    tuples whose value falls in ``spec.values``; relations not
-    containing it are shared untouched.  The result is an ordinary
-    :class:`JoinQuery` — same hypergraph, restricted instance — so any
-    algorithm, order, and backend apply per shard unchanged.
+    Every relation keeps only the tuples whose values fall in the value
+    group of each link of ``key`` that names one of its attributes;
+    relations containing none of the key's attributes are shared
+    untouched.  The result is an ordinary :class:`JoinQuery` — same
+    hypergraph, restricted instance.  The descent algorithms never need
+    it (a key is a filter on their walk); it exists for the blocking
+    specialists and for weighing the next attribute's values under a
+    hot key (:func:`~repro.feedback.resharding.split_entry`).
     """
-    return _shard_queries(query, (spec,))[0]
-
-
-def _shard_queries(
-    query: JoinQuery, specs: Sequence[ShardSlice]
-) -> list[JoinQuery]:
-    """Build every shard's restricted query in one pass over the data.
-
-    Each participant relation is scanned once, bucketing rows by a
-    value -> shard-index map — O(N) total instead of the O(k*N) that k
-    independent :func:`shard_query` filters would cost.  Rows whose
-    value belongs to no shard (outside the candidate intersection) are
-    dropped, exactly as the per-spec filter drops them.
-
-    Relations *not* containing the attribute are shared by reference
-    across all shard queries — free in thread/serial mode; process mode
-    still serializes them into each shard's payload (a known k-fold
-    cost for non-participant relations; a pool initializer shipping the
-    shared part once is the upgrade path).
-    """
-    if not specs:
-        return []
-    attribute = specs[0].attribute
-    shard_of = {
-        value: index
-        for index, spec in enumerate(specs)
-        for value in spec.values
-    }
-    per_shard_relations: list[list[Relation]] = [[] for _ in specs]
+    relations = []
     for rel in query.relations.values():
-        if attribute not in rel.attribute_set:
-            for bucket in per_shard_relations:
-                bucket.append(rel)  # shared untouched
-            continue
-        position = rel.position(attribute)
-        rows: list[list[Row]] = [[] for _ in specs]
-        for row in rel.tuples:
-            index = shard_of.get(row[position])
-            if index is not None:
-                rows[index].append(row)
-        for bucket, shard_rows in zip(per_shard_relations, rows):
-            bucket.append(Relation(rel.name, rel.attributes, shard_rows))
-    return [JoinQuery(relations) for relations in per_shard_relations]
+        tests = [
+            (rel.position(attribute), values)
+            for attribute, values in key
+            if attribute in rel.attribute_set
+        ]
+        if tests:
+            rel = Relation(
+                rel.name,
+                rel.attributes,
+                [
+                    row
+                    for row in rel.tuples
+                    if all(row[at] in values for at, values in tests)
+                ],
+            )
+        relations.append(rel)
+    return JoinQuery(relations)
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """A picklable unit of shard work: the restricted query plus the
-    execution choices the parent already resolved.
+class ShardRunner:
+    """The one plan of a sharded run, bound once, running any key.
 
-    ``filters`` are the query layer's residual predicates; they pickle
-    when their payloads do (:class:`~repro.query.predicates.ValueIn`
-    always does, a lambda-backed callback does not — the driver then
-    falls back to thread mode exactly as for unpicklable values).
+    ``plan`` is the parent's :class:`~repro.engine.planner.JoinPlan`,
+    ``filters`` the query layer's residual predicates and ``executor``
+    the executor the caller already built from both (indexes included).
+    Pickling ships ``plan`` and ``filters`` only; unpickling rebuilds the
+    executor, so a pool process or a worker connection binds — builds
+    its indexes — exactly once, at ``pickle.loads``, and plans nothing.
+    Filters pickle when their payloads do
+    (:class:`~repro.query.predicates.ValueIn` always does, a
+    lambda-backed callback does not — ``mode="auto"`` then falls back to
+    threads exactly as for unpicklable values).
     """
 
-    query: JoinQuery
-    algorithm: str
-    cover: FractionalCover | None
-    attribute_order: tuple[str, ...] | None
-    backend: str | None
-    filters: tuple[tuple[str, object], ...] | None = None
+    def __init__(self, plan: JoinPlan, filters=None, executor=None) -> None:
+        self.plan = plan
+        self.filters = filters
+        # The blocking specialists run over a restriction, never over
+        # the parent's executor: build none for them.
+        if executor is None and plan.algorithm in DESCENT_ALGORITHMS:
+            executor = plan.executor(filters=filters)
+        self.executor = executor
+
+    def __reduce__(self):
+        return ShardRunner, (self.plan, self.filters)
+
+    def stream(self, key: ShardKey, spec=None) -> Iterator:
+        """The rows under ``key`` — or, given an aggregate ``spec``, the
+        one *raw* partial state of folding them (not ``spec.finish``, so
+        the driver can merge across shards)."""
+        plan = self.plan
+        if plan.algorithm in DESCENT_ALGORITHMS:
+            executor = copy.copy(self.executor)
+            executor._binding = narrow(executor._binding, key)
+            if spec is None:
+                return executor.iter_join()
+            folder = Folder(spec, plan.attribute_order)
+            executor.fold(folder)
+            return iter((folder.state,))
+        rows = (
+            replace(plan, query=restrict(plan.query, key))
+            .executor(filters=self.filters)
+            .iter_join()
+        )
+        if spec is None:
+            return rows
+        return iter((fold_state(rows, spec, plan.query.attributes),))
 
 
-def _shard_rows(task: _ShardTask) -> Iterator[Row]:
-    """Stream one shard in-process (the per-worker primitive).
-
-    A shard with any empty relation joins to nothing — skip planning
-    entirely (this also keeps per-shard AGM machinery away from
-    zero-size inputs).  Indexes are always built fresh from the
-    restricted relations; a shared :class:`Database` cache would serve
-    *full*-relation indexes under the same names and break parity.
-    """
-    if any(len(rel) == 0 for rel in task.query.relations.values()):
-        return iter(())
-    plan = plan_join(
-        task.query,
-        task.algorithm,
-        cover=task.cover,
-        attribute_order=task.attribute_order,
-        backend=task.backend,
-    )
-    filters = dict(task.filters) if task.filters else None
-    return plan.iter_rows(filters=filters)
+#: What the pool's initializer bound in *this* pool process:
+#: ``(runner, spec)``, unpickled (and so indexed) once per process.
+_POOL_WORK: tuple[ShardRunner, object] | None = None
 
 
-def _run_shard(task: _ShardTask) -> list[Row]:
-    """Materialize one shard's result (the worker-side unit of work)."""
-    return list(_shard_rows(task))
+def _pool_bind(payload: bytes) -> None:
+    global _POOL_WORK
+    _POOL_WORK = pickle.loads(payload)
 
 
-def _run_shard_pickled(payload: bytes) -> list[Row]:
-    """Process-pool entry point: the parent serialized each task once
-    while probing picklability, so workers receive those same bytes and
-    deserialize here — the dataset never pays a second pickling pass."""
-    return _run_shard(pickle.loads(payload))
-
-
-def _run_shard_pickled_timed(
-    indexed: tuple[int, bytes],
-) -> tuple[int, list[Row], float]:
-    """Measured process-pool entry point for feedback runs: results come
-    back tagged with the shard index (``imap_unordered`` loses order)
-    and the shard's wall time as seen by the worker."""
-    index, payload = indexed
+def _pool_run(
+    task: tuple[int, ShardKey, bool],
+) -> tuple[int, list, float, Span | None]:
+    """The process pool's one entry point: run a key over the runner
+    this process bound; return the shard index (``imap_unordered`` loses
+    order), its rows or its one partial state, the wall seconds as seen
+    here and, for a traced run, the finished ``shard`` span — plain
+    picklable data the parent stitches under its ``execute`` span."""
+    index, key, traced = task
+    runner, spec = _POOL_WORK
     started = time.perf_counter()
-    rows = _run_shard(pickle.loads(payload))
-    return index, rows, time.perf_counter() - started
+    span = None
+    if traced:
+        local = Tracer(name=f"shard-{index}")
+        with local.activate(), local.span("shard", shard=index) as span:
+            items = list(runner.stream(key, spec))
+            span.meta["rows"] = len(items)
+    else:
+        items = list(runner.stream(key, spec))
+    return index, items, time.perf_counter() - started, span
 
 
-def _run_shard_pickled_traced(
-    indexed: tuple[int, bytes, SpanContext],
-) -> tuple[int, list[Row], float, Span, SpanContext]:
-    """Traced process-pool entry point.
-
-    The worker builds its own local :class:`Tracer`, runs the shard
-    under an activated ``shard`` span (so the shard's plan and
-    index-build spans nest inside it), and ships the *finished* span —
-    plain picklable data — back alongside the parent's
-    :class:`SpanContext`, which it echoes untouched; the parent
-    validates the context's trace id and stitches the span under its
-    open ``execute`` span.
-    """
-    index, payload, span_context = indexed
-    local = Tracer(name=f"shard-{index}")
-    started = time.perf_counter()
-    with local.activate(), local.span("shard", shard=index) as span:
-        rows = _run_shard(pickle.loads(payload))
-        span.meta["rows"] = len(rows)
-    return (
-        index,
-        rows,
-        time.perf_counter() - started,
-        local.roots[0],
-        span_context,
-    )
-
-
-def _iter_serial(
-    tasks: list[_ShardTask],
-    times: dict[int, tuple[float, int]] | None = None,
-    tracer: Tracer | None = None,
-) -> Iterator[Row]:
-    if times is None and tracer is None:
-        for task in tasks:
-            yield from _shard_rows(task)
-        return
-    # Measured runs stay streaming: the clock spans start-to-exhaustion
-    # (like the thread workers, whose emits block on a slow consumer),
-    # so downstream cost shows up uniformly per row across shards and
-    # relative hot-shard comparisons stay meaningful.  A traced run
-    # opens one ``shard`` span per task — activated, so the shard's
-    # plan and index-build spans nest inside it.
-    for index, task in enumerate(tasks):
+def _iter_serial(job: ShardJob, spec) -> Iterator:
+    # The clock spans start-to-exhaustion (like the thread workers,
+    # whose emits block on a slow consumer), so downstream cost shows up
+    # uniformly per row across shards and relative hot-shard comparisons
+    # stay meaningful.  A traced run opens one ``shard`` span per key —
+    # activated while the stream is made, so what a blocking specialist
+    # builds over its restriction nests inside it.
+    runner, times, tracer = job.runner, job.times, job.tracer
+    for index, entry in enumerate(job.entries):
         started = time.perf_counter()
         count = 0
-        if tracer is None:
-            for row in _shard_rows(task):
+        with (
+            tracer.span("shard", shard=index) if tracer else nullcontext()
+        ) as span:
+            with tracer.activate() if tracer else nullcontext():
+                items = runner.stream(entry.key, spec)
+            for item in items:
                 count += 1
-                yield row
-        else:
-            with tracer.span("shard", shard=index) as span:
-                with tracer.activate():
-                    rows = _shard_rows(task)
-                for row in rows:
-                    count += 1
-                    yield row
+                yield item
+            if span is not None:
                 span.meta["rows"] = count
         if times is not None:
             times[index] = (time.perf_counter() - started, count)
 
 
-def _iter_process(
-    payloads: list[bytes],
-    workers: int,
-    times: dict[int, tuple[float, int]] | None = None,
-    tracer: Tracer | None = None,
-    span_context: SpanContext | None = None,
-) -> Iterator[Row]:
+def _iter_process(job: ShardJob, payload: bytes, workers: int) -> Iterator:
     import multiprocessing
 
+    times, tracer = job.times, job.tracer
+    tasks = [
+        (index, entry.key, tracer is not None)
+        for index, entry in enumerate(job.entries)
+    ]
     context = multiprocessing.get_context()
-    with context.Pool(processes=workers) as pool:
-        if tracer is not None:
-            traced = [
-                (index, payload, span_context)
-                for index, payload in enumerate(payloads)
-            ]
-            for index, rows, seconds, span, echoed in pool.imap_unordered(
-                _run_shard_pickled_traced, traced
-            ):
-                if times is not None:
-                    times[index] = (seconds, len(rows))
-                tracer.attach(span, echoed)
-                yield from rows
-            return
-        if times is None:
-            for rows in pool.imap_unordered(_run_shard_pickled, payloads):
-                yield from rows
-            return
-        indexed = list(enumerate(payloads))
-        for index, rows, seconds in pool.imap_unordered(
-            _run_shard_pickled_timed, indexed
+    # The pool lives for this run alone, so every span that comes back
+    # belongs to this trace.
+    with context.Pool(workers, _pool_bind, (payload,)) as pool:
+        for index, items, seconds, span in pool.imap_unordered(
+            _pool_run, tasks
         ):
-            times[index] = (seconds, len(rows))
-            yield from rows
+            if times is not None:
+                times[index] = (seconds, len(items))
+            if span is not None:
+                tracer.attach(span)
+            yield from items
 
 
-def _iter_thread(
-    tasks: list[_ShardTask],
-    workers: int,
-    times: dict[int, tuple[float, int]] | None = None,
-    tracer: Tracer | None = None,
-) -> Iterator[Row]:
-    """Row-streaming union over worker threads.
+def _iter_thread(job: ShardJob, spec, workers: int) -> Iterator:
+    """Streaming union over worker threads.
 
     Each worker streams its shard into a bounded queue in small chunks;
     the consumer interleaves chunks in arrival order.  Worker exceptions
     are re-raised in the consumer.  When the consumer stops early (or an
     error aborts it), the ``finally`` block raises a stop flag that
-    unblocks and retires every remaining worker — no threads (or their
-    shard data) outlive the generator; daemonizing is only a last line
-    of defense for interpreter shutdown.
+    unblocks and retires every remaining worker — no threads outlive
+    the generator; daemonizing is only a last line of defense for
+    interpreter shutdown.
     """
+    runner, times, tracer = job.runner, job.times, job.tracer
     sink: queue_module.Queue = queue_module.Queue(maxsize=max(4, workers * 4))
     todo: queue_module.SimpleQueue = queue_module.SimpleQueue()
-    for indexed_task in enumerate(tasks):
-        todo.put(indexed_task)
+    for indexed_entry in enumerate(job.entries):
+        todo.put(indexed_entry)
     stop = threading.Event()
 
     def emit(item: tuple[str, object]) -> bool:
@@ -462,18 +426,18 @@ def _iter_thread(
     def run() -> None:
         while not stop.is_set():
             try:
-                index, task = todo.get_nowait()
+                index, entry = todo.get_nowait()
             except queue_module.Empty:
                 return
             try:
                 started = time.perf_counter()
                 count = 0
-                chunk: list[Row] = []
-                for row in _shard_rows(task):
+                chunk: list = []
+                for item in runner.stream(entry.key, spec):
                     if stop.is_set():
                         return
                     count += 1
-                    chunk.append(row)
+                    chunk.append(item)
                     if len(chunk) >= _THREAD_CHUNK:
                         if not emit(("rows", chunk)):
                             return
@@ -491,37 +455,35 @@ def _iter_thread(
     # one thread per shard, so a huge shard count cannot exhaust OS
     # thread limits (or reserve a stack per shard).
     threads = [
-        threading.Thread(target=run, daemon=True)
-        for _ in range(min(workers, len(tasks)))
+        threading.Thread(target=run, daemon=True) for _ in range(workers)
     ]
     for thread in threads:
         thread.start()
     try:
         finished = 0
-        while finished < len(tasks):
+        while finished < len(job.entries):
             kind, payload = sink.get()
             if kind == "rows":
                 yield from payload
             elif kind == "done":
                 finished += 1
-                if times is not None or tracer is not None:
-                    index, seconds, count = payload
-                    if times is not None:
-                        times[index] = (seconds, count)
-                    if tracer is not None:
-                        # Worker threads share the process but not the
-                        # tracer (it is single-driver by design): the
-                        # parent synthesizes the shard span from the
-                        # worker's completion report.  CPU time is
-                        # unknown per thread; wall is the worker's own
-                        # start-to-exhaustion clock.
-                        tracer.attach(
-                            Span(
-                                name="shard",
-                                meta={"shard": index, "rows": count},
-                                wall=seconds,
-                            )
+                index, seconds, count = payload
+                if times is not None:
+                    times[index] = (seconds, count)
+                if tracer is not None:
+                    # Worker threads share the process but not the
+                    # tracer (it is single-driver by design): the
+                    # parent synthesizes the shard span from the
+                    # worker's completion report.  CPU time is
+                    # unknown per thread; wall is the worker's own
+                    # start-to-exhaustion clock.
+                    tracer.attach(
+                        Span(
+                            name="shard",
+                            meta={"shard": index, "rows": count},
+                            wall=seconds,
                         )
+                    )
             else:
                 raise payload
     finally:
@@ -532,13 +494,13 @@ def _iter_thread(
 class ShardJob:
     """One sharded execution, packaged for a scheduler.
 
-    The driver functions (:func:`shard_join` / :func:`shard_fold`) plan
-    the query, partition it into :class:`ShardPlanEntry` items, and hand
-    a job to whatever implements the ``Scheduler`` protocol —
-    :func:`_dispatch_local_join` (today's in-process pools) when the
-    context carries no scheduler, or a
+    The driver functions (:func:`shard_join` / :func:`shard_fold`)
+    partition the caller's plan into :class:`ShardPlanEntry` keys and
+    hand a job to whatever implements the ``Scheduler`` protocol —
+    :func:`_dispatch_local` (the in-process pools) when the context
+    carries no scheduler, or a
     :class:`~repro.distributed.DispatchScheduler` promoting the same
-    shards to a remote worker fleet.
+    keys to a remote worker fleet.
 
     Mutable by design: a scheduler that re-splits shards mid-run
     (work stealing) writes the *final* entry list back into
@@ -546,18 +508,11 @@ class ShardJob:
     the feedback/metrics wrappers downstream observe exactly what ran.
     """
 
-    query: JoinQuery
-    #: The planned shards; ``entries[i].key`` is the feedback key.
+    #: The one plan, bound in this process; pickled (once per run) it is
+    #: what a pool process or a fleet worker binds.
+    runner: ShardRunner
+    #: The planned shards; ``entries[i].key`` is all it takes to run one.
     entries: list[ShardPlanEntry]
-    algorithm: str
-    cover: FractionalCover | None
-    attribute_order: tuple[str, ...] | None
-    backend: str | None
-    filters: tuple[tuple[str, object], ...] | None
-    #: The plan's full attribute order — stealing splits a shard on the
-    #: next attribute after its key's deepest one, exactly like the
-    #: across-run ``expand_shards``.
-    order: tuple[str, ...]
     mode: str = "auto"
     workers: int | None = None
     #: Shard index -> (seconds, rows); ``None`` disables timing.
@@ -569,68 +524,54 @@ class ShardJob:
     #: Scheduler-reported run counters (presplits, steals, retries...).
     stats: dict = field(default_factory=dict)
 
-    def task_for(self, entry: ShardPlanEntry) -> _ShardTask:
-        """The picklable worker task for one planned entry."""
-        return _ShardTask(
-            query=entry.query,
-            algorithm=self.algorithm,
-            cover=self.cover,
-            attribute_order=self.attribute_order,
-            backend=self.backend,
-            filters=self.filters,
-        )
+    @property
+    def query(self) -> JoinQuery:
+        """The (residual) query every key is a slice of."""
+        return self.runner.plan.query
 
-    def tasks(self) -> list[_ShardTask]:
-        return [self.task_for(entry) for entry in self.entries]
+    @property
+    def order(self) -> tuple[str, ...]:
+        """The plan's attribute order — a split extends a key on the
+        attribute after its deepest one."""
+        return self.runner.plan.attribute_order
 
 
-def _dispatch_local_join(job: ShardJob) -> Iterator[Row]:
-    """Run a join job on the local pools (the path of a context that
-    carries no scheduler)."""
-    tasks = job.tasks()
-    if job.mode == "serial" or len(tasks) == 1:
-        return _iter_serial(tasks, job.times, job.tracer)
-    # Serialize each task once, up front: every task must pickle
-    # (shards partition the *values*, so one unpicklable value
-    # poisons only the shard it landed in — sampling one task would
-    # crash the pool mid-iteration), and the resulting bytes are
-    # what the workers get, so the dataset is never pickled a
-    # second time by the pool.
-    payloads: list[bytes] | None = None
-    resolved = job.mode
-    if resolved in ("auto", "process"):
+def _dispatch_local(job: ShardJob, spec=None) -> Iterator:
+    """Run a job on the local pools (the path of a context that carries
+    no scheduler): its rows or, given ``spec``, one partial state per
+    shard — in no particular order either way."""
+    count = len(job.entries)
+    mode = "serial" if count == 1 else job.mode
+    if mode == "serial":
+        return _iter_serial(job, spec)
+    width = min(job.workers or count, count)
+    if mode in ("auto", "process"):
+        # Pickled once, up front: this is what every pool process binds,
+        # and the probe that decides ``auto`` (one unpicklable value or
+        # filter anywhere sends the whole run to threads — found here,
+        # not as a crashed pool mid-iteration).
         try:
-            payloads = [
-                pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-                for task in tasks
-            ]
+            payload = pickle.dumps(
+                (job.runner, spec), protocol=pickle.HIGHEST_PROTOCOL
+            )
         except Exception:
-            if resolved == "process":
+            if mode == "process":
                 raise  # explicitly requested: surface the error now
-    if resolved == "auto":
-        resolved = "process" if payloads is not None else "thread"
-    pool_width = min(job.workers or len(tasks), len(tasks))
-    if resolved == "process":
-        return _iter_process(
-            payloads,
-            pool_width,
-            job.times,
-            job.tracer,
-            job.tracer.context() if job.tracer is not None else None,
-        )
-    return _iter_thread(tasks, pool_width, job.times, job.tracer)
+        else:
+            return _iter_process(job, payload, width)
+    return _iter_thread(job, spec, width)
 
 
-def _plan_job(query: JoinQuery, context, filters, plan) -> ShardJob | None:
-    """Plan ``query`` once and partition it into a :class:`ShardJob`
-    (``None`` when no value of the sharded attribute can join).
+def _plan_job(plan: JoinPlan, executor, context, filters) -> ShardJob | None:
+    """Partition ``plan`` into a :class:`ShardJob` of keys (``None``
+    when no value of the sharded attribute can join).
 
-    The planner resolves algorithm / order / backend / shard count
-    exactly as for the serial engine — or the caller hands in the
-    ``plan`` it already made, which is used as is — then the first
-    attribute's candidate values are partitioned into work-balanced
-    groups (:func:`plan_shards`).  Two refinements follow, both on the
-    next attribute of the plan's order:
+    Nothing is planned here: the caller's plan fixed the algorithm,
+    order, backends and shard count, and ``executor`` is the one it
+    built from that plan.  The first attribute's candidate values are
+    partitioned into work-balanced groups (:func:`plan_shards`), then two
+    refinements follow, both on the next attribute of the plan's order
+    and both through :func:`~repro.feedback.resharding.split_entry`:
 
     * the feedback re-split: shards this query's earlier runs measured
       as hot (wall time above the configured multiple of their sibling
@@ -642,42 +583,22 @@ def _plan_job(query: JoinQuery, context, filters, plan) -> ShardJob | None:
       time, so run one of a hub-heavy query behaves the way run two
       used to after feedback.
     """
-    scope = feedback_scope(filters)
-    if plan is None:
-        tracer = context.tracer
-        # The parent's planning phase (one plan for all shards);
-        # per-shard re-planning is traced inside each shard span.
-        with tracer.activate() if tracer else nullcontext():
-            plan = plan_join(
-                query,
-                context=context.replace(
-                    shards=context.shards
-                    if context.shards is not None
-                    else "auto"
-                ),
-                feedback_scope=scope,
-            )
-    attribute = plan.attribute_order[0]
-    specs = plan_shards(query, plan.shards, attribute)
-    if not specs:
-        return None
+    query, order = plan.query, plan.attribute_order
     entries = [
-        ShardPlanEntry(
-            key=((attribute, spec.values),),
-            query=restricted,
-            weight=spec.weight,
-        )
-        for spec, restricted in zip(specs, _shard_queries(query, specs))
+        ShardPlanEntry(((piece.attribute, piece.values),), piece.weight)
+        for piece in plan_shards(query, plan.shards, order[0])
     ]
+    if not entries:
+        return None
     spec = context.shards
     predictive = spec is not None and spec.predictive
     if context.feedback is not None or predictive:
         provider = resolve_provider(context.database, context.stats)
     if context.feedback is not None:
-        observed = provider.observed_shards(query, scope)
+        observed = provider.observed_shards(query, feedback_scope(filters))
         if observed:
             entries = expand_shards(
-                entries, plan.attribute_order, observed, context.feedback
+                query, entries, order, observed, context.feedback
             )
     presplits = 0
     if predictive:
@@ -685,17 +606,11 @@ def _plan_job(query: JoinQuery, context, filters, plan) -> ShardJob | None:
         from repro.distributed.stealing import predictive_presplit
 
         entries, presplits = predictive_presplit(
-            entries, plan.attribute_order, provider
+            query, entries, order, provider
         )
     job = ShardJob(
-        query=query,
+        runner=ShardRunner(plan, filters, executor),
         entries=entries,
-        algorithm=plan.algorithm,
-        cover=context.cover,
-        attribute_order=context.attribute_order,
-        backend=context.backend,
-        filters=tuple(filters.items()) if filters else None,
-        order=plan.attribute_order,
         mode=context.mode,
         workers=context.workers,
         steal=spec.steal if spec is not None else None,
@@ -706,35 +621,37 @@ def _plan_job(query: JoinQuery, context, filters, plan) -> ShardJob | None:
 
 
 def shard_join(
-    query: JoinQuery, context, filters=None, plan=None
+    plan: JoinPlan, executor, context, filters=None
 ) -> Iterator[Row]:
-    """Run a join sharded on the planner's first attribute; union streams.
+    """Run ``plan`` sharded on its first attribute; union the streams.
 
-    The whole engine runs once per shard of the :class:`ShardJob`
-    :func:`_plan_job` builds.  The yielded row *set* is identical to the
-    serial join — shards are disjoint slices of the output — but arrival
-    order depends on shard completion order.
+    Each shard of the :class:`ShardJob` :func:`_plan_job` builds is one
+    key run over ``executor`` (see :class:`ShardRunner`).  The yielded
+    row *set* is identical to the serial join — shards are disjoint
+    slices of the output — but arrival order depends on shard completion
+    order.
 
+    plan, executor:
+        The caller's :class:`~repro.engine.planner.JoinPlan` (its
+        ``shards`` is the partition width) and the executor it built
+        from it — :class:`~repro.query.prepared.PreparedQuery` holds
+        both, so a sharded request plans once and a held prepared
+        query's sharded runs plan and build nothing.
     context:
-        The :class:`~repro.query.context.ExecutionContext` carrying
-        every option: the planner reads its share, this driver reads
-        ``mode`` / ``workers`` (see the module docstring), the
-        ``ShardSpec`` policies, ``scheduler``, ``feedback``, ``tracer``
-        and ``metrics``.  ``shards`` of ``None`` means ``"auto"`` here.
-        Its database serves the *parent* plan's statistics; shard
-        workers still build indexes from their restricted relations.
+        The :class:`~repro.query.context.ExecutionContext` the plan was
+        made under; this driver reads ``mode`` / ``workers`` (see the
+        module docstring), the ``ShardSpec`` policies, ``scheduler``,
+        ``feedback``, ``tracer`` and ``metrics``.
     filters:
-        Residual per-attribute predicates (the query layer's pushdown);
-        shipped to every shard worker and applied inside each shard's
-        executor.
-    plan:
-        The parent :class:`~repro.engine.planner.JoinPlan` when the
-        caller already holds one (a prepared query's frozen plan).
+        The residual per-attribute predicates ``executor`` was built
+        with (the query layer's pushdown); they scope the feedback
+        store, ride to pool processes and fleet workers with the plan,
+        and are re-applied over a specialist's restriction.
 
-    All validation (unknown algorithm, incompatible backend, bad shard
-    count) happens *before* this returns an iterator.
+    Mode validation (an unpicklable runner under ``mode="process"``)
+    happens *before* this returns an iterator.
     """
-    job = _plan_job(query, context, filters, plan)
+    job = _plan_job(plan, executor, context, filters)
     if job is None:
         return iter(())
     feedback, metrics = context.feedback, context.metrics
@@ -745,7 +662,7 @@ def shard_join(
     if scheduler is not None:
         stream = scheduler.run_join(job)
     else:
-        stream = _dispatch_local_join(job)
+        stream = _dispatch_local(job)
     if feedback is not None:
         # The job's entries and times, not copies: a stealing scheduler
         # rewrites both to what actually ran before they are recorded.
@@ -835,110 +752,42 @@ def _recorded_shard_stream(
 # ---------------------------------------------------------------------------
 
 
-def _shard_fold_state(task: _ShardTask, spec):
-    """Fold one shard into a partial aggregate state (worker primitive).
-
-    Same skip/plan discipline as :func:`_shard_rows`; algorithms in
-    :data:`~repro.engine.executors.DESCENT_ALGORITHMS` push the fold into
-    their level loops, the rest fold their row stream.  Returns the *raw*
-    state (not ``spec.finish``) so the parent can merge across shards.
-    """
-    if any(len(rel) == 0 for rel in task.query.relations.values()):
-        return spec.start()
-    plan = plan_join(
-        task.query,
-        task.algorithm,
-        cover=task.cover,
-        attribute_order=task.attribute_order,
-        backend=task.backend,
-    )
-    filters = dict(task.filters) if task.filters else None
-    if plan.algorithm in DESCENT_ALGORITHMS:
-        executor = plan.executor(filters=filters)
-        folder = Folder(spec, plan.attribute_order)
-        executor.fold(folder)
-        return folder.state
-    return fold_state(
-        plan.iter_rows(filters=filters), spec, task.query.attributes
-    )
-
-
-def _run_shard_fold_pickled(payload: bytes):
-    """Process-pool entry point for sharded folds: ``(task, spec)`` was
-    pickled together while probing picklability, so the spec rides the
-    same bytes as the shard it aggregates."""
-    task, spec = pickle.loads(payload)
-    return _shard_fold_state(task, spec)
-
-
-def shard_fold(query: JoinQuery, spec, context, filters=None, plan=None):
+def shard_fold(plan: JoinPlan, executor, spec, context, filters=None):
     """Aggregate a sharded join without materializing it anywhere.
 
-    Plans and partitions exactly like :func:`shard_join` (same
-    parameters), but each worker folds its shard into a partial
-    :class:`~repro.aggregate.specs.AggregateSpec` state and ships only
-    that state back; the parent merges the partials with ``spec.merge``
-    and returns the merged *raw* state (callers apply ``spec.finish``).
-    States are plain picklable values (ints, tuples, dicts), so process
-    mode pays per-shard pickling for the inputs only — never for rows.
+    Partitions exactly like :func:`shard_join` (same parameters), but
+    each key is *folded* — pushed into the level loops for the descent
+    algorithms, over the row stream of a specialist's restriction — into
+    a partial :class:`~repro.aggregate.specs.AggregateSpec` state, and
+    only that state travels; the parent merges the partials with
+    ``spec.merge`` and returns the merged *raw* state (callers apply
+    ``spec.finish``).  States are plain picklable values (ints, tuples,
+    dicts), so no mode ever pickles a row.
 
     Shards partition the output disjointly and every spec's ``merge``
     is associative and commutative over disjoint parts, so the merged
     state equals the serial fold's state regardless of mode or shard
-    completion order.
+    completion order.  The metrics registry gets the per-shard seconds
+    (the same ``times`` :func:`shard_join` feeds it from); the caller
+    records the run itself.
 
     Feedback telemetry is *not* recorded here — per-shard row counts
     are exactly what the fold avoids computing; the query layer routes
     feedback-enabled aggregates through the recorded row stream instead.
     """
     state = spec.start()
-    job = _plan_job(query, context, filters, plan)
+    job = _plan_job(plan, executor, context, filters)
     if job is None:
         return state
-    scheduler = context.scheduler
-    if scheduler is not None:
+    metrics, scheduler = context.metrics, context.scheduler
+    if metrics is not None or scheduler is not None:
         job.times = {}
+    if scheduler is not None:
         partials = scheduler.run_fold(job, spec)
     else:
-        partials = _dispatch_local_fold(job, spec)
+        partials = _dispatch_local(job, spec)
     for partial in partials:
         state = spec.merge(state, partial)
+    if metrics is not None:
+        metrics.record_shards(seconds for seconds, _n in job.times.values())
     return state
-
-
-def _dispatch_local_fold(job: ShardJob, spec) -> list:
-    """Fold a job's shards on the local pools; return the partial states.
-
-    The partials come back in no particular order — every spec's
-    ``merge`` is associative and commutative over disjoint parts, so the
-    caller's fold over them is order-insensitive.
-    """
-    tasks = job.tasks()
-    resolved = "serial" if len(tasks) == 1 else job.mode
-    payloads: list[bytes] | None = None
-    if resolved in ("auto", "process"):
-        try:
-            payloads = [
-                pickle.dumps((task, spec), protocol=pickle.HIGHEST_PROTOCOL)
-                for task in tasks
-            ]
-        except Exception:
-            if resolved == "process":
-                raise  # explicitly requested: surface the error now
-        if resolved == "auto":
-            resolved = "process" if payloads is not None else "thread"
-    pool_width = min(job.workers or len(tasks), len(tasks))
-    if resolved == "serial":
-        return [_shard_fold_state(task, spec) for task in tasks]
-    if resolved == "process":
-        import multiprocessing
-
-        pool_context = multiprocessing.get_context()
-        with pool_context.Pool(processes=pool_width) as pool:
-            return pool.map(_run_shard_fold_pickled, payloads)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=pool_width) as pool:
-        return list(
-            pool.map(lambda task: _shard_fold_state(task, spec), tasks)
-        )

@@ -182,12 +182,6 @@ class JoinPlan:
     #: Output projection the query layer will stream over this plan's
     #: rows, or ``None`` for the full schema.
     selected: tuple[str, ...] | None = None
-    #: Aggregate mode the query layer will run over this plan instead of
-    #: enumerating rows (``"count"``, ``"sum"``, ``"min"``, ``"max"``,
-    #: ``"group_by"``, ``"sample"``), or ``None`` for plain enumeration.
-    #: Informational: the aggregate fold consumes the same executor this
-    #: plan builds, it just never materializes the rows.
-    aggregate: str | None = None
     # Lazily computed AGM bound cache (None until first access), so the
     # cover LP is not solved on join() calls that never inspect the plan.
     _bound: float | None = field(default=None, repr=False, compare=False)
@@ -358,11 +352,6 @@ class JoinPlan:
                 "select: "
                 + (", ".join(self.selected) if self.selected else "(none)")
                 + " (streamed projection)"
-            )
-        if self.aggregate is not None:
-            lines.append(
-                f"aggregate: {self.aggregate} (folded into the level "
-                "loops; rows never materialized)"
             )
         lines += [
             f"index backend: {backend}",

@@ -16,9 +16,9 @@ This is the online half of the "Skew Strikes Back" split (the ROADMAP's
 "online re-sharding" item): the offline half guesses where the heavy
 values are; this half *measures* where the time went, and the next run
 carves exactly there.  Correctness is inherited from first-attribute
-sharding — a sub-shard restricts the parent shard's relations to a
-value group of one more attribute, so sub-shards partition the parent's
-output slice exactly as the parent partitions the whole join's.
+sharding — a sub-shard's key extends the parent's by a value group of
+one more attribute, so sub-shards partition the parent's output slice
+exactly as the parent partitions the whole join's.
 """
 
 from __future__ import annotations
@@ -36,17 +36,45 @@ __all__ = ["ShardPlanEntry", "expand_shards"]
 
 @dataclass(frozen=True)
 class ShardPlanEntry:
-    """One dispatchable shard after feedback expansion.
+    """One dispatchable shard: its key and nothing else to run it by.
 
     ``key`` chains the ``(attribute, value group)`` restrictions that
-    produced the shard (length 1 for an unsplit top-level shard);
-    ``query`` is the correspondingly restricted join query and
-    ``weight`` the LPT work estimate of the final restriction.
+    define the shard (length 1 for an unsplit top-level shard) — every
+    mode runs it as a walk of the one plan under those value groups —
+    and ``weight`` is the LPT work estimate of the final restriction.
     """
 
     key: ShardKey
-    query: JoinQuery
     weight: int
+
+
+def split_entry(
+    query: JoinQuery, entry: ShardPlanEntry, order: Sequence[str], factor: int
+) -> list[ShardPlanEntry]:
+    """Split one entry on the next attribute of the plan's order — the
+    one function that turns a key into sub-keys (across-run feedback,
+    predictive pre-split and claim-time stealing all call it).
+
+    The next attribute's values are weighed over ``query`` restricted to
+    the entry's key, so the sub-keys (the key extended by one link)
+    partition the entry's output slice exactly.  Returns ``[entry]``
+    unchanged when the entry is at maximum depth for the order or the
+    next attribute has too few candidate values under it to partition.
+    """
+    # Deferred: the engine's parallel driver imports this module.
+    from repro.engine.parallel import plan_shards, restrict
+
+    depth = len(entry.key)
+    if depth >= len(order):
+        return [entry]
+    attribute = order[depth]
+    slices = plan_shards(restrict(query, entry.key), factor, attribute)
+    if len(slices) < 2:
+        return [entry]
+    return [
+        ShardPlanEntry(entry.key + ((attribute, piece.values),), piece.weight)
+        for piece in slices
+    ]
 
 
 def _hot(
@@ -79,6 +107,7 @@ def _hot(
 
 
 def expand_shards(
+    query: JoinQuery,
     entries: Sequence[ShardPlanEntry],
     order: Sequence[str],
     observed: Mapping[ShardKey, ShardObservation],
@@ -86,48 +115,31 @@ def expand_shards(
 ) -> list[ShardPlanEntry]:
     """Replace recorded-hot shards with sub-shards on the next attribute.
 
-    ``entries`` are the statically planned top-level shards; ``order``
-    is the plan's attribute order (a shard at depth ``d`` splits on
-    ``order[d]``).  Shards without an observation — first run, or the
-    shard layout changed — pass through untouched, so the expansion is
-    exactly the static plan until something has been measured.  The
-    result is deterministic for a fixed observation store.
+    ``entries`` are the statically planned top-level shards of ``query``;
+    ``order`` is the plan's attribute order (a shard at depth ``d``
+    splits on ``order[d]``, see :func:`split_entry`).  Shards without an
+    observation — first run, or the shard layout changed — pass through
+    untouched, so the expansion is exactly the static plan until
+    something has been measured.  The result is deterministic for a
+    fixed observation store.
     """
-    from repro.engine.parallel import _shard_queries, plan_shards
-
     result: list[ShardPlanEntry] = []
     stack = list(reversed(entries))
     while stack:
         entry = stack.pop()
-        depth = len(entry.key)
         observation = observed.get(entry.key)
+        pieces = [entry]
         if (
-            observation is None
-            or depth - 1 >= config.max_split_depth
-            or depth >= len(order)
-            or not _hot(observation, observed, config)
+            observation is not None
+            and len(entry.key) <= config.max_split_depth
+            and _hot(observation, observed, config)
         ):
+            pieces = split_entry(query, entry, order, config.split_factor)
+        if len(pieces) == 1:
             result.append(entry)
-            continue
-        attribute = order[depth]
-        sub_specs = plan_shards(entry.query, config.split_factor, attribute)
-        if len(sub_specs) < 2:
-            # The next attribute has too few candidate values under this
-            # shard to partition; the split would be a rename.
-            result.append(entry)
-            continue
-        sub_queries = _shard_queries(entry.query, sub_specs)
-        # Sub-entries go back on the stack: one that *also* has a hot
-        # observation (recorded by a previous split run) splits again,
-        # one attribute deeper.
-        for spec, sub_query in zip(
-            reversed(sub_specs), reversed(sub_queries)
-        ):
-            stack.append(
-                ShardPlanEntry(
-                    key=entry.key + ((attribute, spec.values),),
-                    query=sub_query,
-                    weight=spec.weight,
-                )
-            )
+        else:
+            # Sub-entries go back on the stack: one that *also* has a hot
+            # observation (recorded by a previous split run) splits
+            # again, one attribute deeper.
+            stack.extend(reversed(pieces))
     return result

@@ -15,8 +15,9 @@ CPU seconds plus small metadata.  Three ways spans get opened:
 * **Remotely** — a process-pool shard worker builds its own local
   tracer, runs its shard under it, and ships the finished span record
   back (spans are plain picklable data); the parent *re-stitches* it
-  under its open execute span with :meth:`Tracer.attach`, validated
-  against the :class:`SpanContext` that rode the worker's payload.
+  under its open execute span with :meth:`Tracer.attach` — validated
+  against a :class:`SpanContext` where a channel can outlive one trace
+  and the record travels with one.
 
 Spans are deliberately coarse — one per phase, never per row — so a
 traced run stays within a few percent of an untraced one

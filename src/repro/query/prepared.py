@@ -26,12 +26,13 @@ any parameter values, so the frozen algorithm / order / backend carry
 over and only the sections (and their private indexes) are rebuilt —
 the classical prepared-statement contract.
 
-Sharded execution (a context with ``shards`` set) cannot reuse one
-in-process executor — shard workers build their own restricted indexes
-— so a parallel prepared query hands each run to the sharded driver;
-the frozen *plan* is still reused for ``describe()``, for the batch
-size and for shard sizing: the driver partitions by it instead of
-planning the parent again.
+Sharded execution (a context with ``shards`` set) reuses the same
+frozen plan and the same executor: each run hands both to the sharded
+driver (:func:`repro.engine.parallel.shard_join` / ``shard_fold``),
+which partitions the first attribute's values by the plan's shard count
+and runs every shard as a key over the one executor's indexes — so a
+held prepared query's sharded runs do zero planning and zero index
+builds, exactly as its serial runs do.
 """
 
 from __future__ import annotations
@@ -141,16 +142,18 @@ class PreparedQuery:
 
     def _install(self, plan: JoinPlan) -> None:
         """Adopt ``plan``: build its probe and executor (none when no
-        residual query remains, or when shard workers will build their
-        own)."""
+        residual query remains).  A sharded run walks the one executor
+        once per shard, concurrently in some modes, so it gets no
+        per-level probe: its measurements are the per-shard ones."""
         compiled = self._compiled
+        context = self._builder.context
         executor = probe = None
-        if (
-            compiled.satisfiable
-            and compiled.residual is not None
-            and not self._builder.context.parallel
-        ):
-            if self._observe and plan.algorithm in DESCENT_ALGORITHMS:
+        if compiled.satisfiable and compiled.residual is not None:
+            if (
+                self._observe
+                and not context.parallel
+                and plan.algorithm in DESCENT_ALGORITHMS
+            ):
                 probe = TelemetryProbe(plan.attribute_order)
             executor = plan.executor(
                 database=self._builder._execution_database(),
@@ -205,10 +208,10 @@ class PreparedQuery:
 
         No planning and no index builds happen here — every run walks
         the indexes frozen at prepare time.  (With a parallel context,
-        each run goes to the sharded driver, which partitions by the
-        frozen plan; see the module docstring.)  Unless the context
-        measures (feedback, metrics, tracer) the stream is the
-        executor's own generator.
+        each run goes to the sharded driver, which runs one key per
+        shard over the same executor; see the module docstring.)  Unless
+        the context measures (feedback, metrics, tracer) the stream is
+        the executor's own generator.
         """
         compiled = self._compiled
         builder = self._builder
@@ -222,13 +225,10 @@ class PreparedQuery:
                 )
             )
         context = builder.context
-        sharded = self._executor is None
+        sharded = context.parallel
         if sharded:
             rows: Iterator[Row] = _parallel.shard_join(
-                compiled.residual,
-                builder._residual_context(),
-                compiled.filters,
-                self._plan,
+                self._plan, self._executor, context, compiled.filters
             )
         else:
             rows = self._executor.iter_join()
@@ -403,22 +403,25 @@ class PreparedQuery:
                 and set(spec.needs) <= set(compiled.residual.attributes)
             )
             if foldable and context.parallel:
-                return spec.finish(
-                    _parallel.shard_fold(
-                        compiled.residual,
-                        spec,
-                        builder._residual_context(),
-                        compiled.filters,
-                        self._plan,
-                    )
+                state = _parallel.shard_fold(
+                    self._plan, self._executor, spec, context, compiled.filters
                 )
-            if foldable and self._plan.algorithm in DESCENT_ALGORITHMS:
+            elif foldable and self._plan.algorithm in DESCENT_ALGORITHMS:
                 folder = Folder(spec, self._plan.attribute_order)
                 self._executor.fold(folder)
-                return folder.result()
-            # Blocking specialists have no level loops to fold into;
-            # stream their rows (still nothing is materialized at once).
-            return fold_rows(self.stream(), spec, self.output_attributes)
+                state = folder.state
+            else:
+                # Blocking specialists have no level loops to fold into;
+                # stream their rows (still nothing is materialized at
+                # once) — a run the stream records itself.
+                return fold_rows(self.stream(), spec, self.output_attributes)
+            # A folded run emits no rows, but it is a run: count it and
+            # mirror the cache counters, as a measured stream would.
+            if context.metrics is not None:
+                context.metrics.record_rows(0)
+                if context.database is not None:
+                    context.metrics.record_cache(context.database.cache_info())
+            return spec.finish(state)
 
     def count(self) -> int:
         """Number of result rows, folded into the frozen executor's

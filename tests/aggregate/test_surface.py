@@ -25,7 +25,7 @@ from repro.query.builder import Q
 from repro.query.context import ExecutionContext
 from repro.relations.relation import Relation
 from repro.__main__ import main as cli_main
-from tests.helpers import oracle_count, triangle_query
+from tests.helpers import oracle_count
 
 
 def _relations(seed=13, n=50, domain=8):
@@ -70,21 +70,6 @@ def test_count_join_rejects_unknown_algorithm():
         count_join(list(_relations()), algorithm="nope")
 
 
-# -- planner ----------------------------------------------------------------
-
-
-def test_plan_records_aggregate_mode_in_describe():
-    query = triangle_query()
-    plan = plan_join(query, "generic")
-    assert plan.aggregate is None
-    assert "aggregate:" not in plan.describe()
-    from dataclasses import replace
-
-    marked = replace(plan, aggregate="count")
-    assert marked.aggregate == "count"
-    assert "aggregate: count" in marked.describe()
-
-
 # -- fold internals exposed at the executor layer ----------------------------
 
 
@@ -117,7 +102,9 @@ def test_shard_fold_merges_partial_states():
     expected = len(list(plan_join(query, "generic").iter_rows()))
     for mode in ("serial", "thread", "process"):
         context = ExecutionContext(shards=3, mode=mode)
-        assert shard_fold(query, Count(), context) == expected
+        plan = plan_join(query, context=context)
+        state = shard_fold(plan, plan.executor(), Count(), context)
+        assert state == expected
 
 
 def test_shard_fold_options_validate_on_the_context():

@@ -1,8 +1,9 @@
 """Failure injection: exactly-once accounting under a hostile fleet.
 
 ``FlakyTransport`` wraps the loopback fleet and sabotages channels on a
-shared script: kill the connection mid-shard, drop or duplicate ``done``
-acks, delay heartbeats past the probe timeout.  Under every fault the
+shared script: kill the connection mid-shard or right after the job was
+installed, drop or duplicate ``done`` acks, delay heartbeats past the
+probe timeout.  Under every fault the
 dispatcher must deliver the *exact* serial row multiset — no row lost to
 a died worker, none duplicated by a retry or a re-sent ack — within a
 bounded retry budget; faults past the budget must abort loudly with
@@ -38,8 +39,11 @@ class FlakyChannel:
         self.channel = channel
         self.script = script
         self._replay = []
+        self._doomed = False
 
     def send(self, header, payload=b""):
+        if header.get("op") == "job":
+            self.script.jobs_sent += 1
         self.channel.send(header, payload)
 
     def settimeout(self, seconds):
@@ -54,6 +58,15 @@ class FlakyChannel:
         header, payload = self.channel.recv()
         op = header.get("op")
         script = self.script
+        if self._doomed:
+            # The job was installed and acknowledged; the worker dies
+            # before it says anything about its first key.
+            script.fired.set()
+            self.channel.close()
+            raise ConnectionClosed("worker killed after its job (injected)")
+        if op == "ready" and script.kill_after_job > 0:
+            script.kill_after_job -= 1
+            self._doomed = True
         if op == "pong" and script.delay_pong > 0:
             # A heartbeat answered too late looks exactly like a timeout.
             script.delay_pong -= 1
@@ -94,6 +107,7 @@ class FlakyTransport:
         self,
         *,
         kill_mid_shard=0,
+        kill_after_job=0,
         drop_ack=0,
         duplicate_ack=0,
         delay_pong=0,
@@ -101,6 +115,10 @@ class FlakyTransport:
     ) -> None:
         self.inner = LoopbackTransport()
         self.kill_mid_shard = kill_mid_shard
+        self.kill_after_job = kill_after_job
+        #: ``job`` frames the driver sent through this slot, reconnects
+        #: included.
+        self.jobs_sent = 0
         self.drop_ack = drop_ack
         self.duplicate_ack = duplicate_ack
         self.delay_pong = delay_pong
@@ -152,6 +170,24 @@ class TestFaultParity:
         )
         assert Counter(rows) == serial  # multiset: no dup, no loss
         assert 1 <= scheduler.last_run["retries"] <= 2 * 3  # bounded
+
+    def test_death_after_the_job_re_sends_it_and_loses_no_row(
+        self, algorithm, backend
+    ):
+        query = skewed_query()
+        serial = Counter(iter_join(query, algorithm=algorithm))
+        dying = FlakyTransport(kill_after_job=1)
+        rows, scheduler = run_fleet(
+            query,
+            [dying, FlakyTransport(after=dying)],
+            algorithm=algorithm,
+            backend=backend,
+        )
+        assert Counter(rows) == serial
+        assert scheduler.last_run["retries"] >= 1
+        # The bound job died with its connection: the reconnect got the
+        # job again before the retried key.
+        assert dying.jobs_sent == 2
 
     def test_dropped_ack_never_duplicates_committed_rows(
         self, algorithm, backend

@@ -1,4 +1,4 @@
-"""The worker protocol: ping, task streaming, fold, errors, shutdown."""
+"""The worker protocol: ping, job, task streaming, fold, errors, shutdown."""
 
 import pickle
 
@@ -7,43 +7,38 @@ import pytest
 from repro.distributed.transport import Channel, LoopbackTransport
 from repro.distributed.wire import ConnectionClosed
 from repro.distributed.worker import WorkerServer
-from repro.engine.parallel import ShardJob, plan_shards, _shard_queries
+from repro.engine.parallel import ShardJob, ShardRunner, plan_shards
 from repro.engine.planner import plan_join
-from tests.helpers import triangle_query
+from repro.feedback.resharding import ShardPlanEntry
+from tests.helpers import count_index_builds, triangle_query
 
 
 def _job(query, shards=2):
     """Plan a query and package its shards exactly as shard_join does."""
     plan = plan_join(query, algorithm="generic", shards=shards)
-    specs = plan_shards(query, plan.shards, plan.attribute_order[0])
-    from repro.feedback.resharding import ShardPlanEntry
-
-    entries = [
-        ShardPlanEntry(
-            key=((plan.attribute_order[0], spec.values),),
-            query=restricted,
-            weight=spec.weight,
-        )
-        for spec, restricted in zip(specs, _shard_queries(query, specs))
-    ]
+    attribute = plan.attribute_order[0]
     return ShardJob(
-        query=query,
-        entries=entries,
-        algorithm="generic",
-        cover=None,
-        attribute_order=plan.attribute_order,
-        backend=None,
-        filters=None,
-        order=plan.attribute_order,
+        runner=ShardRunner(plan),
+        entries=[
+            ShardPlanEntry(((attribute, piece.values),), piece.weight)
+            for piece in plan_shards(query, plan.shards, attribute)
+        ],
     )
 
 
-def _run_task(channel, rid, task, trace=False):
+def _install(channel, job, spec=None, rid=0):
+    """Send the job frame every connection starts with."""
+    channel.send({"op": "job", "id": rid}, pickle.dumps((job.runner, spec)))
+    header, _payload = channel.recv()
+    assert header == {"op": "ready", "id": rid}
+
+
+def _run_task(channel, rid, entry, trace=False):
     """Drive one task op; return (rows, done_header, span_payload)."""
     header = {"op": "task", "id": rid}
     if trace:
         header["trace"] = True
-    channel.send(header, pickle.dumps(task))
+    channel.send(header, pickle.dumps(entry.key))
     rows, span = [], b""
     while True:
         reply, payload = channel.recv()
@@ -72,8 +67,9 @@ class TestShardWorker:
         serial = set()
         channel = LoopbackTransport().connect()
         try:
-            for rid, task in enumerate(job.tasks(), start=1):
-                rows, done, _span = _run_task(channel, rid, task)
+            _install(channel, job)
+            for rid, entry in enumerate(job.entries, start=1):
+                rows, done, _span = _run_task(channel, rid, entry)
                 assert done["count"] == len(rows)
                 assert done["seconds"] >= 0.0
                 serial.update(rows)
@@ -87,8 +83,9 @@ class TestShardWorker:
         job = _job(triangle_query())
         channel = LoopbackTransport().connect()
         try:
+            _install(channel, job)
             _rows, done, span_bytes = _run_task(
-                channel, 9, job.tasks()[0], trace=True
+                channel, 9, job.entries[0], trace=True
             )
             assert done.get("span") is True
             span = pickle.loads(span_bytes)
@@ -104,20 +101,21 @@ class TestShardWorker:
         job = _job(triangle_query(), shards=1)
         channel = LoopbackTransport().connect()
         try:
+            _install(channel, job, Count())
             channel.send(
-                {"op": "fold", "id": 4},
-                pickle.dumps((job.tasks()[0], Count())),
+                {"op": "fold", "id": 4}, pickle.dumps(job.entries[0].key)
             )
             header, payload = channel.recv()
             assert header["op"] == "state"
             assert header["id"] == 4
-            assert pickle.loads(payload) is not None
+            assert pickle.loads(payload) == 3
         finally:
             channel.close()
 
     def test_corrupt_task_is_a_typed_error_not_a_crash(self):
         channel = LoopbackTransport().connect()
         try:
+            _install(channel, _job(triangle_query()))
             channel.send({"op": "task", "id": 5}, b"not a pickle")
             header, _payload = channel.recv()
             assert header["op"] == "error"
@@ -126,6 +124,55 @@ class TestShardWorker:
             # The connection survives a failed task.
             channel.send({"op": "ping", "id": 6})
             assert channel.recv()[0]["op"] == "pong"
+        finally:
+            channel.close()
+
+    @pytest.mark.parametrize("op", ["task", "fold"])
+    def test_a_key_before_any_job_is_a_protocol_error(self, op):
+        job = _job(triangle_query())
+        channel = LoopbackTransport().connect()
+        try:
+            channel.send({"op": op, "id": 8}, pickle.dumps(job.entries[0].key))
+            header, _payload = channel.recv()
+            assert header["op"] == "error"
+            assert header["id"] == 8
+            assert header["error"]["type"] == "protocol"
+            assert "before any job" in header["error"]["message"]
+            # The connection survives, and a job makes the same key run.
+            _install(channel, job)
+            _rows, done, _span = _run_task(channel, 9, job.entries[0])
+            assert done["op"] == "done"
+        finally:
+            channel.close()
+
+    def test_corrupt_job_is_a_typed_error_and_binds_nothing(self):
+        channel = LoopbackTransport().connect()
+        try:
+            channel.send({"op": "job", "id": 1}, b"not a pickle")
+            header, _payload = channel.recv()
+            assert header["op"] == "error"
+            assert header["id"] == 1
+            channel.send({"op": "task", "id": 2}, pickle.dumps(()))
+            assert channel.recv()[0]["error"]["type"] == "protocol"
+        finally:
+            channel.close()
+
+    def test_a_connection_binds_its_job_once_however_many_keys(
+        self, monkeypatch
+    ):
+        builds = count_index_builds(monkeypatch)
+        job = _job(triangle_query(), shards=3)
+        assert len(job.entries) == 3
+        payload = pickle.dumps((job.runner, None))
+        builds.clear()
+        channel = LoopbackTransport().connect()
+        try:
+            channel.send({"op": "job", "id": 0}, payload)
+            assert channel.recv()[0]["op"] == "ready"
+            assert sorted(builds) == ["R", "S", "T"]
+            for rid, entry in enumerate(job.entries, start=1):
+                _run_task(channel, rid, entry)
+            assert sorted(builds) == ["R", "S", "T"]
         finally:
             channel.close()
 
@@ -164,13 +211,48 @@ class TestWorkerServer:
             channel.send({"op": "ping", "id": 1})
             assert channel.recv()[0]["op"] == "pong"
             job = _job(triangle_query(), shards=1)
-            rows, done, _span = _run_task(channel, 2, job.tasks()[0])
+            _install(channel, job)
+            rows, done, _span = _run_task(channel, 2, job.entries[0])
             assert done["count"] == len(rows)
         finally:
             channel.close()
             server.stop()
             thread.join(timeout=5)
         assert not thread.is_alive()
+
+    def test_accepted_connections_do_not_delay_small_frames(
+        self, monkeypatch
+    ):
+        """``rows`` then ``done`` are two small writes; with Nagle on,
+        the second waits out the driver's delayed ACK (~40 ms a key)."""
+        import socket
+        import threading
+
+        from repro.distributed import worker
+
+        accepted = []
+
+        class Recording(Channel):
+            def __init__(self, sock):
+                accepted.append(
+                    sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+                super().__init__(sock)
+
+        monkeypatch.setattr(worker, "Channel", Recording)
+        server = WorkerServer(port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        channel = Channel(socket.create_connection(server.address, timeout=5))
+        try:
+            channel.send({"op": "ping", "id": 1})
+            assert channel.recv()[0]["op"] == "pong"
+        finally:
+            channel.close()
+            server.stop()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert accepted and all(accepted)
 
     def test_bind_failure_is_distributed_error(self):
         from repro.errors import DistributedError

@@ -11,12 +11,7 @@ from repro.api import execute, iter_join
 from repro.core.generic_join import GenericJoin
 from repro.core.query import JoinQuery
 from repro.engine import parallel
-from repro.engine.parallel import (
-    ShardSlice,
-    batches,
-    plan_shards,
-    shard_query,
-)
+from repro.engine.parallel import batches, plan_shards, restrict
 from repro.engine.planner import plan_join
 from repro.errors import PlanError
 from repro.hypergraph.covers import FractionalCover
@@ -126,6 +121,20 @@ class TestPlanShards:
         hub = next(s for s in specs if 0 in s.values)
         assert hub.values == {0}
 
+    def test_zipf_skew_balance(self):
+        # Every attribute Zipf-distributed: LPT keeps the planned shard
+        # weights level until one value alone outweighs the mean.
+        q = generators.random_instance(
+            queries.triangle(), 9000, 150, seed=23, skew=1.1
+        )
+        for shards in (2, 4):
+            weights = [s.weight for s in plan_shards(q, shards, "A")]
+            assert len(weights) == shards
+            assert max(weights) <= 1.01 * sum(weights) / shards
+        specs = plan_shards(q, 8, "A")
+        heaviest = max(specs, key=lambda s: s.weight)
+        assert len(heaviest.values) == 1  # nothing stacked on the hub
+
     def test_unknown_attribute(self, triangle_query):
         with pytest.raises(PlanError):
             plan_shards(triangle_query, 2, "Z")
@@ -136,20 +145,29 @@ class TestPlanShards:
             plan_shards(triangle_query, bad, "A")
 
 
-class TestShardQuery:
+class TestRestrict:
     def test_restricts_only_participants(self, triangle_query):
-        spec = ShardSlice("A", frozenset({0}), 1)
-        restricted = shard_query(triangle_query, spec)
+        restricted = restrict(triangle_query, (("A", frozenset({0})),))
         assert set(restricted.relation("R").tuples) == {(0, 1)}
         assert set(restricted.relation("T").tuples) == {(0, 5)}
         # S does not contain A: shared untouched.
         assert restricted.relation("S") is triangle_query.relation("S")
 
     def test_same_hypergraph(self, triangle_query):
-        spec = ShardSlice("A", frozenset({0, 1}), 1)
-        restricted = shard_query(triangle_query, spec)
+        restricted = restrict(triangle_query, (("A", frozenset({0, 1})),))
         assert restricted.attributes == triangle_query.attributes
         assert restricted.edge_ids == triangle_query.edge_ids
+
+    def test_a_chain_conjoins_its_links(self, triangle_query):
+        key = (("A", frozenset({0, 1})), ("B", frozenset({2})))
+        restricted = restrict(triangle_query, key)
+        # R holds both attributes, S and T one each.
+        assert set(restricted.relation("R").tuples) == {(1, 2)}
+        assert set(restricted.relation("S").tuples) == {(2, 6)}
+        assert set(restricted.relation("T").tuples) == {(0, 5), (1, 6)}
+        assert restrict(triangle_query, ()).relations == (
+            triangle_query.relations
+        )
 
 
 class TestShardJoinParity:
@@ -259,10 +277,10 @@ class TestShardJoinParity:
         assert got == serial
 
     def test_thread_mode_propagates_worker_errors(self, triangle_query, monkeypatch):
-        def boom(task):
+        def boom(self, key, spec=None):
             raise RuntimeError("shard exploded")
 
-        monkeypatch.setattr(parallel, "_shard_rows", boom)
+        monkeypatch.setattr(parallel.ShardRunner, "stream", boom)
         with pytest.raises(RuntimeError, match="shard exploded"):
             list(execute(triangle_query, shards=2, mode="thread"))
 
@@ -377,12 +395,12 @@ class TestCompactBackendParallel:
             )
 
 
-class TestShardQueryRows:
+class TestRestrictedRows:
     def test_streams_one_shard(self, triangle_query):
         specs = plan_shards(triangle_query, 3, "A")
         rows = set()
         for spec in specs:
-            shard = shard_query(triangle_query, spec)
+            shard = restrict(triangle_query, (("A", spec.values),))
             rows |= set(plan_join(shard, "generic").iter_rows())
         assert rows == set(iter_join(triangle_query, algorithm="generic"))
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Q, iter_join
-from repro.engine.parallel import _shard_queries, plan_shards
+from repro.engine.parallel import plan_shards, restrict
 from repro.feedback.config import FeedbackConfig
 from repro.feedback.resharding import ShardPlanEntry, expand_shards
 from repro.feedback.telemetry import ShardObservation
@@ -34,12 +34,9 @@ def hub():
 
 def entries_for(query, shards, attribute=ORDER[0]):
     specs = plan_shards(query, shards, attribute)
-    restricted = _shard_queries(query, specs)
     return [
-        ShardPlanEntry(
-            key=((attribute, spec.values),), query=sub, weight=spec.weight
-        )
-        for spec, sub in zip(specs, restricted)
+        ShardPlanEntry(key=((attribute, spec.values),), weight=spec.weight)
+        for spec in specs
     ], specs
 
 
@@ -58,14 +55,14 @@ def observe(entries, seconds):
 class TestExpandShards:
     def test_no_observations_passthrough(self, hub):
         entries, _specs = entries_for(hub, 2)
-        expanded = expand_shards(entries, ORDER, {}, FeedbackConfig())
+        expanded = expand_shards(hub, entries, ORDER, {}, FeedbackConfig())
         assert expanded == entries
 
     def test_hot_shard_splits_on_next_attribute(self, hub):
         entries, _specs = entries_for(hub, 2)
         observed = observe(entries, [1.0, 0.2])
         expanded = expand_shards(
-            entries, ORDER, observed, FeedbackConfig(split_threshold=2.0)
+            hub, entries, ORDER, observed, FeedbackConfig(split_threshold=2.0)
         )
         # The hot entry is replaced by sub-shards on ORDER[1]; the cool
         # one passes through.
@@ -78,11 +75,11 @@ class TestExpandShards:
         assert entries[1] in expanded
         # Sub-shard queries partition the hot shard's output.
         hot_rows = set(
-            iter_join(entries[0].query, algorithm="generic",
+            iter_join(restrict(hub, entries[0].key), algorithm="generic",
                       attribute_order=ORDER)
         )
         sub_rows = [
-            set(iter_join(e.query, algorithm="generic",
+            set(iter_join(restrict(hub, e.key), algorithm="generic",
                           attribute_order=ORDER))
             for e in sub
         ]
@@ -93,7 +90,7 @@ class TestExpandShards:
         entries, _specs = entries_for(hub, 2)
         observed = observe(entries, [0.2, 0.21])
         expanded = expand_shards(
-            entries, ORDER, observed, FeedbackConfig(split_threshold=1.5)
+            hub, entries, ORDER, observed, FeedbackConfig(split_threshold=1.5)
         )
         assert expanded == entries
 
@@ -101,7 +98,7 @@ class TestExpandShards:
         entries, _specs = entries_for(hub, 1)
         observed = observe(entries, [10.0])
         expanded = expand_shards(
-            entries, ORDER, observed, FeedbackConfig(split_threshold=1.5)
+            hub, entries, ORDER, observed, FeedbackConfig(split_threshold=1.5)
         )
         assert expanded == entries
 
@@ -109,12 +106,13 @@ class TestExpandShards:
         entries, _specs = entries_for(hub, 2)
         observed = observe(entries, [0.010, 0.001])
         config = FeedbackConfig(split_threshold=1.5, min_split_seconds=0.05)
-        assert expand_shards(entries, ORDER, observed, config) == entries
+        assert expand_shards(hub, entries, ORDER, observed, config) == entries
 
     def test_split_factor_controls_sub_shards(self, hub):
         entries, _specs = entries_for(hub, 2)
         observed = observe(entries, [1.0, 0.1])
         expanded = expand_shards(
+            hub,
             entries,
             ORDER,
             observed,
@@ -126,16 +124,17 @@ class TestExpandShards:
         entries, _specs = entries_for(hub, 2)
         config = FeedbackConfig(split_threshold=1.5, max_split_depth=1)
         observed = observe(entries, [1.0, 0.1])
-        once = expand_shards(entries, ORDER, observed, config)
+        once = expand_shards(hub, entries, ORDER, observed, config)
         subs = [e for e in once if len(e.key) == 2]
         # Record the sub-shards as skewed too: with depth capped at 1
         # they must not split again.
         deeper = dict(observed)
         deeper.update(observe(subs, [1.0, 0.05]))
-        again = expand_shards(entries, ORDER, deeper, config)
+        again = expand_shards(hub, entries, ORDER, deeper, config)
         assert max(len(e.key) for e in again) == 2
         # Raising the cap lets the hot sub-shard split on ORDER[2].
         three = expand_shards(
+            hub,
             entries,
             ORDER,
             deeper,
@@ -149,32 +148,20 @@ class TestExpandShards:
         entries, _specs = entries_for(hub, 2)
         observed = observe(entries, [1.0, 0.1])
         config = FeedbackConfig(split_threshold=1.5, max_split_depth=10)
-        expanded = expand_shards(entries, ORDER, observed, config)
+        expanded = expand_shards(hub, entries, ORDER, observed, config)
         subs = [e for e in expanded if len(e.key) > 1]
         deeper = dict(observed)
         deeper.update(observe(subs, [1.0] + [0.01] * (len(subs) - 1)))
-        expanded = expand_shards(entries, ORDER, deeper, config)
+        expanded = expand_shards(hub, entries, ORDER, deeper, config)
         assert max(len(e.key) for e in expanded) <= len(ORDER)
 
     def test_deterministic(self, hub):
         entries, _specs = entries_for(hub, 2)
         observed = observe(entries, [1.0, 0.1])
         config = FeedbackConfig(split_threshold=1.5)
-        first = expand_shards(entries, ORDER, observed, config)
-        second = expand_shards(entries, ORDER, observed, config)
-        # Entries hold JoinQuery objects (identity-compared); the split
-        # *structure* — keys, weights, per-shard relation sizes — must
-        # be reproducible.
-        assert [(e.key, e.weight) for e in first] == [
-            (e.key, e.weight) for e in second
-        ]
-        assert [
-            {name: len(rel) for name, rel in e.query.relations.items()}
-            for e in first
-        ] == [
-            {name: len(rel) for name, rel in e.query.relations.items()}
-            for e in second
-        ]
+        first = expand_shards(hub, entries, ORDER, observed, config)
+        second = expand_shards(hub, entries, ORDER, observed, config)
+        assert first == second  # an entry is its key and its weight
 
 
 class TestEndToEnd:

@@ -176,3 +176,37 @@ def assert_valid_sample(sample, rows, k) -> None:
     assert len(sample) == min(k, len(universe)), (
         f"sample size {len(sample)} != min({k}, {len(universe)})"
     )
+
+
+def _loopback_fleet():
+    from repro.distributed import DispatchScheduler, LoopbackTransport
+
+    return DispatchScheduler([LoopbackTransport(), LoopbackTransport()])
+
+
+#: Every way a sharded request can run -> a factory of the options that
+#: select it (a factory: a fleet is stateful, each run gets a fresh one).
+SHARDED_EXECUTIONS = {
+    "serial": lambda: {"mode": "serial"},
+    "thread": lambda: {"mode": "thread"},
+    "process": lambda: {"mode": "process"},
+    "fleet": lambda: {"scheduler": _loopback_fleet()},
+}
+
+
+def count_index_builds(monkeypatch) -> list[str]:
+    """Patch the descent kernel's ``build_index`` (the one every private
+    index build goes through) to note the relation it indexes; returns
+    the live list of names."""
+    from repro.relations.database import build_index as real
+
+    builds: list[str] = []
+
+    def counting(relation, order, kind):
+        builds.append(relation.name)
+        return real(relation, order, kind)
+
+    # bind() resolves build_index through its own module's globals.
+    monkeypatch.setattr("repro.core.descent.build_index", counting)
+    return builds
+

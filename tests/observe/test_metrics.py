@@ -132,6 +132,49 @@ class TestIngest:
         assert registry.gauge("repro_shard_imbalance_ratio").value() >= 1.0
         assert registry.counter("repro_rows_emitted_total").value() == 2
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"shards": 2, "mode": "serial"},
+            {"shards": 2, "mode": "thread"},
+            {"shards": 2, "mode": "process"},
+        ],
+        ids=["serial", "shards-serial", "shards-thread", "shards-process"],
+    )
+    @pytest.mark.parametrize(
+        "fold,expected",
+        [
+            (lambda builder: builder.count(), 2),
+            (
+                lambda builder: builder.group_by("A").count(),
+                {(0,): 1, (1,): 1},
+            ),
+        ],
+        ids=["count", "grouped"],
+    )
+    def test_a_folded_aggregate_is_a_recorded_run(
+        self, options, fold, expected
+    ):
+        """A fold emits no rows but it is a run: the run counter and the
+        cache mirror move, and a sharded fold records its shards from
+        the same per-shard clocks a sharded stream does."""
+        db = Database(TRIANGLE)
+        registry = MetricsRegistry()
+        builder = Q(*db).on(db).using(metrics=registry, **options)
+        assert fold(builder) == expected
+        assert registry.counter("repro_runs_total").value() == 1
+        assert registry.counter("repro_rows_emitted_total").value() == 0
+        assert (
+            registry.counter("repro_index_cache_misses_total").value()
+            == db.cache_info().misses
+            > 0
+        )
+        sharded = registry.counter("repro_sharded_runs_total").value()
+        assert sharded == (1 if options else 0)
+        if options:
+            assert registry.histogram("repro_shard_seconds").count == 2
+
     def test_record_replan(self):
         registry = MetricsRegistry()
         registry.record_replan()

@@ -12,6 +12,7 @@ from repro.query.shards import ShardSpec
 from repro.relations.database import Database
 from repro.relations.relation import Relation
 from repro.workloads import generators, queries
+from tests.helpers import SHARDED_EXECUTIONS, count_index_builds
 
 
 def instance(seed=21):
@@ -377,7 +378,15 @@ class TestOneBatchRule:
 
 
 class TestShardedParentPlansOnce:
-    def test_prepare_plus_one_run_plans_parent_once(self, monkeypatch):
+    """One engine run per request: the sharded drivers plan nothing and
+    every shard walks the one executor's indexes."""
+
+    @pytest.mark.parametrize("execution", SHARDED_EXECUTIONS)
+    def test_a_sharded_request_plans_once(self, monkeypatch, execution):
+        # Counted in the driver process; loopback workers are threads of
+        # it, so a worker that planned would be counted too (what a pool
+        # process does is held to account by the span-shape test in
+        # tests/engine/test_shard_keys.py).
         from repro.engine import planner
 
         calls = []
@@ -388,15 +397,43 @@ class TestShardedParentPlansOnce:
             return real(query, *args, **kwargs)
 
         monkeypatch.setattr(planner, "_plan_join", counting)
-        query = instance()
-        prepared = Q(query).using(shards=2, mode="serial").prepare()
+        query, options = instance(), SHARDED_EXECUTIONS[execution]
+        rows = sorted(execute(query, shards=3, **options()))
         assert len(calls) == 1
-        rows = sorted(prepared.stream())
-        # One parent at prepare(), one plan per shard at run time.
-        assert len(calls) == 3
-        assert calls[0] is prepared.plan.query
+        prepared = Q(query).using(shards=3, **options()).prepare()
+        assert calls[1:] == [prepared.plan.query]
+        assert [sorted(prepared.stream()) for _ in range(3)] == [rows] * 3
+        assert prepared.count() == len(rows)
+        assert len(calls) == 2  # a held query's runs plan nothing
         monkeypatch.undo()
         assert rows == sorted(execute(query).relation().tuples)
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_warm_database_shards_build_no_index(self, mode):
+        db, builder = catalogued()
+        builder = builder.using(algorithm="generic", shards=3, mode=mode)
+        expected = sorted(execute(builder.using(shards=None)))
+        before = db.cache_info()
+        assert sorted(execute(builder)) == expected
+        assert execute(builder).count() == len(expected)
+        assert db.cache_info().misses == before.misses
+
+    @pytest.mark.parametrize("catalog", [True, False])
+    def test_a_held_sharded_query_builds_nothing(self, monkeypatch, catalog):
+        builds = count_index_builds(monkeypatch)
+        db, builder = catalogued()
+        if not catalog:
+            builder = Q(instance())
+        prepared = builder.using(shards=3, mode="thread").prepare()
+        built, before = list(builds), db.cache_info()
+        # Ad-hoc relations are indexed privately, once, at prepare().
+        assert len(built) == (0 if catalog else 3)
+        first = sorted(prepared.stream())
+        for _ in range(2):
+            assert sorted(prepared.stream()) == first
+        assert prepared.count() == len(first)
+        assert builds == built
+        assert db.cache_info() == before  # the executor holds its indexes
 
     def test_the_driver_partitions_by_the_frozen_plan(self, monkeypatch):
         from repro.engine import parallel

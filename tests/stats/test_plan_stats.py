@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.naive import naive_join
 from repro.core.query import JoinQuery
 from repro.engine.planner import (
+    MAX_AUTO_SHARDS,
     plan_attribute_order,
     plan_attribute_order_sampled,
     plan_join,
@@ -110,8 +111,11 @@ class TestAutoShardsHeavyAware:
         assert stats.shard_attribute == plan.attribute_order[0]
         assert stats.shard_heavy_mass >= 0.25
         assert stats.shard_cpus >= 1
-        # Enough shards for each heavy value to get its own.
-        assert plan.shards >= 2
+        # Enough shards for each heavy value to get its own: ten heavy
+        # values of A raise the count past the CPU rule to the cap.
+        assert plan.shards == MAX_AUTO_SHARDS
+        if stats.shard_cpus < MAX_AUTO_SHARDS:
+            assert any("10 heavy value(s) carry" in r for r in plan.reasons)
 
     def test_uniform_data_uses_cpu_rule(self):
         q = generators.random_instance(queries.triangle(), 2500, 500, seed=9)

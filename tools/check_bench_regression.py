@@ -4,7 +4,7 @@
 Usage::
 
     python tools/check_bench_regression.py                 # gate all
-    python tools/check_bench_regression.py BENCH_stats.json
+    python tools/check_bench_regression.py BENCH_compact.json
     python tools/check_bench_regression.py --tolerance 0.3
     python tools/check_bench_regression.py --update        # re-baseline
 
@@ -12,8 +12,8 @@ Each smoke ``benchmarks/BENCH_*.json`` is compared against the
 committed baseline of the same name under ``benchmarks/baselines/``.
 Only **ratio metrics** (speedups, work ratios — dimensionless, largely
 host-independent) and exact determinism flags are gated, never raw wall
-times: CI hosts differ in clock speed, but "the stats plan is 3x faster
-than the heuristic plan" should survive a host change.
+times: CI hosts differ in clock speed, but "a prepared-cache hit is 3x
+faster than a cold parse and plan" should survive a host change.
 
 A ``ratio`` metric passes when ``current >= tolerance * baseline`` —
 the tolerance (default ``--tolerance``, overridable per metric in
@@ -47,26 +47,6 @@ METRICS: dict[str, tuple[tuple[str, str, float | None], ...]] = {
     "BENCH_engine.json": (
         ("workloads.triangle.cache.generic.speedup", "ratio", 0.25),
         ("workloads.lw4.cache.generic.speedup", "ratio", 0.25),
-    ),
-    "BENCH_parallel.json": (
-        (
-            "workloads.skewed.sharding.by_shard_count.4.speedup",
-            "ratio",
-            0.25,
-        ),
-        (
-            "workloads.clique.sharding.by_shard_count.4.speedup",
-            "ratio",
-            0.25,
-        ),
-    ),
-    "BENCH_stats.json": (
-        ("workloads.zipf_triangle.speedup", "ratio", 0.25),
-        ("workloads.trap_triangle.speedup", "ratio", 0.25),
-        ("workloads.clique.speedup", "ratio", 0.25),
-        ("workloads.zipf_triangle.parity", "exact", None),
-        ("workloads.trap_triangle.parity", "exact", None),
-        ("workloads.clique.parity", "exact", None),
     ),
     "BENCH_query_api.json": (
         ("pushdown.heavy.speedup", "ratio", 0.4),
@@ -151,24 +131,6 @@ METRICS: dict[str, tuple[tuple[str, str, float | None], ...]] = {
             None,
         ),
         ("workloads.throughput.parity", "exact", None),
-    ),
-    "BENCH_distributed.json": (
-        # Critical-path and work ratios divide worker-reported shard
-        # times on a tiny smoke hub: loose floors (the bench's own
-        # parity / steal-triggered checks are the hard gates).  The
-        # boolean flags are the deterministic contract: exact.
-        ("workloads.hub_triangle.steal.critical_path_ratio", "ratio", 0.25),
-        ("workloads.hub_triangle.steal.work_ratio", "ratio", 0.4),
-        ("workloads.hub_triangle.no_steal.parity", "exact", None),
-        ("workloads.hub_triangle.steal.parity", "exact", None),
-        ("workloads.hub_triangle.predictive.parity", "exact", None),
-        ("workloads.hub_triangle.local_pool.parity", "exact", None),
-        ("workloads.hub_triangle.steal.steal_triggered", "exact", None),
-        (
-            "workloads.hub_triangle.predictive.presplit_triggered",
-            "exact",
-            None,
-        ),
     ),
 }
 

@@ -5,6 +5,8 @@ Generates random small schemas and relations (seeded, so every failure
 is replayable), then checks for each instance that
 
 * the row stream under a randomly chosen algorithm/backend/shard config
+  (sharded one time in five: serial or thread mode, or — a quarter of
+  those — stealing or predictively pre-split over a loopback fleet)
   — consumed through a randomly chosen route: the builder's own views,
   ``prepare()``, or ``prepare()`` re-bound from another parameter value
   — yields exactly the oracle's row set,
@@ -54,9 +56,14 @@ sys.path.insert(
 )
 
 from repro.core.query import JoinQuery  # noqa: E402
+from repro.distributed import (  # noqa: E402
+    DispatchScheduler,
+    LoopbackTransport,
+)
 from repro.observe.metrics import MetricsRegistry  # noqa: E402
 from repro.observe.tracing import Tracer  # noqa: E402
 from repro.query.builder import Q  # noqa: E402
+from repro.query.shards import ShardSpec  # noqa: E402
 from repro.relations.relation import Relation  # noqa: E402
 
 ATTRIBUTE_POOL = ("A", "B", "C", "D", "E")
@@ -150,7 +157,19 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> None:
     if backend is not None:
         options["backend"] = backend
     if rng.random() < 0.2:
-        options.update(shards=rng.randint(2, 3), mode="serial")
+        options.update(
+            shards=rng.randint(2, 3), mode=rng.choice(("serial", "thread"))
+        )
+        if rng.random() < 0.25:
+            # A hot-shard policy over a two-slot loopback fleet: the
+            # real wire, every key split the policy's way.
+            policy = rng.choice(("steal", "predictive"))
+            options.update(
+                shards=ShardSpec(options["shards"], **{policy: True}),
+                scheduler=DispatchScheduler(
+                    [LoopbackTransport(), LoopbackTransport()]
+                ),
+            )
     metrics = None
     if rng.random() < 0.25:
         metrics = MetricsRegistry()

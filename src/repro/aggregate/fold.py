@@ -3,35 +3,34 @@
 The enumeration executors (:class:`~repro.core.generic_join.GenericJoin`,
 :class:`~repro.core.leapfrog.LeapfrogTriejoin`) descend one attribute
 per level, intersecting candidate values across the participating
-relations.  To *count* instead of enumerate, the same descent runs with
-two changes:
+relations.  To *count* instead of enumerate, the same descent runs
+under a different sink:
 
-1. **No rows.**  Nothing is appended, permuted, or yielded; a
-   :class:`Folder` accumulates the aggregate state in place, so each
-   surviving prefix costs one ``add`` call instead of a tuple
-   construction plus a yield chain through ``depth`` generator frames.
+1. **No rows.**  Nothing is permuted or yielded; a :class:`Folder`
+   accumulates the aggregate state in place, so a surviving prefix costs
+   an ``add`` call instead of a tuple per completion.
 2. **Subtree pruning.**  At the first depth where every remaining level
    has exactly one participating relation and no residual filter, the
    number of completions *factorizes*: each remaining attribute is
    constrained by one relation only, so completions are the cross
    product of each participant's remaining distinct paths —
-   ``prod_i count_i(node_i, remaining levels of i)``.  The whole subtree
-   collapses to one multiplication per participant (``count`` is O(1)
-   on the trie and compact backends: precomputed subtree tallies and
-   CSR offset projection respectively).  Correctness: the remaining
-   attribute sets of distinct participants are disjoint, so the
-   completions are exactly the cross product — no intersection is
-   skipped.
-3. **Leaf counting.**  When the deepest level cannot be pruned (it has
+   ``prod_i count_i(node_i, remaining levels of i)``.  The walk stops at
+   that depth and the whole subtree collapses to one multiplication per
+   participant (``count`` is O(1) on the trie and compact backends:
+   precomputed subtree tallies and CSR offset projection respectively).
+   Correctness: the remaining attribute sets of distinct participants
+   are disjoint, so the completions are exactly the cross product — no
+   intersection is skipped.
+3. **Leaf batches.**  When nothing can be pruned (the deepest level has
    several participants — a triangle's last attribute — or a residual
-   filter) but its *value* is not one the spec reads, the descent still
-   need not recurse per value: it counts the surviving intersection in
-   a tight loop and makes **one** ``add`` with that count as the
-   multiplicity.  Every completion below the parent shares the same
-   needed-values tuple, so one multiplicity-weighted ``add`` is exactly
-   equivalent to the per-value adds it replaces — this is what makes
-   ``count()`` on a dense triangle measurably cheaper than enumeration
-   even though the probe sequence is identical.
+   filter) the fold is the full-depth walk every other sink runs: one
+   leaf batch per parent, the deepest level's surviving values in one
+   piece.  If the spec reads the deepest value it gets one ``add`` per
+   value; if not, every completion below the parent shares the same
+   needed-values tuple, so the batch is **one** ``add`` with its length
+   as the multiplicity — exactly equivalent to the per-value adds it
+   replaces, and what makes ``count()`` on a dense triangle cheaper than
+   enumeration though the intersections are identical.
 
 Pruning never starts above the *cutoff*: the deepest level whose value
 the aggregate spec reads (``1 + max rank of spec.needs``).  A ``count()``
@@ -41,9 +40,9 @@ with C at rank 2 keeps enumerating through rank 2, then prunes below.
 The fold is a sink over the descent kernel
 (:func:`repro.core.descent.walk` with the hash-probe level strategy): it
 reads the executor's :class:`~repro.core.descent.Binding` and needs only
-the backend node protocol (``items`` / ``child`` / ``count`` /
-``fanout_hint``), which is why one implementation serves GenericJoin
-over any backend *and* Leapfrog over its sorted/compact cursor layouts.
+the backend node protocol (``fanout_hint`` / ``children`` / ``count``),
+which is why one implementation serves GenericJoin over any backend
+*and* Leapfrog over its sorted/compact cursor layouts.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.aggregate.specs import AggregateSpec
-from repro.core.descent import hash_levels, walk
+from repro.core.descent import hash_levels, picker, walk
 from repro.errors import QueryError
 
 __all__ = ["Folder", "fold_executor", "fold_rows", "fold_state"]
@@ -67,7 +66,7 @@ class Folder:
     seen every value it needs — the fold may prune below it.
     """
 
-    __slots__ = ("spec", "order", "cutoff", "state", "_positions")
+    __slots__ = ("spec", "order", "cutoff", "state", "_needed")
 
     def __init__(self, spec: AggregateSpec, order: Sequence[str]) -> None:
         order = tuple(order)
@@ -79,13 +78,15 @@ class Folder:
             )
         self.spec = spec
         self.order = order
-        self._positions = tuple(order.index(a) for a in spec.needs)
-        self.cutoff = 1 + max(self._positions) if self._positions else 0
+        positions = tuple(order.index(a) for a in spec.needs)
+        self._needed = picker(positions)
+        self.cutoff = 1 + max(positions) if positions else 0
         self.state = spec.start()
 
     def add(self, prefix: Sequence[object], multiplicity: int) -> None:
-        values = tuple(prefix[p] for p in self._positions)
-        self.state = self.spec.add(self.state, values, multiplicity)
+        self.state = self.spec.add(
+            self.state, self._needed(prefix), multiplicity
+        )
 
     def result(self):
         return self.spec.finish(self.state)
@@ -128,7 +129,7 @@ def fold_executor(executor, folder: Folder) -> Folder:
     levels = hash_levels(binding)
     root = binding.roots()
     add = folder.add
-    if prune < total:
+    if prune < total or not total:
         # Remaining-level tally per relation at the prune frontier:
         # relation i contributes count(node_i, tail[i]) completions.
         tally: dict[int, int] = {}
@@ -144,19 +145,17 @@ def fold_executor(executor, folder: Folder) -> Folder:
                 )
             if multiplicity:
                 add(prefix, multiplicity)
-    elif total - 1 >= folder.cutoff:
-        # Leaf counting: the descent reaches the deepest level in full
-        # yet the spec never reads that level's value.  All completions
-        # under one parent share the needed-values tuple, so the whole
-        # intersection folds into one multiplicity-weighted add.
-        leaf = levels[-1].leaf
-        for prefix, nodes in walk(levels, root, total - 1):
-            multiplicity = len(leaf(nodes, None))
-            if multiplicity:
-                add(prefix, multiplicity)
     else:
-        for prefix, _nodes in walk(levels, root, total):
-            add(prefix, 1)
+        # Nothing to prune: one leaf batch per parent.  Its completions
+        # share the parent's prefix, so unless the spec reads the
+        # deepest value the batch is one multiplicity-weighted add.
+        reads_deepest = folder.cutoff == total
+        for prefix, values in walk(levels, root, total):
+            if reads_deepest:
+                for prefix[-1] in values:
+                    add(prefix, 1)
+            else:
+                add(prefix, len(values))
     return folder
 
 

@@ -42,7 +42,7 @@ Practicalities:
   strategy (:mod:`repro.core.descent`), so the query layer can surface
   it unchanged no matter which enumeration algorithm the plan would have
   picked, over any index backend that implements
-  ``items``/``child``/``count``/``fanout_hint``.
+  ``fanout_hint``/``children``/``count``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Mapping
 
-from repro.core.descent import bind, hash_levels, walk
+from repro.core.descent import bind, hash_levels, iter_rows
 from repro.core.query import JoinQuery
 from repro.hypergraph.agm import best_agm_bound
 from repro.relations.database import (
@@ -175,9 +175,8 @@ class JoinSampler:
                 # draw ignores rows found so far — rng.sample is already
                 # uniform without replacement over the whole result.
                 rows = sorted(
-                    tuple(prefix)
-                    for prefix, _nodes in walk(
-                        self._levels, self._root, len(self.order)
+                    iter_rows(
+                        self._levels, self._root, self._binding.output_perm
                     )
                 )
                 if len(rows) <= k:

@@ -1,4 +1,5 @@
-"""The descent kernel: one binding, one walk, two level strategies.
+"""The descent kernel: one binding, one walk, one row sink, two level
+strategies.
 
 Generic Join and Leapfrog Triejoin are the same recursion over a global
 attribute order — at each level, intersect the candidate values of the
@@ -6,7 +7,7 @@ relations containing the attribute, then descend per surviving value —
 and enumeration, per-level counting, aggregate folding and the sampler's
 exact fallback differ only in what happens at a node (Capelli, Irwin and
 Salvati, "A Simple Algorithm for Worst-Case Optimal Join and Sampling").
-This module holds the three pieces every such search shares:
+This module holds the pieces every such search shares:
 
 * :func:`bind` resolves a query, an attribute order, index backends and
   residual filters into an immutable :class:`Binding` — the only place
@@ -14,9 +15,15 @@ This module holds the three pieces every such search shares:
   (:func:`narrow` derives a shard's binding from it: one more value
   filter per key link, nothing rebuilt);
 * :func:`walk` is the one loop that owns depth, prefix and backtracking;
+  at full depth it yields one *leaf batch* per parent, and
+  :func:`iter_rows` is the one sink that turns batches into rows;
 * :class:`HashLevel` and :class:`LeapfrogLevel` are the two ways to
   intersect one level — the only code that differs between the
-  algorithms.
+  algorithms.  A :class:`HashLevel` is one batch intersection owned by
+  the backends (:meth:`~repro.engine.backends.IndexBackend.children`),
+  not a loop over candidates: Õ(the smallest participant), the one
+  primitive the AGM bound needs ("Skew Strikes Back"), with no Python
+  call per candidate.
 
 The callers (:class:`~repro.core.generic_join.GenericJoin`,
 :class:`~repro.core.leapfrog.LeapfrogTriejoin`,
@@ -29,6 +36,7 @@ The callers (:class:`~repro.core.generic_join.GenericJoin`,
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
+from operator import itemgetter
 from typing import NamedTuple
 
 from repro.core.filters import per_position_filters
@@ -151,24 +159,27 @@ def walk(
     stop: int,
     probe=None,
 ) -> Iterator[tuple[list, object]]:
-    """Yield ``(prefix, state)`` for every search node at depth ``stop``.
+    """Yield the search nodes at depth ``stop``: ``(prefix, state)``
+    below full depth, one **leaf batch** ``(prefix, values)`` per parent
+    at full depth (``stop == len(levels)``).
 
     ``levels[d].expand(state, candidates)`` iterates the ``(value,
-    next state)`` pairs surviving level ``d`` below ``state``.  The walk
-    owns depth, prefix and backtracking — an explicit stack of open
-    levels, so a row is handed up through this one frame rather than one
-    per attribute.  ``prefix`` is a single list of length ``stop``
-    reused across yields: copy what you keep.  At full depth (``stop ==
-    len(levels)``) nothing can use the deepest state, so a strategy that
-    offers ``leaf(state, candidates)`` — the surviving values alone —
-    runs its deepest level through it and the yielded state is ``None``.
+    next state)`` pairs surviving level ``d`` below ``state``;
+    ``levels[-1].leaf(state, candidates)`` is the deepest level's
+    surviving values alone — nothing can use the states below them, so
+    a full-depth walk takes and yields them in one piece (parents with
+    none are skipped).  The walk owns depth, prefix and backtracking —
+    an explicit stack of open levels.  ``prefix`` is a single list of
+    length ``stop`` reused across yields (a leaf batch leaves its last
+    slot to the consumer): copy what you keep.
 
     With a :class:`~repro.feedback.telemetry.TelemetryProbe` attached the
-    walk owns its counters: ``partials[d]`` counts openings of level
-    ``d``, ``matches[d]`` the candidates that survived it, and
-    ``candidates[d]`` is handed to the level strategy to bump per value
-    it enumerates.  Every level still open when the consumer abandons
-    the walk (or a filter raises) is closed, deepest first.
+    walk owns ``partials[d]`` (openings of level ``d``) and
+    ``matches[d]`` (the values that survived it — a leaf batch counts
+    at once), and hands ``candidates[d]`` to the level strategy to bump
+    by the values it enumerates.  Every level still open when the
+    consumer abandons the walk (or a filter raises) is closed, deepest
+    first.
     """
     prefix: list = [None] * stop
     if stop == 0:
@@ -191,11 +202,11 @@ def walk(
             if counting:
                 partials[depth] += 1
             if depth == last and leaf is not None:
-                for value in leaf(state, candidates):
+                values = leaf(state, candidates)
+                if values:
                     if counting:
-                        matches[depth] += 1
-                    prefix[depth] = value
-                    yield prefix, None
+                        matches[depth] += len(values)
+                    yield prefix, values
             else:
                 stack.append(expand[depth](state, candidates))
             # Step the deepest open level that still has a survivor.
@@ -221,9 +232,50 @@ def walk(
             stack.pop().close()
 
 
+def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``prefix -> tuple(prefix[p] for p in positions)``, as one C-level
+    call wherever :func:`operator.itemgetter` returns a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (position,) = positions
+        return lambda prefix: (prefix[position],)
+    return lambda prefix: ()
+
+
+def iter_rows(
+    levels: Sequence, root: object, perm: Sequence[int], probe=None
+) -> Iterator[tuple]:
+    """The row sink: a full-depth :func:`walk` as rows in output order
+    (``perm`` is :attr:`Binding.output_perm`).
+
+    Each value of a leaf batch is stored into the prefix's last slot and
+    the row read off in one C-level pick: one generator hop per row,
+    whatever the depth.  A batch the consumer abandons part-way gives
+    its undelivered rows back to ``probe.matches``.
+    """
+    if not perm:
+        yield ()  # the nullary query: one empty row
+        return
+    row_of = picker(perm)
+    last = len(perm) - 1
+    values = ()
+    try:
+        for prefix, values in walk(levels, root, len(perm), probe):
+            for prefix[last] in values:
+                yield row_of(prefix)
+            values = ()
+    finally:
+        if probe is not None and values:
+            delivered = 1 + list(values).index(prefix[last])
+            probe.matches[last] -= len(values) - delivered
+
+
 class HashLevel:
-    """Generic Join's level: iterate the smallest participant, probe the
-    rest.  State is the list of every relation's current index node."""
+    """Generic Join's level: take the smallest participant's values and
+    narrow them through the rest, one backend batch operation each.
+    State is the list of every relation's current index node; the level
+    itself keeps none, so concurrent walks may share one."""
 
     __slots__ = ("participants", "keep", "depth", "_operands", "_others")
 
@@ -239,71 +291,67 @@ class HashLevel:
         self.depth = depth
         # Bound once per level, not looked up once per node visit.
         self._operands = [
-            (i, indexes[i].fanout_hint, indexes[i].items)
+            (i, indexes[i].fanout_hint, indexes[i].children)
             for i in participants
         ]
-        # Keyed by the smallest participant: the probes of the rest.
+        # Keyed by the smallest participant: the rest, to narrow it.
         self._others = {
-            i: [(j, indexes[j].child) for j in participants if j != i]
+            i: [(j, kids) for j, _hint, kids in self._operands if j != i]
             for i in participants
         }
 
-    def _open(self, nodes: Sequence):
-        """``(smallest, its items, [(position, child probe)])``:
-        smallest-first intersection, ranked by the O(1) fanout hint
-        (exact for tries; the first participant wins a tie)."""
-        best = least = None
-        for operand in self._operands:
-            size = operand[1](nodes[operand[0]])
-            if best is None or size < least:
-                best = operand
+    def survivors(
+        self,
+        nodes: Sequence,
+        candidates: list[int] | None,
+        below: list | None = None,
+    ):
+        """The values present below every participant's node and passing
+        the level's filter: sized, iterable, in no particular order.
+
+        The smallest node's values (exact fanout; the first participant
+        wins a tie) are the level's candidates, and each other
+        participant narrows them with the key view of its
+        ``children(node, values)`` — set algebra on the hash trie's own
+        dict, a dict of what the seeks found on the arrays; work
+        proportional to the values handed in, never to the probed node.
+        A ``below`` list collects ``(position, children)`` per
+        participant: where the survivors lead.
+        """
+        smallest = None
+        for i, hint, children in self._operands:
+            size = hint(nodes[i])
+            if smallest is None or size < least:
+                smallest = i
                 least = size
-        smallest = best[0]
-        return smallest, best[2](nodes[smallest]), self._others[smallest]
+                first = children
+        if candidates is not None:
+            candidates[self.depth] += least
+        values = kids = first(nodes[smallest])
+        if below is not None:
+            below.append((smallest, kids))
+        for i, children in self._others[smallest]:
+            if not values:
+                break
+            kids = children(nodes[i], values)
+            values = kids.keys() & values
+            if below is not None:
+                below.append((i, kids))
+        if self.keep is not None:
+            values = list(filter(self.keep, values))
+        return values
+
+    #: The deepest level needs no node lists: its batch is the survivors.
+    leaf = survivors
 
     def expand(self, nodes: Sequence, candidates: list[int] | None):
-        """``(value, advanced nodes)`` per value present in every
-        participant and passing the level's filter."""
-        smallest, items, others = self._open(nodes)
-        keep = self.keep
-        depth = self.depth
-        for value, child in items:
-            if candidates is not None:
-                candidates[depth] += 1
-            if keep is not None and not keep(value):
-                continue
-            advanced = None
-            for i, probe in others:
-                nxt = probe(nodes[i], value)
-                if nxt is None:
-                    break
-                if advanced is None:
-                    advanced = list(nodes)
-                advanced[i] = nxt
-            else:
-                if advanced is None:
-                    advanced = list(nodes)
-                advanced[smallest] = child
-                yield value, advanced
-
-    def leaf(self, nodes: Sequence, candidates: list[int] | None) -> list:
-        """The values :meth:`expand` would yield, in one tight loop that
-        builds no node lists (the deepest level, and the fold's count)."""
-        _smallest, items, others = self._open(nodes)
-        keep = self.keep
-        depth = self.depth
-        values = []
-        for value, _child in items:
-            if candidates is not None:
-                candidates[depth] += 1
-            if keep is not None and not keep(value):
-                continue
-            for i, probe in others:
-                if probe(nodes[i], value) is None:
-                    break
-            else:
-                values.append(value)
-        return values
+        """``(value, advanced nodes)`` per survivor."""
+        below: list = []
+        for value in self.survivors(nodes, candidates, below):
+            advanced = list(nodes)
+            for i, children in below:
+                advanced[i] = children[value]
+            yield value, advanced
 
 
 def hash_levels(binding: Binding) -> list[HashLevel]:
@@ -323,10 +371,6 @@ class LeapfrogLevel:
     (the walk's state value is unused)."""
 
     __slots__ = ("cursors", "keep", "depth")
-
-    #: No node lists to skip building: the deepest level runs
-    #: :meth:`expand` like every other.
-    leaf = None
 
     def __init__(
         self, cursors: Sequence, keep: Filter | None, depth: int
@@ -354,6 +398,10 @@ class LeapfrogLevel:
         finally:
             for cursor in cursors:
                 cursor.up()
+
+    def leaf(self, state: None, candidates: list[int] | None) -> list:
+        """The keys :meth:`expand` yields, in one batch."""
+        return [value for value, _state in self.expand(state, candidates)]
 
 
 def leapfrog_levels(binding: Binding) -> list[LeapfrogLevel]:

@@ -15,18 +15,18 @@ them as independently-implemented cross-checks for NPRR.
 
 The executor is *backend generic*: it talks to its per-relation indexes
 only through the :class:`~repro.engine.backends.IndexBackend` protocol
-(``items`` / ``child`` / ``fanout``), so "the set of values extending the
-prefix" is the child key-set of the relation's current index node whether
-the index is a hash trie or a sorted flat array.  :meth:`GenericJoin.iter_join`
-streams result rows one at a time; :meth:`GenericJoin.execute` is the thin
-materializing wrapper.
+(``fanout_hint`` / ``children`` / ``count``), so "the set of values
+extending the prefix" is whatever the relation's current index node
+holds, whether the index is a hash trie or a sorted flat array.
+:meth:`GenericJoin.iter_join` streams result rows, in no specified
+order; :meth:`GenericJoin.execute` is the thin materializing wrapper.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
 
-from repro.core.descent import bind, hash_levels, walk
+from repro.core.descent import bind, hash_levels, iter_rows
 from repro.core.query import JoinQuery
 from repro.errors import QueryError
 from repro.relations.database import DEFAULT_BACKEND, Database
@@ -58,9 +58,10 @@ class GenericJoin:
     filters:
         Optional mapping of attribute name to a single-value predicate
         (the query layer's residual selections).  Each predicate runs at
-        the level that binds its attribute, *before* recursing — a value
-        failing its filter prunes the whole subtree, so the search never
-        pays for completions the selection would discard.
+        the level that binds its attribute, on the values present in
+        every participant and *before* recursing — a value failing its
+        filter prunes the whole subtree, so the search never pays for
+        completions the selection would discard.
     telemetry:
         Optional :class:`~repro.feedback.telemetry.TelemetryProbe` whose
         ``order`` matches this executor's.  When attached, the descent
@@ -103,15 +104,13 @@ class GenericJoin:
         """Stream the join's rows (query attribute order, no repeats).
 
         Rows are yielded as soon as the search completes a full prefix —
-        nothing is materialized, so callers can stop early or pipeline the
-        output.
+        nothing beyond one parent's surviving values is held, so callers
+        can stop early or pipeline the output.
         """
-        binding = self._binding
-        perm = binding.output_perm
-        for prefix, _nodes in walk(
-            hash_levels(binding), binding.roots(), len(perm), self.telemetry
-        ):
-            yield tuple(prefix[i] for i in perm)
+        binding, probe = self._binding, self.telemetry
+        return iter_rows(
+            hash_levels(binding), binding.roots(), binding.output_perm, probe
+        )
 
     def execute(self, name: str = "J") -> Relation:
         """Run Generic Join; returns the join in query attribute order."""

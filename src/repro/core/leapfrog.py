@@ -20,14 +20,15 @@ cursor protocol over contiguous ``array('q')`` level runs, turning many
 seeks into radix arithmetic.  Each run creates fresh cursors that *share*
 the cached arrays; :class:`LeapfrogTriejoin` coordinates one leapfrog
 intersection per attribute level and streams result rows via
-:meth:`LeapfrogTriejoin.iter_join`.
+:meth:`LeapfrogTriejoin.iter_join` — the same walk and row sink
+(:func:`~repro.core.descent.iter_rows`) as Generic Join.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
 
-from repro.core.descent import bind, leapfrog_levels, walk
+from repro.core.descent import bind, iter_rows, leapfrog_levels
 from repro.core.query import JoinQuery
 from repro.errors import QueryError
 from repro.relations.database import Database
@@ -116,11 +117,9 @@ class LeapfrogTriejoin:
         mid-stream without corrupting state.
         """
         binding = self._binding
-        perm = binding.output_perm
-        for prefix, _state in walk(
-            leapfrog_levels(binding), None, len(perm), self.telemetry
-        ):
-            yield tuple(prefix[i] for i in perm)
+        return iter_rows(
+            leapfrog_levels(binding), None, binding.output_perm, self.telemetry
+        )
 
     def execute(self, name: str = "J") -> Relation:
         """Run the triejoin; returns the join in query attribute order."""
@@ -130,8 +129,8 @@ class LeapfrogTriejoin:
         """Fold an aggregate through the level loops, skipping rows.
 
         The sorted and compact layouts implement the full node protocol
-        (``items``/``child``/``count``/``fanout_hint``) alongside their
-        cursor protocol, so the shared folding descent of
+        (``fanout_hint``/``children``/``count``) alongside their cursor
+        protocol, so the shared folding descent of
         :func:`repro.aggregate.fold.fold_executor` runs directly over
         this executor's indexes: seeks become range bisections, and
         prunable suffixes collapse to factorized counts instead of

@@ -44,7 +44,7 @@ including :func:`build_index` and the ``Database`` cache.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Any, Protocol, runtime_checkable
 
 from repro.engine.compact import CompactArrayIndex, CompactTrieIterator
@@ -85,7 +85,8 @@ class IndexBackend(Protocol):
     A *node* is backend-defined and opaque (a ``TrieNode`` pointer for the
     hash trie, a ``(lo, hi, depth)`` row range for the sorted array); the
     methods below are the only way executors touch one.  ``None`` always
-    denotes a failed walk and is accepted everywhere a node is.
+    denotes a failed walk and is accepted everywhere a node is (it has
+    no children and counts zero paths).
     """
 
     #: Registry key of this backend ("trie", "sorted", ...).
@@ -115,7 +116,27 @@ class IndexBackend(Protocol):
     def child(self, node: Any, value: Value) -> Any | None:
         """The single-step descent: the child of ``node`` along
         ``value``, or ``None`` when no indexed tuple extends the node's
-        prefix with that value.  The executors' inner-loop probe."""
+        prefix with that value."""
+
+    def children(
+        self, node: Any, values: Iterable[Value] | None = None
+    ) -> Mapping[Value, Any]:
+        """The batch form of :meth:`child`, and the one operation the
+        descent kernel's level intersection is built from: a read-only
+        ``value -> child node`` mapping that holds every value of
+        ``values`` present below ``node`` — every child, when ``values``
+        is None — and possibly more, so ``children(node, values).keys()
+        & values`` is the subset of ``values`` below ``node``.
+
+        Given ``values`` the cost is **proportional to the values handed
+        in** (times a log factor on the sorted layouts), never to the
+        node's fanout: the node is probed, not enumerated.  Narrowing
+        the smallest participant's values through the others this way
+        costs Õ(the smallest participant) — the primitive the AGM bound
+        is proved from.  The hash trie hands out the node's own dict in
+        O(1), whatever ``values`` is (its key view intersects in C,
+        iterating the smaller side); the sorted layouts seek once per
+        value and hand out what they found."""
 
     # (ST2) — projected-section cardinality.
     def count(self, node: Any, depth: int) -> int:
@@ -130,11 +151,10 @@ class IndexBackend(Protocol):
         0 for ``None`` or a leaf."""
 
     def fanout_hint(self, node: Any) -> int:
-        """O(1) upper bound on ``fanout`` for smallest-first ranking.
-
-        Exact for the hash trie; the sorted backend returns its row-range
-        width (an over-count) rather than pay a scan, which is enough to
-        pick the smallest intersection operand heuristically."""
+        """``fanout`` in O(1), exact on all three shipped backends: the
+        descent kernel ranks a level's participants by it and counts
+        the smallest as the level's candidates, so backends must agree
+        on it exactly."""
 
     # (ST3) — output-linear enumeration.
     def items(self, node: Any) -> Iterator[tuple[Value, Any]]:

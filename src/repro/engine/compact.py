@@ -74,6 +74,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relations.relation import Relation, Row, Value
+from repro.relations.sorted_index import seek_children
 
 __all__ = [
     "DENSITY_THRESHOLD",
@@ -341,6 +342,8 @@ class CompactArrayIndex:
                     offsets[position],
                     offsets[position + 1],
                 )
+
+    children = seek_children
 
     def fanout(self, node: SliceNode | None) -> int:
         """Number of distinct next-level values below ``node`` (exact)."""

@@ -743,6 +743,41 @@ def _choose_algorithm(
     return "generic"
 
 
+def _unordered_attribute(
+    relation: Relation, stats: StatsProvider
+) -> str | None:
+    """The first attribute of ``relation`` whose values do not sort
+    (``int`` beside ``str``), or ``None``: the sorted and compact
+    backends sort a relation's rows, the hash trie compares nothing."""
+    for profile in stats.profile(relation).attributes:
+        if not profile.orderable:
+            return profile.attribute
+    return None
+
+
+def _require_orderable(
+    query: JoinQuery,
+    backend: str,
+    relation_backends: tuple[tuple[str, str], ...] | None,
+    stats: StatsProvider,
+) -> None:
+    """Reject a plan that would sort a relation whose values do not
+    order — a typed error at plan time instead of a ``TypeError`` out
+    of the index build."""
+    kinds = dict(relation_backends or ())
+    for eid, relation in query.relations.items():
+        kind = kinds.get(eid, backend)
+        if kind not in (SortedArrayIndex.kind, CompactArrayIndex.kind):
+            continue
+        unordered = _unordered_attribute(relation, stats)
+        if unordered is not None:
+            raise PlanError(
+                f"the {kind!r} backend sorts the rows of {eid!r}, but the "
+                f"values of its attribute {unordered!r} do not order "
+                f"(mixed types); use backend={TrieIndex.kind!r}"
+            )
+
+
 def _relation_backends(
     query: JoinQuery,
     order: tuple[str, ...],
@@ -776,6 +811,7 @@ def _relation_backends(
     rank = {a: i for i, a in enumerate(order)}
     choices: dict[str, str] = {}
     notes: list[str] = []
+    kept: list[str] = []
     for eid, relation in query.relations.items():
         index_order = tuple(sorted(relation.attributes, key=rank.__getitem__))
         cached = None
@@ -800,19 +836,32 @@ def _relation_backends(
                 f"{profile.heavy_mass:.0%} of first level)"
             )
         elif len(relation) >= LARGE_FLAT_RELATION:
-            choices[eid] = CompactArrayIndex.kind
-            notes.append(
-                f"{eid}: compact ({len(relation)} low-skew tuples: packed "
-                "arrays are far leaner than the trie's dicts)"
-            )
+            unordered = _unordered_attribute(relation, stats)
+            if unordered is None:
+                choices[eid] = CompactArrayIndex.kind
+                notes.append(
+                    f"{eid}: compact ({len(relation)} low-skew tuples: "
+                    "packed arrays are far leaner than the trie's dicts)"
+                )
+            else:
+                choices[eid] = TrieIndex.kind
+                kept.append(
+                    f"{eid}: trie kept over compact ({len(relation)} "
+                    f"low-skew tuples, but the values of {unordered!r} do "
+                    "not order and the flat arrays sort their rows)"
+                )
         else:
             choices[eid] = TrieIndex.kind
     kinds = set(choices.values())
     if kinds == {TrieIndex.kind}:
         reasons.append(
-            "hash-trie backend: O(1) probes and precomputed counts"
+            "; ".join(
+                ["hash-trie backend: O(1) probes and precomputed counts"]
+                + kept
+            )
         )
         return TrieIndex.kind, None
+    notes += kept
     pairs = tuple(sorted(choices.items()))
     reasons.append(
         "per-relation backends from skew, size, and cached indexes: "
@@ -1200,6 +1249,8 @@ def _plan_join(
     else:
         backend = NO_BACKEND
         reasons.append(f"{algorithm} builds no per-order indexes")
+    if backend not in (TrieIndex.kind, NO_BACKEND):
+        _require_orderable(query, backend, relation_backends, provider)
 
     if shards == "auto":
         used_stats = True

@@ -161,6 +161,23 @@ class SortedTrieIterator:
         return lo
 
 
+def seek_children(self, node, values: Iterable[Value] | None = None) -> dict:
+    """:meth:`~repro.engine.backends.IndexBackend.children` over a
+    sorted layout (the method of both of them): a fresh ``value -> child
+    node`` dict — the node's run when ``values`` is None, else what one
+    ``child`` seek per value handed in found; the run itself is never
+    scanned."""
+    if values is None:
+        return dict(self.items(node))
+    child = self.child
+    found = {}
+    for value in values:
+        below = child(node, value)
+        if below is not None:
+            found[value] = below
+    return found
+
+
 class SortedArrayIndex:
     """A search tree over a relation stored as one sorted tuple array.
 
@@ -299,6 +316,8 @@ class SortedArrayIndex:
             end = self._run_end(pos, hi, depth)
             yield rows[pos][depth], (pos, end, depth + 1)
             pos = end
+
+    children = seek_children
 
     def fanout(self, node: RangeNode | None) -> int:
         """Number of distinct next-column values below ``node``."""

@@ -164,6 +164,13 @@ class TrieIndex:
             return iter(())
         return iter(node.children.items())
 
+    def children(self, node: TrieNode | None, values=None) -> dict:
+        """The node's own ``value -> child`` dict, whatever ``values``
+        asks for: O(1), no copy, not to be mutated.  Its key view does
+        the narrowing — ``keys() & values`` intersects in C, iterating
+        the smaller side."""
+        return {} if node is None else node.children
+
     def fanout(self, node: TrieNode | None) -> int:
         """Number of distinct next-level values below ``node``."""
         if node is None:
@@ -171,11 +178,8 @@ class TrieIndex:
         return len(node.children)
 
     def fanout_hint(self, node: TrieNode | None) -> int:
-        """O(1) upper bound on :meth:`fanout` (exact for the hash trie).
-
-        Executors rank candidate relations with this (smallest-first
-        intersection); it must be cheap, not exact.
-        """
+        """:meth:`fanout` in O(1): the number the descent kernel ranks
+        a level's participants by."""
         if node is None:
             return 0
         return len(node.children)

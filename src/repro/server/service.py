@@ -225,6 +225,7 @@ class JoinServer:
         # One writer lock per connection: response lines from
         # concurrently multiplexed requests must not interleave bytes.
         write_lock = asyncio.Lock()
+        requests: set[asyncio.Task] = set()
         try:
             while True:
                 try:
@@ -255,6 +256,14 @@ class JoinServer:
                 )
                 self._request_tasks.add(task)
                 task.add_done_callback(self._request_tasks.discard)
+                requests.add(task)
+                task.add_done_callback(requests.discard)
+            # End of input is not a hang-up: a client that half-closes
+            # (``nc -N``) is still reading, so this connection's requests
+            # finish before the writer closes.  They stop by themselves
+            # on a ``ConnectionError`` if the peer is really gone.
+            if requests:
+                await asyncio.gather(*requests, return_exceptions=True)
         except (
             asyncio.CancelledError,
             ConnectionResetError,

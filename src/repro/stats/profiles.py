@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -86,6 +87,11 @@ class AttributeProfile:
     #: radix fast path both reason about.
     int_min: int | None = None
     int_max: int | None = None
+    #: Whether the column's values sort: ``False`` when two of them do
+    #: not compare (``int`` beside ``str``).  The sorted and compact
+    #: backends sort their rows, so they need every column orderable;
+    #: the hash trie never compares values.
+    orderable: bool = True
 
     @property
     def int_span(self) -> int:
@@ -186,6 +192,21 @@ def _top_values(counter: Counter, k: int) -> tuple[tuple[Value, int], ...]:
     return tuple(above) + tuple((value, cutoff) for value in tied)
 
 
+def _orderable(kinds: set[type], values: Iterable[Value]) -> bool:
+    """Whether sorting ``values`` (whose types are ``kinds``) can not
+    raise: read off the types for numbers and for one string type,
+    found by sorting for anything else."""
+    if all(issubclass(kind, (int, float)) for kind in kinds):
+        return True
+    if kinds == {str} or kinds == {bytes}:
+        return True
+    try:
+        sorted(values)
+    except TypeError:
+        return False
+    return True
+
+
 def profile_relation(
     relation: Relation, top_k: int = DEFAULT_TOP_K
 ) -> RelationProfile:
@@ -197,10 +218,9 @@ def profile_relation(
     for position, attribute in enumerate(relation.attributes):
         counter = Counter(map(itemgetter(position), relation.tuples))
         heavy = [count for count in counter.values() if count >= threshold]
+        kinds = set(map(type, counter))
         int_min = int_max = None
-        if counter and all(
-            issubclass(kind, int) for kind in set(map(type, counter))
-        ):
+        if counter and all(issubclass(kind, int) for kind in kinds):
             int_min = int(min(counter))
             int_max = int(max(counter))
         profiles.append(
@@ -214,6 +234,7 @@ def profile_relation(
                 heavy_mass=(sum(heavy) / total) if total else 0.0,
                 int_min=int_min,
                 int_max=int_max,
+                orderable=_orderable(kinds, counter),
             )
         )
     return RelationProfile(

@@ -11,15 +11,28 @@ quadratic — off the kernel's own counters on the paper's hard instances.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import math
 import random
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.aggregate.fold import Folder, fold_rows
+from repro.aggregate.fold import Folder, _prune_depth, fold_rows
 from repro.aggregate.sampling import JoinSampler
 from repro.aggregate.specs import Count, Sum, grouped
 from repro.baselines.hash_join import chain_hash_join
+from repro.core.descent import (
+    bind,
+    hash_levels,
+    iter_rows,
+    leapfrog_levels,
+    narrow,
+    walk,
+)
 from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
 from repro.core.query import JoinQuery
@@ -263,3 +276,565 @@ def test_every_pairwise_plan_is_quadratic_on_example_2_2(n):
     for relation_order in itertools.permutations(query.edge_ids):
         _result, stats = chain_hash_join(query, relation_order)
         assert stats.max_intermediate >= n * n / 4
+
+
+# ---------------------------------------------------------------------------
+# The per-value kernel this one replaced, kept as the reference
+# ---------------------------------------------------------------------------
+
+
+class PerValueLevel:
+    """The level loop the batch intersection replaced: iterate the
+    smallest node's ``items()``, call ``child`` once per candidate per
+    other participant, filter *before* probing."""
+
+    def __init__(self, indexes, participants, keep, depth):
+        self.keep = keep
+        self.depth = depth
+        self._operands = [
+            (i, indexes[i].fanout_hint, indexes[i].items)
+            for i in participants
+        ]
+        self._others = {
+            i: [(j, indexes[j].child) for j in participants if j != i]
+            for i in participants
+        }
+
+    def _open(self, nodes):
+        best = least = None
+        for operand in self._operands:
+            size = operand[1](nodes[operand[0]])
+            if best is None or size < least:
+                best = operand
+                least = size
+        smallest = best[0]
+        return smallest, best[2](nodes[smallest]), self._others[smallest]
+
+    def expand(self, nodes, candidates):
+        smallest, items, others = self._open(nodes)
+        for value, child in items:
+            if candidates is not None:
+                candidates[self.depth] += 1
+            if self.keep is not None and not self.keep(value):
+                continue
+            advanced = list(nodes)
+            for i, probe in others:
+                advanced[i] = probe(nodes[i], value)
+                if advanced[i] is None:
+                    break
+            else:
+                advanced[smallest] = child
+                yield value, advanced
+
+
+def per_value_levels(binding):
+    return [
+        PerValueLevel(binding.indexes, ids, keep, depth)
+        for depth, (ids, keep) in enumerate(
+            zip(binding.participants, binding.filters)
+        )
+    ]
+
+
+def per_value_walk(levels, root, stop, probe=None):
+    """The walk that handed up one ``(prefix, state)`` per *row*: every
+    level, the deepest included, is a stack entry stepped per value."""
+    prefix = [None] * stop
+    if stop == 0:
+        yield prefix, root
+        return
+    stack = [levels[0].expand(root, probe and probe.candidates)]
+    if probe:
+        probe.partials[0] += 1
+    while stack:
+        for value, state in stack[-1]:
+            break
+        else:
+            stack.pop()
+            continue
+        depth = len(stack) - 1
+        if probe:
+            probe.matches[depth] += 1
+        prefix[depth] = value
+        if depth == stop - 1:
+            yield prefix, state
+            continue
+        if probe:
+            probe.partials[depth + 1] += 1
+        stack.append(
+            levels[depth + 1].expand(state, probe and probe.candidates)
+        )
+
+
+def per_value_rows(binding, probe=None):
+    """The ``iter_join`` body both executors carried."""
+    perm = binding.output_perm
+    for prefix, _nodes in per_value_walk(
+        per_value_levels(binding), binding.roots(), len(perm), probe
+    ):
+        yield tuple(prefix[i] for i in perm)
+
+
+def per_value_fold(binding, folder):
+    """``fold_executor`` before leaf batches: prune where the shape
+    allows, else one ``add`` per row."""
+    total = len(folder.order)
+    prune = _prune_depth(
+        binding.participants, binding.filters, folder.cutoff, total
+    )
+    # One unfiltered participant per pruned level: the distinct
+    # completions of each multiply.
+    tally = Counter(
+        binding.participants[depth][0] for depth in range(prune, total)
+    )
+    for prefix, nodes in per_value_walk(
+        per_value_levels(binding), binding.roots(), prune
+    ):
+        multiplicity = 1
+        for position, remaining in tally.items():
+            multiplicity *= binding.indexes[position].count(
+                nodes[position], remaining
+            )
+        if multiplicity:
+            folder.add(prefix, multiplicity)
+    return folder
+
+
+# ---------------------------------------------------------------------------
+# (a) The batch kernel against the reference and against brute force
+# ---------------------------------------------------------------------------
+
+UNIVERSE = ("A", "B", "C", "D")
+DOMAIN = 4
+BACKENDS = ["trie", "sorted", "compact", {"R0": "sorted", "R1": "compact"}]
+
+
+@st.composite
+def bound_queries(draw):
+    """A random query, attribute order, backend choice, residual filter
+    and shard key — bound twice: as the executors see it, and under the
+    key."""
+    schemas = draw(
+        st.lists(
+            st.lists(
+                st.sampled_from(UNIVERSE), min_size=1, max_size=3, unique=True
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    relations = [
+        Relation(
+            f"R{n}",
+            tuple(schema),
+            draw(
+                st.frozensets(
+                    st.tuples(
+                        *[st.integers(0, DOMAIN - 1) for _ in schema]
+                    ),
+                    max_size=14,
+                )
+            ),
+        )
+        for n, schema in enumerate(schemas)
+    ]
+    query = JoinQuery(relations)
+    order = tuple(draw(st.permutations(query.attributes)))
+    backend = draw(st.sampled_from(BACKENDS))
+    subsets = st.frozensets(st.integers(0, DOMAIN - 1))
+    kept = draw(
+        st.dictionaries(st.sampled_from(query.attributes), subsets, max_size=2)
+    )
+    key = tuple(
+        draw(
+            st.dictionaries(
+                st.sampled_from(query.attributes), subsets, max_size=2
+            )
+        ).items()
+    )
+    filters = {a: values.__contains__ for a, values in kept.items()}
+    binding = bind(query, order, backend, None, filters)
+    return query, kept, key, binding, narrow(binding, key)
+
+
+def brute_force_level(query, binding, depth, prefix, allowed):
+    """The values of ``order[depth]`` that extend ``prefix`` in every
+    relation holding the attribute and lie in ``allowed`` — read off the
+    raw tuples."""
+    order = binding.order
+    bound = dict(zip(order[:depth], prefix))
+    attribute = order[depth]
+    survivors = None
+    for relation in query.relations.values():
+        if attribute not in relation.attribute_set:
+            continue
+        at = relation.attributes.index(attribute)
+        values = {
+            row[at]
+            for row in relation.tuples
+            if all(
+                bound.get(a, value) == value
+                for a, value in zip(relation.attributes, row)
+            )
+        }
+        survivors = values if survivors is None else survivors & values
+    return {v for v in survivors if allowed is None or v in allowed}
+
+
+@settings(max_examples=120, deadline=None)
+@given(bound_queries(), st.randoms(use_true_random=False))
+def test_survivors_equal_the_brute_force_intersection(bound, rng):
+    query, kept, key, plain, keyed = bound
+    for binding, links in ((plain, ()), (keyed, key)):
+        levels = hash_levels(binding)
+        depth = rng.randrange(len(levels))
+        allowed = None
+        for attribute, values in [*kept.items(), *links]:
+            if attribute == binding.order[depth]:
+                allowed = values if allowed is None else allowed & values
+        for prefix, nodes in walk(levels, binding.roots(), depth):
+            probe = TelemetryProbe(binding.order)
+            survivors = levels[depth].survivors(nodes, probe.candidates)
+            assert len(survivors) == len(set(survivors))
+            assert set(survivors) == brute_force_level(
+                query, binding, depth, prefix[:depth], allowed
+            )
+            # The level's candidates are its smallest participant.
+            assert probe.candidates[depth] == min(
+                binding.indexes[i].fanout(nodes[i])
+                for i in binding.participants[depth]
+            )
+
+
+@settings(max_examples=120, deadline=None)
+@given(bound_queries())
+def test_rows_counters_and_folds_equal_the_per_value_kernel(bound):
+    query, _kept, _key, plain, keyed = bound
+    for binding in (plain, keyed):
+        expected, got = TelemetryProbe(binding.order), TelemetryProbe(
+            binding.order
+        )
+        reference = Counter(per_value_rows(binding, expected))
+        rows = Counter(
+            iter_rows(
+                hash_levels(binding),
+                binding.roots(),
+                binding.output_perm,
+                got,
+            )
+        )
+        assert rows == reference
+        assert max(rows.values(), default=1) == 1
+        assert got.partials == expected.partials
+        assert got.candidates == expected.candidates
+        assert got.matches == expected.matches
+        assert_counter_chain(got, sum(rows.values()))
+        executor = GenericJoin.__new__(GenericJoin)
+        executor.order, executor._binding = binding.order, binding
+        shallow, deep = binding.order[0], binding.order[-1]
+        for spec in (
+            Count(),
+            Sum(deep),
+            Sum(shallow),
+            grouped((deep,), {"n": "count", "s": ("sum", shallow)}),
+        ):
+            folded = executor.fold(Folder(spec, binding.order)).result()
+            assert folded == per_value_fold(
+                binding, Folder(spec, binding.order)
+            ).result()
+            assert folded == fold_rows(reference, spec, query.attributes)
+
+
+# ---------------------------------------------------------------------------
+# (b) The min-bound, as a count
+# ---------------------------------------------------------------------------
+
+
+class Counted:
+    """A value that counts the ``__hash__`` and ``__eq__`` calls made on
+    any instance — the work a hash intersection does."""
+
+    calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        Counted.calls += 1
+        return hash(self.value)
+
+    def __eq__(self, other):
+        Counted.calls += 1
+        return self.value == other.value
+
+
+class CountingSeq:
+    """``bench_compact.py``'s storage proxy: counts ``__getitem__``."""
+
+    def __init__(self, seq, counter):
+        self._seq, self._counter = seq, counter
+
+    def __getitem__(self, position):
+        self._counter[0] += 1
+        return self._seq[position]
+
+    def __len__(self):
+        return len(self._seq)
+
+    def __iter__(self):
+        return iter(self._seq)
+
+
+def _small_beside_big(names, big, wrap=lambda value: value):
+    """Unary relations over ``A``: ``S`` holds 3 values, every other
+    name ``big`` values that include them."""
+    return JoinQuery(
+        [
+            Relation(
+                name,
+                ("A",),
+                [(wrap(v),) for v in ((7, 70, 700) if name == "S" else range(big))],
+            )
+            for name in names
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "names", [("S", "B"), ("B", "S"), ("S", "B", "C"), ("B", "C", "S")],
+    ids="".join,
+)
+def test_hash_intersection_costs_the_smallest_participant(names):
+    query = _small_beside_big(names, 50_000, Counted)
+    binding = bind(query, None, "trie", None, None)
+    (level,) = hash_levels(binding)
+    Counted.calls = 0
+    survivors = level.survivors(binding.roots(), None)
+    calls = Counted.calls
+    assert sorted(v.value for v in survivors) == [7, 70, 700]
+    # A few hashes and comparisons per value of the *small* side per
+    # other participant — nothing proportional to 50,000.
+    assert calls <= 5 * 3 * (len(names) - 1)
+
+
+@pytest.mark.parametrize("backend", ["sorted", "compact"])
+@pytest.mark.parametrize("names", [("S", "B"), ("B", "S"), ("B", "C", "S")],
+                         ids="".join)
+def test_array_intersection_never_enumerates_the_probed_side(names, backend):
+    accesses = {}
+    for big in (1_000, 50_000):
+        binding = bind(
+            _small_beside_big(names, big), None, backend, None, None
+        )
+        (level,) = hash_levels(binding)
+        level.survivors(binding.roots(), None)  # lazily built tallies
+        counter = [0]
+        for index in binding.indexes:
+            if backend == "sorted":
+                index.rows = CountingSeq(index.rows, counter)
+            else:
+                index._levels = tuple(
+                    CountingSeq(run, counter) for run in index._levels
+                )
+        assert sorted(level.survivors(binding.roots(), None)) == [7, 70, 700]
+        accesses[big] = counter[0]
+        # Three seeks per probed participant, a log factor each.
+        assert counter[0] <= 3 * (len(names) - 1) * 3 * math.log2(big) + 12
+    # Fifty times the probed side: a log factor more, not fifty times.
+    assert accesses[50_000] <= 2 * accesses[1_000]
+
+
+# ---------------------------------------------------------------------------
+# (c) The mechanism: no Python call per candidate, one hop per row
+# ---------------------------------------------------------------------------
+
+
+def profiled_calls(run):
+    """``(python calls, generator resumptions)`` while ``run()`` runs."""
+    tally = Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            tally["calls"] += 1
+            if frame.f_code.co_flags & inspect.CO_GENERATOR:
+                tally["resumptions"] += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return tally["calls"], tally["resumptions"]
+
+
+def test_a_trie_leaf_intersection_makes_no_call_per_candidate():
+    calls = {}
+    for small in (10, 10_000):
+        query = JoinQuery(
+            [
+                Relation("R", ("A",), [(v,) for v in range(small)]),
+                Relation("S", ("A",), [(v,) for v in range(0, 40_000, 2)]),
+            ]
+        )
+        binding = bind(query, None, "trie", None, None)
+        (level,) = hash_levels(binding)
+        roots = binding.roots()
+        probe = TelemetryProbe(binding.order)
+        calls[small], _ = profiled_calls(
+            lambda: level.leaf(roots, probe.candidates)
+        )
+        assert probe.candidates == [small]
+    assert calls[10] == calls[10_000] <= 8
+
+
+@pytest.mark.parametrize(
+    "cls, backend, hops",
+    [
+        (GenericJoin, "trie", 1),
+        # A leapfrog key also leaves ``_leapfrog`` and ``expand``, at the
+        # deepest level as at every other.
+        (LeapfrogTriejoin, "sorted", 3),
+    ],
+)
+def test_a_row_is_one_generator_hop(cls, backend, hops):
+    # Complete on 4 x 4 x 30 values: 30 rows under each of 16 parents.
+    query = JoinQuery(
+        [
+            Relation(name, attrs, itertools.product(range(m), range(n)))
+            for name, attrs, m, n in (
+                ("R", ("A", "B"), 4, 4),
+                ("S", ("B", "C"), 4, 30),
+                ("T", ("A", "C"), 4, 30),
+            )
+        ]
+    )
+    order = ("A", "B", "C")
+    probe = TelemetryProbe(order)
+    executor = cls(
+        query, attribute_order=order, backend=backend, telemetry=probe
+    )
+    rows = []
+    _calls, resumptions = profiled_calls(
+        lambda: rows.extend(executor.iter_join())
+    )
+    assert len(rows) == 480 and probe.partials == [1, 4, 16]
+    # The sink resumes once per row, the walk once per leaf batch, an
+    # interior level once per survivor: parents + rows, where the
+    # per-value kernel handed every row up through the walk, the
+    # executor's ``iter_join`` and its row-building generator expression.
+    assert resumptions <= hops * (len(rows) + 3 * sum(probe.partials)) + 3
+    if cls is GenericJoin:
+        _calls, reference = profiled_calls(
+            lambda: list(per_value_rows(executor._binding))
+        )
+        assert reference >= 3 * len(rows)
+
+
+# ---------------------------------------------------------------------------
+# (d) Streaming kept
+# ---------------------------------------------------------------------------
+
+
+def _lifted_triangle(size, seed):
+    """``benchmarks/e2e``'s ``lifted_triangle`` shape, small."""
+    rng = random.Random(seed)
+    domains = {"A": 6, "B": 7, "C": 8, "D": 3}
+    return JoinQuery(
+        [
+            Relation(
+                name,
+                attrs,
+                {
+                    tuple(rng.randrange(domains[a]) for a in attrs)
+                    for _ in range(size)
+                },
+            )
+            for name, attrs in (
+                ("R", ("A", "B", "D")),
+                ("S", ("B", "C", "D")),
+                ("T", ("A", "C", "D")),
+            )
+        ]
+    )
+
+
+@pytest.mark.parametrize("cls, backend", CONFIGS)
+def test_first_row_needs_one_leaf_batch(cls, backend):
+    query = _lifted_triangle(150, seed=5)
+    order = ("D", "A", "B", "C")
+    probe = TelemetryProbe(order)
+    stream = cls(
+        query, attribute_order=order, backend=backend, telemetry=probe
+    ).iter_join()
+    first = next(stream)
+    deepest = query.attributes.index("C")
+    parent = first[:deepest] + first[deepest + 1 :]
+    batch = [
+        row
+        for row in oracle_join(query)
+        if row[:deepest] + row[deepest + 1 :] == parent
+    ]
+    # Exactly one non-empty batch has been produced — the first row's
+    # own — after a small share of the run's intersections.
+    assert probe.matches[-1] == len(batch)
+    full = TelemetryProbe(order)
+    for _row in cls(
+        query, attribute_order=order, backend=backend, telemetry=full
+    ).iter_join():
+        pass
+    assert sum(probe.candidates) * 10 < sum(full.candidates)
+    stream.close()
+    assert_counter_chain(probe, 1)
+
+
+class SpyLevel:
+    """A level whose ``expand`` counts the generators it has open."""
+
+    def __init__(self, level):
+        self.level = level
+        self.leaf = level.leaf
+        self.open = 0
+
+    def expand(self, state, candidates):
+        self.open += 1
+        try:
+            yield from self.level.expand(state, candidates)
+        finally:
+            self.open -= 1
+
+
+@pytest.mark.parametrize("strategy", [hash_levels, leapfrog_levels])
+def test_an_abandoned_stream_closes_every_open_level(strategy):
+    query = _lifted_triangle(150, seed=5)
+    binding = bind(query, ("D", "A", "B", "C"), "sorted", None, None)
+    spies = [SpyLevel(level) for level in strategy(binding)]
+    root = binding.roots() if strategy is hash_levels else None
+    stream = iter_rows(spies, root, binding.output_perm)
+    for _ in range(3):
+        next(stream)
+    # The three interior levels are open; the deepest is a leaf batch.
+    assert [spy.open for spy in spies] == [1, 1, 1, 0]
+    stream.close()
+    assert [spy.open for spy in spies] == [0, 0, 0, 0]
+    if strategy is leapfrog_levels:
+        assert all(
+            cursor.depth == 0 for spy in spies for cursor in spy.level.cursors
+        )
+
+
+@pytest.mark.parametrize("cls, backend", CONFIGS)
+@pytest.mark.parametrize("taken", [1, 2, 57])
+def test_abandoned_streams_keep_the_counter_chain(cls, backend, taken):
+    # ``tests/feedback/test_telemetry.py::test_abandoned_mid_stream``,
+    # over every layout: a leaf batch cut short gives back what it did
+    # not deliver.
+    query = _lifted_triangle(150, seed=5)
+    order = ("D", "A", "B", "C")
+    probe = TelemetryProbe(order)
+    stream = cls(
+        query, attribute_order=order, backend=backend, telemetry=probe
+    ).iter_join()
+    for _ in range(taken):
+        next(stream)
+    stream.close()
+    assert_counter_chain(probe, taken)

@@ -109,6 +109,24 @@ class TestParity:
         assert trie.child(None, 1) is None
         assert flat.child(None, 1) is None
 
+    @pytest.mark.parametrize("kind", ["trie", "sorted", "compact"])
+    def test_children_is_batch_child(self, relation, kind):
+        """``children(node, values)`` holds every one of ``values`` that
+        ``child`` finds (maybe more) and where it leads; without
+        ``values`` it is the node's own ``items``; a failed walk has
+        none."""
+        index = build_index(relation, relation.attributes, kind)
+        first = sorted(dict(index.items(index.root)))
+        for node in (index.root, index.child(index.root, first[0])):
+            below = dict(index.items(node))
+            for values in ([], first, [-5, *below, 10**6], set(below)):
+                kids = index.children(node, values)
+                assert kids.keys() & values == set(values) & set(below)
+                assert all(kids[v] == below[v] for v in kids.keys() & values)
+            assert index.children(node) == below
+            assert len(below) == index.fanout_hint(node)
+        assert not index.children(None) and not index.children(None, first)
+
     def test_sorted_paths_are_sorted(self, relation):
         flat = SortedArrayIndex(relation, relation.attributes)
         full = list(flat.paths(flat.root, len(relation.attributes)))

@@ -5,6 +5,7 @@ import asyncio
 import json
 import math
 import socket
+import struct
 import threading
 import time
 
@@ -487,6 +488,88 @@ class TestConcurrency:
                     finals[response["id"]] = response
         assert set(finals) == {1, 2, 3}
         assert all(f["ok"] for f in finals.values())
+
+
+def read_to_eof(raw):
+    """Every response line up to the server's close, decoded."""
+    with raw.makefile("rb") as reader:
+        return [json.loads(line) for line in reader]
+
+
+def query_line(request_id, text, **fields):
+    message = {"id": request_id, "op": "query", "q": text, **fields}
+    return json.dumps(message).encode() + b"\n"
+
+
+class TestHalfClose:
+    """End of input is not a hang-up: a client that sends its requests
+    and shuts down its writing side (``nc -N``) still gets every answer,
+    then end-of-file."""
+
+    def test_one_request_then_half_close_gets_the_whole_answer(
+        self, live_server, wide_database
+    ):
+        live = live_server(JoinServer(wide_database))
+        with socket.create_connection(
+            (live.host, live.port), timeout=30
+        ) as raw:
+            raw.sendall(query_line(1, WIDE))
+            raw.shutdown(socket.SHUT_WR)
+            lines = read_to_eof(raw)
+        rows = [tuple(row) for line in lines for row in line.get("rows", ())]
+        assert sorted(rows) == wide_oracle()
+        assert len(lines) > 1  # row lines, not one inline answer
+        assert [line.get("final", False) for line in lines] == (
+            [False] * (len(lines) - 1) + [True]
+        )
+        assert lines[-1]["ok"] and lines[-1]["rows_total"] == WIDE_ROWS
+
+    def test_two_pipelined_requests_then_half_close_are_both_answered(
+        self, live_server, database
+    ):
+        live = live_server(JoinServer(database))
+        with socket.create_connection(
+            (live.host, live.port), timeout=30
+        ) as raw:
+            raw.sendall(
+                query_line(1, "select * from R, S, T;", batch=8)
+                + query_line(2, "select count(*) from R;")
+            )
+            raw.shutdown(socket.SHUT_WR)
+            lines = read_to_eof(raw)
+        finals = {line["id"]: line for line in lines if line.get("final")}
+        assert set(finals) == {1, 2} and all(f["ok"] for f in finals.values())
+        rows = [
+            tuple(row)
+            for line in lines
+            if line["id"] == 1
+            for row in line.get("rows", ())
+        ]
+        assert sorted(rows) == triangle_rows(database)
+
+    def test_a_reset_after_half_close_is_still_a_disconnect(
+        self, live_server, wide_database, monkeypatch
+    ):
+        seen = counted_stream(monkeypatch)
+        live = live_server(JoinServer(wide_database))
+        raw = socket.create_connection((live.host, live.port), timeout=30)
+        raw.sendall(query_line(1, WIDE, batch=1))
+        raw.shutdown(socket.SHUT_WR)
+        first = json.loads(raw.makefile("rb").readline())
+        assert len(first["rows"]) == 1
+        # Linger 0: close() sends a reset instead of an orderly FIN.
+        raw.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        raw.close()
+        assert wait_until(lambda: seen["closed"])
+        assert seen["pulled"] < WIDE_ROWS
+        with ServerClient(live.host, live.port) as client:
+            assert wait_until(
+                lambda: 'errors_total{type="disconnect"} 1'
+                in client.metrics()
+            )
+            assert 'type="internal"' not in client.metrics()
 
 
 def stop_with_drain_after_first_line(live, **fields):

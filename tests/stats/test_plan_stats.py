@@ -202,6 +202,71 @@ class TestPerRelationBackends:
         assert ("S", "trie") in plan.relation_backends
         assert any("low-skew tuples" in r for r in plan.reasons)
 
+    def test_unorderable_column_keeps_the_trie(self):
+        """The size rule picks ``compact`` only for relations whose rows
+        sort: ``B`` mixes ``int`` and ``str``, so both 40,000-tuple
+        relations stay on the trie, the plan says why, and the query
+        answers (it used to die in ``CompactArrayIndex.__init__``)."""
+
+        def b(i):
+            i %= 20000
+            return i if i % 2 else f"b{i}"
+
+        r = Relation("R", ("A", "B"), [(i, b(i)) for i in range(40000)])
+        s = Relation("S", ("B", "C"), [(b(i), -i) for i in range(40000)])
+        q = JoinQuery([r, s])
+        plan = plan_join(q)
+        assert (plan.algorithm, plan.backend) == ("generic", "trie")
+        assert plan.relation_backends is None
+        notes = [reason for reason in plan.reasons if "trie kept" in reason]
+        assert len(notes) == 1
+        assert "R: trie kept over compact" in notes[0]
+        assert "S: trie kept over compact" in notes[0]
+        assert "'B' do not order" in notes[0]
+        # Every B value joins its 2 tuples of R with its 2 of S.
+        rows = set(plan.execute().tuples)
+        assert len(rows) == 80000
+        assert {row for row in rows if row[0] in (6, 7)} == {
+            (6, "b6", -6), (6, "b6", -20006), (7, 7, -7), (7, 7, -20007),
+        }
+        # Only the relation that cannot sort loses compact.
+        t = Relation("T", ("C", "D"), [(-i, i) for i in range(40000)])
+        mixed = plan_join(JoinQuery([r, s, t]), "generic")
+        assert mixed.backend == "mixed"
+        assert dict(mixed.relation_backends) == {
+            "R": "trie", "S": "trie", "T": "compact",
+        }
+        assert any("R: trie kept over compact" in x for x in mixed.reasons)
+
+    @pytest.mark.parametrize(
+        "pinned",
+        [
+            {"algorithm": "generic", "backend": "sorted"},
+            {"algorithm": "generic", "backend": "compact"},
+            {"algorithm": "leapfrog", "backend": "sorted"},
+            {"algorithm": "leapfrog", "backend": "compact"},
+            {"algorithm": "leapfrog"},
+        ],
+        ids=lambda pinned: "-".join(pinned.values()),
+    )
+    def test_pinned_sorting_backend_over_unorderable_column_is_typed(
+        self, pinned
+    ):
+        from repro.errors import PlanError
+
+        q = JoinQuery(
+            [
+                Relation("R", ("A", "B"), [(1, 1), (2, "x")]),
+                Relation("S", ("B", "C"), [(1, 5), ("x", 6)]),
+            ]
+        )
+        with pytest.raises(PlanError, match="'R'.*'B' do not order"):
+            plan_join(q, **pinned)
+        # The hash trie compares nothing: the same query answers.
+        assert set(plan_join(q, "generic", backend="trie").execute().tuples) == {
+            (1, 1, 5), (2, "x", 6),
+        }
+
     def test_cached_compact_index_is_reused(self):
         db = Database(
             [

@@ -134,6 +134,11 @@ def reference_profile_relation(relation, top_k=DEFAULT_TOP_K):
         if counter and all(isinstance(value, int) for value in counter):
             int_min = int(min(counter))
             int_max = int(max(counter))
+        try:
+            sorted(counter)
+            orderable = True
+        except TypeError:
+            orderable = False
         profiles.append(
             AttributeProfile(
                 attribute=attribute,
@@ -145,6 +150,7 @@ def reference_profile_relation(relation, top_k=DEFAULT_TOP_K):
                 heavy_mass=(sum(heavy) / total) if total else 0.0,
                 int_min=int_min,
                 int_max=int_max,
+                orderable=orderable,
             )
         )
     return RelationProfile(
@@ -190,6 +196,33 @@ def _differential_corpus():
     yield "floats", Relation(
         "F", ("A",), [(rng.randrange(30) / 4,) for _ in range(200)]
     )
+
+
+class TestOrderable:
+    """``orderable`` says whether sorting the column can raise — what the
+    planner asks before it hands a relation to a backend that sorts."""
+
+    @pytest.mark.parametrize(
+        "values, orderable",
+        [
+            ([], True),
+            ([3, 1, 2], True),
+            ([1, 2.5, True], True),  # numbers order across types
+            (["b", "a"], True),
+            ([b"b", b"a"], True),
+            ([(1, 2), (0, 5)], True),  # found by sorting
+            ([None], True),  # one value: nothing to compare
+            ([1, "1"], False),
+            ([None, 0], False),
+            ([(1, "a"), (1, 2)], False),  # one type, values still clash
+            ([1j, 2j], False),
+        ],
+    )
+    def test_matches_what_sorting_does(self, values, orderable):
+        rel = Relation("R", ("A", "B"), [(v, 0) for v in values])
+        profile = profile_relation(rel)
+        assert profile.attribute("A").orderable is orderable
+        assert profile.attribute("B").orderable is True
 
 
 class TestOneScanMatchesReference:

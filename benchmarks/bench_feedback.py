@@ -74,7 +74,7 @@ def bench_trap(scale: int) -> dict:
         decoy_domain=40,
         c_domain=40,
     )
-    provider = StatsProvider(config=StatsConfig(sample_size=0))
+    provider = StatsProvider(config=StatsConfig(selectivities=False))
     builder = Q(query).using(
         algorithm=ALGORITHM, stats=provider, feedback=FeedbackConfig()
     )

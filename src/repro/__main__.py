@@ -53,10 +53,10 @@ Usage::
                 ``--select`` are given) and the query-plan tree and
                 total order Algorithm 2 would use; with ``--stats``, also
                 the statistics that justified each decision (distinct
-                counts, sampled selectivities, heavy hitters); with
+                counts, exact selectivities, heavy hitters); with
                 ``--feedback``, plan from recorded execution telemetry
                 when observations exist (``--stats`` then renders the
-                observed-vs-sampled comparison); with ``--analyze``,
+                observed-vs-estimated comparison); with ``--analyze``,
                 *execute* the query and print per-level estimated vs
                 observed cardinalities beside the phase span timings
                 (``EXPLAIN ANALYZE``)
@@ -277,13 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="also print the statistics that justified each decision "
-        "(distinct counts, sampled selectivities, heavy hitters)",
+        "(distinct counts, exact selectivities, heavy hitters)",
     )
     explain_cmd.add_argument(
         "--feedback",
         action="store_true",
         help="plan from recorded execution telemetry when observations "
-        "exist (combine with --stats for the observed-vs-sampled table)",
+        "exist (combine with --stats for the observed-vs-estimated table)",
     )
     explain_cmd.add_argument(
         "--analyze",

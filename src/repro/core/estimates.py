@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.core.query import JoinQuery
@@ -78,27 +79,40 @@ def agm_estimate(query: JoinQuery) -> Estimate:
     return Estimate("AGM fractional cover", log_bound, cover)
 
 
+def connected_estimate(
+    query: JoinQuery, subset: Collection[str], min_relations: int = 2
+) -> Estimate | None:
+    """The AGM estimate of the sub-query over the edge ids ``subset``,
+    or ``None`` when it has fewer than ``min_relations`` relations or
+    is not attribute-connected (a cross product, whose bound factorizes
+    anyway).  One exact cover LP, posed over the relations in the
+    query's own order whatever order ``subset`` iterates in."""
+    if len(subset) < min_relations:
+        return None
+    sub_query = JoinQuery(
+        [query.relation(eid) for eid in query.edge_ids if eid in subset]
+    )
+    components = sub_query.hypergraph.connected_components()
+    if len([c for c in components if c.edges]) != 1:
+        return None
+    return agm_estimate(sub_query)
+
+
 def subquery_estimates(
     query: JoinQuery, min_relations: int = 2
 ) -> dict[frozenset[str], Estimate]:
-    """AGM estimates for every *attribute-connected* relation subset.
-
-    Restricted to subsets whose hypergraph is connected (disconnected
-    subsets are cross products whose bound factorizes anyway) and whose
-    attribute set is covered by the subset itself (always true here since
-    the sub-query's universe is the union of its own edges).
+    """AGM estimates for every *attribute-connected* relation subset
+    (see :func:`connected_estimate`): one LP per subset, all up front.
+    The planner reads the same bounds one at a time, as its clamps ask
+    (:meth:`~repro.stats.provider.StatsProvider.subquery_bounds`).
     """
     out: dict[frozenset[str], Estimate] = {}
     edge_ids = query.edge_ids
     for r in range(min_relations, len(edge_ids) + 1):
         for subset in itertools.combinations(edge_ids, r):
-            sub_query = JoinQuery(
-                [query.relation(eid) for eid in subset]
-            )
-            components = sub_query.hypergraph.connected_components()
-            if len([c for c in components if c.edges]) != 1:
-                continue
-            out[frozenset(subset)] = agm_estimate(sub_query)
+            estimate = connected_estimate(query, subset, min_relations)
+            if estimate is not None:
+                out[frozenset(subset)] = estimate
     return out
 
 

@@ -15,7 +15,7 @@ over the paper's machinery:
   algorithms behind one ``iter_join() / execute()`` streaming interface.
 
 The planner's data-awareness (relation profiles, heavy-hitter skew
-detection, sampled conditional selectivities) lives in
+detection, exact conditional selectivities) lives in
 :mod:`repro.stats` and is cached per :class:`Database`.
 """
 
@@ -43,7 +43,7 @@ from repro.engine.planner import (
     attribute_statistics,
     plan_attribute_order,
     plan_attribute_order_feedback,
-    plan_attribute_order_sampled,
+    plan_attribute_order_selectivity,
     plan_join,
 )
 
@@ -65,7 +65,7 @@ __all__ = [
     "build_index",
     "plan_attribute_order",
     "plan_attribute_order_feedback",
-    "plan_attribute_order_sampled",
+    "plan_attribute_order_selectivity",
     "plan_join",
     "plan_shards",
     "restrict",

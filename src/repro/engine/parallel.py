@@ -67,7 +67,6 @@ import pickle
 import queue as queue_module
 import threading
 import time
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -86,6 +85,7 @@ from repro.feedback.telemetry import (
 )
 from repro.observe.tracing import Span, Tracer
 from repro.relations.relation import Relation, Row, Value
+from repro.stats.profiles import ValueCounts, count_values
 from repro.stats.provider import resolve_provider
 
 __all__ = [
@@ -168,7 +168,10 @@ class ShardSlice:
 
 
 def plan_shards(
-    query: JoinQuery, shards: int, attribute: str | None = None
+    query: JoinQuery,
+    shards: int,
+    attribute: str | None = None,
+    value_counts: ValueCounts = count_values,
 ) -> tuple[ShardSlice, ...]:
     """Partition an attribute's candidate values into balanced shards.
 
@@ -186,6 +189,12 @@ def plan_shards(
     Sharding is *correct* for any attribute — disjoint value groups give
     disjoint output slices whose union is the full join — only balance
     depends on the choice.
+
+    The per-value work estimates are read off each participant's
+    value-count table of ``attribute``: ``value_counts(relation,
+    (attribute,))`` counts the column unless the caller hands in the
+    tables its plan was made from (``StatsProvider.value_counts``, as
+    the sharded driver does).
     """
     require_positive_int(shards, "shards")
     if attribute is None:
@@ -201,13 +210,10 @@ def plan_shards(
             f"(query attributes: {query.attributes})"
         )
 
-    counts: list[Counter] = []
-    for rel in participants:
-        position = rel.position(attribute)
-        counts.append(Counter(row[position] for row in rel.tuples))
+    counts = [value_counts(rel, (attribute,)) for rel in participants]
     candidates = set(counts[0])
     for counter in counts[1:]:
-        candidates &= set(counter)
+        candidates.intersection_update(counter)
     if not candidates:
         return ()
 
@@ -584,16 +590,19 @@ def _plan_job(plan: JoinPlan, executor, context, filters) -> ShardJob | None:
       used to after feedback.
     """
     query, order = plan.query, plan.attribute_order
+    # The provider the plan was made under: its cached value-count
+    # tables weigh the shards, so a sharded run re-counts no column.
+    provider = resolve_provider(context.database, context.stats)
     entries = [
         ShardPlanEntry(((piece.attribute, piece.values),), piece.weight)
-        for piece in plan_shards(query, plan.shards, order[0])
+        for piece in plan_shards(
+            query, plan.shards, order[0], provider.value_counts
+        )
     ]
     if not entries:
         return None
     spec = context.shards
     predictive = spec is not None and spec.predictive
-    if context.feedback is not None or predictive:
-        provider = resolve_provider(context.database, context.stats)
     if context.feedback is not None:
         observed = provider.observed_shards(query, feedback_scope(filters))
         if observed:

@@ -22,12 +22,13 @@ The product is an inspectable :class:`JoinPlan`:
   pinnable (``algorithm="lw"`` / ``"arity2"``) and never chosen;
 * **attribute order** — a greedy descent on *estimated partial-result
   sizes*: each step multiplies the candidate attribute's min-distinct
-  count by the sampled conditional selectivities against the relations
+  count by the exact conditional selectivities against the relations
   already bound (:mod:`repro.stats`), clamped by the AGM sub-bounds of
-  the covered sub-queries (:func:`repro.core.estimates.
-  subquery_estimates`).  With sampling disabled the planner falls back
-  to the classical ascending-distinct-count heuristic.  Either way the
-  chosen prefix stays connected so early levels prune;
+  the covered sub-queries (:meth:`~repro.stats.provider.StatsProvider.
+  subquery_bounds`, each solved when a clamp reads it).  With
+  ``StatsConfig(selectivities=False)`` the planner falls back to the
+  classical ascending-distinct-count heuristic.  Either way the chosen
+  prefix stays connected so early levels prune;
 * **backend** — ``"sorted"`` flat arrays for leapfrog (its native
   layout; callers may fix ``"compact"`` for packed runs with radix
   seeks); for Generic Join a **per-relation** choice driven by cached-
@@ -85,7 +86,7 @@ __all__ = [
     "attribute_statistics",
     "plan_attribute_order",
     "plan_attribute_order_feedback",
-    "plan_attribute_order_sampled",
+    "plan_attribute_order_selectivity",
     "plan_join",
 ]
 
@@ -117,9 +118,9 @@ MAX_AUTO_SHARDS = 8
 #: Bounds for the planner's ``batch_size="auto"`` choice.
 MIN_AUTO_BATCH, MAX_AUTO_BATCH = 64, 4096
 
-#: ``subquery_estimates`` enumerates relation subsets (exponential in the
-#: relation count); the sampled order descent only consults it for
-#: queries at most this many relations wide.
+#: The order descents clamp by AGM sub-bounds (one exact cover LP per
+#: covered relation subset they reach) only for queries at most this
+#: many relations wide.
 MAX_SUBQUERY_RELATIONS = 6
 
 #: Relations at or above this size with a low-skew first index level get
@@ -318,7 +319,7 @@ class JoinPlan:
         """A human-readable rendering (the CLI ``explain`` output).
 
         ``show_stats`` appends the :attr:`statistics` block — the
-        numbers (distinct counts, sampled selectivities, heavy hitters)
+        numbers (distinct counts, exact selectivities, heavy hitters)
         that justified the data-driven decisions.
         """
         sizes = self.query.sizes()
@@ -446,8 +447,9 @@ def _prefix_clamp(
     """Clamp a partial-result estimate by the hard upper bounds that hold
     whenever the relations fully covered by ``prefix + attribute`` span
     exactly its attributes: the covered relations' sizes and the AGM
-    sub-bound of the covered sub-query.  Shared by the sampled and the
-    feedback order descents."""
+    sub-bound of the covered sub-query — solved here, on its first read
+    (:meth:`~repro.stats.provider.StatsProvider.subquery_bounds`).
+    Shared by the selectivity and the feedback order descents."""
     prefix_attrs = bound_attrs | {attribute}
     covered = frozenset(
         eid
@@ -471,8 +473,8 @@ def _prefix_clamp(
 def _subquery_bounds(
     query: JoinQuery, stats: StatsProvider
 ) -> Mapping[frozenset, float]:
-    """AGM sub-bounds for the order descents (skipped for very wide
-    queries — ``subquery_estimates`` enumerates relation subsets)."""
+    """AGM sub-bounds for the order descents (none for very wide
+    queries: see :data:`MAX_SUBQUERY_RELATIONS`)."""
     if len(query.edge_ids) > MAX_SUBQUERY_RELATIONS:
         return {}
     return stats.subquery_bounds(query)
@@ -480,7 +482,7 @@ def _subquery_bounds(
 
 class _DescentState:
     """The evolving state of one greedy order descent, exposed to the
-    per-variant estimate callbacks (shared by the sampled and feedback
+    per-variant estimate callbacks (shared by the selectivity and feedback
     descents so their loop mechanics cannot drift apart)."""
 
     __slots__ = ("order", "bound_attrs", "touched", "partial", "rels_with")
@@ -504,7 +506,7 @@ def _greedy_descent(
     At each step the attribute minimizing ``estimate_for(attribute,
     state)`` among the frontier candidates is appended (ties fall back
     to the distinct-count score, then first appearance).  The estimate
-    semantics live entirely in the callback — sampled selectivities for
+    semantics live entirely in the callback — exact selectivities for
     the statistics planner, observed telemetry for the feedback planner
     — so the loop mechanics (frontier bookkeeping, tie-breaking,
     partial-size threading) exist exactly once.  ``on_chosen`` fires
@@ -548,7 +550,7 @@ def _greedy_descent(
     return tuple(state.order), tuple(estimates)
 
 
-def plan_attribute_order_sampled(
+def plan_attribute_order_selectivity(
     query: JoinQuery, stats: StatsProvider
 ) -> tuple[
     tuple[str, ...],
@@ -556,15 +558,18 @@ def plan_attribute_order_sampled(
     tuple[tuple[str, float], ...],
     dict[tuple[str, str], float],
 ]:
-    """Greedy order descent on sampled partial-result estimates.
+    """Greedy order descent on selectivity-scaled partial-result
+    estimates.
 
     At each step the estimated size of the partial result after binding
     candidate attribute ``A`` is::
 
         est(prefix + A) = est(prefix) * min_distinct(A) * shrink(A)
 
-    where ``shrink(A)`` is the smallest sampled conditional selectivity
-    ``P(match in f | tuple of e)`` over relation pairs ``(e, f)`` with
+    where ``shrink(A)`` is the smallest conditional selectivity
+    ``P(match in f | tuple of e)`` — exact, read off the two relations'
+    value-count tables (:meth:`~repro.stats.provider.StatsProvider.
+    selectivity`) — over relation pairs ``(e, f)`` with
     ``A in e``, overlapping schemas, and ``f`` either already touched by
     the prefix (the probability mass the bound relations leave for
     ``e``'s tuples) or *also containing* ``A`` (the level's candidates
@@ -575,11 +580,12 @@ def plan_attribute_order_sampled(
     whenever the relations fully covered by ``prefix + A`` span exactly
     its attributes: the covered relations' sizes (a single fully-bound
     relation bounds its own prefix paths) and the AGM sub-bound of the
-    covered sub-query (:func:`~repro.core.estimates.subquery_estimates`,
-    consulted for queries up to :data:`MAX_SUBQUERY_RELATIONS` relations
-    wide).  The attribute minimizing the estimate is appended; ties fall
-    back to the distinct-count score, then first appearance, keeping the
-    result deterministic for a fixed sampler seed.
+    covered sub-query (one cover LP, solved the first time a clamp
+    reads it; consulted for queries up to
+    :data:`MAX_SUBQUERY_RELATIONS` relations wide).  The attribute
+    minimizing the estimate is appended; ties fall back to the
+    distinct-count score, then first appearance, so the result is a
+    function of the data alone.
 
     Returns ``(order, distinct_scores, per-step estimates,
     selectivities consulted)`` so the caller can attach the evidence to
@@ -590,7 +596,7 @@ def plan_attribute_order_sampled(
     sub_bounds = _subquery_bounds(query, stats)
     consulted: dict[tuple[str, str], float] = {}
 
-    def sampled_estimate(attribute: str, state: _DescentState) -> float:
+    def selectivity_estimate(attribute: str, state: _DescentState) -> float:
         shrink = 1.0
         containing = state.rels_with[attribute]
         for eid in containing:
@@ -609,7 +615,7 @@ def plan_attribute_order_sampled(
             relations, sub_bounds, state.bound_attrs, attribute, estimate
         )
 
-    order, estimates = _greedy_descent(query, scores, sampled_estimate)
+    order, estimates = _greedy_descent(query, scores, selectivity_estimate)
     return order, scores, estimates, consulted
 
 
@@ -626,11 +632,12 @@ def plan_attribute_order_feedback(
 ]:
     """Greedy order descent on *observed* execution statistics.
 
-    The same stepwise objective as :func:`plan_attribute_order_sampled`
-    — minimize the estimated partial-result size after binding each
-    candidate — but where a recorded observation exists for an
-    attribute it takes precedence over the sampled machinery (the
-    classical optimizer feedback loop):
+    The same stepwise objective as
+    :func:`plan_attribute_order_selectivity` — minimize the estimated
+    partial-result size after binding each candidate — but where a
+    recorded observation exists for an attribute it takes precedence
+    over the selectivity machinery (the classical optimizer feedback
+    loop):
 
     * when the descent's current prefix equals the prefix the attribute
       was observed under, the estimate is ``partial * observed fan-out``
@@ -640,28 +647,28 @@ def plan_attribute_order_feedback(
       level's measured pruning power, portable across positions.  A
       level observed with selectivity ~1 pruned nothing, however small
       its distinct count: exactly the decoy the min-distinct heuristic
-      falls for and samples can misjudge.
+      falls for and pairwise selectivities can misjudge.
 
-    Attributes without observations fall back to the sampled estimate
-    (or the min-distinct score when sampling is disabled), and every
-    estimate is clamped by the same covered-relation and AGM sub-bound
-    caps as the sampled descent.
+    Attributes without observations fall back to the selectivity
+    estimate (or the min-distinct score when selectivities are
+    disabled), and every estimate is clamped by the same
+    covered-relation and AGM sub-bound caps as the selectivity descent.
 
     Returns ``(order, distinct_scores, per-step estimates, per-step
     baseline estimates, selectivities consulted)`` — the baseline is
     what the non-feedback formula would have estimated for each chosen
-    attribute, so ``explain --feedback`` can show observed vs sampled
-    side by side.
+    attribute, so ``explain --feedback`` can show observed vs
+    estimated side by side.
     """
     scores = stats.attribute_scores(query)
     relations = query.relations
-    sampling = stats.config.sampling
+    selectivities = stats.config.selectivities
     sub_bounds = _subquery_bounds(query, stats)
     baselines: list[tuple[str, float]] = []
     consulted: dict[tuple[str, str], float] = {}
 
-    def sampled_shrink(attribute: str, state: _DescentState) -> float:
-        if not sampling:
+    def shrink_for(attribute: str, state: _DescentState) -> float:
+        if not selectivities:
             return 1.0
         shrink = 1.0
         containing = state.rels_with[attribute]
@@ -682,7 +689,7 @@ def plan_attribute_order_feedback(
         estimate = (
             state.partial
             * scores[attribute]
-            * sampled_shrink(attribute, state)
+            * shrink_for(attribute, state)
         )
         return _prefix_clamp(
             relations, sub_bounds, state.bound_attrs, attribute, estimate
@@ -1005,12 +1012,12 @@ def _plan_join(
 
     ``database`` supplies the statistics cache (and cached-index
     availability for the per-relation backend choice): repeated plans
-    over the same catalog reuse profiles, samples, and selectivities
-    instead of rescanning the data.  ``stats`` overrides the provider
-    outright — pass ``StatsProvider(config=StatsConfig(sample_size=0))``
-    to disable sampling and fall back to the min-distinct heuristic, a
-    provider with a different seed for reproducible experiments, or a
-    bare :class:`~repro.stats.provider.StatsConfig` (wrapped here).
+    over the same catalog reuse value-count tables, profiles, and
+    selectivities instead of rescanning the data.  ``stats`` overrides
+    the provider outright — pass
+    ``StatsProvider(config=StatsConfig(selectivities=False))`` to fall
+    back to the min-distinct heuristic, or a bare
+    :class:`~repro.stats.provider.StatsConfig` (wrapped here).
 
     ``feedback`` — a :class:`~repro.feedback.config.FeedbackConfig` —
     switches on observed-statistics precedence: when the provider holds
@@ -1115,7 +1122,7 @@ def _plan_join(
                     for level in best_telemetry.levels
                 }
         if observed:
-            # Observed statistics take precedence over sampled ones:
+            # Observed statistics take precedence over estimated ones:
             # the classical optimizer feedback loop.
             source_override = "feedback"
             with maybe_span("stats-profile", source="feedback"):
@@ -1193,10 +1200,10 @@ def _plan_join(
                     (src, dst, sel)
                     for (src, dst), sel in sorted(consulted.items())
                 )
-        elif provider.config.sampling:
-            with maybe_span("stats-profile", source="sampled"):
+        elif provider.config.selectivities:
+            with maybe_span("stats-profile", source="exact"):
                 order, scores, estimates, consulted = (
-                    plan_attribute_order_sampled(query, provider)
+                    plan_attribute_order_selectivity(query, provider)
                 )
             record["order_estimates"] = estimates
             record["selectivities"] = tuple(
@@ -1204,7 +1211,7 @@ def _plan_join(
                 for (src, dst), sel in sorted(consulted.items())
             )
             reasons.append(
-                "attribute order by sampled selectivity descent: "
+                "attribute order by exact selectivity descent: "
                 + ", ".join(f"{a}(~{est:.3g})" for a, est in estimates)
             )
         else:
@@ -1267,12 +1274,10 @@ def _plan_join(
             source=(
                 source_override
                 if source_override is not None
-                else "sampled"
-                if provider.config.sampling
+                else "exact"
+                if provider.config.selectivities
                 else "heuristic"
             ),
-            seed=provider.config.seed,
-            sample_size=provider.config.sample_size,
             heavy_hitters=provider.heavy_hitters(query),
             **record,
         )

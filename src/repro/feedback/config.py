@@ -7,7 +7,7 @@ enables both halves of the loop:
 * **recording** — executions carry telemetry probes and write their
   observations (per-level counts, per-shard wall times) back into the
   :class:`~repro.stats.provider.StatsProvider`;
-* **application** — the planner prefers observed statistics over sampled
+* **application** — the planner prefers observed statistics over estimated
   ones, the sharded driver splits shards that ran hot, and prepared
   queries re-plan when observation diverges from estimate.
 

@@ -1,6 +1,6 @@
 """Execution telemetry: what a join run actually did, per level.
 
-The planner's order descent works from *estimates* — sampled
+The planner's order descent works from *estimates* — pairwise
 selectivities, distinct counts, AGM sub-bounds.  This module defines the
 *measurements* that calibrate them: cheap per-level counters threaded
 through the attribute-at-a-time executors (Generic Join, Leapfrog

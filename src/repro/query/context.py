@@ -82,7 +82,7 @@ class ExecutionContext:
     #: A :class:`~repro.feedback.config.FeedbackConfig` switching on the
     #: runtime feedback loop — executions record per-level and per-shard
     #: telemetry into the statistics provider, the planner prefers
-    #: observed over sampled statistics, shards that ran hot are split
+    #: observed over estimated statistics, shards that ran hot are split
     #: on the next run, and prepared queries re-plan on divergence.
     #: ``None`` (the default) disables all of it: no probes are built
     #: and the executors run their uninstrumented paths.

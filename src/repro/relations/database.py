@@ -23,8 +23,9 @@ provides that binding along with:
   are cheap to keep.  :meth:`Database.cache_info` exposes occupancy,
   hit/miss/eviction counters, and resident bytes per backend.
 * a statistics cache serving the planner's
-  :class:`~repro.stats.provider.StatsProvider`: relation profiles,
-  samples, and sampled selectivities keyed by relation identity,
+  :class:`~repro.stats.provider.StatsProvider`: value-count tables,
+  the profiles and selectivities read off them, and per-query AGM
+  sub-bounds, keyed by relation identity,
   invalidated together with the index cache when a relation is replaced
   or dropped.
 """
@@ -255,9 +256,9 @@ class Database:
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_evictions = 0
-        # (relation name, payload key) -> statistics payload (profiles,
-        # samples, selectivities) — see repro.stats.provider.  Bounded:
-        # FIFO-evicted above stats_cache_budget entries.
+        # (relation name, payload key) -> statistics payload (value
+        # counts, profiles, selectivities) — see repro.stats.provider.
+        # Bounded: FIFO-evicted above stats_cache_budget entries.
         self._stats_cache: dict[tuple[str, tuple], object] = {}
         self._stats_cache_budget = stats_cache_budget
         # StatsConfig -> StatsProvider, so db.stats() is compute-once.
@@ -598,9 +599,9 @@ class Database:
 
         Indexes are keyed by the relation directly.  Statistics entries
         are dropped when ``name`` is the entry's subject *or appears
-        anywhere in its payload key* — a sampled selectivity cached
-        under its source relation also names its target, and replacing
-        the target must invalidate it too.
+        anywhere in its payload key* — a selectivity cached under its
+        source relation also names its target, and replacing the target
+        must invalidate it too.
         """
         stale = [key for key in self._index_cache if key[1] == name]
         for key in stale:

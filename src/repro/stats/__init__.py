@@ -1,4 +1,4 @@
-"""Statistics subsystem: profiles, sampling, and the planner's provider.
+"""Statistics subsystem: value counts, profiles, and the planner's provider.
 
 The planner's data-awareness lives here, behind one object:
 
@@ -9,11 +9,18 @@ The planner's data-awareness lives here, behind one object:
 >>> provider.profile(db["R"]).attribute("A").distinct
 2
 
-See :mod:`repro.stats.profiles` (distinct counts, heavy/light skew
-profiles), :mod:`repro.stats.sampling` (process-stable samples and
-conditional selectivities), and :mod:`repro.stats.provider` (the caching
-:class:`StatsProvider` and the :class:`PlanStatistics` record plans
-carry).
+One statistic is taken off the data — the ``value -> count`` table of
+a relation's attribute set, one counting pass, cached — and the rest
+are views of it:
+
+>>> sorted(provider.value_counts(db["R"], ("A",)).items())
+[(1, 2), (2, 1)]
+
+See :mod:`repro.stats.profiles` (the counting pass; distinct counts and
+heavy/light skew profiles read off it) and :mod:`repro.stats.provider`
+(the caching :class:`StatsProvider` — tables, profiles, exact
+conditional selectivities, on-demand AGM sub-bounds — and the
+:class:`PlanStatistics` record plans carry).
 """
 
 from repro.stats.profiles import (
@@ -27,11 +34,6 @@ from repro.stats.provider import (
     StatsConfig,
     StatsProvider,
 )
-from repro.stats.sampling import (
-    conditional_selectivity,
-    projection_values,
-    sample_rows,
-)
 
 __all__ = [
     "AttributeProfile",
@@ -39,9 +41,6 @@ __all__ = [
     "RelationProfile",
     "StatsConfig",
     "StatsProvider",
-    "conditional_selectivity",
     "heavy_threshold",
     "profile_relation",
-    "projection_values",
-    "sample_rows",
 ]

@@ -13,13 +13,20 @@ intersection.  :class:`AttributeProfile` records exactly that split
 table) alongside the distinct count the classical smallest-domain
 heuristic uses.
 
-Profiles are computed in **one cheap scan** per relation
-(:func:`profile_relation`): each column is counted by
+The one statistic taken off the data is the **value-count table**
+(:func:`count_values`): ``value -> number of tuples carrying it`` for
+one attribute, or ``value tuple -> count`` for several — "Skew Strikes
+Back"'s per-value frequency table.  It is the only function in the
+statistics subsystem that scans ``relation.tuples``: one pass of
 ``collections.Counter``'s C loop over an ``itemgetter``, so no
-Python-level work is done — and no object allocated — per row.  What
-follows is linear in the *distinct* values only: a pass over the counts
-for the heavy split, and a bounded selection (never a full sort) for
-the top-k table.
+Python-level work is done per row.  Everything else is a view of a
+table and linear in its *distinct* values only: a profile
+(:func:`profile_relation`) is a pass over the counts for the heavy
+split plus a bounded selection (never a full sort) for the top-k
+table; a conditional selectivity sums the counts of the keys two tables
+share (:meth:`~repro.stats.provider.StatsProvider.selectivity`); shard
+weights multiply them (:func:`~repro.engine.parallel.plan_shards`).
+The provider caches each table, so a cold plan reads each column once.
 
 Profiles are deterministic: top-k tables order by ``(-count,
 repr(value))``, so ties never depend on hash-set iteration order, which
@@ -32,7 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -41,12 +48,18 @@ from repro.relations.relation import Relation, Value
 __all__ = [
     "AttributeProfile",
     "RelationProfile",
+    "count_values",
     "heavy_threshold",
     "profile_relation",
 ]
 
 #: Default length of each attribute's most-frequent-values table.
 DEFAULT_TOP_K = 8
+
+#: ``(relation, attributes) -> value-count table``: :func:`count_values`
+#: itself, or whatever holds its tables already
+#: (:meth:`~repro.stats.provider.StatsProvider.value_counts`).
+ValueCounts = Callable[[Relation, Sequence[str]], Mapping[object, int]]
 
 
 def heavy_threshold(total: int) -> int:
@@ -174,7 +187,19 @@ class RelationProfile:
         return max((p.heavy_mass for p in self.attributes), default=0.0)
 
 
-def _top_values(counter: Counter, k: int) -> tuple[tuple[Value, int], ...]:
+def count_values(
+    relation: Relation, attributes: Sequence[str]
+) -> Mapping[object, int]:
+    """``value -> count`` over ``relation``'s tuples: the bare value for
+    one attribute, the value tuple (in the order given) for several.
+
+    The statistics subsystem's one scan of ``relation.tuples``."""
+    return Counter(
+        map(itemgetter(*relation.positions(attributes)), relation.tuples)
+    )
+
+
+def _top_values(counter: Mapping, k: int) -> tuple[tuple[Value, int], ...]:
     """The first ``k`` of ``counter.items()`` in ``(-count, repr(value))``
     order, without sorting (or taking the ``repr`` of) every item."""
     if k <= 0 or not counter:
@@ -208,15 +233,21 @@ def _orderable(kinds: set[type], values: Iterable[Value]) -> bool:
 
 
 def profile_relation(
-    relation: Relation, top_k: int = DEFAULT_TOP_K
+    relation: Relation,
+    top_k: int = DEFAULT_TOP_K,
+    value_counts: ValueCounts = count_values,
 ) -> RelationProfile:
-    """Profile every attribute of ``relation``: one C-level counting
-    pass per column, then work linear in the distinct values."""
+    """Profile every attribute of ``relation`` from its value-count
+    table: work linear in the distinct values.
+
+    ``value_counts`` supplies the tables — :func:`count_values` (one
+    counting pass per column) unless the caller holds them already, as
+    :meth:`~repro.stats.provider.StatsProvider.value_counts` does."""
     total = len(relation)
     threshold = heavy_threshold(total)
     profiles = []
-    for position, attribute in enumerate(relation.attributes):
-        counter = Counter(map(itemgetter(position), relation.tuples))
+    for attribute in relation.attributes:
+        counter = value_counts(relation, (attribute,))
         heavy = [count for count in counter.values() if count >= threshold]
         kinds = set(map(type, counter))
         int_min = int_max = None

@@ -2,14 +2,18 @@
 
 One object sits between the planner and the statistics machinery:
 
-* :class:`StatsConfig` — the knobs (sample size, seed, top-k, the
+* :class:`StatsConfig` — the knobs (selectivities on or off, top-k, the
   heavy-mass threshold adaptive decisions trigger on).  Frozen and
   hashable, so a :class:`~repro.relations.database.Database` can keep
   one provider per distinct configuration.
-* :class:`StatsProvider` — serves :class:`~repro.stats.profiles.
-  RelationProfile` objects, process-stable samples, projection sets,
-  sampled conditional selectivities, and AGM sub-bounds, caching each
-  behind **relation identity**:
+* :class:`StatsProvider` — serves one statistic taken off the data, the
+  **value-count table** of a relation's attribute set
+  (:meth:`StatsProvider.value_counts`: one counting pass, cached), and
+  the views of it the planner reads: :class:`~repro.stats.profiles.
+  RelationProfile` objects, exact conditional selectivities, shard
+  weights.  Beside them, the AGM sub-bounds of a query, each solved
+  when a clamp first reads it.  Everything caches behind **relation
+  identity**:
 
   - For relations catalogued in a ``Database`` (the provider checks
     ``database[name] is relation``), payloads live in the database's
@@ -26,20 +30,18 @@ One object sits between the planner and the statistics machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from repro.core.estimates import subquery_estimates
-from repro.relations.relation import Relation, Row
+from repro.core.estimates import connected_estimate
+from repro.relations.relation import Relation
 from repro.stats.profiles import (
     DEFAULT_TOP_K,
     RelationProfile,
+    count_values,
     profile_relation,
-)
-from repro.stats.sampling import (
-    conditional_selectivity,
-    projection_values,
-    sample_rows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -55,9 +57,9 @@ __all__ = [
 ]
 
 #: Entry cap for a provider's ad-hoc (non-database) cache.  Payloads
-#: include O(N) projection sets and hold strong relation references, so
-#: the cache must not grow with process lifetime; eviction is FIFO —
-#: recomputation is always safe.
+#: include O(distinct) value-count tables and hold strong relation
+#: references, so the cache must not grow with process lifetime;
+#: eviction is FIFO — recomputation is always safe.
 LOCAL_CACHE_BUDGET = 512
 
 
@@ -65,23 +67,15 @@ LOCAL_CACHE_BUDGET = 512
 class StatsConfig:
     """Configuration for a :class:`StatsProvider` (frozen, hashable)."""
 
-    #: Rows probed per sampled-selectivity estimate.  ``0`` disables
-    #: sampling entirely: the planner falls back to the min-distinct
-    #: heuristic and no projection sets are built.
-    sample_size: int = 128
-    #: Seed for the process-stable sampler.  Identical seeds (and data)
-    #: give identical samples — and identical plans — across processes.
-    seed: int = 0
+    #: Whether the order descent reads conditional selectivities.
+    #: ``False`` falls back to the min-distinct heuristic: only the
+    #: single-attribute tables the profiles need are counted.
+    selectivities: bool = True
     #: Length of each attribute's most-frequent-values table.
     top_k: int = DEFAULT_TOP_K
     #: Heavy-hitter mass at or above which adaptive decisions trigger
     #: (per-relation trie backends, extra heavy-value shards).
     heavy_mass_threshold: float = 0.25
-
-    @property
-    def sampling(self) -> bool:
-        """True when sampled selectivities are enabled."""
-        return self.sample_size > 0
 
 
 @dataclass(frozen=True)
@@ -94,17 +88,14 @@ class PlanStatistics:
     compare across process boundaries.
     """
 
-    #: ``"sampled"`` when sampled selectivities drove the order,
-    #: ``"heuristic"`` when the min-distinct fallback ran.
+    #: ``"exact"`` when conditional selectivities drove the order,
+    #: ``"heuristic"`` when the min-distinct fallback ran,
+    #: ``"feedback"`` when recorded executions took precedence.
     source: str
-    #: Sampler seed (meaningful only for ``"sampled"``).
-    seed: int
-    #: Rows probed per selectivity estimate (0 = sampling disabled).
-    sample_size: int
     #: ``(attribute, min distinct count)`` — the smallest-domain scores.
     distinct_counts: tuple[tuple[str, int], ...] = ()
     #: ``(source relation, target relation, P(match))`` for every
-    #: sampled selectivity the order descent consulted.
+    #: conditional selectivity the order descent consulted.
     selectivities: tuple[tuple[str, str, float], ...] = ()
     #: ``(relation, attribute, heavy value count, heavy mass)`` for every
     #: attribute whose profile crossed the heavy threshold.
@@ -112,9 +103,9 @@ class PlanStatistics:
     #: ``(attribute, estimated partial-result size)`` per order position
     #: (the greedy descent's objective, AGM-clamped).
     order_estimates: tuple[tuple[str, float], ...] = ()
-    #: For ``"feedback"`` plans: what the non-feedback (sampled or
+    #: For ``"feedback"`` plans: what the non-feedback (selectivity or
     #: heuristic) formula would have estimated per chosen attribute —
-    #: the "sampled" column of the observed-vs-sampled comparison.
+    #: the "estimated" column of the observed-vs-estimated comparison.
     baseline_estimates: tuple[tuple[str, float], ...] = ()
     #: For ``"feedback"`` plans: the recorded execution's per-level
     #: counters as ``(attribute, position, partials, candidates,
@@ -130,15 +121,7 @@ class PlanStatistics:
 
     def describe(self) -> str:
         """Human-readable rendering (the ``explain --stats`` block)."""
-        lines = [
-            "statistics:",
-            f"  source: {self.source}"
-            + (
-                f" (seed {self.seed}, sample {self.sample_size})"
-                if self.source == "sampled"
-                else ""
-            ),
-        ]
+        lines = ["statistics:", f"  source: {self.source}"]
         if self.distinct_counts:
             lines.append(
                 "  distinct counts: "
@@ -156,7 +139,9 @@ class PlanStatistics:
         if self.observed_levels:
             baseline = dict(self.baseline_estimates)
             if baseline:
-                lines.append("  observed vs sampled (per chosen attribute):")
+                lines.append(
+                    "  observed vs estimated (per chosen attribute):"
+                )
                 for attr, estimate in self.order_estimates:
                     if attr not in baseline:
                         continue
@@ -195,6 +180,40 @@ class PlanStatistics:
         return "\n".join(lines)
 
 
+class _SubqueryBounds(dict):
+    """``relation subset -> AGM bound`` of one query, filled on demand.
+
+    Reads like the dict of every attribute-connected subset of two or
+    more relations; holds the ones read so far.  Safe to share between
+    planning threads: a subset solved twice under a race stores the
+    same value twice.
+    """
+
+    def __init__(self, query: "JoinQuery") -> None:
+        super().__init__()
+        self._query = query
+        # Subsets found not to be there (one relation, disconnected),
+        # so a warm plan pays a set lookup for them, not a hypergraph.
+        self._absent: set[frozenset] = set()
+
+    def __contains__(self, subset: object) -> bool:
+        if super().__contains__(subset):
+            return True
+        if subset in self._absent:
+            return False
+        estimate = connected_estimate(self._query, subset)
+        if estimate is None:
+            self._absent.add(subset)
+            return False
+        self[subset] = estimate.bound
+        return True
+
+    def __missing__(self, subset: frozenset) -> float:
+        if subset in self:
+            return super().__getitem__(subset)
+        raise KeyError(subset)
+
+
 class StatsProvider:
     """Compute-once statistics for the planner.
 
@@ -206,7 +225,7 @@ class StatsProvider:
         database* and invalidated alongside its index cache on
         ``add(replace=True)`` / ``remove``.
     config:
-        Sampling and skew knobs; defaults to :class:`StatsConfig()`.
+        Selectivity and skew knobs; defaults to :class:`StatsConfig()`.
     """
 
     def __init__(
@@ -249,60 +268,65 @@ class StatsProvider:
 
     # -- statistics ---------------------------------------------------------
 
+    def value_counts(
+        self, relation: Relation, attributes: Sequence[str]
+    ) -> Mapping[object, int]:
+        """The relation's ``value -> count`` table over ``attributes``
+        (cached, read-only): how many tuples carry each value.
+
+        Keys are bare values for one attribute and value tuples for
+        several, in *sorted attribute-name* order whatever order the
+        caller (or the schema) lists them in — so ``R(A, B, D)`` and
+        ``S(D, B, C)`` key their shared ``(B, D)`` alike and each holds
+        one table.  One C-level counting pass
+        (:func:`~repro.stats.profiles.count_values`); the profile, the
+        selectivities and the shard weights are all views of it.
+        """
+        attributes = tuple(sorted(attributes))
+        return self._cached(
+            relation,
+            ("value_counts", attributes),
+            lambda: MappingProxyType(count_values(relation, attributes)),
+        )
+
     def profile(self, relation: Relation) -> RelationProfile:
-        """The relation's :class:`RelationProfile` (cached)."""
+        """The relation's :class:`RelationProfile` (cached), derived
+        from its single-attribute :meth:`value_counts` tables."""
         return self._cached(
             relation,
             ("profile", self.config.top_k),
-            lambda: profile_relation(relation, self.config.top_k),
-        )
-
-    def sample(self, relation: Relation) -> tuple[Row, ...]:
-        """A process-stable row sample of the relation (cached)."""
-        return self._cached(
-            relation,
-            ("sample", self.config.sample_size, self.config.seed),
-            lambda: sample_rows(
-                relation, self.config.sample_size, self.config.seed
+            lambda: profile_relation(
+                relation, self.config.top_k, self.value_counts
             ),
         )
 
-    def projection(
-        self, relation: Relation, attributes: tuple[str, ...]
-    ) -> frozenset[Row]:
-        """The relation's projection onto ``attributes`` (cached)."""
-        return self._cached(
-            relation,
-            ("projection", attributes),
-            lambda: projection_values(relation, attributes),
-        )
-
     def selectivity(self, source: Relation, target: Relation) -> float:
-        """Sampled ``P(match in target | tuple of source)``.
+        """Exact ``P(match in target | tuple of source)``: the fraction
+        of ``source``'s tuples whose shared-attribute values appear in
+        ``target`` (0.0 for an empty source).
 
-        The shared attributes are taken from the two schemas (in
-        ``source``'s order); schemas must overlap.  Each call probes the
-        cached sample of ``source`` against the cached projection of
-        ``target``, so repeated queries pay O(sample) only once.
+        The shared attributes are taken from the two schemas, which
+        must overlap.  Read off the two relations' :meth:`value_counts`
+        tables over them — the counts of the keys both hold, summed —
+        so both directions of a pair cost one table per relation, and
+        for a single shared attribute that table is the profile's.
         """
-        shared = tuple(
-            a for a in source.attributes if a in target.attribute_set
-        )
+        shared = source.attribute_set & target.attribute_set
         if not shared:
             raise ValueError(
                 f"relations {source.name!r} and {target.name!r} share no "
                 "attributes"
             )
-        key = ("selectivity", target.name, shared,
-               self.config.sample_size, self.config.seed)
+        key = ("selectivity", target.name, tuple(sorted(shared)))
 
         def compute() -> float:
-            return conditional_selectivity(
-                source,
-                shared,
-                self.sample(source),
-                self.projection(target, shared),
-            )
+            if not source:
+                return 0.0
+            mine = self.value_counts(source, shared)
+            theirs = self.value_counts(target, shared)
+            return sum(
+                map(mine.__getitem__, mine.keys() & theirs.keys())
+            ) / len(source)
 
         # The database cache is only sound when BOTH relations are the
         # catalogued objects: the key names the target, and the database
@@ -416,19 +440,20 @@ class StatsProvider:
         )
 
     def subquery_bounds(self, query: "JoinQuery") -> dict[frozenset, float]:
-        """The AGM bound of every connected relation subset of ``query``
-        (:func:`~repro.core.estimates.subquery_estimates`), cached.
+        """The AGM bounds of ``query``'s connected relation subsets,
+        cached, each solved the first time it is read.
 
-        One exact-``Fraction`` cover LP per subset, and a pure function
-        of the edge sets and relation sizes — which is what the per-query
-        cache keys and invalidates on — so a repeated plan solves none.
+        ``subset in bounds`` / ``bounds[subset]`` answer for any
+        frozenset of edge ids as the eager table of
+        :func:`~repro.core.estimates.subquery_estimates` would; the
+        exact-``Fraction`` cover LP of a subset runs on its first read
+        only.  A bound is a pure function of the edge sets and relation
+        sizes — which is what the per-query cache keys and invalidates
+        on — so a repeated plan solves none.
         """
         bounds = self._query_get(query, "agm_sub_bounds", ())
         if bounds is None:
-            bounds = {
-                subset: estimate.bound
-                for subset, estimate in subquery_estimates(query).items()
-            }
+            bounds = _SubqueryBounds(query)
             self._query_put(query, "agm_sub_bounds", (), bounds)
         return bounds
 
@@ -547,8 +572,8 @@ class StatsProvider:
 #: neither a ``database`` nor a ``stats`` provider.  Shared on purpose:
 #: relations are immutable and the cache is identity-keyed, so repeated
 #: ad-hoc plans over the same relation objects (``execute([r, s, t])`` in
-#: a loop) reuse profiles, samples, and selectivities instead of
-#: recomputing them per call; the FIFO-bounded local cache caps memory.
+#: a loop) reuse value-count tables, profiles, and selectivities instead
+#: of recomputing them per call; the FIFO-bounded local cache caps memory.
 _DEFAULT_PROVIDER = StatsProvider()
 
 

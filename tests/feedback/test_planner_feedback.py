@@ -23,7 +23,7 @@ def trap():
 
 
 def heuristic_provider():
-    return StatsProvider(config=StatsConfig(sample_size=0))
+    return StatsProvider(config=StatsConfig(selectivities=False))
 
 
 class TestSelfCorrection:
@@ -86,15 +86,15 @@ class TestSelfCorrection:
 
 
 class TestPrecedenceAndFallback:
-    def test_observed_takes_precedence_over_sampled(self, trap):
-        provider = StatsProvider()  # sampling enabled
+    def test_observed_takes_precedence_over_estimated(self, trap):
+        provider = StatsProvider()  # selectivities enabled
         builder = Q(trap).using(
             algorithm="generic", stats=provider, feedback=FeedbackConfig()
         )
-        sampled_plan = Q(trap).using(
+        estimated_plan = Q(trap).using(
             algorithm="generic", stats=provider
         ).plan()
-        assert sampled_plan.statistics.source == "sampled"
+        assert estimated_plan.statistics.source == "exact"
         for _row in builder.stream():
             pass
         plan = builder.plan()
@@ -173,7 +173,7 @@ class TestPrecedenceAndFallback:
 
 
 class TestDescribe:
-    def test_observed_vs_sampled_rendering(self, trap):
+    def test_observed_vs_estimated_rendering(self, trap):
         provider = heuristic_provider()
         builder = Q(trap).using(
             algorithm="generic", stats=provider, feedback=FeedbackConfig()
@@ -184,7 +184,7 @@ class TestDescribe:
         assert "source: feedback" in text
         assert "observed levels (last recorded run):" in text
         assert "selectivity=" in text and "fan-out=" in text
-        assert "observed vs sampled (per chosen attribute):" in text
+        assert "observed vs estimated (per chosen attribute):" in text
 
 
 class TestDeterminism:

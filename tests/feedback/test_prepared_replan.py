@@ -19,7 +19,7 @@ def trap():
 
 
 def heuristic_provider():
-    return StatsProvider(config=StatsConfig(sample_size=0))
+    return StatsProvider(config=StatsConfig(selectivities=False))
 
 
 class TestReplan:

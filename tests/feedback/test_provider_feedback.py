@@ -221,7 +221,7 @@ class TestResolveProvider:
         assert resolve_provider(None, provider) is provider
 
     def test_config_without_database_is_shared(self):
-        config = StatsConfig(sample_size=7, seed=3)
+        config = StatsConfig(top_k=3)
         first = resolve_provider(None, config)
         second = resolve_provider(None, config)
         assert first is second
@@ -230,7 +230,7 @@ class TestResolveProvider:
     def test_database_provider_cached(self):
         db = Database(triangle_relations())
         assert resolve_provider(db, None) is db.stats()
-        config = StatsConfig(sample_size=0)
+        config = StatsConfig(selectivities=False)
         assert resolve_provider(db, config) is db.stats(config)
 
     def test_default_provider_shared(self):

@@ -65,7 +65,7 @@ class TestPlannerConsumesContext:
         plan = plan_join(
             query,
             context=ExecutionContext(
-                algorithm="generic", stats=StatsConfig(sample_size=0)
+                algorithm="generic", stats=StatsConfig(selectivities=False)
             ),
         )
         assert plan.statistics is not None

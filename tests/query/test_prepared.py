@@ -441,9 +441,9 @@ class TestShardedParentPlansOnce:
         seen = []
         real = parallel.plan_shards
 
-        def spying(query, shards, attribute=None):
+        def spying(query, shards, attribute=None, *tables):
             seen.append((shards, attribute))
-            return real(query, shards, attribute)
+            return real(query, shards, attribute, *tables)
 
         monkeypatch.setattr(parallel, "plan_shards", spying)
         prepared = Q(instance()).using(shards=2, mode="serial").prepare()

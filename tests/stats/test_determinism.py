@@ -1,14 +1,14 @@
-"""Sampling determinism: identical seeds => identical plans.
+"""Statistics determinism: identical data => identical plans.
 
-The contract (ISSUE 3 satellite): with the same data and the same
-sampler seed, the planner's decisions — attribute order, backend(s),
-shard count — are identical across runs *and across process
-boundaries*.  Cross-process is the sharp edge: string hashing is
-randomized per process (``PYTHONHASHSEED``), so anything that iterates
-a set/frozenset of strings in hash order is run-to-run stable but
-process-to-process unstable.  The sampler draws from the rows in sorted
-order precisely to dodge this; these tests pin it with string-valued
-relations and explicitly different hash seeds.
+The contract (ISSUE 3 satellite): with the same data, the planner's
+decisions — attribute order, backend(s), shard count — are identical
+across runs *and across process boundaries*.  Cross-process is the
+sharp edge: string hashing is randomized per process
+(``PYTHONHASHSEED``), so anything that iterates a set/frozenset of
+strings in hash order is run-to-run stable but process-to-process
+unstable.  The statistics are exact — counts, and integer sums of
+counts, which no iteration order changes; these tests pin it with
+string-valued relations and explicitly different hash seeds.
 """
 
 import os
@@ -19,7 +19,7 @@ import sys
 import textwrap
 
 from repro.engine.planner import plan_join
-from repro.stats import StatsConfig, StatsProvider
+from repro.stats import StatsProvider
 from repro.workloads import generators
 
 # String values make set iteration order process-dependent — the
@@ -63,25 +63,15 @@ def decisions(plan):
 
 
 class TestWithinProcess:
-    def test_identical_seeds_identical_plans(self):
+    def test_identical_data_identical_plans(self):
         first = plan_join(workload(), "generic", shards="auto")
         second = plan_join(workload(), "generic", shards="auto")
         assert decisions(first) == decisions(second)
 
     def test_fresh_providers_agree(self):
-        # No hidden state: two independent providers, same seed.
+        # No hidden state: two independent providers.
         a = plan_join(workload(), "generic", stats=StatsProvider())
         b = plan_join(workload(), "generic", stats=StatsProvider())
-        assert decisions(a) == decisions(b)
-
-    def test_different_seed_may_differ_but_is_deterministic(self):
-        seeded = StatsConfig(seed=99)
-        a = plan_join(
-            workload(), "generic", stats=StatsProvider(config=seeded)
-        )
-        b = plan_join(
-            workload(), "generic", stats=StatsProvider(config=seeded)
-        )
         assert decisions(a) == decisions(b)
 
     def test_pickled_plan_preserves_decisions(self):

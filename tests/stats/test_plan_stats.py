@@ -7,7 +7,7 @@ from repro.core.query import JoinQuery
 from repro.engine.planner import (
     MAX_AUTO_SHARDS,
     plan_attribute_order,
-    plan_attribute_order_sampled,
+    plan_attribute_order_selectivity,
     plan_join,
 )
 from repro.relations.database import Database
@@ -19,7 +19,7 @@ from tests.helpers import triangle_query
 
 
 def heuristic_provider():
-    return StatsProvider(config=StatsConfig(sample_size=0))
+    return StatsProvider(config=StatsConfig(selectivities=False))
 
 
 @pytest.fixture
@@ -29,30 +29,32 @@ def trap():
     return generators.zipf_trap_triangle(400, 3000, seed=7)
 
 
-class TestSampledOrder:
+class TestSelectivityOrder:
     def test_avoids_the_distinct_count_trap(self, trap):
         provider = StatsProvider()
-        sampled, scores, estimates, consulted = (
-            plan_attribute_order_sampled(trap, provider)
+        chosen, scores, estimates, consulted = (
+            plan_attribute_order_selectivity(trap, provider)
         )
         heuristic = plan_attribute_order(trap, scores)
         assert heuristic[0] == "B"  # the decoy: fewest distinct values
-        assert sampled[0] == "A"  # the payoff: sampled selectivity ~5%
+        assert chosen[0] == "A"  # the payoff: selectivity ~5%
         assert consulted[("R", "T")] < 0.2  # the evidence
-        assert [a for a, _est in estimates] == list(sampled)
+        assert [a for a, _est in estimates] == list(chosen)
 
     def test_is_a_permutation(self, trap):
-        order, *_rest = plan_attribute_order_sampled(trap, StatsProvider())
+        order, *_rest = plan_attribute_order_selectivity(
+            trap, StatsProvider()
+        )
         assert sorted(order) == sorted(trap.attributes)
 
-    def test_falls_back_to_min_distinct_when_sampling_disabled(self, trap):
+    def test_falls_back_to_min_distinct_when_selectivities_off(self, trap):
         plan = plan_join(trap, "generic", stats=heuristic_provider())
         scores = heuristic_provider().attribute_scores(trap)
         assert plan.attribute_order == plan_attribute_order(trap, scores)
         assert plan.statistics.source == "heuristic"
         assert any("ascending distinct-count" in r for r in plan.reasons)
 
-    def test_sampled_plan_same_result_set(self, trap):
+    def test_selectivity_plan_same_result_set(self, trap):
         base = naive_join(trap)
         plan = plan_join(trap, "generic")
         assert plan.execute().equivalent(base)
@@ -62,7 +64,7 @@ class TestSampledOrder:
         # covered sub-query's AGM bound (3^1.5 here, further clamped by
         # the fully-covered relations' sizes).
         q = triangle_query()
-        _order, _scores, estimates, _sels = plan_attribute_order_sampled(
+        _order, _scores, estimates, _sels = plan_attribute_order_selectivity(
             q, StatsProvider()
         )
         assert estimates[-1][1] <= 3**1.5 + 1e-9
@@ -73,7 +75,7 @@ class TestPlanStatisticsRecord:
         plan = plan_join(trap, "generic")
         stats = plan.statistics
         assert isinstance(stats, PlanStatistics)
-        assert stats.source == "sampled"
+        assert stats.source == "exact"
         assert dict(stats.distinct_counts)  # every ordered attribute
         assert stats.selectivities  # the probes that drove the order
         assert stats.order_estimates
@@ -308,18 +310,18 @@ class TestPerRelationBackends:
 class TestSharedDefaultProvider:
     def test_repeated_adhoc_plans_do_not_rescan(self, monkeypatch):
         # plan_join without a database must reuse the process-wide
-        # provider: planning the same relation objects twice profiles
-        # them once.
+        # provider: planning the same relation objects twice counts
+        # their columns once.
         import repro.stats.provider as provider_module
 
         calls = []
-        real = provider_module.profile_relation
+        real = provider_module.count_values
 
-        def counting(relation, top_k):
+        def counting(relation, attributes):
             calls.append(relation.name)
-            return real(relation, top_k)
+            return real(relation, attributes)
 
-        monkeypatch.setattr(provider_module, "profile_relation", counting)
+        monkeypatch.setattr(provider_module, "count_values", counting)
         q = JoinQuery(
             [
                 Relation("R", ("A", "B"), [(i, i + 1) for i in range(30)]),

@@ -24,13 +24,13 @@ def db():
 
 
 class TestConfig:
-    def test_sampling_flag(self):
-        assert StatsConfig().sampling
-        assert not StatsConfig(sample_size=0).sampling
+    def test_selectivities_flag(self):
+        assert StatsConfig().selectivities
+        assert not StatsConfig(selectivities=False).selectivities
 
     def test_hashable(self):
         assert StatsConfig() == StatsConfig()
-        assert len({StatsConfig(), StatsConfig(seed=1)}) == 2
+        assert len({StatsConfig(), StatsConfig(top_k=3)}) == 2
 
 
 class TestDatabaseCache:
@@ -43,16 +43,21 @@ class TestDatabaseCache:
     def test_shared_across_provider_lookups(self, db):
         # db.stats() returns one provider per config.
         assert db.stats() is db.stats()
-        assert db.stats(StatsConfig(seed=1)) is not db.stats()
+        assert db.stats(StatsConfig(top_k=3)) is not db.stats()
 
     def test_replace_invalidates(self, db):
         provider = db.stats()
         before = provider.profile(db["R"])
+        table = provider.value_counts(db["R"], ("A",))
         assert before.attribute("A").distinct == 3
+        assert dict(table) == {0: 1, 1: 1, 2: 1}
+        # The profile read the table it is a view of: nothing recounts.
+        assert provider.value_counts(db["R"], ("A",)) is table
         db.add(Relation("R", ("A", "B"), [(9, 9)]), replace=True)
         after = provider.profile(db["R"])
         assert after is not before
         assert after.attribute("A").distinct == 1
+        assert dict(provider.value_counts(db["R"], ("A",))) == {9: 1}
 
     def test_remove_invalidates(self, db):
         provider = db.stats()
@@ -61,13 +66,59 @@ class TestDatabaseCache:
         db.remove("R")
         assert db.cached_stats_count() == 0
 
+    def test_one_event_drops_everything_naming_the_relation(self, db):
+        """Tables, profile, selectivities on either side and the
+        on-demand bounds of a query containing it: one replace (or
+        remove) of ``S`` drops them all, and nothing of ``R`` / ``T``
+        that does not name ``S``."""
+
+        def names_s(entry_key):
+            return entry_key[0] == "S" or "S" in entry_key[1]
+
+        def plan():
+            return plan_join(
+                JoinQuery.from_database(db, ["R", "S", "T"]), database=db
+            )
+
+        provider = db.stats()
+        first = plan()
+        kept = {
+            key: payload
+            for key, payload in db._stats_cache.items()
+            if not names_s(key)
+        }
+        kinds = {key[1][0] for key in db._stats_cache if names_s(key)}
+        assert kinds == {
+            "value_counts", "profile", "selectivity", "agm_sub_bounds"
+        }
+        assert provider.selectivity(db["R"], db["S"]) == 1.0
+        assert provider.selectivity(db["S"], db["R"]) == 1.0
+        db.add(Relation("S", ("B", "C"), [(1, 5), (8, 8)]), replace=True)
+        assert not any(names_s(key) for key in db._stats_cache)
+        assert all(db._stats_cache[key] is kept[key] for key in kept)
+        # Recomputed against the new S, both directions.
+        assert provider.selectivity(db["R"], db["S"]) == 1 / 3
+        assert provider.selectivity(db["S"], db["R"]) == 1 / 2
+        assert dict(provider.value_counts(db["S"], ("B",))) == {1: 1, 8: 1}
+        second = plan()
+        assert second.statistics != first.statistics
+        assert any(key[1][0] == "agm_sub_bounds" for key in db._stats_cache)
+        db.remove("S")
+        assert not any(names_s(key) for key in db._stats_cache)
+        assert all(db._stats_cache[key] is kept[key] for key in kept)
+
     def test_same_named_adhoc_relation_does_not_hit_catalog_cache(self, db):
         provider = db.stats()
         provider.profile(db["R"])
+        cached = db.cached_stats_count()
         imposter = Relation("R", ("A", "B"), [(7, 7)])
         profile = provider.profile(imposter)
         assert profile.size == 1  # the imposter's own data
-        # And the catalog's cached profile is untouched.
+        assert dict(provider.value_counts(imposter, ("A",))) == {7: 1}
+        assert provider.selectivity(imposter, db["T"]) == 0.0
+        # Nothing of the imposter was written to the catalog's cache,
+        # and the catalog's cached profile is untouched.
+        assert db.cached_stats_count() == cached + 1  # T's table of A
         assert provider.profile(db["R"]).size == 3
 
     def test_selectivity_cached_and_invalidated_with_target(self, db):
@@ -133,8 +184,9 @@ class TestQueries:
 
 class TestCoverLpSolvedOncePerCatalog:
     """The AGM sub-bounds the order descent clamps by are one exact
-    simplex solve per connected relation subset — a pure function of the
-    edge sets and sizes, so only the first plan over a catalog pays."""
+    simplex solve per connected relation subset *a clamp reads* — a
+    pure function of the edge sets and sizes, so only the first plan
+    over a catalog pays, and only for the subsets its descent reached."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -161,7 +213,8 @@ class TestCoverLpSolvedOncePerCatalog:
         query = JoinQuery(list(db))
         first = plan_join(query, database=db)
         assert first.algorithm == "generic"
-        assert len(solves) == 6  # connected subsets of a 4-chain
+        # Of the 6 connected subsets of a 4-chain the descent covers 3.
+        assert len(solves) == 3
         del solves[:]
         second = plan_join(query, database=db)
         assert solves == []
@@ -178,7 +231,73 @@ class TestCoverLpSolvedOncePerCatalog:
         )
         db.add(smaller, replace=True)
         plan_join(JoinQuery(list(db)), database=db)
-        assert len(solves) == 6
+        assert len(solves) == 3
+
+    def test_a_subset_the_descent_never_reaches_is_never_solved(
+        self, solves
+    ):
+        db = Database(triangle_relations())
+        query = JoinQuery(list(db))
+        plan_join(query, database=db)
+        # A triangle's prefixes cover one relation until the last
+        # attribute covers all three: the pairs are never asked for.
+        assert len(solves) == 1
+        bounds = db.stats().subquery_bounds(query)
+        assert set(bounds) == {frozenset("RST")}
+        del solves[:]
+        # Asked for, a pair is solved — once — to the eager value.
+        from repro.core.estimates import subquery_estimates
+
+        pair = frozenset("RS")
+        assert pair in bounds
+        assert bounds[pair] == bounds[pair] == pytest.approx(9.0)
+        assert len(solves) == 1
+        assert frozenset("R") not in bounds  # one relation: not there
+        eager = subquery_estimates(query)
+        assert all(bounds[subset] == eager[subset].bound for subset in eager)
+        assert set(bounds) == set(eager)
+
+    def test_planning_threads_share_one_mapping(self):
+        """The server plans on several threads over one catalog: the
+        on-demand mapping they share ends up holding the eager values,
+        whoever solved what first (a subset solved twice under a race
+        stores the same bound twice)."""
+        import sys
+        import threading
+
+        from repro.core.estimates import subquery_estimates
+
+        db = self.chain_db()
+        query = JoinQuery(list(db))
+        plans, errors = [], []
+        start = threading.Barrier(8)
+
+        def plan():
+            try:
+                start.wait(timeout=30)
+                plans.append(plan_join(query, database=db))
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=plan) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(plans) == 8
+        assert len({plan.attribute_order for plan in plans}) == 1
+        assert len({plan.statistics for plan in plans}) == 1
+        bounds = db.stats().subquery_bounds(query)
+        eager = subquery_estimates(query)
+        assert len(bounds) == 3
+        assert all(bounds[subset] == eager[subset].bound for subset in bounds)
 
     def test_adhoc_relations_reuse_the_providers_memo(self, solves):
         provider = StatsProvider()

@@ -258,7 +258,7 @@ estimated output (AGM bound): 5.196 tuples
 relation sizes: R=3, S=3, T=3
 decisions:
   - every shape: Generic Join streams attribute-at-a-time within the AGM bound
-  - attribute order by sampled selectivity descent: A(~3), B(~3), C(~3)
+  - attribute order by exact selectivity descent: A(~3), B(~3), C(~3)
   - hash-trie backend: O(1) probes and precomputed counts
 
 Algorithm 2 query-plan tree (for --algorithm nprr):
@@ -290,7 +290,7 @@ total order: B, A, C
             "relation sizes: R=3, S=3, T=3",
             "decisions:",
             "  - algorithm 'leapfrog' fixed by caller",
-            "  - attribute order by sampled selectivity descent: "
+            "  - attribute order by exact selectivity descent: "
             "A(~3), B(~3), C(~3)",
             "  - sorted flat-array backend: leapfrog seeks need sorted runs",
         ]
@@ -431,7 +431,7 @@ estimated output (AGM bound): 1.000 tuples
 relation sizes: R=1, S=3, T=1
 decisions:
   - every shape: Generic Join streams attribute-at-a-time within the AGM bound
-  - attribute order by sampled selectivity descent: B(~0.333), C(~0.333)
+  - attribute order by exact selectivity descent: B(~0.333), C(~0.333)
   - hash-trie backend: O(1) probes and precomputed counts
 """
 
@@ -477,7 +477,7 @@ statistics:
   source: feedback
   distinct counts: A=3, B=3, C=3
   order estimates: A~3, B~3, C~3
-  observed vs sampled (per chosen attribute):
+  observed vs estimated (per chosen attribute):
     A: estimate without feedback ~3, with feedback ~3
     B: estimate without feedback ~3, with feedback ~3
     C: estimate without feedback ~3, with feedback ~3
@@ -516,7 +516,7 @@ statistics:
     def test_explain_feedback_golden_stats_block(
         self, triangle_files, capsys
     ):
-        # A recorded run first, then the observed-vs-sampled table.
+        # A recorded run first, then the observed-vs-estimated table.
         assert main(
             ["join", *triangle_files, "--algorithm", "generic",
              "--feedback"]
@@ -545,7 +545,7 @@ statistics:
              "--stats"]
         ) == 0
         out = capsys.readouterr().out
-        assert "source: sampled" in out
+        assert "source: exact" in out
         assert "observed levels" not in out
 
     def test_stream_and_shards_accept_feedback(

@@ -39,10 +39,10 @@ with C at rank 2 keeps enumerating through rank 2, then prunes below.
 
 The fold is a sink over the descent kernel
 (:func:`repro.core.descent.walk` with the hash-probe level strategy): it
-reads the executor's :class:`~repro.core.descent.Binding` and needs only
-the backend node protocol (``fanout_hint`` / ``children`` / ``count``),
-which is why one implementation serves GenericJoin over any backend
-*and* Leapfrog over its sorted/compact cursor layouts.
+reads the executor's :class:`~repro.core.descent.Binding`, the walk
+hands it every state as real index nodes, and it needs only ``count``
+of them — which is why one implementation serves GenericJoin over any
+backend *and* Leapfrog over its sorted/compact cursor layouts.
 """
 
 from __future__ import annotations

@@ -41,8 +41,7 @@ Practicalities:
   takes its candidates from the descent kernel's hash-probe level
   strategy (:mod:`repro.core.descent`), so the query layer can surface
   it unchanged no matter which enumeration algorithm the plan would have
-  picked, over any index backend that implements
-  ``fanout_hint``/``children``/``count``.
+  picked, over any index backend (a trial steps ``nodes[i][value]``).
 """
 
 from __future__ import annotations
@@ -116,11 +115,12 @@ class JoinSampler:
         Walks one root-to-leaf path and never backtracks, so it is not a
         :func:`~repro.core.descent.walk`; its candidates — filtered
         values are simply absent, which keeps surviving rows uniform
-        over the *filtered* join — come from the same level strategy.
+        over the *filtered* join — come from the same level strategy
+        (which opens array nodes in place: the state is a copy).
         """
         indexes = self._binding.indexes
         weights = self._weights
-        nodes = self._root
+        nodes = list(self._root)
         weight = 1.0
         for i, index in enumerate(indexes):
             count = index.count(nodes[i], self._remaining[0][i])
@@ -137,11 +137,11 @@ class JoinSampler:
                 if i not in level.participants:
                     shared *= index.count(nodes[i], remaining[i]) ** weights[i]
             draw = rng.random() * weight
-            for value, advanced in level.expand(nodes, None):
+            for value in level.survivors(nodes, None):
                 weight = shared
                 for i in level.participants:
                     weight *= (
-                        indexes[i].count(advanced[i], remaining[i])
+                        indexes[i].count(nodes[i][value], remaining[i])
                         ** weights[i]
                     )
                 draw -= weight
@@ -149,7 +149,8 @@ class JoinSampler:
                     break
             else:
                 return None  # the draw fell into the Hölder slack
-            nodes = advanced
+            for i in level.participants:
+                nodes[i] = nodes[i][value]
             prefix.append(value)
         return tuple(prefix)
 

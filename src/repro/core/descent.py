@@ -1,5 +1,4 @@
-"""The descent kernel: one binding, one walk, one row sink, two level
-strategies.
+"""The descent kernel: one binding, one walk, one row sink, two levels.
 
 Generic Join and Leapfrog Triejoin are the same recursion over a global
 attribute order — at each level, intersect the candidate values of the
@@ -14,16 +13,15 @@ This module holds the pieces every such search shares:
   that validates the order and consults the catalog's index cache
   (:func:`narrow` derives a shard's binding from it: one more value
   filter per key link, nothing rebuilt);
-* :func:`walk` is the one loop that owns depth, prefix and backtracking;
-  at full depth it yields one *leaf batch* per parent, and
+* :func:`walk` is the one loop: it owns depth, prefix, backtracking and
+  every state, and at full depth yields one *leaf batch* per parent;
   :func:`iter_rows` is the one sink that turns batches into rows;
 * :class:`HashLevel` and :class:`LeapfrogLevel` are the two ways to
   intersect one level — the only code that differs between the
-  algorithms.  A :class:`HashLevel` is one batch intersection owned by
-  the backends (:meth:`~repro.engine.backends.IndexBackend.children`),
-  not a loop over candidates: Õ(the smallest participant), the one
-  primitive the AGM bound needs ("Skew Strikes Back"), with no Python
-  call per candidate.
+  algorithms — behind :func:`walk`'s one contract (``participants`` +
+  ``survivors``).  A :class:`HashLevel` is one batch intersection,
+  Õ(the smallest participant), the one primitive the AGM bound needs
+  ("Skew Strikes Back"), at one Python call per search node.
 
 The callers (:class:`~repro.core.generic_join.GenericJoin`,
 :class:`~repro.core.leapfrog.LeapfrogTriejoin`,
@@ -154,48 +152,48 @@ def narrow(binding: Binding, key: Sequence[tuple[str, frozenset]]) -> Binding:
 
 
 def walk(
-    levels: Sequence,
-    root: object,
-    stop: int,
-    probe=None,
+    levels: Sequence, root: Sequence, stop: int, probe=None
 ) -> Iterator[tuple[list, object]]:
     """Yield the search nodes at depth ``stop``: ``(prefix, state)``
     below full depth, one **leaf batch** ``(prefix, values)`` per parent
     at full depth (``stop == len(levels)``).
 
-    ``levels[d].expand(state, candidates)`` iterates the ``(value,
-    next state)`` pairs surviving level ``d`` below ``state``;
-    ``levels[-1].leaf(state, candidates)`` is the deepest level's
-    surviving values alone — nothing can use the states below them, so
-    a full-depth walk takes and yields them in one piece (parents with
-    none are skipped).  The walk owns depth, prefix and backtracking —
-    an explicit stack of open levels.  ``prefix`` is a single list of
+    A level is two names: ``levels[d].survivors(state, candidates)``
+    iterates the values surviving level ``d`` below ``state`` (and may
+    open ``state``'s array nodes in place), and the walk makes each
+    child's state — a copy of the parent's with ``state[i] =
+    parent[i][value]`` for ``i`` in ``levels[d].participants``.
+    ``levels[-1].leaf`` is the deepest level's survivors as one sized
+    batch: nothing can use the states below them, so a full-depth walk
+    yields them in one piece (parents with none are skipped).
+
+    The walk owns depth, prefix, backtracking — an explicit stack of
+    ``(iterator over the values, parent state)`` — and every state:
+    ``root`` is copied, never written.  ``prefix`` is one list of
     length ``stop`` reused across yields (a leaf batch leaves its last
     slot to the consumer): copy what you keep.
 
-    With a :class:`~repro.feedback.telemetry.TelemetryProbe` attached the
-    walk owns ``partials[d]`` (openings of level ``d``) and
-    ``matches[d]`` (the values that survived it — a leaf batch counts
-    at once), and hands ``candidates[d]`` to the level strategy to bump
-    by the values it enumerates.  Every level still open when the
-    consumer abandons the walk (or a filter raises) is closed, deepest
-    first.
+    With a ``TelemetryProbe`` the walk owns ``partials[d]`` (openings of
+    level ``d``) and ``matches[d]`` (the values that survived it — a
+    leaf batch counts at once), and hands ``candidates[d]`` to the level
+    to bump by the values it enumerates.  Every level still open when
+    the consumer abandons the walk (or a filter raises) is closed,
+    deepest first.
     """
     prefix: list = [None] * stop
+    state = list(root)
     if stop == 0:
-        yield prefix, root
+        yield prefix, state
         return
     counting = probe is not None
     if counting:
         partials, matches = probe.partials, probe.matches
-        candidates = probe.candidates
-    else:
-        candidates = None
-    expand = [level.expand for level in levels[:stop]]
+    candidates = probe.candidates if counting else None
+    survivors = [level.survivors for level in levels[:stop]]
+    movers = [level.participants for level in levels[:stop]]
     last = stop - 1
     leaf = levels[last].leaf if stop == len(levels) else None
     stack: list = []
-    state = root
     depth = 0
     try:
         while True:
@@ -208,10 +206,12 @@ def walk(
                         matches[depth] += len(values)
                     yield prefix, values
             else:
-                stack.append(expand[depth](state, candidates))
+                values = survivors[depth](state, candidates)
+                stack.append((iter(values), state))
             # Step the deepest open level that still has a survivor.
             while stack:
-                for value, state in stack[-1]:
+                values, parent = stack[-1]
+                for value in values:
                     break
                 else:
                     stack.pop()
@@ -220,6 +220,9 @@ def walk(
                 if counting:
                     matches[depth] += 1
                 prefix[depth] = value
+                state = parent.copy()
+                for i in movers[depth]:
+                    state[i] = parent[i][value]
                 if depth == last:
                     yield prefix, state
                     continue
@@ -228,8 +231,9 @@ def walk(
             else:
                 return
     finally:
-        while stack:
-            stack.pop().close()
+        for values, _parent in reversed(stack):
+            if hasattr(values, "close"):  # a generator holding cursors
+                values.close()
 
 
 def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -244,7 +248,7 @@ def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
 
 
 def iter_rows(
-    levels: Sequence, root: object, perm: Sequence[int], probe=None
+    levels: Sequence, root: Sequence, perm: Sequence[int], probe=None
 ) -> Iterator[tuple]:
     """The row sink: a full-depth :func:`walk` as rows in output order
     (``perm`` is :attr:`Binding.output_perm`).
@@ -272,12 +276,19 @@ def iter_rows(
 
 
 class HashLevel:
-    """Generic Join's level: take the smallest participant's values and
-    narrow them through the rest, one backend batch operation each.
-    State is the list of every relation's current index node; the level
-    itself keeps none, so concurrent walks may share one."""
+    """Generic Join's level: the values below every participant's node
+    that pass the filter — a sized, unordered batch, so ``leaf`` is
+    ``survivors``.  State is the list of every relation's current index
+    node; the level keeps none, so concurrent walks may share one.
+    How a node is read is decided once, from its index's root type: a
+    :class:`~collections.abc.Mapping` node (the hash trie's) is its own
+    ``value -> child`` dict, read where it stands; any other (an array
+    range) goes through its index's ``fanout_hint`` / ``children`` and
+    is *opened in place* — replaced in the state by the dict of what
+    the seeks found — so ``parent[i][value]`` steps down every backend.
+    """
 
-    __slots__ = ("participants", "keep", "depth", "_operands", "_others")
+    __slots__ = ("participants", "survivors", "leaf")
 
     def __init__(
         self,
@@ -287,90 +298,86 @@ class HashLevel:
         depth: int,
     ) -> None:
         self.participants = participants
-        self.keep = keep
-        self.depth = depth
-        # Bound once per level, not looked up once per node visit.
-        self._operands = [
-            (i, indexes[i].fanout_hint, indexes[i].children)
+        # (position, exact O(1) fanout, batch opener — None: a mapping).
+        operands = [
+            (i, len, None)
+            if isinstance(indexes[i].root, Mapping)
+            else (i, indexes[i].fanout_hint, indexes[i].children)
             for i in participants
         ]
-        # Keyed by the smallest participant: the rest, to narrow it.
-        self._others = {
-            i: [(j, kids) for j, _hint, kids in self._operands if j != i]
-            for i in participants
-        }
+        standing = {1: _only, 2: _pair}.get(len(participants))
+        if standing and all(opener is None for *_, opener in operands):
+            meet = standing(depth, *participants)
+        else:
+            meet = _smallest_first(depth, operands)
+        if keep is not None:
+            def meet(state, candidates, unfiltered=meet):
+                return list(filter(keep, unfiltered(state, candidates)))
+        self.survivors = self.leaf = meet
 
-    def survivors(
-        self,
-        nodes: Sequence,
-        candidates: list[int] | None,
-        below: list | None = None,
-    ):
-        """The values present below every participant's node and passing
-        the level's filter: sized, iterable, in no particular order.
 
-        The smallest node's values (exact fanout; the first participant
-        wins a tie) are the level's candidates, and each other
-        participant narrows them with the key view of its
-        ``children(node, values)`` — set algebra on the hash trie's own
-        dict, a dict of what the seeks found on the arrays; work
-        proportional to the values handed in, never to the probed node.
-        A ``below`` list collects ``(position, children)`` per
-        participant: where the survivors lead.
-        """
-        smallest = None
-        for i, hint, children in self._operands:
-            size = hint(nodes[i])
-            if smallest is None or size < least:
-                smallest = i
-                least = size
-                first = children
+def _only(depth: int, i: int):
+    """One mapping participant: the node is the batch."""
+    def survivors(state, candidates):
         if candidates is not None:
-            candidates[self.depth] += least
-        values = kids = first(nodes[smallest])
-        if below is not None:
-            below.append((smallest, kids))
-        for i, children in self._others[smallest]:
+            candidates[depth] += len(state[i])
+        return state[i]
+    return survivors
+
+
+def _pair(depth: int, i: int, j: int):
+    """Two mapping participants: one key-view ``&`` — Õ(min), exactly."""
+    def survivors(state, candidates):
+        a, b = state[i], state[j]
+        if candidates is not None:
+            candidates[depth] += min(len(a), len(b))
+        return b.keys() & a.keys()  # iterates the smaller; on a tie, a
+    return survivors
+
+
+def _smallest_first(depth: int, operands: list):
+    """Any other level: the smallest node's values (exact fanout, first
+    wins a tie) are the candidates; each other participant narrows them
+    with its children's key view, probed by value, never enumerated."""
+    def survivors(state, candidates):
+        smallest = None
+        for i, hint, opener in operands:
+            size = hint(state[i])
+            if smallest is None or size < least:
+                smallest, least, first = i, size, opener
+        if candidates is not None:
+            candidates[depth] += least
+        values = state[smallest]
+        if first is not None:
+            values = state[smallest] = first(values)
+        for i, _hint, opener in operands:
             if not values:
                 break
-            kids = children(nodes[i], values)
-            values = kids.keys() & values
-            if below is not None:
-                below.append((i, kids))
-        if self.keep is not None:
-            values = list(filter(self.keep, values))
+            if i != smallest:
+                kids = state[i]
+                if opener is not None:
+                    kids = state[i] = opener(kids, values)
+                values = kids.keys() & values
         return values
-
-    #: The deepest level needs no node lists: its batch is the survivors.
-    leaf = survivors
-
-    def expand(self, nodes: Sequence, candidates: list[int] | None):
-        """``(value, advanced nodes)`` per survivor."""
-        below: list = []
-        for value in self.survivors(nodes, candidates, below):
-            advanced = list(nodes)
-            for i, children in below:
-                advanced[i] = children[value]
-            yield value, advanced
+    return survivors
 
 
 def hash_levels(binding: Binding) -> list[HashLevel]:
-    """One :class:`HashLevel` per depth; the walk's root state is
-    ``binding.roots()``."""
+    """One :class:`HashLevel` per depth; walk from ``binding.roots()``."""
+    levels = zip(binding.participants, binding.filters)
     return [
         HashLevel(binding.indexes, ids, keep, depth)
-        for depth, (ids, keep) in enumerate(
-            zip(binding.participants, binding.filters)
-        )
+        for depth, (ids, keep) in enumerate(levels)
     ]
 
 
 class LeapfrogLevel:
     """Leapfrog Triejoin's level: open the participants' cursors, emit
-    the keys all of them hold, restore them.  State lives in the cursors
-    (the walk's state value is unused)."""
+    the keys all of them hold, restore them.  State lives in the
+    cursors: no position of the walk's state (``()``) moves."""
 
     __slots__ = ("cursors", "keep", "depth")
+    participants = ()
 
     def __init__(
         self, cursors: Sequence, keep: Filter | None, depth: int
@@ -379,13 +386,10 @@ class LeapfrogLevel:
         self.keep = keep
         self.depth = depth
 
-    def expand(self, state: None, candidates: list[int] | None):
-        """``(key, state)`` per key the leapfrog intersection emits and
-        the level's filter keeps.  A candidate here is an *emitted* key —
-        values the seeks skipped were never enumerated."""
-        cursors = self.cursors
-        keep = self.keep
-        depth = self.depth
+    def survivors(self, state: Sequence, candidates: list[int] | None):
+        """Generate the keys the leapfrog emits and the filter keeps
+        (cursors open while suspended); a candidate is an *emitted* key."""
+        cursors, keep, depth = self.cursors, self.keep, self.depth
         for cursor in cursors:
             cursor.open()
         try:
@@ -394,25 +398,24 @@ class LeapfrogLevel:
                     if candidates is not None:
                         candidates[depth] += 1
                     if keep is None or keep(value):
-                        yield value, state
+                        yield value
         finally:
             for cursor in cursors:
                 cursor.up()
 
-    def leaf(self, state: None, candidates: list[int] | None) -> list:
-        """The keys :meth:`expand` yields, in one batch."""
-        return [value for value, _state in self.expand(state, candidates)]
+    def leaf(self, state: Sequence, candidates: list[int] | None) -> list:
+        """The keys :meth:`survivors` generates, in one batch."""
+        return list(self.survivors(state, candidates))
 
 
 def leapfrog_levels(binding: Binding) -> list[LeapfrogLevel]:
     """One :class:`LeapfrogLevel` per depth over *fresh* cursors sharing
-    the binding's indexes; the walk's root state is ``None``."""
+    the binding's indexes; the walk's root state is ``()``."""
     cursors = [index.cursor() for index in binding.indexes]
+    levels = zip(binding.participants, binding.filters)
     return [
         LeapfrogLevel([cursors[i] for i in ids], keep, depth)
-        for depth, (ids, keep) in enumerate(
-            zip(binding.participants, binding.filters)
-        )
+        for depth, (ids, keep) in enumerate(levels)
     ]
 
 
@@ -428,12 +431,9 @@ def _leapfrog(cursors: Sequence):
         if key == current_max:
             yield key
             it.next()
-            if it.at_end:
-                return
-            current_max = it.key()
         else:
             it.seek(current_max)
-            if it.at_end:
-                return
-            current_max = it.key()
+        if it.at_end:
+            return
+        current_max = it.key()
         p = (p + 1) % k

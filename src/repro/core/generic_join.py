@@ -13,11 +13,11 @@ We include it (and Leapfrog Triejoin) because the paper's stated future
 work is to implement and compare these ideas; the benchmark harness uses
 them as independently-implemented cross-checks for NPRR.
 
-The executor is *backend generic*: it talks to its per-relation indexes
-only through the :class:`~repro.engine.backends.IndexBackend` protocol
-(``fanout_hint`` / ``children`` / ``count``), so "the set of values
-extending the prefix" is whatever the relation's current index node
-holds, whether the index is a hash trie or a sorted flat array.
+The executor is *backend generic*: "the set of values extending the
+prefix" is whatever the relation's current index node holds — a hash
+trie's node is read as the ``value -> child`` mapping it is, an array
+range through the :class:`~repro.engine.backends.IndexBackend` protocol
+(``fanout_hint`` / ``children``) — and kinds may be mixed per relation.
 :meth:`GenericJoin.iter_join` streams result rows, in no specified
 order; :meth:`GenericJoin.execute` is the thin materializing wrapper.
 """
@@ -53,8 +53,8 @@ class GenericJoin:
         of relation name to kind for a **per-relation** choice (the
         statistics-driven planner emits these for skewed inputs);
         relations absent from the mapping use the default backend.
-        Executors talk to indexes only through the ``IndexBackend``
-        protocol, so mixing kinds within one join is safe.
+        The descent kernel decides how to read each relation's nodes
+        from its own index, so mixing kinds within one join is safe.
     filters:
         Optional mapping of attribute name to a single-value predicate
         (the query layer's residual selections).  Each predicate runs at

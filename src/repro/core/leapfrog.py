@@ -21,7 +21,8 @@ seeks into radix arithmetic.  Each run creates fresh cursors that *share*
 the cached arrays; :class:`LeapfrogTriejoin` coordinates one leapfrog
 intersection per attribute level and streams result rows via
 :meth:`LeapfrogTriejoin.iter_join` — the same walk and row sink
-(:func:`~repro.core.descent.iter_rows`) as Generic Join.
+(:func:`~repro.core.descent.iter_rows`) as Generic Join; a level's
+``survivors`` is here the generator of the keys the leapfrog emits.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class LeapfrogTriejoin:
         """
         binding = self._binding
         return iter_rows(
-            leapfrog_levels(binding), None, binding.output_perm, self.telemetry
+            leapfrog_levels(binding), (), binding.output_perm, self.telemetry
         )
 
     def execute(self, name: str = "J") -> Relation:

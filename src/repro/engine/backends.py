@@ -82,11 +82,12 @@ INDEX_BACKENDS.setdefault(CompactArrayIndex.kind, CompactArrayIndex)
 class IndexBackend(Protocol):
     """What a join executor may assume about a per-relation index.
 
-    A *node* is backend-defined and opaque (a ``TrieNode`` pointer for the
-    hash trie, a ``(lo, hi, depth)`` row range for the sorted array); the
-    methods below are the only way executors touch one.  ``None`` always
-    denotes a failed walk and is accepted everywhere a node is (it has
-    no children and counts zero paths).
+    A *node* is backend-defined (a ``TrieNode`` for the hash trie, a
+    ``(lo, hi, depth)`` row range for the sorted array) and the methods
+    below are how executors touch one — except that a node which is a
+    ``Mapping`` of value to child (the hash trie's) may be read as one,
+    as the descent kernel does.  ``None`` denotes a failed walk and is
+    accepted everywhere a node is (no children, zero paths).
     """
 
     #: Registry key of this backend ("trie", "sorted", ...).
@@ -126,7 +127,10 @@ class IndexBackend(Protocol):
         ``value -> child node`` mapping that holds every value of
         ``values`` present below ``node`` — every child, when ``values``
         is None — and possibly more, so ``children(node, values).keys()
-        & values`` is the subset of ``values`` below ``node``.
+        & values`` is the subset of ``values`` below ``node``.  Called
+        for array nodes only (the result takes the node's place: the
+        step down is ``children[value]``); a ``Mapping`` node is its
+        own answer and is read directly.
 
         Given ``values`` the cost is **proportional to the values handed
         in** (times a log factor on the sorted layouts), never to the
@@ -152,9 +156,9 @@ class IndexBackend(Protocol):
 
     def fanout_hint(self, node: Any) -> int:
         """``fanout`` in O(1), exact on all three shipped backends: the
-        descent kernel ranks a level's participants by it and counts
-        the smallest as the level's candidates, so backends must agree
-        on it exactly."""
+        descent kernel ranks a level's participants by it (by ``len``,
+        for a ``Mapping`` node) and counts the smallest as the level's
+        candidates, so backends must agree on it exactly."""
 
     # (ST3) — output-linear enumeration.
     def items(self, node: Any) -> Iterator[tuple[Value, Any]]:

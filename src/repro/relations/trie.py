@@ -17,27 +17,29 @@ hash-index remark in Section 5.1).  Building one relation's trie costs
 ``O(arity * N)``, so indexing a whole database for one total order costs the
 paper's ``O(n^2 sum_e N_e)`` preprocessing term.
 
-The build is what a cold request pays before the join does any work, so
-it allocates per *interior* node, not per tuple: one pass inserts every
-row into nested plain dicts whose last level maps each value to one
-shared childless leaf node, and one bottom-up sweep wraps the interior
-dicts into :class:`TrieNode` objects while summing their ``counts`` —
-about 0.2 microseconds and no object per tuple of a binary relation.
+A node *is* its ``value -> child`` mapping — :class:`TrieNode` is a
+``dict`` with one slot — so the descent kernel reads it where it stands:
+``node[value]`` is the (ST1) step, ``len(node)`` the fanout,
+``a.keys() & b.keys()`` a level intersection.  The build is what a cold
+request pays before the join does any work, so it allocates one object
+per *interior* node and none per tuple: one pass inserts every row into
+nested nodes whose last level maps each value to one shared childless
+leaf, and one bottom-up sweep fills in their ``counts`` — about 0.2
+microseconds per tuple of a binary relation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import islice
 
 from repro.errors import SchemaError
 from repro.relations.relation import Relation, Row, Value
 
 #: Bytes per interior TrieNode, fitted to ``tracemalloc`` on binary and
-#: ternary relations: the slotted object (48), its counts list (~80)
-#: and the fixed part of its children dict (header plus the minimum
-#: 8-slot table).  CPython 3.10-3.12, 64-bit.
-_NODE_BYTES = 296
+#: ternary relations: the dict with its one slot (72), its counts list
+#: (~80) and the fixed part of its key table (header, index bytes and
+#: the slack of the minimum 8-slot table).  CPython 3.10-3.12, 64-bit.
+_NODE_BYTES = 256
 
 #: Bytes per parent->child edge, same fit: one 24-byte dict entry and
 #: its index slot at the ~2/3 mean load of CPython's doubling tables.
@@ -45,30 +47,33 @@ _NODE_BYTES = 296
 _EDGE_BYTES = 32
 
 
-class TrieNode:
-    """One node of a :class:`TrieIndex`.
+class TrieNode(dict):
+    """One node of a :class:`TrieIndex`: the mapping of an attribute
+    value to the child node below it.
 
-    ``children`` maps an attribute value to the child node; ``counts[d]`` is
-    the number of *distinct* value-paths of length exactly ``d`` below this
-    node (``counts[0] == 1`` by convention).  The counts vector is what makes
-    property (ST2) an O(1) lookup after the (ST1) walk.  Nodes are built
-    once by :class:`TrieIndex` and never mutated afterwards.
+    ``counts[d]`` is the number of *distinct* value-paths of length
+    exactly ``d`` below this node (``counts[0] == 1`` by convention).
+    The counts vector is what makes property (ST2) an O(1) lookup after
+    the (ST1) walk.  Nodes are built once by :class:`TrieIndex` and
+    never mutated afterwards.
     """
 
-    __slots__ = ("children", "counts")
+    __slots__ = ("counts",)
 
-    def __init__(self, children: dict, counts: list[int]) -> None:
-        self.children = children
-        self.counts = counts
+    @property
+    def children(self) -> TrieNode:
+        """The ``value -> child`` mapping: the node itself."""
+        return self
 
     def __repr__(self) -> str:
-        return f"TrieNode(fanout={len(self.children)}, counts={self.counts})"
+        return f"TrieNode(fanout={len(self)}, counts={self.counts})"
 
 
 #: The node below every full tuple, shared by all last-level values of
 #: all tries: no children, one empty path, and nothing writes to a node
 #: after the build.  (A pickled trie carries one copy of its own.)
-_LEAF = TrieNode({}, [1])
+_LEAF = TrieNode()
+_LEAF.counts = [1]
 
 
 class TrieIndex:
@@ -100,7 +105,7 @@ class TrieIndex:
             )
         self.attributes = attrs
         self._source_name = relation.name
-        root: dict = {}
+        root = TrieNode()
         if attrs:
             *inner, last = relation.positions(attrs)
             for row in relation.tuples:
@@ -109,10 +114,11 @@ class TrieIndex:
                     value = row[i]
                     child = level.get(value)
                     if child is None:
-                        child = level[value] = {}
+                        child = level[value] = TrieNode()
                     level = child
                 level[row[last]] = _LEAF
-        self.root = _wrap(root, len(attrs))
+        _fill_counts(root, len(attrs))
+        self.root = root
 
     # -- basic protocol ----------------------------------------------------
 
@@ -143,7 +149,7 @@ class TrieIndex:
         """
         node: TrieNode | None = self.root
         for value in prefix:
-            node = node.children.get(value)  # type: ignore[union-attr]
+            node = node.get(value)  # type: ignore[union-attr]
             if node is None:
                 return None
         return node
@@ -156,39 +162,33 @@ class TrieIndex:
         """The child of ``node`` under ``value`` (one (ST1) step)."""
         if node is None:
             return None
-        return node.children.get(value)
+        return node.get(value)
 
     def items(self, node: TrieNode | None) -> Iterator[tuple[Value, TrieNode]]:
         """``(value, child)`` pairs below ``node`` (hash order)."""
         if node is None:
             return iter(())
-        return iter(node.children.items())
+        return iter(node.items())
 
     def children(self, node: TrieNode | None, values=None) -> dict:
-        """The node's own ``value -> child`` dict, whatever ``values``
-        asks for: O(1), no copy, not to be mutated.  Its key view does
-        the narrowing — ``keys() & values`` intersects in C, iterating
-        the smaller side."""
-        return {} if node is None else node.children
+        """The node itself — it is its own ``value -> child`` dict —
+        whatever ``values`` asks for: O(1), no copy, not to be mutated.
+        Its key view does the narrowing — ``keys() & values`` intersects
+        in C, iterating the smaller side."""
+        return {} if node is None else node
 
     def fanout(self, node: TrieNode | None) -> int:
         """Number of distinct next-level values below ``node``."""
-        if node is None:
-            return 0
-        return len(node.children)
+        return 0 if node is None else len(node)
 
-    def fanout_hint(self, node: TrieNode | None) -> int:
-        """:meth:`fanout` in O(1): the number the descent kernel ranks
-        a level's participants by."""
-        if node is None:
-            return 0
-        return len(node.children)
+    #: Already O(1) and exact (the descent kernel reads ``len(node)``).
+    fanout_hint = fanout
 
     def descend(self, node: TrieNode, values: Iterable[Value]) -> TrieNode | None:
         """Continue a walk from an interior ``node`` (ST1, resumed)."""
         current: TrieNode | None = node
         for value in values:
-            current = current.children.get(value)  # type: ignore[union-attr]
+            current = current.get(value)  # type: ignore[union-attr]
             if current is None:
                 return None
         return current
@@ -226,7 +226,7 @@ class TrieIndex:
             return
         prefix: list[Value] = []
         stack: list[Iterator[tuple[Value, TrieNode]]] = [
-            iter(node.children.items())
+            iter(node.items())
         ]
         while stack:
             entry = next(stack[-1], None)
@@ -240,7 +240,7 @@ class TrieIndex:
                 yield (*prefix, value)
             else:
                 prefix.append(value)
-                stack.append(iter(child.children.items()))
+                stack.append(iter(child.items()))
 
     def tuples(self) -> Iterator[Row]:
         """All indexed tuples, in trie attribute order."""
@@ -271,26 +271,20 @@ class TrieIndex:
         )
 
 
-def _wrap(root: dict, arity: int) -> TrieNode:
-    """Wrap the build's nested dicts into nodes, deepest level first.
-
-    Each dict becomes its node's ``children`` in place (its values are
-    swapped from child dicts to child nodes), and a node's ``counts`` is
-    the column-wise sum of its children's, shifted one level.  Level by
-    level, not recursive: arity may exceed Python's recursion limit.
-    """
+def _fill_counts(root: TrieNode, arity: int) -> None:
+    """Give every interior node of a freshly built trie its ``counts``,
+    deepest level first: a node's vector is the column-wise sum of its
+    children's, shifted one level.  Level by level, not recursive: arity
+    may exceed Python's recursion limit."""
     if not root:
-        return TrieNode(root, [1])
+        root.counts = [1]
+        return
     levels = [[root]]
     for _ in range(arity - 1):
-        levels.append([child for d in levels[-1] for child in d.values()])
-    nodes = [TrieNode(d, [1, len(d)]) for d in levels.pop()]
+        levels.append([kid for node in levels[-1] for kid in node.values()])
+    for node in levels.pop():
+        node.counts = [1, len(node)]
     while levels:
-        below = iter(nodes)
-        nodes = []
-        for d in levels.pop():
-            children = list(islice(below, len(d)))
-            d.update(zip(d, children))
-            counts = zip(*[child.counts for child in children])
-            nodes.append(TrieNode(d, [1, *map(sum, counts)]))
-    return nodes[0]
+        for node in levels.pop():
+            columns = zip(*[child.counts for child in node.values()])
+            node.counts = [1, *map(sum, columns)]

@@ -494,16 +494,22 @@ def test_survivors_equal_the_brute_force_intersection(bound, rng):
                 allowed = values if allowed is None else allowed & values
         for prefix, nodes in walk(levels, binding.roots(), depth):
             probe = TelemetryProbe(binding.order)
+            # Taken first: ``survivors`` opens array nodes in place.
+            before = {i: nodes[i] for i in binding.participants[depth]}
+            fanouts = [
+                binding.indexes[i].fanout(node) for i, node in before.items()
+            ]
             survivors = levels[depth].survivors(nodes, probe.candidates)
             assert len(survivors) == len(set(survivors))
             assert set(survivors) == brute_force_level(
                 query, binding, depth, prefix[:depth], allowed
             )
             # The level's candidates are its smallest participant.
-            assert probe.candidates[depth] == min(
-                binding.indexes[i].fanout(nodes[i])
-                for i in binding.participants[depth]
-            )
+            assert probe.candidates[depth] == min(fanouts)
+            # Where the survivors lead: the step down on every backend.
+            for i, node in before.items():
+                child = binding.indexes[i].child
+                assert all(nodes[i][v] == child(node, v) for v in survivors)
 
 
 @settings(max_examples=120, deadline=None)
@@ -649,8 +655,9 @@ def test_array_intersection_never_enumerates_the_probed_side(names, backend):
 # ---------------------------------------------------------------------------
 
 
-def profiled_calls(run):
-    """``(python calls, generator resumptions)`` while ``run()`` runs."""
+def profiled_calls(run, resumed=None):
+    """``(python calls, generator resumptions)`` while ``run()`` runs;
+    a ``resumed`` counter is filled per generator name."""
     tally = Counter()
 
     def profiler(frame, event, _arg):
@@ -658,6 +665,8 @@ def profiled_calls(run):
             tally["calls"] += 1
             if frame.f_code.co_flags & inspect.CO_GENERATOR:
                 tally["resumptions"] += 1
+                if resumed is not None:
+                    resumed[frame.f_code.co_name] += 1
 
     sys.setprofile(profiler)
     try:
@@ -685,6 +694,33 @@ def test_a_trie_leaf_intersection_makes_no_call_per_candidate():
         )
         assert probe.candidates == [small]
     assert calls[10] == calls[10_000] <= 8
+
+
+def test_a_trie_search_node_is_one_python_call():
+    # Example 2.2: three hundred search nodes at n = 200 and no rows,
+    # so everything the run costs is per node.  Each is one
+    # ``survivors`` call on dicts read where they stand — no protocol
+    # call, no generator per open level (the per-node kernel before it:
+    # about five calls and a resumption per node).
+    query = instances.triangle_hard_instance(200)
+    binding = bind(query, None, "trie", None, None)
+    probe = TelemetryProbe(binding.order)
+    assert not list(
+        iter_rows(
+            hash_levels(binding), binding.roots(), binding.output_perm, probe
+        )
+    )
+    nodes = sum(probe.partials)
+    assert nodes == 302
+    levels, roots = hash_levels(binding), binding.roots()
+    resumed = Counter()
+    calls, _resumptions = profiled_calls(
+        lambda: list(iter_rows(levels, roots, binding.output_perm)), resumed
+    )
+    # Beyond the nodes: starting the two generators and their set-up.
+    assert calls <= nodes + 8
+    assert set(resumed) == {"walk", "iter_rows"}
+    assert sum(resumed.values()) == 2
 
 
 @pytest.mark.parametrize(
@@ -787,18 +823,39 @@ def test_first_row_needs_one_leaf_batch(cls, backend):
     assert_counter_chain(probe, 1)
 
 
-class SpyLevel:
-    """A level whose ``expand`` counts the generators it has open."""
+class LoggedCursor:
+    """A leapfrog cursor that logs the depth of the level it is
+    ``up()``-ed from."""
 
-    def __init__(self, level):
+    def __init__(self, cursor, depth, closed):
+        self._cursor, self._depth, self._closed = cursor, depth, closed
+
+    def __getattr__(self, name):
+        return getattr(self._cursor, name)
+
+    def up(self):
+        self._closed.append(self._depth)
+        self._cursor.up()
+
+
+class SpyLevel:
+    """A level whose ``survivors`` counts the streams it has open."""
+
+    def __init__(self, level, closed):
         self.level = level
+        self.participants = level.participants
         self.leaf = level.leaf
         self.open = 0
+        if hasattr(level, "cursors"):
+            level.cursors = [
+                LoggedCursor(cursor, level.depth, closed)
+                for cursor in level.cursors
+            ]
 
-    def expand(self, state, candidates):
+    def survivors(self, state, candidates):
         self.open += 1
         try:
-            yield from self.level.expand(state, candidates)
+            yield from self.level.survivors(state, candidates)
         finally:
             self.open -= 1
 
@@ -807,16 +864,23 @@ class SpyLevel:
 def test_an_abandoned_stream_closes_every_open_level(strategy):
     query = _lifted_triangle(150, seed=5)
     binding = bind(query, ("D", "A", "B", "C"), "sorted", None, None)
-    spies = [SpyLevel(level) for level in strategy(binding)]
-    root = binding.roots() if strategy is hash_levels else None
+    closed = []
+    spies = [SpyLevel(level, closed) for level in strategy(binding)]
+    root = binding.roots() if strategy is hash_levels else ()
     stream = iter_rows(spies, root, binding.output_perm)
     for _ in range(3):
         next(stream)
     # The three interior levels are open; the deepest is a leaf batch.
     assert [spy.open for spy in spies] == [1, 1, 1, 0]
+    del closed[:]
     stream.close()
     assert [spy.open for spy in spies] == [0, 0, 0, 0]
     if strategy is leapfrog_levels:
+        # Every open level's cursors went up, the deepest level first.
+        assert closed == sorted(closed, reverse=True)
+        assert Counter(closed) == {
+            spy.level.depth: len(spy.level.cursors) for spy in spies[:3]
+        }
         assert all(
             cursor.depth == 0 for spy in spies for cursor in spy.level.cursors
         )
@@ -838,3 +902,73 @@ def test_abandoned_streams_keep_the_counter_chain(cls, backend, taken):
         next(stream)
     stream.close()
     assert_counter_chain(probe, taken)
+
+
+# ---------------------------------------------------------------------------
+# (e) The walk owns its state; mixed levels
+# ---------------------------------------------------------------------------
+
+KINDS = ("trie", "sorted", "compact")
+
+
+def _rows_and_counters(query, order, backend):
+    binding = bind(query, order, backend, None, None)
+    probe = TelemetryProbe(binding.order)
+    rows = Counter(
+        iter_rows(
+            hash_levels(binding), binding.roots(), binding.output_perm, probe
+        )
+    )
+    return rows, probe.partials, probe.candidates, probe.matches
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["sorted", "compact", {"R": "sorted", "S": "trie", "T": "compact"}],
+    ids=["sorted", "compact", "mixed"],
+)
+def test_the_walk_never_writes_into_the_root_it_was_handed(backend):
+    # ``JoinSampler`` keeps one root list for every trial and its exact
+    # fallback; an array node opened in place there broke the next use.
+    binding = bind(_triangle(), None, backend, None, None)
+    levels, roots = hash_levels(binding), binding.roots()
+    handed = list(roots)
+    first = Counter(iter_rows(levels, roots, binding.output_perm))
+    assert all(node is was for node, was in zip(roots, handed))
+    assert Counter(iter_rows(levels, roots, binding.output_perm)) == first
+    assert all(node is was for node, was in zip(roots, handed))
+    assert first == Counter(oracle_join(_triangle()))
+
+
+@pytest.mark.parametrize("backend", ["trie", "sorted"])
+def test_interleaved_walks_share_one_list_of_levels(backend):
+    # What thread shards do: one ``hash_levels(binding)``, many walks.
+    binding = bind(_lifted_triangle(150, seed=5), None, backend, None, None)
+    levels, roots = hash_levels(binding), binding.roots()
+    serial = sorted(iter_rows(levels, roots, binding.output_perm))
+    one = iter_rows(levels, roots, binding.output_perm)
+    two = iter_rows(levels, roots, binding.output_perm)
+    rows = [[], []]
+    for pair in itertools.zip_longest(one, two):
+        for mine, row in zip(rows, pair):
+            mine.append(row)
+    assert sorted(rows[0]) == sorted(rows[1]) == serial
+
+
+@pytest.mark.parametrize("kinds", itertools.product(KINDS, repeat=3), ids="-".join)
+def test_every_pair_of_kinds_meets_at_a_two_participant_level(kinds):
+    # A: R, T; B: R, S; C: S, T — all 27 assignments put every ordered
+    # pair of kinds on one level, the deepest (a leaf batch) included.
+    query, order = _triangle(), ("A", "B", "C")
+    assert _rows_and_counters(
+        query, order, dict(zip("RST", kinds))
+    ) == _rows_and_counters(query, order, "trie")
+
+
+@pytest.mark.parametrize("kinds", itertools.permutations(KINDS), ids="-".join)
+def test_three_kinds_meet_at_a_three_participant_level(kinds):
+    query = _lifted_triangle(150, seed=5)
+    order = ("D", "A", "B", "C")  # D: R, S and T
+    assert _rows_and_counters(
+        query, order, dict(zip("RST", kinds))
+    ) == _rows_and_counters(query, order, "trie")

@@ -1,8 +1,8 @@
 """The trie build kernel against the build it replaced.
 
-``TrieIndex`` builds nested plain dicts in one pass, shares one leaf
-node below every full tuple and fills ``counts`` while wrapping the
-dicts.  The build it replaced — one node, one dict and one counts list
+``TrieIndex`` builds nested ``TrieNode`` dicts in one pass, shares one
+leaf node below every full tuple and fills ``counts`` in one bottom-up
+sweep.  The build it replaced — one node, one dict and one counts list
 per tuple, then a post-order counts pass — is kept here, test-local, as
 the reference: both must describe the same tree node for node.
 """
@@ -13,9 +13,13 @@ import tracemalloc
 
 import pytest
 
+from repro.core.query import JoinQuery
+from repro.engine.planner import plan_join
 from repro.relations import trie as trie_module
+from repro.relations.database import Database
 from repro.relations.relation import Relation
-from repro.relations.trie import TrieIndex
+from repro.relations.trie import TrieIndex, TrieNode
+from repro.workloads import generators, instances
 
 
 class OldNode:
@@ -189,6 +193,33 @@ class TestBuildMatchesThePerTupleBuild:
         assert_same_tree(clone, old_build(relation, order))
         assert set(clone.tuples()) == set(index.tuples())
 
+    def test_a_pickled_trie_is_trie_nodes_over_one_leaf(self, name):
+        # What crosses the process-pool and fleet boundaries: a node is
+        # a dict subclass with a slot, and both must survive the trip.
+        relation = CORPUS[name]
+        arity = len(relation.attributes)
+        if arity > 100:
+            pytest.skip("pickle recurses per level, as it always did")
+        index = TrieIndex(relation, relation.attributes)
+        clone = pickle.loads(pickle.dumps(index))
+        leaves = set()
+        stack = [(clone.root, index.root, 0)]
+        while stack:
+            node, original, depth = stack.pop()
+            assert type(node) is TrieNode and node.children is node
+            assert node.counts == original.counts
+            assert node.keys() == original.keys()
+            if depth == arity and arity:
+                leaves.add(id(node))
+            stack.extend(
+                (child, original[value], depth + 1)
+                for value, child in node.items()
+            )
+        # One leaf object per unpickled trie — its own, not the module's.
+        assert len(leaves) == (1 if relation.tuples and arity else 0)
+        assert id(trie_module._LEAF) not in leaves
+        assert set(clone.tuples()) == set(index.tuples())
+
     def test_shared_leaf_is_never_written(self, name):
         relation = CORPUS[name]
         order = relation.attributes
@@ -261,6 +292,48 @@ class TestNbytesEstimate:
         order = ("C", "B", "A") if reverse else ("A", "B", "C")
         index, actual = self.measured(relation, order)
         assert actual / 2 <= index.nbytes() <= actual * 2
+
+    @pytest.mark.parametrize(
+        "shape", ["lifted_triangle", "triangle_hub", "triangle_hard"]
+    )
+    def test_within_a_tenth_on_the_benchmark_shapes(self, shape):
+        """``benchmarks/e2e``'s seed-1 instances, the three tries of the
+        generic plan: the cache's byte budget and the planner's size
+        rule rank backends by this number."""
+        if shape == "lifted_triangle":
+            rng = random.Random(1)
+            domains = {"A": 48, "B": 64, "C": 80, "D": 12}
+            query = JoinQuery(
+                [
+                    Relation(
+                        eid,
+                        attrs,
+                        {
+                            tuple(rng.randrange(domains[a]) for a in attrs)
+                            for _ in range(8000)
+                        },
+                    )
+                    for eid, attrs in (
+                        ("R", ("A", "B", "D")),
+                        ("S", ("B", "C", "D")),
+                        ("T", ("A", "C", "D")),
+                    )
+                ]
+            )
+        elif shape == "triangle_hub":
+            query = generators.hub_triangle(seed=1)
+        else:
+            query = instances.triangle_hard_instance(2000)
+        relations = list(query.relations.values())
+        requirements = plan_join(
+            query, "generic", database=Database(relations)
+        ).index_requirements()
+        estimated = actual = 0
+        for name, order, _kind in requirements:
+            index, traced = self.measured(query.relations[name], order)
+            estimated += index.nbytes()
+            actual += traced
+        assert 0.9 * actual <= estimated <= 1.1 * actual
 
     def test_leaf_level_is_not_charged_per_tuple(self):
         """One first-level value over n tuples: two interior nodes and

@@ -6,7 +6,10 @@ is replayable), then checks for each instance that
 
 * the row stream under a randomly chosen algorithm/backend/shard config
   (sharded one time in five: serial or thread mode, or — a quarter of
-  those — stealing or predictively pre-split over a loopback fleet)
+  those — stealing or predictively pre-split over a loopback fleet;
+  one ``generic`` configuration in four under a random *per-relation*
+  backend mapping, the plan shape the planner emits for skewed inputs,
+  so hash-trie nodes and probed array nodes meet at one level)
   — consumed through a randomly chosen route: the builder's own views,
   ``prepare()``, or ``prepare()`` re-bound from another parameter value
   — yields exactly the oracle's row set,
@@ -45,6 +48,7 @@ command ``python tools/fuzz_join.py --replay SEED``, then exits 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import random
 import sys
@@ -63,6 +67,7 @@ from repro.distributed import (  # noqa: E402
 from repro.observe.metrics import MetricsRegistry  # noqa: E402
 from repro.observe.tracing import Tracer  # noqa: E402
 from repro.query.builder import Q  # noqa: E402
+from repro.query.prepared import PreparedQuery  # noqa: E402
 from repro.query.shards import ShardSpec  # noqa: E402
 from repro.relations.relation import Relation  # noqa: E402
 
@@ -154,7 +159,10 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> None:
     algorithm, backends = rng.choice(CONFIGS)
     options = {"algorithm": algorithm}
     backend = rng.choice(backends)
-    if backend is not None:
+    # ``backend=`` names one kind for every relation; a per-relation
+    # mapping is installed below, on the plan, as the planner does it.
+    mixed = algorithm == "generic" and rng.random() < 0.25
+    if backend is not None and not mixed:
         options["backend"] = backend
     if rng.random() < 0.2:
         options.update(
@@ -198,6 +206,17 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> None:
         other = assemble(rng.choice(binding[2]))
         target = other.prepare().bind(**{binding[0]: binding[1]})
     config = dict(options, route=route)
+    plan = builder.plan() if mixed or metrics is not None else None
+    if mixed and plan.algorithm == "generic":  # not a guards-only plan
+        kinds = tuple(
+            (eid, rng.choice(("trie", "sorted", "compact")))
+            for eid in plan.query.edge_ids
+        )
+        plan = dataclasses.replace(
+            plan, backend="mixed", relation_backends=kinds
+        )
+        target = PreparedQuery(builder, _reuse_plan=plan)
+        config = dict(options, route="prepare", relation_backends=kinds)
 
     streamed = list(target.stream())
     assert len(streamed) == len(set(streamed)), "duplicate streamed rows"
@@ -206,7 +225,7 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> None:
         f"{len(expected)} expected under {config}"
     )
     # A guards-only plan ("none") runs no executor: nothing to measure.
-    if metrics is not None and builder.plan().algorithm != "none":
+    if metrics is not None and plan.algorithm != "none":
         emitted = metrics.counter("repro_rows_emitted_total").value()
         assert emitted == len(expected), (
             f"repro_rows_emitted_total {emitted} != oracle "

@@ -23,10 +23,10 @@ under a different sink:
    intersection is skipped.
 3. **Leaf batches.**  When nothing can be pruned (the deepest level has
    several participants — a triangle's last attribute — or a residual
-   filter) the fold is the full-depth walk every other sink runs: one
-   leaf batch per parent, the deepest level's surviving values in one
-   piece.  If the spec reads the deepest value it gets one ``add`` per
-   value; if not, every completion below the parent shares the same
+   filter) the fold is the full-depth nest's *batches* sink: one leaf
+   batch per parent, the deepest level's surviving values in one piece.
+   If the spec reads the deepest value it gets one ``add`` per value;
+   if not, every completion below the parent shares the same
    needed-values tuple, so the batch is **one** ``add`` with its length
    as the multiplicity — exactly equivalent to the per-value adds it
    replaces, and what makes ``count()`` on a dense triangle cheaper than
@@ -37,20 +37,21 @@ the aggregate spec reads (``1 + max rank of spec.needs``).  A ``count()``
 has cutoff 0 and prunes as early as the query shape allows; ``sum("C")``
 with C at rank 2 keeps enumerating through rank 2, then prunes below.
 
-The fold is a sink over the descent kernel
-(:func:`repro.core.descent.walk` with the hash-probe level strategy): it
-reads the executor's :class:`~repro.core.descent.Binding`, the walk
-hands it every state as real index nodes, and it needs only ``count``
-of them — which is why one implementation serves GenericJoin over any
-backend *and* Leapfrog over its sorted/compact cursor layouts.
+The fold is a sink over the descent kernel's compiled loop nest
+(:func:`repro.core.descent.walk` over hash-probe levels): it reads the
+executor's :class:`~repro.core.descent.Binding`, the *states* sink hands
+it every relation's real index node at the prune frontier, and it needs
+only ``count`` of them — which is why one implementation serves
+GenericJoin over any backend *and* Leapfrog over its cursor layouts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import itemgetter
 
 from repro.aggregate.specs import AggregateSpec
-from repro.core.descent import hash_levels, picker, walk
+from repro.core.descent import hash_levels, walk
 from repro.errors import QueryError
 
 __all__ = ["Folder", "fold_executor", "fold_rows", "fold_state"]
@@ -79,7 +80,15 @@ class Folder:
         self.spec = spec
         self.order = order
         positions = tuple(order.index(a) for a in spec.needs)
-        self._needed = picker(positions)
+        # ``prefix -> tuple(prefix[p] for p in positions)``, as one
+        # C-level call wherever ``itemgetter`` returns a tuple.
+        if len(positions) > 1:
+            self._needed = itemgetter(*positions)
+        elif positions:
+            (position,) = positions
+            self._needed = lambda prefix: (prefix[position],)
+        else:
+            self._needed = lambda prefix: ()
         self.cutoff = 1 + max(positions) if positions else 0
         self.state = spec.start()
 

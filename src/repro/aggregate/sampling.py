@@ -38,10 +38,10 @@ Practicalities:
   the sample directly; the fallback costs one worst-case-optimal join,
   which the stall itself proves is cheap relative to further rejection.
 * The sampler is **algorithm independent**: it binds its own indexes and
-  takes its candidates from the descent kernel's hash-probe level
-  strategy (:mod:`repro.core.descent`), so the query layer can surface
-  it unchanged no matter which enumeration algorithm the plan would have
-  picked, over any index backend (a trial steps ``nodes[i][value]``).
+  takes its candidates from the descent kernel's hash-probe levels
+  (:mod:`repro.core.descent`: the ``meet`` its loop nest applies), so
+  the query layer can surface it unchanged whichever enumeration
+  algorithm the plan would have picked, over any index backend.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ class JoinSampler:
     def _trial(self, rng: random.Random) -> Row | None:
         """One AGM-weighted descent; a full row or None (rejected).
 
-        Walks one root-to-leaf path and never backtracks, so it is not a
-        :func:`~repro.core.descent.walk`; its candidates — filtered
-        values are simply absent, which keeps surviving rows uniform
-        over the *filtered* join — come from the same level strategy
-        (which opens array nodes in place: the state is a copy).
+        Walks one root-to-leaf path and never backtracks, so it is not
+        a loop nest; its candidates — filtered values are simply absent,
+        which keeps surviving rows uniform over the *filtered* join —
+        come from the same levels' ``survivors`` (which opens array
+        nodes in place: the state is a copy).
         """
         indexes = self._binding.indexes
         weights = self._weights

@@ -1,4 +1,4 @@
-"""The descent kernel: one binding, one walk, one row sink, two levels.
+"""The descent kernel: one binding, one compiled loop nest, two levels.
 
 Generic Join and Leapfrog Triejoin are the same recursion over a global
 attribute order — at each level, intersect the candidate values of the
@@ -13,27 +13,48 @@ This module holds the pieces every such search shares:
   that validates the order and consults the catalog's index cache
   (:func:`narrow` derives a shard's binding from it: one more value
   filter per key link, nothing rebuilt);
-* :func:`walk` is the one loop: it owns depth, prefix, backtracking and
-  every state, and at full depth yields one *leaf batch* per parent;
-  :func:`iter_rows` is the one sink that turns batches into rows;
+* :func:`walk` and :func:`iter_rows` are the one descent, as the loop
+  nest the paper prints — one ``for`` per attribute — *generated* per
+  **shape**: all the loop's text depends on (per level its participants
+  and ``how`` it is read, the number of relations, the stop depth, the
+  sink, whether a probe counts) and nothing its data does.  A shape
+  compiles once per process (:func:`_compile`); levels, predicates, the
+  probe and the root nodes are the nest's arguments;
 * :class:`HashLevel` and :class:`LeapfrogLevel` are the two ways to
   intersect one level — the only code that differs between the
-  algorithms — behind :func:`walk`'s one contract (``participants`` +
-  ``survivors``).  A :class:`HashLevel` is one batch intersection,
+  algorithms.  A :class:`HashLevel` is one batch intersection,
   Õ(the smallest participant), the one primitive the AGM bound needs
   ("Skew Strikes Back"), at one Python call per search node.
 
-The callers (:class:`~repro.core.generic_join.GenericJoin`,
-:class:`~repro.core.leapfrog.LeapfrogTriejoin`,
-:func:`~repro.aggregate.fold.fold_executor`,
-:class:`~repro.aggregate.sampling.JoinSampler`) are sinks over
-:func:`walk`.  Nothing here imports ``repro.engine`` or
-``repro.aggregate``: both reach back into ``repro.core``.
+In the text a relation's node is a local (``n2_1 = n2_0[v0]``), stepped
+only if something deeper reads it; a level is ``vals<d> = op<d>(...)``
+— its ``meet`` on those locals, under ``filter(keep<d>, ...)`` if
+guarded, or its ``survivors`` on a state list built on the spot, whose
+nodes opened in place are read back after the call.  With a probe,
+``partials[d] += 1`` and ``candidates[d] += min(len(..), ..)`` stand
+before a level's values are taken and ``matches[d] += 1`` opens its
+loop body (*rows* count a row as they yield it, *batches* a parent's
+values at once); without one the lines are not there.
+
+CPython compiles 20 nested blocks at most: a deeper nest is cut into
+``def``s chained by ``yield from``.  An abandoned frame finalises its
+iterators shallowest first but leapfrog cursors must go ``up()``
+deepest first: a ``lazy`` level's loop sits in ``try ... finally:
+vals<d>.close()``.  The text holds only names the compiler invents and
+integers, never a caller's string; :mod:`linecache` knows it as
+``<repro descent N>``, so a raising predicate shows the loop line that
+called it.  The sinks are ``GenericJoin``, ``LeapfrogTriejoin``,
+``fold_executor`` and ``JoinSampler``; nothing here imports
+``repro.engine`` or ``repro.aggregate``: both reach back into here.
 """
 
 from __future__ import annotations
 
+import itertools
+import linecache
+import weakref
 from collections.abc import Callable, Iterator, Mapping, Sequence
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -155,190 +176,189 @@ def walk(
     levels: Sequence, root: Sequence, stop: int, probe=None
 ) -> Iterator[tuple[list, object]]:
     """Yield the search nodes at depth ``stop``: ``(prefix, state)``
-    below full depth, one **leaf batch** ``(prefix, values)`` per parent
-    at full depth (``stop == len(levels)``).
-
-    A level is two names: ``levels[d].survivors(state, candidates)``
-    iterates the values surviving level ``d`` below ``state`` (and may
-    open ``state``'s array nodes in place), and the walk makes each
-    child's state — a copy of the parent's with ``state[i] =
-    parent[i][value]`` for ``i`` in ``levels[d].participants``.
-    ``levels[-1].leaf`` is the deepest level's survivors as one sized
-    batch: nothing can use the states below them, so a full-depth walk
-    yields them in one piece (parents with none are skipped).
-
-    The walk owns depth, prefix, backtracking — an explicit stack of
-    ``(iterator over the values, parent state)`` — and every state:
-    ``root`` is copied, never written.  ``prefix`` is one list of
-    length ``stop`` reused across yields (a leaf batch leaves its last
-    slot to the consumer): copy what you keep.
-
-    With a ``TelemetryProbe`` the walk owns ``partials[d]`` (openings of
-    level ``d``) and ``matches[d]`` (the values that survived it — a
-    leaf batch counts at once), and hands ``candidates[d]`` to the level
-    to bump by the values it enumerates.  Every level still open when
-    the consumer abandons the walk (or a filter raises) is closed,
-    deepest first.
-    """
-    prefix: list = [None] * stop
-    state = list(root)
-    if stop == 0:
-        yield prefix, state
-        return
-    counting = probe is not None
-    if counting:
-        partials, matches = probe.partials, probe.matches
-    candidates = probe.candidates if counting else None
-    survivors = [level.survivors for level in levels[:stop]]
-    movers = [level.participants for level in levels[:stop]]
-    last = stop - 1
-    leaf = levels[last].leaf if stop == len(levels) else None
-    stack: list = []
-    depth = 0
-    try:
-        while True:
-            if counting:
-                partials[depth] += 1
-            if depth == last and leaf is not None:
-                values = leaf(state, candidates)
-                if values:
-                    if counting:
-                        matches[depth] += len(values)
-                    yield prefix, values
-            else:
-                values = survivors[depth](state, candidates)
-                stack.append((iter(values), state))
-            # Step the deepest open level that still has a survivor.
-            while stack:
-                values, parent = stack[-1]
-                for value in values:
-                    break
-                else:
-                    stack.pop()
-                    continue
-                depth = len(stack) - 1
-                if counting:
-                    matches[depth] += 1
-                prefix[depth] = value
-                state = parent.copy()
-                for i in movers[depth]:
-                    state[i] = parent[i][value]
-                if depth == last:
-                    yield prefix, state
-                    continue
-                depth += 1
-                break
-            else:
-                return
-    finally:
-        for values, _parent in reversed(stack):
-            if hasattr(values, "close"):  # a generator holding cursors
-                values.close()
-
-
-def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """``prefix -> tuple(prefix[p] for p in positions)``, as one C-level
-    call wherever :func:`operator.itemgetter` returns a tuple."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    if positions:
-        (position,) = positions
-        return lambda prefix: (prefix[position],)
-    return lambda prefix: ()
+    below full depth (a fresh list of every relation's node), one
+    **leaf batch** ``(prefix, values)`` per parent at full depth — the
+    deepest level's survivors in one sized piece, parents with none
+    skipped.  ``prefix`` is a fresh list of length ``stop`` (a batch
+    leaves its last slot to the consumer); ``root`` is only read.  A
+    ``TelemetryProbe`` gets ``partials[d]`` (openings of level ``d``),
+    ``candidates[d]`` (values enumerated) and ``matches[d]`` (survivors).
+    Abandoned, or under a raising filter, levels close deepest first."""
+    sink = "batches" if 0 < stop == len(levels) else "states"
+    return _nest(sink, levels, root, stop, probe)
 
 
 def iter_rows(
     levels: Sequence, root: Sequence, perm: Sequence[int], probe=None
 ) -> Iterator[tuple]:
-    """The row sink: a full-depth :func:`walk` as rows in output order
-    (``perm`` is :attr:`Binding.output_perm`).
+    """The *rows* sink: the full-depth descent as rows in ``perm``
+    (:attr:`Binding.output_perm`) order, each built in the innermost
+    loop — one generator hop per row at any depth — and counted in
+    ``probe.matches[-1]`` as it is yielded: the chain holds at any stop."""
+    return _nest(tuple(perm), levels, root, len(perm), probe)
 
-    Each value of a leaf batch is stored into the prefix's last slot and
-    the row read off in one C-level pick: one generator hop per row,
-    whatever the depth.  A batch the consumer abandons part-way gives
-    its undelivered rows back to ``probe.matches``.
-    """
-    if not perm:
-        yield ()  # the nullary query: one empty row
-        return
-    row_of = picker(perm)
-    last = len(perm) - 1
-    values = ()
-    try:
-        for prefix, values in walk(levels, root, len(perm), probe):
-            for prefix[last] in values:
-                yield row_of(prefix)
-            values = ()
-    finally:
-        if probe is not None and values:
-            delivered = 1 + list(values).index(prefix[last])
-            probe.matches[last] -= len(values) - delivered
+
+def _nest(sink, levels: Sequence, root: Sequence, stop: int, probe):
+    """Look the descent's shape up and call its nest."""
+    kinds = tuple([(level.participants, level.how) for level in levels[:stop]])
+    nest = _compile(sink, len(root), probe is not None, kinds)
+    return nest(levels, probe, *root)
+
+
+_MAX_BLOCKS = 20  # CPython's limit on statically nested blocks
+#: Shapes kept compiled: a constant, so that a server fed hostile query
+#: shapes recompiles the oldest instead of growing.
+_NESTS_MAX = 256
+_SERIAL = itertools.count()
+
+
+@lru_cache(maxsize=_NESTS_MAX)
+def _compile(sink, width: int, probed: bool, kinds: tuple):
+    """The nest of a shape: ``sink`` is ``"states"``, ``"batches"`` or
+    the rows' perm, ``kinds`` a ``(participants, how)`` per level."""
+    stop = len(kinds)
+    cur = [f"n{i}_0" for i in range(width)]  # each relation's node local
+    chunks: list[list[str]] = []  # one ``def`` each
+    closers: list[str] = []  # the ``finally`` clauses still to write
+    for d in range(stop + 1):
+        ids, how = kinds[d] if d < stop else ((), None)
+        final = d == stop - 1 and sink != "states"
+        lazy = how == "lazy" and not final  # a generator holding cursors
+        prefix = "".join(f"v{k}, " for k in range(d))
+        if not chunks or blocks + (d < stop) + lazy > _MAX_BLOCKS:
+            names = prefix + "".join(f"{name}, " for name in cur)
+            call = f"nest{len(chunks)}(levels, probe, {names})"
+            if chunks:  # the cut: chain to a new def, close what is open
+                out += [f"{pad}yield from {call}", *reversed(closers)]
+                closers.clear()
+            chunks.append(out := [f"def {call}:"])
+            pad, blocks = " ", 0
+            if probed:
+                out.append(" partials, candidates, matches = "
+                           "probe.partials, probe.candidates, probe.matches")
+        if d == stop:  # below the last loop: a state, or the nullary row
+            out.append(f"{pad}yield [{prefix}], [{', '.join(cur)}]"
+                       if sink == "states" else f"{pad}yield ()")
+            break
+        deeper = {i for later, _how in kinds[d + 1:] for i in later}
+        moved = [i for i in ids if sink == "states" or i in deeper]
+        if probed:
+            out.append(f"{pad}partials[{d}] += 1")
+        if how in ("meet", "filtered"):
+            out.insert(1, f" op{d} = levels[{d}].meet")
+            if probed:
+                sizes = ", ".join(f"len({cur[i]})" for i in ids)
+                least = f"min({sizes})" if len(ids) > 1 else sizes
+                out.append(f"{pad}candidates[{d}] += {least}")
+            values = f"op{d}({', '.join(cur[i] for i in ids)})"
+            if how == "filtered":
+                out.insert(1, f" keep{d} = levels[{d}].keep")
+                values = f"filter(keep{d}, {values})"
+                if final and sink == "batches":
+                    values = f"list({values})"
+            out.append(f"{pad}vals{d} = {values}")
+        else:
+            out.insert(1, f" op{d} = levels[{d}].{'leaf' if final else 'survivors'}")
+            state = [cur[i] if i in ids else "None" for i in range(width)]
+            out.append(f"{pad}st = [{', '.join(state)}]")
+            out.append(f"{pad}vals{d} = op{d}(st, {'candidates' if probed else None})")
+            for i in moved:  # array nodes were opened in place: read back
+                cur[i] = f"o{i}_{d}"
+                out.append(f"{pad}{cur[i]} = st[{i}]")
+        if final and sink == "batches":
+            out.append(f"{pad}if vals{d}:")
+            if probed:
+                out.append(f"{pad} matches[{d}] += len(vals{d})")
+            out.append(f"{pad} yield [{prefix}None], vals{d}")
+            break
+        if lazy:
+            out.append(f"{pad}try:")
+            closers.append(f"{pad}finally:\n{pad} vals{d}.close()")
+            pad += " "
+        out.append(f"{pad}for v{d} in vals{d}:")
+        pad, blocks = pad + " ", blocks + 1 + lazy
+        if probed:
+            out.append(f"{pad}matches[{d}] += 1")
+        if final:
+            out.append(f"{pad}yield ({''.join(f'v{p}, ' for p in sink)})")
+            break
+        for i in moved:
+            out.append(f"{pad}n{i}_{d + 1} = {cur[i]}[v{d}]")
+            cur[i] = f"n{i}_{d + 1}"
+    out += reversed(closers)
+    source = "".join(f"{line}\n" for out in chunks for line in out)
+    filename = f"<repro descent {next(_SERIAL)}>"
+    linecache.cache[filename] = len(source), None, source.splitlines(True), filename
+    exec(compile(source, filename, "exec"), namespace := {})
+    nest = namespace["nest0"]  # evicted, it takes its source with it
+    weakref.finalize(nest, linecache.cache.pop, filename, None)
+    return nest
 
 
 class HashLevel:
     """Generic Join's level: the values below every participant's node
     that pass the filter — a sized, unordered batch, so ``leaf`` is
-    ``survivors``.  State is the list of every relation's current index
-    node; the level keeps none, so concurrent walks may share one.
-    How a node is read is decided once, from its index's root type: a
-    :class:`~collections.abc.Mapping` node (the hash trie's) is its own
-    ``value -> child`` dict, read where it stands; any other (an array
-    range) goes through its index's ``fanout_hint`` / ``children`` and
-    is *opened in place* — replaced in the state by the dict of what
-    the seeks found — so ``parent[i][value]`` steps down every backend.
-    """
+    ``survivors``; it keeps no state, so descents may share one.
+    ``how`` it is read is decided once, from its indexes' root types.
+    One or two :class:`~collections.abc.Mapping` nodes (the hash trie's
+    ``value -> child`` dicts): ``"meet"`` — ``meet`` on the node locals
+    — or ``"filtered"``, the same under ``keep``.  Otherwise
+    ``"opened"``: ``survivors`` on a state list indexed by relation
+    position reads an array range through its index's ``fanout_hint`` /
+    ``children`` and *opens it in place* — replaces it by the dict of
+    what the seeks found — so ``node[value]`` steps down every backend.
+    Over a ``meet``, ``survivors`` (a sampler trial calls it) is that."""
 
-    __slots__ = ("participants", "survivors", "leaf")
+    __slots__ = ("participants", "how", "meet", "keep", "survivors", "leaf")
 
     def __init__(
-        self,
-        indexes: Sequence,
-        participants: Sequence[int],
-        keep: Filter | None,
-        depth: int,
+        self, indexes: Sequence, participants: Sequence[int],
+        keep: Filter | None, depth: int,
     ) -> None:
         self.participants = participants
-        # (position, exact O(1) fanout, batch opener — None: a mapping).
-        operands = [
-            (i, len, None)
-            if isinstance(indexes[i].root, Mapping)
-            else (i, indexes[i].fanout_hint, indexes[i].children)
-            for i in participants
-        ]
-        standing = {1: _only, 2: _pair}.get(len(participants))
-        if standing and all(opener is None for *_, opener in operands):
-            meet = standing(depth, *participants)
+        self.keep = keep
+        mappings = [isinstance(indexes[i].root, Mapping) for i in participants]
+        if all(mappings) and len(participants) <= 2:
+            meet = self.meet = _pair if len(participants) == 2 else _only
+            self.how = "meet" if keep is None else "filtered"
+            nodes_of = itemgetter(*participants)  # C-level for a pair
+            if meet is _only:  # ... where it would hand back a bare node
+                nodes_of = lambda state, i=participants[0]: (state[i],)
+
+            def survivors(state, candidates):
+                nodes = nodes_of(state)
+                if candidates is not None:
+                    candidates[depth] += min(map(len, nodes))
+                return meet(*nodes)
         else:
-            meet = _smallest_first(depth, operands)
+            self.how, self.meet = "opened", None
+            # (position, exact O(1) fanout, batch opener — None: a mapping).
+            survivors = _smallest_first(depth, [
+                (i, len, None) if mapping
+                else (i, indexes[i].fanout_hint, indexes[i].children)
+                for i, mapping in zip(participants, mappings)
+            ])
         if keep is not None:
-            def meet(state, candidates, unfiltered=meet):
+            def survivors(state, candidates, unfiltered=survivors):
                 return list(filter(keep, unfiltered(state, candidates)))
-        self.survivors = self.leaf = meet
+        self.survivors = self.leaf = survivors
 
 
-def _only(depth: int, i: int):
+def _only(a):
     """One mapping participant: the node is the batch."""
-    def survivors(state, candidates):
-        if candidates is not None:
-            candidates[depth] += len(state[i])
-        return state[i]
-    return survivors
+    return a
 
 
-def _pair(depth: int, i: int, j: int):
+def _pair(a, b):
     """Two mapping participants: one key-view ``&`` — Õ(min), exactly."""
-    def survivors(state, candidates):
-        a, b = state[i], state[j]
-        if candidates is not None:
-            candidates[depth] += min(len(a), len(b))
-        return b.keys() & a.keys()  # iterates the smaller; on a tie, a
-    return survivors
+    return b.keys() & a.keys()  # iterates the smaller; on a tie, a
 
 
 def _smallest_first(depth: int, operands: list):
     """Any other level: the smallest node's values (exact fanout, first
     wins a tie) are the candidates; each other participant narrows them
-    with its children's key view, probed by value, never enumerated."""
+    with its children's key view, probed by value, never enumerated;
+    array nodes are opened in ``state``."""
     def survivors(state, candidates):
         smallest = None
         for i, hint, opener in operands:
@@ -374,10 +394,11 @@ def hash_levels(binding: Binding) -> list[HashLevel]:
 class LeapfrogLevel:
     """Leapfrog Triejoin's level: open the participants' cursors, emit
     the keys all of them hold, restore them.  State lives in the
-    cursors: no position of the walk's state (``()``) moves."""
+    cursors — no relation has a node local (the root is ``()``) — and
+    ``survivors`` holds them open while suspended: ``how`` is ``"lazy"``."""
 
     __slots__ = ("cursors", "keep", "depth")
-    participants = ()
+    participants, how = (), "lazy"
 
     def __init__(
         self, cursors: Sequence, keep: Filter | None, depth: int

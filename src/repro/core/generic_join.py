@@ -19,7 +19,8 @@ trie's node is read as the ``value -> child`` mapping it is, an array
 range through the :class:`~repro.engine.backends.IndexBackend` protocol
 (``fanout_hint`` / ``children``) — and kinds may be mixed per relation.
 :meth:`GenericJoin.iter_join` streams result rows, in no specified
-order; :meth:`GenericJoin.execute` is the thin materializing wrapper.
+order, from the loop nest :mod:`repro.core.descent` compiles per binding
+shape; :meth:`GenericJoin.execute` is the thin materializing wrapper.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ class GenericJoin:
         completions the selection would discard.
     telemetry:
         Optional :class:`~repro.feedback.telemetry.TelemetryProbe` whose
-        ``order`` matches this executor's.  When attached, the descent
-        kernel (:func:`repro.core.descent.walk`) counts partials,
-        candidates, and matches per level into it; ``None`` (the
-        default) skips the counting branches.
+        ``order`` matches this executor's.  When attached, the loop
+        nest is compiled with the lines that count partials, candidates
+        and matches per level into it; with ``None`` (the default) they
+        are not in its text.
     """
 
     def __init__(

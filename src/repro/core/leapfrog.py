@@ -20,7 +20,7 @@ cursor protocol over contiguous ``array('q')`` level runs, turning many
 seeks into radix arithmetic.  Each run creates fresh cursors that *share*
 the cached arrays; :class:`LeapfrogTriejoin` coordinates one leapfrog
 intersection per attribute level and streams result rows via
-:meth:`LeapfrogTriejoin.iter_join` — the same walk and row sink
+:meth:`LeapfrogTriejoin.iter_join` — the same compiled loop nest
 (:func:`~repro.core.descent.iter_rows`) as Generic Join; a level's
 ``survivors`` is here the generator of the keys the leapfrog emits.
 """

@@ -4,9 +4,9 @@ The statistics subsystem (:mod:`repro.stats`) estimates before running;
 this package measures *while* running and feeds the measurements back:
 
 * :mod:`repro.feedback.telemetry` — per-level candidate/match/partial
-  counters owned by the one descent kernel (off by default; one test
-  per candidate when off, measured at most 1%), frozen observation
-  records, and the estimate-vs-observed divergence metric;
+  counters owned by the one descent kernel (off by default, and then
+  not in the loop's text), frozen observation records, and the
+  estimate-vs-observed divergence metric;
 * :mod:`repro.feedback.config` — :class:`FeedbackConfig`, the knob
   object an :class:`~repro.query.context.ExecutionContext` carries to
   switch the loop on;

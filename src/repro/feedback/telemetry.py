@@ -21,11 +21,11 @@ hub expansion "Skew Strikes Back" warns about, which distinct counts and
 pairwise selectivities both miss).
 
 Telemetry is **off by default**.  The counters belong to the one descent
-kernel (:func:`repro.core.descent.walk`): a :class:`TelemetryProbe` is an
-argument of the walk, not a second copy of the loop.  Without one the
-kernel skips the bumps behind one test per candidate — measured at most
-1% of an enumeration; with one attached enumeration costs about 8% more
-(``docs/ARCHITECTURE.md``, "Telemetry is one branch, measured").
+kernel (:mod:`repro.core.descent`): a :class:`TelemetryProbe` is part of
+a descent's shape, not a second copy of the loop — with one attached the
+bumps are lines of the compiled loop nest, without one they are not in
+its text at all (``docs/ARCHITECTURE.md``, "Telemetry is lines of the
+nest").
 """
 
 from __future__ import annotations

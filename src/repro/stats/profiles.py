@@ -41,6 +41,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 from repro.relations.relation import Relation, Value
@@ -85,7 +86,9 @@ class AttributeProfile:
     #: Number of tuples in the relation (shared by all its attributes).
     total: int
     #: Most frequent values, ``(value, count)``, highest count first;
-    #: ties break on ``repr(value)`` so the table is deterministic.
+    #: ties break on ``repr(value)`` so the table is deterministic.  No
+    #: default plan reads it: handed over as a zero-argument callable,
+    #: it is derived on first read (``==``, ``repr``, pickling included).
     top: tuple[tuple[Value, int], ...]
     #: Frequency at or above which a value counts as heavy.
     heavy_threshold: int
@@ -105,6 +108,21 @@ class AttributeProfile:
     #: backends sort their rows, so they need every column orderable;
     #: the hash trie never compares values.
     orderable: bool = True
+
+    def __post_init__(self) -> None:
+        if callable(self.top):
+            self.__dict__["_top"] = self.__dict__.pop("top")
+
+    def __getattr__(self, name: str):
+        derive = self.__dict__.get("_top")
+        if name != "top" or derive is None:
+            raise AttributeError(name)
+        self.__dict__["top"] = top = derive()
+        self.__dict__.pop("_top", None)
+        return top
+
+    def __getstate__(self) -> dict:  # the tuple, not the callable's table
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @property
     def int_span(self) -> int:
@@ -259,7 +277,7 @@ def profile_relation(
                 attribute=attribute,
                 distinct=len(counter),
                 total=total,
-                top=_top_values(counter, top_k),
+                top=partial(_top_values, counter, top_k),
                 heavy_threshold=threshold,
                 heavy_count=len(heavy),
                 heavy_mass=(sum(heavy) / total) if total else 0.0,

@@ -1,6 +1,7 @@
 """The descent kernel under every sink, against the backtracking oracle.
 
-One walk (:func:`repro.core.descent.walk`) serves enumeration, observed
+One compiled loop nest (:func:`repro.core.descent.walk` /
+:func:`~repro.core.descent.iter_rows`) serves enumeration, observed
 enumeration, aggregate folds and the sampler's exact fallback, over two
 level strategies.  These tests hold every (strategy, backend) pairing to
 ``tests.helpers.oracle_join`` through each sink, pin the per-level
@@ -11,11 +12,19 @@ quadratic — off the kernel's own counters on the paper's hard instances.
 
 from __future__ import annotations
 
+import functools
+import gc
 import inspect
+import io
 import itertools
+import keyword
+import linecache
 import math
 import random
+import re
 import sys
+import tokenize
+import traceback
 from collections import Counter
 
 import pytest
@@ -24,7 +33,9 @@ from hypothesis import given, settings, strategies as st
 from repro.aggregate.fold import Folder, _prune_depth, fold_rows
 from repro.aggregate.sampling import JoinSampler
 from repro.aggregate.specs import Count, Sum, grouped
+from repro import Database, Q, execute
 from repro.baselines.hash_join import chain_hash_join
+from repro.core import descent
 from repro.core.descent import (
     bind,
     hash_levels,
@@ -39,7 +50,7 @@ from repro.core.query import JoinQuery
 from repro.feedback.telemetry import TelemetryProbe
 from repro.hypergraph.agm import best_agm_bound
 from repro.relations.relation import Relation
-from repro.workloads import generators, instances
+from repro.workloads import generators, instances, queries
 from tests.helpers import (
     assert_counter_chain,
     assert_valid_sample,
@@ -698,10 +709,10 @@ def test_a_trie_leaf_intersection_makes_no_call_per_candidate():
 
 def test_a_trie_search_node_is_one_python_call():
     # Example 2.2: three hundred search nodes at n = 200 and no rows,
-    # so everything the run costs is per node.  Each is one
-    # ``survivors`` call on dicts read where they stand — no protocol
-    # call, no generator per open level (the per-node kernel before it:
-    # about five calls and a resumption per node).
+    # so everything the run costs is per node.  Each is one ``meet``
+    # call on dicts read where they stand, from the one generator that
+    # is the binding's loop nest — no stack, no state list, no second
+    # generator.
     query = instances.triangle_hard_instance(200)
     binding = bind(query, None, "trie", None, None)
     probe = TelemetryProbe(binding.order)
@@ -713,14 +724,25 @@ def test_a_trie_search_node_is_one_python_call():
     nodes = sum(probe.partials)
     assert nodes == 302
     levels, roots = hash_levels(binding), binding.roots()
+    list(iter_rows(levels, roots, binding.output_perm))  # compiled once
     resumed = Counter()
     calls, _resumptions = profiled_calls(
         lambda: list(iter_rows(levels, roots, binding.output_perm)), resumed
     )
-    # Beyond the nodes: starting the two generators and their set-up.
+    # Beyond the nodes: looking the shape up and starting the nest.
     assert calls <= nodes + 8
-    assert set(resumed) == {"walk", "iter_rows"}
-    assert sum(resumed.values()) == 2
+    assert resumed == {"nest0": 1}
+    # With rows: the nest is resumed once per row and once to finish.
+    binding = bind(_triangle(), None, "trie", None, None)
+    levels, roots = hash_levels(binding), binding.roots()
+    resumed.clear()
+    rows = []
+    profiled_calls(
+        lambda: rows.extend(iter_rows(levels, roots, binding.output_perm)),
+        resumed,
+    )
+    assert len(rows) > 50
+    assert resumed == {"nest0": len(rows) + 1}
 
 
 @pytest.mark.parametrize(
@@ -802,17 +824,10 @@ def test_first_row_needs_one_leaf_batch(cls, backend):
     stream = cls(
         query, attribute_order=order, backend=backend, telemetry=probe
     ).iter_join()
-    first = next(stream)
-    deepest = query.attributes.index("C")
-    parent = first[:deepest] + first[deepest + 1 :]
-    batch = [
-        row
-        for row in oracle_join(query)
-        if row[:deepest] + row[deepest + 1 :] == parent
-    ]
-    # Exactly one non-empty batch has been produced — the first row's
-    # own — after a small share of the run's intersections.
-    assert probe.matches[-1] == len(batch)
+    assert next(stream) in set(oracle_join(query))
+    # A row is counted when it is yielded — one so far — and it came
+    # after a small share of the run's intersections.
+    assert probe.matches[-1] == 1
     full = TelemetryProbe(order)
     for _row in cls(
         query, attribute_order=order, backend=backend, telemetry=full
@@ -839,12 +854,18 @@ class LoggedCursor:
 
 
 class SpyLevel:
-    """A level whose ``survivors`` counts the streams it has open."""
+    """A level that streams its survivors and counts the streams it has
+    open: ``how = "lazy"``, so the nest must ``close()`` each of them.
+    The wrapped ``survivors`` runs before the stream is handed out — an
+    array node is opened in place by the time the nest reads it back."""
 
-    def __init__(self, level, closed):
+    how = "lazy"
+
+    def __init__(self, level, closed, keep=None):
         self.level = level
         self.participants = level.participants
         self.leaf = level.leaf
+        self.keep = keep
         self.open = 0
         if hasattr(level, "cursors"):
             level.cursors = [
@@ -853,37 +874,82 @@ class SpyLevel:
             ]
 
     def survivors(self, state, candidates):
+        return self._stream(self.level.survivors(state, candidates))
+
+    def _stream(self, values):
         self.open += 1
         try:
-            yield from self.level.survivors(state, candidates)
+            for value in values:
+                if self.keep is None or self.keep(value):
+                    yield value
         finally:
             self.open -= 1
+            if hasattr(values, "close"):
+                values.close()
 
 
-@pytest.mark.parametrize("strategy", [hash_levels, leapfrog_levels])
-def test_an_abandoned_stream_closes_every_open_level(strategy):
+def _spied(strategy, raising_at=None):
+    """``(stream, spies, closed)``: ``iter_rows`` over spied levels of
+    the small lifted triangle; ``raising_at`` puts a predicate that
+    raises on its third value at that depth."""
     query = _lifted_triangle(150, seed=5)
     binding = bind(query, ("D", "A", "B", "C"), "sorted", None, None)
     closed = []
-    spies = [SpyLevel(level, closed) for level in strategy(binding)]
+    seen = []
+
+    def third_value_raises(value):
+        seen.append(value)
+        if len(seen) == 3:
+            raise ZeroDivisionError("the predicate")
+        return True
+
+    spies = [
+        SpyLevel(level, closed, third_value_raises if d == raising_at else None)
+        for d, level in enumerate(strategy(binding))
+    ]
     root = binding.roots() if strategy is hash_levels else ()
-    stream = iter_rows(spies, root, binding.output_perm)
-    for _ in range(3):
-        next(stream)
-    # The three interior levels are open; the deepest is a leaf batch.
-    assert [spy.open for spy in spies] == [1, 1, 1, 0]
-    del closed[:]
-    stream.close()
+    return iter_rows(spies, root, binding.output_perm), spies, closed
+
+
+def _assert_closed_deepest_first(strategy, spies, closed, was_open):
     assert [spy.open for spy in spies] == [0, 0, 0, 0]
     if strategy is leapfrog_levels:
-        # Every open level's cursors went up, the deepest level first.
+        # Every open level's cursors went up, the deepest level first,
+        # and every cursor is back at the root.
         assert closed == sorted(closed, reverse=True)
         assert Counter(closed) == {
-            spy.level.depth: len(spy.level.cursors) for spy in spies[:3]
+            spy.level.depth: len(spy.level.cursors)
+            for spy, opened in zip(spies, was_open)
+            if opened
         }
         assert all(
             cursor.depth == 0 for spy in spies for cursor in spy.level.cursors
         )
+
+
+@pytest.mark.parametrize("taken", [1, 3, 57])
+@pytest.mark.parametrize("strategy", [hash_levels, leapfrog_levels])
+def test_an_abandoned_stream_closes_every_open_level(strategy, taken):
+    stream, spies, closed = _spied(strategy)
+    for _ in range(taken):
+        next(stream)
+    # The three interior levels are open; the deepest is a leaf batch.
+    was_open = [spy.open for spy in spies]
+    assert was_open == [1, 1, 1, 0]
+    del closed[:]
+    stream.close()
+    _assert_closed_deepest_first(strategy, spies, closed, was_open)
+
+
+@pytest.mark.parametrize("strategy", [hash_levels, leapfrog_levels])
+def test_a_raising_predicate_closes_every_open_level(strategy):
+    # Generators held by an abandoned frame are finalised shallowest
+    # first; the nest closes each lazy level in a ``finally`` instead.
+    stream, spies, closed = _spied(strategy, raising_at=2)
+    with pytest.raises(ZeroDivisionError):
+        for _row in stream:
+            del closed[:]  # keep only what the failure itself closes
+    _assert_closed_deepest_first(strategy, spies, closed, [1, 1, 1, 0])
 
 
 @pytest.mark.parametrize("cls, backend", CONFIGS)
@@ -972,3 +1038,279 @@ def test_three_kinds_meet_at_a_three_participant_level(kinds):
     assert _rows_and_counters(
         query, order, dict(zip("RST", kinds))
     ) == _rows_and_counters(query, order, "trie")
+
+
+# ---------------------------------------------------------------------------
+# (f) The nest: compiled once per shape, cut at the block limit, built
+#     from invented names only
+# ---------------------------------------------------------------------------
+
+#: What a nest's text may contain besides keywords, integers and
+#: punctuation: the compiler's own names and the builtins it calls.
+INVENTED = re.compile(
+    r"nest\d+|op\d+|keep\d+|vals\d+|v\d+|[no]\d+_\d+|st|levels|probe"
+    r"|partials|candidates|matches|meet|keep|survivors|leaf"
+    r"|len|min|filter|list|close|None"
+)
+
+
+def nest_sources():
+    """The source of every live nest, read back through ``linecache``
+    under its ``<repro descent N>`` filename."""
+    gc.collect()  # an evicted nest takes its source with it
+    sources = []
+    for filename in list(linecache.cache):
+        if filename.startswith("<repro descent "):
+            assert re.fullmatch(r"<repro descent \d+>", filename)
+            lines = linecache.getlines(filename)
+            assert lines[0].startswith("def nest0(levels, probe, ")
+            sources.append("".join(lines))
+    return sources
+
+
+def assert_nests_are_legible(*hostile):
+    """Every compiled nest is keywords, invented names, integers and
+    punctuation — no string literal, and none of ``hostile``."""
+    sources = nest_sources()
+    assert sources
+    for source in sources:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert keyword.iskeyword(token.string) or INVENTED.fullmatch(
+                    token.string
+                ), token
+            elif token.type == tokenize.NUMBER:
+                assert token.string.isdigit(), token
+            else:
+                assert token.type != tokenize.STRING, token
+        assert not any(text in source for text in hostile)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """An empty shape table of the real size; the shapes compiled
+    since, in order."""
+    compiled = []
+    compile_shape = descent._compile.__wrapped__
+
+    def counting(*shape):
+        compiled.append(shape)
+        return compile_shape(*shape)
+
+    assert descent._compile.cache_info().maxsize == descent._NESTS_MAX
+    table = functools.lru_cache(maxsize=descent._NESTS_MAX)(counting)
+    monkeypatch.setattr(descent, "_compile", table)
+    return compiled
+
+
+def _deep_path(edges, seed=0):
+    """A path query of ``edges + 1`` attributes over five-tuple
+    relations: deeper than CPython's twenty nested blocks."""
+    rng = random.Random(seed)
+    hypergraph = queries.path_query(edges)
+    relations = {
+        eid: Relation(
+            eid,
+            tuple(a for a in hypergraph.vertices if a in members),
+            {(rng.randrange(4), rng.randrange(4)) for _ in range(5)},
+        )
+        for eid, members in hypergraph.edges.items()
+    }
+    return JoinQuery.from_hypergraph(hypergraph, relations)
+
+
+@pytest.mark.parametrize(
+    "cls, backend, edges",
+    [
+        (GenericJoin, "trie", 23),
+        (GenericJoin, "trie", 20),
+        (GenericJoin, "compact", 23),
+        (GenericJoin, "compact", 20),
+        (LeapfrogTriejoin, "sorted", 23),
+        (LeapfrogTriejoin, "sorted", 20),
+        # Two blocks a level (``try`` + ``for``): cut at the tenth.
+        (LeapfrogTriejoin, "compact", 11),
+    ],
+)
+def test_a_nest_deeper_than_the_block_limit_is_cut_not_refused(
+    cls, backend, edges, compiles
+):
+    query = _deep_path(edges)
+    expected = sorted(oracle_join(query))
+    assert len(expected) > 50
+    order = query.attributes
+    probe = TelemetryProbe(order)
+    executor = cls(query, backend=backend, telemetry=probe)
+    assert sorted(executor.iter_join()) == expected
+    assert_counter_chain(probe, len(expected))
+    # Counting prunes the single-participant last level; a fold that
+    # reads the deepest attribute walks every level as leaf batches.
+    assert executor.fold(Folder(Count(), order)).result() == len(expected)
+    by_deepest = grouped((order[-1],), {"n": "count"})
+    assert executor.fold(Folder(by_deepest, order)).result() == fold_rows(
+        expected, by_deepest, order
+    )
+    # A shard key on an attribute below the cut.
+    binding = executor._binding
+    position = len(order) - 2
+    keyed = narrow(binding, ((order[position], frozenset({0, 2})),))
+    levels = (hash_levels if cls is GenericJoin else leapfrog_levels)(keyed)
+    root = keyed.roots() if cls is GenericJoin else ()
+    assert sorted(iter_rows(levels, root, keyed.output_perm)) == [
+        row for row in expected if row[position] in (0, 2)
+    ]
+    # Abandoned below the cut: the chain holds, the executor reruns.
+    probe.reset()
+    stream = executor.iter_join()
+    for _ in range(3):
+        next(stream)
+    stream.close()
+    assert_counter_chain(probe, 3)
+    assert sorted(executor.iter_join()) == expected
+    # The rows nest was cut: no ``def`` nests more than twenty blocks.
+    sources = nest_sources()
+    assert len(sources) >= len(compiles) >= 3
+    assert sum(source.count("def nest") >= 2 for source in sources) >= 2
+    for source in sources:
+        for chunk in source.split("def nest")[1:]:
+            blocks = re.findall(r"^ *(?:for|try)\b", chunk, re.MULTILINE)
+            assert len(blocks) <= 20
+    assert_nests_are_legible()
+
+
+HOSTILE = (
+    'a"b',
+    "c'd",
+    "e\nf",
+    "g\\h",
+    "{}",
+    "{0}{levels}",
+    "__import__('os').system('x')",
+)
+
+
+def _hostile_triangle():
+    """A triangle whose relation names, attribute names and values are
+    all drawn from :data:`HOSTILE`."""
+    a, b, c = HOSTILE[0], HOSTILE[2], HOSTILE[6]
+    rng = random.Random(3)
+    return JoinQuery(
+        [
+            Relation(
+                name,
+                attrs,
+                {(rng.choice(HOSTILE), rng.choice(HOSTILE)) for _ in range(30)},
+            )
+            for name, attrs in (
+                (HOSTILE[1], (a, b)),
+                (HOSTILE[3], (b, c)),
+                (HOSTILE[4], (a, c)),
+            )
+        ]
+    )
+
+
+@pytest.mark.parametrize("cls, backend", CONFIGS[:1] + CONFIGS[2:3] + CONFIGS[5:])
+def test_hostile_names_and_values_never_reach_the_source(
+    cls, backend, compiles
+):
+    query = _hostile_triangle()
+    expected = sorted(oracle_join(query))
+    assert len(expected) > 20
+    order = query.attributes
+    kept = frozenset(HOSTILE[1:])
+    filters = {order[1]: kept.__contains__}
+    filtered = [row for row in expected if row[1] in kept]
+    for keep, rows in ((None, expected), (filters, filtered)):
+        probe = TelemetryProbe(order)
+        executor = cls(query, backend=backend, filters=keep, telemetry=probe)
+        assert sorted(executor.iter_join()) == rows  # the rows sink
+        assert_counter_chain(probe, len(rows))
+        for spec in (  # states (pruned or not), then leaf batches
+            Count(),
+            grouped((order[0],), {"n": "count"}),
+            grouped((order[-1],), {"n": "count"}),
+        ):
+            folded = executor.fold(Folder(spec, order)).result()
+            assert folded == fold_rows(rows, spec, order)
+    kind = backend if cls is GenericJoin else None
+    sample = JoinSampler(query, backend=kind).sample(1000, random.Random(1))
+    assert sorted(sample) == expected  # the exact fallback's rows sink
+    binding = executor._binding  # filtered; the states sink at depth 2
+    levels = hash_levels(binding)
+    assert len(filtered) == sum(
+        len(levels[2].leaf(nodes, None))
+        for _prefix, nodes in walk(levels, binding.roots(), 2)
+    )
+    assert len(compiles) >= 4
+    assert_nests_are_legible(*HOSTILE)
+
+
+@pytest.mark.parametrize("cls, backend", CONFIGS[:1] + CONFIGS[4:5])
+def test_a_raising_predicate_shows_the_loop_line_it_was_called_from(
+    cls, backend
+):
+    def predicate(value):
+        raise ZeroDivisionError(value)
+
+    query = _triangle()
+    executor = cls(query, backend=backend, filters={"B": predicate})
+    with pytest.raises(ZeroDivisionError) as failure:
+        list(executor.iter_join())
+    frames = [
+        (frame.filename, frame.line)
+        for frame in traceback.extract_tb(failure.value.__traceback__)
+        if frame.filename.startswith("<repro descent ")
+    ]
+    # The nest's frame, with the text of the loop that was running.
+    assert frames and all(line for _filename, line in frames)
+    assert re.match(r"(for v\d+ in vals\d+:|vals\d+ = op\d+\()", frames[-1][1])
+
+
+def test_a_shape_compiles_once_per_process(compiles):
+    rng = random.Random(11)
+
+    def triangle():
+        return [
+            Relation(name, attrs, _rows(rng, 2, 40, 7))
+            for name, attrs in (
+                ("R", ("A", "B")),
+                ("S", ("B", "C")),
+                ("T", ("A", "C")),
+            )
+        ]
+
+    relations = triangle()
+    builder = Q(*relations).on(Database(relations))
+    rows = sorted(execute(builder))
+    assert rows == sorted(oracle_join(JoinQuery(relations)))
+    for _ in range(99):
+        list(execute(builder))
+    assert len(compiles) == 1 and isinstance(compiles[0][0], tuple)  # rows
+    # Fresh relations in a fresh catalog: the same shape, nothing new.
+    fresh = triangle()
+    list(execute(Q(*fresh).on(Database(fresh))))
+    assert len(compiles) == 1
+    # ``count()`` folds leaf batches; a shard key filters a level.
+    assert execute(builder).count() == len(rows)
+    assert len(compiles) <= 2
+    assert sorted(execute(builder, shards=3, mode="serial")) == rows
+    assert len(compiles) <= 3
+    assert_nests_are_legible()
+
+
+def test_the_shape_table_is_bounded(compiles):
+    # A server must not grow without bound on hostile query shapes:
+    # ten times the table's constant of distinct shapes (one relation,
+    # every output permutation of seven attributes is its own text).
+    before = len(nest_sources())  # the nests of the table swapped out
+    relation = Relation("R", tuple("ABCDEFG"), [tuple(range(7))])
+    binding = bind(JoinQuery([relation]), None, "trie", None, None)
+    levels, roots = hash_levels(binding), binding.roots()
+    distinct = 10 * descent._NESTS_MAX
+    for perm in itertools.islice(itertools.permutations(range(7)), distinct):
+        assert list(iter_rows(levels, roots, perm)) == [perm]
+    assert len(compiles) == distinct
+    assert descent._compile.cache_info().currsize == descent._NESTS_MAX
+    # An evicted nest's source leaves ``linecache`` with it.
+    assert len(nest_sources()) - before == descent._NESTS_MAX

@@ -6,7 +6,13 @@ from collections import Counter
 
 import pytest
 
+import repro.stats.profiles as profiles_module
+from repro.core.query import JoinQuery
+from repro.distributed.stealing import _holds_heavy_value
+from repro.engine.planner import plan_join
+from repro.relations.database import Database
 from repro.relations.relation import Relation
+from repro.stats import StatsProvider
 from repro.stats.profiles import (
     DEFAULT_TOP_K,
     AttributeProfile,
@@ -14,7 +20,7 @@ from repro.stats.profiles import (
     heavy_threshold,
     profile_relation,
 )
-from repro.workloads import generators
+from repro.workloads import generators, instances, queries
 
 
 def skewed_relation(size=400, domain=50, exponent=1.2, seed=3):
@@ -260,3 +266,70 @@ class TestOneScanMatchesReference:
             assert profile_relation(rel, top_k) == reference_profile_relation(
                 rel, top_k
             )
+
+
+class TestTopIsDerivedOnFirstRead:
+    """No default plan reads ``AttributeProfile.top``: a cold plan never
+    ranks a column's values (nor takes the ``repr`` of those tied at the
+    cut-off); whoever reads the table gets it — a count of calls."""
+
+    @pytest.fixture
+    def rankings(self, monkeypatch):
+        calls = []
+        real = profiles_module._top_values
+
+        def counting(counter, k):
+            calls.append(len(counter))
+            return real(counter, k)
+
+        monkeypatch.setattr(profiles_module, "_top_values", counting)
+        return calls
+
+    SHAPES = {
+        "lifted_triangle": lambda: generators.random_instance(
+            queries.beyond_lw_query(), 300, 12, seed=1
+        ),
+        "triangle_hub": lambda: generators.hub_triangle(
+            light_domain=20, b_domain=30, c_domain=100,
+            r_size=150, s_size=250, t_size=500, seed=5,
+        ),
+        "graph_chain": lambda: generators.random_instance(
+            queries.path_query(4), 200, 40, seed=1
+        ),
+        "triangle_hard": lambda: instances.triangle_hard_instance(100),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_cold_plan_ranks_no_column(self, shape, rankings):
+        query = self.SHAPES[shape]()
+        database = Database(query.relations.values())
+        plan = plan_join(JoinQuery(list(database)), database=database)
+        assert plan.statistics.source == "exact"
+        assert rankings == []
+
+    def test_presplit_still_gets_its_table(self, rankings):
+        query = self.SHAPES["triangle_hub"]()
+        provider = StatsProvider()
+        plan_join(query, stats=provider)
+        assert rankings == []
+        assert _holds_heavy_value(query, "A", frozenset({0}), provider)
+        assert not _holds_heavy_value(query, "A", frozenset({7}), provider)
+        # Derived once per column read, then kept.
+        assert 1 <= len(rankings) <= 2
+        profile = provider.profile(query.relations["R"]).attribute("A")
+        assert profile.top[0] == (0, profile.max_frequency) and profile.skew > 5
+        assert len(rankings) <= 2
+
+    def test_a_deferred_table_compares_prints_and_pickles_as_the_tuple(
+        self, rankings
+    ):
+        rel = skewed_relation()
+        deferred = profile_relation(rel)
+        eager = reference_profile_relation(rel)
+        assert rankings == []
+        assert repr(deferred) == repr(eager)
+        assert deferred == eager and hash(deferred) == hash(eager)
+        assert len(rankings) == len(rel.attributes)
+        clone = pickle.loads(pickle.dumps(profile_relation(rel)))
+        assert clone == eager
+        assert all("_top" not in vars(a) for a in clone.attributes)

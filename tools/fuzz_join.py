@@ -2,7 +2,10 @@
 """Randomized cross-check of the join engine against a brute-force oracle.
 
 Generates random small schemas and relations (seeded, so every failure
-is replayable), then checks for each instance that
+is replayable; one instance in ten a path or star query of 18-26
+attributes — past the 20 nested blocks one compiled loop nest may hold —
+and one in ten with quotes, newlines, backslashes, braces and an
+expression for attribute names), then checks for each instance that
 
 * the row stream under a randomly chosen algorithm/backend/shard config
   (sharded one time in five: serial or thread mode, or — a quarter of
@@ -72,6 +75,13 @@ from repro.query.shards import ShardSpec  # noqa: E402
 from repro.relations.relation import Relation  # noqa: E402
 
 ATTRIBUTE_POOL = ("A", "B", "C", "D", "E")
+#: Attribute names no generated loop nest may ever see as text: quotes,
+#: a newline, a backslash, format braces, an expression.
+HOSTILE_POOL = (
+    'a"b', "c'd", "e\nf", "g\\h", "{}", "__import__('os').system('x')"
+)
+#: Attributes of the shallowest :func:`deep_instance`.
+DEEP = 18
 #: (algorithm, allowed backends) — only planner-valid combinations are
 #: fuzzed; invalid ones are rejected eagerly and tested elsewhere.
 CONFIGS = (
@@ -82,9 +92,37 @@ CONFIGS = (
 )
 
 
+def deep_instance(rng: random.Random) -> list[Relation]:
+    """A path or star query of 18-26 attributes — deeper than the 20
+    nested blocks CPython compiles, so the descent's loop nest is cut —
+    over 3-6-tuple relations: a permutation of 4-5 values, one tuple
+    dropped or added now and then, so the result stays small."""
+    attributes = [f"A{i}" for i in range(rng.randint(DEEP, 26))]
+    star = rng.random() < 0.5
+    domain = rng.randint(4, 5)
+    relations = []
+    for index in range(1, len(attributes)):
+        targets = list(range(domain))
+        rng.shuffle(targets)
+        rows = set(enumerate(targets))
+        if rng.random() < 0.2:
+            rows.pop()
+        if rng.random() < 0.3:
+            rows.add((rng.randrange(domain), rng.randrange(domain)))
+        attrs = (attributes[0 if star else index - 1], attributes[index])
+        relations.append(Relation(f"R{index}", attrs, sorted(rows)))
+    return relations
+
+
 def random_instance(rng: random.Random) -> list[Relation]:
     """A random connected join query: 2-4 relations, arity 1-3, tiny
-    domains (so results stay small and duplicates/empty joins happen)."""
+    domains (so results stay small and duplicates/empty joins happen);
+    one in ten is a :func:`deep_instance`, one in ten names its
+    attributes from :data:`HOSTILE_POOL`."""
+    shape = rng.random()
+    if shape < 0.1:
+        return deep_instance(rng)
+    pool = HOSTILE_POOL if shape < 0.2 else ATTRIBUTE_POOL
     count = rng.randint(2, 4)
     domain = rng.randint(2, 5)
     relations = []
@@ -94,10 +132,10 @@ def random_instance(rng: random.Random) -> list[Relation]:
         if used and rng.random() < 0.9:
             # Overlap with an already-used attribute to stay connected.
             first = rng.choice(used)
-            rest = [a for a in ATTRIBUTE_POOL if a != first]
+            rest = [a for a in pool if a != first]
             attrs = (first, *rng.sample(rest, arity - 1))
         else:
-            attrs = tuple(rng.sample(ATTRIBUTE_POOL, arity))
+            attrs = tuple(rng.sample(pool, arity))
         used.extend(a for a in attrs if a not in used)
         rows = sorted(
             {
@@ -156,7 +194,10 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> None:
             row for row in expected if row[position] in membership[1]
         }
 
-    algorithm, backends = rng.choice(CONFIGS)
+    # A deep instance runs on the descent kernel only: ``nprr`` does not
+    # finish a 25-relation star within any fuzz budget.
+    deep = len(attributes) >= DEEP
+    algorithm, backends = rng.choice(CONFIGS[:3] if deep else CONFIGS)
     options = {"algorithm": algorithm}
     backend = rng.choice(backends)
     # ``backend=`` names one kind for every relation; a per-relation

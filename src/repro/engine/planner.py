@@ -587,12 +587,21 @@ def plan_attribute_order_selectivity(
     distinct-count score, then first appearance, so the result is a
     function of the data alone.
 
+    The descent reads every overlapping pair's tables, so those over
+    two or more shared attributes are read first: the profile's
+    one-column tables are then summed out of them, not scanned.
+
     Returns ``(order, distinct_scores, per-step estimates,
     selectivities consulted)`` so the caller can attach the evidence to
     the plan.
     """
-    scores = stats.attribute_scores(query)
     relations = query.relations
+    for eid, relation in relations.items():
+        for fid, other in relations.items():
+            shared = relation.attribute_set & other.attribute_set
+            if fid != eid and len(shared) > 1:
+                stats.value_counts(relation, shared)
+    scores = stats.attribute_scores(query)
     sub_bounds = _subquery_bounds(query, stats)
     consulted: dict[tuple[str, str], float] = {}
 

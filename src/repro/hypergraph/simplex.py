@@ -14,9 +14,12 @@ The paper needs linear programming in three places, each requiring a
 
 Floating-point LP solvers return points polluted by tolerance thresholds,
 which would break the half-integrality and support-equality checks, so we
-implement the textbook dense two-phase simplex with Bland's anti-cycling
+implement the textbook two-phase tableau simplex with Bland's anti-cycling
 rule over exact rationals.  Cover LPs are tiny (``m`` variables, ``n``
-constraints), so the cubic cost is irrelevant.
+constraints) and mostly zeros: a pivot touches the pivot row's non-zero
+columns only, the reduced-cost row included, and divides only by a pivot
+other than 1.  Exact arithmetic keeps every pivot, vertex and basis the
+dense textbook method's.
 
 Only the standard form is supported::
 
@@ -128,7 +131,7 @@ def solve_min_geq(
         raise InfeasibleProgramError(
             f"phase-1 optimum {infeasibility} > 0: constraints are infeasible"
         )
-    _expel_artificials(tableau, basis, n + k, width)
+    _expel_artificials(tableau, basis, n + k)
 
     # ---- Phase 2: original objective over x and s (artificials cost 0 and
     # are barred from re-entering by the column filter below). -------------
@@ -159,7 +162,7 @@ def _optimize(
     variables out during phase 2).
     """
     rows = len(tableau)
-    reduced = _reduced_costs(tableau, basis, costs, width)
+    reduced = _reduced_costs(tableau, basis, costs)
     limit = width if forbidden_from is None else forbidden_from
     while True:
         entering = -1
@@ -187,26 +190,25 @@ def _optimize(
             raise UnboundedProgramError(
                 f"column {entering} has no positive pivot: objective unbounded"
             )
-        _pivot(tableau, basis, leaving, entering, width)
-        reduced = _reduced_costs(tableau, basis, costs, width)
+        # The reduced costs are one more row of the pivot.
+        _pivot(tableau + [reduced], basis, leaving, entering)
 
 
 def _reduced_costs(
     tableau: list[list[Fraction]],
     basis: list[int],
     costs: list[Fraction],
-    width: int,
 ) -> list[Fraction]:
-    """``c_j - c_B . (column j of B^-1 A)`` for every column j."""
-    reduced = list(costs)
+    """The objective row: ``c_j - c_B . (column j of B^-1 A)`` for every
+    column j, then ``-c_B . B^-1 b``."""
+    reduced = list(costs) + [Fraction(0)]
     for i, var in enumerate(basis):
         c_basic = costs[var]
         if c_basic == 0:
             continue
-        row = tableau[i]
-        for j in range(width):
-            if row[j]:
-                reduced[j] -= c_basic * row[j]
+        for j, value in enumerate(tableau[i]):
+            if value:
+                reduced[j] -= c_basic * value
     return reduced
 
 
@@ -215,21 +217,21 @@ def _pivot(
     basis: list[int],
     pivot_row: int,
     pivot_col: int,
-    width: int,
 ) -> None:
-    """Gauss-Jordan pivot on (pivot_row, pivot_col)."""
+    """Gauss-Jordan pivot on (pivot_row, pivot_col), in place, over the
+    pivot row's non-zero columns only."""
     row = tableau[pivot_row]
+    support = [j for j, value in enumerate(row) if value]
     factor = row[pivot_col]
-    tableau[pivot_row] = [v / factor for v in row]
-    row = tableau[pivot_row]
+    if factor != 1:
+        for j in support:
+            row[j] /= factor
     for i, other in enumerate(tableau):
-        if i == pivot_row:
-            continue
         coeff = other[pivot_col]
-        if coeff:
-            tableau[i] = [
-                other_v - coeff * row_v for other_v, row_v in zip(other, row)
-            ]
+        if coeff and i != pivot_row:
+            one = coeff == 1  # the usual 0/1 cover entry: no product
+            for j in support:
+                other[j] -= row[j] if one else coeff * row[j]
     basis[pivot_row] = pivot_col
 
 
@@ -237,7 +239,6 @@ def _expel_artificials(
     tableau: list[list[Fraction]],
     basis: list[int],
     first_artificial: int,
-    width: int,
 ) -> None:
     """Pivot zero-level artificial variables out of the basis.
 
@@ -263,7 +264,7 @@ def _expel_artificials(
             del tableau[i]
             del basis[i]
             continue
-        _pivot(tableau, basis, i, pivot_col, width)
+        _pivot(tableau, basis, i, pivot_col)
         i += 1
 
 

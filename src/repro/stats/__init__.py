@@ -10,8 +10,8 @@ The planner's data-awareness lives here, behind one object:
 2
 
 One statistic is taken off the data — the ``value -> count`` table of
-a relation's attribute set, one counting pass, cached — and the rest
-are views of it:
+a relation's attribute set, counted or summed out of a wider table,
+cached — and the rest are views of it:
 
 >>> sorted(provider.value_counts(db["R"], ("A",)).items())
 [(1, 2), (2, 1)]

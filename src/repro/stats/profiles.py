@@ -26,7 +26,8 @@ split plus a bounded selection (never a full sort) for the top-k
 table; a conditional selectivity sums the counts of the keys two tables
 share (:meth:`~repro.stats.provider.StatsProvider.selectivity`); shard
 weights multiply them (:func:`~repro.engine.parallel.plan_shards`).
-The provider caches each table, so a cold plan reads each column once.
+The provider caches each table and sums a narrower one out of a wider
+one it holds: a cold plan scans only what no held table can give.
 
 Profiles are deterministic: top-k tables order by ``(-count,
 repr(value))``, so ties never depend on hash-set iteration order, which
@@ -39,8 +40,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Collection, Mapping, Sequence
+from dataclasses import MISSING, dataclass
 from functools import partial
 from operator import itemgetter
 
@@ -75,6 +76,31 @@ def heavy_threshold(total: int) -> int:
     return max(2, math.isqrt(max(total, 0)))
 
 
+class _DerivedOnRead:
+    """An :class:`AttributeProfile` field no default plan reads: it may
+    be handed over as a zero-argument callable, called on first read
+    (``==``, ``hash``, ``repr`` and pickling read it too)."""
+
+    def __init__(self, default: object = MISSING) -> None:
+        self.default = default
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __set__(self, profile: object, value: object) -> None:
+        profile.__dict__[self.name] = value
+
+    def __get__(self, profile: object, owner: type | None = None):
+        if profile is None:  # the class: what ``dataclass`` takes as default
+            if self.default is MISSING:
+                raise AttributeError(self.name)
+            return self.default
+        value = profile.__dict__[self.name]
+        if callable(value):  # two threads may both call it: same value
+            value = profile.__dict__[self.name] = value()
+        return value
+
+
 @dataclass(frozen=True)
 class AttributeProfile:
     """Frequency statistics for one attribute of one relation."""
@@ -86,10 +112,8 @@ class AttributeProfile:
     #: Number of tuples in the relation (shared by all its attributes).
     total: int
     #: Most frequent values, ``(value, count)``, highest count first;
-    #: ties break on ``repr(value)`` so the table is deterministic.  No
-    #: default plan reads it: handed over as a zero-argument callable,
-    #: it is derived on first read (``==``, ``repr``, pickling included).
-    top: tuple[tuple[Value, int], ...]
+    #: ties break on ``repr(value)`` so the table is deterministic.
+    top: tuple[tuple[Value, int], ...] = _DerivedOnRead()
     #: Frequency at or above which a value counts as heavy.
     heavy_threshold: int
     #: Number of heavy values.
@@ -101,27 +125,15 @@ class AttributeProfile:
     #: empty columns.  Together with ``distinct`` these give the value
     #: span — what the planner's density rule and the compact backend's
     #: radix fast path both reason about.
-    int_min: int | None = None
-    int_max: int | None = None
+    int_min: int | None = _DerivedOnRead(None)
+    int_max: int | None = _DerivedOnRead(None)
     #: Whether the column's values sort: ``False`` when two of them do
     #: not compare (``int`` beside ``str``).  The sorted and compact
     #: backends sort their rows, so they need every column orderable;
     #: the hash trie never compares values.
-    orderable: bool = True
+    orderable: bool = _DerivedOnRead(True)
 
-    def __post_init__(self) -> None:
-        if callable(self.top):
-            self.__dict__["_top"] = self.__dict__.pop("top")
-
-    def __getattr__(self, name: str):
-        derive = self.__dict__.get("_top")
-        if name != "top" or derive is None:
-            raise AttributeError(name)
-        self.__dict__["top"] = top = derive()
-        self.__dict__.pop("_top", None)
-        return top
-
-    def __getstate__(self) -> dict:  # the tuple, not the callable's table
+    def __getstate__(self) -> dict:  # the values, not the callables' tables
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @property
@@ -211,7 +223,9 @@ def count_values(
     """``value -> count`` over ``relation``'s tuples: the bare value for
     one attribute, the value tuple (in the order given) for several.
 
-    The statistics subsystem's one scan of ``relation.tuples``."""
+    Keys are listed in order of first occurrence.  The only function
+    here that reads ``relation.tuples``; the provider calls it when it
+    holds no wider table to sum the counts out of."""
     return Counter(
         map(itemgetter(*relation.positions(attributes)), relation.tuples)
     )
@@ -235,10 +249,17 @@ def _top_values(counter: Mapping, k: int) -> tuple[tuple[Value, int], ...]:
     return tuple(above) + tuple((value, cutoff) for value in tied)
 
 
-def _orderable(kinds: set[type], values: Iterable[Value]) -> bool:
-    """Whether sorting ``values`` (whose types are ``kinds``) can not
-    raise: read off the types for numbers and for one string type,
-    found by sorting for anything else."""
+def _int_bound(values: Collection[Value], pick: Callable) -> int | None:
+    """``pick`` (``min`` / ``max``) of ``values`` if all are ints."""
+    if values and all(issubclass(k, int) for k in set(map(type, values))):
+        return int(pick(values))
+    return None
+
+
+def _orderable(values: Collection[Value]) -> bool:
+    """Whether sorting ``values`` can not raise: read off their types
+    for numbers and one string type, found by sorting otherwise."""
+    kinds = set(map(type, values))
     if all(issubclass(kind, (int, float)) for kind in kinds):
         return True
     if kinds == {str} or kinds == {bytes}:
@@ -267,11 +288,6 @@ def profile_relation(
     for attribute in relation.attributes:
         counter = value_counts(relation, (attribute,))
         heavy = [count for count in counter.values() if count >= threshold]
-        kinds = set(map(type, counter))
-        int_min = int_max = None
-        if counter and all(issubclass(kind, int) for kind in kinds):
-            int_min = int(min(counter))
-            int_max = int(max(counter))
         profiles.append(
             AttributeProfile(
                 attribute=attribute,
@@ -281,9 +297,9 @@ def profile_relation(
                 heavy_threshold=threshold,
                 heavy_count=len(heavy),
                 heavy_mass=(sum(heavy) / total) if total else 0.0,
-                int_min=int_min,
-                int_max=int_max,
-                orderable=_orderable(kinds, counter),
+                int_min=partial(_int_bound, counter, min),
+                int_max=partial(_int_bound, counter, max),
+                orderable=partial(_orderable, counter),
             )
         )
     return RelationProfile(

@@ -8,12 +8,12 @@ One object sits between the planner and the statistics machinery:
   one provider per distinct configuration.
 * :class:`StatsProvider` — serves one statistic taken off the data, the
   **value-count table** of a relation's attribute set
-  (:meth:`StatsProvider.value_counts`: one counting pass, cached), and
-  the views of it the planner reads: :class:`~repro.stats.profiles.
-  RelationProfile` objects, exact conditional selectivities, shard
-  weights.  Beside them, the AGM sub-bounds of a query, each solved
-  when a clamp first reads it.  Everything caches behind **relation
-  identity**:
+  (:meth:`StatsProvider.value_counts`, cached: scanned, or summed out of
+  a wider table of the same relation already held), and the views of it
+  the planner reads: :class:`~repro.stats.profiles.RelationProfile`
+  objects, exact conditional selectivities, shard weights.  Beside
+  them, the AGM sub-bounds of a query, each solved when a clamp first
+  reads it.  Everything caches behind **relation identity**:
 
   - For relations catalogued in a ``Database`` (the provider checks
     ``database[name] is relation``), payloads live in the database's
@@ -30,8 +30,10 @@ One object sits between the planner and the statistics machinery:
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -61,6 +63,34 @@ __all__ = [
 #: references, so the cache must not grow with process lifetime;
 #: eviction is FIFO — recomputation is always safe.
 LOCAL_CACHE_BUDGET = 512
+
+
+def _sum_out(table: Mapping, held: tuple, attributes: tuple) -> Counter:
+    """The table over ``attributes`` summed out of ``table``, the one
+    over the wider ``held``: the scan item for item and in order (a
+    narrower key first occurs with the wider key it first occurs in),
+    and a ``Counter`` too — built from a dict, 2.4x cheaper to fill."""
+    counts: dict = {}
+    get = counts.get
+    project = itemgetter(*map(held.index, attributes))
+    for key, count in zip(map(project, table), table.values()):
+        counts[key] = get(key, 0) + count
+    return Counter(counts)
+
+
+def _count(relation: Relation, attributes: tuple, tables: Mapping) -> Mapping:
+    """Sum ``relation``'s table over ``attributes`` out of the smallest
+    of its ``tables`` (shared by planning threads) over a wider set, or
+    scan when it holds none.  A sum is a Python step per key, a scan a
+    C step per tuple, and a wider table has at most N keys: a sum costs
+    ≤ ≈ 1.3x a scan (8,000-tuple ternary relation, CPython 3.11, Xeon:
+    0.33x at 0.25 N keys, 0.66x at N/2, even at ≈ 0.78 N, 1.28x at N)."""
+    wanted = set(attributes)
+    wider = [(len(t), h) for h, t in tuple(tables.items()) if wanted < set(h)]
+    if not wider:
+        return count_values(relation, attributes)
+    held = min(wider)[1]
+    return _sum_out(tables[held], held, attributes)
 
 
 @dataclass(frozen=True)
@@ -278,16 +308,19 @@ class StatsProvider:
         several, in *sorted attribute-name* order whatever order the
         caller (or the schema) lists them in — so ``R(A, B, D)`` and
         ``S(D, B, C)`` key their shared ``(B, D)`` alike and each holds
-        one table.  One C-level counting pass
-        (:func:`~repro.stats.profiles.count_values`); the profile, the
-        selectivities and the shard weights are all views of it.
+        one table.  A table is scanned — one C-level counting pass
+        (:func:`~repro.stats.profiles.count_values`) — or summed out of
+        a wider table of the relation already held, in O(its keys).
+        The profile, the selectivities and the shard weights are views
+        of these tables; a relation's tables are one cache entry, so
+        they are found, and invalidated, together.
         """
         attributes = tuple(sorted(attributes))
-        return self._cached(
-            relation,
-            ("value_counts", attributes),
-            lambda: MappingProxyType(count_values(relation, attributes)),
-        )
+        tables = self._cached(relation, ("value_counts",), dict)
+        if attributes not in tables:
+            table = MappingProxyType(_count(relation, attributes, tables))
+            tables.setdefault(attributes, table)
+        return tables[attributes]
 
     def profile(self, relation: Relation) -> RelationProfile:
         """The relation's :class:`RelationProfile` (cached), derived

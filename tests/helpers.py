@@ -12,6 +12,24 @@ from __future__ import annotations
 
 from repro.core.query import JoinQuery
 from repro.relations.relation import Relation
+from repro.workloads import generators, instances, queries
+
+#: Small instances of the four benchmark workloads' shapes: the lifted
+#: triangle (Lemma 6.3), a hub-skewed triangle, a 4-chain and the
+#: paper's Example 2.2.
+BENCHMARK_SHAPES = {
+    "lifted_triangle": lambda: generators.random_instance(
+        queries.beyond_lw_query(), 300, 12, seed=1
+    ),
+    "triangle_hub": lambda: generators.hub_triangle(
+        light_domain=20, b_domain=30, c_domain=100,
+        r_size=150, s_size=250, t_size=500, seed=5,
+    ),
+    "graph_chain": lambda: generators.random_instance(
+        queries.path_query(4), 200, 40, seed=1
+    ),
+    "triangle_hard": lambda: instances.triangle_hard_instance(100),
+}
 
 
 def triangle_query(

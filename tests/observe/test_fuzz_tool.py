@@ -27,6 +27,26 @@ class TestReplay:
         assert fuzz.main(["--replay", "987654321"]) == 0
         assert "seed 987654321 passes" in capsys.readouterr().out
 
+    def test_a_summed_table_out_of_order_is_a_finding(
+        self, fuzz, monkeypatch
+    ):
+        import random
+
+        import repro.stats.provider as provider_module
+
+        relations = fuzz.overlap_instance(random.Random(3))  # an LW(4)
+        assert len(relations) == 4 and len(relations[0]) > 20
+        checked = fuzz.check_value_counts(relations)
+        assert any(len(attributes) > 1 for attributes in checked)
+        real = provider_module._sum_out
+
+        def reversed_sum(table, held, attributes):
+            return dict(reversed(real(table, held, attributes).items()))
+
+        monkeypatch.setattr(provider_module, "_sum_out", reversed_sum)
+        with pytest.raises(AssertionError, match="!= scan"):
+            fuzz.check_value_counts(relations)
+
     def test_instances_are_seed_deterministic(self, fuzz):
         import random
 

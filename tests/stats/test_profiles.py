@@ -9,7 +9,8 @@ import pytest
 import repro.stats.profiles as profiles_module
 from repro.core.query import JoinQuery
 from repro.distributed.stealing import _holds_heavy_value
-from repro.engine.planner import plan_join
+from repro.engine.planner import LARGE_FLAT_RELATION, plan_join
+from repro.errors import PlanError
 from repro.relations.database import Database
 from repro.relations.relation import Relation
 from repro.stats import StatsProvider
@@ -20,7 +21,8 @@ from repro.stats.profiles import (
     heavy_threshold,
     profile_relation,
 )
-from repro.workloads import generators, instances, queries
+from repro.workloads import generators
+from tests.helpers import BENCHMARK_SHAPES
 
 
 def skewed_relation(size=400, domain=50, exponent=1.2, seed=3):
@@ -285,30 +287,16 @@ class TestTopIsDerivedOnFirstRead:
         monkeypatch.setattr(profiles_module, "_top_values", counting)
         return calls
 
-    SHAPES = {
-        "lifted_triangle": lambda: generators.random_instance(
-            queries.beyond_lw_query(), 300, 12, seed=1
-        ),
-        "triangle_hub": lambda: generators.hub_triangle(
-            light_domain=20, b_domain=30, c_domain=100,
-            r_size=150, s_size=250, t_size=500, seed=5,
-        ),
-        "graph_chain": lambda: generators.random_instance(
-            queries.path_query(4), 200, 40, seed=1
-        ),
-        "triangle_hard": lambda: instances.triangle_hard_instance(100),
-    }
-
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
     def test_a_cold_plan_ranks_no_column(self, shape, rankings):
-        query = self.SHAPES[shape]()
+        query = BENCHMARK_SHAPES[shape]()
         database = Database(query.relations.values())
         plan = plan_join(JoinQuery(list(database)), database=database)
         assert plan.statistics.source == "exact"
         assert rankings == []
 
     def test_presplit_still_gets_its_table(self, rankings):
-        query = self.SHAPES["triangle_hub"]()
+        query = BENCHMARK_SHAPES["triangle_hub"]()
         provider = StatsProvider()
         plan_join(query, stats=provider)
         assert rankings == []
@@ -332,4 +320,74 @@ class TestTopIsDerivedOnFirstRead:
         assert len(rankings) == len(rel.attributes)
         clone = pickle.loads(pickle.dumps(profile_relation(rel)))
         assert clone == eager
-        assert all("_top" not in vars(a) for a in clone.attributes)
+        assert not any(
+            callable(value)
+            for profile in clone.attributes
+            for value in vars(profile).values()
+        )
+
+
+class TestTypeFieldsAreDerivedOnFirstRead:
+    """``int_min`` / ``int_max`` / ``orderable`` are read by no default
+    stage on these shapes: a cold plan types, mins and maxes no column.
+    The stages that do read them — a pinned sorting backend, the size
+    rule past ``LARGE_FLAT_RELATION`` — still get them."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = []
+        real_bound = profiles_module._int_bound
+        real_orderable = profiles_module._orderable
+
+        def bound(values, pick):
+            calls.append(pick.__name__)
+            return real_bound(values, pick)
+
+        def orderable(values):
+            calls.append("orderable")
+            return real_orderable(values)
+
+        monkeypatch.setattr(profiles_module, "_int_bound", bound)
+        monkeypatch.setattr(profiles_module, "_orderable", orderable)
+        return calls
+
+    @pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
+    def test_a_cold_plan_derives_none(self, shape, derivations):
+        query = BENCHMARK_SHAPES[shape]()
+        database = Database(query.relations.values())
+        plan = plan_join(JoinQuery(list(database)), database=database)
+        assert plan.statistics.source == "exact"
+        assert derivations == []
+
+    @pytest.mark.parametrize("backend", ["compact", "sorted"])
+    def test_a_pinned_sorting_backend_over_mixed_types_is_typed(
+        self, backend, derivations
+    ):
+        query = JoinQuery(
+            [
+                Relation("R", ("A", "B"), [(1, "x"), ("y", 2)]),
+                Relation("S", ("B", "C"), [("x", 3), (2, 4)]),
+            ]
+        )
+        with pytest.raises(PlanError, match="do not order"):
+            plan_join(query, backend=backend, stats=StatsProvider())
+        assert "orderable" in derivations
+
+    def test_a_large_flat_relation_has_orderable_read(self, derivations):
+        big = Relation(
+            "R", ("A", "B"), [(i, i) for i in range(LARGE_FLAT_RELATION)]
+        )
+        small = Relation("S", ("B", "C"), [(i, -i) for i in range(97)])
+        plan = plan_join(JoinQuery([big, small]), stats=StatsProvider())
+        assert dict(plan.relation_backends) == {"R": "compact", "S": "trie"}
+        assert derivations == ["orderable", "orderable"]  # R's A and B
+
+    def test_the_constructor_keeps_its_defaults(self):
+        profile = AttributeProfile("A", 1, 1, ((0, 1),), 2, 0, 0.0)
+        assert (profile.int_min, profile.int_max, profile.orderable) == (
+            None, None, True
+        )
+        assert profile == AttributeProfile(
+            "A", 1, 1, lambda: ((0, 1),), 2, 0, 0.0,
+            int_min=lambda: None, orderable=lambda: True,
+        )

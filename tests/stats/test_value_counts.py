@@ -4,8 +4,10 @@
 selectivities, profiles and shard weights read it.  Pinned here: the
 selectivity equals the brute-force fraction *exactly*, the key order is
 canonical (schemas listing shared attributes in opposite orders still
-share one table per relation), and a cold plan scans each
-``(relation, attribute set)`` once — a count of calls, not a timer.
+share one table per relation), a table summed out of a wider one is the
+scanned table item for item and in order, and a cold plan scans each
+declared ``(relation, attribute set)`` once and sums the rest — a count
+of calls, not a timer.
 """
 
 import builtins
@@ -21,7 +23,9 @@ from repro.engine.planner import plan_join
 from repro.relations.database import Database
 from repro.relations.relation import Relation
 from repro.stats import StatsProvider
+from repro.stats.profiles import count_values
 from repro.workloads import generators, queries
+from tests.helpers import BENCHMARK_SHAPES
 
 
 def brute_force(source, target):
@@ -242,8 +246,10 @@ class TestCanonicalKey:
 
 
 class TestOneCountingPass:
-    """A cold plan reads each ``(relation, attribute set)`` once and a
-    warm plan reads nothing."""
+    """A cold plan scans a relation once per table the order stage
+    declared — its tables over the attribute sets it shares with each
+    other relation, when two or more — and sums every narrower table
+    out of one of them; a warm plan reads nothing."""
 
     def lifted_shape(self):
         rng = random.Random(11)
@@ -273,20 +279,26 @@ class TestOneCountingPass:
         monkeypatch.setattr(builtins, "sorted", recording)
         return lengths
 
+    def relations(self, shape):
+        if shape == "binary":
+            query = generators.random_instance(
+                queries.triangle(), 600, 40, seed=3
+            )
+        elif shape == "lifted":
+            return self.lifted_shape()
+        else:  # 144 keys per pair table, under half of ~500 tuples
+            query = generators.random_instance(
+                queries.lw_query(4), 600, 12, seed=3
+            )
+        return list(query.relations.values())
+
     @pytest.mark.parametrize(
-        "shape, passes", [("binary", 6), ("lifted", 15)]
+        "shape, passes", [("binary", 6), ("lifted", 6), ("lw4", 12)]
     )
     def test_cold_plan_counts_each_table_once_warm_plan_none(
         self, shape, passes, counting_passes, sorted_lengths
     ):
-        if shape == "binary":
-            relations = list(
-                generators.random_instance(
-                    queries.triangle(), 600, 40, seed=3
-                ).relations.values()
-            )
-        else:
-            relations = self.lifted_shape()
+        relations = self.relations(shape)
         db = Database(relations)
         query = JoinQuery(list(db))
         del sorted_lengths[:]
@@ -304,6 +316,76 @@ class TestOneCountingPass:
         second = plan_join(query, database=db)
         assert counting_passes == []
         assert second.statistics == first.statistics
+
+    @pytest.mark.parametrize("shape, passes", [("lifted", 15), ("lw4", 24)])
+    def test_without_sums_every_table_is_a_scan(
+        self, shape, passes, counting_passes, scans_only
+    ):
+        db = Database(self.relations(shape))
+        plan_join(JoinQuery(list(db)), database=db)
+        assert len(counting_passes) == len(set(counting_passes)) == passes
+
+    def test_planning_threads_sum_from_one_shared_record(self):
+        """The server plans on several threads over one catalog: they
+        share each relation's record of tables while it is summed from
+        and added to; every plan and every table still match a lone
+        plan's and a scan."""
+        import sys
+        import threading
+
+        relations = self.relations("lw4")
+        alone = plan_join(JoinQuery(relations), stats=StatsProvider())
+        db = Database(relations)
+        plans, errors = [], []
+        start = threading.Barrier(8)
+
+        def plan():
+            try:
+                start.wait(timeout=30)
+                plans.append(plan_join(JoinQuery(list(db)), database=db))
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=plan) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert len(plans) == 8
+        assert {plan.statistics for plan in plans} == {alone.statistics}
+        for relation in db:
+            tables = db.stats_cache_get(relation.name, ("value_counts",))
+            assert len(tables) == 6  # 3 pair tables, 3 columns
+            for attributes, table in tables.items():
+                scanned = count_values(relation, attributes)
+                assert list(table.items()) == list(scanned.items())
+
+    def test_a_table_is_summed_whenever_a_wider_one_is_held(
+        self, counting_passes
+    ):
+        # (A, B) holds a key per tuple, the most a wider table can.
+        rel = Relation("R", ("A", "B", "C"), [(i, i, 0) for i in range(400)])
+        provider = StatsProvider()
+        provider.value_counts(rel, ("A", "B"))
+        provider.value_counts(rel, ("C",))  # no wider table over C held
+        summed = provider.value_counts(rel, ("A",))
+        assert counting_passes == [("R", ("A", "B")), ("R", ("C",))]
+        assert list(summed.items()) == list(count_values(rel, ("A",)).items())
+
+    def test_a_summed_table_reads_like_a_scanned_one(self):
+        rel = Relation("R", ("A", "B"), [(1, 2), (1, 3), (4, 2)])
+        provider = StatsProvider()
+        scanned = provider.value_counts(rel, ("B",))
+        provider.value_counts(rel, ("A", "B"))
+        summed = provider.value_counts(rel, ("A",))
+        assert (summed[9], scanned[9]) == (0, 0)  # a Counter's absent key
+        assert type(summed.copy()) is type(scanned.copy())
 
     def test_sharded_run_weighs_shards_from_the_plans_tables(
         self, counting_passes
@@ -327,3 +409,78 @@ class TestOneCountingPass:
         handed = plan_shards(query, 3, "D", provider.value_counts)
         assert alone == handed
         assert sum(piece.weight for piece in alone) > 0
+
+
+@pytest.fixture
+def scans_only(monkeypatch):
+    """The provider with its sum-out rule bypassed: every table scanned."""
+    monkeypatch.setattr(
+        provider_module,
+        "_count",
+        lambda relation, attributes, _tables: provider_module.count_values(
+            relation, attributes
+        ),
+    )
+
+
+LW_SHAPES = {
+    f"lw{n}": (lambda n=n: generators.random_instance(
+        queries.lw_query(n), 300, 6, seed=n
+    ))
+    for n in (3, 4, 5)
+}
+
+
+def plan_of(query):
+    db = Database(query.relations.values())
+    plan = plan_join(JoinQuery(list(db)), database=db)
+    return (
+        plan.algorithm,
+        plan.attribute_order,
+        plan.backend,
+        plan.relation_backends,
+        plan.statistics,
+    )
+
+
+SHAPES = {**BENCHMARK_SHAPES, **LW_SHAPES}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_summed_tables_plan_as_scanned_ones(shape, request):
+    summed = plan_of(SHAPES[shape]())
+    request.getfixturevalue("scans_only")
+    assert plan_of(SHAPES[shape]()) == summed
+
+
+@st.composite
+def relations_and_chains(draw):
+    arity = draw(st.integers(1, 4))
+    schema = tuple(draw(st.permutations("ABCD"))[:arity])
+    kind = draw(st.sampled_from(sorted(VALUES)))
+    rows = draw(
+        st.lists(st.tuples(*[VALUES[kind]] * arity), max_size=40)
+    )
+    # A chain of supersets: drop one attribute at a time, any order.
+    chain = [tuple(sorted(schema))]
+    for attribute in draw(st.permutations(chain[0]))[:-1]:
+        chain.append(tuple(a for a in chain[-1] if a != attribute))
+    return Relation("R", schema, rows), chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations_and_chains())
+def test_a_summed_table_is_the_scanned_table(case):
+    """Same items, same iteration order, for every link of a chain of
+    supersets — summed from the link above, and through the provider
+    (which scans the first link and sums the rest) alike."""
+    relation, chain = case
+    provider = StatsProvider()
+    above = None
+    for held, attributes in zip([None] + chain, chain):
+        scanned = list(count_values(relation, attributes).items())
+        if held is not None:
+            summed = provider_module._sum_out(above, held, attributes)
+            assert list(summed.items()) == scanned
+        above = provider.value_counts(relation, attributes)
+        assert list(above.items()) == scanned

@@ -4,9 +4,14 @@
 Generates random small schemas and relations (seeded, so every failure
 is replayable; one instance in ten a path or star query of 18-26
 attributes — past the 20 nested blocks one compiled loop nest may hold —
-and one in ten with quotes, newlines, backslashes, braces and an
-expression for attribute names), then checks for each instance that
+one in ten with quotes, newlines, backslashes, braces and an
+expression for attribute names, and one in ten an LW(4), LW(5) or
+lifted triangle, where every pair of relations shares two or more
+attributes), then checks for each instance that
 
+* every value-count table a cold plan cached — scanned, or summed out
+  of a wider table of the same relation — equals a scan of that
+  relation (``count_values``), items and iteration order,
 * the row stream under a randomly chosen algorithm/backend/shard config
   (sharded one time in five: serial or thread mode, or — a quarter of
   those — stealing or predictively pre-split over a loopback fleet;
@@ -67,12 +72,16 @@ from repro.distributed import (  # noqa: E402
     DispatchScheduler,
     LoopbackTransport,
 )
+from repro.engine.planner import plan_join  # noqa: E402
 from repro.observe.metrics import MetricsRegistry  # noqa: E402
 from repro.observe.tracing import Tracer  # noqa: E402
 from repro.query.builder import Q  # noqa: E402
 from repro.query.prepared import PreparedQuery  # noqa: E402
 from repro.query.shards import ShardSpec  # noqa: E402
+from repro.relations.database import Database  # noqa: E402
 from repro.relations.relation import Relation  # noqa: E402
+from repro.stats.profiles import count_values  # noqa: E402
+from repro.workloads import generators, queries  # noqa: E402
 
 ATTRIBUTE_POOL = ("A", "B", "C", "D", "E")
 #: Attribute names no generated loop nest may ever see as text: quotes,
@@ -114,14 +123,37 @@ def deep_instance(rng: random.Random) -> list[Relation]:
     return relations
 
 
+def overlap_instance(rng: random.Random) -> list[Relation]:
+    """LW(4), LW(5) or the lifted triangle (Lemma 6.3) over a domain of
+    2-4 values, 0-40 draws per relation: every pair of relations shares
+    two or more attributes, so a cold plan sums tables out of others."""
+    hypergraph = rng.choice(
+        (
+            queries.lw_query(4),
+            queries.lw_query(5),
+            queries.beyond_lw_query(),
+        )
+    )
+    query = generators.random_instance(
+        hypergraph,
+        rng.randint(0, 40),
+        rng.randint(2, 4),
+        seed=rng.randrange(1 << 32),
+    )
+    return list(query.relations.values())
+
+
 def random_instance(rng: random.Random) -> list[Relation]:
     """A random connected join query: 2-4 relations, arity 1-3, tiny
     domains (so results stay small and duplicates/empty joins happen);
     one in ten is a :func:`deep_instance`, one in ten names its
-    attributes from :data:`HOSTILE_POOL`."""
+    attributes from :data:`HOSTILE_POOL`, one in ten is an
+    :func:`overlap_instance`."""
     shape = rng.random()
     if shape < 0.1:
         return deep_instance(rng)
+    if shape >= 0.9:
+        return overlap_instance(rng)
     pool = HOSTILE_POOL if shape < 0.2 else ATTRIBUTE_POOL
     count = rng.randint(2, 4)
     domain = rng.randint(2, 5)
@@ -173,8 +205,29 @@ def oracle_join(relations: list[Relation]) -> set[tuple]:
     }
 
 
-def check_instance(rng: random.Random, relations: list[Relation]) -> None:
-    """One fuzz iteration; raises AssertionError on any disagreement."""
+def check_value_counts(relations: list[Relation]) -> list[tuple]:
+    """Plan cold over a fresh catalog; every value-count table the plan
+    cached must be its relation's scan, items and order.  Returns the
+    attribute sets checked."""
+    database = Database(relations)
+    plan_join(JoinQuery(list(database)), database=database)
+    checked = []
+    for relation in database:
+        tables = database.stats_cache_get(relation.name, ("value_counts",))
+        for attributes, table in (tables or {}).items():
+            scanned = count_values(relation, attributes)
+            assert list(table.items()) == list(scanned.items()), (
+                f"{relation.name}{attributes}: cached table "
+                f"{list(table.items())} != scan {list(scanned.items())}"
+            )
+            checked.append(attributes)
+    return checked
+
+
+def check_instance(rng: random.Random, relations: list[Relation]) -> list:
+    """One fuzz iteration; raises AssertionError on any disagreement.
+    Returns the value-count tables checked (their attribute sets)."""
+    tables = check_value_counts(relations)
     expected = oracle_join(relations)
     attributes = JoinQuery(relations).attributes
 
@@ -290,6 +343,7 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> None:
 
     if rng.random() < 0.25:
         check_observed(builder, len(expected), config)
+    return tables
 
 
 def check_observed(builder, expected_rows: int, options: dict) -> None:
@@ -319,8 +373,9 @@ def check_observed(builder, expected_rows: int, options: dict) -> None:
     )
 
 
-def run_one(iter_seed: int) -> None:
-    """One fuzz instance, fully determined by its own seed.
+def run_one(iter_seed: int) -> list:
+    """One fuzz instance, fully determined by its own seed; returns the
+    value-count tables checked.
 
     Instance generation and the check's random choices both come from a
     fresh RNG seeded with ``iter_seed``, so a failure replays alone —
@@ -329,7 +384,7 @@ def run_one(iter_seed: int) -> None:
     rng = random.Random(iter_seed)
     relations = random_instance(rng)
     try:
-        check_instance(rng, relations)
+        return check_instance(rng, relations)
     except Exception as error:
         # Any exception — an oracle mismatch (AssertionError) or an
         # engine crash — is a finding; report it the same way.
@@ -389,6 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     master = random.Random(args.seed)
     started = time.monotonic()
     iteration = 0
+    tables = wide = 0
     while True:
         if args.iterations is not None:
             if iteration >= args.iterations:
@@ -397,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
             break
         iter_seed = master.randrange(1 << 32)
         try:
-            run_one(iter_seed)
+            checked = run_one(iter_seed)
         except Exception:
             print(
                 f"  found at iteration {iteration} of master seed "
@@ -405,11 +461,14 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
+        tables += len(checked)
+        wide += sum(len(attributes) > 1 for attributes in checked)
         iteration += 1
     elapsed = time.monotonic() - started
     print(
         f"fuzz_join: {iteration} instances checked in {elapsed:.1f}s "
-        f"(seed {args.seed}), no disagreements"
+        f"(seed {args.seed}), {tables} value-count tables ({wide} over "
+        "two or more attributes), no disagreements"
     )
     return 0
 

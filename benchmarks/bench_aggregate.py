@@ -9,9 +9,10 @@ factorized pruning and leaf counting skip whole subtrees):
 * ``probes``  — **deterministic** counts of ``__getitem__`` accesses to
   the sorted backend's row array during one full enumeration versus one
   ``count()`` fold, plus the number of ``add`` state updates the fold
-  performs.  The work model charges enumeration ``probes + rows x
-  levels`` (every output row materializes ``levels`` values and bubbles
-  up through the generator stack) and the fold ``probes + adds``; the
+  performs (counted on the spec, whose ``add`` the fold calls).  The
+  work model charges enumeration ``probes + rows x levels`` (every
+  output row materializes ``levels`` values and bubbles up through the
+  generator stack) and the fold ``probes + adds``; the
   chain workload's generic-join work ratio is gated — pruning must keep
   it at least :data:`CHAIN_WORK_FLOOR`.
 * ``wall``    — best-of wall seconds for full enumeration versus
@@ -68,18 +69,22 @@ CHAIN_WORK_FLOOR = 2.0
 LEVELS = 3  # attributes per workload query (both are ternary outputs)
 
 
-class CountingFolder(Folder):
-    """A Folder that counts its ``add`` calls (fold-side state updates)."""
+class CountingSpec:
+    """A spec wrapper that counts its ``add`` calls (the fold's state
+    updates) and otherwise is the spec it wraps."""
 
-    __slots__ = ("adds",)
+    def __init__(self, spec) -> None:
+        self.spec, self.needs, self.adds = spec, spec.needs, 0
 
-    def __init__(self, spec, order) -> None:
-        super().__init__(spec, order)
-        self.adds = 0
+    def start(self):
+        return self.spec.start()
 
-    def add(self, prefix, multiplicity) -> None:
+    def add(self, state, values, multiplicity):
         self.adds += 1
-        super().add(prefix, multiplicity)
+        return self.spec.add(state, values, multiplicity)
+
+    def finish(self, state):
+        return self.spec.finish(state)
 
 
 def _chain(scale: int, seed: int = 5) -> JoinQuery:
@@ -138,17 +143,17 @@ def bench_probes(query) -> dict:
 
         executor = cls(query, order, backend="sorted")
         counter = _instrument(executor)
-        folder = CountingFolder(Count(), order)
-        executor.fold(folder)
+        spec = CountingSpec(Count())
+        folder = executor.fold(Folder(spec, order))
         fold_probes = counter[0]
 
         enumerate_work = enumerate_probes + rows * levels
-        fold_work = fold_probes + folder.adds
+        fold_work = fold_probes + spec.adds
         out[algorithm] = {
             "rows": rows,
             "enumerate": enumerate_probes,
             "fold": fold_probes,
-            "fold_adds": folder.adds,
+            "fold_adds": spec.adds,
             "work_ratio": enumerate_work / fold_work if fold_work else None,
             "rows_match": folder.result() == rows,
         }

@@ -13,13 +13,13 @@ This module holds the pieces every such search shares:
   that validates the order and consults the catalog's index cache
   (:func:`narrow` derives a shard's binding from it: one more value
   filter per key link, nothing rebuilt);
-* :func:`walk` and :func:`iter_rows` are the one descent, as the loop
+* :func:`iter_rows` and :func:`fold` are the one descent, as the loop
   nest the paper prints — one ``for`` per attribute — *generated* per
   **shape**: all the loop's text depends on (per level its participants
   and ``how`` it is read, the number of relations, the stop depth, the
   sink, whether a probe counts) and nothing its data does.  A shape
   compiles once per process (:func:`_compile`); levels, predicates, the
-  probe and the root nodes are the nest's arguments;
+  probe, the root nodes and a fold's state are the nest's arguments;
 * :class:`HashLevel` and :class:`LeapfrogLevel` are the two ways to
   intersect one level — the only code that differs between the
   algorithms.  A :class:`HashLevel` is one batch intersection,
@@ -33,17 +33,17 @@ guarded, or its ``survivors`` on a state list built on the spot, whose
 nodes opened in place are read back after the call.  With a probe,
 ``partials[d] += 1`` and ``candidates[d] += min(len(..), ..)`` stand
 before a level's values are taken and ``matches[d] += 1`` opens its
-loop body (*rows* count a row as they yield it, *batches* a parent's
-values at once); without one the lines are not there.
+loop body; without one the lines are not there.  A fold, never probed,
+sums ``acc += len(n3_4)`` below its cutoff and ``add``s it once there.
 
 CPython compiles 20 nested blocks at most: a deeper nest is cut into
-``def``s chained by ``yield from``.  An abandoned frame finalises its
-iterators shallowest first but leapfrog cursors must go ``up()``
-deepest first: a ``lazy`` level's loop sits in ``try ... finally:
-vals<d>.close()``.  The text holds only names the compiler invents and
-integers, never a caller's string; :mod:`linecache` knows it as
-``<repro descent N>``, so a raising predicate shows the loop line that
-called it.  The sinks are ``GenericJoin``, ``LeapfrogTriejoin``,
+``def``s chained by ``yield from`` (a fold's by ``acc +=`` or ``state
+=``).  An abandoned frame finalises its iterators shallowest first but
+leapfrog cursors must go ``up()`` deepest first: a ``lazy`` level's
+loop sits in ``try ... finally: vals<d>.close()``.  The text holds only
+names the compiler invents and integers, never a caller's string;
+:mod:`linecache` knows it as ``<repro descent N>``, so a raising
+predicate shows the loop line that called it.  The consumers are ``GenericJoin``, ``LeapfrogTriejoin``,
 ``fold_executor`` and ``JoinSampler``; nothing here imports
 ``repro.engine`` or ``repro.aggregate``: both reach back into here.
 """
@@ -172,37 +172,48 @@ def narrow(binding: Binding, key: Sequence[tuple[str, frozenset]]) -> Binding:
     return binding._replace(filters=tuple(filters))
 
 
-def walk(
-    levels: Sequence, root: Sequence, stop: int, probe=None
-) -> Iterator[tuple[list, object]]:
-    """Yield the search nodes at depth ``stop``: ``(prefix, state)``
-    below full depth (a fresh list of every relation's node), one
-    **leaf batch** ``(prefix, values)`` per parent at full depth — the
-    deepest level's survivors in one sized piece, parents with none
-    skipped.  ``prefix`` is a fresh list of length ``stop`` (a batch
-    leaves its last slot to the consumer); ``root`` is only read.  A
-    ``TelemetryProbe`` gets ``partials[d]`` (openings of level ``d``),
-    ``candidates[d]`` (values enumerated) and ``matches[d]`` (survivors).
-    Abandoned, or under a raising filter, levels close deepest first."""
-    sink = "batches" if 0 < stop == len(levels) else "states"
-    return _nest(sink, levels, root, stop, probe)
-
-
 def iter_rows(
     levels: Sequence, root: Sequence, perm: Sequence[int], probe=None
 ) -> Iterator[tuple]:
     """The *rows* sink: the full-depth descent as rows in ``perm``
     (:attr:`Binding.output_perm`) order, each built in the innermost
     loop — one generator hop per row at any depth — and counted in
-    ``probe.matches[-1]`` as it is yielded: the chain holds at any stop."""
+    ``probe.matches[-1]`` as it is yielded: the chain holds at any stop.
+    ``root`` is only read; abandoned, levels close deepest first."""
     return _nest(tuple(perm), levels, root, len(perm), probe)
 
 
-def _nest(sink, levels: Sequence, root: Sequence, stop: int, probe):
+class Fold(NamedTuple):
+    """The fold sink's shape: the depths the spec reads and, per relation
+    below the searched levels, ``(position, levels, nodes are mappings)``."""
+
+    needed: tuple[int, ...]
+    tail: tuple[tuple[int, int, bool], ...]
+
+
+def fold(binding: Binding, stop: int, needed: Sequence[int], add, state):
+    """The *fold* sink: ``state`` advanced by one ``add(state, values,
+    multiplicity)`` per prefix of the ``needed`` depths with completions
+    — ``multiplicity`` of them.  The nest searches ``stop`` levels, no
+    shallower than ``needed``; each level below must be one unfiltered
+    relation's (the caller checks), so their (ST2) counts multiply."""
+    indexes, remaining = binding.indexes, {}
+    for (i,) in binding.participants[stop:]:
+        remaining[i] = remaining.get(i, 0) + 1
+    # A tail node may be a root, and an empty trie's root has no counts
+    # to read — but a join with an empty relation is empty anyway.
+    if not all([len(indexes[i]) for i in remaining]):
+        return state
+    tail = [(i, r, isinstance(indexes[i].root, Mapping)) for i, r in remaining.items()]
+    return _nest(Fold(tuple(needed), tuple(tail)), hash_levels(binding),
+                 binding.roots(), stop, None, indexes, add, state)
+
+
+def _nest(sink, levels: Sequence, root: Sequence, stop: int, probe, *extra):
     """Look the descent's shape up and call its nest."""
     kinds = tuple([(level.participants, level.how) for level in levels[:stop]])
     nest = _compile(sink, len(root), probe is not None, kinds)
-    return nest(levels, probe, *root)
+    return nest(levels, probe, *root, *extra)
 
 
 _MAX_BLOCKS = 20  # CPython's limit on statically nested blocks
@@ -214,34 +225,66 @@ _SERIAL = itertools.count()
 
 @lru_cache(maxsize=_NESTS_MAX)
 def _compile(sink, width: int, probed: bool, kinds: tuple):
-    """The nest of a shape: ``sink`` is ``"states"``, ``"batches"`` or
-    the rows' perm, ``kinds`` a ``(participants, how)`` per level."""
+    """The nest of a shape: ``sink`` is the rows' perm or a
+    :class:`Fold`, ``kinds`` a ``(participants, how)`` per level it
+    searches.  A fold's ``def`` returns ``state``, or the ``acc`` it
+    summed if it starts below the cutoff (its deepest read, plus one)."""
     stop = len(kinds)
+    folding = isinstance(sink, Fold)
+    extra, below, counted = "", set(), False
+    if folding:
+        cutoff = 1 + max(sink.needed, default=-1)
+        adds = f"state = add(state, ({''.join(f'v{p}, ' for p in sink.needed)}), "
+        extra = "indexes, add, state, "
+        below = {i for i, _levels, _mapping in sink.tail}  # read at stop
+        counted = not sink.tail and cutoff < stop  # the last level unlooped
     cur = [f"n{i}_0" for i in range(width)]  # each relation's node local
     chunks: list[list[str]] = []  # one ``def`` each
-    closers: list[str] = []  # the ``finally`` clauses still to write
+    closers: list[str] = []  # the ``finally`` / ``add`` clauses to write
     for d in range(stop + 1):
         ids, how = kinds[d] if d < stop else ((), None)
-        final = d == stop - 1 and sink != "states"
+        final = d == stop - 1
+        loops = d < stop and not (final and counted)
         lazy = how == "lazy" and not final  # a generator holding cursors
         prefix = "".join(f"v{k}, " for k in range(d))
-        if not chunks or blocks + (d < stop) + lazy > _MAX_BLOCKS:
-            names = prefix + "".join(f"{name}, " for name in cur)
+        if not chunks or blocks + loops + lazy > _MAX_BLOCKS:
+            names = prefix + "".join(f"{name}, " for name in cur) + extra
             call = f"nest{len(chunks)}(levels, probe, {names})"
             if chunks:  # the cut: chain to a new def, close what is open
-                out += [f"{pad}yield from {call}", *reversed(closers)]
+                chain = ("yield from " if not folding
+                         else "state = " if d <= cutoff else "acc += ")
+                out += [f"{pad}{chain}{call}", *reversed(closers), *returns]
                 closers.clear()
             chunks.append(out := [f"def {call}:"])
-            pad, blocks = " ", 0
+            pad, blocks, returns = " ", 0, []
+            if folding:
+                returns = [f" return {'state' if d <= cutoff else 'acc'}"]
+                if d > cutoff:
+                    out.append(" acc = 0")
             if probed:
                 out.append(" partials, candidates, matches = "
                            "probe.partials, probe.candidates, probe.matches")
-        if d == stop:  # below the last loop: a state, or the nullary row
-            out.append(f"{pad}yield [{prefix}], [{', '.join(cur)}]"
-                       if sink == "states" else f"{pad}yield ()")
+        if folding and d == cutoff < stop:
+            out.append(f"{pad}acc = 0")
+            closers.append(f"{pad}if acc:\n{pad} {adds}acc)")
+        if d == stop and not folding:  # the nullary row
+            out.append(f"{pad}yield ()")
             break
-        deeper = {i for later, _how in kinds[d + 1:] for i in later}
-        moved = [i for i in ids if sink == "states" or i in deeper]
+        if d == stop:  # the frontier: the tail's counts multiply
+            terms = []
+            for i, levels, mapping in sink.tail:
+                if not mapping:
+                    out.insert(1, f" tally{i} = indexes[{i}].count")
+                    terms.append(f"tally{i}({cur[i]}, {levels})")
+                else:
+                    terms.append(f"len({cur[i]})" if levels == 1
+                                 else f"{cur[i]}.counts[{levels}]")
+            product = " * ".join(terms) or "1"
+            out.append(f"{pad}{adds}{product})" if d == cutoff
+                       else f"{pad}acc += {product}")
+            break
+        deeper = {i for later, _how in kinds[d + 1:] for i in later} | below
+        moved = [i for i in ids if i in deeper]
         if probed:
             out.append(f"{pad}partials[{d}] += 1")
         if how in ("meet", "filtered"):
@@ -254,7 +297,7 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
             if how == "filtered":
                 out.insert(1, f" keep{d} = levels[{d}].keep")
                 values = f"filter(keep{d}, {values})"
-                if final and sink == "batches":
+                if not loops:
                     values = f"list({values})"
             out.append(f"{pad}vals{d} = {values}")
         else:
@@ -265,11 +308,8 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
             for i in moved:  # array nodes were opened in place: read back
                 cur[i] = f"o{i}_{d}"
                 out.append(f"{pad}{cur[i]} = st[{i}]")
-        if final and sink == "batches":
-            out.append(f"{pad}if vals{d}:")
-            if probed:
-                out.append(f"{pad} matches[{d}] += len(vals{d})")
-            out.append(f"{pad} yield [{prefix}None], vals{d}")
+        if not loops:  # an empty batch adds nothing: skip its ``len``
+            out.append(f"{pad}if vals{d}:\n{pad} acc += len(vals{d})")
             break
         if lazy:
             out.append(f"{pad}try:")
@@ -279,13 +319,13 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
         pad, blocks = pad + " ", blocks + 1 + lazy
         if probed:
             out.append(f"{pad}matches[{d}] += 1")
-        if final:
+        if final and not folding:
             out.append(f"{pad}yield ({''.join(f'v{p}, ' for p in sink)})")
             break
         for i in moved:
             out.append(f"{pad}n{i}_{d + 1} = {cur[i]}[v{d}]")
             cur[i] = f"n{i}_{d + 1}"
-    out += reversed(closers)
+    out += [*reversed(closers), *returns]
     source = "".join(f"{line}\n" for out in chunks for line in out)
     filename = f"<repro descent {next(_SERIAL)}>"
     linecache.cache[filename] = len(source), None, source.splitlines(True), filename

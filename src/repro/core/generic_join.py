@@ -121,10 +121,10 @@ class GenericJoin:
         """Fold an aggregate through the level loops, skipping rows.
 
         Runs the same smallest-first descent as :meth:`iter_join`, but
-        feeds each surviving prefix to ``folder`` instead of yielding
-        rows, and collapses suffixes where every remaining level has a
-        single unfiltered participant into one factorized count — see
-        :func:`repro.aggregate.fold.fold_executor`.  Returns the folder.
+        compiled to add each prefix the spec reads to ``folder.state``
+        once, with its number of rows, and to multiply counts in-line
+        where every remaining level has one unfiltered participant —
+        see :func:`repro.aggregate.fold.fold_executor`.  Returns it.
         """
         # Lazy: repro.core must not import repro.aggregate at module
         # load (the aggregate package reaches back into repro.core).

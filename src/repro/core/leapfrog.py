@@ -132,10 +132,10 @@ class LeapfrogTriejoin:
         The sorted and compact layouts implement the full node protocol
         (``fanout_hint``/``children``/``count``) alongside their cursor
         protocol, so the shared folding descent of
-        :func:`repro.aggregate.fold.fold_executor` runs directly over
-        this executor's indexes: seeks become range bisections, and
-        prunable suffixes collapse to factorized counts instead of
-        being leapfrogged through.  Returns the folder.
+        :func:`repro.aggregate.fold.fold_executor` (the loop nest's
+        fold sink) runs directly over this executor's indexes: seeks
+        become range bisections, and prunable suffixes collapse to
+        factorized counts instead of being leapfrogged through.
         """
         # Lazy: repro.core must not import repro.aggregate at module
         # load (the aggregate package reaches back into repro.core).

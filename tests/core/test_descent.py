@@ -1,7 +1,7 @@
 """The descent kernel under every sink, against the backtracking oracle.
 
-One compiled loop nest (:func:`repro.core.descent.walk` /
-:func:`~repro.core.descent.iter_rows`) serves enumeration, observed
+One compiled loop nest (:func:`repro.core.descent.iter_rows` /
+:func:`~repro.core.descent.fold`) serves enumeration, observed
 enumeration, aggregate folds and the sampler's exact fallback, over two
 level strategies.  These tests hold every (strategy, backend) pairing to
 ``tests.helpers.oracle_join`` through each sink, pin the per-level
@@ -32,7 +32,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aggregate.fold import Folder, _prune_depth, fold_rows
 from repro.aggregate.sampling import JoinSampler
-from repro.aggregate.specs import Count, Sum, grouped
+from repro.aggregate.specs import (
+    Avg,
+    Count,
+    CountDistinct,
+    Max,
+    Min,
+    Sum,
+    grouped,
+)
 from repro import Database, Q, execute
 from repro.baselines.hash_join import chain_hash_join
 from repro.core import descent
@@ -42,7 +50,6 @@ from repro.core.descent import (
     iter_rows,
     leapfrog_levels,
     narrow,
-    walk,
 )
 from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
@@ -50,6 +57,7 @@ from repro.core.query import JoinQuery
 from repro.feedback.telemetry import TelemetryProbe
 from repro.hypergraph.agm import best_agm_bound
 from repro.relations.relation import Relation
+from repro.relations.trie import TrieIndex
 from repro.workloads import generators, instances, queries
 from tests.helpers import (
     assert_counter_chain,
@@ -389,6 +397,7 @@ def per_value_rows(binding, probe=None):
 def per_value_fold(binding, folder):
     """``fold_executor`` before leaf batches: prune where the shape
     allows, else one ``add`` per row."""
+    spec, positions = folder.spec, folder.positions
     total = len(folder.order)
     prune = _prune_depth(
         binding.participants, binding.filters, folder.cutoff, total
@@ -407,7 +416,9 @@ def per_value_fold(binding, folder):
                 nodes[position], remaining
             )
         if multiplicity:
-            folder.add(prefix, multiplicity)
+            folder.state = spec.add(
+                folder.state, tuple(prefix[p] for p in positions), multiplicity
+            )
     return folder
 
 
@@ -503,7 +514,9 @@ def test_survivors_equal_the_brute_force_intersection(bound, rng):
         for attribute, values in [*kept.items(), *links]:
             if attribute == binding.order[depth]:
                 allowed = values if allowed is None else allowed & values
-        for prefix, nodes in walk(levels, binding.roots(), depth):
+        for prefix, nodes in per_value_walk(
+            per_value_levels(binding), binding.roots(), depth
+        ):
             probe = TelemetryProbe(binding.order)
             # Taken first: ``survivors`` opens array nodes in place.
             before = {i: nodes[i] for i in binding.participants[depth]}
@@ -788,6 +801,105 @@ def test_a_row_is_one_generator_hop(cls, backend, hops):
         assert reference >= 3 * len(rows)
 
 
+def calls_to(run, *functions):
+    """How many times each of ``functions`` is called while ``run()``
+    runs, in order."""
+    tally = Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            tally[frame.f_code] += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return [tally[function.__code__] for function in functions]
+
+
+def test_a_fold_adds_once_per_cutoff_prefix_and_counts_in_line():
+    # ``graph_chain``'s shape: a chain of four binary relations, its last
+    # level one relation's — the frontier, a ``len`` of a trie node.
+    query = _deep_path(4, seed=2)
+    rows = oracle_join(query)
+    order = query.attributes
+    completed = {row[0] for row in rows}
+    assert rows and completed < {row[0] for row in query.relation("R1").tuples}
+    executor = GenericJoin(query, attribute_order=order)
+    for spec, adds in ((Count(), 1), (Sum(order[0]), len(completed))):
+        folder = Folder(spec, order)
+        assert calls_to(
+            lambda: executor.fold(folder), type(spec).add, TrieIndex.count
+        ) == [adds, 0]
+        assert folder.result() == fold_rows(rows, spec, order)
+
+
+class RecordingSpec:
+    """A spec that records every ``add`` its fold hands it."""
+
+    def __init__(self, spec):
+        self.spec, self.needs, self.adds = spec, spec.needs, []
+
+    def start(self):
+        return self.spec.start()
+
+    def add(self, state, values, multiplicity):
+        self.adds.append((values, multiplicity))
+        return self.spec.add(state, values, multiplicity)
+
+    def finish(self, state):
+        return self.spec.finish(state)
+
+
+def _dead_end_chain(completing):
+    """``R(A,B) ⋈ S(B,C) ⋈ T(C,D)``: every ``A`` reaches three ``B``s
+    and every ``B`` three ``C``s, but only the ``A`` values in
+    ``completing`` reach a ``C`` that ``T`` holds."""
+    r = [(a, 3 * (a in completing) + b) for a in range(4) for b in range(3)]
+    s = [(b, 10 * b + c) for b in range(6) for c in range(3)]
+    t = [(c, d) for c in (30, 41) for d in range(2)]
+    return JoinQuery(
+        [
+            Relation("R", ("A", "B"), r),
+            Relation("S", ("B", "C"), s),
+            Relation("T", ("C", "D"), t),
+        ]
+    )
+
+
+@pytest.mark.parametrize("cls, backend", CONFIGS[:3] + CONFIGS[4:])
+@pytest.mark.parametrize(
+    "query",
+    [
+        instances.triangle_hard_instance(200),
+        _dead_end_chain(completing=()),
+        _dead_end_chain(completing=(1, 2)),
+    ],
+    ids=["example-2-2", "dead-ends", "half-dead-ends"],
+)
+def test_a_prefix_without_completions_never_reaches_add(cls, backend, query):
+    rows = oracle_join(query)
+    order = query.attributes
+    first = order[0]
+    executor = cls(query, attribute_order=order, backend=backend)
+    for spec, empty in (
+        (Min(first), None),
+        (Max(first), None),
+        (Avg(first), None),
+        (CountDistinct(first), 0),
+        (grouped((first,), {"n": "count"}), {}),
+    ):
+        recording = RecordingSpec(spec)
+        result = executor.fold(Folder(recording, order)).result()
+        assert result == fold_rows(rows, spec, order)
+        assert all(multiplicity > 0 for _values, multiplicity in recording.adds)
+        if not rows:
+            assert result == empty and recording.adds == []
+    if rows:  # one add per first value that completes, none for the rest
+        assert {values for values, _m in recording.adds} == {(1,), (2,)}
+
+
 # ---------------------------------------------------------------------------
 # (d) Streaming kept
 # ---------------------------------------------------------------------------
@@ -1050,6 +1162,7 @@ def test_three_kinds_meet_at_a_three_participant_level(kinds):
 INVENTED = re.compile(
     r"nest\d+|op\d+|keep\d+|vals\d+|v\d+|[no]\d+_\d+|st|levels|probe"
     r"|partials|candidates|matches|meet|keep|survivors|leaf"
+    r"|acc|tally\d+|indexes|add|state|counts|count"
     r"|len|min|filter|list|close|None"
 )
 
@@ -1226,7 +1339,7 @@ def test_hostile_names_and_values_never_reach_the_source(
         executor = cls(query, backend=backend, filters=keep, telemetry=probe)
         assert sorted(executor.iter_join()) == rows  # the rows sink
         assert_counter_chain(probe, len(rows))
-        for spec in (  # states (pruned or not), then leaf batches
+        for spec in (  # pruned or not, then counted leaf batches
             Count(),
             grouped((order[0],), {"n": "count"}),
             grouped((order[-1],), {"n": "count"}),
@@ -1236,11 +1349,13 @@ def test_hostile_names_and_values_never_reach_the_source(
     kind = backend if cls is GenericJoin else None
     sample = JoinSampler(query, backend=kind).sample(1000, random.Random(1))
     assert sorted(sample) == expected  # the exact fallback's rows sink
-    binding = executor._binding  # filtered; the states sink at depth 2
+    binding = executor._binding  # filtered; the per-value walk to depth 2
     levels = hash_levels(binding)
     assert len(filtered) == sum(
         len(levels[2].leaf(nodes, None))
-        for _prefix, nodes in walk(levels, binding.roots(), 2)
+        for _prefix, nodes in per_value_walk(
+            per_value_levels(binding), binding.roots(), 2
+        )
     )
     assert len(compiles) >= 4
     assert_nests_are_legible(*HOSTILE)

@@ -24,7 +24,10 @@ attributes), then checks for each instance that
 * one iteration in four, under a ``tracer`` + ``metrics`` context, the
   registry's ``repro_rows_emitted_total`` equals the oracle's row count,
 * ``count()`` equals the oracle's row count (the fold must agree with
-  enumeration even though it never enumerates),
+  enumeration even though it never enumerates), and ``sum`` / ``min`` /
+  ``max`` / ``avg`` / ``count_distinct`` / ``group_by(a).count()`` on a
+  random attribute ``a`` — every cutoff a fold can have — serial and over
+  three serial shards, equal ``fold_rows`` over the oracle's rows,
 * ``sample(k, seed=...)`` returns ``min(k, |J|)`` distinct oracle rows
   and is deterministic for the seed, and
 * one iteration in four, ``explain(analyze=True)`` — the observed run —
@@ -67,6 +70,8 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
+from repro.aggregate.fold import fold_rows  # noqa: E402
+from repro.aggregate.specs import as_spec, grouped  # noqa: E402
 from repro.core.query import JoinQuery  # noqa: E402
 from repro.distributed import (  # noqa: E402
     DispatchScheduler,
@@ -330,6 +335,7 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> list:
     assert counted == len(expected), (
         f"count() {counted} != oracle {len(expected)} under {config}"
     )
+    check_aggregates(rng, builder, expected, attributes, config)
 
     k = rng.randint(0, 6)
     seed = rng.randrange(1 << 16)
@@ -344,6 +350,27 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> list:
     if rng.random() < 0.25:
         check_observed(builder, len(expected), config)
     return tables
+
+
+def check_aggregates(
+    rng: random.Random, builder, rows: set, attributes, options: dict
+) -> None:
+    """Every aggregate on one random attribute, serial and over three
+    serial shards, against ``fold_rows`` over the oracle's rows."""
+    attribute = rng.choice(attributes)
+    groups = fold_rows(rows, grouped((attribute,), {"n": "count"}), attributes)
+    groups = {key: values["n"] for key, values in groups.items()}
+    for shards in (None, 3):
+        target = builder.using(shards=shards, mode="serial", scheduler=None)
+        context = f"on {attribute!r} with shards={shards} under {options}"
+        for name in ("sum", "min", "max", "avg", "count_distinct"):
+            got = getattr(target, name)(attribute)
+            want = fold_rows(rows, as_spec((name, attribute)), attributes)
+            assert got == want, f"{name}() {got!r} != oracle {want!r} {context}"
+        got = target.group_by(attribute).count()
+        assert got == groups, (
+            f"group_by().count() {got!r} != oracle {groups!r} {context}"
+        )
 
 
 def check_observed(builder, expected_rows: int, options: dict) -> None:

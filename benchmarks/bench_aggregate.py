@@ -22,9 +22,11 @@ factorized pruning and leaf counting skip whole subtrees):
   the same rows.  Speedups are same-host ratios (like the stats and
   engine benches), so they survive host changes; raw seconds are
   context only.
-* ``sample``  — wall cost of ``sample(5)`` against a full enumeration:
-  the AGM-weighted sampler must not pay anywhere near the full join to
-  draw a handful of rows.  Reported, never gated.
+* ``sample``  — wall cost of ``sample(5)`` against a full enumeration.
+  The exact sampler pays one count of the join plus ``k`` root-to-leaf
+  draws, so its cost tracks ``count()``, not ``k``: a few times cheaper
+  than the enumeration, never a vanishing fraction of it.  Reported,
+  never gated.
 * ``parity``  — ``count()`` must equal the enumerated row count across
   algorithms, backends, sharded/grouped execution; samples must be
   distinct result rows.

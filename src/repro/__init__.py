@@ -27,7 +27,7 @@ Quickstart::
     print(Q(r, s, t).where(A=0).select("C").run())
 
     # Aggregates fold into the search (no enumeration), and sample()
-    # draws uniform rows by AGM-weighted rejection:
+    # draws uniform rows exactly, from one count:
     print(Q(r, s, t).count())
     print(Q(r, s, t).group_by("A").count())
     print(Q(r, s, t).sample(1, seed=7))

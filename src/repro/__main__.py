@@ -39,7 +39,7 @@ Usage::
                 join's level loops, never enumerating the result (with
                 ``--shards`` the workers return partial counts) — and
                 ``--sample K`` prints K distinct uniform result rows
-                drawn by AGM-weighted rejection (``--seed S`` makes the
+                drawn exactly from one count (``--seed S`` makes the
                 draw deterministic).  ``--workers host:port,...``
                 dispatches the shards to a fleet of ``worker``
                 processes instead of the local pool; ``--steal``
@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="print K distinct uniform result rows instead of the full "
-        "result, drawn by AGM-weighted rejection without materializing "
+        "result, drawn exactly from one count without materializing "
         "the join (deterministic with --seed)",
     )
     join_cmd.add_argument(

@@ -4,8 +4,9 @@ The "answers without enumeration" layer: aggregate *specs*
 (:mod:`repro.aggregate.specs`) describe what to compute, the *fold*
 (:mod:`repro.aggregate.fold`) pushes them into the level loops of the
 worst-case optimal search with factorized subtree pruning, and the
-*sampler* (:mod:`repro.aggregate.sampling`) draws uniform join rows by
-AGM-weighted rejection.  The query layer
+*sampler* (:mod:`repro.aggregate.sampling`) draws uniform join rows
+exactly: one memoised count, then each drawn rank unranked root to
+leaf.  The query layer
 (:meth:`repro.query.builder.QueryBuilder.count` and friends) is the
 user-facing surface; these modules are the mechanism.
 """

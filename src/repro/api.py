@@ -217,12 +217,11 @@ def sample_join(
     """Draw ``min(k, |J|)`` distinct uniform join rows, never
     materializing the join.
 
-    Rows are drawn by AGM-weighted rejection descent
-    (:mod:`repro.aggregate.sampling`): each trial walks one root-to-leaf
-    path of the same search tree the enumeration algorithms explore,
-    accepting full rows with probability exactly ``1/AGM`` each — so
-    accepted rows are uniform over the join, at an expected cost of
-    ``AGM/|J|`` descents per row.  Deterministic for a fixed ``seed``.
+    Rows are an exact draw (:mod:`repro.aggregate.sampling`): one
+    memoised count of the search tree the enumeration algorithms
+    explore numbers the join's rows, ``k`` distinct ranks are drawn, and
+    each is unranked along one root-to-leaf path — uniform over the
+    join, with no rejection.  Deterministic for a fixed ``seed``.
     ``algorithm`` only participates in validation — the sampler owns its
     descent — and ``backend`` picks the index layout it walks.
 
@@ -230,7 +229,7 @@ def sample_join(
     >>> r = Relation("R", ("A", "B"), [(i, i) for i in range(100)])
     >>> s = Relation("S", ("B", "C"), [(i, i) for i in range(100)])
     >>> sample_join([r, s], 3, seed=11)
-    [(15, 15, 15), (57, 57, 57), (31, 31, 31)]
+    [(16, 16, 16), (74, 74, 74), (24, 24, 24)]
     """
     return execute(
         relations,

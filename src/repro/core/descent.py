@@ -4,8 +4,8 @@ Generic Join and Leapfrog Triejoin are the same recursion over a global
 attribute order — at each level, intersect the candidate values of the
 relations containing the attribute, then descend per surviving value —
 and enumeration, per-level counting, aggregate folding and the sampler's
-exact fallback differ only in what happens at a node (Capelli, Irwin and
-Salvati, "A Simple Algorithm for Worst-Case Optimal Join and Sampling").
+count-and-unrank differ only in what happens at a node (Capelli, Irwin
+and Salvati, "A Simple Algorithm for Worst-Case Optimal Join and Sampling").
 This module holds the pieces every such search shares:
 
 * :func:`bind` resolves a query, an attribute order, index backends and
@@ -347,7 +347,7 @@ class HashLevel:
     position reads an array range through its index's ``fanout_hint`` /
     ``children`` and *opens it in place* — replaces it by the dict of
     what the seeks found — so ``node[value]`` steps down every backend.
-    Over a ``meet``, ``survivors`` (a sampler trial calls it) is that."""
+    Over a ``meet``, ``survivors`` (the sampler calls it) is that."""
 
     __slots__ = ("participants", "how", "meet", "keep", "survivors", "leaf")
 

@@ -568,16 +568,16 @@ class QueryBuilder:
 
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
         """``min(k, count)`` distinct uniform result rows, never
-        materializing the result: rows are drawn by AGM-weighted
-        rejection descent (:mod:`repro.aggregate.sampling`), uniform
-        over the filtered join.  Deterministic for a fixed ``seed``.
+        materializing the result: one memoised count of the search
+        tree, then each drawn rank unranked root to leaf
+        (:mod:`repro.aggregate.sampling`), uniform over the filtered
+        join.  Deterministic for a fixed ``seed``.
 
         With a projection (``select``), uniformity is over the distinct
         projected rows, drawn by seeded reservoir sampling over the
         deduplicated stream.  With ``context.shards`` set the sampler
         still runs serially — a shard-local sample is not a uniform
-        global one, and the descent touches far less than one shard's
-        enumeration anyway."""
+        global one."""
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise QueryError(
                 f"sample size must be a non-negative int, got {k!r}"

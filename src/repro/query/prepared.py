@@ -459,8 +459,8 @@ class PreparedQuery:
         return GroupedQuery(self, tuple(attributes))
 
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
-        """``min(k, count)`` distinct uniform result rows (see
-        :meth:`QueryBuilder.sample`).  The sampler owns its descent and
+        """``min(k, count)`` distinct uniform result rows, an exact draw
+        (see :meth:`QueryBuilder.sample`).  The sampler owns its descent and
         builds trie indexes through the context database's cache, so
         delegation costs no planning."""
         return self._builder.sample(k, seed)

@@ -101,8 +101,8 @@ class ResultStream:
         return self._builder.count()
 
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
-        """``min(k, count)`` distinct uniform rows by AGM-weighted
-        rejection descent; deterministic for a fixed ``seed``."""
+        """``min(k, count)`` distinct uniform rows: one count, then each
+        drawn rank unranked; deterministic for a fixed ``seed``."""
         return self._builder.sample(k, seed)
 
     # -- inspection ---------------------------------------------------------

@@ -14,7 +14,7 @@ controller uses it three ways:
   at a time, so a burst of large-but-legitimate queries degrades to a
   queue instead of a memory spike.
 * **Exempt**: aggregates and samples never enumerate the result (the
-  fold prunes subtrees; the sampler draws by rejection), so by default
+  fold prunes subtrees; the sampler counts once and unranks), so by default
   they bypass the row budget — the paper's cheap answers stay cheap
   even when the result itself would be over budget.  ``explain`` never
   executes and is always exempt; ``explain analyze`` executes but only

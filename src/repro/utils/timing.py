@@ -41,7 +41,7 @@ class Stopwatch:
     """Context manager measuring a ``with`` block.
 
     >>> with Stopwatch() as sw:
-    ...     sum(range(1000))
+    ...     total = sum(range(1000))
     >>> sw.seconds >= 0
     True
     """

@@ -2,7 +2,7 @@
 
 One compiled loop nest (:func:`repro.core.descent.iter_rows` /
 :func:`~repro.core.descent.fold`) serves enumeration, observed
-enumeration, aggregate folds and the sampler's exact fallback, over two
+enumeration, aggregate folds and the sampler's count, over two
 level strategies.  These tests hold every (strategy, backend) pairing to
 ``tests.helpers.oracle_join`` through each sink, pin the per-level
 counters of one fixed instance per strategy, and read the paper's claim
@@ -30,6 +30,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.aggregate import sampling
 from repro.aggregate.fold import Folder, _prune_depth, fold_rows
 from repro.aggregate.sampling import JoinSampler
 from repro.aggregate.specs import (
@@ -55,6 +56,7 @@ from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
 from repro.core.query import JoinQuery
 from repro.feedback.telemetry import TelemetryProbe
+from repro.hypergraph import agm
 from repro.hypergraph.agm import best_agm_bound
 from repro.relations.relation import Relation
 from repro.relations.trie import TrieIndex
@@ -188,9 +190,9 @@ class TestSinkParity:
         assert sorted(executor.iter_join()) == expected
 
 
-class TestSamplerFallback:
-    def test_stalled_trials_enumerate_exactly(self):
-        # AGM >> |J|: every trial rejects, so sample() is the walk.
+class TestSamplerOnSparseJoins:
+    def test_sparse_joins_sample_exactly(self):
+        # AGM >> |J|: the exact draw is indifferent to the bound.
         query = instances.triangle_hard_instance(40)
         assert JoinSampler(query).sample(5, random.Random(1)) == []
         rng = random.Random(2)
@@ -204,6 +206,56 @@ class TestSamplerFallback:
         rows = oracle_join(sparse)
         sample = JoinSampler(sparse).sample(len(rows) + 1, random.Random(3))
         assert sorted(sample) == sorted(rows)
+
+
+class TestExactSampler:
+    """One draw path: a count, then distinct ranks unranked — never an
+    enumeration of the result, never a cover LP."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((descent, "iter_rows"), (agm, "best_agm_bound")):
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(sampling, name, counted, raising=False)
+        return calls
+
+    def test_a_sample_neither_enumerates_nor_solves_a_cover(self, calls):
+        query = instances.triangle_hard_instance(200)
+        assert JoinSampler(query).sample(5, random.Random(1)) == []
+        rng = random.Random(2)
+        sparse = JoinQuery(
+            [
+                Relation(name, attrs, _rows(rng, 2, 40, 40))
+                for name, attrs in (
+                    ("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))
+                )
+            ]
+        )
+        rows = oracle_join(sparse)
+        sample = JoinSampler(sparse).sample(len(rows) + 1, random.Random(3))
+        assert sorted(sample) == sorted(rows)
+        assert calls == {}
+
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_edge_cases_return_a_valid_sample(self, k):
+        rng = random.Random(5)
+        r = Relation("R", ("A", "B"), _rows(rng, 2, 30, 6))
+        u = Relation("U", ("B",), _rows(rng, 1, 4, 6))
+        (a, b), *_ = sorted(r.tuples)
+        for builder, rows in (
+            (Q(r).where(A=a, B=b), [(a, b)]),  # every attribute bound
+            (Q(u), oracle_join(JoinQuery([u]))),  # one one-attribute relation
+            (Q(r, u), oracle_join(JoinQuery([r, u]))),
+            (Q(r, Relation("S", ("B", "C"), [])), []),  # an empty relation
+        ):
+            sample = builder.sample(k, seed=k)
+            assert_valid_sample(sample, rows, k)
+            assert builder.sample(k, seed=k) == sample
 
 
 class TestGoldenCounters:
@@ -1106,8 +1158,8 @@ def _rows_and_counters(query, order, backend):
     ids=["sorted", "compact", "mixed"],
 )
 def test_the_walk_never_writes_into_the_root_it_was_handed(backend):
-    # ``JoinSampler`` keeps one root list for every trial and its exact
-    # fallback; an array node opened in place there broke the next use.
+    # ``JoinSampler`` keeps one root list for its count and every walk;
+    # an array node opened in place there would break the next use.
     binding = bind(_triangle(), None, backend, None, None)
     levels, roots = hash_levels(binding), binding.roots()
     handed = list(roots)
@@ -1348,7 +1400,7 @@ def test_hostile_names_and_values_never_reach_the_source(
             assert folded == fold_rows(rows, spec, order)
     kind = backend if cls is GenericJoin else None
     sample = JoinSampler(query, backend=kind).sample(1000, random.Random(1))
-    assert sorted(sample) == expected  # the exact fallback's rows sink
+    assert sorted(sample) == expected  # every rank, unranked
     binding = executor._binding  # filtered; the per-value walk to depth 2
     levels = hash_levels(binding)
     assert len(filtered) == sum(
@@ -1359,6 +1411,20 @@ def test_hostile_names_and_values_never_reach_the_source(
     )
     assert len(compiles) >= 4
     assert_nests_are_legible(*HOSTILE)
+
+
+@pytest.mark.parametrize("backend", ["trie", "sorted", "compact", "mixed"])
+@pytest.mark.parametrize("filtered", [False, True], ids=["all", "where_in"])
+def test_a_sample_past_the_result_size_is_the_result(backend, filtered):
+    query = _hostile_triangle()
+    if backend == "mixed":  # trie and array nodes at one level
+        backend = {HOSTILE[1]: "sorted", HOSTILE[3]: "trie", HOSTILE[4]: "compact"}
+    kept = frozenset(HOSTILE[1:]) if filtered else frozenset(HOSTILE)
+    filters = {query.attributes[1]: kept.__contains__} if filtered else None
+    rows = sorted(row for row in oracle_join(query) if row[1] in kept)
+    sampler = JoinSampler(query, backend=backend, filters=filters)
+    sample = sampler.sample(len(rows) + 1, random.Random(len(rows)))
+    assert sorted(sample) == rows and len(rows) > 10
 
 
 @pytest.mark.parametrize("cls, backend", CONFIGS[:1] + CONFIGS[4:5])

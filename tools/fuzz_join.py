@@ -29,7 +29,9 @@ attributes), then checks for each instance that
   random attribute ``a`` — every cutoff a fold can have — serial and over
   three serial shards, equal ``fold_rows`` over the oracle's rows,
 * ``sample(k, seed=...)`` returns ``min(k, |J|)`` distinct oracle rows
-  and is deterministic for the seed, and
+  and is deterministic for the seed, and a sample one past the result
+  size — serially, and through a ``where`` section on a random attribute
+  — is exactly the oracle's row set, and
 * one iteration in four, ``explain(analyze=True)`` — the observed run —
   counts the oracle's rows and its per-level counters chain (the root
   is entered once, each level's matches are the next level's partials,
@@ -233,7 +235,7 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> list:
     """One fuzz iteration; raises AssertionError on any disagreement.
     Returns the value-count tables checked (their attribute sets)."""
     tables = check_value_counts(relations)
-    expected = oracle_join(relations)
+    full = expected = oracle_join(relations)
     attributes = JoinQuery(relations).attributes
 
     # Optional clauses stress sectioning and the filtered sampler.
@@ -346,10 +348,38 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> list:
     assert len(sample) == len(set(sample)), "sample has duplicates"
     assert set(sample) <= expected, "sample drew a non-result row"
     assert target.sample(k, seed=seed) == sample, "sample not seed-stable"
+    check_exact_samples(rng, relations, builder, full, expected, seed)
 
     if rng.random() < 0.25:
         check_observed(builder, len(expected), config)
     return tables
+
+
+def check_exact_samples(
+    rng: random.Random, relations, builder, full: set, expected: set, seed: int
+) -> None:
+    """A sample one past the result size is the result: serially, and
+    through a ``where`` section of the unfiltered join."""
+    serial = builder.using(shards=None, mode="serial", scheduler=None)
+    drawn = serial.sample(len(expected) + 1, seed=seed)
+    assert len(drawn) == len(expected) and set(drawn) == expected, (
+        f"sample({len(expected) + 1}) drew {len(drawn)} rows, not the "
+        f"oracle's {len(expected)}"
+    )
+    if not full:
+        return
+    attributes = builder.query.attributes
+    position = rng.randrange(len(attributes))
+    attribute = attributes[position]
+    value = rng.choice(sorted({row[position] for row in full}))
+    section = {row for row in full if row[position] == value}
+    drawn = Q(*relations).where(**{attribute: value}).sample(
+        len(section) + 1, seed=seed
+    )
+    assert len(drawn) == len(section) and set(drawn) == section, (
+        f"where({attribute!r}={value!r}).sample({len(section) + 1}) drew "
+        f"{len(drawn)} rows, not the oracle's {len(section)}"
+    )
 
 
 def check_aggregates(

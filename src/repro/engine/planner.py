@@ -1351,12 +1351,14 @@ def plan_join(
             context=context,
         )
         if span is not None:
-            span.meta.update(
-                algorithm=plan.algorithm,
-                order=",".join(plan.attribute_order),
-                backend=plan.backend,
-            )
+            span.meta.update(_span_meta(plan))
         return plan
 
 
 plan_join.__doc__ = _plan_join.__doc__
+
+
+def _span_meta(plan: JoinPlan) -> dict:
+    """The resolved choices a ``plan`` span is annotated with."""
+    order = ",".join(plan.attribute_order)
+    return dict(algorithm=plan.algorithm, order=order, backend=plan.backend)

@@ -65,9 +65,10 @@ from repro.aggregate.specs import (
     grouped,
 )
 from repro.core.query import JoinQuery
-from repro.engine.planner import NO_BACKEND, JoinPlan, plan_join
+from repro.engine.planner import NO_BACKEND, JoinPlan, _span_meta, plan_join
 from repro.errors import QueryError
 from repro.feedback.telemetry import feedback_scope
+from repro.observe.tracing import maybe_span
 from repro.query.context import ExecutionContext
 from repro.query.predicates import (
     Callback,
@@ -75,6 +76,7 @@ from repro.query.predicates import (
     ValueIn,
     combine,
 )
+from repro.relations import database as _database
 from repro.relations.relation import Relation, Row, Value
 
 __all__ = ["Q", "QueryBuilder"]
@@ -140,6 +142,7 @@ class QueryBuilder:
         "predicates",
         "selected",
         "_compiled_cache",
+        "_plan_memo",
     )
 
     def __init__(
@@ -160,6 +163,7 @@ class QueryBuilder:
         object.__setattr__(self, "predicates", predicates)
         object.__setattr__(self, "selected", selected)
         object.__setattr__(self, "_compiled_cache", None)
+        object.__setattr__(self, "_plan_memo", None)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("QueryBuilder instances are immutable")
@@ -424,23 +428,38 @@ class QueryBuilder:
     def plan(self) -> JoinPlan:
         """Plan this query without running it (``repro.explain`` for the
         builder): the residual query's :class:`JoinPlan` with the bound
-        attributes, residual filters, and projection recorded on it."""
+        attributes, residual filters, and projection recorded on it.
+
+        Memoized like :meth:`_compile`, until a write that could change
+        the plan: ``Database.add`` / ``remove``, an index-cache insert
+        or eviction, or a recorded feedback observation.  A reused plan
+        still opens the ``plan`` span, marked ``memo="hit"``.
+        """
         compiled = self._compile()
         if compiled.residual is None:
             # Covers both degenerate outcomes: all attributes bound
             # (guards only) and early-proven unsatisfiability.
             return self._guard_plan(compiled)
-        plan = plan_join(
-            compiled.residual,
-            context=self._residual_context(),
-            feedback_scope=feedback_scope(compiled.filters),
-        )
-        return _dc_replace(
-            plan,
+        # Read first: a write landing mid-plan leaves the memo stale.
+        generation = _database.planning_generation
+        memo = self._plan_memo
+        if memo is not None and memo[0] == generation:
+            with maybe_span("plan", memo="hit") as span:
+                if span is not None:
+                    span.meta.update(_span_meta(memo[1]))
+            return memo[1]
+        plan = _dc_replace(
+            plan_join(
+                compiled.residual,
+                context=self._residual_context(),
+                feedback_scope=feedback_scope(compiled.filters),
+            ),
             bound=compiled.bound,
             filtered=self._filter_descriptions(),
             selected=self.selected,
         )
+        object.__setattr__(self, "_plan_memo", (generation, plan))
+        return plan
 
     def explain(self, analyze: bool = False):
         """The plan (``explain``), or a measured run (``EXPLAIN

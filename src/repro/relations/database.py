@@ -32,6 +32,7 @@ provides that binding along with:
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field as dataclass_field
@@ -74,6 +75,18 @@ def _index_nbytes(index: object) -> int:
 
 #: Backend used when callers do not ask for one.
 DEFAULT_BACKEND = TrieIndex.kind
+
+#: The generation ``QueryBuilder.plan`` memoizes under, moved after
+#: each write a plan reads; a value is issued once, so racing writers
+#: can never bring back one a memo holds.
+_GENERATIONS = itertools.count(1)
+planning_generation = 0
+
+
+def bump_planning_generation() -> None:
+    """Invalidate every memoized plan (see ``QueryBuilder.plan``)."""
+    global planning_generation
+    planning_generation = next(_GENERATIONS)
 
 
 def build_index(
@@ -280,6 +293,7 @@ class Database:
             raise DatabaseError(f"relation {name!r} already exists")
         self._relations[name] = relation
         self._drop_cached(name)
+        bump_planning_generation()
 
     def remove(self, name: str) -> None:
         """Drop a relation (and its cached indexes) from the catalog."""
@@ -287,6 +301,7 @@ class Database:
             raise DatabaseError(f"relation {name!r} does not exist")
         del self._relations[name]
         self._drop_cached(name)
+        bump_planning_generation()
 
     def __getitem__(self, name: str) -> Relation:
         try:
@@ -458,7 +473,10 @@ class Database:
         index builds, so no cost weighting here).
         """
         while len(self._stats_cache) >= self._stats_cache_budget:
-            self._stats_cache.pop(next(iter(self._stats_cache)))
+            evicted = next(iter(self._stats_cache))
+            del self._stats_cache[evicted]
+            if evicted[1][:1] == ("feedback_levels",):  # a plan read it
+                bump_planning_generation()
         self._stats_cache[(name, key)] = payload
 
     def cached_stats_count(self) -> int:
@@ -519,6 +537,8 @@ class Database:
             self._cache_serial,
         )
         self._cache_bytes += nbytes
+        # The insert (and any eviction above) changes has_cached_index.
+        bump_planning_generation()
         return index
 
     def _evict_one(self) -> None:

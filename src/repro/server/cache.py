@@ -15,10 +15,10 @@ its indexes still resident in the database's GreedyDual cache (its
 budget — ``Database.warm`` semantics — stays the authority on which
 indexes live).
 
-Each entry carries an ``asyncio.Lock``: index backends keep mutable
-seek hints, so two concurrent streams over one frozen executor must
-serialize.  Different entries run fully concurrently — the lock is
-per-plan, not per-server.
+Each entry carries an ``asyncio.Lock``: runs of one prepared query share
+its ``TelemetryProbe``, and a feedback re-plan installs a new plan and
+executor, so they serialize.  Different entries run fully concurrently
+— the lock is per-plan, not per-server.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class CacheEntry:
     def __init__(self, compiled: CompiledQuery) -> None:
         self.compiled = compiled
         self.prepared = compiled.builder.prepare()
-        self.bound = float(compiled.builder.plan().estimated_bound)
+        self.bound = float(self.prepared.plan.estimated_bound)
         self.lock = asyncio.Lock()
 
 

@@ -509,9 +509,10 @@ class JoinServer:
                 "queued": decision.queued,
                 "normalized": normalized,
             }
-            # The per-entry lock serializes runs of one frozen executor
-            # (index seek hints are mutable); distinct statements still
-            # run fully concurrently.
+            # The per-entry lock serializes runs of one prepared query
+            # (they share its telemetry probe, and a feedback re-plan
+            # installs a new plan and executor); distinct statements
+            # still run fully concurrently.
             async with entry.lock:
                 with tracer.span("execute", kind=kind):
                     if kind == "rows":

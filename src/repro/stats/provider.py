@@ -38,6 +38,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from repro.core.estimates import connected_estimate
+from repro.relations.database import bump_planning_generation
 from repro.relations.relation import Relation
 from repro.stats.profiles import (
     DEFAULT_TOP_K,
@@ -274,7 +275,10 @@ class StatsProvider:
 
     def _local_put(self, key: tuple, ref: object, payload: object) -> None:
         while len(self._local) >= LOCAL_CACHE_BUDGET:
-            self._local.pop(next(iter(self._local)))
+            evicted = next(iter(self._local))
+            del self._local[evicted]
+            if evicted[0] == "feedback_levels":  # a plan read it
+                bump_planning_generation()
         self._local[key] = (ref, payload)
 
     # -- cache plumbing -----------------------------------------------------
@@ -516,6 +520,7 @@ class StatsProvider:
         )
         history[telemetry.attribute_order] = telemetry
         self._query_put(query, "feedback_levels", scope, history)
+        bump_planning_generation()
 
     def observed_history(
         self, query: "JoinQuery", scope: tuple = ()
@@ -638,6 +643,7 @@ def resolve_provider(
         if provider is None:
             if len(_CONFIG_PROVIDERS) >= 64:
                 _CONFIG_PROVIDERS.pop(next(iter(_CONFIG_PROVIDERS)))
+                bump_planning_generation()
             provider = StatsProvider(config=stats)
             _CONFIG_PROVIDERS[stats] = provider
         return provider

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.engine import planner
 from repro.lang.compiler import compile_query
 from repro.lang.parser import parse
 from repro.query.builder import Q
@@ -282,6 +283,23 @@ class TestPreparedCache:
         assert database.cache_info().misses == misses_before
         assert stats["prepared_cache"]["hits"] == 2
         assert stats["prepared_cache"]["entries"] == 1
+
+    def test_a_miss_plans_once(self, live_server, database, monkeypatch):
+        # Admission, prepare() and the entry's bound share one plan.
+        calls = []
+        plan_join = planner._plan_join
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return plan_join(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "_plan_join", counting)
+        live = live_server(JoinServer(database))
+        with ServerClient(live.host, live.port) as client:
+            assert client.query("select * from R, S, T;").cached is False
+            assert len(calls) == 1
+            assert client.query("select * from R, S, T;").cached is True
+        assert len(calls) == 1
 
     def test_normalized_text_is_reported(self, live_server, database):
         live = live_server(JoinServer(database))

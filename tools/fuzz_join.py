@@ -23,6 +23,9 @@ attributes), then checks for each instance that
   — yields exactly the oracle's row set,
 * one iteration in four, under a ``tracer`` + ``metrics`` context, the
   registry's ``repro_rows_emitted_total`` equals the oracle's row count,
+* the builder, run twice more (over a ``Database`` one time in two),
+  yields the oracle's rows each time, and before each run the plan it
+  reuses equals a fresh builder's, field by field,
 * ``count()`` equals the oracle's row count (the fold must agree with
   enumeration even though it never enumerates), and ``sum`` / ``min`` /
   ``max`` / ``avg`` / ``count_distinct`` / ``group_by(a).count()`` on a
@@ -283,6 +286,10 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> list:
     if rng.random() < 0.25:
         metrics = MetricsRegistry()
         options.update(tracer=Tracer(), metrics=metrics)
+    if "scheduler" not in options and rng.random() < 0.5:
+        # A catalog: the first run's index builds move the planning
+        # generation, so the builder's second plan is a re-plan.
+        options["database"] = Database(relations)
 
     def assemble(value=None):
         builder = Q(*relations)
@@ -337,6 +344,7 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> list:
     assert counted == len(expected), (
         f"count() {counted} != oracle {len(expected)} under {config}"
     )
+    check_builder_twice(builder, expected, config)
     check_aggregates(rng, builder, expected, attributes, config)
 
     k = rng.randint(0, 6)
@@ -353,6 +361,35 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> list:
     if rng.random() < 0.25:
         check_observed(builder, len(expected), config)
     return tables
+
+
+def plan_fields(plan) -> tuple:
+    return (
+        plan.algorithm,
+        plan.attribute_order,
+        plan.backend,
+        plan.relation_backends,
+        plan.reasons,
+        plan.statistics,
+        plan.describe(show_stats=True),
+    )
+
+
+def check_builder_twice(builder, expected: set, options: dict) -> None:
+    """Run the builder twice: before each run, the plan it reuses (or
+    re-makes, when an earlier run wrote what a plan reads) is a fresh
+    builder's; each run's rows are the oracle's."""
+    for run in (1, 2):
+        held, fresh = builder.plan(), builder.using().plan()
+        assert plan_fields(held) == plan_fields(fresh), (
+            f"plan before run {run} is not a fresh builder's under "
+            f"{options}:\n{held.describe()}\nvs\n{fresh.describe()}"
+        )
+        rows = set(builder.stream())
+        assert rows == expected, (
+            f"run {run} of the builder: {len(rows)} rows vs "
+            f"{len(expected)} expected under {options}"
+        )
 
 
 def check_exact_samples(

@@ -1,4 +1,4 @@
-"""The descent kernel: one binding, one compiled loop nest, two levels.
+"""The descent kernel: one binding, one loop nest, three sinks, two levels.
 
 Generic Join and Leapfrog Triejoin are the same recursion over a global
 attribute order — at each level, intersect the candidate values of the
@@ -13,13 +13,14 @@ This module holds the pieces every such search shares:
   that validates the order and consults the catalog's index cache
   (:func:`narrow` derives a shard's binding from it: one more value
   filter per key link, nothing rebuilt);
-* :func:`iter_rows` and :func:`fold` are the one descent, as the loop
-  nest the paper prints — one ``for`` per attribute — *generated* per
-  **shape**: all the loop's text depends on (per level its participants
-  and ``how`` it is read, the number of relations, the stop depth, the
-  sink, whether a probe counts) and nothing its data does.  A shape
-  compiles once per process (:func:`_compile`); levels, predicates, the
-  probe, the root nodes and a fold's state are the nest's arguments;
+* :func:`iter_rows`, :func:`iter_texts` and :func:`fold` are the one
+  descent, as the loop nest the paper prints — one ``for`` per attribute
+  — *generated* per **shape**: all the loop's text depends on (per level
+  its participants and ``how`` it is read, the number of relations, the
+  stop depth, the sink, whether a probe counts) and nothing its data
+  does.  A shape compiles once per process (:func:`_compile`); levels,
+  predicates, the probe, the root nodes, a fold's state and the text
+  sink's memos are the nest's arguments;
 * :class:`HashLevel` and :class:`LeapfrogLevel` are the two ways to
   intersect one level — the only code that differs between the
   algorithms.  A :class:`HashLevel` is one batch intersection,
@@ -35,6 +36,9 @@ nodes opened in place are read back after the call.  With a probe,
 before a level's values are taken and ``matches[d] += 1`` opens its
 loop body; without one the lines are not there.  A fold, never probed,
 sums ``acc += len(n3_4)`` below its cutoff and ``add``s it once there.
+A text nest joins ``pre = head[v0] + mid[v1]`` under ``if vals2:`` and
+yields ``pre + tail[v2]``: its memos hold each value's text with its
+brackets and commas (the server's are JSON), so it holds no string.
 
 CPython compiles 20 nested blocks at most: a deeper nest is cut into
 ``def``s chained by ``yield from`` (a fold's by ``acc +=`` or ``state
@@ -44,7 +48,8 @@ loop sits in ``try ... finally: vals<d>.close()``.  The text holds only
 names the compiler invents and integers, never a caller's string;
 :mod:`linecache` knows it as ``<repro descent N>``, so a raising
 predicate shows the loop line that called it.  The consumers are ``GenericJoin``, ``LeapfrogTriejoin``,
-``fold_executor`` and ``JoinSampler``; nothing here imports
+``fold_executor``, ``JoinSampler`` and the server's row texts
+(``PreparedQuery._texts``); nothing here imports
 ``repro.engine`` or ``repro.aggregate``: both reach back into here.
 """
 
@@ -183,6 +188,22 @@ def iter_rows(
     return _nest(tuple(perm), levels, root, len(perm), probe)
 
 
+class Text(NamedTuple):
+    """The text sink's shape: the rows' perm."""
+
+    perm: tuple[int, ...]
+
+
+def iter_texts(
+    levels: Sequence, root: Sequence, perm: Sequence[int], memos: Sequence
+) -> Iterator[str]:
+    """The *text* sink: the rows of :func:`iter_rows`, unprobed, each
+    its values' texts joined — ``memos`` is ``(head, mid, tail)``, read
+    for the first, a middle and the last (or only) column — the columns
+    bound above the leaf joined once per leaf set that has values."""
+    return _nest(Text(tuple(perm)), levels, root, len(perm), None, *memos)
+
+
 class Fold(NamedTuple):
     """The fold sink's shape: the depths the spec reads and, per relation
     below the searched levels, ``(position, levels, nodes are mappings)``."""
@@ -225,13 +246,15 @@ _SERIAL = itertools.count()
 
 @lru_cache(maxsize=_NESTS_MAX)
 def _compile(sink, width: int, probed: bool, kinds: tuple):
-    """The nest of a shape: ``sink`` is the rows' perm or a
-    :class:`Fold`, ``kinds`` a ``(participants, how)`` per level it
+    """The nest of a shape: ``sink`` is the rows' perm, a :class:`Text`
+    or a :class:`Fold`, ``kinds`` a ``(participants, how)`` per level it
     searches.  A fold's ``def`` returns ``state``, or the ``acc`` it
     summed if it starts below the cutoff (its deepest read, plus one)."""
     stop = len(kinds)
     folding = isinstance(sink, Fold)
-    extra, below, counted = "", set(), False
+    texting = isinstance(sink, Text)
+    extra = "head, mid, tail, " if texting else ""
+    below, counted = set(), False
     if folding:
         cutoff = 1 + max(sink.needed, default=-1)
         adds = f"state = add(state, ({''.join(f'v{p}, ' for p in sink.needed)}), "
@@ -246,8 +269,9 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
         final = d == stop - 1
         loops = d < stop and not (final and counted)
         lazy = how == "lazy" and not final  # a generator holding cursors
+        guard = texting and final and stop > 1  # ``if vals<d>:``
         prefix = "".join(f"v{k}, " for k in range(d))
-        if not chunks or blocks + loops + lazy > _MAX_BLOCKS:
+        if not chunks or blocks + loops + lazy + guard > _MAX_BLOCKS:
             names = prefix + "".join(f"{name}, " for name in cur) + extra
             call = f"nest{len(chunks)}(levels, probe, {names})"
             if chunks:  # the cut: chain to a new def, close what is open
@@ -297,7 +321,7 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
             if how == "filtered":
                 out.insert(1, f" keep{d} = levels[{d}].keep")
                 values = f"filter(keep{d}, {values})"
-                if not loops:
+                if not loops or guard:  # tested before it is looped
                     values = f"list({values})"
             out.append(f"{pad}vals{d} = {values}")
         else:
@@ -315,10 +339,26 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
             out.append(f"{pad}try:")
             closers.append(f"{pad}finally:\n{pad} vals{d}.close()")
             pad += " "
+        if guard:  # the columns bound above the leaf, joined once
+            out.append(f"{pad}if vals{d}:")
+            pad, blocks = pad + " ", blocks + 1
+            texts = [f"{'tail' if p == stop - 1 else 'mid' if p else 'head'}"
+                     f"[v{k}]" for p, k in enumerate(sink.perm)]
+            at = sink.perm.index(d)
+            row = texts[at]
+            if at:
+                out.append(f"{pad}pre = {' + '.join(texts[:at])}")
+                row = f"pre + {row}"
+            if at < stop - 1:
+                out.append(f"{pad}post = {' + '.join(texts[at + 1:])}")
+                row += " + post"
         out.append(f"{pad}for v{d} in vals{d}:")
         pad, blocks = pad + " ", blocks + 1 + lazy
         if probed:
             out.append(f"{pad}matches[{d}] += 1")
+        if final and texting:
+            out.append(f"{pad}yield {row if guard else 'tail[v0]'}")
+            break
         if final and not folding:
             out.append(f"{pad}yield ({''.join(f'v{p}, ' for p in sink)})")
             break

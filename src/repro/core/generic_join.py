@@ -108,10 +108,12 @@ class GenericJoin:
         nothing beyond one parent's surviving values is held, so callers
         can stop early or pipeline the output.
         """
-        binding, probe = self._binding, self.telemetry
-        return iter_rows(
-            hash_levels(binding), binding.roots(), binding.output_perm, probe
-        )
+        return iter_rows(*self._descent(), self.telemetry)
+
+    def _descent(self) -> tuple:
+        """``(levels, root, perm)``: what every run's loop nest walks."""
+        binding = self._binding
+        return hash_levels(binding), binding.roots(), binding.output_perm
 
     def execute(self, name: str = "J") -> Relation:
         """Run Generic Join; returns the join in query attribute order."""

@@ -117,10 +117,13 @@ class LeapfrogTriejoin:
         an executor can be run repeatedly and generators can be abandoned
         mid-stream without corrupting state.
         """
+        return iter_rows(*self._descent(), self.telemetry)
+
+    def _descent(self) -> tuple:
+        """``(levels, root, perm)`` over fresh cursors: what every run's
+        loop nest walks."""
         binding = self._binding
-        return iter_rows(
-            leapfrog_levels(binding), (), binding.output_perm, self.telemetry
-        )
+        return leapfrog_levels(binding), (), binding.output_perm
 
     def execute(self, name: str = "J") -> Relation:
         """Run the triejoin; returns the join in query attribute order."""

@@ -37,6 +37,7 @@ builds, exactly as its serial runs do.
 
 from __future__ import annotations
 
+import json
 from collections.abc import AsyncIterator, Generator, Iterator
 from contextlib import nullcontext as _nullcontext
 from contextlib import suppress as _suppress
@@ -45,6 +46,7 @@ from time import perf_counter
 
 from repro.aggregate.fold import Folder, fold_rows
 from repro.aggregate.specs import Avg, Count, CountDistinct, Max, Min, Sum
+from repro.core.descent import iter_texts
 from repro.engine import parallel as _parallel
 from repro.engine.executors import DESCENT_ALGORITHMS
 from repro.engine.planner import JoinPlan
@@ -79,6 +81,7 @@ class PreparedQuery:
         "_replans",
         "_observe",
         "_held",
+        "_memos",
     )
 
     def __init__(
@@ -114,6 +117,7 @@ class PreparedQuery:
             ("_replans", 0),
             ("_observe", analyze or builder.context.feedback is not None),
             ("_held", held),
+            ("_memos", None),
         ):
             object.__setattr__(self, name, value)
         tracer = builder.context.tracer
@@ -243,6 +247,37 @@ class PreparedQuery:
         ):
             rows = self._measured(rows, self._plan, self._probe)
         return builder._project(rows)
+
+    def _texts(self) -> Iterator[str] | None:
+        """:meth:`stream`'s rows as JSON array texts, written by the
+        executor's loop nest with memos this query holds — or None where
+        the stream is more than the nest, or a relation holds a value
+        memoised inexactly (anything but an ``int`` or a ``str``: ``1 ==
+        1.0 == True``)."""
+        compiled, builder = self._compiled, self._builder
+        context = builder.context
+        full, selected = builder.query.attributes, builder.selected
+        if (
+            self._executor is None
+            or self._plan.algorithm not in DESCENT_ALGORITHMS
+            or compiled.merge is not None
+            or context.parallel
+            or self._probe is not None
+            or context.metrics is not None
+            or context.tracer is not None
+            or (selected is not None and set(selected) != set(full))
+            or not all(
+                relation._value_types() <= {int, str}
+                for relation in compiled.residual.relations.values()
+            )
+        ):
+            return None
+        levels, root, perm = self._executor._descent()
+        if selected is not None:
+            perm = tuple(perm[full.index(a)] for a in selected)
+        if self._memos is None:
+            object.__setattr__(self, "_memos", _json_memos(len(perm)))
+        return iter_texts(levels, root, perm, self._memos)
 
     def _measured(
         self, rows: Iterator[Row], plan: JoinPlan, probe
@@ -531,6 +566,27 @@ class PreparedQuery:
 
     def __repr__(self) -> str:
         return f"PreparedQuery({self._builder!r}, plan={self._plan.algorithm})"
+
+
+class _JsonTexts(dict):
+    """A text sink memo: a value's JSON text (what ``protocol.encode``
+    writes) between ``opener`` and ``closer``, made on first sight."""
+
+    __slots__ = ("opener", "closer")
+
+    def __init__(self, opener: str, closer: str) -> None:
+        self.opener, self.closer = opener, closer
+
+    def __missing__(self, value: Value) -> str:
+        text = str(value) if type(value) is int else json.dumps(value)
+        text = self[value] = self.opener + text + self.closer
+        return text
+
+
+def _json_memos(arity: int) -> tuple:
+    """The text sink's ``(head, mid, tail)``: ``[7,``, ``7,``, ``7]``."""
+    tail = _JsonTexts("[" if arity == 1 else "", "]")
+    return _JsonTexts("[", ","), _JsonTexts("", ","), tail
 
 
 async def _pump(blocking: Generator) -> AsyncIterator:

@@ -18,6 +18,7 @@ Tuples are plain Python tuples whose positions align with ``attributes``.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import chain
 from typing import Any
 
 from repro.errors import SchemaError
@@ -45,7 +46,7 @@ class Relation:
         collapse (set semantics, as in the paper).
     """
 
-    __slots__ = ("name", "attributes", "tuples", "_positions")
+    __slots__ = ("name", "attributes", "tuples", "_positions", "_types")
 
     def __init__(
         self,
@@ -81,6 +82,13 @@ class Relation:
         # call __setattr__, which immutability forbids.  This also makes
         # relations shippable to worker processes for sharded execution.
         return (Relation, (self.name, self.attributes, self.tuples))
+
+    def _value_types(self) -> frozenset[type]:
+        """The exact types of the values held, scanned once."""
+        if not hasattr(self, "_types"):
+            types = frozenset(map(type, chain.from_iterable(self.tuples)))
+            object.__setattr__(self, "_types", types)
+        return self._types
 
     def __len__(self) -> int:
         return len(self.tuples)

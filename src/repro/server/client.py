@@ -136,6 +136,14 @@ class ServerClient:
         ``ok: false``, and :class:`ConnectionError` when the server
         hangs up mid-response.
         """
+        return self._exchange(op, fields, None)
+
+    def _exchange(
+        self, op: str, fields: dict, rows: list | None
+    ) -> tuple[list[dict], dict]:
+        """:meth:`request`; with a ``rows`` list, each streamed line's
+        rows are extended into it as tuples instead of kept as a
+        message (the batch list comes back empty)."""
         self._next_id += 1
         request_id = self._next_id
         line = (
@@ -144,7 +152,7 @@ class ServerClient:
         self._ensure_connection()
         try:
             self._socket.sendall(line)
-            return self._read_response(request_id)
+            return self._read_response(request_id, rows)
         except TimeoutError:
             # A slow server is not a dead connection; re-sending would
             # double-execute against a live one.  Drop the socket (a
@@ -159,9 +167,13 @@ class ServerClient:
             self.close()
             self._connect()
             self._socket.sendall(line)
-            return self._read_response(request_id)
+            if rows is not None:
+                rows.clear()  # what the dead connection delivered
+            return self._read_response(request_id, rows)
 
-    def _read_response(self, request_id: int) -> tuple[list[dict], dict]:
+    def _read_response(
+        self, request_id: int, rows: list | None
+    ) -> tuple[list[dict], dict]:
         batches: list[dict] = []
         while True:
             line = self._reader.readline()
@@ -172,9 +184,13 @@ class ServerClient:
             response = json.loads(line)
             if response.get("id") not in (request_id, None):
                 continue  # a stale line from an aborted request
+            final = response.get("final")
+            if rows is not None and not final:
+                rows.extend(map(tuple, response.get("rows", ())))
+                continue
             if "rows" in response:
                 response["rows"] = list(map(tuple, response["rows"]))
-            if response.get("final"):
+            if final:
                 self._last_used = time.monotonic()
                 if not response.get("ok"):
                     raise ServerError(response.get("error", {}))
@@ -195,12 +211,9 @@ class ServerClient:
             fields["batch"] = batch
         if trace:
             fields["trace"] = True
-        batches, final = self.request("query", **fields)
-        rows = [
-            row
-            for message in (*batches, final)
-            for row in message.get("rows", ())
-        ]
+        rows: list[tuple] = []
+        _batches, final = self._exchange("query", fields, rows)
+        rows.extend(final.get("rows", ()))
         return QueryOutcome(
             columns=tuple(final.get("columns", ())),
             rows=rows,

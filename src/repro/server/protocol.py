@@ -28,8 +28,11 @@ O(log rows) lines for a result instead of one per 256 rows.  Only the
 last row line may be shorter than the one before it; a client must rely
 on none of this beyond the ceiling it asked for.  Each row line is
 encoded on the worker thread that produced its rows, so the event loop
-only writes bytes.  A request line longer than 1 MiB is answered one
-``protocol`` error (``id`` null) and the connection is closed.
+only writes bytes — where the rows are a plain join's over ``int`` and
+``str`` values, by joining the row texts the join's loop nest wrote,
+byte for byte what :func:`encode` writes for the tuples.  A request
+line longer than 1 MiB is answered one ``protocol`` error (``id``
+null) and the connection is closed.
 
 Failures are a single final line with a **typed** error payload::
 

@@ -25,7 +25,10 @@ Life of a request line:
    normalized text reuses the frozen plan: zero replanning, zero index
    builds on hits.
 5. **execute** — row queries stream row lines then a final line;
-   aggregates/groups/explains answer one final line.  A request's
+   aggregates/groups/explains answer one final line.  Where the rows
+   are the plain loop nest's (:meth:`~repro.query.prepared.
+   PreparedQuery._texts`), the nest writes each row's JSON text and a
+   line joins them; otherwise each line's tuples are encoded.  A request's
    ``batch`` is a hard ceiling on every line's rows.  Without one the
    first line holds at most the server's ``batch_rows`` (256, so the
    first rows leave early) and each line after it doubles, up to
@@ -93,18 +96,26 @@ MAX_REQUEST_BYTES = 1 << 20
 
 
 def _row_lines(
-    rows: Iterator[Row], request_id, first: int, ceiling: int
+    rows: Iterator[Row] | Iterator[str], texts: bool, request_id,
+    first: int, ceiling: int,
 ) -> Iterator[tuple[int, bytes]]:
     """One answer's row lines, ``(row count, encoded line)`` each: at
     most ``first`` rows on the first, then doubling up to ``ceiling``.
 
     Driven by :func:`~repro.query.prepared._pump`, so a line's descent,
     batching and JSON encoding are one worker hop and the event loop
-    only writes bytes.  The encoder takes the row tuples as they are.
+    only writes bytes.  ``rows`` are row tuples for :func:`encode`, or
+    — ``texts`` — the rows' JSON array texts the loop nest wrote, joined
+    between the head and the tail :func:`encode` gives an empty line.
     """
+    head = encode({"id": request_id, "rows": []})[:-3].decode()
     size = first
     while batch := list(islice(rows, size)):
-        yield len(batch), encode({"id": request_id, "rows": batch})
+        yield len(batch), (
+            (head + ",".join(batch) + "]}\n").encode()
+            if texts
+            else encode({"id": request_id, "rows": batch})
+        )
         size = min(2 * size, ceiling)
 
 
@@ -514,7 +525,7 @@ class JoinServer:
             # installs a new plan and executor); distinct statements
             # still run fully concurrently.
             async with entry.lock:
-                with tracer.span("execute", kind=kind):
+                with tracer.span("execute", kind=kind) as span:
                     if kind == "rows":
                         total = await self._stream_rows(
                             request_id,
@@ -522,6 +533,7 @@ class JoinServer:
                             line_rows,
                             writer,
                             write_lock,
+                            span.meta,
                         )
                         base["rows_total"] = total
                     else:
@@ -546,17 +558,26 @@ class JoinServer:
         line_rows: tuple[int, int],
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
+        meta: dict | None = None,
     ) -> int:
-        total = 0
+        """Stream one answer's row lines; the rows sent.  ``meta`` (the
+        ``execute`` span's) records which encoder ran — ``"text"``, the
+        loop nest's row texts, or ``"tuples"`` — and the lines sent."""
+        total = sent = 0
+        rows = entry.prepared._texts()
+        texts = rows is not None
+        if not texts:
+            rows = entry.prepared.stream()
         # aclosing: a failed write (the client is gone) closes the pump
         # and with it the descent, here and now rather than at some
         # later collection.
         async with aclosing(
-            _pump(
-                _row_lines(entry.prepared.stream(), request_id, *line_rows)
-            )
+            _pump(_row_lines(rows, texts, request_id, *line_rows))
         ) as lines:
             async for count, line in lines:
                 total += count
+                sent += 1
                 await self._write_line(writer, write_lock, line)
+        if meta is not None:
+            meta.update(rows="text" if texts else "tuples", lines=sent)
         return total

@@ -1,8 +1,9 @@
 """The descent kernel under every sink, against the backtracking oracle.
 
 One compiled loop nest (:func:`repro.core.descent.iter_rows` /
-:func:`~repro.core.descent.fold`) serves enumeration, observed
-enumeration, aggregate folds and the sampler's count, over two
+:func:`~repro.core.descent.iter_texts` / :func:`~repro.core.descent.fold`)
+serves enumeration, observed enumeration, the server's row texts,
+aggregate folds and the sampler's count, over two
 level strategies.  These tests hold every (strategy, backend) pairing to
 ``tests.helpers.oracle_join`` through each sink, pin the per-level
 counters of one fixed instance per strategy, and read the paper's claim
@@ -17,6 +18,7 @@ import gc
 import inspect
 import io
 import itertools
+import json
 import keyword
 import linecache
 import math
@@ -49,6 +51,7 @@ from repro.core.descent import (
     bind,
     hash_levels,
     iter_rows,
+    iter_texts,
     leapfrog_levels,
     narrow,
 )
@@ -58,6 +61,9 @@ from repro.core.query import JoinQuery
 from repro.feedback.telemetry import TelemetryProbe
 from repro.hypergraph import agm
 from repro.hypergraph.agm import best_agm_bound
+from repro.query.prepared import _json_memos
+from repro.server import service
+from repro.server.protocol import encode
 from repro.relations.relation import Relation
 from repro.relations.trie import TrieIndex
 from repro.workloads import generators, instances, queries
@@ -176,6 +182,14 @@ class TestSinkParity:
             assert_valid_sample(sample, expected, k)
             assert sampler.sample(k, random.Random(k)) == sample
 
+    def test_text(self, cls, backend, scenario):
+        _query, _filters, _expected, _order, build = self._setup(
+            cls, backend, scenario
+        )
+        executor = build()
+        rows = list(executor.iter_join())
+        assert row_texts(executor) == [json_row(row) for row in rows]
+
     def test_abandoned_stream_leaves_executor_rerunnable(
         self, cls, backend, scenario
     ):
@@ -188,6 +202,19 @@ class TestSinkParity:
             next(stream)
         stream.close()
         assert sorted(executor.iter_join()) == expected
+
+
+def row_texts(executor, perm=None):
+    """The executor's rows through the text sink, with the server's JSON
+    memos: fresh ones, so every value's text is made on the spot."""
+    levels, root, own = executor._descent()
+    perm = own if perm is None else perm
+    return list(iter_texts(levels, root, perm, _json_memos(len(perm))))
+
+
+def json_row(row):
+    """A row as ``protocol.encode`` writes it inside a line."""
+    return json.dumps(row, separators=(",", ":"))
 
 
 class TestSamplerOnSparseJoins:
@@ -1215,6 +1242,7 @@ INVENTED = re.compile(
     r"nest\d+|op\d+|keep\d+|vals\d+|v\d+|[no]\d+_\d+|st|levels|probe"
     r"|partials|candidates|matches|meet|keep|survivors|leaf"
     r"|acc|tally\d+|indexes|add|state|counts|count"
+    r"|head|mid|tail|pre|post"
     r"|len|min|filter|list|close|None"
 )
 
@@ -1343,6 +1371,35 @@ def test_a_nest_deeper_than_the_block_limit_is_cut_not_refused(
     assert_nests_are_legible()
 
 
+@pytest.mark.parametrize(
+    "cls, backend, edges",
+    [
+        (GenericJoin, "trie", 23),
+        # Twenty ``for``s: the leaf's ``if vals19:`` is the 21st block.
+        (GenericJoin, "trie", 19),
+        (GenericJoin, "compact", 23),
+        (LeapfrogTriejoin, "sorted", 23),
+        (LeapfrogTriejoin, "compact", 11),
+    ],
+)
+def test_a_deep_text_nest_is_cut_and_writes_every_row(
+    cls, backend, edges, compiles
+):
+    query = _deep_path(edges)
+    executor = cls(query, backend=backend)
+    rows = list(executor.iter_join())
+    assert sorted(rows) == sorted(oracle_join(query)) and len(rows) > 50
+    assert row_texts(executor) == [json_row(row) for row in rows]
+    (shape,) = [s for s in compiles if isinstance(s[0], descent.Text)]
+    nest = descent._compile(*shape)  # the table's, compiled once
+    text = "".join(linecache.getlines(nest.__code__.co_filename))
+    assert text.count("def nest") >= 2 and "if vals" in text
+    for chunk in text.split("def nest")[1:]:
+        blocks = re.findall(r"^ *(?:for|try|if)\b", chunk, re.MULTILINE)
+        assert len(blocks) <= 20
+    assert_nests_are_legible()
+
+
 HOSTILE = (
     'a"b',
     "c'd",
@@ -1411,6 +1468,110 @@ def test_hostile_names_and_values_never_reach_the_source(
     )
     assert len(compiles) >= 4
     assert_nests_are_legible(*HOSTILE)
+
+
+@pytest.mark.parametrize("cls, backend", CONFIGS[:1] + CONFIGS[2:3] + CONFIGS[5:])
+def test_hostile_names_and_values_reach_only_the_text_memos(
+    cls, backend, compiles
+):
+    query = _hostile_triangle()
+    order = query.attributes
+    kept = frozenset(HOSTILE[1:])
+    for keep in (None, {order[1]: kept.__contains__}):
+        executor = cls(query, backend=backend, filters=keep)
+        rows = list(executor.iter_join())
+        assert len(rows) > 10
+        assert row_texts(executor) == [json_row(row) for row in rows]
+    assert any(isinstance(shape[0], descent.Text) for shape in compiles)
+    assert_nests_are_legible(*HOSTILE)
+
+
+#: ``_lifted_triangle``'s schema is ``(A, B, D, C)``; per order, the
+#: perm and where the leaf's column sits in the row.
+LIFTED_ORDERS = {
+    "leaf-last": (("D", "A", "B", "C"), (1, 2, 0, 3)),  # the e2e's plan
+    "leaf-mid": (("D", "A", "C", "B"), (1, 3, 0, 2)),
+    "leaf-first": (("B", "D", "C", "A"), (3, 0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "order, perm", LIFTED_ORDERS.values(), ids=LIFTED_ORDERS
+)
+@pytest.mark.parametrize(
+    "cls, backend", CONFIGS[:1] + CONFIGS[2:3] + CONFIGS[4:5]
+)
+def test_a_permuted_row_is_written_in_the_query_schema(
+    cls, backend, order, perm
+):
+    query = _lifted_triangle(150, seed=5)
+    executor = cls(query, attribute_order=order, backend=backend)
+    assert executor._binding.output_perm == perm
+    rows = list(executor.iter_join())
+    assert sorted(rows) == sorted(oracle_join(query)) and len(rows) > 20
+    assert row_texts(executor) == [json_row(row) for row in rows]
+    # Any other column order: the texts follow the perm they are given.
+    swapped = (perm[3], *perm[1:3], perm[0])
+    assert row_texts(executor, swapped) == [
+        json_row((row[3], *row[1:3], row[0])) for row in rows
+    ]
+    assert_nests_are_legible()
+
+
+@pytest.mark.parametrize("backend", ["trie", "sorted", "compact"])
+@pytest.mark.parametrize(
+    "filters", [None, {"C": lambda value: False}], ids=["ex2.2", "filtered"]
+)
+def test_an_empty_leaf_set_builds_no_text(backend, filters):
+    # Example 2.2: every leaf's parent meets an empty leaf set.  A leaf
+    # filter that keeps nothing is empty too, though a ``filter`` object
+    # is always true: the text nest lists it before testing it.
+    query = _triangle() if filters else instances.triangle_hard_instance(40)
+    executor = GenericJoin(query, backend=backend, filters=filters)
+    memos = _json_memos(3)
+    levels, root, perm = executor._descent()
+    assert list(iter_texts(levels, root, perm, memos)) == []
+    assert not any(memos)
+
+
+class Word(str):
+    """A ``str`` subclass: a value the memos are not exact for."""
+
+
+def test_only_exact_ints_and_strs_are_written_as_texts():
+    def prepared(value):
+        r = Relation("R", ("A", "B"), [(1, 1), (0, "x"), (value, 2)])
+        s = Relation("S", ("B", "C"), [(1, 5), (2, 6), ("x", 7)])
+        return Q(r, s).using(algorithm="generic", backend="trie").prepare()
+
+    plain = prepared(3)
+    assert [json.loads(text) for text in plain._texts()] == [
+        list(row) for row in plain.stream()
+    ]
+    # ``True == 1 == 1.0``: one memo would write each one's text for all.
+    for odd in (True, 1.0, None, Word("y")):
+        query = prepared(odd)
+        assert query._texts() is None
+        assert (odd, 2, 6) in set(query.stream())
+
+
+@pytest.mark.parametrize("request_id", [7, "a\"b", None])
+def test_string_lines_are_byte_identical_to_encode(request_id):
+    words = ['q"q', "b\\s", "n\nl", "caf\u00e9", "\u65e5\u672c", "\U0001f600",
+             "\u2028", "\x00", ""]
+    r = Relation("R", ("A", "B"), [(w, i) for i, w in enumerate(words)])
+    s = Relation("S", ("B", "C"), list(enumerate(reversed(words))))
+    prepared = Q(r, s).prepare()
+    texts = prepared._texts()
+    assert texts is not None
+    lines = list(service._row_lines(texts, True, request_id, 2, 4))
+    rows = list(service._row_lines(prepared.stream(), False, request_id, 2, 4))
+    assert lines == rows and len(lines) == 3
+    batches = [json.loads(line)["rows"] for _count, line in lines]
+    assert [len(batch) for batch in batches] == [2, 4, 3]
+    assert lines[0][1] == encode(
+        {"id": request_id, "rows": [tuple(row) for row in batches[0]]}
+    )
 
 
 @pytest.mark.parametrize("backend", ["trie", "sorted", "compact", "mixed"])

@@ -1,11 +1,14 @@
 """PreparedQuery: plan-once/run-many, zero warm builds, rebinding."""
 
+import json
 import pickle
 
 import pytest
 
 from repro.api import execute
 from repro.errors import PlanError, QueryError
+from repro.observe.metrics import MetricsRegistry
+from repro.observe.tracing import Tracer
 from repro.query.builder import Q
 from repro.query.prepared import _pump
 from repro.query.shards import ShardSpec
@@ -451,3 +454,45 @@ class TestShardedParentPlansOnce:
         assert seen == [
             (prepared.plan.shards, prepared.plan.attribute_order[0])
         ]
+
+
+class TestRowTexts:
+    """``_texts``: the rows as the loop nest's JSON array texts, exactly
+    where :meth:`PreparedQuery.stream` is that nest."""
+
+    @staticmethod
+    def texts(builder):
+        prepared = builder.prepare()
+        texts = prepared._texts()
+        return None if texts is None else (list(texts), prepared)
+
+    def test_the_plain_nest_and_a_permutation_write_texts(self):
+        _db, builder = catalogued()
+        for plain in (
+            builder.using(algorithm="generic"),
+            builder.using(algorithm="leapfrog", backend="sorted"),
+            builder.using(algorithm="generic").select("C", "A", "B"),
+            builder.using(algorithm="generic").where_in("A", (1, 2, 3)),
+        ):
+            texts, prepared = self.texts(plain)
+            assert [tuple(json.loads(text)) for text in texts] == list(
+                prepared.stream()
+            )
+            # A second run reads the memos the first one filled.
+            assert list(prepared._texts()) == texts
+
+    def test_every_other_stream_takes_the_tuples(self):
+        _db, builder = catalogued()
+        generic = builder.using(algorithm="generic")
+        value = next(iter(generic.prepare().stream()))[0]
+        for fallback in (
+            generic.where(A=value),  # a merge puts the bound column back
+            generic.select("A", "C"),  # a deduplicating projection
+            generic.using(shards=2, mode="serial"),
+            generic.using(tracer=Tracer()),
+            generic.using(metrics=MetricsRegistry()),
+            generic.using(feedback=True),  # a probe
+            builder.using(algorithm="lw"),
+            builder.using(algorithm="nprr"),
+        ):
+            assert self.texts(fallback) is None

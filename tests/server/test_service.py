@@ -56,21 +56,31 @@ def wide_oracle():
 
 
 def counted_stream(monkeypatch):
-    """Wrap every ``PreparedQuery.stream``: ``seen["pulled"]`` counts the
-    rows the server took, ``seen["closed"]`` says the descent's generator
-    was closed (or ran out)."""
-    seen = {"pulled": 0, "closed": False}
-    stream = PreparedQuery.stream
+    """Wrap every ``PreparedQuery.stream`` and ``PreparedQuery._texts``
+    (the rows as the loop nest's JSON texts, which the server takes
+    where there are some): ``seen["pulled"]`` counts the rows the server
+    took, ``seen["closed"]`` says the descent's generator was closed (or
+    ran out), ``seen["rows"]`` which of the two it read."""
+    seen = {"pulled": 0, "closed": False, "rows": None}
+    stream, texts = PreparedQuery.stream, PreparedQuery._texts
 
-    def counting(self):
+    def counting(rows, kind):
+        seen["rows"] = kind
         try:
-            for row in stream(self):
+            for row in rows:
                 seen["pulled"] += 1
                 yield row
         finally:
             seen["closed"] = True
 
-    monkeypatch.setattr(PreparedQuery, "stream", counting)
+    def counting_texts(self):
+        rows = texts(self)
+        return None if rows is None else counting(rows, "text")
+
+    monkeypatch.setattr(
+        PreparedQuery, "stream", lambda self: counting(stream(self), "tuples")
+    )
+    monkeypatch.setattr(PreparedQuery, "_texts", counting_texts)
     return seen
 
 
@@ -140,6 +150,28 @@ class TestQueries:
         child_names = [c["name"] for c in spans[0]["children"]]
         assert "parse" in child_names and "execute" in child_names
 
+    @pytest.mark.parametrize(
+        "statement, encoder",
+        [
+            (WIDE, "text"),  # the loop nest writes the rows' JSON
+            ("select * from U, V where B = 0;", "tuples"),  # a merge
+        ],
+    )
+    def test_the_trace_names_the_row_encoder(
+        self, live_server, wide_database, statement, encoder
+    ):
+        live = live_server(JoinServer(wide_database))
+        with ServerClient(live.host, live.port) as client:
+            outcome = client.query(statement, trace=True)
+        assert sorted(outcome.rows) == wide_oracle()
+        (request,) = outcome.final["trace"]["spans"]
+        (execute,) = [
+            span for span in request["children"] if span["name"] == "execute"
+        ]
+        # 256, 512, ..., 4096 rows a line: 11,114 rows in six.
+        assert execute["meta"]["rows"] == encoder
+        assert execute["meta"]["lines"] == 6
+
 
 class TestLineSizing:
     """With no ``batch`` a line doubles the one before: O(log rows)
@@ -206,6 +238,35 @@ class TestLineSizing:
         assert all(type(row) is tuple for row in streamed.rows + inline.rows)
 
 
+    def test_a_query_retried_after_a_hang_up_collects_each_row_once(self):
+        # A server that hangs up after one row line, then answers in full
+        # on the client's fresh connection.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            for hang_up in (True, False):
+                conn, _address = listener.accept()
+                with conn, conn.makefile("rb") as reader:
+                    rid = json.loads(reader.readline())["id"]
+                    lines = [{"id": rid, "rows": [[1, 2]]}]
+                    if not hang_up:
+                        lines += [
+                            {"id": rid, "rows": [[3, 4]]},
+                            {"id": rid, "ok": True, "final": True},
+                        ]
+                    conn.sendall(
+                        b"".join(json.dumps(m).encode() + b"\n" for m in lines)
+                    )
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        with listener, ServerClient(*listener.getsockname()[:2]) as client:
+            outcome = client.query("select * from R;")
+        server.join(timeout=10)
+        assert not server.is_alive()
+        assert outcome.rows == [(1, 2), (3, 4)]
+
+
 class StalledWriter:
     """A ``StreamWriter`` double whose peer reads one line, then stalls
     until ``resume`` is set."""
@@ -251,6 +312,47 @@ class TestBackpressure:
 
         stalled, total, lines = asyncio.run(scenario())
         # One line written, and the worker no further than the next one.
+        assert stalled[0] == 1
+        assert stalled[1] <= DEFAULT_BATCH_ROWS + 2 * DEFAULT_BATCH_ROWS
+        assert stalled[2] is False
+        assert total == WIDE_ROWS == seen["pulled"]
+        rows = [
+            tuple(row) for line in lines for row in json.loads(line)["rows"]
+        ]
+        assert sorted(rows) == wide_oracle()
+
+
+    def test_a_stalled_reader_holds_a_where_bound_descent(
+        self, wide_database, monkeypatch
+    ):
+        # The tuple lines: a ``where`` merge puts ``B`` back in each row.
+        seen = counted_stream(monkeypatch)
+        server = JoinServer(wide_database)
+        entry = CacheEntry(
+            compile_query(
+                parse("select * from U, V where B = 0;"),
+                wide_database,
+                server.context,
+            )
+        )
+
+        async def scenario():
+            writer = StalledWriter()
+            streaming = asyncio.ensure_future(
+                server._stream_rows(
+                    1, entry, (DEFAULT_BATCH_ROWS, MAX_LINE_ROWS),
+                    writer, asyncio.Lock(),
+                )
+            )
+            while not writer.lines:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.2)
+            stalled = (len(writer.lines), seen["pulled"], seen["closed"])
+            writer.resume.set()
+            return stalled, await streaming, writer.lines
+
+        stalled, total, lines = asyncio.run(scenario())
+        assert seen["rows"] == "tuples"
         assert stalled[0] == 1
         assert stalled[1] <= DEFAULT_BATCH_ROWS + 2 * DEFAULT_BATCH_ROWS
         assert stalled[2] is False

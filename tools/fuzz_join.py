@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import random
 import sys
@@ -90,6 +91,8 @@ from repro.query.prepared import PreparedQuery  # noqa: E402
 from repro.query.shards import ShardSpec  # noqa: E402
 from repro.relations.database import Database  # noqa: E402
 from repro.relations.relation import Relation  # noqa: E402
+from repro.server.protocol import encode  # noqa: E402
+from repro.server.service import _row_lines  # noqa: E402
 from repro.stats.profiles import count_values  # noqa: E402
 from repro.workloads import generators, queries  # noqa: E402
 
@@ -99,6 +102,13 @@ ATTRIBUTE_POOL = ("A", "B", "C", "D", "E")
 HOSTILE_POOL = (
     'a"b', "c'd", "e\nf", "g\\h", "{}", "__import__('os').system('x')"
 )
+#: A value family: what one in ten instances' values become — strings
+#: the JSON encoder escapes, which the server's row texts must write
+#: byte for byte as it does ...
+STRINGS = ('q"q', "b\\s", "n\nl", "caf\u00e9", "\u65e5\u672c", "\U0001f600")
+#: ... and, in another one in ten, numbers equal across types
+#: (``True == 1 == 1.0``), which must leave the rows to the tuple encoder.
+CONFLATING = (False, True, 2.0, 3, 4.0)
 #: Attributes of the shallowest :func:`deep_instance`.
 DEEP = 18
 #: (algorithm, allowed backends) — only planner-valid combinations are
@@ -186,6 +196,22 @@ def random_instance(rng: random.Random) -> list[Relation]:
             }
         )
         relations.append(Relation(f"R{index}", attrs, rows))
+    family = rng.random()
+    if family < 0.1:  # every value a string the JSON encoder escapes
+        return [
+            Relation(r.name, r.attributes, [
+                tuple(STRINGS[v] for v in row) for row in sorted(r.tuples)
+            ])
+            for r in relations
+        ]
+    if family < 0.2:  # each value itself or an equal value of another type
+        return [
+            Relation(r.name, r.attributes, [
+                tuple(rng.choice((v, CONFLATING[v])) for v in row)
+                for row in sorted(r.tuples)
+            ])
+            for r in relations
+        ]
     return relations
 
 
@@ -234,9 +260,10 @@ def check_value_counts(relations: list[Relation]) -> list[tuple]:
     return checked
 
 
-def check_instance(rng: random.Random, relations: list[Relation]) -> list:
+def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     """One fuzz iteration; raises AssertionError on any disagreement.
-    Returns the value-count tables checked (their attribute sets)."""
+    Returns the value-count tables checked (their attribute sets) and
+    whether the server's row texts were checked."""
     tables = check_value_counts(relations)
     full = expected = oracle_join(relations)
     attributes = JoinQuery(relations).attributes
@@ -340,6 +367,12 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> list:
             f"{len(expected)} under {config}"
         )
 
+    wire = "shards" not in options and metrics is None and check_wire(
+        target if isinstance(target, PreparedQuery) else builder.prepare(),
+        relations,
+        config,
+    )
+
     counted = target.count()
     assert counted == len(expected), (
         f"count() {counted} != oracle {len(expected)} under {config}"
@@ -360,7 +393,36 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> list:
 
     if rng.random() < 0.25:
         check_observed(builder, len(expected), config)
-    return tables
+    return tables, wire
+
+
+def check_wire(prepared: PreparedQuery, relations, config: dict) -> bool:
+    """The server's row lines: where the loop nest writes the rows as
+    texts, each line equals ``encode({"id": i, "rows": batch})`` byte for
+    byte, at the default 256 -> 4096 doubling and at a fixed ``batch``;
+    a relation holding any value but an exact ``int`` or ``str`` takes
+    the tuple lines.  Returns whether the texts ran."""
+    if prepared._texts() is None:
+        return False
+    assert all(
+        type(value) in (int, str)
+        for relation in relations
+        for row in relation.tuples
+        for value in row
+    ), f"row texts over values equal across types under {config}"
+    for request_id, first, ceiling in ((1, 256, 4096), ("i", 3, 3)):
+        lines = list(
+            _row_lines(prepared._texts(), True, request_id, first, ceiling)
+        )
+        rows, size, want = prepared.stream(), first, []
+        while batch := list(itertools.islice(rows, size)):
+            line = encode({"id": request_id, "rows": batch})
+            want.append((len(batch), line))
+            size = min(2 * size, ceiling)
+        assert lines == want, (
+            f"row text lines {lines} != encoded tuples {want} under {config}"
+        )
+    return True
 
 
 def plan_fields(plan) -> tuple:
@@ -427,10 +489,14 @@ def check_aggregates(
     attribute = rng.choice(attributes)
     groups = fold_rows(rows, grouped((attribute,), {"n": "count"}), attributes)
     groups = {key: values["n"] for key, values in groups.items()}
+    position = attributes.index(attribute)
+    names = ("min", "max", "count_distinct")
+    if not any(isinstance(row[position], str) for row in rows):
+        names += ("sum", "avg")  # strings have neither
     for shards in (None, 3):
         target = builder.using(shards=shards, mode="serial", scheduler=None)
         context = f"on {attribute!r} with shards={shards} under {options}"
-        for name in ("sum", "min", "max", "avg", "count_distinct"):
+        for name in names:
             got = getattr(target, name)(attribute)
             want = fold_rows(rows, as_spec((name, attribute)), attributes)
             assert got == want, f"{name}() {got!r} != oracle {want!r} {context}"
@@ -467,9 +533,9 @@ def check_observed(builder, expected_rows: int, options: dict) -> None:
     )
 
 
-def run_one(iter_seed: int) -> list:
-    """One fuzz instance, fully determined by its own seed; returns the
-    value-count tables checked.
+def run_one(iter_seed: int) -> tuple:
+    """One fuzz instance, fully determined by its own seed; returns what
+    :func:`check_instance` does.
 
     Instance generation and the check's random choices both come from a
     fresh RNG seeded with ``iter_seed``, so a failure replays alone —
@@ -538,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     master = random.Random(args.seed)
     started = time.monotonic()
     iteration = 0
-    tables = wide = 0
+    tables = wide = wires = 0
     while True:
         if args.iterations is not None:
             if iteration >= args.iterations:
@@ -547,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
             break
         iter_seed = master.randrange(1 << 32)
         try:
-            checked = run_one(iter_seed)
+            checked, wire = run_one(iter_seed)
         except Exception:
             print(
                 f"  found at iteration {iteration} of master seed "
@@ -557,12 +623,14 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         tables += len(checked)
         wide += sum(len(attributes) > 1 for attributes in checked)
+        wires += wire
         iteration += 1
     elapsed = time.monotonic() - started
     print(
         f"fuzz_join: {iteration} instances checked in {elapsed:.1f}s "
         f"(seed {args.seed}), {tables} value-count tables ({wide} over "
-        "two or more attributes), no disagreements"
+        f"two or more attributes), {wires} as server row texts, "
+        "no disagreements"
     )
     return 0
 

@@ -4,7 +4,7 @@ The enumeration executors (:class:`~repro.core.generic_join.GenericJoin`,
 :class:`~repro.core.leapfrog.LeapfrogTriejoin`) descend one attribute
 per level, intersecting candidate values across the participating
 relations.  To *count* instead of enumerate, the same descent compiles
-to another loop nest — :func:`repro.core.descent.fold` — whose three
+to another loop nest — :func:`repro.core.descent.fold` — whose four
 savings are lines of its text:
 
 1. **No rows.**  Below the *cutoff* — the depth under the deepest value
@@ -26,6 +26,16 @@ savings are lines of its text:
    deepest value, that level is not looped over: ``if vals2: acc +=
    len(vals2)`` — what makes ``count()`` on a dense triangle cheaper
    than enumeration though the intersections are identical.
+4. **Memoised subtrees.**  At or below the cutoff, a level's subtree
+   counts the same for every prefix that agrees on the values its
+   remaining relations read — the level's *key*.  Where the key is
+   shorter than the prefix (an acyclic query: on a path, the previous
+   attribute's value alone) the nest looks the key up before the level,
+   ``acc = memo3.get(v2)``, and on a miss counts the subtree once and
+   stores it — so each subtree is searched once per key, not once per
+   prefix (Capelli–Irwin–Salvati's caching), and a ``count()`` on a path
+   visits at most one search node per input tuple.  A cyclic query's
+   keys are its prefixes: no memo.
 
 The fold reads the executor's :class:`~repro.core.descent.Binding` over
 hash-probe levels and needs only ``count`` of the frontier's index

@@ -36,6 +36,12 @@ nodes opened in place are read back after the call.  With a probe,
 before a level's values are taken and ``matches[d] += 1`` opens its
 loop body; without one the lines are not there.  A fold, never probed,
 sums ``acc += len(n3_4)`` below its cutoff and ``add``s it once there.
+Where the values a level's subtree still reads (:func:`_memo_keys`) are
+fewer than its prefix, the fold memoises the subtree's count on them:
+``outer3 = acc`` / ``acc = memo3.get(v2)`` / ``if acc is None:`` counts
+it from ``acc = 0`` and stores ``memo3[v2] = acc``, then ``acc +=
+outer3``; ``fold`` hands the nest a fresh dict per memo, so none
+outlives a run.
 A text nest joins ``pre = head[v0] + mid[v1]`` under ``if vals2:`` and
 yields ``pre + tail[v2]``: its memos hold each value's text with its
 brackets and commas (the server's are JSON), so it holds no string.
@@ -225,15 +231,24 @@ def fold(binding: Binding, stop: int, needed: Sequence[int], add, state):
     # to read — but a join with an empty relation is empty anyway.
     if not all([len(indexes[i]) for i in remaining]):
         return state
-    tail = [(i, r, isinstance(indexes[i].root, Mapping)) for i, r in remaining.items()]
-    return _nest(Fold(tuple(needed), tuple(tail)), hash_levels(binding),
-                 binding.roots(), stop, None, indexes, add, state)
+    tail = tuple([(i, r, isinstance(indexes[i].root, Mapping))
+                  for i, r in remaining.items()])
+    levels = hash_levels(binding)
+    kinds = _kinds(levels, stop)
+    nest = _compile(Fold(tuple(needed), tail), len(indexes), False, kinds)
+    memos = _memo_keys(kinds, tail, 1 + max(needed, default=-1), stop)
+    return nest(levels, None, *binding.roots(), indexes, add, state,
+                *[{} for _memo in memos])
+
+
+def _kinds(levels: Sequence, stop: int) -> tuple:
+    """A ``(participants, how)`` per level the nest searches."""
+    return tuple([(level.participants, level.how) for level in levels[:stop]])
 
 
 def _nest(sink, levels: Sequence, root: Sequence, stop: int, probe, *extra):
     """Look the descent's shape up and call its nest."""
-    kinds = tuple([(level.participants, level.how) for level in levels[:stop]])
-    nest = _compile(sink, len(root), probe is not None, kinds)
+    nest = _compile(sink, len(root), probe is not None, _kinds(levels, stop))
     return nest(levels, probe, *root, *extra)
 
 
@@ -245,20 +260,42 @@ _SERIAL = itertools.count()
 
 
 @lru_cache(maxsize=_NESTS_MAX)
+def _memo_keys(kinds: tuple, tail: tuple, cutoff: int, stop: int) -> tuple:
+    """A fold's memos, as ``(depth, key)`` pairs.  At a depth ``d`` it
+    loops, at or below ``cutoff``, the key is the depths ``k < d`` whose
+    value a relation still read at ``d`` or deeper holds — a level's
+    participant there, or one of ``tail``'s, counted at the frontier.
+    The subtree below a prefix counts the same for every prefix with
+    its key, so a depth whose key is shorter than its prefix gets a
+    memo."""
+    live = {i for i, _levels, _mapping in tail}
+    memos = []
+    for d in range(stop - 1, max(cutoff, 1) - 1, -1):
+        live.update(kinds[d][0])
+        key = tuple([k for k in range(d) if live.intersection(kinds[k][0])])
+        # Without a tail the last level is counted, not looped.
+        if len(key) < d and (tail or d < stop - 1):
+            memos.append((d, key))
+    return tuple(reversed(memos))
+
+
+@lru_cache(maxsize=_NESTS_MAX)
 def _compile(sink, width: int, probed: bool, kinds: tuple):
     """The nest of a shape: ``sink`` is the rows' perm, a :class:`Text`
     or a :class:`Fold`, ``kinds`` a ``(participants, how)`` per level it
     searches.  A fold's ``def`` returns ``state``, or the ``acc`` it
-    summed if it starts below the cutoff (its deepest read, plus one)."""
+    summed if it starts below the cutoff (its deepest read, plus one),
+    and takes a memo per :func:`_memo_keys` depth after ``state``."""
     stop = len(kinds)
     folding = isinstance(sink, Fold)
     texting = isinstance(sink, Text)
     extra = "head, mid, tail, " if texting else ""
-    below, counted = set(), False
+    below, counted, memos = set(), False, {}
     if folding:
         cutoff = 1 + max(sink.needed, default=-1)
         adds = f"state = add(state, ({''.join(f'v{p}, ' for p in sink.needed)}), "
-        extra = "indexes, add, state, "
+        memos = dict(_memo_keys(kinds, sink.tail, cutoff, stop))
+        extra = "indexes, add, state, " + "".join(f"memo{d}, " for d in memos)
         below = {i for i, _levels, _mapping in sink.tail}  # read at stop
         counted = not sink.tail and cutoff < stop  # the last level unlooped
     cur = [f"n{i}_0" for i in range(width)]  # each relation's node local
@@ -291,6 +328,13 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
         if folding and d == cutoff < stop:
             out.append(f"{pad}acc = 0")
             closers.append(f"{pad}if acc:\n{pad} {adds}acc)")
+        if d in memos:  # the subtree's count is its key's: look it up
+            key = "".join(f"v{k}, " for k in memos[d])
+            key = key[:-2] if len(memos[d]) == 1 else f"({key})"  # v1, (v1, v3, )
+            out += [f"{pad}outer{d} = acc", f"{pad}acc = memo{d}.get({key})",
+                    f"{pad}if acc is None:", f"{pad} acc = 0"]
+            closers.append(f"{pad} memo{d}[{key}] = acc\n{pad}acc += outer{d}")
+            pad += " "
         if d == stop and not folding:  # the nullary row
             out.append(f"{pad}yield ()")
             break

@@ -61,6 +61,7 @@ from repro.core.query import JoinQuery
 from repro.feedback.telemetry import TelemetryProbe
 from repro.hypergraph import agm
 from repro.hypergraph.agm import best_agm_bound
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.query.prepared import _json_memos
 from repro.server import service
 from repro.server.protocol import encode
@@ -912,6 +913,164 @@ def test_a_fold_adds_once_per_cutoff_prefix_and_counts_in_line():
             lambda: executor.fold(folder), type(spec).add, TrieIndex.count
         ) == [adds, 0]
         assert folder.result() == fold_rows(rows, spec, order)
+    # A regular chain memoises below a mid-chain cutoff, at the cutoff
+    # depth itself for the third attribute's groups: still one ``add``
+    # per cutoff prefix that completes.
+    query = _regular(queries.path_query(5), nodes=30, degree=2)
+    rows = oracle_join(query)
+    order = query.attributes
+    executor = GenericJoin(query, attribute_order=order)
+    for spec in (
+        grouped((order[0],), {"n": "count"}),
+        grouped((order[2],), {"n": "count"}),
+        Sum(order[2]),
+    ):
+        cutoff = 1 + max(order.index(a) for a in spec.needs)
+        assert memo_depths(query, order, cutoff)
+        folder = Folder(spec, order)
+        assert calls_to(
+            lambda: executor.fold(folder), type(spec).add, TrieIndex.count
+        ) == [len({row[:cutoff] for row in rows}), 0]
+        assert folder.result() == fold_rows(rows, spec, order)
+
+
+def _regular(hypergraph, nodes, degree, seed=1):
+    """``hypergraph`` over binary relations, each the union of
+    ``degree`` seeded random perfect matchings on ``[0, nodes)``: every
+    fan-out is ``degree``.  On a path it is ``benchmarks/e2e``'s
+    ``regular_chain``."""
+    rng = random.Random(seed)
+    relations = {}
+    for eid, members in hypergraph.edges.items():
+        rows = set()
+        for _ in range(degree):
+            targets = list(range(nodes))
+            rng.shuffle(targets)
+            rows.update(enumerate(targets))
+        attributes = tuple(a for a in hypergraph.vertices if a in members)
+        relations[eid] = Relation(eid, attributes, rows)
+    return JoinQuery.from_hypergraph(hypergraph, relations)
+
+
+def memo_depths(query, order, cutoff=0):
+    """``{depth: key}`` of the memos a fold with ``cutoff`` over
+    ``order`` compiles, by the rule itself on the shape ``fold`` hands
+    it: the levels above the prune frontier, the relations below it."""
+    participants = bind(query, order, "trie", None, None).participants
+    stop = _prune_depth(participants, [None] * len(order), cutoff, len(order))
+    kinds = tuple((ids, "meet") for ids in participants[:stop])
+    tail = tuple((i, 1, True) for i in {i for (i,) in participants[stop:]})
+    return dict(descent._memo_keys(kinds, tail, cutoff, stop))
+
+
+#: A tree of binary relations branching at ``B`` into the paths
+#: ``B-C-D`` and ``B-E-F-G``; ``A`` … ``G`` is a join-tree order.
+BRANCHING = Hypergraph(
+    "ABCDEFG",
+    {"R": "AB", "S": "BC", "T": "CD", "U": "BE", "W": "EF", "X": "FG"},
+)
+
+
+def _walks(path):
+    """The rows of a path of binary relations ``R1(A1,A2) ⋈ R2(A2,A3)
+    ⋈ …``: its walks, counted edge by edge."""
+    first, *rest = path.edge_ids
+    ends = Counter(b for _a, b in path.relation(first).tuples)
+    for eid in rest:
+        before, ends = ends, Counter()
+        for a, b in path.relation(eid).tuples:
+            ends[b] += before[a]
+    return sum(ends.values())
+
+
+def _enumerated(query):
+    return sum(1 for _row in GenericJoin(query).iter_join())
+
+
+@pytest.mark.parametrize(
+    "shape, rows",
+    [
+        (lambda: _regular(queries.path_query(6), nodes=200, degree=3), _walks),
+        (lambda: _regular(queries.path_query(8), nodes=200, degree=3), _walks),
+        (lambda: _regular(BRANCHING, nodes=200, degree=3), _enumerated),
+        (lambda: _deep_path(23), _walks),
+        (lambda: _regular(queries.path_query(23), nodes=30, degree=6), _walks),
+    ],
+    ids=["chain-6", "chain-8", "branching", "deep-path-23", "deep-chain-23"],
+)
+def test_a_count_searches_each_memo_key_once(shape, rows):
+    """On an acyclic query under a join-tree order a ``count()`` makes
+    at most one search-node call per input tuple plus one per level:
+    each subtree is searched once per value its remaining relations
+    read, however many prefixes reach it.  Unmemoised, a regular chain
+    of six edges makes 6.6 calls per tuple, of eight 44.  Past the
+    block cut a chained ``def`` shares its caller's memos: on the dense
+    23-edge chain, memos remade per call take 5,035 calls."""
+    query = shape()
+    order = query.attributes
+    executor = GenericJoin(query, attribute_order=order)
+    folder = Folder(Count(), order)
+    calls = sum(
+        calls_to(lambda: executor.fold(folder), descent._pair, descent._only)
+    )
+    tuples = sum(len(relation) for relation in query.relations.values())
+    assert calls <= tuples + len(order)
+    assert folder.result() == rows(query)
+
+
+def test_the_memo_rule_keys_a_subtree_by_what_it_still_reads():
+    # ``graph_chain``'s shape: the frontier reads A5 below A4; the level
+    # of A3 reads A2's value and that of A4 A3's.
+    path = _deep_path(4)
+    assert memo_depths(path, path.attributes) == {2: (1,), 3: (2,)}
+    # The frontier's relations read on: ``T(A,D)``, counted at the
+    # frontier, keys the level of F by A as well as by C.
+    fork = Hypergraph(
+        "ABCFGD", {"R": "AB", "S": "BC", "W": "CF", "X": "FG", "T": "AD"}
+    )
+    fork = generators.random_instance(fork, size=12, domain=3, seed=4)
+    order = tuple("ABCFGD")
+    assert memo_depths(fork, order) == {3: (0, 2)}
+    for backend in ("trie", "compact"):
+        executor = GenericJoin(fork, attribute_order=order, backend=backend)
+        counted = executor.fold(Folder(Count(), order)).result()
+        assert counted == len(oracle_join(fork)) > 0
+    # Reading every value, or reading the one the frontier does, leaves
+    # nothing to memoise below the cutoff.
+    assert memo_depths(path, path.attributes, cutoff=5) == {}
+    assert memo_depths(path, path.attributes, cutoff=4) == {}
+    # Every relation of a cyclic shape reads on to its last level, under
+    # any order: no key is shorter than its prefix.
+    for query in (
+        generators.random_instance(queries.triangle(), 20, 5),
+        _lifted_triangle(20, seed=1),
+        instances.triangle_hard_instance(8),
+        generators.random_instance(queries.lw_query(4), 20, 4),
+    ):
+        for order in itertools.permutations(query.attributes):
+            for cutoff in range(len(order) + 1):
+                assert memo_depths(query, order, cutoff) == {}, order
+
+
+def test_an_empty_memo_key_counts_a_disconnected_component_once():
+    """``R2(D)`` shares nothing with the rest: below its value the count
+    is the same for every ``D``, keyed by the empty tuple."""
+    query = JoinQuery(
+        [
+            Relation("R0", ("A",), [(0,), (1,), (2,)]),
+            Relation(
+                "R1", ("A", "B", "C"), [(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)]
+            ),
+            Relation("R2", ("D",), [(5,), (6,), (7,)]),
+        ]
+    )
+    order = ("D", "B", "C", "A")
+    assert memo_depths(query, order) == {1: (), 2: (1,)}
+    executor = GenericJoin(query, attribute_order=order)
+    assert executor.fold(Folder(Count(), order)).result() == len(
+        oracle_join(query)
+    ) == 9
+    assert any("acc = memo1.get(())" in source for source in nest_sources())
 
 
 class RecordingSpec:
@@ -1241,7 +1400,7 @@ def test_three_kinds_meet_at_a_three_participant_level(kinds):
 INVENTED = re.compile(
     r"nest\d+|op\d+|keep\d+|vals\d+|v\d+|[no]\d+_\d+|st|levels|probe"
     r"|partials|candidates|matches|meet|keep|survivors|leaf"
-    r"|acc|tally\d+|indexes|add|state|counts|count"
+    r"|acc|tally\d+|indexes|add|state|counts|count|memo\d+|outer\d+|get"
     r"|head|mid|tail|pre|post"
     r"|len|min|filter|list|close|None"
 )

@@ -5,7 +5,8 @@ Generates random small schemas and relations (seeded, so every failure
 is replayable; one instance in ten a path or star query of 18-26
 attributes — past the 20 nested blocks one compiled loop nest may hold —
 one in ten with quotes, newlines, backslashes, braces and an
-expression for attribute names, and one in ten an LW(4), LW(5) or
+expression for attribute names, one in ten a path or tree of binary
+relations with dangling tuples, and one in ten an LW(4), LW(5) or
 lifted triangle, where every pair of relations shares two or more
 attributes), then checks for each instance that
 
@@ -31,6 +32,11 @@ attributes), then checks for each instance that
   ``max`` / ``avg`` / ``count_distinct`` / ``group_by(a).count()`` on a
   random attribute ``a`` — every cutoff a fold can have — serial and over
   three serial shards, equal ``fold_rows`` over the oracle's rows,
+* on an acyclic instance — where a fold memoises subtree counts —
+  ``count`` / ``sum`` / ``group_by(a).count()`` under ``generic``, plain,
+  under a ``where`` or ``where_in`` filter and over three serial shards
+  (narrowed keys), equal ``fold_rows`` over the oracle's rows (the
+  summary counts the instances whose folds compiled a memo),
 * ``sample(k, seed=...)`` returns ``min(k, |J|)`` distinct oracle rows
   and is deterministic for the seed, and a sample one past the result
   size — serially, and through a ``where`` section on a random attribute
@@ -64,6 +70,7 @@ command ``python tools/fuzz_join.py --replay SEED``, then exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -77,7 +84,9 @@ sys.path.insert(
 )
 
 from repro.aggregate.fold import fold_rows  # noqa: E402
-from repro.aggregate.specs import as_spec, grouped  # noqa: E402
+from repro.aggregate.specs import Count, Sum, as_spec, grouped  # noqa: E402
+from repro.baselines.yannakakis import is_acyclic  # noqa: E402
+from repro.core import descent  # noqa: E402
 from repro.core.query import JoinQuery  # noqa: E402
 from repro.distributed import (  # noqa: E402
     DispatchScheduler,
@@ -163,17 +172,46 @@ def overlap_instance(rng: random.Random) -> list[Relation]:
     return list(query.relations.values())
 
 
+def acyclic_instance(rng: random.Random) -> list[Relation]:
+    """A path or a tree of 3-7 binary relations over a domain of 3-5
+    values, 0-12 draws each — where a count's fold memoises — and, in
+    most relations, a dangling tuple or two: one value past the domain,
+    which rarely joins."""
+    edges = rng.randint(3, 7)
+    path = rng.random() < 0.5
+    domain = rng.randint(3, 5)
+    relations = []
+    for index in range(1, edges + 1):
+        parent = index - 1 if path else rng.randrange(index)
+        rows = {
+            (rng.randrange(domain), rng.randrange(domain))
+            for _ in range(rng.randint(0, 12))
+        }
+        for _ in range(rng.randint(0, 2)):
+            dangling = domain + rng.randrange(3)
+            rows.add(
+                (dangling, rng.randrange(domain)) if rng.random() < 0.5
+                else (rng.randrange(domain), dangling)
+            )
+        relations.append(
+            Relation(f"R{index}", (f"A{parent}", f"A{index}"), sorted(rows))
+        )
+    return relations
+
+
 def random_instance(rng: random.Random) -> list[Relation]:
     """A random connected join query: 2-4 relations, arity 1-3, tiny
     domains (so results stay small and duplicates/empty joins happen);
     one in ten is a :func:`deep_instance`, one in ten names its
     attributes from :data:`HOSTILE_POOL`, one in ten is an
-    :func:`overlap_instance`."""
+    :func:`acyclic_instance`, one in ten an :func:`overlap_instance`."""
     shape = rng.random()
     if shape < 0.1:
         return deep_instance(rng)
     if shape >= 0.9:
         return overlap_instance(rng)
+    if shape >= 0.8:
+        return acyclic_instance(rng)
     pool = HOSTILE_POOL if shape < 0.2 else ATTRIBUTE_POOL
     count = rng.randint(2, 4)
     domain = rng.randint(2, 5)
@@ -262,8 +300,9 @@ def check_value_counts(relations: list[Relation]) -> list[tuple]:
 
 def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     """One fuzz iteration; raises AssertionError on any disagreement.
-    Returns the value-count tables checked (their attribute sets) and
-    whether the server's row texts were checked."""
+    Returns the value-count tables checked (their attribute sets),
+    whether the server's row texts were checked, and whether an acyclic
+    instance's folds compiled a memo."""
     tables = check_value_counts(relations)
     full = expected = oracle_join(relations)
     attributes = JoinQuery(relations).attributes
@@ -393,7 +432,30 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
 
     if rng.random() < 0.25:
         check_observed(builder, len(expected), config)
-    return tables, wire
+    memoised = []
+    if is_acyclic(JoinQuery(relations).hypergraph):
+        with recording_memos() as memoised:
+            check_acyclic_folds(rng, relations, full, attributes)
+    return tables, wire, bool(memoised)
+
+
+@contextlib.contextmanager
+def recording_memos():
+    """While open, the list of fold shapes the memo rule gave a memo:
+    every fold consults :func:`repro.core.descent._memo_keys`."""
+    rule, memoised = descent._memo_keys, []
+
+    def recording(*shape):
+        memos = rule(*shape)
+        if memos:
+            memoised.append(shape)
+        return memos
+
+    descent._memo_keys = recording
+    try:
+        yield memoised
+    finally:
+        descent._memo_keys = rule
 
 
 def check_wire(prepared: PreparedQuery, relations, config: dict) -> bool:
@@ -506,6 +568,55 @@ def check_aggregates(
         )
 
 
+def check_acyclic_folds(
+    rng: random.Random, relations, rows: set, attributes
+) -> None:
+    """``count`` / ``sum`` / ``group_by(a).count()`` under ``generic``
+    over a random backend — where a fold memoises — plain, under a
+    ``where`` or ``where_in`` filter, and over three serial shards
+    (each a narrowed key), against ``fold_rows`` over the oracle's
+    rows."""
+    backend = rng.choice(("trie", "sorted", "compact"))
+    summed, grouping, filtered = (rng.choice(attributes) for _ in range(3))
+    position = attributes.index(filtered)
+    values = sorted({row[position] for row in rows}) or [0]
+    if rng.random() < 0.5:
+        value = rng.choice(values)
+        where = lambda builder: builder.where(**{filtered: value})
+        kept = lambda v: v == value
+    else:
+        members = tuple(values[::2])
+        where = lambda builder: builder.where_in(filtered, members)
+        kept = members.__contains__
+    by_group = grouped((grouping,), {"n": "count"})
+    checks = [
+        (Count(), lambda target: target.count()),
+        (by_group, lambda target: target.group_by(grouping).count()),
+    ]
+    column = attributes.index(summed)
+    if not any(isinstance(row[column], str) for row in rows):
+        checks.append((Sum(summed), lambda target: target.sum(summed)))
+    for section in (None, where):
+        builder = Q(*relations) if section is None else section(Q(*relations))
+        kept_rows = rows if section is None else {
+            row for row in rows if kept(row[position])
+        }
+        for shards in (None, 3):
+            target = builder.using(
+                algorithm="generic", backend=backend, shards=shards,
+                mode="serial",
+            )
+            for spec, run in checks:
+                got, want = run(target), fold_rows(kept_rows, spec, attributes)
+                if spec is by_group:
+                    want = {key: inner["n"] for key, inner in want.items()}
+                assert got == want, (
+                    f"{spec!r} {got!r} != oracle {want!r} on an acyclic "
+                    f"instance over {backend} with shards={shards}, "
+                    f"{'no filter' if section is None else filtered}"
+                )
+
+
 def check_observed(builder, expected_rows: int, options: dict) -> None:
     """The observed sink: ``explain(analyze=True)`` under the drawn
     configuration; counters are checked wherever the run reports them
@@ -604,7 +715,7 @@ def main(argv: list[str] | None = None) -> int:
     master = random.Random(args.seed)
     started = time.monotonic()
     iteration = 0
-    tables = wide = wires = 0
+    tables = wide = wires = memos = 0
     while True:
         if args.iterations is not None:
             if iteration >= args.iterations:
@@ -613,7 +724,7 @@ def main(argv: list[str] | None = None) -> int:
             break
         iter_seed = master.randrange(1 << 32)
         try:
-            checked, wire = run_one(iter_seed)
+            checked, wire, memoised = run_one(iter_seed)
         except Exception:
             print(
                 f"  found at iteration {iteration} of master seed "
@@ -624,13 +735,14 @@ def main(argv: list[str] | None = None) -> int:
         tables += len(checked)
         wide += sum(len(attributes) > 1 for attributes in checked)
         wires += wire
+        memos += memoised
         iteration += 1
     elapsed = time.monotonic() - started
     print(
         f"fuzz_join: {iteration} instances checked in {elapsed:.1f}s "
         f"(seed {args.seed}), {tables} value-count tables ({wide} over "
         f"two or more attributes), {wires} as server row texts, "
-        "no disagreements"
+        f"{memos} compiling a memo, no disagreements"
     )
     return 0
 

@@ -103,12 +103,6 @@ from repro.errors import (
     ReproError,
     SchemaError,
 )
-from repro.feedback import (
-    ExecutionTelemetry,
-    FeedbackConfig,
-    ObservedLevel,
-    ShardObservation,
-)
 from repro.observe import (
     MetricsRegistry,
     Span,
@@ -188,9 +182,7 @@ __all__ = [
     "DispatchScheduler",
     "DistributedError",
     "ExecutionContext",
-    "ExecutionTelemetry",
     "ExplainAnalysis",
-    "FeedbackConfig",
     "FractionalCover",
     "FunctionalDependency",
     "FunctionalDependencyError",
@@ -211,7 +203,6 @@ __all__ = [
     "MetricsRegistry",
     "Min",
     "NPRRJoin",
-    "ObservedLevel",
     "ParseError",
     "PlanError",
     "PlanStatistics",
@@ -230,7 +221,6 @@ __all__ = [
     "SchemaError",
     "ServerClient",
     "ServerError",
-    "ShardObservation",
     "ShardSpec",
     "ShardWorker",
     "SocketTransport",

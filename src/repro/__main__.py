@@ -9,7 +9,6 @@ Usage::
         --steal --predictive
     python -m repro join R.csv S.csv T.csv --where A=1 --where-in B=2,3 \\
         --select A,C
-    python -m repro join R.csv S.csv T.csv --feedback
     python -m repro join R.csv S.csv T.csv --count
     python -m repro join R.csv S.csv T.csv --sample 5 --seed 7
     python -m repro join R.csv S.csv T.csv --trace trace.json \\
@@ -54,12 +53,9 @@ Usage::
                 total order Algorithm 2 would use; with ``--stats``, also
                 the statistics that justified each decision (distinct
                 counts, exact selectivities, heavy hitters); with
-                ``--feedback``, plan from recorded execution telemetry
-                when observations exist (``--stats`` then renders the
-                observed-vs-estimated comparison); with ``--analyze``,
-                *execute* the query and print per-level estimated vs
-                observed cardinalities beside the phase span timings
-                (``EXPLAIN ANALYZE``)
+                ``--analyze``, *execute* the query and print per-level
+                estimated vs observed cardinalities beside the phase
+                span timings (``EXPLAIN ANALYZE``)
 * ``repl``    — interactive query shell over the loaded relations: the
                 SQL-flavored language of :mod:`repro.lang` (joins,
                 where/in, aggregates, group by, sample, explain), with
@@ -84,15 +80,6 @@ stats-profile, index-build, execute / per-shard) and writes it as JSON;
 text format.  Both headers carry the package version, as does
 ``--version`` itself.
 
-``join --feedback`` records per-level execution telemetry as the join
-runs and re-plans repeated executions of the same query from the
-*observed* statistics (cardinality feedback); with ``--shards`` it also
-records per-shard wall times and splits shards that ran hot on the next
-attribute the next time around (online re-sharding).  Observations live
-in the in-process statistics provider, so the flag pays off within one
-process (servers, notebooks, the test harness) — a fresh process starts
-unobserved.
-
 Each CSV needs a header row of attribute names; the file stem is the
 relation name.  ``--where`` / ``--where-in`` values are typed the way
 the loader typed the attribute's columns: integers when every loaded
@@ -112,7 +99,6 @@ from repro.core.query import JoinQuery
 from repro.engine.backends import backend_kinds
 from repro.hypergraph.agm import agm_bound, optimal_fractional_cover
 from repro.hypergraph.duality import optimal_vertex_packing, packing_lower_bound
-from repro.feedback.config import FeedbackConfig
 from repro.io import load_database_csv, save_relation_csv
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracing import Tracer
@@ -187,15 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     join_cmd.add_argument(
         "--predictive",
         action="store_true",
-        help="pre-split shards holding heavy-hitter values at plan time "
-        "(closes the one-slow-run gap of --feedback re-sharding)",
-    )
-    join_cmd.add_argument(
-        "--feedback",
-        action="store_true",
-        help="record execution telemetry and re-plan repeated queries "
-        "from observed statistics (cardinality feedback + online "
-        "re-sharding)",
+        help="pre-split shards holding heavy-hitter values at plan time",
     )
     join_cmd.add_argument(
         "--count",
@@ -278,12 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the statistics that justified each decision "
         "(distinct counts, exact selectivities, heavy hitters)",
-    )
-    explain_cmd.add_argument(
-        "--feedback",
-        action="store_true",
-        help="plan from recorded execution telemetry when observations "
-        "exist (combine with --stats for the observed-vs-estimated table)",
     )
     explain_cmd.add_argument(
         "--analyze",
@@ -462,8 +434,6 @@ def _build_query(args: argparse.Namespace) -> QueryBuilder:
     """Assemble the fluent builder every query command drives."""
     query = _load_query(args.files)
     builder = Q(query).using(algorithm=args.algorithm, backend=args.backend)
-    if getattr(args, "feedback", False):
-        builder = builder.using(feedback=FeedbackConfig())
     for attribute, value in args.where:
         builder = builder.where(
             **{attribute: _coerce(query, attribute, value)}

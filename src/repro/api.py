@@ -48,7 +48,6 @@ from repro.core.query import JoinQuery
 from repro.engine.executors import algorithm_names
 from repro.engine.planner import JoinPlan
 from repro.errors import QueryError
-from repro.feedback.config import FeedbackConfig
 from repro.hypergraph.agm import best_agm_bound
 from repro.hypergraph.covers import FractionalCover
 from repro.query.builder import Q, QueryBuilder
@@ -89,7 +88,7 @@ def execute(
         An :class:`~repro.query.context.ExecutionContext` carrying
         every execution option: algorithm, cover, attribute order,
         backend, database, sharding (:class:`~repro.query.shards.
-        ShardSpec`), scheduler, feedback, tracer, metrics.
+        ShardSpec`), scheduler, tracer, metrics.
     **options:
         Alternatively, keyword updates applied to the query's current
         context (``execute(q, shards=ShardSpec(4), mode="thread")``).
@@ -133,7 +132,6 @@ def iter_join(
     attribute_order: Sequence[str] | None = None,
     backend: str | None = None,
     database: Database | None = None,
-    feedback: FeedbackConfig | None = None,
 ) -> Iterator[Row]:
     """Stream the natural join of ``relations`` row by row.
 
@@ -143,9 +141,7 @@ def iter_join(
     ``leapfrog``) never materialize the output, so the first rows
     arrive while the search is still running and consumers may stop
     early; the blocking specialists (``lw``, ``arity2``) compute
-    internally and then stream.  With ``feedback`` set, a fully
-    consumed stream records its telemetry and later runs re-plan from
-    it (abandoning the stream early records nothing).
+    internally and then stream.
     """
     return iter(
         execute(
@@ -155,7 +151,6 @@ def iter_join(
             attribute_order=attribute_order,
             backend=backend,
             database=database,
-            feedback=feedback,
         )
     )
 
@@ -170,7 +165,6 @@ def count_join(
     mode: str = "auto",
     workers: int | None = None,
     database: Database | None = None,
-    feedback: FeedbackConfig | None = None,
 ) -> int:
     """Count the join's rows *without enumerating them* when possible.
 
@@ -180,9 +174,7 @@ def count_join(
     per-relation completions, the whole subtree contributes the product
     of its completion counts in O(1) instead of being walked (see
     :mod:`repro.aggregate.fold`).  With ``shards`` set, shard workers
-    compute partial counts and only the integers travel back.  With
-    ``feedback`` set, counting runs over the recorded row stream so the
-    feedback store keeps learning from aggregate-only workloads.
+    compute partial counts and only the integers travel back.
 
     >>> from repro import Relation
     >>> r = Relation("R", ("A", "B"), [(i, j) for i in range(4) for j in range(4)])
@@ -200,7 +192,6 @@ def count_join(
         mode=mode,
         workers=workers,
         database=database,
-        feedback=feedback,
     ).count()
 
 
@@ -249,7 +240,6 @@ def explain(
     backend: str | None = None,
     database: Database | None = None,
     stats=None,
-    feedback: FeedbackConfig | None = None,
 ) -> JoinPlan:
     """Plan the join without running it.
 
@@ -260,7 +250,7 @@ def explain(
     each decision) or later execution (``plan.execute()`` /
     ``plan.iter_rows()``).  ``database`` supplies the statistics cache;
     ``stats`` pins a :class:`~repro.stats.provider.StatsProvider` (e.g.
-    sampling disabled, or a fixed seed).
+    selectivities disabled).
     """
     return execute(
         relations,

@@ -64,7 +64,7 @@ class GenericJoin:
         filter prunes the whole subtree, so the search never pays for
         completions the selection would discard.
     telemetry:
-        Optional :class:`~repro.feedback.telemetry.TelemetryProbe` whose
+        Optional :class:`~repro.observe.telemetry.TelemetryProbe` whose
         ``order`` matches this executor's.  When attached, the loop
         nest is compiled with the lines that count partials, candidates
         and matches per level into it; with ``None`` (the default) they

@@ -74,13 +74,14 @@ class LeapfrogTriejoin:
         leapfrog intersection is tested against its level's filter
         before recursing, pruning the subtree without seeking into it.
     telemetry:
-        Optional :class:`~repro.feedback.telemetry.TelemetryProbe`
+        Optional :class:`~repro.observe.telemetry.TelemetryProbe`
         matching this executor's order.  Instrumented runs count
         partials, candidates, and matches per level; a candidate here is
         a key the leapfrog intersection *emitted* (values the seeks
         skipped were never enumerated), so unfiltered levels observe
-        ``candidates == matches`` and fan-out is the informative
-        number.  ``None`` (default) skips the counting branches.
+        ``candidates == matches`` and ``matches / partials`` is the
+        informative number.  ``None`` (default) skips the counting
+        branches.
     """
 
     def __init__(

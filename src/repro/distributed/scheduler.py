@@ -34,8 +34,8 @@ retries and a fully dead fleet abort likewise, with
 
 Stealing happens at *claim* time, under the board lock, while the
 parent shard is still pending — it never ran, so splitting it cannot
-double rows: the claimer replaces it with sub-shards (split exactly
-like the feedback loop's across-run expansion, one attribute deeper),
+double rows: the claimer replaces it with sub-shards (split by
+:func:`~repro.engine.parallel.split_entry`, one attribute deeper),
 takes the first, and leaves the rest for idle workers.  See
 :mod:`repro.distributed.stealing` for when a shard counts as hot.
 """
@@ -52,9 +52,8 @@ from typing import Protocol, runtime_checkable
 
 from repro.distributed.stealing import RateModel
 from repro.distributed.wire import ConnectionClosed
-from repro.engine.parallel import ShardJob
+from repro.engine.parallel import ShardJob, ShardPlanEntry, split_entry
 from repro.errors import DistributedError
-from repro.feedback.resharding import ShardPlanEntry, split_entry
 
 __all__ = ["DispatchScheduler", "Scheduler"]
 
@@ -259,7 +258,7 @@ class _Run:
 
     def _complete(self) -> None:  # caller holds the lock
         # Write what actually ran back into the job, in completion
-        # order, so the engine's feedback/metrics wrappers observe the
+        # order, so the engine's metrics wrapper observes the
         # post-steal reality: entry[i] and times[i] describe the same
         # shard, and len(times) == len(entries) marks the run complete.
         self.job.entries[:] = [entry for entry, _s, _r in self.finished]

@@ -1,15 +1,13 @@
 """Work stealing: split hot shards before and during a run.
 
-Two layers, both splitting with the feedback loop's own
-:func:`~repro.feedback.resharding.split_entry`: a shard's key grows one
-``(attribute, value group)`` link per split, sub-shards partition the
-parent's output slice exactly, and observations recorded for sub-keys
-feed the same store the across-run expansion reads.
+Two layers, both splitting with
+:func:`~repro.engine.parallel.split_entry`: a shard's key grows one
+``(attribute, value group)`` link per split, and sub-shards partition
+the parent's output slice exactly.
 
 **Predictive pre-splitting** (:func:`predictive_presplit`) runs at
-first-plan time.  The across-run loop needs one slow run before it
-carves up a hub shard; prediction closes that gap using statistics that
-exist *before* any run: a top-level shard whose value group contains a
+first-plan time, from statistics that exist *before* any run: a
+top-level shard whose value group contains a
 heavy-hitter value (frequency at or above the profile's
 ``heavy_threshold`` — the "Skew Strikes Back" sqrt(N) cut) in any
 participant relation is split on the next attribute of the plan's
@@ -32,12 +30,12 @@ from __future__ import annotations
 
 from statistics import median
 
-from repro.feedback.resharding import ShardPlanEntry, split_entry
+from repro.engine.parallel import ShardPlanEntry, split_entry
 
 __all__ = ["RateModel", "predictive_presplit"]
 
-#: Sub-shards per predictive split (matches the feedback loop's
-#: default ``split_factor``).
+#: Sub-shards per predictive split (matches ``StealPolicy``'s default
+#: ``split_factor``).
 PRESPLIT_FACTOR = 4
 
 #: A shard is a planned-weight outlier when its LPT weight exceeds
@@ -82,8 +80,7 @@ class RateModel:
         ``policy`` is a :class:`~repro.query.shards.StealPolicy`
         (duck-typed).  Requires ``min_completed`` observations — with
         fewer, the rate is one shard's noise — and compares the
-        prediction against the median completed time, mirroring the
-        across-run hot test in :mod:`repro.feedback.resharding`.
+        prediction against the median completed time.
         """
         if self.count < policy.min_completed:
             return False
@@ -97,8 +94,8 @@ def predictive_presplit(
 ) -> tuple[list[ShardPlanEntry], int]:
     """Pre-split hub-heavy shards at first-plan time.
 
-    ``entries`` are the planned shards of ``query`` (after any feedback
-    expansion), ``order`` the plan's attribute order, ``provider`` the
+    ``entries`` are the planned shards of ``query``, ``order`` the
+    plan's attribute order, ``provider`` the
     run's :class:`~repro.stats.provider.StatsProvider`, whose cached
     profiles of the query's relations supply the heavy values.  Returns
     ``(new entries, number of parents split)``; with no heavy values and
@@ -106,7 +103,7 @@ def predictive_presplit(
     ``predictive=True`` on is free for balanced data.
 
     Only top-level (depth-1) entries are candidates: deeper keys came
-    from feedback or an earlier split and already isolate a hot region.
+    from an earlier split and already isolate a hot region.
     """
     weights = [entry.weight for entry in entries]
     weight_cut = WEIGHT_OUTLIER * median(weights) if weights else 0.0

@@ -9,7 +9,7 @@ builds the indexes, once — and then which slices of it: every ``task``
 / ``fold`` frame carries a pickled shard *key* and nothing else.  A
 ``task`` streams the key's rows back in chunks followed by a ``done``
 frame carrying the worker's own wall-clock measurement — the number the
-dispatcher's steal-rate model and the feedback store both consume.  All
+dispatcher's steal-rate model and the metrics registry consume.  All
 smarts (retry, exactly-once accounting, stealing) live in the
 dispatcher, which is what makes worker death survivable: the bound job
 dies with its connection and the dispatcher re-sends it on the next.

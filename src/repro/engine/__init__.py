@@ -42,7 +42,6 @@ from repro.engine.planner import (
     JoinPlan,
     attribute_statistics,
     plan_attribute_order,
-    plan_attribute_order_feedback,
     plan_attribute_order_selectivity,
     plan_join,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "build_executor",
     "build_index",
     "plan_attribute_order",
-    "plan_attribute_order_feedback",
     "plan_attribute_order_selectivity",
     "plan_join",
     "plan_shards",

@@ -199,9 +199,9 @@ EXECUTORS = {
 #: One fact, three consequences: their executors evaluate residual
 #: filters *at the level binding the attribute* (pruning subtrees;
 #: everything else is wrapped in :class:`RowFilterExecutor`), accept a
-#: per-level :class:`~repro.feedback.telemetry.TelemetryProbe` (the
-#: blocking specialists have no global per-attribute levels to count, so
-#: the feedback loop records nothing for them), and expose
+#: per-level :class:`~repro.observe.telemetry.TelemetryProbe` (the
+#: blocking specialists have no global per-attribute levels to count),
+#: and expose
 #: ``fold(folder)`` — aggregation pushed into the level loops with
 #: factorized subtree pruning (see :mod:`repro.aggregate.fold`;
 #: aggregates over the rest fold the executor's row stream instead).

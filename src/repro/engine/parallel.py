@@ -16,8 +16,8 @@ this module scales that interface out without touching any executor:
   is exactly the serial result, order aside.
 
 **A shard is a key, not a second engine run.**  A key is a chain of
-``(attribute, value group)`` links (:data:`~repro.feedback.telemetry.
-ShardKey`; one link for a planned shard, one more per split).  The
+``(attribute, value group)`` links (:data:`ShardKey`; one link for a
+planned shard, one more per split, :func:`split_entry`).  The
 drivers plan nothing, profile nothing and copy no relation: a
 :class:`ShardRunner` holds the parent's plan and its already-built
 executor, and runs a key
@@ -30,8 +30,8 @@ executor, and runs a key
 * for the three blocking specialists (``lw``, ``nprr``, ``arity2``),
   which have no level to hook, over :func:`restrict`'s copy of the
   relations — the only place restricted relations are still built,
-  shared with :func:`~repro.feedback.resharding.split_entry`, which
-  weighs the next attribute's values under a hot key.
+  shared with :func:`split_entry`, which weighs the next attribute's
+  values under a hot key.
 
 Shard execution modes (``ExecutionContext.mode``):
 
@@ -67,7 +67,7 @@ import pickle
 import queue as queue_module
 import threading
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -77,12 +77,6 @@ from repro.core.query import JoinQuery
 from repro.engine.executors import DESCENT_ALGORITHMS
 from repro.engine.planner import JoinPlan
 from repro.errors import PlanError, require_positive_int
-from repro.feedback.resharding import ShardPlanEntry, expand_shards
-from repro.feedback.telemetry import (
-    ShardKey,
-    ShardObservation,
-    feedback_scope,
-)
 from repro.observe.tracing import Span, Tracer
 from repro.relations.relation import Relation, Row, Value
 from repro.stats.profiles import ValueCounts, count_values
@@ -92,6 +86,7 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "SHARD_MODES",
     "ShardJob",
+    "ShardPlanEntry",
     "ShardRunner",
     "ShardSlice",
     "batches",
@@ -99,6 +94,7 @@ __all__ = [
     "restrict",
     "shard_fold",
     "shard_join",
+    "split_entry",
 ]
 
 #: Rows per batch when no explicit batch size is requested.
@@ -239,6 +235,52 @@ def plan_shards(
     )
 
 
+#: A shard's identity: the chain of ``(attribute, values)`` restrictions
+#: that produced it.  Planned shards have one link; every split appends
+#: one.
+ShardKey = tuple[tuple[str, frozenset], ...]
+
+
+@dataclass(frozen=True)
+class ShardPlanEntry:
+    """One dispatchable shard: its key and nothing else to run it by.
+
+    ``key`` chains the ``(attribute, value group)`` restrictions that
+    define the shard (length 1 for an unsplit planned shard) — every
+    mode runs it as a walk of the one plan under those value groups —
+    and ``weight`` is the LPT work estimate of the final restriction.
+    """
+
+    key: ShardKey
+    weight: int
+
+
+def split_entry(
+    query: JoinQuery, entry: ShardPlanEntry, order: Sequence[str], factor: int
+) -> list[ShardPlanEntry]:
+    """Split one entry on the next attribute of the plan's order — the
+    one function that turns a key into sub-keys (predictive pre-split
+    and claim-time stealing both call it).
+
+    The next attribute's values are weighed over ``query`` restricted to
+    the entry's key, so the sub-keys (the key extended by one link)
+    partition the entry's output slice exactly.  Returns ``[entry]``
+    unchanged when the entry is at maximum depth for the order or the
+    next attribute has too few candidate values under it to partition.
+    """
+    depth = len(entry.key)
+    if depth >= len(order):
+        return [entry]
+    attribute = order[depth]
+    slices = plan_shards(restrict(query, entry.key), factor, attribute)
+    if len(slices) < 2:
+        return [entry]
+    return [
+        ShardPlanEntry(entry.key + ((attribute, piece.values),), piece.weight)
+        for piece in slices
+    ]
+
+
 def restrict(query: JoinQuery, key: ShardKey) -> JoinQuery:
     """Restrict ``query`` to the slice of the data under a shard key.
 
@@ -249,7 +291,7 @@ def restrict(query: JoinQuery, key: ShardKey) -> JoinQuery:
     hypergraph, restricted instance.  The descent algorithms never need
     it (a key is a filter on their walk); it exists for the blocking
     specialists and for weighing the next attribute's values under a
-    hot key (:func:`~repro.feedback.resharding.split_entry`).
+    hot key (:func:`split_entry`).
     """
     relations = []
     for rel in query.relations.values():
@@ -357,8 +399,8 @@ def _pool_run(
 def _iter_serial(job: ShardJob, spec) -> Iterator:
     # The clock spans start-to-exhaustion (like the thread workers,
     # whose emits block on a slow consumer), so downstream cost shows up
-    # uniformly per row across shards and relative hot-shard comparisons
-    # stay meaningful.  A traced run opens one ``shard`` span per key —
+    # uniformly per row across shards and the imbalance ratio stays
+    # meaningful.  A traced run opens one ``shard`` span per key —
     # activated while the stream is made, so what a blocking specialist
     # builds over its restriction nests inside it.
     runner, times, tracer = job.runner, job.times, job.tracer
@@ -511,7 +553,7 @@ class ShardJob:
     Mutable by design: a scheduler that re-splits shards mid-run
     (work stealing) writes the *final* entry list back into
     ``entries[:]`` and their timings into ``times`` on completion, so
-    the feedback/metrics wrappers downstream observe exactly what ran.
+    the metrics wrapper downstream observes exactly what ran.
     """
 
     #: The one plan, bound in this process; pickled (once per run) it is
@@ -575,19 +617,10 @@ def _plan_job(plan: JoinPlan, executor, context, filters) -> ShardJob | None:
     Nothing is planned here: the caller's plan fixed the algorithm,
     order, backends and shard count, and ``executor`` is the one it
     built from that plan.  The first attribute's candidate values are
-    partitioned into work-balanced groups (:func:`plan_shards`), then two
-    refinements follow, both on the next attribute of the plan's order
-    and both through :func:`~repro.feedback.resharding.split_entry`:
-
-    * the feedback re-split: shards this query's earlier runs measured
-      as hot (wall time above the configured multiple of their sibling
-      median) are re-partitioned and their sub-shards dispatched in
-      their place — the online "Skew Strikes Back" split.  Without
-      recorded observations the expansion is exactly the static plan;
-    * the predictive pre-split (``ShardSpec.predictive``): shards whose
-      value group holds a heavy-hitter value are split at first-plan
-      time, so run one of a hub-heavy query behaves the way run two
-      used to after feedback.
+    partitioned into work-balanced groups (:func:`plan_shards`).  With
+    ``ShardSpec.predictive``, shards whose value group holds a
+    heavy-hitter value are then split on the next attribute of the
+    plan's order (:func:`split_entry`) before anything runs.
     """
     query, order = plan.query, plan.attribute_order
     # The provider the plan was made under: its cached value-count
@@ -602,15 +635,8 @@ def _plan_job(plan: JoinPlan, executor, context, filters) -> ShardJob | None:
     if not entries:
         return None
     spec = context.shards
-    predictive = spec is not None and spec.predictive
-    if context.feedback is not None:
-        observed = provider.observed_shards(query, feedback_scope(filters))
-        if observed:
-            entries = expand_shards(
-                query, entries, order, observed, context.feedback
-            )
     presplits = 0
-    if predictive:
+    if spec is not None and spec.predictive:
         # Lazy import: the distributed package imports this module.
         from repro.distributed.stealing import predictive_presplit
 
@@ -650,12 +676,12 @@ def shard_join(
         The :class:`~repro.query.context.ExecutionContext` the plan was
         made under; this driver reads ``mode`` / ``workers`` (see the
         module docstring), the ``ShardSpec`` policies, ``scheduler``,
-        ``feedback``, ``tracer`` and ``metrics``.
+        ``tracer`` and ``metrics``.
     filters:
         The residual per-attribute predicates ``executor`` was built
-        with (the query layer's pushdown); they scope the feedback
-        store, ride to pool processes and fleet workers with the plan,
-        and are re-applied over a specialist's restriction.
+        with (the query layer's pushdown); they ride to pool processes
+        and fleet workers with the plan, and are re-applied over a
+        specialist's restriction.
 
     Mode validation (an unpicklable runner under ``mode="process"``)
     happens *before* this returns an iterator.
@@ -663,24 +689,15 @@ def shard_join(
     job = _plan_job(plan, executor, context, filters)
     if job is None:
         return iter(())
-    feedback, metrics = context.feedback, context.metrics
-    tracer, scheduler = context.tracer, context.scheduler
-    if feedback is not None or metrics is not None or scheduler is not None:
+    metrics, tracer = context.metrics, context.tracer
+    scheduler = context.scheduler
+    if metrics is not None or scheduler is not None:
         job.times = {}
     job.tracer = tracer
     if scheduler is not None:
         stream = scheduler.run_join(job)
     else:
         stream = _dispatch_local(job)
-    if feedback is not None:
-        # The job's entries and times, not copies: a stealing scheduler
-        # rewrites both to what actually ran before they are recorded.
-        stream = _recorded_shard_stream(
-            stream,
-            job,
-            resolve_provider(context.database, context.stats),
-            feedback_scope(filters),
-        )
     if metrics is not None:
         stream = _metered_shard_stream(
             stream, job.times, metrics, context.database
@@ -714,7 +731,8 @@ def _metered_shard_stream(
 
     Recorded only on natural exhaustion (an early-terminated consumer
     must not inflate the run counters); the shard-seconds histogram and
-    imbalance gauge come from the same ``times`` the feedback loop uses.
+    imbalance gauge come from the job's ``times``, which a stealing
+    scheduler rewrites to what actually ran.
     """
     count = 0
     for row in stream:
@@ -727,33 +745,6 @@ def _metered_shard_stream(
         )
     if database is not None:
         metrics.record_cache(database.cache_info())
-
-
-def _recorded_shard_stream(
-    stream: Iterator[Row], job: ShardJob, provider, scope: tuple
-) -> Iterator[Row]:
-    """Drain a sharded run, then record its per-shard observations.
-
-    Recording happens only when every shard reported a time — an
-    early-terminated consumer leaves ``times`` incomplete, and partial
-    timings must not drive next-run split decisions.
-    """
-    yield from stream
-    entries, times = job.entries, job.times
-    if len(times) == len(entries):
-        provider.record_shards(
-            job.query,
-            [
-                ShardObservation(
-                    key=entries[index].key,
-                    seconds=seconds,
-                    rows=count,
-                    weight=entries[index].weight,
-                )
-                for index, (seconds, count) in sorted(times.items())
-            ],
-            scope,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -779,10 +770,6 @@ def shard_fold(plan: JoinPlan, executor, spec, context, filters=None):
     completion order.  The metrics registry gets the per-shard seconds
     (the same ``times`` :func:`shard_join` feeds it from); the caller
     records the run itself.
-
-    Feedback telemetry is *not* recorded here — per-shard row counts
-    are exactly what the fold avoids computing; the query layer routes
-    feedback-enabled aggregates through the recorded row stream instead.
     """
     state = spec.start()
     job = _plan_job(plan, executor, context, filters)

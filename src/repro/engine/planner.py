@@ -85,7 +85,6 @@ __all__ = [
     "JoinPlan",
     "attribute_statistics",
     "plan_attribute_order",
-    "plan_attribute_order_feedback",
     "plan_attribute_order_selectivity",
     "plan_join",
 ]
@@ -213,7 +212,7 @@ class JoinPlan:
         callables matching :attr:`filtered`); they hook the level that
         binds each attribute for the attribute-at-a-time executors and
         filter emitted rows for the blocking specialists.  ``telemetry``
-        attaches a :class:`~repro.feedback.telemetry.TelemetryProbe` to
+        attaches a :class:`~repro.observe.telemetry.TelemetryProbe` to
         executors that support per-level counting (see
         :data:`~repro.engine.executors.DESCENT_ALGORITHMS`).
         """
@@ -448,8 +447,7 @@ def _prefix_clamp(
     whenever the relations fully covered by ``prefix + attribute`` span
     exactly its attributes: the covered relations' sizes and the AGM
     sub-bound of the covered sub-query — solved here, on its first read
-    (:meth:`~repro.stats.provider.StatsProvider.subquery_bounds`).
-    Shared by the selectivity and the feedback order descents."""
+    (:meth:`~repro.stats.provider.StatsProvider.subquery_bounds`)."""
     prefix_attrs = bound_attrs | {attribute}
     covered = frozenset(
         eid
@@ -473,81 +471,11 @@ def _prefix_clamp(
 def _subquery_bounds(
     query: JoinQuery, stats: StatsProvider
 ) -> Mapping[frozenset, float]:
-    """AGM sub-bounds for the order descents (none for very wide
+    """AGM sub-bounds for the order descent (none for very wide
     queries: see :data:`MAX_SUBQUERY_RELATIONS`)."""
     if len(query.edge_ids) > MAX_SUBQUERY_RELATIONS:
         return {}
     return stats.subquery_bounds(query)
-
-
-class _DescentState:
-    """The evolving state of one greedy order descent, exposed to the
-    per-variant estimate callbacks (shared by the selectivity and feedback
-    descents so their loop mechanics cannot drift apart)."""
-
-    __slots__ = ("order", "bound_attrs", "touched", "partial", "rels_with")
-
-    def __init__(self, rels_with: dict[str, list[str]]) -> None:
-        self.order: list[str] = []
-        self.bound_attrs: set[str] = set()
-        self.touched: set[str] = set()  # edge ids with a bound attribute
-        self.partial = 1.0
-        self.rels_with = rels_with
-
-
-def _greedy_descent(
-    query: JoinQuery,
-    scores: dict[str, int],
-    estimate_for,
-    on_chosen=None,
-) -> tuple[tuple[str, ...], tuple[tuple[str, float], ...]]:
-    """The shared greedy, connectivity-respecting order descent.
-
-    At each step the attribute minimizing ``estimate_for(attribute,
-    state)`` among the frontier candidates is appended (ties fall back
-    to the distinct-count score, then first appearance).  The estimate
-    semantics live entirely in the callback — exact selectivities for
-    the statistics planner, observed telemetry for the feedback planner
-    — so the loop mechanics (frontier bookkeeping, tie-breaking,
-    partial-size threading) exist exactly once.  ``on_chosen`` fires
-    after each selection, before the state advances (for per-step
-    evidence recording).
-    """
-    appearance = {a: i for i, a in enumerate(query.attributes)}
-    rels_with: dict[str, list[str]] = {a: [] for a in query.attributes}
-    neighbors: dict[str, set[str]] = {a: set() for a in query.attributes}
-    for eid, relation in query.relations.items():
-        for a in relation.attributes:
-            rels_with[a].append(eid)
-            neighbors[a].update(relation.attributes)
-
-    state = _DescentState(rels_with)
-    estimates: list[tuple[str, float]] = []
-    remaining = set(query.attributes)
-    frontier: set[str] = set()
-    while remaining:
-        candidates = frontier & remaining
-        if not candidates:
-            candidates = remaining  # new connected component (or start)
-        chosen = min(
-            candidates,
-            key=lambda a: (
-                estimate_for(a, state),
-                scores[a],
-                appearance[a],
-            ),
-        )
-        chosen_estimate = estimate_for(chosen, state)
-        if on_chosen is not None:
-            on_chosen(chosen, state)
-        state.order.append(chosen)
-        estimates.append((chosen, chosen_estimate))
-        state.partial = max(chosen_estimate, 1.0)
-        state.bound_attrs.add(chosen)
-        remaining.discard(chosen)
-        frontier |= neighbors[chosen]
-        state.touched.update(rels_with[chosen])
-    return tuple(state.order), tuple(estimates)
 
 
 def plan_attribute_order_selectivity(
@@ -604,13 +532,23 @@ def plan_attribute_order_selectivity(
     scores = stats.attribute_scores(query)
     sub_bounds = _subquery_bounds(query, stats)
     consulted: dict[tuple[str, str], float] = {}
+    appearance = {a: i for i, a in enumerate(query.attributes)}
+    rels_with: dict[str, list[str]] = {a: [] for a in query.attributes}
+    neighbors: dict[str, set[str]] = {a: set() for a in query.attributes}
+    for eid, relation in relations.items():
+        for a in relation.attributes:
+            rels_with[a].append(eid)
+            neighbors[a].update(relation.attributes)
+    bound_attrs: set[str] = set()
+    touched: set[str] = set()  # edge ids with a bound attribute
+    partial = 1.0
 
-    def selectivity_estimate(attribute: str, state: _DescentState) -> float:
+    def estimate_for(attribute: str) -> float:
         shrink = 1.0
-        containing = state.rels_with[attribute]
+        containing = rels_with[attribute]
         for eid in containing:
             source = relations[eid]
-            for fid in state.touched.union(containing):
+            for fid in touched.union(containing):
                 if fid == eid:
                     continue
                 target = relations[fid]
@@ -619,112 +557,31 @@ def plan_attribute_order_selectivity(
                 selectivity = stats.selectivity(source, target)
                 consulted[(eid, fid)] = selectivity
                 shrink = min(shrink, selectivity)
-        estimate = state.partial * scores[attribute] * shrink
+        estimate = partial * scores[attribute] * shrink
         return _prefix_clamp(
-            relations, sub_bounds, state.bound_attrs, attribute, estimate
+            relations, sub_bounds, bound_attrs, attribute, estimate
         )
 
-    order, estimates = _greedy_descent(query, scores, selectivity_estimate)
-    return order, scores, estimates, consulted
-
-
-def plan_attribute_order_feedback(
-    query: JoinQuery,
-    stats: StatsProvider,
-    observed: Mapping[str, object],
-) -> tuple[
-    tuple[str, ...],
-    dict[str, int],
-    tuple[tuple[str, float], ...],
-    tuple[tuple[str, float], ...],
-    dict[tuple[str, str], float],
-]:
-    """Greedy order descent on *observed* execution statistics.
-
-    The same stepwise objective as
-    :func:`plan_attribute_order_selectivity` — minimize the estimated
-    partial-result size after binding each candidate — but where a
-    recorded observation exists for an attribute it takes precedence
-    over the selectivity machinery (the classical optimizer feedback
-    loop):
-
-    * when the descent's current prefix equals the prefix the attribute
-      was observed under, the estimate is ``partial * observed fan-out``
-      — the measured per-prefix expansion, applied verbatim (this is
-      what keeps a *confirmed-good* order stable across runs);
-    * otherwise ``partial * min_distinct * observed selectivity`` — the
-      level's measured pruning power, portable across positions.  A
-      level observed with selectivity ~1 pruned nothing, however small
-      its distinct count: exactly the decoy the min-distinct heuristic
-      falls for and pairwise selectivities can misjudge.
-
-    Attributes without observations fall back to the selectivity
-    estimate (or the min-distinct score when selectivities are
-    disabled), and every estimate is clamped by the same
-    covered-relation and AGM sub-bound caps as the selectivity descent.
-
-    Returns ``(order, distinct_scores, per-step estimates, per-step
-    baseline estimates, selectivities consulted)`` — the baseline is
-    what the non-feedback formula would have estimated for each chosen
-    attribute, so ``explain --feedback`` can show observed vs
-    estimated side by side.
-    """
-    scores = stats.attribute_scores(query)
-    relations = query.relations
-    selectivities = stats.config.selectivities
-    sub_bounds = _subquery_bounds(query, stats)
-    baselines: list[tuple[str, float]] = []
-    consulted: dict[tuple[str, str], float] = {}
-
-    def shrink_for(attribute: str, state: _DescentState) -> float:
-        if not selectivities:
-            return 1.0
-        shrink = 1.0
-        containing = state.rels_with[attribute]
-        for eid in containing:
-            source = relations[eid]
-            for fid in state.touched.union(containing):
-                if fid == eid:
-                    continue
-                target = relations[fid]
-                if not (source.attribute_set & target.attribute_set):
-                    continue
-                selectivity = stats.selectivity(source, target)
-                consulted[(eid, fid)] = selectivity
-                shrink = min(shrink, selectivity)
-        return shrink
-
-    def baseline_for(attribute: str, state: _DescentState) -> float:
-        estimate = (
-            state.partial
-            * scores[attribute]
-            * shrink_for(attribute, state)
+    order: list[str] = []
+    estimates: list[tuple[str, float]] = []
+    remaining = set(query.attributes)
+    frontier: set[str] = set()
+    while remaining:
+        # A new connected component (or the start) opens the frontier.
+        candidates = frontier & remaining or remaining
+        chosen = min(
+            candidates,
+            key=lambda a: (estimate_for(a), scores[a], appearance[a]),
         )
-        return _prefix_clamp(
-            relations, sub_bounds, state.bound_attrs, attribute, estimate
-        )
-
-    def estimate_for(attribute: str, state: _DescentState) -> float:
-        level = observed.get(attribute)
-        if level is None:
-            return baseline_for(attribute, state)
-        if tuple(state.order) == level.prefix:
-            # The descent has reproduced the recorded prefix: the
-            # measured per-prefix fan-out applies verbatim.
-            estimate = state.partial * level.fanout
-        else:
-            estimate = state.partial * scores[attribute] * level.selectivity
-        return _prefix_clamp(
-            relations, sub_bounds, state.bound_attrs, attribute, estimate
-        )
-
-    def record_baseline(attribute: str, state: _DescentState) -> None:
-        baselines.append((attribute, baseline_for(attribute, state)))
-
-    order, estimates = _greedy_descent(
-        query, scores, estimate_for, on_chosen=record_baseline
-    )
-    return order, scores, estimates, tuple(baselines), consulted
+        chosen_estimate = estimate_for(chosen)
+        order.append(chosen)
+        estimates.append((chosen, chosen_estimate))
+        partial = max(chosen_estimate, 1.0)
+        bound_attrs.add(chosen)
+        remaining.discard(chosen)
+        frontier |= neighbors[chosen]
+        touched.update(rels_with[chosen])
+    return tuple(order), scores, tuple(estimates), consulted
 
 
 def _choose_algorithm(
@@ -1002,8 +859,6 @@ def _plan_join(
     batch_size: int | str | None = None,
     database: Database | None = None,
     stats: StatsProvider | None = None,
-    feedback=None,
-    feedback_scope: tuple = (),
     context=None,
 ) -> JoinPlan:
     """Produce a :class:`JoinPlan` for ``query``.
@@ -1028,22 +883,11 @@ def _plan_join(
     back to the min-distinct heuristic, or a bare
     :class:`~repro.stats.provider.StatsConfig` (wrapped here).
 
-    ``feedback`` — a :class:`~repro.feedback.config.FeedbackConfig` —
-    switches on observed-statistics precedence: when the provider holds
-    recorded execution telemetry for this query (a previous run under
-    feedback), the attribute order comes from
-    :func:`plan_attribute_order_feedback` and the plan's statistics
-    ``source`` reads ``"feedback"``.  Without recorded observations the
-    flag only leaves a note in ``reasons``.  ``feedback_scope`` keys the
-    observation lookup — the query layer passes its residual-filter
-    signature so filtered and unfiltered executions of the same
-    relations never share telemetry (their cardinalities differ).
-
     ``context`` — an :class:`~repro.query.context.ExecutionContext` —
     replaces the individual option keywords wholesale: when given, the
     planner reads ``algorithm``, ``cover``, ``attribute_order``,
-    ``backend``, ``shards``, ``batch_size``, ``database``, ``stats``,
-    and ``feedback`` from it and ignores the corresponding parameters.
+    ``backend``, ``shards``, ``batch_size``, ``database`` and ``stats``
+    from it and ignores the corresponding parameters.
     This is how the query layer (and anything else carrying a context)
     calls the planner without re-spelling the option list.
     """
@@ -1056,7 +900,6 @@ def _plan_join(
         batch_size = context.batch_size
         database = context.database
         stats = context.stats
-        feedback = context.feedback
     # ``shards`` may arrive as a ShardSpec (the context normalizes every
     # spelling to one); the planner consumes only its count — and its
     # batch_size, when the caller left the plain one unset.  Duck-typed
@@ -1074,7 +917,7 @@ def _plan_join(
         )
     if backend is not None:
         validate_backend(backend)
-    # One shared resolution rule (with the feedback recorders): StatsConfig
+    # One shared resolution rule (with the sharded driver): StatsConfig
     # wrapped, explicit provider as-is, else the database's, else the
     # bounded process-wide default so repeated ad-hoc plans never rescan.
     provider = resolve_provider(database, stats)
@@ -1113,103 +956,12 @@ def _plan_join(
     record: dict = {}
     used_stats = False
 
-    source_override: str | None = None
     if attribute_order is not None:
         order = tuple(attribute_order)
         reasons.append(f"attribute order fixed by caller: {', '.join(order)}")
     elif order_sensitive:
         used_stats = True
-        observed = {}
-        best_telemetry = None
-        if feedback is not None:
-            best_telemetry = provider.observed_telemetry(
-                query, feedback_scope
-            )
-            if best_telemetry is not None:
-                observed = {
-                    level.attribute: level
-                    for level in best_telemetry.levels
-                }
-        if observed:
-            # Observed statistics take precedence over estimated ones:
-            # the classical optimizer feedback loop.
-            source_override = "feedback"
-            with maybe_span("stats-profile", source="feedback"):
-                order, scores, estimates, baselines, consulted = (
-                    plan_attribute_order_feedback(query, provider, observed)
-                )
-            # Explore-or-pin: a proposed order we have already measured
-            # as no better — or whose estimated work does not promise a
-            # real improvement over the best *measured* order — is not
-            # worth running.  Greedy re-estimation from a good run's
-            # telemetry can produce plausible-but-worse proposals; the
-            # measured history is the ground truth that stops the loop
-            # from oscillating on them.
-            best_order = best_telemetry.attribute_order
-            best_work = best_telemetry.total_candidates
-            if order != best_order:
-                history = provider.observed_history(query, feedback_scope)
-                tried = history.get(order)
-                proposed_work = sum(estimate for _a, estimate in estimates)
-                if tried is not None:
-                    keep = tried.total_candidates >= best_work
-                    why = (
-                        f"already measured at {tried.total_candidates} "
-                        f"candidate(s) vs {best_work}"
-                    )
-                else:
-                    margin = feedback.explore_margin
-                    keep = proposed_work >= margin * best_work
-                    why = (
-                        f"estimated work ~{proposed_work:.3g} does not "
-                        f"promise improvement over measured {best_work} "
-                        f"(explore margin {margin})"
-                    )
-                if keep:
-                    reasons.append(
-                        "feedback: keeping best measured order "
-                        f"{', '.join(best_order)}; proposed "
-                        f"{', '.join(order)} {why}"
-                    )
-                    order = best_order
-                    # The pinned order's estimates are its measured
-                    # per-level match counts — exact, so repeated runs
-                    # observe no divergence and the loop stays quiet.
-                    estimates = tuple(
-                        (level.attribute, float(level.matches))
-                        for level in best_telemetry.levels
-                    )
-                    baselines = ()
-                else:
-                    reasons.append(
-                        "attribute order by observed-feedback descent: "
-                        + ", ".join(
-                            f"{a}(~{est:.3g})" for a, est in estimates
-                        )
-                    )
-            else:
-                reasons.append(
-                    "attribute order by observed-feedback descent: "
-                    + ", ".join(f"{a}(~{est:.3g})" for a, est in estimates)
-                )
-            record["order_estimates"] = estimates
-            record["baseline_estimates"] = baselines
-            record["observed_levels"] = tuple(
-                (
-                    level.attribute,
-                    level.position,
-                    level.partials,
-                    level.candidates,
-                    level.matches,
-                )
-                for level in best_telemetry.levels
-            )
-            if consulted:
-                record["selectivities"] = tuple(
-                    (src, dst, sel)
-                    for (src, dst), sel in sorted(consulted.items())
-                )
-        elif provider.config.selectivities:
+        if provider.config.selectivities:
             with maybe_span("stats-profile", source="exact"):
                 order, scores, estimates, consulted = (
                     plan_attribute_order_selectivity(query, provider)
@@ -1229,11 +981,6 @@ def _plan_join(
             reasons.append(
                 "attribute order by ascending distinct-count: "
                 + ", ".join(f"{a}({scores[a]})" for a in order)
-            )
-        if feedback is not None and not observed:
-            reasons.append(
-                "feedback requested but no observations recorded for this "
-                "query yet; planning from estimates"
             )
         record["distinct_counts"] = tuple(
             (a, scores[a]) for a in order
@@ -1281,11 +1028,7 @@ def _plan_join(
     if used_stats:
         statistics = PlanStatistics(
             source=(
-                source_override
-                if source_override is not None
-                else "exact"
-                if provider.config.selectivities
-                else "heuristic"
+                "exact" if provider.config.selectivities else "heuristic"
             ),
             heavy_hitters=provider.heavy_hitters(query),
             **record,
@@ -1328,8 +1071,6 @@ def plan_join(
     batch_size: int | str | None = None,
     database: Database | None = None,
     stats: StatsProvider | None = None,
-    feedback=None,
-    feedback_scope: tuple = (),
     context=None,
 ) -> JoinPlan:
     # The planning phase of any traced execution: one ambient span (one
@@ -1346,8 +1087,6 @@ def plan_join(
             batch_size=batch_size,
             database=database,
             stats=stats,
-            feedback=feedback,
-            feedback_scope=feedback_scope,
             context=context,
         )
         if span is not None:

@@ -1,21 +1,25 @@
 """Query observability: tracing spans, a metrics registry, EXPLAIN ANALYZE.
 
-The engine plans from statistics (:mod:`repro.stats`) and corrects
-itself from telemetry (:mod:`repro.feedback`) — this package makes what
-it *did* inspectable from the outside, with zero dependencies:
+The engine plans from statistics (:mod:`repro.stats`) — this package
+makes what it *did* inspectable from the outside, with zero
+dependencies:
 
 * :mod:`repro.observe.tracing` — :class:`Tracer` / :class:`Span`: nested
   wall+CPU timed records of every phase the engine runs (plan,
-  stats-profile, index-build, per-shard execute, fold, sample, replan).
+  stats-profile, index-build, per-shard execute, fold, sample).
   A tracer rides :class:`~repro.query.context.ExecutionContext`; spans
   from process-pool shard workers are shipped back as pickled records
   and re-stitched under the parent's execute span.
 * :mod:`repro.observe.metrics` — :class:`MetricsRegistry`: counters,
   gauges, and histograms (rows emitted, intersection probes, cache
-  hits/misses/evictions by backend, shard imbalance, replans) fed by
-  the *existing* :class:`~repro.feedback.telemetry.TelemetryProbe` and
+  hits/misses/evictions by backend, shard imbalance) fed by the
+  *existing* :class:`~repro.observe.telemetry.TelemetryProbe` and
   ``Database.cache_info()`` — no instrumentation twins — exportable as
   JSON and Prometheus text.
+* :mod:`repro.observe.telemetry` — :class:`~repro.observe.telemetry.
+  TelemetryProbe`: the per-level ``partials`` / ``candidates`` /
+  ``matches`` counters a descent bumps when one is attached, and the
+  frozen record a completed run snapshots them into.
 * :mod:`repro.observe.explain` — ``EXPLAIN ANALYZE``: execute the query
   and render estimated-vs-observed cardinalities per level beside the
   span timings (``q.explain(analyze=True)``, CLI ``explain --analyze``).

@@ -6,9 +6,8 @@ against what actually happened:
 
 * per level of the executed attribute order, the planner's estimated
   partial-result size next to the observed ``partials`` / ``candidates``
-  / ``matches`` counters (the same :class:`~repro.feedback.telemetry.
-  TelemetryProbe` counters the feedback loop records — ``EXPLAIN
-  ANALYZE`` works with or without a feedback context), and
+  / ``matches`` counters of a :class:`~repro.observe.telemetry.
+  TelemetryProbe` attached for the run, and
 * the span timings of every phase the run went through (plan,
   stats-profile, index-build, execute / per-shard, …) from a
   :class:`~repro.observe.tracing.Tracer` activated for the run.
@@ -32,7 +31,7 @@ import json
 from dataclasses import dataclass, replace as _dc_replace
 from time import perf_counter
 
-from repro.feedback.telemetry import level_estimates
+from repro.observe.telemetry import level_estimates
 from repro.observe.tracing import Tracer
 from repro.version import __version__
 
@@ -62,8 +61,7 @@ class LevelAnalysis:
     @property
     def miss_factor(self) -> float | None:
         """How far the estimate missed, as a ratio ``>= 1.0`` in either
-        direction — the per-level quantity the re-plan trigger thresholds
-        (``None`` when either side is unknown)."""
+        direction (``None`` when either side is unknown)."""
         if self.estimated is None or self.matches is None:
             return None
         actual = float(max(self.matches, 1))
@@ -103,7 +101,7 @@ class ExplainAnalysis:
 
         ``show_stats`` is forwarded to ``plan.describe`` — the executed
         plan carries the run's observed levels, so the statistics block
-        then includes the observed-vs-estimated comparison too.
+        then lists them too.
         """
         lines = [self.plan.describe(show_stats=show_stats)]
         lines.append("")
@@ -196,7 +194,7 @@ def _merge_levels(plan, telemetry) -> tuple[LevelAnalysis, ...]:
 
 def _observed_statistics(plan, telemetry):
     """The plan with the run's counters folded into its statistics
-    (``PlanStatistics.observed_levels``, the field feedback plans use)."""
+    (``PlanStatistics.observed_levels``)."""
     if telemetry is None or plan.statistics is None:
         return plan
     statistics = _dc_replace(
@@ -222,11 +220,9 @@ def analyze_query(builder) -> ExplainAnalysis:
     The run is a one-shot prepared run with the per-level probe forced
     on, drained completely (that is what ANALYZE means) with rows only
     counted, never materialized.  The probe exists whenever the plan
-    runs on the descent kernel serially — independent of whether a
-    feedback context is configured; with one, the observation is also
-    recorded into the statistics provider exactly as a normal measured
-    run would.  Sharded and non-native executions still report rows,
-    wall time, and spans, with per-level counters marked unknown.
+    runs on the descent kernel serially.  Sharded and non-native
+    executions still report rows, wall time, and spans, with per-level
+    counters marked unknown.
 
     The context's own tracer is reused when set (the analysis then
     appends to the caller's trace); otherwise a private one is created.
@@ -242,11 +238,7 @@ def analyze_query(builder) -> ExplainAnalysis:
     rows = sum(1 for _ in prepared.stream())
     wall = perf_counter() - started
     probe = prepared._probe
-    telemetry = (
-        probe.snapshot(rows, wall, complete=True)
-        if probe is not None
-        else None
-    )
+    telemetry = probe.snapshot(rows) if probe is not None else None
     plan = _observed_statistics(prepared.plan, telemetry)
     return ExplainAnalysis(
         plan=plan,

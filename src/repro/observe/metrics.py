@@ -2,17 +2,15 @@
 
 Every number here is *fed from instrumentation that already exists*:
 
-* rows emitted and intersection probes come from the
-  :class:`~repro.feedback.telemetry.TelemetryProbe` snapshots the
-  feedback loop already records (:meth:`MetricsRegistry.record_run`);
+* rows emitted and intersection probes come from
+  :class:`~repro.observe.telemetry.TelemetryProbe` snapshots
+  (:meth:`MetricsRegistry.record_run`);
 * index-cache hits / misses / evictions and resident bytes by backend
   mirror ``Database.cache_info()`` (:meth:`MetricsRegistry.record_cache`
   — cumulative totals are *set*, not re-counted, so refreshing is
   idempotent);
 * per-shard wall times and the imbalance ratio come from the parallel
-  driver's existing shard timing (:meth:`MetricsRegistry.record_shards`);
-* re-plan counts come from :class:`~repro.query.prepared.PreparedQuery`
-  (:meth:`MetricsRegistry.record_replan`).
+  driver's existing shard timing (:meth:`MetricsRegistry.record_shards`).
 
 Exports: :meth:`MetricsRegistry.to_dict` / ``to_json`` (a header with
 the package version and format tag, then every metric), and
@@ -225,7 +223,7 @@ class MetricsRegistry:
     # -- ingest: existing instrumentation only ------------------------------
 
     def record_run(self, telemetry) -> None:
-        """Fold one :class:`~repro.feedback.telemetry.ExecutionTelemetry`
+        """Fold one :class:`~repro.observe.telemetry.ExecutionTelemetry`
         snapshot in: rows emitted, intersection probes (the summed
         candidate enumerations), and completed-run count."""
         self.counter(
@@ -300,13 +298,6 @@ class MetricsRegistry:
         ).set(ratio)
         self.counter(
             "repro_sharded_runs_total", "Sharded executions folded in"
-        ).inc()
-
-    def record_replan(self) -> None:
-        """Count one feedback-driven re-plan of a prepared query."""
-        self.counter(
-            "repro_replans_total",
-            "Prepared-query re-plans triggered by observed divergence",
         ).inc()
 
     # -- export -------------------------------------------------------------

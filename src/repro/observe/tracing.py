@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records a tree of :class:`Span` records — one per
 engine phase (``plan``, ``stats-profile``, ``index-build``, per-shard
-``execute``, ``fold``, ``sample``, ``replan``) — each carrying wall and
+``execute``, ``fold``, ``sample``) — each carrying wall and
 CPU seconds plus small metadata.  Three ways spans get opened:
 
 * **Explicitly** — ``with tracer.span("execute"): ...`` at the sites

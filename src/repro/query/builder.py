@@ -67,7 +67,6 @@ from repro.aggregate.specs import (
 from repro.core.query import JoinQuery
 from repro.engine.planner import NO_BACKEND, JoinPlan, _span_meta, plan_join
 from repro.errors import QueryError
-from repro.feedback.telemetry import feedback_scope
 from repro.observe.tracing import maybe_span
 from repro.query.context import ExecutionContext
 from repro.query.predicates import (
@@ -431,8 +430,8 @@ class QueryBuilder:
         attributes, residual filters, and projection recorded on it.
 
         Memoized like :meth:`_compile`, until a write that could change
-        the plan: ``Database.add`` / ``remove``, an index-cache insert
-        or eviction, or a recorded feedback observation.  A reused plan
+        the plan: ``Database.add`` / ``remove``, or an index-cache insert
+        or eviction.  A reused plan
         still opens the ``plan`` span, marked ``memo="hit"``.
         """
         compiled = self._compile()
@@ -449,11 +448,7 @@ class QueryBuilder:
                     span.meta.update(_span_meta(memo[1]))
             return memo[1]
         plan = _dc_replace(
-            plan_join(
-                compiled.residual,
-                context=self._residual_context(),
-                feedback_scope=feedback_scope(compiled.filters),
-            ),
+            plan_join(compiled.residual, context=self._residual_context()),
             bound=compiled.bound,
             filtered=self._filter_descriptions(),
             selected=self.selected,

@@ -26,7 +26,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import PlanError, require_positive_int
-from repro.feedback.config import FeedbackConfig
 from repro.hypergraph.covers import FractionalCover
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracing import Tracer
@@ -79,22 +78,14 @@ class ExecutionContext:
     mode: str = "auto"
     #: Worker-pool width for sharded modes; ``None`` = one per shard.
     workers: int | None = None
-    #: A :class:`~repro.feedback.config.FeedbackConfig` switching on the
-    #: runtime feedback loop — executions record per-level and per-shard
-    #: telemetry into the statistics provider, the planner prefers
-    #: observed over estimated statistics, shards that ran hot are split
-    #: on the next run, and prepared queries re-plan on divergence.
-    #: ``None`` (the default) disables all of it: no probes are built
-    #: and the executors run their uninstrumented paths.
-    feedback: FeedbackConfig | None = None
     #: A :class:`~repro.observe.tracing.Tracer` collecting nested timed
     #: spans for every execution under this context (plan,
-    #: stats-profile, index-build, execute / per-shard, fold, sample,
-    #: replan).  ``None`` (the default): no spans, zero overhead.
+    #: stats-profile, index-build, execute / per-shard, fold, sample).
+    #: ``None`` (the default): no spans, zero overhead.
     tracer: Tracer | None = None
     #: A :class:`~repro.observe.metrics.MetricsRegistry` that measured
-    #: executions feed (rows, probes, cache counters, shard imbalance,
-    #: replans).  ``None`` (the default): nothing is recorded.
+    #: executions feed (rows, probes, cache counters, shard imbalance).
+    #: ``None`` (the default): nothing is recorded.
     metrics: MetricsRegistry | None = None
     #: The scheduler sharded execution dispatches through — anything
     #: implementing the :class:`~repro.distributed.Scheduler` protocol
@@ -125,19 +116,9 @@ class ExecutionContext:
             )
         if self.workers is not None:
             require_positive_int(self.workers, "workers")
-        if self.feedback is True:
-            # ``feedback=True`` is a natural spelling; normalize it to
-            # the default config instead of rejecting it.
-            object.__setattr__(self, "feedback", FeedbackConfig())
-        if self.feedback is not None and not isinstance(
-            self.feedback, FeedbackConfig
-        ):
-            raise PlanError(
-                f"feedback must be a FeedbackConfig (or True/None), "
-                f"got {self.feedback!r}"
-            )
         if self.tracer is True:
-            # ``tracer=True`` is a natural spelling, like feedback.
+            # ``tracer=True`` is a natural spelling; normalize it to a
+            # fresh tracer instead of rejecting it.
             object.__setattr__(self, "tracer", Tracer())
         if self.tracer is not None and not isinstance(self.tracer, Tracer):
             raise PlanError(
@@ -156,7 +137,15 @@ class ExecutionContext:
 
     def replace(self, **changes) -> "ExecutionContext":
         """A copy of this context with ``changes`` applied (the fluent
-        builder's ``using(...)`` delegates here)."""
+        builder's ``using(...)`` delegates here); an unknown option
+        raises :class:`~repro.errors.PlanError`."""
+        unknown = changes.keys() - self.__dataclass_fields__.keys()
+        if unknown:
+            names = (f.name for f in dataclasses.fields(self))
+            raise PlanError(
+                f"unknown execution option(s) {', '.join(sorted(unknown))}; "
+                f"choose from {', '.join(names)}"
+            )
         return dataclasses.replace(self, **changes)
 
     @property

@@ -42,7 +42,6 @@ from collections.abc import AsyncIterator, Generator, Iterator
 from contextlib import nullcontext as _nullcontext
 from contextlib import suppress as _suppress
 from dataclasses import replace as _dc_replace
-from time import perf_counter
 
 from repro.aggregate.fold import Folder, fold_rows
 from repro.aggregate.specs import Avg, Count, CountDistinct, Max, Min, Sum
@@ -51,15 +50,9 @@ from repro.engine import parallel as _parallel
 from repro.engine.executors import DESCENT_ALGORITHMS
 from repro.engine.planner import JoinPlan
 from repro.errors import QueryError
-from repro.feedback.telemetry import (
-    TelemetryProbe,
-    estimate_divergence,
-    feedback_scope,
-    level_estimates,
-)
+from repro.observe.telemetry import TelemetryProbe
 from repro.query.builder import GroupedQuery, QueryBuilder
 from repro.relations.relation import Relation, Row, Value
-from repro.stats.provider import resolve_provider
 
 __all__ = ["PreparedQuery"]
 
@@ -78,27 +71,22 @@ class PreparedQuery:
         "_plan",
         "_executor",
         "_probe",
-        "_replans",
-        "_observe",
-        "_held",
         "_memos",
     )
 
     def __init__(
         self, builder: QueryBuilder, _reuse_plan: JoinPlan | None = None
     ) -> None:
-        self._freeze(builder, _reuse_plan, analyze=False, held=True)
+        self._freeze(builder, _reuse_plan, analyze=False)
 
     @classmethod
     def _one_shot(
         cls, builder: QueryBuilder, analyze: bool = False
     ) -> "PreparedQuery":
         """The prepared query behind one builder view or one ``EXPLAIN
-        ANALYZE``: nobody holds it to run it again, so a completed run
-        checks no divergence and re-plans nothing.  ``analyze`` forces
-        the per-level probe on with or without a feedback context."""
+        ANALYZE`` (``analyze`` puts the per-level probe on)."""
         self = cls.__new__(cls)
-        self._freeze(builder, None, analyze=analyze, held=False)
+        self._freeze(builder, None, analyze=analyze)
         return self
 
     def _freeze(
@@ -106,21 +94,15 @@ class PreparedQuery:
         builder: QueryBuilder,
         reuse_plan: JoinPlan | None,
         analyze: bool,
-        held: bool,
     ) -> None:
         """Plan → probe → executor, under the context tracer (so the
-        ``plan`` / ``stats-profile`` / ``index-build`` spans exist)."""
+        ``plan`` / ``stats-profile`` / ``index-build`` spans exist).
+        A sharded run walks the one executor once per shard,
+        concurrently in some modes, so it gets no per-level probe: its
+        measurements are the per-shard ones."""
         compiled = builder._compile()
-        for name, value in (
-            ("_builder", builder),
-            ("_compiled", compiled),
-            ("_replans", 0),
-            ("_observe", analyze or builder.context.feedback is not None),
-            ("_held", held),
-            ("_memos", None),
-        ):
-            object.__setattr__(self, name, value)
-        tracer = builder.context.tracer
+        context = builder.context
+        tracer = context.tracer
         with tracer.activate() if tracer else _nullcontext():
             if reuse_plan is None:
                 plan = builder.plan()
@@ -142,31 +124,28 @@ class PreparedQuery:
                     bound=compiled.bound,
                     _bound=None,
                 )
-            self._install(plan)
-
-    def _install(self, plan: JoinPlan) -> None:
-        """Adopt ``plan``: build its probe and executor (none when no
-        residual query remains).  A sharded run walks the one executor
-        once per shard, concurrently in some modes, so it gets no
-        per-level probe: its measurements are the per-shard ones."""
-        compiled = self._compiled
-        context = self._builder.context
-        executor = probe = None
-        if compiled.satisfiable and compiled.residual is not None:
-            if (
-                self._observe
-                and not context.parallel
-                and plan.algorithm in DESCENT_ALGORITHMS
-            ):
-                probe = TelemetryProbe(plan.attribute_order)
-            executor = plan.executor(
-                database=self._builder._execution_database(),
-                filters=compiled.filters,
-                telemetry=probe,
-            )
-        object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_executor", executor)
-        object.__setattr__(self, "_probe", probe)
+            executor = probe = None
+            if compiled.satisfiable and compiled.residual is not None:
+                if (
+                    analyze
+                    and not context.parallel
+                    and plan.algorithm in DESCENT_ALGORITHMS
+                ):
+                    probe = TelemetryProbe(plan.attribute_order)
+                executor = plan.executor(
+                    database=builder._execution_database(),
+                    filters=compiled.filters,
+                    telemetry=probe,
+                )
+        for name, value in (
+            ("_builder", builder),
+            ("_compiled", compiled),
+            ("_plan", plan),
+            ("_executor", executor),
+            ("_probe", probe),
+            ("_memos", None),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("PreparedQuery instances are immutable")
@@ -188,19 +167,6 @@ class PreparedQuery:
         """The schema of the rows :meth:`stream` yields."""
         return self._builder.output_attributes
 
-    @property
-    def replans(self) -> int:
-        """How many times runtime feedback re-planned this query.
-
-        Always 0 without a feedback context.  A re-plan happens after a
-        completed run whose observed per-level cardinalities diverged
-        from the frozen plan's estimates by more than the configured
-        ``replan_tolerance`` *and* the observation-informed planner then
-        chose a different plan; the refreshed plan (and its executor)
-        replace the frozen ones for subsequent runs.
-        """
-        return self._replans
-
     def describe(self) -> str:
         """The frozen plan's ``explain`` rendering."""
         return self._plan.describe()
@@ -214,7 +180,7 @@ class PreparedQuery:
         the indexes frozen at prepare time.  (With a parallel context,
         each run goes to the sharded driver, which runs one key per
         shard over the same executor; see the module docstring.)  Unless
-        the context measures (feedback, metrics, tracer) the stream is
+        the run is measured (a probe, metrics, a tracer) the stream is
         the executor's own generator.
         """
         compiled = self._compiled
@@ -283,109 +249,38 @@ class PreparedQuery:
         self, rows: Iterator[Row], plan: JoinPlan, probe
     ) -> Iterator[Row]:
         """Stream one serial run inside its ``execute`` span, then feed
-        the run's measurements back.
+        the run's measurements to the metrics registry.
 
-        Everything is recorded only when the stream is exhausted
+        Metrics are recorded only when the stream is exhausted
         *naturally* — a consumer that stops early closed the generator,
-        and its undercounted telemetry must not reach the planner or
-        inflate the metrics registry.  The probe's per-level counters go
-        to the statistics provider under a feedback context; the metrics
+        and its undercounted run must not inflate the registry.  The
         registry gets the probe's snapshot when one exists, the bare row
-        count otherwise, and the database's cache counters.  A *held*
-        prepared query then checks the telemetry against the frozen
-        plan's estimates and, past the tolerance, re-plans (see
-        :attr:`replans`).  The probe is shared across runs (reset here),
-        so concurrent streams of one prepared query must not overlap
-        when it is on.
+        count otherwise, and the database's cache counters.  The probe
+        is shared across runs (reset here), so concurrent streams of one
+        prepared query must not overlap when it is on.
         """
         context = self._builder.context
         tracer, metrics = context.tracer, context.metrics
         if probe is not None:
             probe.reset()
-        telemetry = None
         with (
             tracer.span("execute", algorithm=plan.algorithm)
             if tracer
             else _nullcontext()
         ) as span:
-            started = perf_counter()
             count = 0
             for row in rows:
                 count += 1
                 yield row
             if span is not None:
                 span.meta["rows"] = count
-            if probe is not None:
-                telemetry = probe.snapshot(
-                    count, perf_counter() - started, complete=True
-                )
-                if context.feedback is not None:
-                    resolve_provider(
-                        context.database, context.stats
-                    ).record_levels(
-                        plan.query,
-                        telemetry,
-                        feedback_scope(self._compiled.filters),
-                    )
             if metrics is not None:
-                if telemetry is not None:
-                    metrics.record_run(telemetry)
+                if probe is not None:
+                    metrics.record_run(probe.snapshot(count))
                 else:
                     metrics.record_rows(count)
                 if context.database is not None:
                     metrics.record_cache(context.database.cache_info())
-        if (
-            self._held
-            and telemetry is not None
-            and context.feedback is not None
-        ):
-            self._maybe_replan(telemetry)
-
-    def _level_estimates(self) -> tuple[tuple[str, float], ...]:
-        """The frozen plan's per-level partial-size estimates (see
-        :func:`~repro.feedback.telemetry.level_estimates` — shared with
-        ``EXPLAIN ANALYZE``'s estimated-vs-observed table)."""
-        return level_estimates(self._plan.statistics)
-
-    def _maybe_replan(self, telemetry) -> None:
-        estimates = self._level_estimates()
-        if not estimates:
-            return
-        context = self._builder.context
-        tolerance = context.feedback.replan_tolerance
-        if estimate_divergence(estimates, telemetry) <= tolerance:
-            return
-        tracer = context.tracer
-        if tracer is None:
-            self._replan()
-            return
-        with tracer.span("replan") as span, tracer.activate():
-            before = self._replans
-            self._replan()
-            span.meta["rebuilt"] = self._replans > before
-
-    def _replan(self) -> None:
-        plan = self._builder.plan()
-        if (
-            plan.algorithm == self._plan.algorithm
-            and plan.attribute_order == self._plan.attribute_order
-            and plan.backend == self._plan.backend
-            and plan.relation_backends == self._plan.relation_backends
-        ):
-            if plan.statistics != self._plan.statistics:
-                # Same execution strategy, fresher evidence (e.g. the
-                # pinned order's estimates are now the measured counts):
-                # adopt the plan, keep the executor — repeated runs then
-                # observe no divergence and stop re-planning.
-                object.__setattr__(self, "_plan", plan)
-            return
-        # Anything execution-relevant changed — order, algorithm, or a
-        # backend choice flipped by the fresh evidence: rebuild.
-        self._install(plan)
-        object.__setattr__(self, "_replans", self._replans + 1)
-        metrics = self._builder.context.metrics
-        if metrics is not None:
-            metrics.record_replan()
 
     def run(self, name: str = "J") -> Relation:
         """Execute and materialize the result as a :class:`Relation`."""
@@ -404,19 +299,14 @@ class PreparedQuery:
            the plan runs on the descent kernel
            (:data:`~repro.engine.executors.DESCENT_ALGORITHMS`) — no rows are
            materialized and prunable subtrees contribute factorized
-           counts in O(1).  Requires: no projection, no feedback loop,
-           and no aggregate input read from a bound (constant)
-           attribute.
+           counts in O(1).  Requires: no projection and no aggregate
+           input read from a bound (constant) attribute.
         2. **Sharded**: per-shard partial states computed by the
            parallel driver's workers and merged by the spec's picklable
            combiner (``context.shards`` set, same conditions otherwise).
         3. **Streamed**: fold the ordinary (projected, merged, possibly
            measured) row stream — the universal fallback, exact for
-           every algorithm and option combination.  With the feedback
-           loop enabled this path is chosen *deliberately*: the
-           observed stream records full per-level telemetry, so
-           aggregate executions keep feeding the feedback store the
-           same cardinalities enumeration would.
+           every algorithm and option combination.
         """
         missing = [a for a in spec.needs if a not in self.output_attributes]
         if missing:
@@ -434,7 +324,6 @@ class PreparedQuery:
             foldable = (
                 compiled.residual is not None
                 and builder.selected is None
-                and context.feedback is None
                 and set(spec.needs) <= set(compiled.residual.attributes)
             )
             if foldable and context.parallel:

@@ -38,14 +38,11 @@ class StealPolicy:
     ``hot_factor`` times the median completed time — and idle capacity
     exists — the claiming worker splits it on the next attribute of the
     plan's order and takes only the first sub-shard; idle workers steal
-    the rest.  This is the within-run generalization of the across-run
-    ``expand_shards`` split (same keys, same sub-shard construction), so
-    observations recorded for stolen sub-shards feed the same feedback
-    store.
+    the rest (:func:`~repro.engine.parallel.split_entry`, the same
+    split predictive pre-splitting uses).
     """
 
-    #: Sub-shards a hot shard is split into (like the feedback loop's
-    #: ``split_factor``).
+    #: Sub-shards a hot shard is split into.
     split_factor: int = 4
     #: A pending shard is hot when its predicted seconds exceed this
     #: multiple of the median completed-shard seconds.

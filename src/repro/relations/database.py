@@ -475,8 +475,6 @@ class Database:
         while len(self._stats_cache) >= self._stats_cache_budget:
             evicted = next(iter(self._stats_cache))
             del self._stats_cache[evicted]
-            if evicted[1][:1] == ("feedback_levels",):  # a plan read it
-                bump_planning_generation()
         self._stats_cache[(name, key)] = payload
 
     def cached_stats_count(self) -> int:

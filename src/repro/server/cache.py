@@ -16,9 +16,9 @@ budget — ``Database.warm`` semantics — stays the authority on which
 indexes live).
 
 Each entry carries an ``asyncio.Lock``: runs of one prepared query share
-its ``TelemetryProbe``, and a feedback re-plan installs a new plan and
-executor, so they serialize.  Different entries run fully concurrently
-— the lock is per-plan, not per-server.
+its executor (and its ``TelemetryProbe``, when one is attached), so they
+serialize.  Different entries run fully concurrently — the lock is
+per-plan, not per-server.
 """
 
 from __future__ import annotations

@@ -521,9 +521,8 @@ class JoinServer:
                 "normalized": normalized,
             }
             # The per-entry lock serializes runs of one prepared query
-            # (they share its telemetry probe, and a feedback re-plan
-            # installs a new plan and executor); distinct statements
-            # still run fully concurrently.
+            # (they share its executor and any telemetry probe);
+            # distinct statements still run fully concurrently.
             async with entry.lock:
                 with tracer.span("execute", kind=kind) as span:
                     if kind == "rows":

@@ -38,7 +38,6 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from repro.core.estimates import connected_estimate
-from repro.relations.database import bump_planning_generation
 from repro.relations.relation import Relation
 from repro.stats.profiles import (
     DEFAULT_TOP_K,
@@ -120,8 +119,7 @@ class PlanStatistics:
     """
 
     #: ``"exact"`` when conditional selectivities drove the order,
-    #: ``"heuristic"`` when the min-distinct fallback ran,
-    #: ``"feedback"`` when recorded executions took precedence.
+    #: ``"heuristic"`` when the min-distinct fallback ran.
     source: str
     #: ``(attribute, min distinct count)`` — the smallest-domain scores.
     distinct_counts: tuple[tuple[str, int], ...] = ()
@@ -134,13 +132,9 @@ class PlanStatistics:
     #: ``(attribute, estimated partial-result size)`` per order position
     #: (the greedy descent's objective, AGM-clamped).
     order_estimates: tuple[tuple[str, float], ...] = ()
-    #: For ``"feedback"`` plans: what the non-feedback (selectivity or
-    #: heuristic) formula would have estimated per chosen attribute —
-    #: the "estimated" column of the observed-vs-estimated comparison.
-    baseline_estimates: tuple[tuple[str, float], ...] = ()
-    #: For ``"feedback"`` plans: the recorded execution's per-level
-    #: counters as ``(attribute, position, partials, candidates,
-    #: matches)``, in recorded order.
+    #: For a plan ``EXPLAIN ANALYZE`` ran: the run's per-level counters
+    #: as ``(attribute, position, partials, candidates, matches)``, in
+    #: executed order.
     observed_levels: tuple[tuple[str, int, int, int, int], ...] = ()
     #: Attribute the shard planner inspected (``None`` when sharding was
     #: not requested).
@@ -168,19 +162,6 @@ class PlanStatistics:
                 )
             )
         if self.observed_levels:
-            baseline = dict(self.baseline_estimates)
-            if baseline:
-                lines.append(
-                    "  observed vs estimated (per chosen attribute):"
-                )
-                for attr, estimate in self.order_estimates:
-                    if attr not in baseline:
-                        continue
-                    lines.append(
-                        f"    {attr}: estimate without feedback "
-                        f"~{baseline[attr]:.3g}, "
-                        f"with feedback ~{estimate:.3g}"
-                    )
             lines.append("  observed levels (last recorded run):")
             for attr, position, partials, candidates, matches in (
                 self.observed_levels
@@ -277,8 +258,6 @@ class StatsProvider:
         while len(self._local) >= LOCAL_CACHE_BUDGET:
             evicted = next(iter(self._local))
             del self._local[evicted]
-            if evicted[0] == "feedback_levels":  # a plan read it
-                bump_planning_generation()
         self._local[key] = (ref, payload)
 
     # -- cache plumbing -----------------------------------------------------
@@ -411,39 +390,33 @@ class StatsProvider:
 
     # -- per-query payloads -------------------------------------------------
 
-    # Payloads that belong to a whole query — observations recorded
-    # during execution (per-level telemetry, per-shard wall times) and
-    # the AGM sub-bounds — are cached under the same two regimes as
-    # per-relation statistics: the database stats cache when every
-    # relation of the query is the catalogued object (so replacing or
-    # dropping ANY of them invalidates the payload: each relation's name
-    # is a direct element of the payload key, which is exactly what
+    # A payload that belongs to a whole query — the AGM sub-bounds — is
+    # cached under the same two regimes as per-relation statistics: the
+    # database stats cache when every relation of the query is the
+    # catalogued object (so replacing or dropping ANY of them
+    # invalidates the payload: each relation's name is a direct element
+    # of the payload key, which is exactly what
     # ``Database._drop_cached`` matches on), the provider-local cache
     # otherwise.  The local entries are keyed by relation *value*
     # (name, schema, size — verified by full equality on lookup, with an
-    # identity fast path) rather than ``id``: feedback's whole point is
-    # that a later, separately-loaded run of the same query benefits
-    # from an earlier run's observations, and reloaded relations are
-    # equal-but-not-identical objects.
+    # identity fast path) rather than ``id``: a sub-bound is a pure
+    # function of the query's edge sets and relation sizes, so equal
+    # relations loaded separately may share it.
 
     def _query_relations(self, query: "JoinQuery") -> tuple:
         return tuple(
             query.relations[name] for name in sorted(query.relations)
         )
 
-    def _query_get(self, query: "JoinQuery", kind: str, scope: tuple):
+    def _query_get(self, query: "JoinQuery", kind: str):
         relations = self._query_relations(query)
         names = tuple(rel.name for rel in relations)
         db = self.database
         if db is not None and all(db.is_catalogued(rel) for rel in relations):
             # The names sit as direct key elements (what the database's
-            # invalidation matches on); the scope tuple rides along so
-            # e.g. a where_in-filtered run and the unfiltered run of
-            # the same relations never share observations.
-            return db.stats_cache_get(names[0], (kind,) + names + (scope,))
-        entry = self._local.get(
-            (kind,) + self._query_signature(relations) + (scope,)
-        )
+            # invalidation matches on).
+            return db.stats_cache_get(names[0], (kind,) + names)
+        entry = self._local.get((kind,) + self._query_signature(relations))
         if entry is None:
             return None
         stored, payload = entry
@@ -454,20 +427,16 @@ class StatsProvider:
         return None
 
     def _query_put(
-        self, query: "JoinQuery", kind: str, scope: tuple, payload: object
+        self, query: "JoinQuery", kind: str, payload: object
     ) -> None:
         relations = self._query_relations(query)
         names = tuple(rel.name for rel in relations)
         db = self.database
         if db is not None and all(db.is_catalogued(rel) for rel in relations):
-            db.stats_cache_put(
-                names[0], (kind,) + names + (scope,), payload
-            )
+            db.stats_cache_put(names[0], (kind,) + names, payload)
             return
         self._local_put(
-            (kind,) + self._query_signature(relations) + (scope,),
-            relations,
-            payload,
+            (kind,) + self._query_signature(relations), relations, payload
         )
 
     @staticmethod
@@ -488,101 +457,11 @@ class StatsProvider:
         sizes — which is what the per-query cache keys and invalidates
         on — so a repeated plan solves none.
         """
-        bounds = self._query_get(query, "agm_sub_bounds", ())
+        bounds = self._query_get(query, "agm_sub_bounds")
         if bounds is None:
             bounds = _SubqueryBounds(query)
-            self._query_put(query, "agm_sub_bounds", (), bounds)
+            self._query_put(query, "agm_sub_bounds", bounds)
         return bounds
-
-    # -- runtime feedback ---------------------------------------------------
-
-    def record_levels(
-        self, query: "JoinQuery", telemetry, scope: tuple = ()
-    ) -> None:
-        """Ingest one execution's per-level telemetry for ``query``.
-
-        Incomplete runs (the consumer abandoned the stream) and runs
-        without level counters are ignored — partial counts would feed
-        the planner undercounted cardinalities.  Observations are kept
-        *per executed attribute order* (the latest run of each order
-        wins), so the planner can compare the measured work of every
-        order it has tried instead of trusting one run's extrapolation.
-
-        ``scope`` distinguishes executions of the same relations whose
-        cardinalities differ anyway — the query layer passes the
-        residual-filter signature, so a ``where_in``-filtered run never
-        feeds the unfiltered query's plans (or vice versa).
-        """
-        if not telemetry.complete or not telemetry.levels:
-            return
-        history = dict(
-            self._query_get(query, "feedback_levels", scope) or {}
-        )
-        history[telemetry.attribute_order] = telemetry
-        self._query_put(query, "feedback_levels", scope, history)
-        bump_planning_generation()
-
-    def observed_history(
-        self, query: "JoinQuery", scope: tuple = ()
-    ) -> dict:
-        """``{attribute order: ExecutionTelemetry}`` — the latest
-        recorded run of every order this query has executed under (for
-        this filter ``scope``), or ``{}``."""
-        return dict(
-            self._query_get(query, "feedback_levels", scope) or {}
-        )
-
-    def observed_telemetry(self, query: "JoinQuery", scope: tuple = ()):
-        """The *best* recorded run of ``query`` — the one with the
-        least measured search work (total candidate enumerations; ties
-        break on the order tuple, deterministically) — or ``None``."""
-        history = self.observed_history(query, scope)
-        if not history:
-            return None
-        return min(
-            history.values(),
-            key=lambda t: (t.total_candidates, t.attribute_order),
-        )
-
-    def observed_levels(
-        self, query: "JoinQuery", scope: tuple = ()
-    ) -> dict:
-        """``{attribute: ObservedLevel}`` from the best recorded run of
-        ``query``, or ``{}`` when nothing (relevant) was recorded."""
-        telemetry = self.observed_telemetry(query, scope)
-        if telemetry is None:
-            return {}
-        return {level.attribute: level for level in telemetry.levels}
-
-    def record_shards(
-        self, query: "JoinQuery", observations, scope: tuple = ()
-    ) -> None:
-        """Merge per-shard wall-time observations for ``query``.
-
-        Merged (not overwritten) by shard key: after a hot shard is
-        split, later runs record its *sub*-shards while the parent's
-        recorded heat keeps the split decision stable across runs.
-        ``scope`` separates filtered from unfiltered executions, as in
-        :meth:`record_levels`.
-        """
-        observations = tuple(observations)
-        if not observations:
-            return
-        merged = dict(
-            self._query_get(query, "feedback_shards", scope) or {}
-        )
-        for observation in observations:
-            merged[observation.key] = observation
-        self._query_put(query, "feedback_shards", scope, merged)
-
-    def observed_shards(
-        self, query: "JoinQuery", scope: tuple = ()
-    ) -> dict:
-        """``{ShardKey: ShardObservation}`` recorded for ``query`` (may
-        span several runs and split depths), or ``{}``."""
-        return dict(
-            self._query_get(query, "feedback_shards", scope) or {}
-        )
 
     def heavy_hitters(
         self, query: "JoinQuery"
@@ -625,35 +504,20 @@ def resolve_provider(
 ) -> StatsProvider:
     """The provider a ``(database, stats)`` pair denotes.
 
-    The one resolution rule shared by the planner, the query layer's
-    feedback recording, and the sharded driver — all three must agree,
-    or observations recorded through one would be invisible to the
-    others.  ``stats`` may be a provider (used as-is) or a bare
-    :class:`StatsConfig` (wrapped — through the database's provider
+    The one resolution rule shared by the planner and the sharded driver
+    — both must agree, so the shards are weighed with the tables the
+    plan was made from.  ``stats`` may be a provider (used as-is) or a
+    bare :class:`StatsConfig` (wrapped — through the database's provider
     cache when one is given); otherwise the database's default provider,
     and finally the process-wide default.
     """
     if isinstance(stats, StatsConfig):
         if database is not None:
             return database.stats(stats)
-        # One shared provider per config (like the database's provider
-        # cache): a per-call provider would silently drop any feedback
-        # observations recorded through it between runs.
-        provider = _CONFIG_PROVIDERS.get(stats)
-        if provider is None:
-            if len(_CONFIG_PROVIDERS) >= 64:
-                _CONFIG_PROVIDERS.pop(next(iter(_CONFIG_PROVIDERS)))
-                bump_planning_generation()
-            provider = StatsProvider(config=stats)
-            _CONFIG_PROVIDERS[stats] = provider
-        return provider
+        return StatsProvider(config=stats)
     if stats is not None:
         return stats
     if database is not None:
         return database.stats()
     return _DEFAULT_PROVIDER
 
-
-#: Process-wide providers for bare configs handed to
-#: :func:`resolve_provider` without a database (FIFO-bounded).
-_CONFIG_PROVIDERS: dict[StatsConfig, StatsProvider] = {}

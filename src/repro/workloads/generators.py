@@ -180,7 +180,8 @@ def zipf_trap_triangle(
     min-distinct heuristic then defers the payoff ``A`` to the very
     last level (order ``B, C, A``), where the pruning it would have
     done at depth one is paid as dead-end enumeration at depth three —
-    the amplified trap the runtime-feedback benchmark measures.
+    the amplified trap the exact-selectivity descent must step around
+    (``tests/stats/test_plan_stats.py`` checks that it does).
     """
     rng = random.Random(seed)
     weights = [1.0 / (v + 1) ** exponent for v in range(decoy_domain)]
@@ -218,7 +219,7 @@ def hub_triangle(
     t_hub: float = 0.92,
     seed: int = 0,
 ) -> JoinQuery:
-    """A triangle with one extreme hub value — the online-re-sharding
+    """A triangle with one extreme hub value — the hot-shard splitting
     workload (Zipf skew taken to its limit).
 
     Value ``0`` of attribute ``A`` carries ``r_hub`` of ``R``'s and
@@ -231,9 +232,10 @@ def hub_triangle(
     path however many shards are planned.  Splitting the hub shard on
     the *next* attribute of the order is the only remedy, and because
     ``S`` and ``T`` contain that attribute, the split also halves their
-    per-shard index builds.  That is precisely what the runtime
-    feedback loop's recursive hot-shard split does — this generator
-    exists to measure it.
+    per-shard index builds.  That is precisely what predictive
+    pre-splitting and within-run stealing do
+    (:func:`~repro.engine.parallel.split_entry`) — this generator exists
+    to measure them.
     """
     rng = random.Random(seed)
 

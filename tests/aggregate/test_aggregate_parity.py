@@ -192,23 +192,28 @@ def test_aggregates_with_string_values():
     }
 
 
-def test_count_with_feedback_still_records_observations():
-    # Aggregates under feedback deliberately run over the recorded row
-    # stream (not the fold), so the feedback store keeps learning even
-    # from aggregate-only workloads.  Telemetry recording is native to
-    # "generic"/"leapfrog" only, so pin the algorithm.
-    from repro.feedback.config import FeedbackConfig
-    from repro.feedback.telemetry import feedback_scope
-    from repro.stats.provider import StatsProvider
+@pytest.mark.parametrize("measure", ["plain", "stats", "tracer", "metrics"])
+def test_count_folds_under_every_context(monkeypatch, measure):
+    # No context option sends ``count()`` down the row stream: the fold
+    # adds once per run, however the run is measured.
+    from repro import MetricsRegistry, StatsProvider, Tracer
+    from repro.aggregate.specs import Count
 
-    provider = StatsProvider()
-    builder = Q(*_triangle()).using(
-        algorithm="generic", stats=provider, feedback=FeedbackConfig()
-    )
-    compiled = builder._compile()
-    scope = feedback_scope(compiled.filters)
-    assert not provider.observed_levels(compiled.residual, scope)
+    adds = []
+    add = Count.add
+
+    def counting(self, state, values, multiplicity):
+        adds.append(multiplicity)
+        return add(self, state, values, multiplicity)
+
+    options = {
+        "plain": {},
+        "stats": {"stats": StatsProvider()},
+        "tracer": {"tracer": Tracer()},
+        "metrics": {"metrics": MetricsRegistry()},
+    }[measure]
+    builder = Q(*_triangle()).using(algorithm="generic", **options)
     rows = list(builder.stream())
-    assert builder.count() == len(rows)
-    observed = provider.observed_levels(compiled.residual, scope)
-    assert observed, "aggregate runs under feedback must record telemetry"
+    monkeypatch.setattr(Count, "add", counting)
+    assert builder.count() == oracle_count(rows) > 0
+    assert adds == [len(rows)]

@@ -58,7 +58,7 @@ from repro.core.descent import (
 from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
 from repro.core.query import JoinQuery
-from repro.feedback.telemetry import TelemetryProbe
+from repro.observe.telemetry import TelemetryProbe
 from repro.hypergraph import agm
 from repro.hypergraph.agm import best_agm_bound
 from repro.hypergraph.hypergraph import Hypergraph
@@ -1305,7 +1305,7 @@ def test_a_raising_predicate_closes_every_open_level(strategy):
 @pytest.mark.parametrize("cls, backend", CONFIGS)
 @pytest.mark.parametrize("taken", [1, 2, 57])
 def test_abandoned_streams_keep_the_counter_chain(cls, backend, taken):
-    # ``tests/feedback/test_telemetry.py::test_abandoned_mid_stream``,
+    # ``tests/observe/test_telemetry.py::test_abandoned_mid_stream``,
     # over every layout: a leaf batch cut short gives back what it did
     # not deliver.
     query = _lifted_triangle(150, seed=5)

@@ -4,7 +4,7 @@ The acceptance gate for the fabric: a loopback fleet must yield *row-set
 identical* results to serial ``iter_join`` across algorithms and index
 backends, stealing and pre-splitting must only rearrange shard
 boundaries (never rows), and worker observations must land in the same
-tracer / feedback store a local run feeds.
+tracer / metrics registry a local run feeds.
 """
 
 import pytest
@@ -17,11 +17,10 @@ from repro.distributed import (
     Scheduler,
 )
 from repro.errors import DistributedError, PlanError
-from repro.feedback.config import FeedbackConfig
+from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracing import Tracer
 from repro.query.context import ExecutionContext
 from repro.query.shards import ShardSpec, StealPolicy
-from repro.stats.provider import StatsProvider
 from repro.workloads import generators, queries
 from tests.helpers import triangle_query
 
@@ -241,23 +240,22 @@ class TestTelemetryFlowBack:
         assert remote
         assert all(s.name == "shard" for s in remote)
 
-    def test_shard_observations_reach_the_feedback_store(self):
+    def test_shard_timings_reach_the_metrics_registry(self):
         query = hub_query()
-        provider = StatsProvider()
+        registry = MetricsRegistry()
         context = ExecutionContext(
             algorithm="generic",
             shards=ShardSpec(3),
             scheduler=fleet(),
-            stats=provider,
-            feedback=FeedbackConfig(),
+            metrics=registry,
         )
         serial = sorted(iter_join(query, algorithm="generic"))
         assert sorted(execute(query, context=context)) == serial
-        observed = provider.observed_shards(query)
-        assert observed
-        assert all(obs.seconds >= 0.0 for obs in observed.values())
-        # And the second (possibly re-planned) run still agrees.
-        assert sorted(execute(query, context=context)) == serial
+        histogram = registry.histogram("repro_shard_seconds")
+        assert 1 <= histogram.count <= 3
+        assert histogram.sum >= 0.0
+        rows = registry.counter("repro_rows_emitted_total").value()
+        assert rows == len(serial)
 
 
 class TestValidation:

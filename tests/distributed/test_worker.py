@@ -7,9 +7,13 @@ import pytest
 from repro.distributed.transport import Channel, LoopbackTransport
 from repro.distributed.wire import ConnectionClosed
 from repro.distributed.worker import WorkerServer
-from repro.engine.parallel import ShardJob, ShardRunner, plan_shards
+from repro.engine.parallel import (
+    ShardJob,
+    ShardPlanEntry,
+    ShardRunner,
+    plan_shards,
+)
 from repro.engine.planner import plan_join
-from repro.feedback.resharding import ShardPlanEntry
 from tests.helpers import count_index_builds, triangle_query
 
 

@@ -25,7 +25,7 @@ from repro.engine.compact import (
     CompactTrieIterator,
 )
 from repro.errors import QueryError
-from repro.feedback.telemetry import TelemetryProbe
+from repro.observe.telemetry import TelemetryProbe
 from repro.relations.relation import Relation
 from repro.relations.sorted_index import SortedArrayIndex
 from repro.relations.trie import TrieIndex

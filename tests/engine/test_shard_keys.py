@@ -15,9 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, Q, Tracer, execute
 from repro.core.query import JoinQuery
-from repro.engine.parallel import ShardRunner, plan_shards
+from repro.engine.parallel import (
+    ShardPlanEntry,
+    ShardRunner,
+    plan_shards,
+    split_entry,
+)
 from repro.engine.planner import plan_join
-from repro.feedback.resharding import ShardPlanEntry, split_entry
 from repro.relations.relation import Relation
 from repro.workloads import generators, queries
 from tests.helpers import SHARDED_EXECUTIONS, oracle_join

@@ -75,14 +75,6 @@ class TestAnalyzeNativePath:
         analysis = _analysis(algorithm="generic", tracer=tracer)
         assert analysis.tracer is tracer
 
-    def test_feedback_context_records_observation(self):
-        builder = Q(*TRIANGLE).using(algorithm="generic", feedback=True)
-        builder.explain(analyze=True)
-        # The recorded observation now drives feedback planning.
-        plan = Q(*TRIANGLE).using(algorithm="generic",
-                                  feedback=True).plan()
-        assert plan.statistics.observed_levels
-
     def test_metrics_context_is_fed(self):
         builder = Q(*TRIANGLE).using(algorithm="generic", metrics=True)
         builder.explain(analyze=True)

@@ -69,13 +69,14 @@ class TestFamilies:
 
 class TestIngest:
     def test_record_run_comes_from_telemetry(self):
+        # EXPLAIN ANALYZE is the run that carries a per-level probe.
         registry = MetricsRegistry()
-        rows = list(
+        analysis = (
             Q(*TRIANGLE)
-            .using(algorithm="generic", metrics=registry, feedback=True)
-            .stream()
+            .using(algorithm="generic", metrics=registry)
+            .explain(analyze=True)
         )
-        assert len(rows) == 2
+        assert analysis.rows == 2
         assert registry.counter("repro_rows_emitted_total").value() == 2
         assert registry.counter("repro_runs_total").value() == 1
         assert (
@@ -174,11 +175,6 @@ class TestIngest:
         assert sharded == (1 if options else 0)
         if options:
             assert registry.histogram("repro_shard_seconds").count == 2
-
-    def test_record_replan(self):
-        registry = MetricsRegistry()
-        registry.record_replan()
-        assert registry.counter("repro_replans_total").value() == 1
 
     def test_context_metrics_true_sugar(self):
         builder = Q(*TRIANGLE).using(metrics=True)

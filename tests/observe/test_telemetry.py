@@ -1,20 +1,16 @@
-"""Telemetry counters: the invariants that make the feedback loop's
-arithmetic sound, for both level strategies of the descent kernel.
-(Row parity of observed and plain runs, per sink and backend, lives in
-``tests/core/test_descent.py``.)"""
+"""Telemetry counters: the invariants that make ``EXPLAIN ANALYZE``'s
+per-level counts sound, for both level strategies of the descent
+kernel.  (Row parity of observed and plain runs, per sink and backend,
+lives in ``tests/core/test_descent.py``.)"""
 
 import pytest
 
+from repro import Q, execute
 from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
 from repro.core.query import JoinQuery
 from repro.errors import QueryError
-from repro.feedback.telemetry import (
-    ExecutionTelemetry,
-    ObservedLevel,
-    TelemetryProbe,
-    estimate_divergence,
-)
+from repro.observe.telemetry import TelemetryProbe
 from repro.relations.relation import Relation
 from repro.workloads import generators
 from tests.helpers import assert_counter_chain
@@ -123,72 +119,50 @@ class TestSnapshot:
         probe.partials[1] = 4
         probe.candidates[1] = 8
         probe.matches[1] = 8
-        telemetry = probe.snapshot(rows=8, seconds=0.5, complete=True)
+        telemetry = probe.snapshot(rows=8)
         assert telemetry.attribute_order == ("A", "B")
         assert telemetry.rows == 8
-        assert telemetry.complete
-        a = telemetry.level("A")
-        assert a.prefix == ()
-        assert a.selectivity == pytest.approx(0.4)
-        assert a.fanout == pytest.approx(4.0)
-        b = telemetry.level("B")
-        assert b.prefix == ("A",)
-        assert b.selectivity == pytest.approx(1.0)
-        assert b.fanout == pytest.approx(2.0)
-        assert telemetry.level("Z") is None
+        a, b = telemetry.levels
+        assert (a.attribute, a.position) == ("A", 0)
+        assert (a.partials, a.candidates, a.matches) == (1, 10, 4)
+        assert (b.attribute, b.position) == ("B", 1)
+        assert (b.partials, b.candidates, b.matches) == (4, 8, 8)
         assert telemetry.total_candidates == 18
 
-    def test_degenerate_level_ratios(self):
-        level = ObservedLevel(
-            attribute="A",
-            position=0,
-            prefix=(),
-            partials=0,
-            candidates=0,
-            matches=0,
-        )
-        assert level.selectivity == 1.0
-        assert level.fanout == 0.0
 
+class TestAttachment:
+    """Only ``EXPLAIN ANALYZE`` pays for a probe: no other run path
+    counts per-level work."""
 
-class TestEstimateDivergence:
-    def _telemetry(self, matches_by_attr):
-        levels = tuple(
-            ObservedLevel(
-                attribute=attr,
-                position=i,
-                prefix=tuple(matches_by_attr)[:i],
-                partials=1,
-                candidates=max(matches, 1),
-                matches=matches,
-            )
-            for i, (attr, matches) in enumerate(matches_by_attr.items())
-        )
-        return ExecutionTelemetry(
-            attribute_order=tuple(matches_by_attr),
-            levels=levels,
-            rows=0,
-            seconds=0.0,
-            complete=True,
-        )
+    @pytest.fixture()
+    def probes(self, monkeypatch):
+        from repro.query import prepared
 
-    def test_exact_estimates_diverge_by_one(self):
-        telemetry = self._telemetry({"A": 10, "B": 100})
-        assert estimate_divergence(
-            (("A", 10.0), ("B", 100.0)), telemetry
-        ) == pytest.approx(1.0)
+        made = []
 
-    def test_both_directions_count(self):
-        telemetry = self._telemetry({"A": 10})
-        assert estimate_divergence(
-            (("A", 100.0),), telemetry
-        ) == pytest.approx(10.0)
-        assert estimate_divergence((("A", 1.0),), telemetry) == pytest.approx(
-            10.0
-        )
+        class Counting(TelemetryProbe):
+            def __init__(self, order):
+                made.append(order)
+                super().__init__(order)
 
-    def test_unobserved_levels_skipped(self):
-        telemetry = self._telemetry({"A": 10})
-        assert estimate_divergence(
-            (("A", 10.0), ("Z", 1e9)), telemetry
-        ) == pytest.approx(1.0)
+        monkeypatch.setattr(prepared, "TelemetryProbe", Counting)
+        return made
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda b: list(execute(b)),
+            lambda b: execute(b).count(),
+            lambda b: list(b.prepare().stream()),
+            lambda b: b.explain(),
+        ],
+        ids=["iter", "count", "prepared", "explain"],
+    )
+    def test_no_other_path_attaches_a_probe(self, trap, probes, run):
+        run(Q(trap).using(algorithm="generic"))
+        assert probes == []
+
+    def test_explain_analyze_attaches_one(self, trap, probes):
+        analyzed = Q(trap).using(algorithm="generic").explain(analyze=True)
+        assert probes == [analyzed.plan.attribute_order]
+        assert analyzed.rows == len(list(execute(Q(trap))))

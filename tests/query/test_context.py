@@ -28,6 +28,25 @@ class TestContextObject:
         assert base.shards == ShardSpec("auto")
         assert serial.shards is None
 
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            lambda option: Q(triangle_query()).using(**option),
+            lambda option: execute(triangle_query(), **option),
+        ],
+        ids=["using", "execute"],
+    )
+    @pytest.mark.parametrize(
+        "option", [{"shard": 2}, {"feedback": True}], ids=["shard", "feedback"]
+    )
+    def test_an_unknown_option_is_a_plan_error(self, option, surface):
+        (name,) = option
+        with pytest.raises(PlanError) as error:
+            surface(option)
+        message = str(error.value)
+        assert f"unknown execution option(s) {name}" in message
+        assert "shards" in message and "metrics" in message
+
     def test_bare_shards_coerced_to_spec(self):
         assert ExecutionContext(shards=4).shards == ShardSpec(4)
         spec = ShardSpec(4, predictive=True)

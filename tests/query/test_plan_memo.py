@@ -12,11 +12,9 @@ import pytest
 
 from repro import Database, Q, Relation, execute
 from repro.engine import planner
-from repro.feedback.config import FeedbackConfig
 from repro.observe.tracing import Tracer
-from repro.stats import provider as stats_provider
-from repro.stats.provider import StatsConfig, StatsProvider
-from repro.workloads import generators
+from repro.relations import database as catalog
+from repro.stats.provider import LOCAL_CACHE_BUDGET, StatsProvider
 
 def triangle():
     r = Relation("R", ("A", "B"), [(i, (i * 3) % 7) for i in range(30)])
@@ -100,6 +98,31 @@ class TestReuse:
         assert builder.plan() is plan
         assert len(plan_calls) == calls
 
+    @pytest.mark.parametrize("cache", ["database", "provider"])
+    def test_a_statistics_eviction_plans_nothing(self, plan_calls, cache):
+        # Statistics are a pure function of the relations: evicting a
+        # catalog's or a provider's cached tables leaves the held plan
+        # current, and the tables read again give the same plan.
+        relations = triangle()
+        database = Database(relations, stats_cache_budget=64)
+        provider = StatsProvider()
+        builder = {
+            "database": Q(*relations).on(database),
+            "provider": Q(*relations).using(stats=provider),
+        }[cache].using(algorithm="generic")
+        list(execute(builder))
+        plan = builder.plan()
+        calls, generation = len(plan_calls), catalog.planning_generation
+        for filler in range(LOCAL_CACHE_BUDGET):
+            if cache == "database":
+                database.stats_cache_put("X", ("filler", filler), None)
+            else:
+                provider._local_put(("filler", filler), None, None)
+        assert catalog.planning_generation == generation
+        assert builder.plan() is plan
+        assert len(plan_calls) == calls
+        assert assert_fresh(builder) is plan
+
 
 class TestInvalidation:
     def test_an_index_insert_replans(self):
@@ -165,71 +188,6 @@ class TestInvalidation:
         monkeypatch.setattr(planner, "_relation_backends", choose)
         assert raced.backend == "trie"
         assert assert_fresh(builder).backend == "mixed"
-
-    @pytest.mark.parametrize("cache", ["provider", "database"])
-    def test_a_feedback_observation_replans(self, cache):
-        # Recorded in a private provider's local cache, or in the
-        # database's stats cache.
-        relations = triangle()
-        builder = Q(*relations).using(
-            algorithm="generic", feedback=FeedbackConfig()
-        )
-        if cache == "provider":
-            builder = builder.using(stats=StatsProvider())
-        else:
-            builder = builder.on(Database(relations))
-        before = builder.plan()
-        assert before.statistics.source == "exact"
-        list(execute(builder))  # records the run's levels
-        after = assert_fresh(builder)
-        assert after.statistics.source == "feedback"
-
-    @pytest.mark.parametrize("cache", ["database", "provider", "config"])
-    def test_an_evicted_observation_replans(self, cache):
-        # FIFO eviction from the database's stats cache, a provider's
-        # local cache, or the process-wide provider of a bare config
-        # drops recorded levels the held plan was made from.
-        relations = triangle()
-        database = Database(relations, stats_cache_budget=64)
-        provider = StatsProvider()
-        builder = {
-            "database": Q(*relations).on(database),
-            "provider": Q(*relations).using(stats=provider),
-            "config": Q(*relations).using(stats=StatsConfig(top_k=9173)),
-        }[cache].using(algorithm="generic", feedback=FeedbackConfig())
-        list(execute(builder))
-        assert builder.plan().statistics.source == "feedback"
-        for filler in range(stats_provider.LOCAL_CACHE_BUDGET):
-            if cache == "database":
-                database.stats_cache_put("X", ("filler", filler), None)
-            elif cache == "provider":
-                provider._local_put(("filler", filler), None, None)
-            else:
-                stats_provider.resolve_provider(
-                    None, StatsConfig(top_k=filler)
-                )
-        assert assert_fresh(builder).statistics.source == "exact"
-
-    def test_a_held_prepare_still_replans_on_divergence(self):
-        trap = generators.zipf_trap_triangle(
-            nodes=600, size=1500, seed=7, match_fraction=0.05,
-            decoy_domain=25, c_domain=25,
-        )
-        prepared = (
-            Q(trap)
-            .using(
-                algorithm="generic",
-                stats=StatsProvider(config=StatsConfig(selectivities=False)),
-                feedback=FeedbackConfig(),
-            )
-            .prepare()
-        )
-        frozen = prepared.plan
-        prepared.count()
-        assert prepared.replans == 1
-        after = assert_fresh(prepared.query)
-        assert after.attribute_order != frozen.attribute_order
-        assert prepared.plan.attribute_order == after.attribute_order
 
 
 class TestTrace:

@@ -10,7 +10,7 @@ from repro.errors import PlanError, QueryError
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracing import Tracer
 from repro.query.builder import Q
-from repro.query.prepared import _pump
+from repro.query.prepared import PreparedQuery, _pump
 from repro.query.shards import ShardSpec
 from repro.relations.database import Database
 from repro.relations.relation import Relation
@@ -491,8 +491,11 @@ class TestRowTexts:
             generic.using(shards=2, mode="serial"),
             generic.using(tracer=Tracer()),
             generic.using(metrics=MetricsRegistry()),
-            generic.using(feedback=True),  # a probe
             builder.using(algorithm="lw"),
             builder.using(algorithm="nprr"),
         ):
             assert self.texts(fallback) is None
+        # A probe (the run EXPLAIN ANALYZE makes) counts the tuples.
+        probed = PreparedQuery._one_shot(generic, analyze=True)
+        assert probed._probe is not None
+        assert probed._texts() is None

@@ -3,9 +3,10 @@
 The builder's own views, ``prepare()`` and ``prepare().bind(...)`` all
 run through :class:`~repro.query.prepared.PreparedQuery`; this module is
 the one place that holds them to it.  Every view returns the oracle's
-rows, and the builder and the prepared query leave the same spans, the
-same metrics and the same recorded telemetry behind — under every
-measuring context, serial and sharded, filtered and projected.
+rows, and the builder and the prepared query leave the same spans and
+the same metrics behind — under every measuring context, serial and
+sharded, over ad-hoc relations and over a catalog, filtered and
+projected.
 """
 
 import asyncio
@@ -14,8 +15,8 @@ from collections import Counter
 import pytest
 
 from repro import (
+    Database,
     ExecutionContext,
-    FeedbackConfig,
     MetricsRegistry,
     Q,
     StatsProvider,
@@ -23,7 +24,6 @@ from repro import (
     Tracer,
     execute,
 )
-from repro.feedback.telemetry import feedback_scope
 from repro.observe.metrics import Histogram
 from repro.workloads import generators, queries
 from tests.helpers import oracle_join
@@ -54,6 +54,8 @@ EXECUTIONS = {
     "serial": {},
     "shards-serial": {"shards": 2, "mode": "serial"},
     "shards-thread": {"shards": 2, "mode": "thread"},
+    # Over a catalog: its index cache and its own statistics provider.
+    "catalog": {},
 }
 
 #: Which measuring options each context switches on.
@@ -61,24 +63,22 @@ MEASURES = {
     "plain": (),
     "tracer": ("tracer",),
     "metrics": ("metrics",),
-    "feedback": ("feedback",),
-    "all": ("tracer", "metrics", "feedback"),
+    "all": ("tracer", "metrics"),
 }
 
 
 def _context(measure: str, execution: str) -> ExecutionContext:
-    """A context with fresh sinks (and a fresh statistics provider, so
-    no surface sees another's observations or cached profiles)."""
-    options = dict(EXECUTIONS[execution], stats=StatsProvider())
+    """A context with fresh sinks (and a fresh statistics provider or
+    catalog, so no surface sees another's cached profiles or indexes)."""
+    options = dict(EXECUTIONS[execution])
+    if execution == "catalog":
+        options["database"] = Database(QUERY.relations.values())
+    else:
+        options["stats"] = StatsProvider()
     if "tracer" in MEASURES[measure]:
         options["tracer"] = Tracer()
     if "metrics" in MEASURES[measure]:
         options["metrics"] = MetricsRegistry()
-    if "feedback" in MEASURES[measure]:
-        # A held prepared query re-plans on divergence and a one-shot
-        # run never does (tests/feedback/test_prepared_replan.py); out
-        # of reach here, so both surfaces do exactly the same work.
-        options["feedback"] = FeedbackConfig(replan_tolerance=1e9)
     return ExecutionContext(**options)
 
 
@@ -182,24 +182,7 @@ def _left_behind(builder) -> tuple:
             for metric in context.metrics
             if metric.name != "repro_shard_imbalance_ratio"
         }
-    compiled = builder._compile()
-    scope = feedback_scope(compiled.filters)
-    telemetry = context.stats.observed_telemetry(compiled.residual, scope)
-    levels = None
-    if telemetry is not None:
-        levels = (
-            telemetry.attribute_order,
-            telemetry.levels,
-            telemetry.rows,
-            telemetry.complete,
-        )
-    shards = {
-        key: (observation.rows, observation.weight)
-        for key, observation in context.stats.observed_shards(
-            compiled.residual, scope
-        ).items()
-    }
-    return spans, metrics, levels, shards
+    return spans, metrics
 
 
 @pytest.mark.parametrize("clause", CLAUSES)
@@ -225,8 +208,13 @@ def test_every_view_of_every_surface(measure, execution, clause):
             left[kind] = _left_behind(builder)
         assert left["builder"] == left["prepared"], view
         # Rebinding reuses the plan (no ``plan`` span, one more round of
-        # section indexes), so only its measurements are comparable.
-        assert left["bound"][1:] == left["prepared"][1:], view
+        # section indexes — over a catalog, one more round of index-cache
+        # hits), so only its other measurements are comparable.
+        bound, prepared = left["bound"][1], left["prepared"][1]
+        if execution == "catalog" and prepared is not None:
+            hits = "repro_index_cache_hits_total"
+            assert bound.pop(hits) >= prepared.pop(hits), view
+        assert bound == prepared, view
 
 
 @pytest.mark.parametrize("execution", EXECUTIONS)
@@ -238,11 +226,11 @@ def test_abandoned_stream_records_nothing(measure, execution):
     stream = prepared.stream()
     assert len([next(stream), next(stream)]) == 2
     stream.close()
-    spans, metrics, levels, shards = _left_behind(prepared.query)
+    spans, metrics = _left_behind(prepared.query)
     if context.tracer is not None:
         execute_span = context.tracer.find("execute")
         assert "rows" not in execute_span.meta
-    assert (metrics, levels, shards) == before[1:]
+    assert metrics == before[1]
     # ... and the prepared query runs again, completely.
     assert sorted(prepared.stream()) == sorted(ORACLE)
     if context.metrics is not None:

@@ -1,7 +1,10 @@
 """Statistics-driven planning: order, backends, shards, evidence."""
 
+import itertools
+
 import pytest
 
+from repro import Q
 from repro.baselines.naive import naive_join
 from repro.core.query import JoinQuery
 from repro.engine.planner import (
@@ -68,6 +71,37 @@ class TestSelectivityOrder:
             q, StatsProvider()
         )
         assert estimates[-1][1] <= 3**1.5 + 1e-9
+
+
+#: The amplified trap triangles: ``(decoy_domain, c_domain)`` settings,
+#: each drawn with twelve seeds.  At 16 a second decoy ``C`` pulls the
+#: min-distinct order ``B, C, A`` to ~8x the best order's candidates.
+TRAP_SETTINGS = [(8, None), (16, 16), (40, 40)]
+
+
+def total_candidates(builder) -> int:
+    """The search work of one run, read off ``EXPLAIN ANALYZE``."""
+    return sum(
+        level.candidates for level in builder.explain(analyze=True).levels
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("decoy, c_domain", TRAP_SETTINGS)
+def test_the_default_order_does_the_least_work_on_trap_instances(
+    decoy, c_domain, seed
+):
+    # The default plan's candidates against the best of all six pinned
+    # orders: the exact-selectivity descent steps around both decoys.
+    query = generators.zipf_trap_triangle(
+        1500, 3000, seed=seed, decoy_domain=decoy, c_domain=c_domain
+    )
+    generic = Q(query).using(algorithm="generic")
+    best = min(
+        total_candidates(generic.using(attribute_order=order))
+        for order in itertools.permutations(query.attributes)
+    )
+    assert total_candidates(generic) <= 1.1 * best
 
 
 class TestPlanStatisticsRecord:

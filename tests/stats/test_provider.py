@@ -7,6 +7,7 @@ from repro.engine.planner import plan_join
 from repro.relations.database import Database
 from repro.relations.relation import Relation
 from repro.stats import StatsConfig, StatsProvider
+from repro.stats.provider import resolve_provider
 from repro.workloads import generators, queries
 
 
@@ -306,3 +307,83 @@ class TestCoverLpSolvedOncePerCatalog:
         del solves[:]
         plan_join(query, stats=provider)
         assert solves == []
+
+
+class TestSubqueryBoundsKeying:
+    """The per-query payload cache behind ``subquery_bounds``: keyed by
+    the catalogued relations' names in a database (dropped when any of
+    them is replaced or removed), by relation value otherwise."""
+
+    RST = frozenset("RST")
+
+    def catalog(self):
+        db = Database(triangle_relations())
+        query = JoinQuery([db["R"], db["S"], db["T"]])
+        return db, query, db.stats().subquery_bounds(query)
+
+    def test_value_keyed_across_equal_reloads(self):
+        provider = StatsProvider()
+        first = provider.subquery_bounds(JoinQuery(triangle_relations()))
+        again = provider.subquery_bounds(JoinQuery(triangle_relations()))
+        assert again is first
+
+    def test_different_data_misses(self):
+        provider = StatsProvider()
+        first = provider.subquery_bounds(JoinQuery(triangle_relations()))
+        changed = triangle_relations()
+        changed[0] = Relation("R", ("A", "B"), [(0, 1), (1, 2), (9, 9)])
+        assert provider.subquery_bounds(JoinQuery(changed)) is not first
+
+    @pytest.mark.parametrize("name", ["R", "S", "T"])
+    def test_replacing_any_relation_invalidates(self, name):
+        db, _query, cached = self.catalog()
+        assert self.RST in cached
+        db.add(
+            Relation(name, db[name].attributes, sorted(db[name].tuples)[:-1]),
+            replace=True,
+        )
+        query = JoinQuery([db["R"], db["S"], db["T"]])
+        bounds = db.stats().subquery_bounds(query)
+        assert bounds is not cached
+        fresh = StatsProvider().subquery_bounds(JoinQuery(list(db)))
+        assert bounds[self.RST] == fresh[self.RST] < cached[self.RST]
+
+    def test_dropping_a_relation_invalidates(self):
+        db, query, cached = self.catalog()
+        s = db["S"]
+        db.remove("S")
+        db.add(s)  # the same objects are catalogued again
+        assert db.stats().subquery_bounds(query) is not cached
+
+    def test_same_named_ad_hoc_relations_do_not_hit(self):
+        db, _query, cached = self.catalog()
+        assert self.RST in cached
+        shrunk = JoinQuery(
+            [
+                Relation("R", ("A", "B"), [(0, 1)]),
+                Relation("S", ("B", "C"), [(1, 5)]),
+                Relation("T", ("A", "C"), [(0, 5)]),
+            ]
+        )
+        bounds = db.stats().subquery_bounds(shrunk)
+        assert bounds is not cached
+        assert bounds[self.RST] == pytest.approx(1.0)
+
+
+class TestResolveProvider:
+    def test_explicit_provider_wins(self):
+        provider = StatsProvider()
+        assert resolve_provider(None, provider) is provider
+
+    def test_config_without_database_is_wrapped(self):
+        config = StatsConfig(top_k=3)
+        assert resolve_provider(None, config).config == config
+
+    def test_database_provider_cached(self):
+        db = Database(triangle_relations())
+        assert resolve_provider(db, None) is db.stats()
+        config = StatsConfig(selectivities=False)
+        assert resolve_provider(db, config) is db.stats(config)
+
+    def test_default_provider_shared(self):
+        assert resolve_provider(None, None) is resolve_provider(None, None)

@@ -236,6 +236,17 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["join", "explain"])
+    def test_the_removed_feedback_flag_is_a_usage_error(
+        self, triangle_files, capsys, command
+    ):
+        # 4.0 removed runtime feedback: an old invocation fails loudly
+        # instead of running without what it asked for.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *triangle_files, "--feedback"])
+        assert excinfo.value.code == 2
+        assert "--feedback" in capsys.readouterr().err
+
 
 class TestCLIGoldenOutput:
     """Exact-output tests for the formats scripts depend on.
@@ -461,109 +472,3 @@ decisions:
         assert "bound attributes:" not in out
         assert "residual filters:" not in out
         assert "select:" not in out
-
-
-class TestCLIFeedback:
-    """``--feedback``: record on join, plan from observations on explain.
-
-    The tiny triangle is a Loomis-Whitney instance, so ``auto`` would
-    dispatch to lw (no per-level telemetry); every test pins
-    ``generic``, the order-sensitive executor the feedback loop
-    instruments.
-    """
-
-    FEEDBACK_STATS_GOLDEN = """\
-statistics:
-  source: feedback
-  distinct counts: A=3, B=3, C=3
-  order estimates: A~3, B~3, C~3
-  observed vs estimated (per chosen attribute):
-    A: estimate without feedback ~3, with feedback ~3
-    B: estimate without feedback ~3, with feedback ~3
-    C: estimate without feedback ~3, with feedback ~3
-  observed levels (last recorded run):
-    A @ level 0: partials=1 candidates=3 matches=3 selectivity=1.000 fan-out=3
-    B @ level 1: partials=3 candidates=3 matches=3 selectivity=1.000 fan-out=1
-    C @ level 2: partials=3 candidates=3 matches=3 selectivity=1.000 fan-out=1
-"""
-
-    def test_join_feedback_output_unchanged(self, triangle_files, capsys):
-        assert main(
-            ["join", *triangle_files, "--algorithm", "generic"]
-        ) == 0
-        plain = capsys.readouterr().out
-        assert main(
-            ["join", *triangle_files, "--algorithm", "generic",
-             "--feedback"]
-        ) == 0
-        assert capsys.readouterr().out == plain
-
-    def test_explain_feedback_without_observations_notes_it(
-        self, tmp_path, capsys
-    ):
-        # Distinct data from every other feedback test: the process-wide
-        # provider keys observations by relation value, and this test
-        # needs a query nothing has executed.
-        (tmp_path / "U.csv").write_text("A,B\n0,1\n1,9\n")
-        (tmp_path / "V.csv").write_text("B,C\n1,5\n9,8\n")
-        files = [str(tmp_path / "U.csv"), str(tmp_path / "V.csv")]
-        assert main(
-            ["explain", *files, "--algorithm", "generic", "--feedback"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "no observations recorded" in out
-
-    def test_explain_feedback_golden_stats_block(
-        self, triangle_files, capsys
-    ):
-        # A recorded run first, then the observed-vs-estimated table.
-        assert main(
-            ["join", *triangle_files, "--algorithm", "generic",
-             "--feedback"]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["explain", *triangle_files, "--algorithm", "generic",
-             "--feedback", "--stats"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "attribute order by observed-feedback descent" in out
-        start = out.index("statistics:")
-        block = out[start:start + len(self.FEEDBACK_STATS_GOLDEN)]
-        assert block == self.FEEDBACK_STATS_GOLDEN
-
-    def test_explain_without_feedback_flag_ignores_observations(
-        self, triangle_files, capsys
-    ):
-        assert main(
-            ["join", *triangle_files, "--algorithm", "generic",
-             "--feedback"]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["explain", *triangle_files, "--algorithm", "generic",
-             "--stats"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "source: exact" in out
-        assert "observed levels" not in out
-
-    def test_stream_and_shards_accept_feedback(
-        self, triangle_files, capsys
-    ):
-        assert main(
-            ["join", *triangle_files, "--algorithm", "generic",
-             "--feedback", "--stream"]
-        ) == 0
-        streamed = capsys.readouterr().out
-        assert sorted(streamed.splitlines()[1:]) == [
-            "0,1,5", "1,2,6", "2,0,7"
-        ]
-        assert main(
-            ["join", *triangle_files, "--algorithm", "generic",
-             "--feedback", "--shards", "2"]
-        ) == 0
-        sharded = capsys.readouterr().out
-        assert sorted(sharded.splitlines()[1:]) == [
-            "0,1,5", "1,2,6", "2,0,7"
-        ]

@@ -53,16 +53,6 @@ METRICS: dict[str, tuple[tuple[str, str, float | None], ...]] = {
         ("pushdown.light.speedup", "ratio", 0.4),
         ("prepared.index_builds_during_runs", "exact", None),
     ),
-    "BENCH_feedback.json": (
-        # Candidate counts are deterministic for fixed seeds: tight.
-        ("workloads.trap_selfcorrect.work_ratio", "ratio", 0.6),
-        ("workloads.trap_selfcorrect.order_changed", "exact", None),
-        ("workloads.trap_selfcorrect.parity", "exact", None),
-        # Split counts and per-shard times vary with host speed: loose.
-        ("workloads.zipf_hotshard.splits", "ratio", 0.5),
-        ("workloads.zipf_hotshard.critical_path_ratio", "ratio", 0.4),
-        ("workloads.zipf_hotshard.parity", "exact", None),
-    ),
     "BENCH_aggregate.json": (
         # The headline wall speedup is a same-host ratio but still
         # timing-derived: loose.  Probe/add counts are deterministic for

@@ -86,7 +86,6 @@ from repro.core import (
 from repro.engine import (
     IndexBackend,
     JoinPlan,
-    plan_attribute_order,
     plan_join,
 )
 from repro.errors import (
@@ -154,7 +153,6 @@ from repro.relations import (
 )
 from repro.stats import (
     PlanStatistics,
-    StatsConfig,
     StatsProvider,
 )
 
@@ -227,7 +225,6 @@ __all__ = [
     "SortedArrayIndex",
     "Span",
     "SpanContext",
-    "StatsConfig",
     "StatsProvider",
     "StealPolicy",
     "Sum",
@@ -255,7 +252,6 @@ __all__ = [
     "optimal_fractional_cover",
     "output_bound",
     "parse",
-    "plan_attribute_order",
     "plan_join",
     "relaxed_join",
     "sample_join",

@@ -249,8 +249,8 @@ def explain(
     ``plan.describe(show_stats=True)`` for the statistics that justified
     each decision) or later execution (``plan.execute()`` /
     ``plan.iter_rows()``).  ``database`` supplies the statistics cache;
-    ``stats`` pins a :class:`~repro.stats.provider.StatsProvider` (e.g.
-    selectivities disabled).
+    ``stats`` pins the :class:`~repro.stats.provider.StatsProvider` the
+    statistics are read from.
     """
     return execute(
         relations,

@@ -99,6 +99,26 @@ class Binding(NamedTuple):
         return [index.root for index in self.indexes]
 
 
+def resolve_order(
+    query: JoinQuery, attribute_order: Sequence[str] | None
+) -> tuple[str, ...]:
+    """``attribute_order`` as a tuple (the query's own when ``None``);
+    :class:`~repro.errors.QueryError` unless it is a permutation of the
+    query's attributes.  The planner checks a pinned order with it, so
+    a plan never prints an order no descent can run."""
+    if attribute_order is None:
+        return query.attributes
+    order = tuple(attribute_order)
+    if len(order) != len(query.attributes) or set(order) != set(
+        query.attributes
+    ):
+        raise QueryError(
+            f"attribute order {order!r} is not a permutation of "
+            f"{query.attributes!r}"
+        )
+    return order
+
+
 def bind(
     query: JoinQuery,
     attribute_order: Sequence[str] | None,
@@ -112,18 +132,7 @@ def bind(
     kind for every relation or a mapping of relation name to kind
     (absent relations get the default kind).
     """
-    order = (
-        tuple(attribute_order)
-        if attribute_order is not None
-        else query.attributes
-    )
-    if set(order) != set(query.attributes) or len(order) != len(
-        query.attributes
-    ):
-        raise QueryError(
-            f"attribute order {order!r} is not a permutation of "
-            f"{query.attributes!r}"
-        )
+    order = resolve_order(query, attribute_order)
     rank = {a: i for i, a in enumerate(order)}
     indexes = []
     participants: list[list[int]] = [[] for _ in order]

@@ -40,8 +40,6 @@ from repro.engine.parallel import (
 )
 from repro.engine.planner import (
     JoinPlan,
-    attribute_statistics,
-    plan_attribute_order,
     plan_attribute_order_selectivity,
     plan_join,
 )
@@ -57,12 +55,10 @@ __all__ = [
     "ShardJob",
     "ShardSlice",
     "algorithm_names",
-    "attribute_statistics",
     "backend_kinds",
     "batches",
     "build_executor",
     "build_index",
-    "plan_attribute_order",
     "plan_attribute_order_selectivity",
     "plan_join",
     "plan_shards",

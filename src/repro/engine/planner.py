@@ -25,10 +25,10 @@ The product is an inspectable :class:`JoinPlan`:
   count by the exact conditional selectivities against the relations
   already bound (:mod:`repro.stats`), clamped by the AGM sub-bounds of
   the covered sub-queries (:meth:`~repro.stats.provider.StatsProvider.
-  subquery_bounds`, each solved when a clamp reads it).  With
-  ``StatsConfig(selectivities=False)`` the planner falls back to the
-  classical ascending-distinct-count heuristic.  Either way the chosen
-  prefix stays connected so early levels prune;
+  subquery_bounds`, each solved when a clamp reads it).  The chosen
+  prefix stays connected so early levels prune.  A caller may pin the
+  order instead (``attribute_order=``); it must be a permutation of the
+  query's attributes, checked here;
 * **backend** — ``"sorted"`` flat arrays for leapfrog (its native
   layout; callers may fix ``"compact"`` for packed runs with radix
   seeks); for Generic Join a **per-relation** choice driven by cached-
@@ -61,6 +61,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 
 import os
 
+from repro.core.descent import resolve_order
 from repro.core.query import JoinQuery
 from repro.engine.backends import validate_backend
 from repro.engine.compact import CompactArrayIndex
@@ -74,17 +75,14 @@ from repro.relations.relation import Relation, Row, Value
 from repro.relations.sorted_index import SortedArrayIndex
 from repro.relations.trie import TrieIndex
 from repro.stats.provider import (
+    HEAVY_MASS_THRESHOLD,
     PlanStatistics,
-    StatsConfig,
     StatsProvider,
-    default_provider,
     resolve_provider,
 )
 
 __all__ = [
     "JoinPlan",
-    "attribute_statistics",
-    "plan_attribute_order",
     "plan_attribute_order_selectivity",
     "plan_join",
 ]
@@ -378,64 +376,6 @@ class JoinPlan:
         return "\n".join(lines)
 
 
-def attribute_statistics(
-    query: JoinQuery, stats: StatsProvider | None = None
-) -> dict[str, int]:
-    """Per-attribute selectivity scores (min distinct count).
-
-    The score of attribute ``A`` is ``min_e |pi_A(R_e)|`` over the
-    relations containing ``A`` — the tightest distinct-count any index on
-    ``A`` will present.  Lower scores mean earlier intersection levels
-    stay smaller (the smallest-domain heuristic).
-
-    Served from ``stats`` (a :class:`~repro.stats.provider.
-    StatsProvider`) when given, so repeated plans over the same
-    ``Database`` reuse cached relation profiles instead of rescanning;
-    without one, an ephemeral provider scans the data once.
-    """
-    provider = stats if stats is not None else default_provider()
-    return provider.attribute_scores(query)
-
-
-def plan_attribute_order(
-    query: JoinQuery, scores: dict[str, int] | None = None
-) -> tuple[str, ...]:
-    """A greedy most-selective-first, connectivity-respecting order.
-
-    Start from the globally most selective attribute; repeatedly append
-    the most selective attribute sharing a relation with the prefix (so
-    each new level is constrained by at least one already-bound relation
-    and prunes instead of cross-producting).  Ties break on first
-    appearance in the query, keeping the result deterministic.
-
-    ``scores`` accepts a precomputed :func:`attribute_statistics` result
-    so callers that also want the statistics scan the data only once.
-    """
-    if scores is None:
-        scores = attribute_statistics(query)
-    appearance = {a: i for i, a in enumerate(query.attributes)}
-    neighbors: dict[str, set[str]] = {a: set() for a in query.attributes}
-    for relation in query.relations.values():
-        for a in relation.attributes:
-            neighbors[a].update(relation.attributes)
-
-    def sort_key(attribute: str) -> tuple[int, int]:
-        return (scores[attribute], appearance[attribute])
-
-    remaining = set(query.attributes)
-    order: list[str] = []
-    frontier: set[str] = set()
-    while remaining:
-        candidates = frontier & remaining
-        if not candidates:
-            candidates = remaining  # new connected component (or start)
-        chosen = min(candidates, key=sort_key)
-        order.append(chosen)
-        remaining.discard(chosen)
-        frontier |= neighbors[chosen]
-    return tuple(order)
-
-
 def _prefix_clamp(
     relations: Mapping[str, Relation],
     sub_bounds: Mapping[frozenset, float],
@@ -666,9 +606,10 @@ def _relation_backends(
        an index over this relation in the order the plan needs, reuse
        its kind: a free cache hit beats any rebuild.
     2. **Skew** — a heavy first index level (heavy-hitter mass at or
-       above the provider's threshold) gets the hash trie: the hot
-       values are probed over and over, and the trie answers in O(1)
-       where the flat backends pay a log factor per probe.
+       above :data:`~repro.stats.provider.HEAVY_MASS_THRESHOLD`) gets
+       the hash trie: the hot values are probed over and over, and the
+       trie answers in O(1) where the flat backends pay a log factor
+       per probe.
     3. **Size** — large low-skew relations
        (>= :data:`LARGE_FLAT_RELATION` tuples) get the compact flat
        array: packed arrays are a fraction of the trie's dict weight,
@@ -702,7 +643,7 @@ def _relation_backends(
             notes.append(f"{eid}: cached {cached} index")
             continue
         profile = stats.profile(relation).attribute(index_order[0])
-        if profile.heavy_mass >= stats.config.heavy_mass_threshold:
+        if profile.heavy_mass >= HEAVY_MASS_THRESHOLD:
             choices[eid] = TrieIndex.kind
             notes.append(
                 f"{eid}: trie ({profile.heavy_count} heavy value(s) carry "
@@ -758,9 +699,10 @@ def _auto_shards(
     and queue overhead would dominate); otherwise one shard per available
     CPU, capped at :data:`MAX_AUTO_SHARDS` — **raised** to one more than
     the first attribute's heavy-hitter count when its heavy values carry
-    at least the provider's threshold mass, so every hot value can land
-    in a shard of its own (the "Skew Strikes Back" heavy/light split,
-    applied to the LPT partitioner in :mod:`repro.engine.parallel`).
+    at least :data:`~repro.stats.provider.HEAVY_MASS_THRESHOLD` of its
+    mass, so every hot value can land in a shard of its own (the "Skew
+    Strikes Back" heavy/light split, applied to the LPT partitioner in
+    :mod:`repro.engine.parallel`).
     """
     total = query.total_input_size()
     if total < AUTO_SHARD_MIN_TUPLES:
@@ -786,7 +728,7 @@ def _auto_shards(
     record.update(
         shard_attribute=first, shard_heavy_mass=heavy_mass, shard_cpus=cpus
     )
-    if heavy_count and heavy_mass >= stats.config.heavy_mass_threshold:
+    if heavy_count and heavy_mass >= HEAVY_MASS_THRESHOLD:
         boosted = min(MAX_AUTO_SHARDS, max(shards, heavy_count + 1))
         if boosted > shards:
             reasons.append(
@@ -878,10 +820,11 @@ def _plan_join(
     availability for the per-relation backend choice): repeated plans
     over the same catalog reuse value-count tables, profiles, and
     selectivities instead of rescanning the data.  ``stats`` overrides
-    the provider outright — pass
-    ``StatsProvider(config=StatsConfig(selectivities=False))`` to fall
-    back to the min-distinct heuristic, or a bare
-    :class:`~repro.stats.provider.StatsConfig` (wrapped here).
+    the provider outright.
+
+    ``attribute_order`` pins the order of ``generic`` / ``leapfrog``
+    (``"auto"`` then means ``generic``); anything but a permutation of
+    the query's attributes raises :class:`~repro.errors.QueryError`.
 
     ``context`` — an :class:`~repro.query.context.ExecutionContext` —
     replaces the individual option keywords wholesale: when given, the
@@ -917,9 +860,9 @@ def _plan_join(
         )
     if backend is not None:
         validate_backend(backend)
-    # One shared resolution rule (with the sharded driver): StatsConfig
-    # wrapped, explicit provider as-is, else the database's, else the
-    # bounded process-wide default so repeated ad-hoc plans never rescan.
+    # One shared resolution rule (with the sharded driver): an explicit
+    # provider as-is, else the database's, else the bounded process-wide
+    # default so repeated ad-hoc plans never rescan.
     provider = resolve_provider(database, stats)
     reasons: list[str] = []
     if algorithm == "auto":
@@ -957,31 +900,22 @@ def _plan_join(
     used_stats = False
 
     if attribute_order is not None:
-        order = tuple(attribute_order)
+        order = resolve_order(query, attribute_order)
         reasons.append(f"attribute order fixed by caller: {', '.join(order)}")
     elif order_sensitive:
         used_stats = True
-        if provider.config.selectivities:
-            with maybe_span("stats-profile", source="exact"):
-                order, scores, estimates, consulted = (
-                    plan_attribute_order_selectivity(query, provider)
-                )
-            record["order_estimates"] = estimates
-            record["selectivities"] = tuple(
-                (src, dst, sel)
-                for (src, dst), sel in sorted(consulted.items())
+        with maybe_span("stats-profile"):
+            order, scores, estimates, consulted = (
+                plan_attribute_order_selectivity(query, provider)
             )
-            reasons.append(
-                "attribute order by exact selectivity descent: "
-                + ", ".join(f"{a}(~{est:.3g})" for a, est in estimates)
-            )
-        else:
-            scores = provider.attribute_scores(query)
-            order = plan_attribute_order(query, scores)
-            reasons.append(
-                "attribute order by ascending distinct-count: "
-                + ", ".join(f"{a}({scores[a]})" for a in order)
-            )
+        record["order_estimates"] = estimates
+        record["selectivities"] = tuple(
+            (src, dst, sel) for (src, dst), sel in sorted(consulted.items())
+        )
+        reasons.append(
+            "attribute order by exact selectivity descent: "
+            + ", ".join(f"{a}(~{est:.3g})" for a, est in estimates)
+        )
         record["distinct_counts"] = tuple(
             (a, scores[a]) for a in order
         )
@@ -1027,9 +961,6 @@ def _plan_join(
     statistics = None
     if used_stats:
         statistics = PlanStatistics(
-            source=(
-                "exact" if provider.config.selectivities else "heuristic"
-            ),
             heavy_hitters=provider.heavy_hitters(query),
             **record,
         )

@@ -31,7 +31,6 @@ import json
 from dataclasses import dataclass, replace as _dc_replace
 from time import perf_counter
 
-from repro.observe.telemetry import level_estimates
 from repro.observe.tracing import Tracer
 from repro.version import __version__
 
@@ -170,7 +169,8 @@ class ExplainAnalysis:
 
 def _merge_levels(plan, telemetry) -> tuple[LevelAnalysis, ...]:
     """Line the plan's estimates up with the run's observed counters."""
-    estimates = dict(level_estimates(plan.statistics))
+    statistics = plan.statistics
+    estimates = dict(statistics.order_estimates if statistics else ())
     observed = (
         {level.attribute: level for level in telemetry.levels}
         if telemetry is not None

@@ -32,7 +32,6 @@ __all__ = [
     "ExecutionTelemetry",
     "ObservedLevel",
     "TelemetryProbe",
-    "level_estimates",
 ]
 
 
@@ -105,25 +104,3 @@ class ExecutionTelemetry:
         """Summed candidate enumerations — the run's search work, in
         data-dependent (wall-clock-free) units."""
         return sum(level.candidates for level in self.levels)
-
-
-def level_estimates(statistics) -> tuple[tuple[str, float], ...]:
-    """A plan's per-level partial-size estimates, explicit or implied.
-
-    Exact plans carry ``order_estimates`` directly; heuristic plans
-    imply them — the min-distinct descent's implicit model is that each
-    level fans out by at most its distinct score, so the running product
-    of scores is the estimate observed counts are held against (``EXPLAIN
-    ANALYZE``'s estimated-vs-observed table).  Accepts ``None`` (no
-    statistics recorded) and returns ``()``.
-    """
-    if statistics is None:
-        return ()
-    if statistics.order_estimates:
-        return statistics.order_estimates
-    derived: list[tuple[str, float]] = []
-    cumulative = 1.0
-    for attribute, score in statistics.distinct_counts:
-        cumulative *= max(score, 1)
-        derived.append((attribute, cumulative))
-    return tuple(derived)

@@ -3,7 +3,7 @@
 Before this object existed, every entry point in :mod:`repro.api` (and
 the CLI, and :mod:`repro.engine.parallel`) re-declared the same keyword
 list — ``algorithm``, ``cover``, ``attribute_order``, ``backend``,
-``database``, ``shards``, ``batch_size``, stats configuration — and the
+``database``, ``shards``, ``batch_size``, the stats provider — and the
 lists drifted apart with every PR.  :class:`ExecutionContext` replaces
 that kwargs plumbing with one immutable value object: the fluent builder
 (:mod:`repro.query.builder`) carries one, the planner unpacks one
@@ -31,6 +31,7 @@ from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracing import Tracer
 from repro.query.shards import ShardSpec
 from repro.relations.database import Database
+from repro.stats.provider import StatsProvider
 
 __all__ = ["ExecutionContext"]
 
@@ -53,10 +54,10 @@ class ExecutionContext:
     #: Catalog supplying cached indexes and statistics (Remark 5.2's
     #: ahead-of-time indexing); ``None`` plans and runs standalone.
     database: Database | None = None
-    #: A :class:`~repro.stats.provider.StatsProvider` (or a
-    #: :class:`~repro.stats.provider.StatsConfig`, which the planner
-    #: wraps) pinning how plan statistics are gathered.
-    stats: object | None = None
+    #: The :class:`~repro.stats.provider.StatsProvider` plan statistics
+    #: are read from and cached in; ``None``: the database's, or the
+    #: process-wide default.
+    stats: StatsProvider | None = None
     #: Algorithm name or ``"auto"`` (the planner's shape dispatch).
     algorithm: str = "auto"
     #: Optional fractional cover for the cover-driven algorithms.
@@ -99,6 +100,20 @@ class ExecutionContext:
         if self.attribute_order is not None:
             object.__setattr__(
                 self, "attribute_order", tuple(self.attribute_order)
+            )
+        if self.stats is not None and not isinstance(
+            self.stats, StatsProvider
+        ):
+            raise PlanError(
+                f"stats must be a repro.StatsProvider (or None), got "
+                f"{type(self.stats).__name__}: {self.stats!r}"
+            )
+        if self.cover is not None and not isinstance(
+            self.cover, FractionalCover
+        ):
+            raise PlanError(
+                f"cover must be a repro.FractionalCover (or None), got "
+                f"{type(self.cover).__name__}: {self.cover!r}"
             )
         # Normalize every accepted shards= spelling into a ShardSpec (or
         # None) once, here, so the planner and drivers see one type.

@@ -274,8 +274,8 @@ class Database:
         # Bounded: FIFO-evicted above stats_cache_budget entries.
         self._stats_cache: dict[tuple[str, tuple], object] = {}
         self._stats_cache_budget = stats_cache_budget
-        # StatsConfig -> StatsProvider, so db.stats() is compute-once.
-        self._stats_providers: dict[object, object] = {}
+        # The one StatsProvider db.stats() hands out, made on first call.
+        self._stats_provider = None
         for relation in relations:
             self.add(relation)
 
@@ -342,23 +342,20 @@ class Database:
         """
         return self._relations.get(relation.name) is relation
 
-    def stats(self, config: object | None = None):
+    def stats(self):
         """The :class:`~repro.stats.provider.StatsProvider` for this
-        database (one cached instance per configuration).
+        database (one instance, made on first call).
 
         Statistics the provider computes for catalogued relations are
         stored in this database's stats cache and invalidated together
         with the index cache on ``add(replace=True)`` / ``remove``.
         """
         # Imported here: repro.stats.provider imports this module.
-        from repro.stats.provider import StatsConfig, StatsProvider
+        from repro.stats.provider import StatsProvider
 
-        key = config if config is not None else StatsConfig()
-        provider = self._stats_providers.get(key)
-        if provider is None:
-            provider = StatsProvider(database=self, config=key)
-            self._stats_providers[key] = provider
-        return provider
+        if self._stats_provider is None:
+            self._stats_provider = StatsProvider(database=self)
+        return self._stats_provider
 
     # -- query layer ---------------------------------------------------------
 

@@ -20,7 +20,10 @@ See :mod:`repro.stats.profiles` (the counting pass; distinct counts and
 heavy/light skew profiles read off it) and :mod:`repro.stats.provider`
 (the caching :class:`StatsProvider` — tables, profiles, exact
 conditional selectivities, on-demand AGM sub-bounds — and the
-:class:`PlanStatistics` record plans carry).
+:class:`PlanStatistics` record plans carry).  There is nothing to
+configure: the heavy-mass cut adaptive decisions trigger on is
+:data:`repro.stats.provider.HEAVY_MASS_THRESHOLD`, the top-k table's
+length :data:`repro.stats.profiles.DEFAULT_TOP_K`.
 """
 
 from repro.stats.profiles import (
@@ -31,7 +34,6 @@ from repro.stats.profiles import (
 )
 from repro.stats.provider import (
     PlanStatistics,
-    StatsConfig,
     StatsProvider,
 )
 
@@ -39,7 +41,6 @@ __all__ = [
     "AttributeProfile",
     "PlanStatistics",
     "RelationProfile",
-    "StatsConfig",
     "StatsProvider",
     "heavy_threshold",
     "profile_relation",

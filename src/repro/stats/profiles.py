@@ -10,8 +10,8 @@ when its frequency reaches the square root of the relation's size, the
 threshold at which per-value work can dominate a shard or an
 intersection.  :class:`AttributeProfile` records exactly that split
 (heavy value count, the output mass they carry, the top-k frequency
-table) alongside the distinct count the classical smallest-domain
-heuristic uses.
+table) alongside the distinct count the planner's order estimates
+start from.
 
 The one statistic taken off the data is the **value-count table**
 (:func:`count_values`): ``value -> number of tuples carrying it`` for
@@ -120,13 +120,6 @@ class AttributeProfile:
     heavy_count: int
     #: Fraction of tuples carrying a heavy value (0.0 when none).
     heavy_mass: float
-    #: Smallest / largest value when **every** value is a plain integer
-    #: (bools count as their 0/1 selves); ``None`` for non-integer or
-    #: empty columns.  Together with ``distinct`` these give the value
-    #: span — what the planner's density rule and the compact backend's
-    #: radix fast path both reason about.
-    int_min: int | None = _DerivedOnRead(None)
-    int_max: int | None = _DerivedOnRead(None)
     #: Whether the column's values sort: ``False`` when two of them do
     #: not compare (``int`` beside ``str``).  The sorted and compact
     #: backends sort their rows, so they need every column orderable;
@@ -135,47 +128,6 @@ class AttributeProfile:
 
     def __getstate__(self) -> dict:  # the values, not the callables' tables
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @property
-    def int_span(self) -> int:
-        """``max - min + 1`` for all-integer columns, else 0."""
-        if self.int_min is None or self.int_max is None:
-            return 0
-        return self.int_max - self.int_min + 1
-
-    @property
-    def density(self) -> float:
-        """``distinct / span`` for all-integer columns (0.0 otherwise).
-
-        1.0 means the distinct values are exactly a consecutive integer
-        interval — the compact backend's radix lookups apply everywhere;
-        values near 1.0 mean most runs are dense or near-dense.
-        """
-        span = self.int_span
-        if span <= 0:
-            return 0.0
-        return self.distinct / span
-
-    @property
-    def max_frequency(self) -> int:
-        """Frequency of the most common value (0 for an empty relation)."""
-        return self.top[0][1] if self.top else 0
-
-    @property
-    def skew(self) -> float:
-        """``max_frequency / mean_frequency`` — 1.0 means uniform.
-
-        The mean frequency is ``total / distinct``; a Zipf-distributed
-        attribute reports a skew that grows with its domain.
-        """
-        if self.distinct == 0 or self.total == 0:
-            return 1.0
-        return self.max_frequency * self.distinct / self.total
-
-    @property
-    def is_skewed(self) -> bool:
-        """True when any value crossed the heavy threshold."""
-        return self.heavy_count > 0
 
     def describe(self) -> str:
         """One line: ``B: 40 distinct, 2 heavy >= 7 (61% of tuples)``."""
@@ -208,14 +160,6 @@ class RelationProfile:
             f"relation {self.name!r} has no attribute {name!r}"
         )
 
-    def __contains__(self, name: str) -> bool:
-        return any(p.attribute == name for p in self.attributes)
-
-    @property
-    def max_heavy_mass(self) -> float:
-        """The largest heavy-hitter mass over all attributes."""
-        return max((p.heavy_mass for p in self.attributes), default=0.0)
-
 
 def count_values(
     relation: Relation, attributes: Sequence[str]
@@ -247,13 +191,6 @@ def _top_values(counter: Mapping, k: int) -> tuple[tuple[Value, int], ...]:
         key=repr,
     )
     return tuple(above) + tuple((value, cutoff) for value in tied)
-
-
-def _int_bound(values: Collection[Value], pick: Callable) -> int | None:
-    """``pick`` (``min`` / ``max``) of ``values`` if all are ints."""
-    if values and all(issubclass(k, int) for k in set(map(type, values))):
-        return int(pick(values))
-    return None
 
 
 def _orderable(values: Collection[Value]) -> bool:
@@ -297,8 +234,6 @@ def profile_relation(
                 heavy_threshold=threshold,
                 heavy_count=len(heavy),
                 heavy_mass=(sum(heavy) / total) if total else 0.0,
-                int_min=partial(_int_bound, counter, min),
-                int_max=partial(_int_bound, counter, max),
                 orderable=partial(_orderable, counter),
             )
         )

@@ -2,10 +2,6 @@
 
 One object sits between the planner and the statistics machinery:
 
-* :class:`StatsConfig` — the knobs (selectivities on or off, top-k, the
-  heavy-mass threshold adaptive decisions trigger on).  Frozen and
-  hashable, so a :class:`~repro.relations.database.Database` can keep
-  one provider per distinct configuration.
 * :class:`StatsProvider` — serves one statistic taken off the data, the
   **value-count table** of a relation's attribute set
   (:meth:`StatsProvider.value_counts`, cached: scanned, or summed out of
@@ -40,7 +36,6 @@ from typing import TYPE_CHECKING
 from repro.core.estimates import connected_estimate
 from repro.relations.relation import Relation
 from repro.stats.profiles import (
-    DEFAULT_TOP_K,
     RelationProfile,
     count_values,
     profile_relation,
@@ -52,9 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "PlanStatistics",
-    "StatsConfig",
     "StatsProvider",
-    "default_provider",
     "resolve_provider",
 ]
 
@@ -63,6 +56,10 @@ __all__ = [
 #: references, so the cache must not grow with process lifetime;
 #: eviction is FIFO — recomputation is always safe.
 LOCAL_CACHE_BUDGET = 512
+
+#: Heavy-hitter mass at or above which adaptive decisions trigger
+#: (per-relation trie backends, extra heavy-value shards).
+HEAVY_MASS_THRESHOLD = 0.25
 
 
 def _sum_out(table: Mapping, held: tuple, attributes: tuple) -> Counter:
@@ -94,21 +91,6 @@ def _count(relation: Relation, attributes: tuple, tables: Mapping) -> Mapping:
 
 
 @dataclass(frozen=True)
-class StatsConfig:
-    """Configuration for a :class:`StatsProvider` (frozen, hashable)."""
-
-    #: Whether the order descent reads conditional selectivities.
-    #: ``False`` falls back to the min-distinct heuristic: only the
-    #: single-attribute tables the profiles need are counted.
-    selectivities: bool = True
-    #: Length of each attribute's most-frequent-values table.
-    top_k: int = DEFAULT_TOP_K
-    #: Heavy-hitter mass at or above which adaptive decisions trigger
-    #: (per-relation trie backends, extra heavy-value shards).
-    heavy_mass_threshold: float = 0.25
-
-
-@dataclass(frozen=True)
 class PlanStatistics:
     """The statistics that justified a plan's decisions.
 
@@ -118,9 +100,6 @@ class PlanStatistics:
     compare across process boundaries.
     """
 
-    #: ``"exact"`` when conditional selectivities drove the order,
-    #: ``"heuristic"`` when the min-distinct fallback ran.
-    source: str
     #: ``(attribute, min distinct count)`` — the smallest-domain scores.
     distinct_counts: tuple[tuple[str, int], ...] = ()
     #: ``(source relation, target relation, P(match))`` for every
@@ -146,7 +125,7 @@ class PlanStatistics:
 
     def describe(self) -> str:
         """Human-readable rendering (the ``explain --stats`` block)."""
-        lines = ["statistics:", f"  source: {self.source}"]
+        lines = ["statistics:"]
         if self.distinct_counts:
             lines.append(
                 "  distinct counts: "
@@ -236,17 +215,10 @@ class StatsProvider:
         identity — ``database[name] is relation``) are cached *in the
         database* and invalidated alongside its index cache on
         ``add(replace=True)`` / ``remove``.
-    config:
-        Selectivity and skew knobs; defaults to :class:`StatsConfig()`.
     """
 
-    def __init__(
-        self,
-        database: "Database | None" = None,
-        config: StatsConfig | None = None,
-    ) -> None:
+    def __init__(self, database: "Database | None" = None) -> None:
         self.database = database
-        self.config = config if config is not None else StatsConfig()
         # Ad-hoc (non-catalogued) relation cache: payload key -> (ref,
         # payload).  The strong relation reference keeps id() valid and
         # the payload honest — relations are immutable, so entries never
@@ -310,10 +282,8 @@ class StatsProvider:
         from its single-attribute :meth:`value_counts` tables."""
         return self._cached(
             relation,
-            ("profile", self.config.top_k),
-            lambda: profile_relation(
-                relation, self.config.top_k, self.value_counts
-            ),
+            ("profile",),
+            lambda: profile_relation(relation, value_counts=self.value_counts),
         )
 
     def selectivity(self, source: Relation, target: Relation) -> float:
@@ -372,7 +342,8 @@ class StatsProvider:
         return payload
 
     def attribute_scores(self, query: "JoinQuery") -> dict[str, int]:
-        """Per-attribute min-distinct scores (the classical heuristic).
+        """Per-attribute min-distinct scores: the base of the order
+        descent's estimates and its tie-break.
 
         The score of attribute ``A`` is ``min_e |pi_A(R_e)|`` over the
         relations containing ``A`` — served from cached profiles, so
@@ -467,12 +438,12 @@ class StatsProvider:
         self, query: "JoinQuery"
     ) -> tuple[tuple[str, str, int, float], ...]:
         """Every ``(relation, attribute, heavy count, heavy mass)`` in
-        the query whose heavy mass crosses the configured threshold,
+        the query whose heavy mass crosses :data:`HEAVY_MASS_THRESHOLD`,
         heaviest mass first (deterministic order)."""
         found = []
         for eid, relation in query.relations.items():
             for attr_profile in self.profile(relation).attributes:
-                if attr_profile.heavy_mass >= self.config.heavy_mass_threshold:
+                if attr_profile.heavy_mass >= HEAVY_MASS_THRESHOLD:
                     found.append(
                         (
                             eid,
@@ -494,27 +465,16 @@ class StatsProvider:
 _DEFAULT_PROVIDER = StatsProvider()
 
 
-def default_provider() -> StatsProvider:
-    """The process-wide default :class:`StatsProvider` (default config)."""
-    return _DEFAULT_PROVIDER
-
-
 def resolve_provider(
-    database: "Database | None" = None, stats: object | None = None
+    database: "Database | None" = None, stats: StatsProvider | None = None
 ) -> StatsProvider:
     """The provider a ``(database, stats)`` pair denotes.
 
     The one resolution rule shared by the planner and the sharded driver
     — both must agree, so the shards are weighed with the tables the
-    plan was made from.  ``stats`` may be a provider (used as-is) or a
-    bare :class:`StatsConfig` (wrapped — through the database's provider
-    cache when one is given); otherwise the database's default provider,
-    and finally the process-wide default.
+    plan was made from: ``stats`` when given, else the database's
+    provider, and finally the process-wide default.
     """
-    if isinstance(stats, StatsConfig):
-        if database is not None:
-            return database.stats(stats)
-        return StatsProvider(config=stats)
     if stats is not None:
         return stats
     if database is not None:

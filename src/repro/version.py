@@ -8,4 +8,4 @@ the zero-dependency observability layer (:mod:`repro.observe`) can
 import it without importing ``repro`` itself.
 """
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"

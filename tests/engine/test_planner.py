@@ -9,17 +9,13 @@ from repro.api import execute, explain
 from repro.baselines.naive import naive_join
 from repro.core.generic_join import GenericJoin
 from repro.core.query import JoinQuery
-from repro.engine.planner import (
-    JoinPlan,
-    attribute_statistics,
-    plan_attribute_order,
-    plan_join,
-)
+from repro.engine.planner import JoinPlan, plan_join
 from repro.__main__ import main
 from repro.errors import QueryError
 from repro.io import save_relation_csv
 from repro.query.builder import Q
 from repro.relations.relation import Relation
+from repro.stats import StatsProvider
 from repro.workloads import generators, instances, queries
 
 from tests.helpers import oracle_join, triangle_query
@@ -235,7 +231,7 @@ class TestAutoRoutesLWToGeneric:
         )
 
 
-class TestOrderHeuristic:
+class TestOrderSelection:
     def test_statistics_are_min_distinct_counts(self):
         q = JoinQuery(
             [
@@ -243,7 +239,7 @@ class TestOrderHeuristic:
                 Relation("S", ("B", "C"), [(1, 1), (2, 1), (3, 1)]),
             ]
         )
-        stats = attribute_statistics(q)
+        stats = StatsProvider().attribute_scores(q)
         assert stats == {"A": 1, "B": 3, "C": 1}
 
     def test_most_selective_attribute_first(self):
@@ -257,19 +253,21 @@ class TestOrderHeuristic:
                 Relation("T", ("A", "C"), [(7, c) for c in range(8)]),
             ]
         )
-        order = plan_attribute_order(q)
-        assert order[0] == "A"
+        order = plan_join(q).attribute_order
+        assert order == ("A", "B", "C")
 
     def test_order_is_permutation(self):
         for seed in range(5):
             h = generators.random_hypergraph(5, 4, 3, seed=seed)
             q = generators.random_instance(h, 25, 4, seed=seed)
-            order = plan_attribute_order(q)
+            order = plan_join(q).attribute_order
             assert sorted(order) == sorted(q.attributes)
 
     def test_order_is_deterministic(self):
         q = generators.random_instance(queries.triangle(), 30, 5, seed=1)
-        assert plan_attribute_order(q) == plan_attribute_order(q)
+        assert plan_join(q).attribute_order == plan_join(
+            q, stats=StatsProvider()
+        ).attribute_order
 
 
 class TestPlannerInvariance:
@@ -298,6 +296,24 @@ class TestPlannerInvariance:
 
 
 class TestEarlyValidation:
+    @pytest.mark.parametrize("algorithm", ["auto", "generic", "leapfrog"])
+    @pytest.mark.parametrize(
+        "order",
+        [("A", "B"), ("A", "A", "B"), ("A", "B", "C", "D")],
+        ids=["missing", "duplicate", "extra"],
+    )
+    def test_a_pinned_non_permutation_is_rejected_at_plan_time(
+        self, algorithm, order
+    ):
+        relations = [
+            Relation("R", ("A", "B"), [(1, 2)]),
+            Relation("S", ("B", "C"), [(2, 3)]),
+        ]
+        with pytest.raises(QueryError, match="not a permutation"):
+            plan_join(JoinQuery(relations), algorithm, attribute_order=order)
+        with pytest.raises(QueryError, match="not a permutation"):
+            explain(relations, algorithm=algorithm, attribute_order=order)
+
     def test_unknown_algorithm_rejected_before_any_work(self):
         # The relations argument is never touched: validation precedes
         # query construction and index building.

@@ -47,6 +47,24 @@ class TestReplay:
         with pytest.raises(AssertionError, match="!= scan"):
             fuzz.check_value_counts(relations)
 
+    def test_a_planned_non_permutation_is_a_finding(
+        self, fuzz, monkeypatch
+    ):
+        import repro.engine.planner as planner_module
+        from repro.relations.relation import Relation
+
+        relations = [
+            Relation("R", ("A", "B"), [(1, 2)]),
+            Relation("S", ("B", "C"), [(2, 3)]),
+        ]
+        options = {"algorithm": "leapfrog"}
+        fuzz.check_rejected(relations, options, ("A", "B"))
+        monkeypatch.setattr(
+            planner_module, "resolve_order", lambda query, order: order
+        )
+        with pytest.raises(AssertionError, match="non-permutation"):
+            fuzz.check_rejected(relations, options, ("A", "B"))
+
     def test_instances_are_seed_deterministic(self, fuzz):
         import random
 

@@ -1,5 +1,7 @@
 """ExecutionContext: the single carrier of execution options."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.api import execute, explain, iter_join
@@ -9,9 +11,17 @@ from repro.query.builder import Q
 from repro.query.context import ExecutionContext
 from repro.query.shards import ShardSpec
 from repro.relations.database import Database
-from repro.stats import StatsConfig
+from repro.stats import StatsProvider
 
 from tests.helpers import triangle_query
+
+
+@dataclass(frozen=True)
+class LeftoverStatsConfig:
+    """Shaped like the statistics configuration 5.0 removed."""
+
+    selectivities: bool = False
+    top_k: int = 8
 
 
 class TestContextObject:
@@ -63,6 +73,23 @@ class TestContextObject:
         with pytest.raises(PlanError):
             ExecutionContext(mode="sideways")
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("stats", "bogus", "StatsProvider"),
+            # A leftover configuration object is not a provider.
+            ("stats", LeftoverStatsConfig(), "StatsProvider"),
+            ("stats", StatsProvider, "StatsProvider"),  # the class
+            ("cover", {"R": 1}, "FractionalCover"),
+            ("cover", 1.5, "FractionalCover"),
+        ],
+    )
+    def test_stats_and_cover_validated_eagerly(self, field, value, kind):
+        with pytest.raises(PlanError, match=f"{field} must be a repro.{kind}"):
+            ExecutionContext(**{field: value})
+        with pytest.raises(PlanError, match=f"{field} must be"):
+            execute(triangle_query(), **{field: value}).count()
+
     def test_describe_lists_non_defaults(self):
         text = ExecutionContext(algorithm="generic", shards=4).describe()
         assert "algorithm='generic'" in text
@@ -79,16 +106,21 @@ class TestPlannerConsumesContext:
         assert plan.algorithm == "generic"
         assert plan.shards == 2
 
-    def test_stats_config_accepted_directly(self):
+    def test_the_context_provider_holds_the_statistics(self):
         query = triangle_query()
+        read = []
+
+        class Recording(StatsProvider):
+            def value_counts(self, relation, attributes):
+                read.append(relation.name)
+                return super().value_counts(relation, attributes)
+
         plan = plan_join(
             query,
-            context=ExecutionContext(
-                algorithm="generic", stats=StatsConfig(selectivities=False)
-            ),
+            context=ExecutionContext(algorithm="generic", stats=Recording()),
         )
         assert plan.statistics is not None
-        assert plan.statistics.source == "heuristic"
+        assert set(read) == {"R", "S", "T"}
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(QueryError):

@@ -9,20 +9,15 @@ from repro.baselines.naive import naive_join
 from repro.core.query import JoinQuery
 from repro.engine.planner import (
     MAX_AUTO_SHARDS,
-    plan_attribute_order,
     plan_attribute_order_selectivity,
     plan_join,
 )
 from repro.relations.database import Database
 from repro.relations.relation import Relation
-from repro.stats import PlanStatistics, StatsConfig, StatsProvider
+from repro.stats import PlanStatistics, StatsProvider
 from repro.workloads import generators, queries
 
 from tests.helpers import triangle_query
-
-
-def heuristic_provider():
-    return StatsProvider(config=StatsConfig(selectivities=False))
 
 
 @pytest.fixture
@@ -38,8 +33,8 @@ class TestSelectivityOrder:
         chosen, scores, estimates, consulted = (
             plan_attribute_order_selectivity(trap, provider)
         )
-        heuristic = plan_attribute_order(trap, scores)
-        assert heuristic[0] == "B"  # the decoy: fewest distinct values
+        # The decoy: fewest distinct values.
+        assert scores == {"A": 20, "B": 8, "C": 400}
         assert chosen[0] == "A"  # the payoff: selectivity ~5%
         assert consulted[("R", "T")] < 0.2  # the evidence
         assert [a for a, _est in estimates] == list(chosen)
@@ -50,12 +45,26 @@ class TestSelectivityOrder:
         )
         assert sorted(order) == sorted(trap.attributes)
 
-    def test_falls_back_to_min_distinct_when_selectivities_off(self, trap):
-        plan = plan_join(trap, "generic", stats=heuristic_provider())
-        scores = heuristic_provider().attribute_scores(trap)
-        assert plan.attribute_order == plan_attribute_order(trap, scores)
-        assert plan.statistics.source == "heuristic"
-        assert any("ascending distinct-count" in r for r in plan.reasons)
+    def test_pinned_min_distinct_order_does_more_work_than_the_default(
+        self,
+    ):
+        # docs/API.md's trap: two decoys, B and C, with fewer distinct
+        # values than the payoff A.  The ascending-distinct-count order
+        # B, C, A, pinned, enumerates 10,081 candidates; the default
+        # order starts from A and enumerates 1,348.
+        trap = generators.zipf_trap_triangle(
+            600, 1500, seed=7, match_fraction=0.05, decoy_domain=25,
+            c_domain=25,
+        )
+        scores = StatsProvider().attribute_scores(trap)
+        assert sorted(trap.attributes, key=scores.__getitem__) == [
+            "B", "C", "A"
+        ]
+        generic = Q(trap).using(algorithm="generic")
+        pinned = generic.using(attribute_order=("B", "C", "A"))
+        assert generic.plan().attribute_order == ("A", "B", "C")
+        assert pinned.plan().attribute_order == ("B", "C", "A")
+        assert total_candidates(pinned) > 5 * total_candidates(generic)
 
     def test_selectivity_plan_same_result_set(self, trap):
         base = naive_join(trap)
@@ -109,7 +118,6 @@ class TestPlanStatisticsRecord:
         plan = plan_join(trap, "generic")
         stats = plan.statistics
         assert isinstance(stats, PlanStatistics)
-        assert stats.source == "exact"
         assert dict(stats.distinct_counts)  # every ordered attribute
         assert stats.selectivities  # the probes that drove the order
         assert stats.order_estimates

@@ -6,7 +6,7 @@ from repro.core.query import JoinQuery
 from repro.engine.planner import plan_join
 from repro.relations.database import Database
 from repro.relations.relation import Relation
-from repro.stats import StatsConfig, StatsProvider
+from repro.stats import StatsProvider
 from repro.stats.provider import resolve_provider
 from repro.workloads import generators, queries
 
@@ -24,16 +24,6 @@ def db():
     return Database(triangle_relations())
 
 
-class TestConfig:
-    def test_selectivities_flag(self):
-        assert StatsConfig().selectivities
-        assert not StatsConfig(selectivities=False).selectivities
-
-    def test_hashable(self):
-        assert StatsConfig() == StatsConfig()
-        assert len({StatsConfig(), StatsConfig(top_k=3)}) == 2
-
-
 class TestDatabaseCache:
     def test_profile_cached_in_database(self, db):
         provider = db.stats()
@@ -42,9 +32,9 @@ class TestDatabaseCache:
         assert provider.profile(db["R"]) is first
 
     def test_shared_across_provider_lookups(self, db):
-        # db.stats() returns one provider per config.
+        # db.stats() returns one provider, made on first call.
         assert db.stats() is db.stats()
-        assert db.stats(StatsConfig(top_k=3)) is not db.stats()
+        assert db.stats().database is db
 
     def test_replace_invalidates(self, db):
         provider = db.stats()
@@ -375,15 +365,11 @@ class TestResolveProvider:
         provider = StatsProvider()
         assert resolve_provider(None, provider) is provider
 
-    def test_config_without_database_is_wrapped(self):
-        config = StatsConfig(top_k=3)
-        assert resolve_provider(None, config).config == config
-
     def test_database_provider_cached(self):
         db = Database(triangle_relations())
         assert resolve_provider(db, None) is db.stats()
-        config = StatsConfig(selectivities=False)
-        assert resolve_provider(db, config) is db.stats(config)
+        provider = StatsProvider()
+        assert resolve_provider(db, provider) is provider
 
     def test_default_provider_shared(self):
         assert resolve_provider(None, None) is resolve_provider(None, None)

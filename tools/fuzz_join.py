@@ -18,7 +18,9 @@ attributes), then checks for each instance that
   those — stealing or predictively pre-split over a loopback fleet;
   one ``generic`` configuration in four under a random *per-relation*
   backend mapping, the plan shape the planner emits for skewed inputs,
-  so hash-trie nodes and probed array nodes meet at one level)
+  so hash-trie nodes and probed array nodes meet at one level; one
+  ``generic`` / ``leapfrog`` configuration in four, off the deep
+  instances, under a pinned random permutation of the attributes)
   — consumed through a randomly chosen route: the builder's own views,
   ``prepare()``, or ``prepare()`` re-bound from another parameter value
   — yields exactly the oracle's row set,
@@ -41,6 +43,9 @@ attributes), then checks for each instance that
   and is deterministic for the seed, and a sample one past the result
   size — serially, and through a ``where`` section on a random attribute
   — is exactly the oracle's row set, and
+* a pinned order that is not a permutation — one pin in five drops,
+  repeats or adds an attribute — raises ``QueryError`` from ``plan()``,
+  before any work,
 * one iteration in four, ``explain(analyze=True)`` — the observed run —
   counts the oracle's rows and its per-level counters chain (the root
   is entered once, each level's matches are the next level's partials,
@@ -92,7 +97,8 @@ from repro.distributed import (  # noqa: E402
     DispatchScheduler,
     LoopbackTransport,
 )
-from repro.engine.planner import plan_join  # noqa: E402
+from repro.engine.planner import ORDER_SENSITIVE, plan_join  # noqa: E402
+from repro.errors import QueryError  # noqa: E402
 from repro.observe.metrics import MetricsRegistry  # noqa: E402
 from repro.observe.tracing import Tracer  # noqa: E402
 from repro.query.builder import Q  # noqa: E402
@@ -298,11 +304,37 @@ def check_value_counts(relations: list[Relation]) -> list[tuple]:
     return checked
 
 
+def broken_order(rng: random.Random, order: list[str]) -> tuple:
+    """``order`` with one attribute dropped, repeated, or one added."""
+    kind = rng.choice(("missing", "duplicate", "extra"))
+    if kind == "missing":
+        return tuple(order[1:])
+    if kind == "duplicate":
+        return (*order, rng.choice(order))
+    return (*order, "".join(order) + "'")
+
+
+def check_rejected(relations, options: dict, order: tuple) -> None:
+    """A pinned non-permutation is a plan-time ``QueryError``."""
+    builder = Q(*relations).using(**options, attribute_order=order)
+    try:
+        builder.plan()
+    except QueryError as error:
+        assert "not a permutation" in str(error), (
+            f"pinned {order!r}: wrong error {error!r} under {options}"
+        )
+    else:
+        raise AssertionError(
+            f"pinned non-permutation {order!r} planned under {options}"
+        )
+
+
 def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     """One fuzz iteration; raises AssertionError on any disagreement.
     Returns the value-count tables checked (their attribute sets),
-    whether the server's row texts were checked, and whether an acyclic
-    instance's folds compiled a memo."""
+    whether the server's row texts were checked, whether an acyclic
+    instance's folds compiled a memo, and what was pinned as the
+    attribute order (``None``, ``"order"`` or ``"rejected"``)."""
     tables = check_value_counts(relations)
     full = expected = oracle_join(relations)
     attributes = JoinQuery(relations).attributes
@@ -334,6 +366,19 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     mixed = algorithm == "generic" and rng.random() < 0.25
     if backend is not None and not mixed:
         options["backend"] = backend
+    # A pinned order: a random permutation must give the oracle's rows,
+    # a non-permutation a plan-time error.  Not on a deep instance: a
+    # random order of a long path leaves its prefix disconnected, and
+    # the cross products of the pieces would outrun any fuzz budget.
+    pinned = None
+    if algorithm in ORDER_SENSITIVE and not deep and rng.random() < 0.25:
+        order = rng.sample(attributes, len(attributes))
+        if rng.random() < 0.2:
+            check_rejected(relations, options, broken_order(rng, order))
+            pinned = "rejected"
+        else:
+            options["attribute_order"] = tuple(order)
+            pinned = "order"
     if rng.random() < 0.2:
         options.update(
             shards=rng.randint(2, 3), mode=rng.choice(("serial", "thread"))
@@ -392,6 +437,14 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
         target = PreparedQuery(builder, _reuse_plan=plan)
         config = dict(options, route="prepare", relation_backends=kinds)
 
+    if pinned == "order":
+        planned = builder.plan()
+        if planned.algorithm != "none":  # bound attributes leave the pin
+            residual = planned.query.attributes
+            assert planned.attribute_order == tuple(
+                a for a in options["attribute_order"] if a in residual
+            ), f"plan order {planned.attribute_order} under {config}"
+
     streamed = list(target.stream())
     assert len(streamed) == len(set(streamed)), "duplicate streamed rows"
     assert set(streamed) == expected, (
@@ -436,7 +489,7 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     if is_acyclic(JoinQuery(relations).hypergraph):
         with recording_memos() as memoised:
             check_acyclic_folds(rng, relations, full, attributes)
-    return tables, wire, bool(memoised)
+    return tables, wire, bool(memoised), pinned
 
 
 @contextlib.contextmanager
@@ -716,6 +769,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     iteration = 0
     tables = wide = wires = memos = 0
+    pins = {"order": 0, "rejected": 0}
     while True:
         if args.iterations is not None:
             if iteration >= args.iterations:
@@ -724,7 +778,7 @@ def main(argv: list[str] | None = None) -> int:
             break
         iter_seed = master.randrange(1 << 32)
         try:
-            checked, wire, memoised = run_one(iter_seed)
+            checked, wire, memoised, pinned = run_one(iter_seed)
         except Exception:
             print(
                 f"  found at iteration {iteration} of master seed "
@@ -736,13 +790,17 @@ def main(argv: list[str] | None = None) -> int:
         wide += sum(len(attributes) > 1 for attributes in checked)
         wires += wire
         memos += memoised
+        if pinned is not None:
+            pins[pinned] += 1
         iteration += 1
     elapsed = time.monotonic() - started
     print(
         f"fuzz_join: {iteration} instances checked in {elapsed:.1f}s "
         f"(seed {args.seed}), {tables} value-count tables ({wide} over "
         f"two or more attributes), {wires} as server row texts, "
-        f"{memos} compiling a memo, no disagreements"
+        f"{memos} compiling a memo, {pins['order']} under a pinned order, "
+        f"{pins['rejected']} non-permutation pins rejected, "
+        "no disagreements"
     )
     return 0
 

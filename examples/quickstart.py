@@ -85,8 +85,9 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 4. The streaming engine: iter_join yields rows as the search finds
-    #    them (take two and stop — nothing else is computed; generic and
-    #    leapfrog are fully lazy, the shape specialists wrap execute()),
+    #    them (take two and stop — nothing else is computed; generic's
+    #    loop nest and leapfrog's recursion both stop where the consumer
+    #    does, the shape specialists wrap execute()),
     #    and explain shows the plan the engine chose without running it.
     # ------------------------------------------------------------------
     first_two = list(

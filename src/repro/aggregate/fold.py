@@ -3,8 +3,8 @@
 The enumeration executors (:class:`~repro.core.generic_join.GenericJoin`,
 :class:`~repro.core.leapfrog.LeapfrogTriejoin`) descend one attribute
 per level, intersecting candidate values across the participating
-relations.  To *count* instead of enumerate, the same descent compiles
-to another loop nest — :func:`repro.core.descent.fold` — whose four
+relations.  To *count* instead of enumerate, Generic Join's descent
+compiles to another loop nest — :func:`repro.core.descent.fold` — whose four
 savings are lines of its text:
 
 1. **No rows.**  Below the *cutoff* — the depth under the deepest value

@@ -109,21 +109,19 @@ class ConjunctiveQuery:
     def reduce(self, database: Database) -> JoinQuery:
         """The paper's reduced query: one scan per subgoal.
 
-        Each subgoal becomes a fresh relation (named ``{rel}@{index}`` so
-        repeated subgoals stay distinct edges) holding the tuples that
-        satisfy its constants and repeated variables, projected onto its
-        distinct variables and renamed to variable names.
+        Each subgoal with a variable becomes a fresh relation (named
+        ``{rel}@{index}`` so repeated subgoals stay distinct edges)
+        holding the tuples that satisfy its constants and repeated
+        variables, projected onto its distinct variables and renamed to
+        variable names.  An all-constant subgoal binds no variable: it
+        is a guard :meth:`evaluate` checks, not an edge.
         """
         derived: list[Relation] = []
         for index, atom in enumerate(self.body):
-            source = database[atom.relation]
-            if len(atom.terms) != len(source.attributes):
-                raise QueryError(
-                    f"subgoal {atom} has {len(atom.terms)} terms but "
-                    f"relation {atom.relation!r} has arity "
-                    f"{len(source.attributes)}"
-                )
+            source = self._source(atom, database)
             variables = atom.variables()
+            if not variables:
+                continue
             # First column position of each distinct variable.
             first_pos: dict[str, int] = {}
             for pos, term in enumerate(atom.terms):
@@ -139,6 +137,18 @@ class ConjunctiveQuery:
                 Relation(f"{atom.relation}@{index}", tuple(variables), rows)
             )
         return JoinQuery(derived)
+
+    @staticmethod
+    def _source(atom: Atom, database: Database) -> Relation:
+        """The relation ``atom`` reads; its arity must be the atom's."""
+        source = database[atom.relation]
+        if len(atom.terms) != len(source.attributes):
+            raise QueryError(
+                f"subgoal {atom} has {len(atom.terms)} terms but "
+                f"relation {atom.relation!r} has arity "
+                f"{len(source.attributes)}"
+            )
+        return source
 
     @staticmethod
     def _matches(atom: Atom, row: tuple) -> bool:
@@ -158,7 +168,17 @@ class ConjunctiveQuery:
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, database: Database, name: str = "Q") -> Relation:
-        """Reduce, run Algorithm 2, and order columns by the head."""
+        """Check the guards, reduce, run Algorithm 2, and order columns
+        by the head.  A guard (an all-constant subgoal) no tuple matches
+        empties the answer; guards alone answer ``{()}`` or ``{}``."""
+        for atom in self.body:
+            source = self._source(atom, database)
+            if not atom.variables() and not any(
+                self._matches(atom, row) for row in source.tuples
+            ):
+                return Relation(name, self.head, ())
+        if not self.head:  # full: no head variable, no body variable
+            return Relation(name, (), [()])
         reduced = self.reduce(database)
         result = NPRRJoin(reduced).execute(name)
         return result.reorder(self.head).with_name(name)

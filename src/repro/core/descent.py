@@ -1,12 +1,12 @@
-"""The descent kernel: one binding, one loop nest, three sinks, two levels.
+"""The descent kernel: one binding, one loop nest, three sinks, one level.
 
-Generic Join and Leapfrog Triejoin are the same recursion over a global
-attribute order — at each level, intersect the candidate values of the
-relations containing the attribute, then descend per surviving value —
-and enumeration, per-level counting, aggregate folding and the sampler's
-count-and-unrank differ only in what happens at a node (Capelli, Irwin
-and Salvati, "A Simple Algorithm for Worst-Case Optimal Join and Sampling").
-This module holds the pieces every such search shares:
+Generic Join is one recursion over a global attribute order — at each
+level, intersect the candidate values of the relations containing the
+attribute, then descend per surviving value — and enumeration,
+per-level counting, aggregate folding and the sampler's count-and-unrank
+differ only in what happens at a node (Capelli, Irwin and Salvati, "A
+Simple Algorithm for Worst-Case Optimal Join and Sampling").  This
+module holds the pieces every such search shares:
 
 * :func:`bind` resolves a query, an attribute order, index backends and
   residual filters into an immutable :class:`Binding` — the only place
@@ -14,18 +14,19 @@ This module holds the pieces every such search shares:
   (:func:`narrow` derives a shard's binding from it: one more value
   filter per key link, nothing rebuilt);
 * :func:`iter_rows`, :func:`iter_texts` and :func:`fold` are the one
-  descent, as the loop nest the paper prints — one ``for`` per attribute
-  — *generated* per **shape**: all the loop's text depends on (per level
-  its participants and ``how`` it is read, the number of relations, the
-  stop depth, the sink, whether a probe counts) and nothing its data
-  does.  A shape compiles once per process (:func:`_compile`); levels,
-  predicates, the probe, the root nodes, a fold's state and the text
-  sink's memos are the nest's arguments;
-* :class:`HashLevel` and :class:`LeapfrogLevel` are the two ways to
-  intersect one level — the only code that differs between the
-  algorithms.  A :class:`HashLevel` is one batch intersection,
+  descent over a binding, as the loop nest the paper prints — one
+  ``for`` per attribute — *generated* per **shape**: all the loop's
+  text depends on (per level its participants and ``how`` it is read,
+  the number of relations, the stop depth, the sink, whether a probe
+  counts) and nothing its data does.  A shape compiles once per process
+  (:func:`_compile`); levels, predicates, the probe, the root nodes, a
+  fold's state and the text sink's memos are the nest's arguments;
+* :class:`HashLevel` intersects one level: one batch intersection,
   Õ(the smallest participant), the one primitive the AGM bound needs
   ("Skew Strikes Back"), at one Python call per search node.
+
+Leapfrog Triejoin enumerates by its own recursion over cursors
+(:mod:`repro.core.leapfrog`); its folds are this nest over its layouts.
 
 In the text a relation's node is a local (``n2_1 = n2_0[v0]``), stepped
 only if something deeper reads it; a level is ``vals<d> = op<d>(...)``
@@ -48,14 +49,11 @@ brackets and commas (the server's are JSON), so it holds no string.
 
 CPython compiles 20 nested blocks at most: a deeper nest is cut into
 ``def``s chained by ``yield from`` (a fold's by ``acc +=`` or ``state
-=``).  An abandoned frame finalises its iterators shallowest first but
-leapfrog cursors must go ``up()`` deepest first: a ``lazy`` level's
-loop sits in ``try ... finally: vals<d>.close()``.  The text holds only
-names the compiler invents and integers, never a caller's string;
-:mod:`linecache` knows it as ``<repro descent N>``, so a raising
-predicate shows the loop line that called it.  The consumers are ``GenericJoin``, ``LeapfrogTriejoin``,
-``fold_executor``, ``JoinSampler`` and the server's row texts
-(``PreparedQuery._texts``); nothing here imports
+=``).  The text holds only names the compiler invents and integers,
+never a caller's string; :mod:`linecache` knows it as ``<repro descent
+N>``, so a raising predicate shows the loop line that called it.  The
+consumers are ``GenericJoin``, ``fold_executor``, ``JoinSampler`` and
+the server's row texts (``PreparedQuery._texts``); nothing here imports
 ``repro.engine`` or ``repro.aggregate``: both reach back into here.
 """
 
@@ -192,15 +190,12 @@ def narrow(binding: Binding, key: Sequence[tuple[str, frozenset]]) -> Binding:
     return binding._replace(filters=tuple(filters))
 
 
-def iter_rows(
-    levels: Sequence, root: Sequence, perm: Sequence[int], probe=None
-) -> Iterator[tuple]:
-    """The *rows* sink: the full-depth descent as rows in ``perm``
-    (:attr:`Binding.output_perm`) order, each built in the innermost
+def iter_rows(binding: Binding, probe=None) -> Iterator[tuple]:
+    """The *rows* sink: the full-depth descent as rows in
+    :attr:`Binding.output_perm` order, each built in the innermost
     loop — one generator hop per row at any depth — and counted in
-    ``probe.matches[-1]`` as it is yielded: the chain holds at any stop.
-    ``root`` is only read; abandoned, levels close deepest first."""
-    return _nest(tuple(perm), levels, root, len(perm), probe)
+    ``probe.matches[-1]`` as it is yielded: the chain holds at any stop."""
+    return _nest(binding.output_perm, binding, probe)
 
 
 class Text(NamedTuple):
@@ -210,13 +205,14 @@ class Text(NamedTuple):
 
 
 def iter_texts(
-    levels: Sequence, root: Sequence, perm: Sequence[int], memos: Sequence
+    binding: Binding, perm: Sequence[int], memos: Sequence
 ) -> Iterator[str]:
-    """The *text* sink: the rows of :func:`iter_rows`, unprobed, each
-    its values' texts joined — ``memos`` is ``(head, mid, tail)``, read
-    for the first, a middle and the last (or only) column — the columns
-    bound above the leaf joined once per leaf set that has values."""
-    return _nest(Text(tuple(perm)), levels, root, len(perm), None, *memos)
+    """The *text* sink: the rows of :func:`iter_rows`, unprobed, in
+    ``perm`` order, each its values' texts joined — ``memos`` is
+    ``(head, mid, tail)``, read for the first, a middle and the last (or
+    only) column — the columns bound above the leaf joined once per leaf
+    set that has values."""
+    return _nest(Text(tuple(perm)), binding, None, *memos)
 
 
 class Fold(NamedTuple):
@@ -243,22 +239,19 @@ def fold(binding: Binding, stop: int, needed: Sequence[int], add, state):
     tail = tuple([(i, r, isinstance(indexes[i].root, Mapping))
                   for i, r in remaining.items()])
     levels = hash_levels(binding)
-    kinds = _kinds(levels, stop)
+    kinds = tuple([(level.participants, level.how) for level in levels[:stop]])
     nest = _compile(Fold(tuple(needed), tail), len(indexes), False, kinds)
     memos = _memo_keys(kinds, tail, 1 + max(needed, default=-1), stop)
     return nest(levels, None, *binding.roots(), indexes, add, state,
                 *[{} for _memo in memos])
 
 
-def _kinds(levels: Sequence, stop: int) -> tuple:
-    """A ``(participants, how)`` per level the nest searches."""
-    return tuple([(level.participants, level.how) for level in levels[:stop]])
-
-
-def _nest(sink, levels: Sequence, root: Sequence, stop: int, probe, *extra):
-    """Look the descent's shape up and call its nest."""
-    nest = _compile(sink, len(root), probe is not None, _kinds(levels, stop))
-    return nest(levels, probe, *root, *extra)
+def _nest(sink, binding: Binding, probe, *extra):
+    """Look the full descent's shape up and call its nest."""
+    levels = hash_levels(binding)
+    kinds = tuple([(level.participants, level.how) for level in levels])
+    nest = _compile(sink, len(binding.indexes), probe is not None, kinds)
+    return nest(levels, probe, *binding.roots(), *extra)
 
 
 _MAX_BLOCKS = 20  # CPython's limit on statically nested blocks
@@ -309,15 +302,14 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
         counted = not sink.tail and cutoff < stop  # the last level unlooped
     cur = [f"n{i}_0" for i in range(width)]  # each relation's node local
     chunks: list[list[str]] = []  # one ``def`` each
-    closers: list[str] = []  # the ``finally`` / ``add`` clauses to write
+    closers: list[str] = []  # the memo / ``add`` clauses to write
     for d in range(stop + 1):
         ids, how = kinds[d] if d < stop else ((), None)
         final = d == stop - 1
         loops = d < stop and not (final and counted)
-        lazy = how == "lazy" and not final  # a generator holding cursors
         guard = texting and final and stop > 1  # ``if vals<d>:``
         prefix = "".join(f"v{k}, " for k in range(d))
-        if not chunks or blocks + loops + lazy + guard > _MAX_BLOCKS:
+        if not chunks or blocks + loops + guard > _MAX_BLOCKS:
             names = prefix + "".join(f"{name}, " for name in cur) + extra
             call = f"nest{len(chunks)}(levels, probe, {names})"
             if chunks:  # the cut: chain to a new def, close what is open
@@ -378,7 +370,7 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
                     values = f"list({values})"
             out.append(f"{pad}vals{d} = {values}")
         else:
-            out.insert(1, f" op{d} = levels[{d}].{'leaf' if final else 'survivors'}")
+            out.insert(1, f" op{d} = levels[{d}].survivors")
             state = [cur[i] if i in ids else "None" for i in range(width)]
             out.append(f"{pad}st = [{', '.join(state)}]")
             out.append(f"{pad}vals{d} = op{d}(st, {'candidates' if probed else None})")
@@ -388,10 +380,6 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
         if not loops:  # an empty batch adds nothing: skip its ``len``
             out.append(f"{pad}if vals{d}:\n{pad} acc += len(vals{d})")
             break
-        if lazy:
-            out.append(f"{pad}try:")
-            closers.append(f"{pad}finally:\n{pad} vals{d}.close()")
-            pad += " "
         if guard:  # the columns bound above the leaf, joined once
             out.append(f"{pad}if vals{d}:")
             pad, blocks = pad + " ", blocks + 1
@@ -406,7 +394,7 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
                 out.append(f"{pad}post = {' + '.join(texts[at + 1:])}")
                 row += " + post"
         out.append(f"{pad}for v{d} in vals{d}:")
-        pad, blocks = pad + " ", blocks + 1 + lazy
+        pad, blocks = pad + " ", blocks + 1
         if probed:
             out.append(f"{pad}matches[{d}] += 1")
         if final and texting:
@@ -430,8 +418,8 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
 
 class HashLevel:
     """Generic Join's level: the values below every participant's node
-    that pass the filter — a sized, unordered batch, so ``leaf`` is
-    ``survivors``; it keeps no state, so descents may share one.
+    that pass the filter — a sized, unordered batch; it keeps no state,
+    so descents may share one.
     ``how`` it is read is decided once, from its indexes' root types.
     One or two :class:`~collections.abc.Mapping` nodes (the hash trie's
     ``value -> child`` dicts): ``"meet"`` — ``meet`` on the node locals
@@ -442,7 +430,7 @@ class HashLevel:
     what the seeks found — so ``node[value]`` steps down every backend.
     Over a ``meet``, ``survivors`` (the sampler calls it) is that."""
 
-    __slots__ = ("participants", "how", "meet", "keep", "survivors", "leaf")
+    __slots__ = ("participants", "how", "meet", "keep", "survivors")
 
     def __init__(
         self, indexes: Sequence, participants: Sequence[int],
@@ -474,7 +462,7 @@ class HashLevel:
         if keep is not None:
             def survivors(state, candidates, unfiltered=survivors):
                 return list(filter(keep, unfiltered(state, candidates)))
-        self.survivors = self.leaf = survivors
+        self.survivors = survivors
 
 
 def _only(a):
@@ -522,72 +510,3 @@ def hash_levels(binding: Binding) -> list[HashLevel]:
         HashLevel(binding.indexes, ids, keep, depth)
         for depth, (ids, keep) in enumerate(levels)
     ]
-
-
-class LeapfrogLevel:
-    """Leapfrog Triejoin's level: open the participants' cursors, emit
-    the keys all of them hold, restore them.  State lives in the
-    cursors — no relation has a node local (the root is ``()``) — and
-    ``survivors`` holds them open while suspended: ``how`` is ``"lazy"``."""
-
-    __slots__ = ("cursors", "keep", "depth")
-    participants, how = (), "lazy"
-
-    def __init__(
-        self, cursors: Sequence, keep: Filter | None, depth: int
-    ) -> None:
-        self.cursors = cursors
-        self.keep = keep
-        self.depth = depth
-
-    def survivors(self, state: Sequence, candidates: list[int] | None):
-        """Generate the keys the leapfrog emits and the filter keeps
-        (cursors open while suspended); a candidate is an *emitted* key."""
-        cursors, keep, depth = self.cursors, self.keep, self.depth
-        for cursor in cursors:
-            cursor.open()
-        try:
-            if not any(cursor.at_end for cursor in cursors):
-                for value in _leapfrog(cursors):
-                    if candidates is not None:
-                        candidates[depth] += 1
-                    if keep is None or keep(value):
-                        yield value
-        finally:
-            for cursor in cursors:
-                cursor.up()
-
-    def leaf(self, state: Sequence, candidates: list[int] | None) -> list:
-        """The keys :meth:`survivors` generates, in one batch."""
-        return list(self.survivors(state, candidates))
-
-
-def leapfrog_levels(binding: Binding) -> list[LeapfrogLevel]:
-    """One :class:`LeapfrogLevel` per depth over *fresh* cursors sharing
-    the binding's indexes; the walk's root state is ``()``."""
-    cursors = [index.cursor() for index in binding.indexes]
-    levels = zip(binding.participants, binding.filters)
-    return [
-        LeapfrogLevel([cursors[i] for i in ids], keep, depth)
-        for depth, (ids, keep) in enumerate(levels)
-    ]
-
-
-def _leapfrog(cursors: Sequence):
-    """Yield every key present in all cursors at the open level."""
-    ordered = sorted(cursors, key=lambda it: it.key())
-    k = len(ordered)
-    p = 0
-    current_max = ordered[k - 1].key()
-    while True:
-        it = ordered[p]
-        key = it.key()
-        if key == current_max:
-            yield key
-            it.next()
-        else:
-            it.seek(current_max)
-        if it.at_end:
-            return
-        current_max = it.key()
-        p = (p + 1) % k

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
 
-from repro.core.descent import bind, hash_levels, iter_rows
+from repro.core.descent import bind, iter_rows
 from repro.core.query import JoinQuery
 from repro.errors import QueryError
 from repro.relations.database import DEFAULT_BACKEND, Database
@@ -108,21 +108,17 @@ class GenericJoin:
         nothing beyond one parent's surviving values is held, so callers
         can stop early or pipeline the output.
         """
-        return iter_rows(*self._descent(), self.telemetry)
-
-    def _descent(self) -> tuple:
-        """``(levels, root, perm)``: what every run's loop nest walks."""
-        binding = self._binding
-        return hash_levels(binding), binding.roots(), binding.output_perm
+        return iter_rows(self._binding, self.telemetry)
 
     def execute(self, name: str = "J") -> Relation:
-        """Run Generic Join; returns the join in query attribute order."""
+        """Run the join; returns it in query attribute order."""
         return Relation(name, self.query.attributes, self.iter_join())
 
     def fold(self, folder):
         """Fold an aggregate through the level loops, skipping rows.
 
-        Runs the same smallest-first descent as :meth:`iter_join`, but
+        Runs Generic Join's smallest-first descent — the loop nest of
+        :meth:`GenericJoin.iter_join` — over this executor's indexes,
         compiled to add each prefix the spec reads to ``folder.state``
         once, with its number of rows, and to multiply counts in-line
         where every remaining level has one unfiltered participant —

@@ -20,16 +20,21 @@ cursor protocol over contiguous ``array('q')`` level runs, turning many
 seeks into radix arithmetic.  Each run creates fresh cursors that *share*
 the cached arrays; :class:`LeapfrogTriejoin` coordinates one leapfrog
 intersection per attribute level and streams result rows via
-:meth:`LeapfrogTriejoin.iter_join` — the same compiled loop nest
-(:func:`~repro.core.descent.iter_rows`) as Generic Join; a level's
-``survivors`` is here the generator of the keys the leapfrog emits.
+:meth:`LeapfrogTriejoin.iter_join` — a recursion of its own, one
+generator per open level, whose cursors go ``up()`` deepest first
+however the stream ends.  Everything else it inherits from
+:class:`~repro.core.generic_join.GenericJoin`: its folds run Generic
+Join's compiled loop nest (:func:`~repro.core.descent.fold`) over the
+same cursor layouts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
+from operator import itemgetter
 
-from repro.core.descent import bind, iter_rows, leapfrog_levels
+from repro.core.descent import Binding
+from repro.core.generic_join import GenericJoin
 from repro.core.query import JoinQuery
 from repro.errors import QueryError
 from repro.relations.database import Database
@@ -48,40 +53,25 @@ __all__ = [
 CURSOR_BACKENDS = ("sorted", "compact")
 
 
-class LeapfrogTriejoin:
+class LeapfrogTriejoin(GenericJoin):
     """Executor coordinating one leapfrog intersection per attribute.
+
+    The parameters are :class:`~repro.core.generic_join.GenericJoin`'s;
+    two read differently here.
 
     Parameters
     ----------
-    query:
-        The natural join query.
-    attribute_order:
-        Global variable order (defaults to the query's attribute order).
-    database:
-        Optional catalog supplying cached sorted-array indexes (Remark
-        5.2's ahead-of-time indexing).  When omitted, indexes are built
-        privately — and re-sorted on every construction, so supply a
-        database for repeated queries.
     backend:
         Index layout to run over: ``"sorted"`` (default; per-row tuple
         arrays) or ``"compact"`` (packed per-level ``array('q')`` runs
         with radix/galloping seeks).  Both expose the cursor protocol
         the leapfrog intersection needs; any other kind raises
         :class:`~repro.errors.QueryError`.
-    filters:
-        Optional mapping of attribute name to a single-value predicate
-        (the query layer's residual selections).  A key surviving the
-        leapfrog intersection is tested against its level's filter
-        before recursing, pruning the subtree without seeking into it.
     telemetry:
-        Optional :class:`~repro.observe.telemetry.TelemetryProbe`
-        matching this executor's order.  Instrumented runs count
-        partials, candidates, and matches per level; a candidate here is
-        a key the leapfrog intersection *emitted* (values the seeks
-        skipped were never enumerated), so unfiltered levels observe
-        ``candidates == matches`` and ``matches / partials`` is the
-        informative number.  ``None`` (default) skips the counting
-        branches.
+        A candidate is a key the leapfrog intersection *emitted* (values
+        the seeks skipped were never enumerated), so unfiltered levels
+        observe ``candidates == matches`` and ``matches / partials`` is
+        the informative number.
     """
 
     def __init__(
@@ -93,23 +83,14 @@ class LeapfrogTriejoin:
         telemetry=None,
         backend: str = SortedArrayIndex.kind,
     ) -> None:
-        self.query = query
         if backend not in CURSOR_BACKENDS:
             raise QueryError(
                 f"leapfrog needs a cursor-capable backend; got {backend!r}"
                 f" (supported: {CURSOR_BACKENDS})"
             )
-        self.backend = backend
-        self._binding = bind(
-            query, attribute_order, backend, database, filters
+        super().__init__(
+            query, attribute_order, database, backend, filters, telemetry
         )
-        self.order = self._binding.order
-        if telemetry is not None and tuple(telemetry.order) != self.order:
-            raise QueryError(
-                f"telemetry probe order {telemetry.order!r} does not match "
-                f"the executor's attribute order {self.order!r}"
-            )
-        self.telemetry = telemetry
 
     def iter_join(self) -> Iterator[Row]:
         """Stream the join's rows (query attribute order, no repeats).
@@ -118,34 +99,68 @@ class LeapfrogTriejoin:
         an executor can be run repeatedly and generators can be abandoned
         mid-stream without corrupting state.
         """
-        return iter_rows(*self._descent(), self.telemetry)
+        return _triejoin(self._binding, self.telemetry)
 
-    def _descent(self) -> tuple:
-        """``(levels, root, perm)`` over fresh cursors: what every run's
-        loop nest walks."""
-        binding = self._binding
-        return leapfrog_levels(binding), (), binding.output_perm
 
-    def execute(self, name: str = "J") -> Relation:
-        """Run the triejoin; returns the join in query attribute order."""
-        return Relation(name, self.query.attributes, self.iter_join())
+def _triejoin(binding: Binding, probe) -> Iterator[Row]:
+    """The rows of ``binding`` over fresh cursors: at each depth open the
+    participants' cursors, leapfrog their keys, keep those the level's
+    filter passes and recurse per key.  One generator per open level,
+    each ``up()``-ing its cursors in a ``finally``: a closed stream or a
+    raising predicate unwinds the levels deepest first."""
+    cursors = [index.cursor() for index in binding.indexes]
+    levels = [([cursors[i] for i in ids], keep)
+              for ids, keep in zip(binding.participants, binding.filters)]
+    last, prefix = len(levels) - 1, [None] * len(levels)
+    # A row in the query's schema (one index's ``itemgetter`` is no tuple).
+    row = itemgetter(*binding.output_perm) if last else lambda p: (p[0],)
 
-    def fold(self, folder):
-        """Fold an aggregate through the level loops, skipping rows.
+    def descend(depth: int) -> Iterator[Row]:
+        participants, keep = levels[depth]
+        if probe is not None:
+            probe.partials[depth] += 1
+        for cursor in participants:
+            cursor.open()
+        try:
+            if any(cursor.at_end for cursor in participants):
+                return
+            for value in _leapfrog(participants):
+                if probe is not None:
+                    probe.candidates[depth] += 1
+                if keep is not None and not keep(value):
+                    continue
+                if probe is not None:
+                    probe.matches[depth] += 1
+                prefix[depth] = value
+                if depth == last:
+                    yield row(prefix)
+                else:
+                    yield from descend(depth + 1)
+        finally:
+            for cursor in participants:
+                cursor.up()
 
-        The sorted and compact layouts implement the full node protocol
-        (``fanout_hint``/``children``/``count``) alongside their cursor
-        protocol, so the shared folding descent of
-        :func:`repro.aggregate.fold.fold_executor` (the loop nest's
-        fold sink) runs directly over this executor's indexes: seeks
-        become range bisections, and prunable suffixes collapse to
-        factorized counts instead of being leapfrogged through.
-        """
-        # Lazy: repro.core must not import repro.aggregate at module
-        # load (the aggregate package reaches back into repro.core).
-        from repro.aggregate.fold import fold_executor
+    return descend(0)
 
-        return fold_executor(self, folder)
+
+def _leapfrog(cursors: Sequence):
+    """Yield every key present in all cursors at the open level."""
+    ordered = sorted(cursors, key=lambda it: it.key())
+    k = len(ordered)
+    p = 0
+    current_max = ordered[k - 1].key()
+    while True:
+        it = ordered[p]
+        key = it.key()
+        if key == current_max:
+            yield key
+            it.next()
+        else:
+            it.seek(current_max)
+        if it.at_end:
+            return
+        current_max = it.key()
+        p = (p + 1) % k
 
 
 def leapfrog_join(

@@ -28,7 +28,9 @@ class JoinQuery:
         The relations to join, in the edge order the algorithms will use.
         Relation names become edge ids and must be unique; use
         :meth:`Relation.with_name` to join the same relation twice
-        (Section 7.3's multiset hypergraphs).
+        (Section 7.3's multiset hypergraphs).  Each needs an attribute:
+        a nullary relation is ``{()}`` or ``{}``, a guard on the answer
+        rather than an edge of the hypergraph.
     """
 
     __slots__ = ("relations", "hypergraph")
@@ -43,6 +45,11 @@ class JoinQuery:
                 raise QueryError(
                     f"duplicate relation name {relation.name!r}; rename one "
                     "occurrence to join a relation with itself"
+                )
+            if not relation.attributes:
+                raise QueryError(
+                    f"relation {relation.name!r} has no attributes: a "
+                    "nullary relation is a guard, not a join operand"
                 )
             by_id[relation.name] = relation
         # Attribute universe in order of first appearance.

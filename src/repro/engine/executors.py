@@ -195,7 +195,9 @@ EXECUTORS = {
     "arity2": _make_arity_two,
 }
 
-#: Algorithms that run on the descent kernel (:mod:`repro.core.descent`).
+#: Algorithms that search one :class:`~repro.core.descent.Binding`
+#: attribute by attribute — Generic Join's loop nest, and Leapfrog
+#: Triejoin's own recursion, which folds through that nest.
 #: One fact, three consequences: their executors evaluate residual
 #: filters *at the level binding the attribute* (pruning subtrees;
 #: everything else is wrapped in :class:`RowFilterExecutor`), accept a

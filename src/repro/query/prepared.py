@@ -215,17 +215,17 @@ class PreparedQuery:
         return builder._project(rows)
 
     def _texts(self) -> Iterator[str] | None:
-        """:meth:`stream`'s rows as JSON array texts, written by the
-        executor's loop nest with memos this query holds — or None where
-        the stream is more than the nest, or a relation holds a value
-        memoised inexactly (anything but an ``int`` or a ``str``: ``1 ==
-        1.0 == True``)."""
+        """:meth:`stream`'s rows as JSON array texts, written by Generic
+        Join's loop nest with memos this query holds — or None where the
+        stream is more than that nest (another algorithm, too), or a
+        relation holds a value memoised inexactly (anything but an
+        ``int`` or a ``str``: ``1 == 1.0 == True``)."""
         compiled, builder = self._compiled, self._builder
         context = builder.context
         full, selected = builder.query.attributes, builder.selected
         if (
             self._executor is None
-            or self._plan.algorithm not in DESCENT_ALGORITHMS
+            or self._plan.algorithm != "generic"
             or compiled.merge is not None
             or context.parallel
             or self._probe is not None
@@ -238,12 +238,13 @@ class PreparedQuery:
             )
         ):
             return None
-        levels, root, perm = self._executor._descent()
+        binding = self._executor._binding
+        perm = binding.output_perm
         if selected is not None:
             perm = tuple(perm[full.index(a)] for a in selected)
         if self._memos is None:
             object.__setattr__(self, "_memos", _json_memos(len(perm)))
-        return iter_texts(levels, root, perm, self._memos)
+        return iter_texts(binding, perm, self._memos)
 
     def _measured(
         self, rows: Iterator[Row], plan: JoinPlan, probe

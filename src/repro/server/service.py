@@ -26,7 +26,7 @@ Life of a request line:
    builds on hits.
 5. **execute** — row queries stream row lines then a final line;
    aggregates/groups/explains answer one final line.  Where the rows
-   are the plain loop nest's (:meth:`~repro.query.prepared.
+   are Generic Join's plain loop nest's (:meth:`~repro.query.prepared.
    PreparedQuery._texts`), the nest writes each row's JSON text and a
    line joins them; otherwise each line's tuples are encoded.  A request's
    ``batch`` is a hard ceiling on every line's rows.  Without one the

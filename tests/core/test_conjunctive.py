@@ -100,6 +100,62 @@ class TestReduction:
         assert reduced.edge_ids == ("E@0", "E@1")
 
 
+class TestGuards:
+    """An all-constant subgoal binds no variable: a guard on the answer,
+    never a nullary edge of the reduced query."""
+
+    @pytest.fixture
+    def guarded(self):
+        return Database(
+            [
+                Relation("R", ("A", "B"), [(1, 2), (3, 4)]),
+                Relation("S", ("C", "D"), [(7, 8)]),
+            ]
+        )
+
+    def _query(self, guard):
+        return ConjunctiveQuery(
+            ("x", "y"),
+            [
+                Atom("R", (Var("x"), Var("y"))),
+                Atom("S", tuple(map(Const, guard))),
+            ],
+        )
+
+    def test_a_failing_guard_empties_the_answer(self, guarded):
+        out = self._query((5, 6)).evaluate(guarded)
+        assert out.attributes == ("x", "y") and out.is_empty()
+
+    def test_a_holding_guard_keeps_the_join(self, guarded):
+        out = self._query((7, 8)).evaluate(guarded)
+        assert sorted(out.tuples) == [(1, 2), (3, 4)]
+
+    def test_reduce_leaves_guards_out(self, guarded):
+        assert self._query((5, 6)).reduce(guarded).edge_ids == ("R@0",)
+
+    @pytest.mark.parametrize(
+        "guards, answer",
+        [
+            ([(7, 8)], [()]),
+            ([(7, 9)], []),
+            ([(7, 8), (7, 9)], []),
+            ([(7, 8), (7, 8)], [()]),
+        ],
+    )
+    def test_a_boolean_body_answers_the_empty_tuple_or_nothing(
+        self, guarded, guards, answer
+    ):
+        cq = ConjunctiveQuery(
+            (), [Atom("S", tuple(map(Const, guard))) for guard in guards]
+        )
+        out = cq.evaluate(guarded)
+        assert out.attributes == () and sorted(out.tuples) == answer
+
+    def test_a_guard_arity_mismatch_is_reported(self, guarded):
+        with pytest.raises(QueryError, match="arity"):
+            self._query((5,)).evaluate(guarded)
+
+
 class TestEvaluation:
     def test_triangle_in_graph(self, db):
         cq = ConjunctiveQuery(

@@ -37,6 +37,17 @@ class TestConstruction:
         with pytest.raises(QueryError):
             JoinQuery([r, r])
 
+    def test_nullary_relation_rejected(self):
+        # ``E() = {}`` joined with ``R(A) = {(1,)}`` is empty, but as an
+        # edge it has no attribute to intersect on: it is a guard, which
+        # the query layer checks, never an edge.
+        with pytest.raises(QueryError, match="'E' has no attributes"):
+            JoinQuery(
+                [Relation("R", ("A",), [(1,)]), Relation("E", (), [])]
+            )
+        with pytest.raises(QueryError, match="'E' has no attributes"):
+            JoinQuery([Relation("E", (), [()])])
+
     def test_self_join_via_rename(self):
         r = Relation("E", ("A", "B"), [(1, 2), (2, 3)])
         q = JoinQuery([r, r.with_name("E2").rename({"A": "B", "B": "C"})])

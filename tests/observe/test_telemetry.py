@@ -1,7 +1,9 @@
 """Telemetry counters: the invariants that make ``EXPLAIN ANALYZE``'s
-per-level counts sound, for both level strategies of the descent
-kernel.  (Row parity of observed and plain runs, per sink and backend,
+per-level counts sound, for Generic Join's loop nest and Leapfrog
+Triejoin's recursion.  (Row parity of observed and plain runs, per sink and backend,
 lives in ``tests/core/test_descent.py``.)"""
+
+import itertools
 
 import pytest
 
@@ -79,6 +81,36 @@ class TestCounterInvariants:
             next(stream)
         stream.close()
         assert_counter_chain(probe, taken)
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["all", "B!=0"])
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations("ABC")), ids="".join
+    )
+    def test_leapfrog_counts_the_prefixes_generic_join_counts(
+        self, trap, order, filtered
+    ):
+        # Both search the same prefix tree: they differ in how a level
+        # finds its values, never in which prefixes they enter or keep.
+        filters = {"B": lambda v: v != 0} if filtered else None
+        probes = []
+        for cls in (GenericJoin, LeapfrogTriejoin):
+            probes.append(TelemetryProbe(order))
+            list(
+                cls(
+                    trap,
+                    attribute_order=order,
+                    filters=filters,
+                    telemetry=probes[-1],
+                ).iter_join()
+            )
+        generic, leapfrog = probes
+        assert leapfrog.partials == generic.partials
+        assert leapfrog.matches == generic.matches
+        # A leapfrog candidate is an emitted key: on an unfiltered level
+        # every one is a match.
+        for depth, attribute in enumerate(order):
+            if not filtered or attribute != "B":
+                assert leapfrog.candidates[depth] == leapfrog.matches[depth]
 
     def test_generic_sees_dead_ends(self, trap):
         # The trap's payoff attribute prunes hard when bound last: the

@@ -37,6 +37,23 @@ class TestConstruction:
         with pytest.raises(QueryError):
             Q()
 
+    @pytest.mark.parametrize(
+        "algorithm", ["auto", "generic", "leapfrog", "nprr"]
+    )
+    def test_a_nullary_relation_is_rejected(self, algorithm):
+        # ``E() = {}`` empties the join, but as an edge it has no
+        # attribute for any algorithm to intersect on.
+        from repro import execute
+
+        relations = (Relation("R", ("A",), [(1,)]), Relation("E", (), []))
+        for run in (
+            lambda: Q(*relations),
+            lambda: execute(relations, algorithm=algorithm).relation(),
+            lambda: execute(relations).sample(1, seed=0),
+        ):
+            with pytest.raises(QueryError, match="'E' has no attributes"):
+                run()
+
     def test_builder_is_immutable(self):
         builder = Q(*triangle_relations())
         with pytest.raises(AttributeError):

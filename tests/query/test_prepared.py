@@ -457,8 +457,8 @@ class TestShardedParentPlansOnce:
 
 
 class TestRowTexts:
-    """``_texts``: the rows as the loop nest's JSON array texts, exactly
-    where :meth:`PreparedQuery.stream` is that nest."""
+    """``_texts``: the rows as Generic Join's loop nest's JSON array
+    texts, exactly where :meth:`PreparedQuery.stream` is that nest."""
 
     @staticmethod
     def texts(builder):
@@ -470,7 +470,7 @@ class TestRowTexts:
         _db, builder = catalogued()
         for plain in (
             builder.using(algorithm="generic"),
-            builder.using(algorithm="leapfrog", backend="sorted"),
+            builder.using(algorithm="generic", backend="sorted"),
             builder.using(algorithm="generic").select("C", "A", "B"),
             builder.using(algorithm="generic").where_in("A", (1, 2, 3)),
         ):
@@ -491,6 +491,7 @@ class TestRowTexts:
             generic.using(shards=2, mode="serial"),
             generic.using(tracer=Tracer()),
             generic.using(metrics=MetricsRegistry()),
+            builder.using(algorithm="leapfrog", backend="sorted"),
             builder.using(algorithm="lw"),
             builder.using(algorithm="nprr"),
         ):

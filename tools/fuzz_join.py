@@ -49,7 +49,9 @@ attributes), then checks for each instance that
 * one iteration in four, ``explain(analyze=True)`` — the observed run —
   counts the oracle's rows and its per-level counters chain (the root
   is entered once, each level's matches are the next level's partials,
-  the last level's matches are the rows, candidates >= matches),
+  the last level's matches are the rows, candidates >= matches) and,
+  on a serial ``leapfrog`` run, its partials and matches equal Generic
+  Join's over the plan's order and filters (the summary counts these),
 
 occasionally through a ``where``-binding and a ``where_in`` filter so
 the sectioned/filtered paths get fuzzed too.  The oracle is a
@@ -92,6 +94,7 @@ from repro.aggregate.fold import fold_rows  # noqa: E402
 from repro.aggregate.specs import Count, Sum, as_spec, grouped  # noqa: E402
 from repro.baselines.yannakakis import is_acyclic  # noqa: E402
 from repro.core import descent  # noqa: E402
+from repro.core.generic_join import GenericJoin  # noqa: E402
 from repro.core.query import JoinQuery  # noqa: E402
 from repro.distributed import (  # noqa: E402
     DispatchScheduler,
@@ -100,6 +103,7 @@ from repro.distributed import (  # noqa: E402
 from repro.engine.planner import ORDER_SENSITIVE, plan_join  # noqa: E402
 from repro.errors import QueryError  # noqa: E402
 from repro.observe.metrics import MetricsRegistry  # noqa: E402
+from repro.observe.telemetry import TelemetryProbe  # noqa: E402
 from repro.observe.tracing import Tracer  # noqa: E402
 from repro.query.builder import Q  # noqa: E402
 from repro.query.prepared import PreparedQuery  # noqa: E402
@@ -333,8 +337,9 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     """One fuzz iteration; raises AssertionError on any disagreement.
     Returns the value-count tables checked (their attribute sets),
     whether the server's row texts were checked, whether an acyclic
-    instance's folds compiled a memo, and what was pinned as the
-    attribute order (``None``, ``"order"`` or ``"rejected"``)."""
+    instance's folds compiled a memo, what was pinned as the attribute
+    order (``None``, ``"order"`` or ``"rejected"``) and whether
+    leapfrog's counters were compared with Generic Join's."""
     tables = check_value_counts(relations)
     full = expected = oracle_join(relations)
     attributes = JoinQuery(relations).attributes
@@ -483,13 +488,14 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     assert target.sample(k, seed=seed) == sample, "sample not seed-stable"
     check_exact_samples(rng, relations, builder, full, expected, seed)
 
-    if rng.random() < 0.25:
-        check_observed(builder, len(expected), config)
+    compared = rng.random() < 0.25 and check_observed(
+        builder, len(expected), config
+    )
     memoised = []
     if is_acyclic(JoinQuery(relations).hypergraph):
         with recording_memos() as memoised:
             check_acyclic_folds(rng, relations, full, attributes)
-    return tables, wire, bool(memoised), pinned
+    return tables, wire, bool(memoised), pinned, compared
 
 
 @contextlib.contextmanager
@@ -670,10 +676,13 @@ def check_acyclic_folds(
                 )
 
 
-def check_observed(builder, expected_rows: int, options: dict) -> None:
+def check_observed(builder, expected_rows: int, options: dict) -> bool:
     """The observed sink: ``explain(analyze=True)`` under the drawn
     configuration; counters are checked wherever the run reports them
-    (serial runs of the descent-kernel algorithms)."""
+    (serial runs of the descent-kernel algorithms).  A serial leapfrog
+    run's per-level partials and matches must equal Generic Join's over
+    the plan's order and residual filters: both search one prefix tree.
+    Returns whether that comparison ran."""
     analysis = builder.explain(analyze=True)
     assert analysis.rows == expected_rows, (
         f"explain(analyze=True) counted {analysis.rows} rows vs "
@@ -681,7 +690,7 @@ def check_observed(builder, expected_rows: int, options: dict) -> None:
     )
     levels = [lv for lv in analysis.levels if lv.partials is not None]
     if not levels:
-        return
+        return False
     counters = [(lv.partials, lv.candidates, lv.matches) for lv in levels]
     context = f"counters {counters} under {options}"
     assert levels[0].partials == 1, f"root entered != once: {context}"
@@ -695,6 +704,26 @@ def check_observed(builder, expected_rows: int, options: dict) -> None:
     assert all(lv.candidates >= lv.matches for lv in levels), (
         f"candidates < matches: {context}"
     )
+    if options["algorithm"] != "leapfrog" or "shards" in options:
+        return False
+    plan = analysis.plan
+    probe = TelemetryProbe(plan.attribute_order)
+    generic = GenericJoin(
+        plan.query,
+        plan.attribute_order,
+        filters=builder._compile().filters,
+        telemetry=probe,
+    )
+    assert sum(1 for _row in generic.iter_join()) == analysis.rows, (
+        f"generic join's rows != leapfrog's: {context}"
+    )
+    assert [(lv.partials, lv.matches) for lv in levels] == list(
+        zip(probe.partials, probe.matches)
+    ), (
+        f"leapfrog's partials / matches {counters} != generic join's "
+        f"{probe.partials} / {probe.matches} under {options}"
+    )
+    return True
 
 
 def run_one(iter_seed: int) -> tuple:
@@ -768,7 +797,7 @@ def main(argv: list[str] | None = None) -> int:
     master = random.Random(args.seed)
     started = time.monotonic()
     iteration = 0
-    tables = wide = wires = memos = 0
+    tables = wide = wires = memos = compares = 0
     pins = {"order": 0, "rejected": 0}
     while True:
         if args.iterations is not None:
@@ -778,7 +807,7 @@ def main(argv: list[str] | None = None) -> int:
             break
         iter_seed = master.randrange(1 << 32)
         try:
-            checked, wire, memoised, pinned = run_one(iter_seed)
+            checked, wire, memoised, pinned, compared = run_one(iter_seed)
         except Exception:
             print(
                 f"  found at iteration {iteration} of master seed "
@@ -790,6 +819,7 @@ def main(argv: list[str] | None = None) -> int:
         wide += sum(len(attributes) > 1 for attributes in checked)
         wires += wire
         memos += memoised
+        compares += compared
         if pinned is not None:
             pins[pinned] += 1
         iteration += 1
@@ -799,8 +829,8 @@ def main(argv: list[str] | None = None) -> int:
         f"(seed {args.seed}), {tables} value-count tables ({wide} over "
         f"two or more attributes), {wires} as server row texts, "
         f"{memos} compiling a memo, {pins['order']} under a pinned order, "
-        f"{pins['rejected']} non-permutation pins rejected, "
-        "no disagreements"
+        f"{pins['rejected']} non-permutation pins rejected, {compares} "
+        "leapfrog runs counted as generic join counts, no disagreements"
     )
     return 0
 

@@ -103,8 +103,6 @@ def subquery_estimates(
 ) -> dict[frozenset[str], Estimate]:
     """AGM estimates for every *attribute-connected* relation subset
     (see :func:`connected_estimate`): one LP per subset, all up front.
-    The planner reads the same bounds one at a time, as its clamps ask
-    (:meth:`~repro.stats.provider.StatsProvider.subquery_bounds`).
     """
     out: dict[frozenset[str], Estimate] = {}
     edge_ids = query.edge_ids

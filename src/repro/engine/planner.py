@@ -23,12 +23,14 @@ The product is an inspectable :class:`JoinPlan`:
 * **attribute order** — a greedy descent on *estimated partial-result
   sizes*: each step multiplies the candidate attribute's min-distinct
   count by the exact conditional selectivities against the relations
-  already bound (:mod:`repro.stats`), clamped by the AGM sub-bounds of
-  the covered sub-queries (:meth:`~repro.stats.provider.StatsProvider.
-  subquery_bounds`, each solved when a clamp reads it).  The chosen
-  prefix stays connected so early levels prune.  A caller may pin the
-  order instead (``attribute_order=``); it must be a permutation of the
-  query's attributes, checked here;
+  already bound (:mod:`repro.stats`), capped at the size of the smallest
+  relation the prefix fully covers — a heuristic that favours closing a
+  relation, not an upper bound on the partial result (a cross product
+  ``R(A) x S(B)`` is capped at ``min(|R|, |S|)``).  No cover LP is
+  solved: the AGM bound of the covered relations is never below that
+  cap.  The chosen prefix stays connected so early levels prune.  A
+  caller may pin the order instead (``attribute_order=``); it must be a
+  permutation of the query's attributes, checked here;
 * **backend** — ``"sorted"`` flat arrays for leapfrog (its native
   layout; callers may fix ``"compact"`` for packed runs with radix
   seeks); for Generic Join a **per-relation** choice driven by cached-
@@ -114,11 +116,6 @@ MAX_AUTO_SHARDS = 8
 
 #: Bounds for the planner's ``batch_size="auto"`` choice.
 MIN_AUTO_BATCH, MAX_AUTO_BATCH = 64, 4096
-
-#: The order descents clamp by AGM sub-bounds (one exact cover LP per
-#: covered relation subset they reach) only for queries at most this
-#: many relations wide.
-MAX_SUBQUERY_RELATIONS = 6
 
 #: Relations at or above this size with a low-skew first index level get
 #: the packed flat-array backend (``"compact"``) when no cached index
@@ -378,44 +375,36 @@ class JoinPlan:
 
 def _prefix_clamp(
     relations: Mapping[str, Relation],
-    sub_bounds: Mapping[frozenset, float],
     bound_attrs: set[str],
     attribute: str,
     estimate: float,
 ) -> float:
-    """Clamp a partial-result estimate by the hard upper bounds that hold
-    whenever the relations fully covered by ``prefix + attribute`` span
-    exactly its attributes: the covered relations' sizes and the AGM
-    sub-bound of the covered sub-query — solved here, on its first read
-    (:meth:`~repro.stats.provider.StatsProvider.subquery_bounds`)."""
+    """Cap a partial-result estimate at the size of the smallest relation
+    fully covered by ``prefix + attribute``, when the covered relations
+    span exactly its attributes.
+
+    The cap is a heuristic, not an upper bound: the partial tuples
+    project into a covered relation only when that one relation spans
+    the prefix (``R(A) x S(B)``, 2 x 2, is capped at 2 against 4 partial
+    tuples).  It makes a step that closes a relation look no larger
+    than that relation, which favours closing one.  It also caps below
+    the AGM bound of the covered relations, which is never smaller than
+    their smallest size (the cover puts weight at least 1 on the
+    relations holding any one attribute), so no cover LP is needed."""
     prefix_attrs = bound_attrs | {attribute}
-    covered = frozenset(
-        eid
-        for eid, relation in relations.items()
+    covered = [
+        relation
+        for relation in relations.values()
         if relation.attribute_set <= prefix_attrs
-    )
+    ]
     covered_attrs: set[str] = set()
-    for eid in covered:
-        covered_attrs |= relations[eid].attribute_set
+    for relation in covered:
+        covered_attrs |= relation.attribute_set
     if covered and covered_attrs == prefix_attrs:
-        # The partial tuples over prefix_attrs project INTO every
-        # covered relation, so these clamps are true upper bounds.
         estimate = min(
-            estimate, min(float(len(relations[eid])) for eid in covered)
+            estimate, min(float(len(relation)) for relation in covered)
         )
-        if covered in sub_bounds:
-            estimate = min(estimate, sub_bounds[covered])
     return estimate
-
-
-def _subquery_bounds(
-    query: JoinQuery, stats: StatsProvider
-) -> Mapping[frozenset, float]:
-    """AGM sub-bounds for the order descent (none for very wide
-    queries: see :data:`MAX_SUBQUERY_RELATIONS`)."""
-    if len(query.edge_ids) > MAX_SUBQUERY_RELATIONS:
-        return {}
-    return stats.subquery_bounds(query)
 
 
 def plan_attribute_order_selectivity(
@@ -444,16 +433,16 @@ def plan_attribute_order_selectivity(
     are the intersection of the co-containing relations' value sets, so
     their cross-selectivity estimates how far below the min-distinct
     base that intersection falls — this is what lets the very first
-    attribute choice see pruning, before anything is bound).  The estimate is then clamped by hard upper bounds
-    whenever the relations fully covered by ``prefix + A`` span exactly
-    its attributes: the covered relations' sizes (a single fully-bound
-    relation bounds its own prefix paths) and the AGM sub-bound of the
-    covered sub-query (one cover LP, solved the first time a clamp
-    reads it; consulted for queries up to
-    :data:`MAX_SUBQUERY_RELATIONS` relations wide).  The attribute
-    minimizing the estimate is appended; ties fall back to the
-    distinct-count score, then first appearance, so the result is a
-    function of the data alone.
+    attribute choice see pruning, before anything is bound).  The
+    estimate is then capped at the size of the smallest relation fully
+    covered by ``prefix + A`` whenever the covered relations span
+    exactly its attributes (:func:`_prefix_clamp`).  The cap is not an
+    upper bound on the partial result: on ``graph_chain``'s 4-chain it
+    reads 249 at the third to fifth attribute, where 498, 996 and 1,992
+    partial tuples are bound.  It favours closing a relation.
+    The attribute minimizing the estimate is appended; ties fall back
+    to the distinct-count score, then first appearance, so the result
+    is a function of the data alone.
 
     The descent reads every overlapping pair's tables, so those over
     two or more shared attributes are read first: the profile's
@@ -470,7 +459,6 @@ def plan_attribute_order_selectivity(
             if fid != eid and len(shared) > 1:
                 stats.value_counts(relation, shared)
     scores = stats.attribute_scores(query)
-    sub_bounds = _subquery_bounds(query, stats)
     consulted: dict[tuple[str, str], float] = {}
     appearance = {a: i for i, a in enumerate(query.attributes)}
     rels_with: dict[str, list[str]] = {a: [] for a in query.attributes}
@@ -498,9 +486,7 @@ def plan_attribute_order_selectivity(
                 consulted[(eid, fid)] = selectivity
                 shrink = min(shrink, selectivity)
         estimate = partial * scores[attribute] * shrink
-        return _prefix_clamp(
-            relations, sub_bounds, bound_attrs, attribute, estimate
-        )
+        return _prefix_clamp(relations, bound_attrs, attribute, estimate)
 
     order: list[str] = []
     estimates: list[tuple[str, float]] = []
@@ -509,11 +495,10 @@ def plan_attribute_order_selectivity(
     while remaining:
         # A new connected component (or the start) opens the frontier.
         candidates = frontier & remaining or remaining
-        chosen = min(
-            candidates,
-            key=lambda a: (estimate_for(a), scores[a], appearance[a]),
+        chosen_estimate, _score, _first, chosen = min(
+            (estimate_for(a), scores[a], appearance[a], a)
+            for a in candidates
         )
-        chosen_estimate = estimate_for(chosen)
         order.append(chosen)
         estimates.append((chosen, chosen_estimate))
         partial = max(chosen_estimate, 1.0)

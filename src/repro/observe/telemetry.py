@@ -1,7 +1,7 @@
 """Execution telemetry: what a join run actually did, per level.
 
 The planner's order descent works from *estimates* — exact pairwise
-selectivities, distinct counts, AGM sub-bounds.  This module defines the
+selectivities, distinct counts, relation sizes.  This module defines the
 *measurements* they are held against: cheap per-level counters threaded
 through the attribute-at-a-time executors (Generic Join, Leapfrog
 Triejoin) recording, for every level of the executed attribute order,

@@ -24,10 +24,9 @@ provides that binding along with:
   hit/miss/eviction counters, and resident bytes per backend.
 * a statistics cache serving the planner's
   :class:`~repro.stats.provider.StatsProvider`: value-count tables,
-  the profiles and selectivities read off them, and per-query AGM
-  sub-bounds, keyed by relation identity,
-  invalidated together with the index cache when a relation is replaced
-  or dropped.
+  the profiles and selectivities read off them, keyed by relation
+  identity, invalidated together with the index cache when a relation
+  is replaced or dropped.
 """
 
 from __future__ import annotations

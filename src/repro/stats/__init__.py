@@ -19,7 +19,7 @@ cached — and the rest are views of it:
 See :mod:`repro.stats.profiles` (the counting pass; distinct counts and
 heavy/light skew profiles read off it) and :mod:`repro.stats.provider`
 (the caching :class:`StatsProvider` — tables, profiles, exact
-conditional selectivities, on-demand AGM sub-bounds — and the
+conditional selectivities — and the
 :class:`PlanStatistics` record plans carry).  There is nothing to
 configure: the heavy-mass cut adaptive decisions trigger on is
 :data:`repro.stats.provider.HEAVY_MASS_THRESHOLD`, the top-k table's

@@ -7,9 +7,8 @@ One object sits between the planner and the statistics machinery:
   (:meth:`StatsProvider.value_counts`, cached: scanned, or summed out of
   a wider table of the same relation already held), and the views of it
   the planner reads: :class:`~repro.stats.profiles.RelationProfile`
-  objects, exact conditional selectivities, shard weights.  Beside
-  them, the AGM sub-bounds of a query, each solved when a clamp first
-  reads it.  Everything caches behind **relation identity**:
+  objects, exact conditional selectivities, shard weights.  Everything
+  caches behind **relation identity**:
 
   - For relations catalogued in a ``Database`` (the provider checks
     ``database[name] is relation``), payloads live in the database's
@@ -33,7 +32,6 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from repro.core.estimates import connected_estimate
 from repro.relations.relation import Relation
 from repro.stats.profiles import (
     RelationProfile,
@@ -109,7 +107,8 @@ class PlanStatistics:
     #: attribute whose profile crossed the heavy threshold.
     heavy_hitters: tuple[tuple[str, str, int, float], ...] = ()
     #: ``(attribute, estimated partial-result size)`` per order position
-    #: (the greedy descent's objective, AGM-clamped).
+    #: (the greedy descent's objective, capped at the smallest relation
+    #: the prefix fully covers — a heuristic, not an upper bound).
     order_estimates: tuple[tuple[str, float], ...] = ()
     #: For a plan ``EXPLAIN ANALYZE`` ran: the run's per-level counters
     #: as ``(attribute, position, partials, candidates, matches)``, in
@@ -169,40 +168,6 @@ class PlanStatistics:
                 f"across {self.shard_cpus} CPU(s)"
             )
         return "\n".join(lines)
-
-
-class _SubqueryBounds(dict):
-    """``relation subset -> AGM bound`` of one query, filled on demand.
-
-    Reads like the dict of every attribute-connected subset of two or
-    more relations; holds the ones read so far.  Safe to share between
-    planning threads: a subset solved twice under a race stores the
-    same value twice.
-    """
-
-    def __init__(self, query: "JoinQuery") -> None:
-        super().__init__()
-        self._query = query
-        # Subsets found not to be there (one relation, disconnected),
-        # so a warm plan pays a set lookup for them, not a hypergraph.
-        self._absent: set[frozenset] = set()
-
-    def __contains__(self, subset: object) -> bool:
-        if super().__contains__(subset):
-            return True
-        if subset in self._absent:
-            return False
-        estimate = connected_estimate(self._query, subset)
-        if estimate is None:
-            self._absent.add(subset)
-            return False
-        self[subset] = estimate.bound
-        return True
-
-    def __missing__(self, subset: frozenset) -> float:
-        if subset in self:
-            return super().__getitem__(subset)
-        raise KeyError(subset)
 
 
 class StatsProvider:
@@ -358,81 +323,6 @@ class StatsProvider:
                 if name not in scores or count < scores[name]:
                     scores[name] = count
         return scores
-
-    # -- per-query payloads -------------------------------------------------
-
-    # A payload that belongs to a whole query — the AGM sub-bounds — is
-    # cached under the same two regimes as per-relation statistics: the
-    # database stats cache when every relation of the query is the
-    # catalogued object (so replacing or dropping ANY of them
-    # invalidates the payload: each relation's name is a direct element
-    # of the payload key, which is exactly what
-    # ``Database._drop_cached`` matches on), the provider-local cache
-    # otherwise.  The local entries are keyed by relation *value*
-    # (name, schema, size — verified by full equality on lookup, with an
-    # identity fast path) rather than ``id``: a sub-bound is a pure
-    # function of the query's edge sets and relation sizes, so equal
-    # relations loaded separately may share it.
-
-    def _query_relations(self, query: "JoinQuery") -> tuple:
-        return tuple(
-            query.relations[name] for name in sorted(query.relations)
-        )
-
-    def _query_get(self, query: "JoinQuery", kind: str):
-        relations = self._query_relations(query)
-        names = tuple(rel.name for rel in relations)
-        db = self.database
-        if db is not None and all(db.is_catalogued(rel) for rel in relations):
-            # The names sit as direct key elements (what the database's
-            # invalidation matches on).
-            return db.stats_cache_get(names[0], (kind,) + names)
-        entry = self._local.get((kind,) + self._query_signature(relations))
-        if entry is None:
-            return None
-        stored, payload = entry
-        if all(a is b for a, b in zip(stored, relations)) or all(
-            a == b for a, b in zip(stored, relations)
-        ):
-            return payload
-        return None
-
-    def _query_put(
-        self, query: "JoinQuery", kind: str, payload: object
-    ) -> None:
-        relations = self._query_relations(query)
-        names = tuple(rel.name for rel in relations)
-        db = self.database
-        if db is not None and all(db.is_catalogued(rel) for rel in relations):
-            db.stats_cache_put(names[0], (kind,) + names, payload)
-            return
-        self._local_put(
-            (kind,) + self._query_signature(relations), relations, payload
-        )
-
-    @staticmethod
-    def _query_signature(relations: tuple) -> tuple:
-        return tuple(
-            (rel.name, rel.attributes, len(rel)) for rel in relations
-        )
-
-    def subquery_bounds(self, query: "JoinQuery") -> dict[frozenset, float]:
-        """The AGM bounds of ``query``'s connected relation subsets,
-        cached, each solved the first time it is read.
-
-        ``subset in bounds`` / ``bounds[subset]`` answer for any
-        frozenset of edge ids as the eager table of
-        :func:`~repro.core.estimates.subquery_estimates` would; the
-        exact-``Fraction`` cover LP of a subset runs on its first read
-        only.  A bound is a pure function of the edge sets and relation
-        sizes — which is what the per-query cache keys and invalidates
-        on — so a repeated plan solves none.
-        """
-        bounds = self._query_get(query, "agm_sub_bounds")
-        if bounds is None:
-            bounds = _SubqueryBounds(query)
-            self._query_put(query, "agm_sub_bounds", bounds)
-        return bounds
 
     def heavy_hitters(
         self, query: "JoinQuery"

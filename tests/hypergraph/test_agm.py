@@ -1,6 +1,7 @@
 """Unit tests for AGM bounds and the optimal-cover LP."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from repro.hypergraph.agm import (
 from repro.hypergraph.covers import FractionalCover
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.workloads import queries
+from repro.workloads.generators import random_hypergraph
 
 
 @pytest.fixture
@@ -124,3 +126,34 @@ class TestBestBound:
         cover, bound = best_agm_bound(triangle, {"R": 4, "S": 4, "T": 4})
         assert cover.is_valid(triangle)
         assert bound == pytest.approx(8.0, rel=1e-6)
+
+
+class TestBoundIsAtLeastTheSmallestRelation:
+    """At any attribute ``v`` the cover puts weight at least 1 on the
+    relations holding ``v``, so with every size at least 1 the bound is
+    at least ``min_{e ∋ v} N_e``, hence at least the smallest relation.
+    This is why the planner caps partial-result estimates at covered
+    relation sizes and never solves a cover LP for them: the cap is
+    never above the AGM bound of the relations it covers."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_lower_bounds(self, seed):
+        rng = random.Random(seed)
+        h = random_hypergraph(
+            rng.randint(1, 6), rng.randint(1, 6), 3, seed=seed
+        )
+        pool = [0, 1, rng.randint(2, 40), rng.randint(2, 40), 1000]
+        sizes = {eid: rng.choice(pool) for eid in h.edges}
+        bound = agm_bound(h, sizes, optimal_fractional_cover(h, sizes))
+        assert bound >= min(sizes.values()) * (1 - 1e-9)
+        # An empty relation may take weight for free (its cost is 0)
+        # and zero the bound: the join is empty.  Otherwise every
+        # attribute's relations bound it from below.
+        assert bound > 0 or 0 in sizes.values()
+        if bound > 0:
+            per_vertex = max(
+                min(sizes[eid] for eid, members in h.edges.items()
+                    if v in members)
+                for v in h.vertices
+            )
+            assert bound >= per_vertex * (1 - 1e-9)

@@ -65,6 +65,28 @@ class TestReplay:
         with pytest.raises(AssertionError, match="non-permutation"):
             fuzz.check_rejected(relations, options, ("A", "B"))
 
+    def test_a_plan_solving_a_cover_lp_is_a_finding(
+        self, fuzz, monkeypatch
+    ):
+        import random
+
+        import repro.engine.planner as planner_module
+        from repro.hypergraph.agm import optimal_fractional_cover
+
+        relations = fuzz.overlap_instance(random.Random(3))
+        fuzz.check_value_counts(relations)
+        real = planner_module.plan_attribute_order_selectivity
+
+        def solving(query, stats):
+            optimal_fractional_cover(query.hypergraph, query.sizes())
+            return real(query, stats)
+
+        monkeypatch.setattr(
+            planner_module, "plan_attribute_order_selectivity", solving
+        )
+        with pytest.raises(AssertionError, match="solved 1 cover LP"):
+            fuzz.check_value_counts(relations)
+
     def test_instances_are_seed_deterministic(self, fuzz):
         import random
 

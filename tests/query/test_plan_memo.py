@@ -83,7 +83,7 @@ class TestReuse:
         assert plan_calls == []
 
     def test_a_memo_hit_is_the_same_plan(self, plan_calls):
-        # A cold plan fills value-count tables, profiles and sub-bounds;
+        # A cold plan fills value-count tables, profiles and selectivities;
         # those writes leave the plan read before them current.
         database, builder = catalogued()
         first = builder.plan()

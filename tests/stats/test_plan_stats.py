@@ -71,15 +71,26 @@ class TestSelectivityOrder:
         plan = plan_join(trap, "generic")
         assert plan.execute().equivalent(base)
 
-    def test_estimates_clamped_by_agm_subbounds(self):
-        # Triangle: the final attribute's estimate cannot exceed the
-        # covered sub-query's AGM bound (3^1.5 here, further clamped by
-        # the fully-covered relations' sizes).
+    def test_the_closing_estimate_stays_within_the_agm_bound(self):
+        # Triangle: the final attribute's estimate is capped at the
+        # smallest fully covered relation (3 tuples), below the query's
+        # AGM bound 3^1.5.
         q = triangle_query()
         _order, _scores, estimates, _sels = plan_attribute_order_selectivity(
             q, StatsProvider()
         )
         assert estimates[-1][1] <= 3**1.5 + 1e-9
+
+    def test_a_nested_edge_closes_at_its_exact_size(self):
+        # S(B) nests in R(A, B): the step that closes R covers both, and
+        # its estimate is R's size exactly, not a float round trip
+        # through a cover LP's log-space optimum.
+        r = Relation("R", ("A", "B"), [(a, a % 7) for a in range(249)])
+        s = Relation("S", ("B",), [(b,) for b in range(300)])
+        _order, _scores, estimates, _sels = plan_attribute_order_selectivity(
+            JoinQuery([r, s]), StatsProvider()
+        )
+        assert estimates[-1][1] == float(len(r))
 
 
 #: The amplified trap triangles: ``(decoy_domain, c_domain)`` settings,

@@ -1,5 +1,8 @@
 """StatsProvider: identity-keyed caching, database invalidation."""
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.core.query import JoinQuery
@@ -58,10 +61,9 @@ class TestDatabaseCache:
         assert db.cached_stats_count() == 0
 
     def test_one_event_drops_everything_naming_the_relation(self, db):
-        """Tables, profile, selectivities on either side and the
-        on-demand bounds of a query containing it: one replace (or
-        remove) of ``S`` drops them all, and nothing of ``R`` / ``T``
-        that does not name ``S``."""
+        """Tables, profile and selectivities on either side: one replace
+        (or remove) of ``S`` drops them all, and nothing of ``R`` /
+        ``T`` that does not name ``S``."""
 
         def names_s(entry_key):
             return entry_key[0] == "S" or "S" in entry_key[1]
@@ -79,9 +81,7 @@ class TestDatabaseCache:
             if not names_s(key)
         }
         kinds = {key[1][0] for key in db._stats_cache if names_s(key)}
-        assert kinds == {
-            "value_counts", "profile", "selectivity", "agm_sub_bounds"
-        }
+        assert kinds == {"value_counts", "profile", "selectivity"}
         assert provider.selectivity(db["R"], db["S"]) == 1.0
         assert provider.selectivity(db["S"], db["R"]) == 1.0
         db.add(Relation("S", ("B", "C"), [(1, 5), (8, 8)]), replace=True)
@@ -93,7 +93,7 @@ class TestDatabaseCache:
         assert dict(provider.value_counts(db["S"], ("B",))) == {1: 1, 8: 1}
         second = plan()
         assert second.statistics != first.statistics
-        assert any(key[1][0] == "agm_sub_bounds" for key in db._stats_cache)
+        assert any(names_s(key) for key in db._stats_cache)
         db.remove("S")
         assert not any(names_s(key) for key in db._stats_cache)
         assert all(db._stats_cache[key] is kept[key] for key in kept)
@@ -173,11 +173,34 @@ class TestQueries:
         assert found[0][0] == "R"
 
 
-class TestCoverLpSolvedOncePerCatalog:
-    """The AGM sub-bounds the order descent clamps by are one exact
-    simplex solve per connected relation subset *a clamp reads* — a
-    pure function of the edge sets and sizes, so only the first plan
-    over a catalog pays, and only for the subsets its descent reached."""
+def e2e_workloads():
+    """``benchmarks/e2e/e2e_workloads.py``, the benchmark's four shapes
+    and ``regular_chain``, loaded by path (it is not a package)."""
+    path = (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "benchmarks" / "e2e" / "e2e_workloads.py"
+    )
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def planned_queries():
+    module = e2e_workloads()
+    named = [
+        (name, make(1, True)) for name, make in module.WORKLOADS.items()
+    ]
+    named.append(("trap", generators.zipf_trap_triangle(400, 3000, seed=7)))
+    named.append(("chain6", module.regular_chain(6, 200, 3, seed=1)))
+    return named
+
+
+class TestAPlanSolvesNoCoverLp:
+    """The order descent's estimates are capped at covered relation
+    sizes, never at a cover LP's optimum (which a cap at the smallest
+    covered relation is never above): a plan solves no LP, cold or warm,
+    and the plan's own AGM bound is one lazy solve."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -192,73 +215,42 @@ class TestCoverLpSolvedOncePerCatalog:
         monkeypatch.setattr(agm, "solve_min_geq", counting)
         return calls
 
-    def chain_db(self):
-        return Database(
+    @pytest.mark.parametrize("catalogued", [False, True])
+    @pytest.mark.parametrize(
+        "query", [pytest.param(q, id=name) for name, q in planned_queries()]
+    )
+    def test_a_plan_solves_no_lp(self, solves, query, catalogued):
+        # Cold either way: a fresh catalog, or a fresh provider.
+        if catalogued:
+            plan = plan_join(
+                query, database=Database(list(query.relations.values()))
+            )
+        else:
+            plan = plan_join(query, stats=StatsProvider())
+        assert plan.algorithm == "generic"
+        assert plan.statistics.order_estimates
+        assert solves == []
+
+    def test_the_estimated_bound_is_solved_once_on_first_read(self, solves):
+        query = JoinQuery(triangle_relations())
+        plan = plan_join(query, stats=StatsProvider())
+        assert solves == []
+        assert plan.estimated_bound == pytest.approx(3**1.5)
+        assert len(solves) == 1
+        assert plan.estimated_bound == pytest.approx(3**1.5)
+        assert len(solves) == 1
+
+    def test_planning_threads_agree(self, solves):
+        """The server plans on several threads over one catalog: they
+        share its statistics cache and reach one plan, solving no LP."""
+        import sys
+        import threading
+
+        db = Database(
             generators.random_instance(
                 queries.path_query(4), 40, 8, seed=2
             ).relations.values()
         )
-
-    def test_second_plan_solves_no_lp(self, solves):
-        db = self.chain_db()
-        query = JoinQuery(list(db))
-        first = plan_join(query, database=db)
-        assert first.algorithm == "generic"
-        # Of the 6 connected subsets of a 4-chain the descent covers 3.
-        assert len(solves) == 3
-        del solves[:]
-        second = plan_join(query, database=db)
-        assert solves == []
-        assert second.attribute_order == first.attribute_order
-        assert second.statistics == first.statistics
-
-    def test_replacing_a_relation_solves_again(self, solves):
-        db = self.chain_db()
-        plan_join(JoinQuery(list(db)), database=db)
-        del solves[:]
-        name = db.names()[0]
-        smaller = Relation(
-            name, db[name].attributes, sorted(db[name].tuples)[:5]
-        )
-        db.add(smaller, replace=True)
-        plan_join(JoinQuery(list(db)), database=db)
-        assert len(solves) == 3
-
-    def test_a_subset_the_descent_never_reaches_is_never_solved(
-        self, solves
-    ):
-        db = Database(triangle_relations())
-        query = JoinQuery(list(db))
-        plan_join(query, database=db)
-        # A triangle's prefixes cover one relation until the last
-        # attribute covers all three: the pairs are never asked for.
-        assert len(solves) == 1
-        bounds = db.stats().subquery_bounds(query)
-        assert set(bounds) == {frozenset("RST")}
-        del solves[:]
-        # Asked for, a pair is solved — once — to the eager value.
-        from repro.core.estimates import subquery_estimates
-
-        pair = frozenset("RS")
-        assert pair in bounds
-        assert bounds[pair] == bounds[pair] == pytest.approx(9.0)
-        assert len(solves) == 1
-        assert frozenset("R") not in bounds  # one relation: not there
-        eager = subquery_estimates(query)
-        assert all(bounds[subset] == eager[subset].bound for subset in eager)
-        assert set(bounds) == set(eager)
-
-    def test_planning_threads_share_one_mapping(self):
-        """The server plans on several threads over one catalog: the
-        on-demand mapping they share ends up holding the eager values,
-        whoever solved what first (a subset solved twice under a race
-        stores the same bound twice)."""
-        import sys
-        import threading
-
-        from repro.core.estimates import subquery_estimates
-
-        db = self.chain_db()
         query = JoinQuery(list(db))
         plans, errors = [], []
         start = threading.Barrier(8)
@@ -285,79 +277,7 @@ class TestCoverLpSolvedOncePerCatalog:
         assert len(plans) == 8
         assert len({plan.attribute_order for plan in plans}) == 1
         assert len({plan.statistics for plan in plans}) == 1
-        bounds = db.stats().subquery_bounds(query)
-        eager = subquery_estimates(query)
-        assert len(bounds) == 3
-        assert all(bounds[subset] == eager[subset].bound for subset in bounds)
-
-    def test_adhoc_relations_reuse_the_providers_memo(self, solves):
-        provider = StatsProvider()
-        query = JoinQuery(list(self.chain_db()))
-        plan_join(query, stats=provider)
-        del solves[:]
-        plan_join(query, stats=provider)
         assert solves == []
-
-
-class TestSubqueryBoundsKeying:
-    """The per-query payload cache behind ``subquery_bounds``: keyed by
-    the catalogued relations' names in a database (dropped when any of
-    them is replaced or removed), by relation value otherwise."""
-
-    RST = frozenset("RST")
-
-    def catalog(self):
-        db = Database(triangle_relations())
-        query = JoinQuery([db["R"], db["S"], db["T"]])
-        return db, query, db.stats().subquery_bounds(query)
-
-    def test_value_keyed_across_equal_reloads(self):
-        provider = StatsProvider()
-        first = provider.subquery_bounds(JoinQuery(triangle_relations()))
-        again = provider.subquery_bounds(JoinQuery(triangle_relations()))
-        assert again is first
-
-    def test_different_data_misses(self):
-        provider = StatsProvider()
-        first = provider.subquery_bounds(JoinQuery(triangle_relations()))
-        changed = triangle_relations()
-        changed[0] = Relation("R", ("A", "B"), [(0, 1), (1, 2), (9, 9)])
-        assert provider.subquery_bounds(JoinQuery(changed)) is not first
-
-    @pytest.mark.parametrize("name", ["R", "S", "T"])
-    def test_replacing_any_relation_invalidates(self, name):
-        db, _query, cached = self.catalog()
-        assert self.RST in cached
-        db.add(
-            Relation(name, db[name].attributes, sorted(db[name].tuples)[:-1]),
-            replace=True,
-        )
-        query = JoinQuery([db["R"], db["S"], db["T"]])
-        bounds = db.stats().subquery_bounds(query)
-        assert bounds is not cached
-        fresh = StatsProvider().subquery_bounds(JoinQuery(list(db)))
-        assert bounds[self.RST] == fresh[self.RST] < cached[self.RST]
-
-    def test_dropping_a_relation_invalidates(self):
-        db, query, cached = self.catalog()
-        s = db["S"]
-        db.remove("S")
-        db.add(s)  # the same objects are catalogued again
-        assert db.stats().subquery_bounds(query) is not cached
-
-    def test_same_named_ad_hoc_relations_do_not_hit(self):
-        db, _query, cached = self.catalog()
-        assert self.RST in cached
-        shrunk = JoinQuery(
-            [
-                Relation("R", ("A", "B"), [(0, 1)]),
-                Relation("S", ("B", "C"), [(1, 5)]),
-                Relation("T", ("A", "C"), [(0, 5)]),
-            ]
-        )
-        bounds = db.stats().subquery_bounds(shrunk)
-        assert bounds is not cached
-        assert bounds[self.RST] == pytest.approx(1.0)
 
 
 class TestResolveProvider:

@@ -13,6 +13,10 @@ attributes), then checks for each instance that
 * every value-count table a cold plan cached — scanned, or summed out
   of a wider table of the same relation — equals a scan of that
   relation (``count_values``), items and iteration order,
+* every plan the harness makes solves no cover LP, unless its
+  algorithm runs on the cover (``nprr``), which solves that one — the
+  order descent reads relation sizes, never an LP optimum (the summary
+  counts the plans and the LPs they solved),
 * the row stream under a randomly chosen algorithm/backend/shard config
   (sharded one time in five: serial or thread mode, or — a quarter of
   those — stealing or predictively pre-split over a loopback fleet;
@@ -102,6 +106,7 @@ from repro.distributed import (  # noqa: E402
 )
 from repro.engine.planner import ORDER_SENSITIVE, plan_join  # noqa: E402
 from repro.errors import QueryError  # noqa: E402
+from repro.hypergraph import agm  # noqa: E402
 from repro.observe.metrics import MetricsRegistry  # noqa: E402
 from repro.observe.telemetry import TelemetryProbe  # noqa: E402
 from repro.observe.tracing import Tracer  # noqa: E402
@@ -138,6 +143,8 @@ CONFIGS = (
     ("leapfrog", (None, "sorted", "compact")),
     ("nprr", (None, "trie")),
 )
+#: The plans made since the run began and the cover LPs they solved.
+PLANNED = {"plans": 0, "lps": 0}
 
 
 def deep_instance(rng: random.Random) -> list[Relation]:
@@ -289,12 +296,40 @@ def oracle_join(relations: list[Relation]) -> set[tuple]:
     }
 
 
+def counted_plan(make_plan, context):
+    """``make_plan()``, counting the cover LPs solved inside it (the
+    calls of :func:`repro.hypergraph.agm.solve_min_geq`): an ``nprr``
+    plan solves at most the cover its executor runs on, any other none."""
+    real, solves = agm.solve_min_geq, []
+
+    def counting(*args):
+        solves.append(args)
+        return real(*args)
+
+    agm.solve_min_geq = counting
+    try:
+        plan = make_plan()
+    finally:
+        agm.solve_min_geq = real
+    allowed = 1 if plan.algorithm == "nprr" else 0
+    assert len(solves) <= allowed, (
+        f"a {plan.algorithm} plan solved {len(solves)} cover LP(s) "
+        f"under {context}"
+    )
+    PLANNED["plans"] += 1
+    PLANNED["lps"] += len(solves)
+    return plan
+
+
 def check_value_counts(relations: list[Relation]) -> list[tuple]:
     """Plan cold over a fresh catalog; every value-count table the plan
     cached must be its relation's scan, items and order.  Returns the
     attribute sets checked."""
     database = Database(relations)
-    plan_join(JoinQuery(list(database)), database=database)
+    counted_plan(
+        lambda: plan_join(JoinQuery(list(database)), database=database),
+        "a cold plan over a fresh catalog",
+    )
     checked = []
     for relation in database:
         tables = database.stats_cache_get(relation.name, ("value_counts",))
@@ -430,7 +465,9 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
         other = assemble(rng.choice(binding[2]))
         target = other.prepare().bind(**{binding[0]: binding[1]})
     config = dict(options, route=route)
-    plan = builder.plan() if mixed or metrics is not None else None
+    plan = None
+    if mixed or metrics is not None:
+        plan = counted_plan(builder.plan, config)
     if mixed and plan.algorithm == "generic":  # not a guards-only plan
         kinds = tuple(
             (eid, rng.choice(("trie", "sorted", "compact")))
@@ -443,7 +480,7 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
         config = dict(options, route="prepare", relation_backends=kinds)
 
     if pinned == "order":
-        planned = builder.plan()
+        planned = counted_plan(builder.plan, config)
         if planned.algorithm != "none":  # bound attributes leave the pin
             residual = planned.query.attributes
             assert planned.attribute_order == tuple(
@@ -563,7 +600,8 @@ def check_builder_twice(builder, expected: set, options: dict) -> None:
     re-makes, when an earlier run wrote what a plan reads) is a fresh
     builder's; each run's rows are the oracle's."""
     for run in (1, 2):
-        held, fresh = builder.plan(), builder.using().plan()
+        held = counted_plan(builder.plan, options)
+        fresh = counted_plan(builder.using().plan, options)
         assert plan_fields(held) == plan_fields(fresh), (
             f"plan before run {run} is not a fresh builder's under "
             f"{options}:\n{held.describe()}\nvs\n{fresh.describe()}"
@@ -795,6 +833,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     master = random.Random(args.seed)
+    PLANNED.update(plans=0, lps=0)
     started = time.monotonic()
     iteration = 0
     tables = wide = wires = memos = compares = 0
@@ -830,7 +869,9 @@ def main(argv: list[str] | None = None) -> int:
         f"two or more attributes), {wires} as server row texts, "
         f"{memos} compiling a memo, {pins['order']} under a pinned order, "
         f"{pins['rejected']} non-permutation pins rejected, {compares} "
-        "leapfrog runs counted as generic join counts, no disagreements"
+        "leapfrog runs counted as generic join counts, "
+        f"{PLANNED['plans']} plans solving {PLANNED['lps']} cover LPs "
+        "(nprr's), no disagreements"
     )
     return 0
 

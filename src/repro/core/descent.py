@@ -21,31 +21,38 @@ module holds the pieces every such search shares:
   counts) and nothing its data does.  A shape compiles once per process
   (:func:`_compile`); levels, predicates, the probe, the root nodes, a
   fold's state and the text sink's memos are the nest's arguments;
-* :class:`HashLevel` intersects one level: one batch intersection,
-  Õ(the smallest participant), the one primitive the AGM bound needs
-  ("Skew Strikes Back"), at one Python call per search node.
+* :class:`HashLevel` reads one level in Õ(its smallest participant),
+  the one primitive the AGM bound needs ("Skew Strikes Back"): over one
+  or two hash-trie nodes the nest reads it in line, with no call.
 
 Leapfrog Triejoin enumerates by its own recursion over cursors
 (:mod:`repro.core.leapfrog`); its folds are this nest over its layouts.
 
 In the text a relation's node is a local (``n2_1 = n2_0[v0]``), stepped
-only if something deeper reads it; a level is ``vals<d> = op<d>(...)``
-— its ``meet`` on those locals, under ``filter(keep<d>, ...)`` if
-guarded, or its ``survivors`` on a state list built on the spot, whose
-nodes opened in place are read back after the call.  With a probe,
-``partials[d] += 1`` and ``candidates[d] += min(len(..), ..)`` stand
-before a level's values are taken and ``matches[d] += 1`` opens its
-loop body; without one the lines are not there.  A fold, never probed,
-sums ``acc += len(n3_4)`` below its cutoff and ``add``s it once there.
+only if something deeper reads it.  Two hash-trie nodes are a loop over
+the smaller probing the other in line, no call and no set per search
+node: ``vals<d>, big<d> = (n0_1, n2_1) if len(n0_1) <= len(n2_1) else
+(n2_1, n0_1)``, then ``if v<d> not in big<d>: continue`` (guarded, ``vals<d>
+= filter(keep<d>, filter(big<d>.__contains__, vals<d>))``); one is the
+batch, ``vals<d> = n0_0``; other levels are ``vals<d> = op<d>(st, ..)``,
+``survivors`` on a state list, whose nodes opened in place are read back
+after the call.  With a probe, ``partials[d] += 1`` and ``candidates[d]
++= min(len(..), ..)`` stand before a level's values are taken and
+``matches[d] += 1`` follows the probe in its loop; without one the lines
+are not there.  A fold, never probed, sums ``acc += len(n3_4)`` below
+its cutoff, ``add``s it once there, and counts an unlooped last level
+with one C-level meet, ``vals3 = n2_1.keys() & n1_2.keys()``.
 Where the values a level's subtree still reads (:func:`_memo_keys`) are
 fewer than its prefix, the fold memoises the subtree's count on them:
 ``outer3 = acc`` / ``acc = memo3.get(v2)`` / ``if acc is None:`` counts
 it from ``acc = 0`` and stores ``memo3[v2] = acc``, then ``acc +=
 outer3``; ``fold`` hands the nest a fresh dict per memo, so none
 outlives a run.
-A text nest joins ``pre = head[v0] + mid[v1]`` under ``if vals2:`` and
-yields ``pre + tail[v2]``: its memos hold each value's text with its
-brackets and commas (the server's are JSON), so it holds no string.
+A text nest joins ``pre = head[v0] + mid[v1]`` once per leaf set with
+values — under ``if vals2:``, or at the first value a probe keeps, ``if
+pre is None:`` — and yields ``pre + tail[v2]``: its memos hold each
+value's text with its brackets and commas (the server's are JSON), so
+it holds no string.
 
 CPython compiles 20 nested blocks at most: a deeper nest is cut into
 ``def``s chained by ``yield from`` (a fold's by ``acc +=`` or ``state
@@ -356,19 +363,29 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
         moved = [i for i in ids if i in deeper]
         if probed:
             out.append(f"{pad}partials[{d}] += 1")
-        if how in ("meet", "filtered"):
-            out.insert(1, f" op{d} = levels[{d}].meet")
+        probing = how != "opened" and len(ids) == 2 and loops
+        if how != "opened":
+            nodes = [cur[i] for i in ids]
             if probed:
-                sizes = ", ".join(f"len({cur[i]})" for i in ids)
+                sizes = ", ".join(f"len({node})" for node in nodes)
                 least = f"min({sizes})" if len(ids) > 1 else sizes
                 out.append(f"{pad}candidates[{d}] += {least}")
-            values = f"op{d}({', '.join(cur[i] for i in ids)})"
             if how == "filtered":
                 out.insert(1, f" keep{d} = levels[{d}].keep")
+            if probing:  # loop the smaller node (the first on a tie)
+                x, y = nodes
+                out.append(f"{pad}vals{d}, big{d} = ({x}, {y}) "
+                           f"if len({x}) <= len({y}) else ({y}, {x})")
+                values = f"filter(big{d}.__contains__, vals{d})"
+            else:  # one node is the batch; a counted pair, one C-level meet
+                values = (nodes[0] if len(ids) == 1
+                          else f"{nodes[1]}.keys() & {nodes[0]}.keys()")
+            if how == "filtered":  # ``keep`` sees what the probe kept
                 values = f"filter(keep{d}, {values})"
-                if not loops or guard:  # tested before it is looped
+                if not loops or guard and not probing:  # tested, then looped
                     values = f"list({values})"
-            out.append(f"{pad}vals{d} = {values}")
+            if how == "filtered" or not probing:
+                out.append(f"{pad}vals{d} = {values}")
         else:
             out.insert(1, f" op{d} = levels[{d}].survivors")
             state = [cur[i] if i in ids else "None" for i in range(width)]
@@ -380,24 +397,34 @@ def _compile(sink, width: int, probed: bool, kinds: tuple):
         if not loops:  # an empty batch adds nothing: skip its ``len``
             out.append(f"{pad}if vals{d}:\n{pad} acc += len(vals{d})")
             break
+        join = []
         if guard:  # the columns bound above the leaf, joined once
-            out.append(f"{pad}if vals{d}:")
-            pad, blocks = pad + " ", blocks + 1
             texts = [f"{'tail' if p == stop - 1 else 'mid' if p else 'head'}"
                      f"[v{k}]" for p, k in enumerate(sink.perm)]
             at = sink.perm.index(d)
             row = texts[at]
             if at:
-                out.append(f"{pad}pre = {' + '.join(texts[:at])}")
+                join.append(f"pre = {' + '.join(texts[:at])}")
                 row = f"pre + {row}"
             if at < stop - 1:
-                out.append(f"{pad}post = {' + '.join(texts[at + 1:])}")
+                join.append(f"post = {' + '.join(texts[at + 1:])}")
                 row += " + post"
+            if probing:  # ... at the first value the probe keeps
+                unjoined = "pre" if at else "post"
+                out.append(f"{pad}{unjoined} = None")
+                join = [f"if {unjoined} is None:", *[f" {j}" for j in join]]
+            else:
+                out.append(f"{pad}if vals{d}:")
+                out += [f"{pad} {j}" for j in join]
+                pad, blocks, join = pad + " ", blocks + 1, []
         out.append(f"{pad}for v{d} in vals{d}:")
         pad, blocks = pad + " ", blocks + 1
+        if probing and how == "meet":
+            out.append(f"{pad}if v{d} not in big{d}: continue")
         if probed:
             out.append(f"{pad}matches[{d}] += 1")
         if final and texting:
+            out += [f"{pad}{j}" for j in join]
             out.append(f"{pad}yield {row if guard else 'tail[v0]'}")
             break
         if final and not folding:
@@ -422,15 +449,16 @@ class HashLevel:
     so descents may share one.
     ``how`` it is read is decided once, from its indexes' root types.
     One or two :class:`~collections.abc.Mapping` nodes (the hash trie's
-    ``value -> child`` dicts): ``"meet"`` — ``meet`` on the node locals
-    — or ``"filtered"``, the same under ``keep``.  Otherwise
+    ``value -> child`` dicts): ``"meet"``, read in line by the nest — a
+    loop over the smaller probing the other — or ``"filtered"``, the
+    same under ``keep``.  Otherwise
     ``"opened"``: ``survivors`` on a state list indexed by relation
     position reads an array range through its index's ``fanout_hint`` /
     ``children`` and *opens it in place* — replaces it by the dict of
     what the seeks found — so ``node[value]`` steps down every backend.
-    Over a ``meet``, ``survivors`` (the sampler calls it) is that."""
+    Over a ``meet``, ``survivors`` (the sampler's) is ``_only`` / ``_pair``."""
 
-    __slots__ = ("participants", "how", "meet", "keep", "survivors")
+    __slots__ = ("participants", "how", "keep", "survivors")
 
     def __init__(
         self, indexes: Sequence, participants: Sequence[int],
@@ -440,7 +468,7 @@ class HashLevel:
         self.keep = keep
         mappings = [isinstance(indexes[i].root, Mapping) for i in participants]
         if all(mappings) and len(participants) <= 2:
-            meet = self.meet = _pair if len(participants) == 2 else _only
+            meet = _pair if len(participants) == 2 else _only
             self.how = "meet" if keep is None else "filtered"
             nodes_of = itemgetter(*participants)  # C-level for a pair
             if meet is _only:  # ... where it would hand back a bare node
@@ -452,7 +480,7 @@ class HashLevel:
                     candidates[depth] += min(map(len, nodes))
                 return meet(*nodes)
         else:
-            self.how, self.meet = "opened", None
+            self.how = "opened"
             # (position, exact O(1) fanout, batch opener — None: a mapping).
             survivors = _smallest_first(depth, [
                 (i, len, None) if mapping

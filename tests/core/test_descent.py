@@ -734,6 +734,59 @@ def test_hash_intersection_costs_the_smallest_participant(names):
     assert calls <= 5 * 3 * (len(names) - 1)
 
 
+@pytest.mark.parametrize("names", [("S", "B"), ("B", "S")], ids="".join)
+def test_a_two_way_level_costs_its_smaller_node_in_every_sink(names):
+    # The nest loops over the smaller node and probes the other in
+    # line: rows, texts, a fold that loops the level and one that counts
+    # it (one C-level meet) all hash and compare a few times per value
+    # of the small side, wherever it stands.
+    query = _small_beside_big(names, 50_000, Counted)
+    binding = bind(query, None, "trie", None, None)
+    small = {v.value: v for (v,) in query.relation("S").tuples}
+    texts = {v: str(value) for value, v in small.items()}
+
+    def collect(state, values, _multiplicity):
+        return state + [values[0].value]
+
+    runs = {
+        "rows": lambda: [v.value for (v,) in iter_rows(binding)],
+        "texts": lambda: [
+            int(text) for text in iter_texts(binding, (0,), ({}, {}, texts))
+        ],
+        "fold": lambda: descent.fold(binding, 1, (0,), collect, []),
+        "count": lambda: [descent.fold(
+            binding, 1, (), lambda state, _values, n: state + n, 0
+        )],
+    }
+    for sink, run in runs.items():
+        Counted.calls = 0
+        found = run()
+        assert Counted.calls <= 5 * 3, sink
+        assert sorted(found) == ([3] if sink == "count" else sorted(small))
+
+
+@pytest.mark.parametrize("other", [1.0, True], ids=["float", "bool"])
+def test_a_size_tie_yields_the_first_participants_values(other):
+    # ``1 == 1.0 == True``: a two-way level of equal sizes loops over
+    # its first participant, as ``survivors`` does, so the rows carry
+    # the very objects it gives.
+    for first, second in ((1, other), (other, 1)):
+        query = JoinQuery(
+            [Relation(name, ("A",), [(value,)])
+             for name, value in (("R", first), ("S", second))]
+        )
+        binding = bind(query, None, "trie", None, None)
+        (level,) = hash_levels(binding)
+        expected = sorted(level.survivors(binding.roots(), None))
+        rows = list(iter_rows(binding))
+        assert [type(v) for (v,) in rows] == [type(first)]
+        assert all(v is w for (v,), w in zip(rows, expected, strict=True))
+        folded = descent.fold(
+            binding, 1, (0,), lambda state, values, n: state + list(values), []
+        )
+        assert all(v is w for v, w in zip(folded, expected, strict=True))
+
+
 @pytest.mark.parametrize("backend", ["sorted", "compact"])
 @pytest.mark.parametrize("names", [("S", "B"), ("B", "S"), ("B", "C", "S")],
                          ids="".join)
@@ -807,12 +860,12 @@ def test_a_trie_leaf_intersection_makes_no_call_per_candidate():
     assert calls[10] == calls[10_000] <= 8
 
 
-def test_a_trie_search_node_is_one_python_call():
+def test_a_trie_search_node_makes_no_python_call():
     # Example 2.2: three hundred search nodes at n = 200 and no rows,
-    # so everything the run costs is per node.  Each is one ``meet``
-    # call on dicts read where they stand, from the one generator that
-    # is the binding's loop nest — no stack, no state list, no second
-    # generator.
+    # so everything the run costs is per node.  Each loops over the
+    # smaller of two dicts read where they stand and probes the other
+    # in line, in the one generator that is the binding's loop nest —
+    # no call, no stack, no state list, no second generator.
     query = instances.triangle_hard_instance(200)
     binding = bind(query, None, "trie", None, None)
     probe = TelemetryProbe(binding.order)
@@ -826,9 +879,9 @@ def test_a_trie_search_node_is_one_python_call():
     calls, _resumptions = profiled_calls(
         lambda: list(iter_rows(binding)), resumed
     )
-    # Beyond the nodes and what is handed: looking the shape up and
-    # starting the nest.
-    assert calls <= nodes + handed + 8
+    # Beyond what is handed, whatever the number of nodes: looking the
+    # shape up and starting the nest.
+    assert calls <= handed + 8
     assert resumed == {"nest0": 1}
     # With rows: the nest is resumed once per row and once to finish.
     binding = bind(_triangle(), None, "trie", None, None)
@@ -999,24 +1052,39 @@ def _enumerated(query):
     ],
     ids=["chain-6", "chain-8", "branching", "deep-path-23", "deep-chain-23"],
 )
-def test_a_count_searches_each_memo_key_once(shape, rows):
-    """On an acyclic query under a join-tree order a ``count()`` makes
-    at most one search-node call per input tuple plus one per level:
-    each subtree is searched once per value its remaining relations
-    read, however many prefixes reach it.  Unmemoised, a regular chain
-    of six edges makes 6.6 calls per tuple, of eight 44.  Past the
-    block cut a chained ``def`` shares its caller's memos: on the dense
-    23-edge chain, memos remade per call take 5,035 calls."""
+def test_a_count_searches_each_memo_key_once(shape, rows, monkeypatch):
+    """On an acyclic query under a join-tree order a ``count()`` visits
+    at most one search node per input tuple plus one per level: each
+    subtree is searched once per value its remaining relations read,
+    however many prefixes reach it.  Unmemoised, a regular chain of six
+    edges visits 6.6 nodes per tuple, of eight 44.  Past the block cut a
+    chained ``def`` shares its caller's memos: on the dense 23-edge
+    chain, memos remade per call take 5,035 nodes."""
     query = shape()
     order = query.attributes
     executor = GenericJoin(query, attribute_order=order)
     folder = Folder(Count(), order)
-    calls = sum(
-        calls_to(lambda: executor.fold(folder), descent._pair, descent._only)
-    )
+    nodes = fold_search_nodes(monkeypatch, lambda: executor.fold(folder))
     tuples = sum(len(relation) for relation in query.relations.values())
-    assert calls <= tuples + len(order)
+    assert nodes <= tuples + len(order)
     assert folder.result() == rows(query)
+
+
+def fold_search_nodes(monkeypatch, run):
+    """How many search nodes the folds ``run()`` makes visit: each fold
+    nest is compiled probed — the same loops, with the counter lines —
+    and counts its nodes in ``partials``."""
+    compile_shape = descent._compile.__wrapped__
+    probes = []
+
+    def probed(sink, width, _probed, kinds):
+        nest = compile_shape(sink, width, True, kinds)
+        probes.append(probe := TelemetryProbe(range(len(kinds))))
+        return lambda levels, _none, *rest: nest(levels, probe, *rest)
+
+    monkeypatch.setattr(descent, "_compile", probed)
+    run()
+    return sum(sum(probe.partials) for probe in probes)
 
 
 def test_the_memo_rule_keys_a_subtree_by_what_it_still_reads():
@@ -1374,8 +1442,8 @@ def test_three_kinds_meet_at_a_three_participant_level(kinds):
 #: What a nest's text may contain besides keywords, integers and
 #: punctuation: the compiler's own names and the builtins it calls.
 INVENTED = re.compile(
-    r"nest\d+|op\d+|keep\d+|vals\d+|v\d+|[no]\d+_\d+|st|levels|probe"
-    r"|partials|candidates|matches|meet|keep|survivors"
+    r"nest\d+|op\d+|keep\d+|vals\d+|big\d+|v\d+|[no]\d+_\d+|st|levels"
+    r"|probe|partials|candidates|matches|keys|__contains__|keep|survivors"
     r"|acc|tally\d+|indexes|add|state|counts|count|memo\d+|outer\d+|get"
     r"|head|mid|tail|pre|post"
     r"|len|min|filter|list|None"
@@ -1532,7 +1600,7 @@ def test_a_deep_text_nest_is_cut_and_writes_every_row(backend, edges, compiles):
     text = "".join(linecache.getlines(nest.__code__.co_filename))
     assert text.count("def nest") >= 2 and "if vals" in text
     for chunk in text.split("def nest")[1:]:
-        blocks = re.findall(r"^ *(?:for|if)\b", chunk, re.MULTILINE)
+        blocks = re.findall(r"^ *(?:for|if)\b.*:$", chunk, re.MULTILINE)
         assert len(blocks) <= 20
     assert_nests_are_legible()
 

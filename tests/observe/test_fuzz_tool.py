@@ -87,6 +87,36 @@ class TestReplay:
         with pytest.raises(AssertionError, match="solved 1 cover LP"):
             fuzz.check_value_counts(relations)
 
+    def test_a_probed_nest_reordering_rows_is_a_finding(
+        self, fuzz, monkeypatch
+    ):
+        import importlib
+        import random
+
+        from repro.query.builder import Q
+
+        relations = fuzz.overlap_instance(random.Random(3))
+        builder = Q(*relations).using(algorithm="generic")
+        rows = len(fuzz.oracle_join(relations))
+        assert rows > 1
+        options = {"algorithm": "generic"}
+        assert fuzz.check_observed(builder, rows, options) == (False, True)
+        # ``repro.core.generic_join`` is also the name of a function.
+        generic_module = importlib.import_module("repro.core.generic_join")
+        real = generic_module.iter_rows
+
+        def reordering(binding, probe=None):
+            if probe is None:
+                return real(binding)
+            return reversed_rows(binding, probe)
+
+        def reversed_rows(binding, probe):
+            yield from reversed(list(real(binding, probe)))
+
+        monkeypatch.setattr(generic_module, "iter_rows", reordering)
+        with pytest.raises(AssertionError, match="row sequence"):
+            fuzz.check_observed(builder, rows, options)
+
     def test_instances_are_seed_deterministic(self, fuzz):
         import random
 

@@ -54,8 +54,10 @@ attributes), then checks for each instance that
   counts the oracle's rows and its per-level counters chain (the root
   is entered once, each level's matches are the next level's partials,
   the last level's matches are the rows, candidates >= matches) and,
-  on a serial ``leapfrog`` run, its partials and matches equal Generic
-  Join's over the plan's order and filters (the summary counts these),
+  on a serial run, Generic Join over the plan's order and filters
+  yields the same row sequence probed and unprobed, and on a serial
+  ``leapfrog`` run, its partials and matches equal Generic Join's (the
+  summary counts both),
 
 occasionally through a ``where``-binding and a ``where_in`` filter so
 the sectioned/filtered paths get fuzzed too.  The oracle is a
@@ -374,7 +376,8 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     whether the server's row texts were checked, whether an acyclic
     instance's folds compiled a memo, what was pinned as the attribute
     order (``None``, ``"order"`` or ``"rejected"``) and whether
-    leapfrog's counters were compared with Generic Join's."""
+    leapfrog's counters were compared with Generic Join's and Generic
+    Join's probed rows with its unprobed ones."""
     tables = check_value_counts(relations)
     full = expected = oracle_join(relations)
     attributes = JoinQuery(relations).attributes
@@ -525,9 +528,9 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     assert target.sample(k, seed=seed) == sample, "sample not seed-stable"
     check_exact_samples(rng, relations, builder, full, expected, seed)
 
-    compared = rng.random() < 0.25 and check_observed(
-        builder, len(expected), config
-    )
+    compared = (False, False)
+    if rng.random() < 0.25:
+        compared = check_observed(builder, len(expected), config)
     memoised = []
     if is_acyclic(JoinQuery(relations).hypergraph):
         with recording_memos() as memoised:
@@ -714,54 +717,65 @@ def check_acyclic_folds(
                 )
 
 
-def check_observed(builder, expected_rows: int, options: dict) -> bool:
+def check_observed(builder, expected_rows: int, options: dict) -> tuple:
     """The observed sink: ``explain(analyze=True)`` under the drawn
     configuration; counters are checked wherever the run reports them
-    (serial runs of the descent-kernel algorithms).  A serial leapfrog
-    run's per-level partials and matches must equal Generic Join's over
-    the plan's order and residual filters: both search one prefix tree.
-    Returns whether that comparison ran."""
+    (serial runs of the descent-kernel algorithms).  On a serial run,
+    Generic Join over the plan's order and residual filters yields one
+    row sequence probed and unprobed — the counters steer nothing — and
+    a leapfrog run's per-level partials and matches must equal its
+    probe's: both search one prefix tree.  Returns whether each of the
+    two comparisons ran: ``(leapfrog's counters, the probed rows)``."""
     analysis = builder.explain(analyze=True)
     assert analysis.rows == expected_rows, (
         f"explain(analyze=True) counted {analysis.rows} rows vs "
         f"{expected_rows} expected under {options}"
     )
     levels = [lv for lv in analysis.levels if lv.partials is not None]
-    if not levels:
-        return False
     counters = [(lv.partials, lv.candidates, lv.matches) for lv in levels]
     context = f"counters {counters} under {options}"
-    assert levels[0].partials == 1, f"root entered != once: {context}"
-    for above, below in zip(levels, levels[1:]):
-        assert below.partials == above.matches, (
-            f"partials[d+1] != matches[d]: {context}"
+    if levels:
+        assert levels[0].partials == 1, f"root entered != once: {context}"
+        for above, below in zip(levels, levels[1:]):
+            assert below.partials == above.matches, (
+                f"partials[d+1] != matches[d]: {context}"
+            )
+        assert levels[-1].matches == analysis.rows, (
+            f"matches[-1] != rows out: {context}"
         )
-    assert levels[-1].matches == analysis.rows, (
-        f"matches[-1] != rows out: {context}"
-    )
-    assert all(lv.candidates >= lv.matches for lv in levels), (
-        f"candidates < matches: {context}"
-    )
-    if options["algorithm"] != "leapfrog" or "shards" in options:
-        return False
+        assert all(lv.candidates >= lv.matches for lv in levels), (
+            f"candidates < matches: {context}"
+        )
     plan = analysis.plan
+    if "shards" in options or plan.algorithm == "none":
+        return False, False
     probe = TelemetryProbe(plan.attribute_order)
-    generic = GenericJoin(
-        plan.query,
-        plan.attribute_order,
-        filters=builder._compile().filters,
-        telemetry=probe,
+
+    def generic(telemetry=None):
+        return GenericJoin(
+            plan.query,
+            plan.attribute_order,
+            filters=builder._compile().filters,
+            telemetry=telemetry,
+        )
+
+    probed = list(generic(probe).iter_join())
+    assert len(probed) == analysis.rows, (
+        f"generic join's rows != {plan.algorithm}'s: {context}"
     )
-    assert sum(1 for _row in generic.iter_join()) == analysis.rows, (
-        f"generic join's rows != leapfrog's: {context}"
+    assert probed == list(generic().iter_join()), (
+        f"a probed generic join's row sequence != an unprobed one's "
+        f"under {options}"
     )
+    if options["algorithm"] != "leapfrog" or not levels:
+        return False, True
     assert [(lv.partials, lv.matches) for lv in levels] == list(
         zip(probe.partials, probe.matches)
     ), (
         f"leapfrog's partials / matches {counters} != generic join's "
         f"{probe.partials} / {probe.matches} under {options}"
     )
-    return True
+    return True, True
 
 
 def run_one(iter_seed: int) -> tuple:
@@ -836,7 +850,7 @@ def main(argv: list[str] | None = None) -> int:
     PLANNED.update(plans=0, lps=0)
     started = time.monotonic()
     iteration = 0
-    tables = wide = wires = memos = compares = 0
+    tables = wide = wires = memos = compares = sequences = 0
     pins = {"order": 0, "rejected": 0}
     while True:
         if args.iterations is not None:
@@ -858,7 +872,8 @@ def main(argv: list[str] | None = None) -> int:
         wide += sum(len(attributes) > 1 for attributes in checked)
         wires += wire
         memos += memoised
-        compares += compared
+        compares += compared[0]
+        sequences += compared[1]
         if pinned is not None:
             pins[pinned] += 1
         iteration += 1
@@ -870,6 +885,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{memos} compiling a memo, {pins['order']} under a pinned order, "
         f"{pins['rejected']} non-permutation pins rejected, {compares} "
         "leapfrog runs counted as generic join counts, "
+        f"{sequences} probed generic join runs yielding the unprobed rows "
+        "in order, "
         f"{PLANNED['plans']} plans solving {PLANNED['lps']} cover LPs "
         "(nprr's), no disagreements"
     )

@@ -40,7 +40,7 @@ import pathlib
 import pickle
 import sys
 
-from repro.api import execute, iter_join
+from repro.api import execute
 from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
 from repro.engine.compact import CompactArrayIndex
@@ -218,7 +218,7 @@ def bench_wall(query, order, repeats: int) -> dict:
 
 def bench_parity(query) -> dict:
     """Row parity of every algorithm / mode against the trie reference."""
-    reference = set(iter_join(query, algorithm="generic", backend="trie"))
+    reference = set(execute(query, algorithm="generic", backend="trie"))
 
     async def _collect_async():
         stream = execute(
@@ -228,17 +228,17 @@ def bench_parity(query) -> dict:
 
     checks = {
         "generic_compact": set(
-            iter_join(query, algorithm="generic", backend="compact")
+            execute(query, algorithm="generic", backend="compact")
         ),
         "leapfrog_compact": set(
-            iter_join(query, algorithm="leapfrog", backend="compact")
+            execute(query, algorithm="leapfrog", backend="compact")
         ),
         "leapfrog_sorted": set(
-            iter_join(query, algorithm="leapfrog", backend="sorted")
+            execute(query, algorithm="leapfrog", backend="sorted")
         ),
-        "nprr": set(iter_join(query, algorithm="nprr")),
-        "lw": set(iter_join(query, algorithm="lw")),
-        "arity2": set(iter_join(query, algorithm="arity2")),
+        "nprr": set(execute(query, algorithm="nprr")),
+        "lw": set(execute(query, algorithm="lw")),
+        "arity2": set(execute(query, algorithm="arity2")),
         "sharded_compact": set(
             execute(
                 query,
@@ -254,8 +254,7 @@ def bench_parity(query) -> dict:
                 query,
                 algorithm="generic",
                 backend="compact",
-                batch_size=512,
-            ).batches()
+            ).batches(512)
             for row in batch
         },
         "async_compact": asyncio.run(_collect_async()),

@@ -7,7 +7,7 @@ triangle query R(A,B) * S(B,C) * T(A,C):
 1. build relations and a join query;
 2. compute the AGM output-size bound;
 3. run the worst-case optimal join (and the specialists);
-4. stream rows with iter_join and inspect the engine's plan with explain;
+4. stream rows from execute() and inspect the engine's plan with .plan();
 5. see why this matters: the Example 2.2 instance where every classical
    binary plan does quadratic work while NPRR stays linear.
 
@@ -23,8 +23,6 @@ from repro import (
     NPRRJoin,
     Relation,
     execute,
-    explain,
-    iter_join,
     output_bound,
 )
 from repro.baselines.hash_join import chain_hash_join
@@ -84,19 +82,19 @@ def main() -> None:
     print(f"NPRR statistics: {executor.stats.as_dict()}")
 
     # ------------------------------------------------------------------
-    # 4. The streaming engine: iter_join yields rows as the search finds
-    #    them (take two and stop — nothing else is computed; generic's
-    #    loop nest and leapfrog's recursion both stop where the consumer
-    #    does, the shape specialists wrap execute()),
-    #    and explain shows the plan the engine chose without running it.
+    # 4. The streaming engine: iterating execute() yields rows as the
+    #    search finds them (take two and stop — nothing else is computed;
+    #    generic's loop nest and leapfrog's recursion both stop where the
+    #    consumer does, the shape specialists wrap execute()),
+    #    and .plan() shows the plan the engine chose without running it.
     # ------------------------------------------------------------------
     first_two = list(
         itertools.islice(
-            iter_join([follows, mentions, likes], algorithm="generic"), 2
+            execute([follows, mentions, likes], algorithm="generic"), 2
         )
     )
     print(f"\nFirst two streamed rows: {first_two}")
-    plan = explain([follows, mentions, likes], algorithm="leapfrog")
+    plan = execute([follows, mentions, likes], algorithm="leapfrog").plan()
     print("\nEngine plan for --algorithm leapfrog:")
     print(plan.describe())
 

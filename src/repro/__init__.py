@@ -10,7 +10,7 @@ baselines the paper compares against and two successor WCOJ algorithms
 
 Quickstart::
 
-    from repro import Q, Relation, execute, explain, output_bound
+    from repro import Q, Relation, execute, output_bound
 
     r = Relation("R", ("A", "B"), [(0, 1), (1, 2)])
     s = Relation("S", ("B", "C"), [(1, 5), (2, 6)])
@@ -21,7 +21,7 @@ Quickstart::
     print(stream.relation("J"))     # ... or materialized
     print(stream.count())           # ... or folded, no enumeration
     print(output_bound([r, s, t]))  # the AGM bound 2^(3/2)
-    print(explain([r, s, t]).describe())  # the engine's join plan
+    print(stream.plan().describe())  # the engine's join plan
 
     # Selections and projections, pushed into the plan:
     print(Q(r, s, t).where(A=0).select("C").run())
@@ -42,15 +42,7 @@ from repro.aggregate import (
     Min,
     Sum,
 )
-from repro.api import (
-    ALGORITHMS,
-    count_join,
-    execute,
-    explain,
-    iter_join,
-    output_bound,
-    sample_join,
-)
+from repro.api import ALGORITHMS, execute, output_bound
 from repro.distributed import (
     DispatchScheduler,
     LoopbackTransport,
@@ -237,13 +229,10 @@ __all__ = [
     "arity_two_join",
     "best_agm_bound",
     "compile_query",
-    "count_join",
     "execute",
-    "explain",
     "fd_aware_bound",
     "fd_aware_join",
     "generic_join",
-    "iter_join",
     "leapfrog_join",
     "lw_hypergraph",
     "lw_join",
@@ -254,7 +243,6 @@ __all__ = [
     "parse",
     "plan_join",
     "relaxed_join",
-    "sample_join",
     "tighten_cover",
     "triangle_join",
     "verify_bt",

@@ -17,8 +17,10 @@ reached from its rank root to leaf, with no search and no rejection.
 
 Residual filters are the levels' own, so rows are uniform over the
 *filtered* join.  The cost is one count pass, kept for later calls, plus
-``k`` root-to-leaf walks.  The sampler binds its own indexes, so the
-query layer surfaces it whichever algorithm the plan would pick.
+``k`` root-to-leaf walks.  The query layer draws over the binding its
+plan's executor already holds (:meth:`JoinSampler.over`), so a sample
+builds no index the run did not; a pinned plan without one (``lw``,
+``nprr``, ``arity2``) gets a sampler that binds its own.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import random
 from collections.abc import Callable, Mapping
 from itertools import islice
 
-from repro.core.descent import bind, fold, hash_levels
+from repro.core.descent import Binding, bind, fold, hash_levels
 from repro.core.query import JoinQuery
 from repro.relations.database import DEFAULT_BACKEND, INDEX_BACKENDS, Database
 from repro.relations.relation import Row, Value
@@ -41,11 +43,13 @@ def _record(counts: dict, prefix: Row, rows: int) -> dict:
 
 
 class JoinSampler:
-    """Uniform join-row sampler over per-relation trie-style indexes.
+    """Uniform join-row sampler over one descent binding.
 
     Parameters mirror the enumeration executors: an optional catalog
     for cached indexes, a backend kind or a relation name -> kind
     mapping (anything else is the default backend), residual filters.
+    The binding is in the query's attribute order; :meth:`over` samples
+    a binding made elsewhere, in any order.
     """
 
     def __init__(
@@ -56,13 +60,21 @@ class JoinSampler:
         database: Database | None = None,
         filters: Mapping[str, Callable[[Value], bool]] | None = None,
     ) -> None:
-        self.query = query
-        self.order = query.attributes
         if not isinstance(backend, Mapping) and backend not in INDEX_BACKENDS:
             backend = DEFAULT_BACKEND
-        self.backend = backend
-        self._binding = bind(query, None, backend, database, filters)
-        self._levels = hash_levels(self._binding)
+        self._start(bind(query, None, backend, database, filters))
+
+    @classmethod
+    def over(cls, binding: Binding) -> "JoinSampler":
+        """A sampler walking ``binding`` — an executor's own order,
+        indexes and filters — so it binds nothing itself."""
+        sampler = cls.__new__(cls)
+        sampler._start(binding)
+        return sampler
+
+    def _start(self, binding: Binding) -> None:
+        self._binding = binding
+        self._levels = hash_levels(binding)
         #: Rows below each internal search node that has any, by prefix.
         self._counts: dict[Row, int] | None = None
 
@@ -99,14 +111,19 @@ class JoinSampler:
         return prefix + (next(islice(values, rank, None)),)
 
     def sample(self, k: int, rng: random.Random) -> list[Row]:
-        """``min(k, |J|)`` distinct uniform rows, in draw order."""
+        """``min(k, |J|)`` distinct uniform rows (the query's attribute
+        order), in draw order."""
         if k <= 0:
             return []
         if self._counts is None:
             self._counts = self._count()
         total = self._counts.get((), 0)
         ranks = rng.sample(range(total), min(k, total))
-        return [self._unrank(rank) for rank in ranks]
+        perm = self._binding.output_perm
+        return [
+            tuple(row[i] for i in perm)
+            for row in map(self._unrank, ranks)
+        ]
 
 
 def sample_query(
@@ -119,11 +136,14 @@ def sample_query(
     filters: Mapping[str, Callable[[Value], bool]] | None = None,
 ) -> list[Row]:
     """Draw ``min(k, |J|)`` uniform join rows (query attribute order),
-    deterministic for a fixed ``seed``."""
-    sampler = JoinSampler(
-        query, backend=backend, database=database, filters=filters
-    )
-    return sampler.sample(k, random.Random(seed))
+    deterministic for a fixed ``seed``: the draw ``Q(query).sample(k,
+    seed)`` makes, over the order and indexes the planner picks."""
+    # Lazy: the engine imports this package at module load.
+    from repro.engine.planner import plan_join
+
+    plan = plan_join(query, backend=backend, database=database)
+    executor = plan.executor(database, filters)
+    return JoinSampler.over(executor._binding).sample(k, random.Random(seed))
 
 
 def reservoir_sample(rows, k: int, seed: int | None = None) -> list:

@@ -119,7 +119,7 @@ def batches(
     """Adapt a streaming join into fixed-size row batches.
 
     ``source`` is anything yielding rows — an executor (anything with
-    ``iter_join()``), a :meth:`JoinPlan.iter_rows` stream, or a plain
+    ``iter_join()``, such as ``plan.executor(db, filters)``) or a plain
     iterable.  Yields lists of exactly ``size`` rows, except the final
     batch which may be shorter; never yields an empty batch.  The source
     is consumed lazily, one batch ahead of the consumer, so early

@@ -51,15 +51,16 @@ Every data-driven decision is recorded on the plan:
 ``describe(show_stats=True)`` (the CLI's ``explain --stats``) renders
 them.
 
-``JoinPlan.execute`` / ``JoinPlan.iter_rows`` hand off to the executor
-registry, so ``repro.execute`` / ``repro.iter_join`` and the CLI
-``explain`` command are thin wrappers over this module.
+A plan runs one way: :meth:`JoinPlan.executor` builds its executor
+from the registry, which the query layer's
+:class:`~repro.query.prepared.PreparedQuery` (behind ``repro.execute``
+and the CLI) drives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import os
 
@@ -73,7 +74,7 @@ from repro.hypergraph.agm import best_agm_bound
 from repro.hypergraph.covers import FractionalCover
 from repro.observe.tracing import maybe_span
 from repro.relations.database import DEFAULT_BACKEND, INDEX_BACKENDS, Database
-from repro.relations.relation import Relation, Row, Value
+from repro.relations.relation import Relation, Value
 from repro.relations.sorted_index import SortedArrayIndex
 from repro.relations.trie import TrieIndex
 from repro.stats.provider import (
@@ -114,9 +115,6 @@ AUTO_SHARD_MIN_TUPLES = 4096
 #: Auto-sharding never exceeds this many shards, however many CPUs exist.
 MAX_AUTO_SHARDS = 8
 
-#: Bounds for the planner's ``batch_size="auto"`` choice.
-MIN_AUTO_BATCH, MAX_AUTO_BATCH = 64, 4096
-
 #: Relations at or above this size with a low-skew first index level get
 #: the packed flat-array backend (``"compact"``) when no cached index
 #: exists, for size alone: packed arrays are a small fraction of the
@@ -148,10 +146,6 @@ class JoinPlan:
     #: :func:`plan_join` — either fixed by the caller or derived from data
     #: statistics with ``shards="auto"``.
     shards: int = 1
-    #: Rows per delivered batch for batched consumption, or ``None`` for
-    #: row-at-a-time streaming.  ``plan_join(batch_size="auto")`` sizes it
-    #: from the AGM output estimate.
-    batch_size: int | None = None
     #: Per-relation index-backend choices as ``(edge id, kind)`` pairs,
     #: set when the planner picked different backends for different
     #: relations (:attr:`backend` then reads ``"mixed"``).  ``None``
@@ -201,7 +195,9 @@ class JoinPlan:
         filters: Mapping[str, Callable[[Value], bool]] | None = None,
         telemetry=None,
     ):
-        """Build (but do not run) this plan's executor.
+        """Build (but do not run) this plan's executor — the one way a
+        plan runs: ``executor(db, filters).iter_join()`` streams its rows,
+        ``.execute(name)`` materializes them.
 
         ``filters`` are the query layer's residual predicates (the
         callables matching :attr:`filtered`); they hook the level that
@@ -224,28 +220,6 @@ class JoinPlan:
             filters=filters,
             telemetry=telemetry,
         )
-
-    def execute(
-        self,
-        name: str = "J",
-        database: Database | None = None,
-        filters: Mapping[str, Callable[[Value], bool]] | None = None,
-    ) -> Relation:
-        """Run the plan and materialize the join result."""
-        return self.executor(database, filters=filters).execute(name)
-
-    def iter_rows(
-        self,
-        database: Database | None = None,
-        filters: Mapping[str, Callable[[Value], bool]] | None = None,
-    ) -> Iterator[Row]:
-        """Run the plan, streaming rows in the query's attribute order.
-
-        Serial execution regardless of :attr:`shards` — the parallel
-        drivers in :mod:`repro.engine.parallel` consume the plan's shard
-        fields; this method is the per-worker (and per-shard) primitive.
-        """
-        return self.executor(database, filters=filters).iter_join()
 
     def index_requirements(self) -> tuple[tuple[str, tuple[str, ...], str], ...]:
         """The ``(relation name, index order, backend kind)`` triples this
@@ -351,8 +325,6 @@ class JoinPlan:
         lines += [
             f"index backend: {backend}",
             f"shards: {self.shards}",
-            "batch size: "
-            + (str(self.batch_size) if self.batch_size else "row-at-a-time"),
             f"estimated output (AGM bound): {self.estimated_bound:.3f} tuples",
             "relation sizes: "
             + ", ".join(f"{eid}={n}" for eid, n in sizes.items()),
@@ -729,19 +701,6 @@ def _auto_shards(
     return shards
 
 
-def _auto_batch_size(
-    query: JoinQuery,
-) -> tuple[int, FractionalCover, float]:
-    """Size batches from the AGM output estimate: roughly sqrt(bound),
-    clamped to [:data:`MIN_AUTO_BATCH`, :data:`MAX_AUTO_BATCH`] — small
-    results fit one batch, huge results amortize per-batch overhead
-    without hoarding memory.  Returns the cover and bound alongside so
-    the plan can reuse them instead of re-solving the LP."""
-    cover, bound = best_agm_bound(query.hypergraph, query.sizes())
-    size = max(MIN_AUTO_BATCH, min(MAX_AUTO_BATCH, round(bound**0.5)))
-    return size, cover, bound
-
-
 def _resolve_shards(
     query: JoinQuery,
     shards: int | str | None,
@@ -759,23 +718,6 @@ def _resolve_shards(
     return shards
 
 
-def _resolve_batch_size(
-    query: JoinQuery, batch_size: int | str | None, reasons: list[str]
-) -> tuple[int | None, FractionalCover | None, float | None]:
-    """Resolve the batch size; also pass back the (cover, bound) pair the
-    ``"auto"`` path had to compute, so the plan never solves the same LP
-    twice."""
-    if batch_size is None:
-        return None, None, None
-    if batch_size == "auto":
-        size, auto_cover, bound = _auto_batch_size(query)
-        reasons.append(f"batch size from AGM estimate: {size}")
-        return size, auto_cover, bound
-    require_positive_int(batch_size, "batch_size", " or 'auto'")
-    reasons.append(f"batch size fixed by caller: {batch_size}")
-    return batch_size, None, None
-
-
 def _plan_join(
     query: JoinQuery,
     algorithm: str = "auto",
@@ -783,7 +725,6 @@ def _plan_join(
     attribute_order: Sequence[str] | None = None,
     backend: str | None = None,
     shards: int | str | None = None,
-    batch_size: int | str | None = None,
     database: Database | None = None,
     stats: StatsProvider | None = None,
     context=None,
@@ -796,10 +737,10 @@ def _plan_join(
     for catalogued relations, so plans computed against a catalog match
     plans computed against the bound query.
 
-    ``shards`` and ``batch_size`` populate the plan's parallel-execution
-    fields: each accepts a positive int, the string ``"auto"`` (choose
-    from data statistics), or ``None`` (serial / row-at-a-time).  Requests
-    the engine cannot honor raise :class:`~repro.errors.PlanError`.
+    ``shards`` populates the plan's shard count: a positive int, the
+    string ``"auto"`` (choose from data statistics), or ``None``
+    (serial).  Requests the engine cannot honor raise
+    :class:`~repro.errors.PlanError`.
 
     ``database`` supplies the statistics cache (and cached-index
     availability for the per-relation backend choice): repeated plans
@@ -814,7 +755,7 @@ def _plan_join(
     ``context`` — an :class:`~repro.query.context.ExecutionContext` —
     replaces the individual option keywords wholesale: when given, the
     planner reads ``algorithm``, ``cover``, ``attribute_order``,
-    ``backend``, ``shards``, ``batch_size``, ``database`` and ``stats``
+    ``backend``, ``shards``, ``database`` and ``stats``
     from it and ignores the corresponding parameters.
     This is how the query layer (and anything else carrying a context)
     calls the planner without re-spelling the option list.
@@ -825,18 +766,13 @@ def _plan_join(
         attribute_order = context.attribute_order
         backend = context.backend
         shards = context.shards
-        batch_size = context.batch_size
         database = context.database
         stats = context.stats
     # ``shards`` may arrive as a ShardSpec (the context normalizes every
-    # spelling to one); the planner consumes only its count — and its
-    # batch_size, when the caller left the plain one unset.  Duck-typed
+    # spelling to one); the planner consumes only its count.  Duck-typed
     # (not isinstance) so this engine-layer module never imports the
     # query layer.
     if hasattr(shards, "count") and not isinstance(shards, (int, str)):
-        spec_batch = getattr(shards, "batch_size", None)
-        if batch_size is None and spec_batch is not None:
-            batch_size = spec_batch
         shards = shards.count
     if algorithm not in algorithm_names():
         raise QueryError(
@@ -939,9 +875,6 @@ def _plan_join(
     shard_count = _resolve_shards(
         query, shards, order, provider, reasons, record
     )
-    batch, auto_cover, bound = _resolve_batch_size(
-        query, batch_size, reasons
-    )
 
     statistics = None
     if used_stats:
@@ -952,16 +885,10 @@ def _plan_join(
 
     # Only the cover-driven algorithms pay for the cover LP at plan time
     # (their executors would solve the same LP anyway); everyone else
-    # defers the AGM bound until someone inspects the plan — unless the
-    # auto-batch path already solved it above, in which case it is reused.
-    plan_cover = cover
+    # defers the AGM bound until someone inspects the plan.
+    plan_cover, bound = cover, None
     if algorithm in ("nprr", "arity2") and cover is None:
-        if auto_cover is not None:
-            plan_cover = auto_cover
-        else:
-            plan_cover, bound = best_agm_bound(
-                query.hypergraph, query.sizes()
-            )
+        plan_cover, bound = best_agm_bound(query.hypergraph, query.sizes())
     return JoinPlan(
         query=query,
         algorithm=algorithm,
@@ -970,7 +897,6 @@ def _plan_join(
         cover=plan_cover,
         reasons=tuple(reasons),
         shards=shard_count,
-        batch_size=batch,
         relation_backends=relation_backends,
         statistics=statistics,
         _bound=bound,
@@ -984,7 +910,6 @@ def plan_join(
     attribute_order: Sequence[str] | None = None,
     backend: str | None = None,
     shards: int | str | None = None,
-    batch_size: int | str | None = None,
     database: Database | None = None,
     stats: StatsProvider | None = None,
     context=None,
@@ -1000,7 +925,6 @@ def plan_join(
             attribute_order=attribute_order,
             backend=backend,
             shards=shards,
-            batch_size=batch_size,
             database=database,
             stats=stats,
             context=context,

@@ -13,15 +13,15 @@ join.  Three objects:
   full join.
 * :class:`~repro.query.context.ExecutionContext` — the single carrier
   of execution options (database, stats, algorithm, backend, shards,
-  batch size, parallel mode) consumed by the planner, the executors,
+  parallel mode) consumed by the planner, the executors,
   the parallel drivers, and the CLI alike.
 * :class:`~repro.query.prepared.PreparedQuery` — a frozen plan with
   pre-built indexes for repeated execution and ``bind()`` parameter
   rebinding (the prepared-statement contract; pairs with
   ``Database.warm``).
 
-The legacy ``repro.api`` entry points (``join``, ``iter_join``, ...)
-are thin wrappers over this package.
+``repro.execute`` is the front door over this package; every view of
+its result runs through one :class:`~repro.query.prepared.PreparedQuery`.
 """
 
 from repro.query.builder import GroupedQuery, Q, QueryBuilder

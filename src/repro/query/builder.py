@@ -50,10 +50,8 @@ execution.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass, replace as _dc_replace
 
-from repro.aggregate.sampling import reservoir_sample, sample_query
 from repro.aggregate.specs import (
     AggregateSpec,
     Avg,
@@ -425,9 +423,9 @@ class QueryBuilder:
         )
 
     def plan(self) -> JoinPlan:
-        """Plan this query without running it (``repro.explain`` for the
-        builder): the residual query's :class:`JoinPlan` with the bound
-        attributes, residual filters, and projection recorded on it.
+        """Plan this query without running it: the residual query's
+        :class:`JoinPlan` with the bound attributes, residual filters,
+        and projection recorded on it.
 
         Memoized like :meth:`_compile`, until a write that could change
         the plan: ``Database.add`` / ``remove``, or an index-cache insert
@@ -582,8 +580,8 @@ class QueryBuilder:
 
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
         """``min(k, count)`` distinct uniform result rows, never
-        materializing the result: one memoised count of the search
-        tree, then each drawn rank unranked root to leaf
+        materializing the result: one memoised count of the plan's
+        search tree, then each drawn rank unranked root to leaf
         (:mod:`repro.aggregate.sampling`), uniform over the filtered
         join.  Deterministic for a fixed ``seed``.
 
@@ -592,48 +590,19 @@ class QueryBuilder:
         deduplicated stream.  With ``context.shards`` set the sampler
         still runs serially — a shard-local sample is not a uniform
         global one."""
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise QueryError(
-                f"sample size must be a non-negative int, got {k!r}"
-            )
-        compiled = self._compile()
-        if k == 0 or not compiled.satisfiable:
-            return []
-        if compiled.residual is None or self.selected is not None:
-            return reservoir_sample(self.stream(), k, seed)
-        ctx = self._residual_context()
-        tracer = ctx.tracer
-        with (
-            tracer.span("sample", k=k) if tracer else _nullcontext()
-        ), (tracer.activate() if tracer else _nullcontext()):
-            rows = sample_query(
-                compiled.residual,
-                k,
-                seed,
-                backend=ctx.backend,
-                database=self._execution_database(),
-                filters=compiled.filters,
-            )
-        if compiled.merge is not None:
-            rows = [compiled.merge(row) for row in rows]
-        return rows
+        return self._one_shot().sample(k, seed)
 
     def batches(self, size: int | None = None) -> Iterator[list[Row]]:
-        """Stream the result in fixed-size row batches.
-
-        ``size`` defaults to the context's ``batch_size`` (``"auto"``
-        resolves from the residual query's AGM estimate), then to the
-        context's ``ShardSpec.batch_size`` when one is set, and finally
-        to :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`.
-        """
+        """Stream the result in row batches of ``size`` (default
+        :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`)."""
         return self._one_shot().batches(size)
 
     def astream(self, batch_size: int | None = None):
         """Async iteration for event-loop servers (``async for row in
         q.astream()``): the blocking stream runs on worker threads and
-        rows reach the loop ``batch_size`` at a time (resolved exactly
-        as :meth:`batches` resolves it, including ``"auto"``).
-        Planning and validation happen in this synchronous call."""
+        rows reach the loop ``batch_size`` at a time (default
+        :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`).  Planning
+        and validation happen in this synchronous call."""
         return self._one_shot().astream(batch_size)
 
     def prepare(self) -> "PreparedQuery":

@@ -3,13 +3,12 @@
 Before this object existed, every entry point in :mod:`repro.api` (and
 the CLI, and :mod:`repro.engine.parallel`) re-declared the same keyword
 list — ``algorithm``, ``cover``, ``attribute_order``, ``backend``,
-``database``, ``shards``, ``batch_size``, the stats provider — and the
+``database``, ``shards``, the stats provider — and the
 lists drifted apart with every PR.  :class:`ExecutionContext` replaces
 that kwargs plumbing with one immutable value object: the fluent builder
 (:mod:`repro.query.builder`) carries one, the planner unpacks one
 (``plan_join(query, context=ctx)``), the parallel drivers take one,
-and the keyword conveniences in ``repro.api`` build one through
-``execute``.
+and ``repro.execute`` builds one from its keywords.
 
 A context answers *how* to execute — it says nothing about *what* to
 compute (relations, predicates, projections live on the builder).  It is
@@ -48,7 +47,8 @@ class ExecutionContext:
     Fields mirror the planner's and parallel drivers' parameters; the
     defaults reproduce the behavior of calling ``repro.execute`` with
     no keywords.  ``None`` consistently means "the engine decides" (or, for
-    ``shards``/``batch_size``, "stay serial / row-at-a-time").
+    ``shards``, "stay serial").  Batch sizes are not options: they are
+    the argument of the ``batches(n)`` / ``astream(n)`` views.
     """
 
     #: Catalog supplying cached indexes and statistics (Remark 5.2's
@@ -71,9 +71,6 @@ class ExecutionContext:
     #: are the deprecated spellings, auto-coerced to a plain spec
     #: (``ShardSpec.coerce``) so no caller breaks.
     shards: ShardSpec | int | str | None = None
-    #: Rows per batch: positive int, ``"auto"``, or ``None`` for
-    #: row-at-a-time delivery.
-    batch_size: int | str | None = None
     #: Shard execution mode (``"auto"``/``"process"``/``"thread"``/
     #: ``"serial"``); consulted only when :attr:`shards` is set.
     mode: str = "auto"

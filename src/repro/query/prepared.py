@@ -15,10 +15,11 @@ planning, zero index builds — on a warm catalog, ``Database.
 cache_info()`` shows no new misses across any number of runs.
 
 This class is also the *only* code that runs a query: the builder's own
-``stream()`` / ``batches()`` / ``count()`` and ``explain(analyze=True)``
-are one-shot prepared runs (Remark 5.2's split — choose the order and
-build the indexes ahead of time, then join — taken literally), so every
-surface measures, batches and folds by the same rules.
+``stream()`` / ``batches()`` / ``count()`` / ``sample()`` and
+``explain(analyze=True)`` are one-shot prepared runs (Remark 5.2's
+split — choose the order and build the indexes ahead of time, then
+join — taken literally), so every surface measures, batches, folds and
+samples by the same rules.
 
 :meth:`PreparedQuery.bind` rebinds the equality parameters (``where``
 values) *without re-planning*: the residual query has the same shape for
@@ -38,12 +39,14 @@ builds, exactly as its serial runs do.
 from __future__ import annotations
 
 import json
+import random
 from collections.abc import AsyncIterator, Generator, Iterator
 from contextlib import nullcontext as _nullcontext
 from contextlib import suppress as _suppress
 from dataclasses import replace as _dc_replace
 
 from repro.aggregate.fold import Folder, fold_rows
+from repro.aggregate.sampling import JoinSampler, reservoir_sample
 from repro.aggregate.specs import Avg, Count, CountDistinct, Max, Min, Sum
 from repro.core.descent import iter_texts
 from repro.engine import parallel as _parallel
@@ -385,22 +388,41 @@ class PreparedQuery:
 
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
         """``min(k, count)`` distinct uniform result rows, an exact draw
-        (see :meth:`QueryBuilder.sample`).  The sampler owns its descent and
-        builds trie indexes through the context database's cache, so
-        delegation costs no planning."""
-        return self._builder.sample(k, seed)
+        (see :meth:`QueryBuilder.sample`) over the frozen plan: a
+        descent plan's sampler walks the executor's own binding — the
+        plan's order, indexes and filters — so it builds nothing.  A
+        pinned ``lw`` / ``nprr`` / ``arity2`` plan has no binding; its
+        sampler binds the residual query in the query's order."""
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise QueryError(
+                f"sample size must be a non-negative int, got {k!r}"
+            )
+        compiled, builder = self._compiled, self._builder
+        if k == 0 or not compiled.satisfiable:
+            return []
+        if compiled.residual is None or builder.selected is not None:
+            return reservoir_sample(self.stream(), k, seed)
+        context = builder.context
+        tracer = context.tracer
+        with (
+            tracer.span("sample", k=k) if tracer else _nullcontext()
+        ), (tracer.activate() if tracer else _nullcontext()):
+            if self._plan.algorithm in DESCENT_ALGORITHMS:
+                sampler = JoinSampler.over(self._executor._binding)
+            else:
+                sampler = JoinSampler(
+                    compiled.residual,
+                    database=builder._execution_database(),
+                    filters=compiled.filters,
+                )
+            rows = sampler.sample(k, random.Random(seed))
+        if compiled.merge is not None:
+            rows = [compiled.merge(row) for row in rows]
+        return rows
 
     def batches(self, size: int | None = None) -> Iterator[list[Row]]:
-        """Stream the result in fixed-size row batches.
-
-        ``size`` defaults to the frozen plan's ``batch_size`` — the
-        planner resolved it from the context's ``batch_size``, then the
-        context's ``ShardSpec.batch_size`` (``"auto"`` is the residual
-        query's AGM estimate for either, serial or sharded) — and
-        finally to :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`.
-        """
-        if size is None:
-            size = self._plan.batch_size
+        """Stream the result in row batches of ``size`` (default
+        :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`)."""
         if size is None:
             size = _parallel.DEFAULT_BATCH_SIZE
         return _parallel.batches(self.stream(), size)
@@ -409,8 +431,8 @@ class PreparedQuery:
         """Async iteration for event-loop servers (``async for row in
         q.astream()``): the blocking ``next()`` runs on worker threads
         (:func:`_pump`) and rows reach the loop ``batch_size`` at a time
-        (resolved exactly as :meth:`batches` resolves it).  Planning and
-        validation happen in this synchronous call."""
+        (default :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`).
+        Planning and validation happen in this synchronous call."""
         batched = self.batches(batch_size)
 
         async def rows():

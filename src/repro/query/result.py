@@ -1,12 +1,12 @@
 """ResultStream: every way to consume one executed query.
 
 :func:`repro.execute` returns one of these instead of committing the
-caller to a consumption style up front.  The 1.x entry points each
+caller to a consumption style up front.  Earlier entry points each
 hard-wired one view — ``join`` materialized, ``iter_join`` streamed,
-``join_batched`` batched, ``aiter_join`` went async — and so each
-needed its own copy of the execution keywords (all but ``iter_join``
-are gone in 2.0).  A :class:`ResultStream` is all of those views over
-one underlying builder::
+``join_batched`` batched, ``aiter_join`` went async, ``count_join``
+folded — and so each needed its own copy of the execution keywords
+(gone in 2.0 and 7.0).  A :class:`ResultStream` is all of those views
+over one underlying builder::
 
     stream = execute([r, s, t], shards=ShardSpec(4))
     for row in stream: ...                   # iterate
@@ -73,9 +73,8 @@ class ResultStream:
         return self._builder.run(name)
 
     def batches(self, size: int | None = None) -> Iterator[list[Row]]:
-        """Stream fixed-size row batches (see
-        :meth:`~repro.query.builder.QueryBuilder.batches` for how
-        ``size`` defaults resolve, including ``"auto"``)."""
+        """Stream row batches of ``size`` (default
+        :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`)."""
         return self._builder.batches(size)
 
     # -- async views --------------------------------------------------------
@@ -85,7 +84,8 @@ class ResultStream:
 
     def astream(self, batch_size: int | None = None):
         """Async row iterator for event-loop servers; the blocking
-        stream runs on worker threads, rows arrive a batch at a time."""
+        stream runs on worker threads, rows arrive ``batch_size`` at a
+        time (default :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`)."""
         return self._builder.astream(batch_size)
 
     # -- aggregate views ----------------------------------------------------

@@ -79,9 +79,7 @@ class ShardSpec:
     whose value group contains a heavy-hitter value *at first-plan time*
     — run one of a hub-heavy query behaves like run two used to.
     ``steal`` switches on within-run stealing (``True`` for the default
-    :class:`StealPolicy`).  ``batch_size`` is the typed replacement for
-    ``ExecutionContext.batch_size`` (consulted when the context leaves
-    its own unset).
+    :class:`StealPolicy`).
 
     ``ShardSpec.coerce`` accepts the legacy spellings — a bare int,
     ``"auto"``, ``None``, or an existing spec — so no caller breaks.
@@ -90,7 +88,6 @@ class ShardSpec:
     count: int | str = "auto"
     predictive: bool = False
     steal: StealPolicy | None = None
-    batch_size: int | str | None = None
 
     def __post_init__(self) -> None:
         if self.count != "auto" and (
@@ -134,6 +131,4 @@ class ShardSpec:
             parts.append("predictive=True")
         if self.steal is not None:
             parts.append(f"steal={self.steal!r}")
-        if self.batch_size is not None:
-            parts.append(f"batch_size={self.batch_size!r}")
         return f"ShardSpec({', '.join(parts)})"

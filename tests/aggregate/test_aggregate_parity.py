@@ -116,11 +116,6 @@ def test_aggregates_match_oracle_sharded(mode):
     )
 
 
-def test_aggregates_match_oracle_batched():
-    # A batch_size context changes row delivery, never aggregate values.
-    _assert_aggregates_match(Q(*_path()).using(batch_size=7))
-
-
 def test_aggregates_agree_with_async_stream():
     builder = Q(*_triangle())
     rows = []

@@ -1,8 +1,8 @@
 """Surface tests: aggregation and sampling across every entry layer.
 
 The tentpole threads one mechanism (fold + AGM sampling) through the
-query builder, prepared queries, the functional api, the CLI, the
-planner's explain output, and the parallel driver — each layer gets a
+query builder, prepared queries, ``execute``, the CLI, the planner's
+explain output, and the parallel driver — each layer gets a
 direct test here so a wiring regression is caught at the layer that
 broke, not three layers up.
 """
@@ -16,16 +16,17 @@ import pytest
 
 from repro.aggregate.fold import Folder, fold_rows
 from repro.aggregate.specs import Count, Sum
-from repro.api import count_join, sample_join
+from repro.api import execute
 from repro.core.query import JoinQuery
 from repro.engine.parallel import shard_fold
 from repro.engine.planner import plan_join
 from repro.errors import PlanError, QueryError
 from repro.query.builder import Q
 from repro.query.context import ExecutionContext
+from repro.relations.database import Database
 from repro.relations.relation import Relation
 from repro.__main__ import main as cli_main
-from tests.helpers import oracle_count
+from tests.helpers import BENCHMARK_SHAPES, oracle_count, oracle_join
 
 
 def _relations(seed=13, n=50, domain=8):
@@ -46,28 +47,44 @@ def _relations(seed=13, n=50, domain=8):
     )
 
 
-# -- functional api ----------------------------------------------------------
+# -- execute() ---------------------------------------------------------------
 
 
-def test_count_join_matches_enumeration():
+def test_execute_count_matches_enumeration():
     relations = _relations()
     rows = list(Q(*relations).stream())
-    assert count_join(list(relations)) == oracle_count(rows)
-    assert count_join(list(relations), algorithm="generic") == len(rows)
-    assert count_join(list(relations), shards=3, mode="serial") == len(rows)
+    assert execute(list(relations)).count() == oracle_count(rows)
+    assert execute(list(relations), algorithm="generic").count() == len(rows)
+    sharded = execute(list(relations), shards=3, mode="serial")
+    assert sharded.count() == len(rows)
 
 
-def test_sample_join_is_deterministic_and_valid():
+def test_execute_sample_is_deterministic_and_valid():
     relations = _relations()
     rows = set(Q(*relations).stream())
-    sample = sample_join(list(relations), 4, seed=21)
-    assert sample == sample_join(list(relations), 4, seed=21)
+    sample = execute(list(relations)).sample(4, seed=21)
+    assert sample == execute(list(relations)).sample(4, seed=21)
     assert len(sample) == 4 and set(sample) <= rows
 
 
-def test_count_join_rejects_unknown_algorithm():
+def test_execute_count_rejects_unknown_algorithm():
     with pytest.raises(QueryError):
-        count_join(list(_relations()), algorithm="nope")
+        execute(list(_relations()), algorithm="nope").count()
+
+
+def test_a_sample_walks_the_plan_it_ran_and_builds_nothing():
+    query = BENCHMARK_SHAPES["lifted_triangle"]()
+    db = Database(list(query.relations.values()))
+    builder = Q(query).on(db)
+    expected = sorted(oracle_join(query))
+    assert builder.count() == len(expected)
+    # A sampler binding the query's own order would build new indexes.
+    assert builder.plan().attribute_order != query.attributes
+    before = db.cache_info()
+    sample = builder.sample(len(expected) + 1, seed=1)
+    after = db.cache_info()
+    assert (after.misses, after.entries) == (before.misses, before.entries)
+    assert sorted(sample) == expected
 
 
 # -- fold internals exposed at the executor layer ----------------------------
@@ -80,7 +97,7 @@ def test_executor_fold_matches_stream_fold():
         executor = plan.executor()
         folder = Folder(Count(), plan.attribute_order)
         executor.fold(folder)
-        assert folder.result() == len(list(plan.iter_rows()))
+        assert folder.result() == len(list(executor.iter_join()))
 
 
 def test_folder_rejects_unknown_needs():
@@ -99,7 +116,7 @@ def test_fold_rows_is_the_universal_fallback():
 
 def test_shard_fold_merges_partial_states():
     query = JoinQuery(list(_relations()))
-    expected = len(list(plan_join(query, "generic").iter_rows()))
+    expected = len(list(plan_join(query, "generic").executor().iter_join()))
     for mode in ("serial", "thread", "process"):
         context = ExecutionContext(shards=3, mode=mode)
         plan = plan_join(query, context=context)

@@ -17,7 +17,6 @@ from collections import Counter
 import pytest
 
 from repro import execute
-from repro.api import iter_join
 from repro.distributed import DispatchScheduler, LoopbackTransport
 from repro.distributed.wire import ConnectionClosed
 from repro.errors import DistributedError
@@ -160,7 +159,7 @@ class TestFaultParity:
         self, algorithm, backend
     ):
         query = skewed_query()
-        serial = Counter(iter_join(query, algorithm=algorithm))
+        serial = Counter(execute(query, algorithm=algorithm))
         dying = FlakyTransport(kill_mid_shard=2)
         rows, scheduler = run_fleet(
             query,
@@ -175,7 +174,7 @@ class TestFaultParity:
         self, algorithm, backend
     ):
         query = skewed_query()
-        serial = Counter(iter_join(query, algorithm=algorithm))
+        serial = Counter(execute(query, algorithm=algorithm))
         dying = FlakyTransport(kill_after_job=1)
         rows, scheduler = run_fleet(
             query,
@@ -193,7 +192,7 @@ class TestFaultParity:
         self, algorithm, backend
     ):
         query = skewed_query()
-        serial = Counter(iter_join(query, algorithm=algorithm))
+        serial = Counter(execute(query, algorithm=algorithm))
         dropping = FlakyTransport(drop_ack=1)
         rows, scheduler = run_fleet(
             query,
@@ -210,7 +209,7 @@ class TestFaultParity:
         self, algorithm, backend
     ):
         query = skewed_query()
-        serial = Counter(iter_join(query, algorithm=algorithm))
+        serial = Counter(execute(query, algorithm=algorithm))
         rows, scheduler = run_fleet(
             query,
             [FlakyTransport(duplicate_ack=2), FlakyTransport()],
@@ -222,7 +221,7 @@ class TestFaultParity:
 
     def test_delayed_heartbeat_sidelines_the_slot(self, algorithm, backend):
         query = skewed_query()
-        serial = Counter(iter_join(query, algorithm=algorithm))
+        serial = Counter(execute(query, algorithm=algorithm))
         rows, _scheduler = run_fleet(
             query,
             [FlakyTransport(delay_pong=1), FlakyTransport()],

@@ -1,7 +1,7 @@
 """Dispatch to a loopback fleet: parity, stealing, telemetry flow-back.
 
 The acceptance gate for the fabric: a loopback fleet must yield *row-set
-identical* results to serial ``iter_join`` across algorithms and index
+identical* results to a serial run across algorithms and index
 backends, stealing and pre-splitting must only rearrange shard
 boundaries (never rows), and worker observations must land in the same
 tracer / metrics registry a local run feeds.
@@ -10,7 +10,6 @@ tracer / metrics registry a local run feeds.
 import pytest
 
 from repro import Q, execute
-from repro.api import iter_join
 from repro.distributed import (
     DispatchScheduler,
     LoopbackTransport,
@@ -58,7 +57,7 @@ class TestLoopbackParity:
             queries.triangle(), 250, 25, seed=11, skew=1.0
         )
         serial = sorted(
-            iter_join(query, algorithm=algorithm, backend=backend)
+            execute(query, algorithm=algorithm, backend=backend)
         )
         context = ExecutionContext(
             algorithm=algorithm,
@@ -70,7 +69,7 @@ class TestLoopbackParity:
 
     def test_count_folds_through_the_fleet(self):
         query = hub_query()
-        expected = len(list(iter_join(query, algorithm="generic")))
+        expected = len(list(execute(query, algorithm="generic")))
         context = ExecutionContext(
             algorithm="generic", shards=ShardSpec(4), scheduler=fleet()
         )
@@ -93,7 +92,7 @@ class TestLoopbackParity:
         next(stream)
         stream.close()  # consumer walks away mid-run
         # The board stops; a fresh run on the same scheduler still works.
-        serial = sorted(iter_join(query, algorithm="generic"))
+        serial = sorted(execute(query, algorithm="generic"))
         assert sorted(execute(query, context=context)) == serial
 
 
@@ -166,7 +165,7 @@ class TestSchedulerProtocol:
 class TestStealing:
     def test_within_run_stealing_splits_the_straggler(self):
         query = hub_query()
-        serial = sorted(iter_join(query, algorithm="generic"))
+        serial = sorted(execute(query, algorithm="generic"))
         policy = StealPolicy(hot_factor=0.01, min_completed=1)
         scheduler = fleet()
         context = ExecutionContext(
@@ -182,7 +181,7 @@ class TestStealing:
 
     def test_predictive_presplit_carves_hub_shards(self):
         query = hub_query()
-        serial = sorted(iter_join(query, algorithm="generic"))
+        serial = sorted(execute(query, algorithm="generic"))
         scheduler = fleet()
         context = ExecutionContext(
             algorithm="generic",
@@ -201,7 +200,7 @@ class TestStealing:
         context = ExecutionContext(
             algorithm="generic", shards=ShardSpec(6), scheduler=scheduler
         )
-        serial = sorted(iter_join(query, algorithm="generic"))
+        serial = sorted(execute(query, algorithm="generic"))
         assert sorted(execute(query, context=context)) == serial
         assert scheduler.last_run["steals"] >= 1
 
@@ -249,7 +248,7 @@ class TestTelemetryFlowBack:
             scheduler=fleet(),
             metrics=registry,
         )
-        serial = sorted(iter_join(query, algorithm="generic"))
+        serial = sorted(execute(query, algorithm="generic"))
         assert sorted(execute(query, context=context)) == serial
         histogram = registry.histogram("repro_shard_seconds")
         assert 1 <= histogram.count <= 3

@@ -79,9 +79,9 @@ class TestShardWorker:
                 serial.update(rows)
         finally:
             channel.close()
-        from repro.api import iter_join
+        from repro.api import execute
 
-        assert serial == set(iter_join(query, algorithm="generic"))
+        assert serial == set(execute(query, algorithm="generic"))
 
     def test_traced_task_ships_its_span_home(self):
         job = _job(triangle_query())

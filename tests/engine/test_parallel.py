@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.api import execute, iter_join
+from repro.api import execute
 from repro.core.generic_join import GenericJoin
 from repro.core.query import JoinQuery
 from repro.engine import parallel
@@ -171,12 +171,12 @@ class TestRestrict:
 
 
 class TestShardJoinParity:
-    """Sharded row sets must equal serial iter_join on every generator."""
+    """Sharded row sets must equal a serial run on every generator."""
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_modes_match_serial(self, mode):
         for query in _workload_queries():
-            serial = set(iter_join(query, algorithm="generic"))
+            serial = set(execute(query, algorithm="generic"))
             sharded = set(
                 execute(query, shards=3, algorithm="generic", mode=mode)
             )
@@ -185,14 +185,14 @@ class TestShardJoinParity:
     @pytest.mark.parametrize("shards", [1, 2, 4, 8])
     def test_shard_counts_match_serial(self, shards):
         query = _workload_queries()[0]
-        serial = set(iter_join(query))
+        serial = set(execute(query))
         assert set(execute(query, shards=shards, mode="serial")) == serial
 
     @pytest.mark.parametrize(
         "algorithm", ["nprr", "lw", "generic", "leapfrog", "arity2"]
     )
     def test_every_algorithm(self, triangle_query, algorithm):
-        serial = set(iter_join(triangle_query, algorithm=algorithm))
+        serial = set(execute(triangle_query, algorithm=algorithm))
         sharded = set(
             execute(
                 triangle_query, shards=2, algorithm=algorithm, mode="serial"
@@ -206,7 +206,7 @@ class TestShardJoinParity:
         cover = FractionalCover.uniform(
             triangle_query.hypergraph, Fraction(1, 2)
         )
-        serial = set(iter_join(triangle_query, cover=cover))
+        serial = set(execute(triangle_query, cover=cover))
         assert (
             set(
                 execute(
@@ -242,7 +242,7 @@ class TestShardJoinParity:
         )
         with pytest.raises(Exception):
             pickle.dumps(q)
-        assert set(execute(q, shards=2, mode="auto")) == set(iter_join(q))
+        assert set(execute(q, shards=2, mode="auto")) == set(execute(q))
 
     def test_auto_mode_with_mixed_picklability(self):
         # Regression: one heavy *picklable* value monopolizes the first
@@ -260,11 +260,11 @@ class TestShardJoinParity:
                 Relation("T", ("A", "C"), rows),
             ]
         )
-        assert set(execute(q, shards=2, mode="auto")) == set(iter_join(q))
+        assert set(execute(q, shards=2, mode="auto")) == set(execute(q))
 
     def test_workers_cap(self):
         query = _workload_queries()[0]
-        serial = set(iter_join(query, algorithm="generic"))
+        serial = set(execute(query, algorithm="generic"))
         got = set(
             execute(
                 query,
@@ -340,7 +340,7 @@ class TestCompactBackendParallel:
     @pytest.mark.parametrize("algorithm", ["generic", "leapfrog"])
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_sharded_modes(self, triangle_query, algorithm, mode):
-        expected = set(iter_join(triangle_query, algorithm=algorithm))
+        expected = set(execute(triangle_query, algorithm=algorithm))
         sharded = set(
             execute(
                 triangle_query,
@@ -360,11 +360,10 @@ class TestCompactBackendParallel:
                 triangle_query,
                 algorithm=algorithm,
                 backend="compact",
-                batch_size=2,
-            ).batches()
+            ).batches(2)
             for row in batch
         }
-        assert flat == set(iter_join(triangle_query, algorithm=algorithm))
+        assert flat == set(execute(triangle_query, algorithm=algorithm))
 
     @pytest.mark.parametrize("algorithm", ["generic", "leapfrog"])
     def test_async(self, triangle_query, algorithm):
@@ -375,14 +374,14 @@ class TestCompactBackendParallel:
             return {row async for row in stream}
 
         assert asyncio.run(collect()) == set(
-            iter_join(triangle_query, algorithm=algorithm)
+            execute(triangle_query, algorithm=algorithm)
         )
 
     def test_workload_parity(self):
         for query in _workload_queries():
-            expected = set(iter_join(query, algorithm="generic"))
+            expected = set(execute(query, algorithm="generic"))
             assert expected == set(
-                iter_join(query, algorithm="generic", backend="compact")
+                execute(query, algorithm="generic", backend="compact")
             )
             assert expected == set(
                 execute(
@@ -401,29 +400,23 @@ class TestRestrictedRows:
         rows = set()
         for spec in specs:
             shard = restrict(triangle_query, (("A", spec.values),))
-            rows |= set(plan_join(shard, "generic").iter_rows())
-        assert rows == set(iter_join(triangle_query, algorithm="generic"))
+            rows |= set(plan_join(shard, "generic").executor().iter_join())
+        assert rows == set(execute(triangle_query, algorithm="generic"))
 
 
 class TestJoinBatched:
     def test_flattens_to_iter_join(self, triangle_query):
         flat = [
             row
-            for batch in execute(triangle_query, batch_size=2).batches()
+            for batch in execute(triangle_query).batches(2)
             for row in batch
         ]
-        assert set(flat) == set(iter_join(triangle_query))
+        assert set(flat) == set(execute(triangle_query))
         assert len(flat) == len(set(flat))
-
-    def test_batch_size_auto(self, triangle_query):
-        out = list(execute(triangle_query, batch_size="auto").batches())
-        assert {row for b in out for row in b} == set(
-            iter_join(triangle_query)
-        )
 
     def test_invalid_batch_size_raises_eagerly(self, triangle_query):
         with pytest.raises(PlanError):
-            execute(triangle_query, batch_size=0).batches()
+            execute(triangle_query).batches(0)
 
 
 class TestAiterJoin:
@@ -431,14 +424,14 @@ class TestAiterJoin:
         async def collect():
             return {row async for row in execute(triangle_query).astream()}
 
-        assert asyncio.run(collect()) == set(iter_join(triangle_query))
+        assert asyncio.run(collect()) == set(execute(triangle_query))
 
     def test_sharded(self, triangle_query):
         async def collect():
             stream = execute(triangle_query, shards=2).astream(2)
             return {row async for row in stream}
 
-        assert asyncio.run(collect()) == set(iter_join(triangle_query))
+        assert asyncio.run(collect()) == set(execute(triangle_query))
 
     def test_eager_validation_outside_event_loop(self, triangle_query):
         # Misconfiguration must raise in the synchronous call, not at
@@ -453,11 +446,10 @@ class TestPlannerParallelFields:
     def test_defaults_are_serial(self, triangle_query):
         plan = plan_join(triangle_query, "generic")
         assert plan.shards == 1
-        assert plan.batch_size is None
 
     def test_fixed_by_caller(self, triangle_query):
-        plan = plan_join(triangle_query, "generic", shards=4, batch_size=500)
-        assert (plan.shards, plan.batch_size) == (4, 500)
+        plan = plan_join(triangle_query, "generic", shards=4)
+        assert plan.shards == 4
         assert any("shard count fixed" in r for r in plan.reasons)
 
     def test_auto_small_input_stays_serial(self, triangle_query):
@@ -470,26 +462,16 @@ class TestPlannerParallelFields:
         plan = plan_join(query, "generic", shards="auto")
         assert 1 <= plan.shards <= 8
 
-    def test_auto_batch_from_agm(self, triangle_query):
-        plan = plan_join(triangle_query, "generic", batch_size="auto")
-        assert 64 <= plan.batch_size <= 4096
-
     def test_describe_mentions_parallel_fields(self, triangle_query):
-        text = plan_join(
-            triangle_query, "generic", shards=2, batch_size=10
-        ).describe()
+        text = plan_join(triangle_query, "generic", shards=2).describe()
         assert "shards: 2" in text
-        assert "batch size: 10" in text
+        assert "batch size" not in text
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_invalid_shards(self, triangle_query, bad):
         with pytest.raises(PlanError):
             plan_join(triangle_query, "generic", shards=bad)
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
-    def test_invalid_batch_size(self, triangle_query, bad):
-        with pytest.raises(PlanError):
-            plan_join(triangle_query, "generic", batch_size=bad)
 
 
 class TestPickling:

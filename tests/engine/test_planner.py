@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro import FractionalCover, output_bound
-from repro.api import execute, explain
+from repro.api import execute
 from repro.baselines.naive import naive_join
 from repro.core.generic_join import GenericJoin
 from repro.core.query import JoinQuery
@@ -35,7 +35,7 @@ class TestPlanShape:
         plan = plan_join(q, "arity2")
         assert plan.algorithm == "arity2"
         assert plan.cover is not None
-        assert plan.execute().equivalent(naive_join(q))
+        assert plan.executor().execute().equivalent(naive_join(q))
 
     def test_auto_picks_generic_for_general_shapes(self):
         q = generators.random_instance(queries.paper_figure2(), 20, 3, seed=0)
@@ -109,9 +109,9 @@ class TestPlanShape:
         assert "AGM bound" in text
 
     def test_explain_returns_plan_without_running(self):
-        plan = explain(triangle_query())
+        plan = execute(triangle_query()).plan()
         assert isinstance(plan, JoinPlan)
-        result = plan.execute()
+        result = plan.executor().execute()
         assert result.equivalent(naive_join(triangle_query()))
 
 
@@ -215,7 +215,7 @@ class TestAutoRoutesLWToGeneric:
         plan = plan_join(q, "lw")
         assert plan.algorithm == "lw"
         assert plan.backend == "none"
-        assert sorted(plan.iter_rows()) == expected
+        assert sorted(plan.executor().iter_join()) == expected
         assert sorted(execute(q, algorithm="lw")) == expected
         paths = []
         for eid, relation in q.relations.items():
@@ -279,8 +279,8 @@ class TestPlannerInvariance:
         base = naive_join(q)
         for order in itertools.permutations(q.attributes):
             plan = plan_join(q, algorithm, attribute_order=order)
-            assert plan.execute().equivalent(base)
-            assert sorted(plan.iter_rows()) == sorted(
+            assert plan.executor().execute().equivalent(base)
+            assert sorted(plan.executor().iter_join()) == sorted(
                 base.reorder(q.attributes).tuples
             )
 
@@ -291,8 +291,8 @@ class TestPlannerInvariance:
         base = naive_join(q)
         planned = plan_join(q, "generic")
         default = plan_join(q, "generic", attribute_order=q.attributes)
-        assert planned.execute().equivalent(base)
-        assert default.execute().equivalent(base)
+        assert planned.executor().execute().equivalent(base)
+        assert default.executor().execute().equivalent(base)
 
 
 class TestEarlyValidation:
@@ -312,7 +312,9 @@ class TestEarlyValidation:
         with pytest.raises(QueryError, match="not a permutation"):
             plan_join(JoinQuery(relations), algorithm, attribute_order=order)
         with pytest.raises(QueryError, match="not a permutation"):
-            explain(relations, algorithm=algorithm, attribute_order=order)
+            execute(
+                relations, algorithm=algorithm, attribute_order=order
+            ).plan()
 
     def test_unknown_algorithm_rejected_before_any_work(self):
         # The relations argument is never touched: validation precedes

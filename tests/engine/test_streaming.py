@@ -1,14 +1,14 @@
 """Streaming parity: iter_join agrees with join for every algorithm.
 
 The acceptance property of the streaming engine:
-``sorted(iter_join(q)) == sorted(execute(q).relation().tuples)`` across
+``sorted(execute(q)) == sorted(execute(q).relation().tuples)`` across
 the workload generators, for all five algorithms — plus laziness and
 index-cache behavior of the streaming path.
 """
 
 import pytest
 
-from repro.api import execute, iter_join
+from repro.api import execute
 from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import LeapfrogTriejoin
 from repro.core.nprr import NPRRJoin
@@ -51,7 +51,7 @@ def test_streaming_parity_across_workloads(name, builder, algorithms):
     query = builder()
     for algorithm in algorithms:
         materialized = execute(query, algorithm=algorithm).relation()
-        streamed = sorted(iter_join(query, algorithm=algorithm))
+        streamed = sorted(execute(query, algorithm=algorithm))
         assert streamed == sorted(materialized.tuples), (
             f"{algorithm} disagrees with itself on {name}"
         )
@@ -60,7 +60,7 @@ def test_streaming_parity_across_workloads(name, builder, algorithms):
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
 def test_streaming_parity_auto_vs_fixed(algorithm):
     query = triangle_query()
-    assert sorted(iter_join(query, algorithm=algorithm)) == sorted(
+    assert sorted(execute(query, algorithm=algorithm)) == sorted(
         execute(query).relation().tuples
     )
 
@@ -70,13 +70,13 @@ def test_rows_follow_query_attribute_order():
     expected = execute(query).relation()
     assert expected.attributes == query.attributes
     for algorithm in ALL_ALGORITHMS:
-        rows = set(iter_join(query, algorithm=algorithm))
+        rows = set(execute(query, algorithm=algorithm))
         assert rows == set(expected.tuples)
 
 
 def test_single_relation_streams():
     q = single_relation_query()
-    assert sorted(iter_join(q)) == sorted(q.relation("R").tuples)
+    assert sorted(execute(q)) == sorted(q.relation("R").tuples)
 
 
 def test_empty_input_streams_nothing():
@@ -87,12 +87,12 @@ def test_empty_input_streams_nothing():
         ]
     )
     for algorithm in ("nprr", "generic", "leapfrog", "arity2"):
-        assert list(iter_join(q, algorithm=algorithm)) == []
+        assert list(execute(q, algorithm=algorithm)) == []
 
 
 class TestLaziness:
     def test_iter_join_returns_iterator(self):
-        rows = iter_join(triangle_query(), algorithm="generic")
+        rows = iter(execute(triangle_query(), algorithm="generic"))
         assert iter(rows) is rows
         first = next(rows)
         assert isinstance(first, tuple)
@@ -101,7 +101,7 @@ class TestLaziness:
     @pytest.mark.parametrize("algorithm", ["generic", "leapfrog", "nprr"])
     def test_early_stop_is_safe(self, algorithm):
         query = generators.random_instance(queries.triangle(), 50, 5, seed=11)
-        rows = iter_join(query, algorithm=algorithm)
+        rows = iter(execute(query, algorithm=algorithm))
         taken = [row for _, row in zip(range(2), rows)]
         rows.close()
         full = sorted(execute(query, algorithm=algorithm).relation().tuples)

@@ -93,10 +93,8 @@ class TestModeParity:
 
     @pytest.mark.parametrize("name,query", TRIANGLES[:2])
     def test_batched_parity(self, name, query):
-        builder = Q(query).using(
-            algorithm="generic", batch_size=64, stats=StatsProvider()
-        )
-        batches = list(builder.batches())
+        builder = Q(query).using(algorithm="generic", stats=StatsProvider())
+        batches = list(builder.batches(64))
         assert all(len(batch) <= 64 for batch in batches)
         rows = [row for batch in batches for row in batch]
         assert sorted(rows) == expected(name)

@@ -223,14 +223,9 @@ class TestBatchesAndAsync:
         batches = list(Q(*triangle_relations()).batches(3))
         assert [len(b) for b in batches] == [3, 1]
 
-    def test_batch_size_from_context(self):
-        builder = Q(*triangle_relations()).using(batch_size=2)
-        assert [len(b) for b in builder.batches()] == [2, 2]
-
-    def test_invalid_context_batch_size_raises_eagerly(self):
-        builder = Q(*triangle_relations()).using(batch_size=0)
-        with pytest.raises(PlanError):
-            builder.batches()
+    def test_batch_size_is_not_a_context_option(self):
+        with pytest.raises(PlanError, match="unknown execution option"):
+            Q(*triangle_relations()).using(batch_size=2)
 
     def test_astream_parity(self):
         import asyncio

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.api import execute, explain, iter_join
+from repro.api import execute
 from repro.engine.planner import plan_join
 from repro.errors import PlanError, QueryError
 from repro.query.builder import Q
@@ -29,7 +29,6 @@ class TestContextObject:
         context = ExecutionContext()
         assert context.algorithm == "auto"
         assert context.shards is None
-        assert context.batch_size is None
         assert not context.parallel
 
     def test_replace_derives_without_mutation(self):
@@ -130,17 +129,17 @@ class TestPlannerConsumesContext:
             )
 
 
-class TestApiWrappersDelegate:
-    """The legacy entry points are thin wrappers: same results, same
+class TestViewsAgree:
+    """Every view of ``execute``'s stream: same results, same
     validation, via builder + context."""
 
     def test_join_parity(self):
         query = triangle_query()
-        assert sorted(execute(query).relation().tuples) == sorted(iter_join(query))
+        assert sorted(execute(query).relation().tuples) == sorted(execute(query))
 
     def test_join_batched_parity(self):
         query = triangle_query()
-        rows = [r for batch in execute(query, batch_size=2).batches() for r in batch]
+        rows = [r for batch in execute(query).batches(2) for r in batch]
         assert sorted(rows) == sorted(execute(query).relation().tuples)
 
     def test_shard_join_parity(self):
@@ -163,7 +162,7 @@ class TestApiWrappersDelegate:
 
     def test_explain_records_context_options(self):
         query = triangle_query()
-        plan = explain(query, algorithm="generic", backend="sorted")
+        plan = execute(query, algorithm="generic", backend="sorted").plan()
         assert plan.algorithm == "generic"
         assert plan.backend == "sorted"
 
@@ -172,11 +171,13 @@ class TestApiWrappersDelegate:
         with pytest.raises(QueryError):
             execute(query, algorithm="nope").relation()
         with pytest.raises(PlanError):
-            execute(query, batch_size=0).batches()
+            execute(query).batches(0)
+        with pytest.raises(PlanError, match="unknown execution option"):
+            execute(query, batch_size=2)
         with pytest.raises(PlanError):
             execute(query, mode="sideways", shards="auto")
         with pytest.raises(PlanError):
-            iter_join(query, algorithm="lw", backend="sorted")
+            iter(execute(query, algorithm="lw", backend="sorted"))
 
 
 class TestBuilderHonorsContext:

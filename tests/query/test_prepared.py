@@ -6,12 +6,12 @@ import pickle
 import pytest
 
 from repro.api import execute
+from repro.engine.parallel import DEFAULT_BATCH_SIZE
 from repro.errors import PlanError, QueryError
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracing import Tracer
 from repro.query.builder import Q
 from repro.query.prepared import PreparedQuery, _pump
-from repro.query.shards import ShardSpec
 from repro.relations.database import Database
 from repro.relations.relation import Relation
 from repro.workloads import generators, queries
@@ -305,10 +305,10 @@ class TestPreparedRunsAreMeasured:
 
 
 class TestOneBatchRule:
-    """explicit size -> the plan's batch size -> the default, on every
-    surface, serial or sharded."""
+    """explicit size -> the default, on every surface, serial or
+    sharded."""
 
-    #: 3 x 32 x 32 rows; the AGM bound 96 * 96 makes "auto" 96.
+    #: 3 x 32 x 32 rows.
     RELATIONS = (
         Relation("R", ("A", "B"), [(a, b) for a in range(32) for b in range(3)]),
         Relation("S", ("B", "C"), [(b, c) for b in range(3) for c in range(32)]),
@@ -327,25 +327,12 @@ class TestOneBatchRule:
         }
 
     @pytest.mark.parametrize("sharded", [False, True])
-    @pytest.mark.parametrize(
-        "spelling",
-        ["explicit", "context-int", "context-auto", "spec-int", "spec-auto",
-         "nothing"],
-    )
+    @pytest.mark.parametrize("spelling", ["explicit", "nothing"])
     def test_every_surface_batches_alike(self, spelling, sharded):
-        count = 2 if sharded else 1
         options = {"mode": "serial"}
-        size = None
-        if spelling == "explicit":
-            size = 7
-        elif spelling.startswith("context"):
-            options["batch_size"] = 7 if spelling == "context-int" else "auto"
-        if spelling.startswith("spec"):
-            options["shards"] = ShardSpec(
-                count, batch_size=7 if spelling == "spec-int" else "auto"
-            )
-        elif sharded:
-            options["shards"] = count
+        size = 7 if spelling == "explicit" else None
+        if sharded:
+            options["shards"] = 2
         builder = Q(*self.RELATIONS).using(**options)
         lengths = {
             name: self._lengths(batches(size))
@@ -354,12 +341,7 @@ class TestOneBatchRule:
         assert lengths["builder"] == lengths["prepared"]
         assert lengths["builder"] == lengths["result-stream"]
         assert sum(lengths["builder"]) == self.ROWS
-        if spelling in ("explicit", "context-int", "spec-int"):
-            expected = 7
-        elif spelling == "nothing":
-            expected = 1024
-        else:
-            expected = 96
+        expected = 7 if spelling == "explicit" else DEFAULT_BATCH_SIZE
         assert set(lengths["builder"][:-1]) == {expected}
 
     @pytest.mark.parametrize("sharded", [False, True])
@@ -370,14 +352,8 @@ class TestOneBatchRule:
         for batches in self._surfaces(builder).values():
             with pytest.raises(PlanError, match="batch size"):
                 batches(bad)
-        configured = builder.using(batch_size=bad)
-        for run in (
-            configured.batches,
-            configured.prepare,
-            execute(configured).batches,
-        ):
-            with pytest.raises(PlanError, match="batch_size"):
-                run()
+        with pytest.raises(PlanError, match="unknown execution option"):
+            builder.using(batch_size=bad)
 
 
 class TestShardedParentPlansOnce:

@@ -57,7 +57,6 @@ def decisions(plan):
         plan.backend,
         plan.relation_backends,
         plan.shards,
-        plan.batch_size,
         plan.statistics,
     )
 
@@ -137,9 +136,9 @@ class TestShardedExecutionDeterminism:
         q = generators.random_instance(
             generators.random_hypergraph(3, 3, 2, seed=1), 2600, 40, seed=5
         )
-        from repro.api import execute, iter_join
+        from repro.api import execute
 
-        serial = set(iter_join(q, algorithm="generic"))
+        serial = set(execute(q, algorithm="generic"))
         sharded = set(
             execute(q, shards="auto", algorithm="generic", mode="serial")
         )

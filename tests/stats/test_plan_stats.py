@@ -69,7 +69,7 @@ class TestSelectivityOrder:
     def test_selectivity_plan_same_result_set(self, trap):
         base = naive_join(trap)
         plan = plan_join(trap, "generic")
-        assert plan.execute().equivalent(base)
+        assert plan.executor().execute().equivalent(base)
 
     def test_the_closing_estimate_stays_within_the_agm_bound(self):
         # Triangle: the final attribute's estimate is capped at the
@@ -205,7 +205,7 @@ class TestPerRelationBackends:
         assert ("R", "sorted") in plan.relation_backends
         assert any("cached sorted index" in r for r in plan.reasons)
         # Mixed backends still compute the right answer, via the cache.
-        assert plan.execute(database=db).equivalent(naive_join(q))
+        assert plan.executor(db).execute().equivalent(naive_join(q))
 
     def test_default_stays_uniform_trie(self):
         plan = plan_join(triangle_query(), "generic")
@@ -279,7 +279,7 @@ class TestPerRelationBackends:
         assert "S: trie kept over compact" in notes[0]
         assert "'B' do not order" in notes[0]
         # Every B value joins its 2 tuples of R with its 2 of S.
-        rows = set(plan.execute().tuples)
+        rows = set(plan.executor().execute().tuples)
         assert len(rows) == 80000
         assert {row for row in rows if row[0] in (6, 7)} == {
             (6, "b6", -6), (6, "b6", -20006), (7, 7, -7), (7, 7, -20007),
@@ -318,7 +318,8 @@ class TestPerRelationBackends:
         with pytest.raises(PlanError, match="'R'.*'B' do not order"):
             plan_join(q, **pinned)
         # The hash trie compares nothing: the same query answers.
-        assert set(plan_join(q, "generic", backend="trie").execute().tuples) == {
+        plan = plan_join(q, "generic", backend="trie")
+        assert set(plan.executor().execute().tuples) == {
             (1, 1, 5), (2, "x", 6),
         }
 
@@ -339,7 +340,7 @@ class TestPerRelationBackends:
         assert plan.backend == "mixed"
         assert ("R", "compact") in plan.relation_backends
         assert any("cached compact index" in r for r in plan.reasons)
-        assert plan.execute(database=db).equivalent(naive_join(q))
+        assert plan.executor(db).execute().equivalent(naive_join(q))
 
     def test_caller_fixed_backend_wins(self):
         plan = plan_join(triangle_query(), "generic", backend="sorted")

@@ -390,11 +390,11 @@ class TestOneCountingPass:
     def test_sharded_run_weighs_shards_from_the_plans_tables(
         self, counting_passes
     ):
-        from repro.api import execute, iter_join
+        from repro.api import execute
 
         db = Database(self.lifted_shape())
         query = JoinQuery(list(db))
-        serial = set(iter_join(query, database=db))
+        serial = set(execute(query, database=db))
         del counting_passes[:]
         sharded = set(execute(query, database=db, shards=3, mode="serial"))
         assert sharded == serial

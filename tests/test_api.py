@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Relation, execute, iter_join, output_bound
+from repro import Relation, execute, output_bound
 from repro.baselines.naive import naive_join
 from repro.core.query import JoinQuery
 from repro.errors import PlanError, QueryError
@@ -56,35 +56,38 @@ class TestJoin:
 
 
 class TestIterJoinEagerValidation:
-    """Regression: iter_join must raise at *call* time, exactly like join.
+    """Regression: ``iter(execute(...))`` must raise at *call* time,
+    exactly like ``.relation()``.
 
-    A streaming entry point that deferred plan validation to the first
+    A streaming view that deferred plan validation to the first
     ``next()`` would let a rejected ``backend=`` slip past the call site
-    (e.g. into a response already streaming); both front doors must fail
+    (e.g. into a response already streaming); both views must fail
     identically, before any iterator is returned.
     """
 
     def test_rejected_backend_raises_at_call(self, relations):
         with pytest.raises(PlanError) as via_iter:
-            iter_join(relations, algorithm="leapfrog", backend="trie")
+            iter(execute(relations, algorithm="leapfrog", backend="trie"))
         with pytest.raises(PlanError) as via_join:
             execute(relations, algorithm="leapfrog", backend="trie").relation()
         assert str(via_iter.value) == str(via_join.value)
 
     def test_rejected_attribute_order_raises_at_call(self, relations):
         with pytest.raises(PlanError):
-            iter_join(
-                relations, algorithm="nprr", attribute_order=("A", "B", "C")
+            iter(
+                execute(
+                    relations, algorithm="nprr", attribute_order=("A", "B", "C")
+                )
             )
 
     def test_plan_error_is_a_query_error(self, relations):
         # Callers that predate PlanError still catch the rejection.
         with pytest.raises(QueryError):
-            iter_join(relations, algorithm="arity2", backend="sorted")
+            iter(execute(relations, algorithm="arity2", backend="sorted"))
 
     def test_unknown_algorithm_raises_at_call(self, relations):
         with pytest.raises(QueryError):
-            iter_join(relations, algorithm="quantum")
+            iter(execute(relations, algorithm="quantum"))
 
 
 class TestOutputBound:

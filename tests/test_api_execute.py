@@ -2,7 +2,7 @@
 
 ``execute(query, context=...)`` is the one entry point; every
 consumption style is a view on its :class:`ResultStream`, and views
-agree with each other and with the keyword conveniences.
+agree with each other.
 """
 
 import asyncio
@@ -11,8 +11,8 @@ import warnings
 import pytest
 
 from repro import ExecutionContext, Q, ResultStream, ShardSpec, execute
-from repro.api import count_join, iter_join, sample_join
-from repro.errors import QueryError
+from repro.engine.parallel import DEFAULT_BATCH_SIZE
+from repro.errors import PlanError, QueryError
 from tests.helpers import triangle_query
 
 QUERY = triangle_query(
@@ -20,7 +20,7 @@ QUERY = triangle_query(
     s_rows=tuple((j, k) for j in range(4) for k in range(6)),
     t_rows=tuple((a, k) for a in range(5) for k in range(6)),
 )
-SERIAL = sorted(iter_join(QUERY))
+SERIAL = sorted(execute(QUERY))
 
 
 class TestExecute:
@@ -67,13 +67,17 @@ class TestExecute:
         with pytest.raises(QueryError):
             execute(None, context=ExecutionContext(algorithm="quantum"))
 
-    def test_shard_spec_batch_size_feeds_batches(self):
-        stream = execute(
-            QUERY, shards=ShardSpec(2, batch_size=13), mode="serial"
-        )
-        sizes = [len(batch) for batch in stream.batches()]
+    def test_batch_size_is_the_views_argument_only(self):
+        stream = execute(QUERY, shards=ShardSpec(2), mode="serial")
+        assert len(SERIAL) < DEFAULT_BATCH_SIZE
+        assert [len(batch) for batch in stream.batches()] == [len(SERIAL)]
+        sizes = [len(batch) for batch in stream.batches(13)]
         assert all(size == 13 for size in sizes[:-1])
-        assert sorted(r for b in stream.batches() for r in b) == SERIAL
+        assert sorted(r for b in stream.batches(13) for r in b) == SERIAL
+        with pytest.raises(PlanError, match="unknown execution option"):
+            execute(QUERY, batch_size=13)
+        with pytest.raises(TypeError):
+            ShardSpec(2, batch_size=13)
 
     def test_result_stream_is_immutable_and_reusable(self):
         stream = execute(QUERY)
@@ -83,11 +87,10 @@ class TestExecute:
         assert sorted(stream) == SERIAL  # fresh execution, same rows
 
 
-class TestKeywordConveniences:
-    def test_streaming_and_aggregate_entry_points_stay_quiet(self):
+class TestViews:
+    def test_streaming_and_aggregate_views_stay_quiet(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            assert sorted(iter_join(QUERY)) == SERIAL
-            assert count_join(QUERY) == len(SERIAL)
-            assert len(sample_join(QUERY, 2, seed=1)) == 2
-            assert sorted(execute(QUERY)) == SERIAL
+            assert sorted(iter(execute(QUERY))) == SERIAL
+            assert execute(QUERY).count() == len(SERIAL)
+            assert len(execute(QUERY).sample(2, seed=1)) == 2

@@ -40,7 +40,7 @@ def test_diff_reports_changes():
     live = tool.current_surface()
     mutated = dict(live)
     mutated["execute"] = "(relations)"  # pretend the signature shrank
-    del mutated["iter_join"]
+    del mutated["output_bound"]
     mutated["brand_new"] = "(x)"
     problems = tool.diff(mutated, live)
     kinds = {p.split(":")[0] for p in problems}

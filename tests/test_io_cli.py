@@ -264,7 +264,6 @@ algorithm: generic
 attribute order: A, B, C
 index backend: trie
 shards: 1
-batch size: row-at-a-time
 estimated output (AGM bound): 5.196 tuples
 relation sizes: R=3, S=3, T=3
 decisions:
@@ -296,7 +295,6 @@ total order: B, A, C
             "attribute order: A, B, C",
             "index backend: sorted",
             "shards: 1",
-            "batch size: row-at-a-time",
             "estimated output (AGM bound): 5.196 tuples",
             "relation sizes: R=3, S=3, T=3",
             "decisions:",
@@ -437,7 +435,6 @@ residual filters: B in {1, 2}
 select: C (streamed projection)
 index backend: trie
 shards: 1
-batch size: row-at-a-time
 estimated output (AGM bound): 1.000 tuples
 relation sizes: R=1, S=3, T=1
 decisions:

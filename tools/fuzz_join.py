@@ -106,6 +106,7 @@ from repro.distributed import (  # noqa: E402
     DispatchScheduler,
     LoopbackTransport,
 )
+from repro.engine.executors import DESCENT_ALGORITHMS  # noqa: E402
 from repro.engine.planner import ORDER_SENSITIVE, plan_join  # noqa: E402
 from repro.errors import QueryError  # noqa: E402
 from repro.hypergraph import agm  # noqa: E402
@@ -493,7 +494,7 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     streamed = list(target.stream())
     assert len(streamed) == len(set(streamed)), "duplicate streamed rows"
     assert set(streamed) == expected, (
-        f"iter_join mismatch: {len(streamed)} streamed vs "
+        f"stream mismatch: {len(streamed)} streamed vs "
         f"{len(expected)} expected under {config}"
     )
     # A guards-only plan ("none") runs no executor: nothing to measure.
@@ -620,13 +621,21 @@ def check_exact_samples(
     rng: random.Random, relations, builder, full: set, expected: set, seed: int
 ) -> None:
     """A sample one past the result size is the result: serially, and
-    through a ``where`` section of the unfiltered join."""
+    through a ``where`` section of the unfiltered join.  Over a catalog,
+    a descent plan's sample walks the indexes its run built: no miss."""
     serial = builder.using(shards=None, mode="serial", scheduler=None)
+    database = serial.context.database
+    if database is not None:
+        serial.count()  # the run whose indexes the sample walks
+        misses = database.cache_info().misses
     drawn = serial.sample(len(expected) + 1, seed=seed)
     assert len(drawn) == len(expected) and set(drawn) == expected, (
         f"sample({len(expected) + 1}) drew {len(drawn)} rows, not the "
         f"oracle's {len(expected)}"
     )
+    if database is not None and serial.plan().algorithm in DESCENT_ALGORITHMS:
+        added = database.cache_info().misses - misses
+        assert not added, f"sample() missed the cache {added} time(s)"
     if not full:
         return
     attributes = builder.query.attributes

@@ -210,9 +210,10 @@ class _Run:
             self.running.pop(id(item), None)
             self.finished.append((item.entry, seconds, len(items)))
             self.model.observe(seconds, item.entry.weight)
-            if span is not None and self.job.tracer is not None:
-                self.job.tracer.attach(span)
-            self.sink.put(("items", items))
+            # The span travels with the items: the tracer is
+            # single-driver, so the consuming thread attaches it, under
+            # the ``execute`` span that consumer has open.
+            self.sink.put(("items", (items, span)))
             if not self.pending and not self.running:
                 self._complete()
             self.cond.notify_all()
@@ -374,7 +375,10 @@ class DispatchScheduler:
             while True:
                 kind, payload = run.sink.get()
                 if kind == "items":
-                    yield from payload
+                    items, span = payload
+                    if span is not None and run.job.tracer is not None:
+                        run.job.tracer.attach(span)
+                    yield from items
                 elif kind == "done":
                     return
                 else:

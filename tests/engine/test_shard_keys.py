@@ -8,6 +8,7 @@ specialists — so the properties are stated once, on the runner, for all
 five algorithms and both level strategies over their backends.
 """
 
+import time
 from collections import Counter
 
 import pytest
@@ -211,3 +212,19 @@ def test_a_traced_sharded_run_has_one_shape_in_every_mode(instance, warm):
             shard.meta["rows"] for shard in execute_span.children
         ) == len(expected)
     assert len({tuple(shape) for shape in shapes.values()}) == 1, shapes
+
+
+@pytest.mark.parametrize("mode", list(SHARDED_EXECUTIONS))
+def test_shards_nest_under_execute_however_late_the_first_row_is_drawn(
+    instance, mode
+):
+    """Workers may finish every shard before the consumer draws a row;
+    their spans still land under the run's ``execute`` span."""
+    tracer = Tracer()
+    options = SHARDED_EXECUTIONS[mode]()
+    rows = iter(execute(Q(instance), shards=SHARDS, tracer=tracer, **options))
+    time.sleep(0.2)
+    assert sorted(rows) == sorted(oracle_join(instance))
+    (execute_span,) = [s for s in tracer.walk() if s.name == "execute"]
+    assert [c.name for c in execute_span.children] == ["shard"] * SHARDS
+    assert all(root.name != "shard" for root in tracer.roots)

@@ -38,8 +38,10 @@ Usage::
                 join's level loops, never enumerating the result (with
                 ``--shards`` the workers return partial counts) — and
                 ``--sample K`` prints K distinct uniform result rows
-                drawn exactly from one count (``--seed S`` makes the
-                draw deterministic).  ``--workers host:port,...``
+                drawn exactly from one count (``--seed S`` repeats the
+                draw on the same data wherever its values hash alike:
+                ints in any process, strings only under one
+                ``PYTHONHASHSEED``).  ``--workers host:port,...``
                 dispatches the shards to a fleet of ``worker``
                 processes instead of the local pool; ``--steal``
                 enables within-run work stealing and ``--predictive``
@@ -189,14 +191,16 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="print K distinct uniform result rows instead of the full "
         "result, drawn exactly from one count without materializing "
-        "the join (deterministic with --seed)",
+        "the join (repeatable with --seed)",
     )
     join_cmd.add_argument(
         "--seed",
         type=int,
         default=None,
         metavar="S",
-        help="random seed for --sample (fixed seed, fixed sample)",
+        help="random seed for --sample: a fixed seed repeats the sample "
+        "on int data; string data also needs a fixed PYTHONHASHSEED, as "
+        "strings hash differently in each process",
     )
     join_cmd.add_argument(
         "--trace",

@@ -12,12 +12,16 @@ reached from its rank root to leaf, with no search and no rejection.
   of an array node opened in place would.
 * ``sample(k)`` draws ``min(k, |J|)`` distinct ranks: distinct ranks
   are distinct rows, so the sample is uniform without replacement.
-* A rank is unranked by replaying each level's ``survivors`` and
-  subtracting the children's counts until the rank falls inside one.
+* The ranks are unranked by the kernel's unrank sink
+  (:func:`~repro.core.descent.unrank`): the rows nest itself, walked
+  once in rank order, passing every child whose count lies wholly
+  before the next rank.  So the row at rank ``r`` is the ``r``-th row
+  :func:`~repro.core.descent.iter_rows` yields over the same binding.
 
 Residual filters are the levels' own, so rows are uniform over the
 *filtered* join.  The cost is one count pass, kept for later calls, plus
-``k`` root-to-leaf walks.  The query layer draws over the binding its
+one walk that passes each child before a drawn row on its count and
+searches only the subtrees holding one.  The query layer draws over the binding its
 plan's executor already holds (:meth:`JoinSampler.over`), so a sample
 builds no index the run did not; a pinned plan without one (``lw``,
 ``nprr``, ``arity2``) gets a sampler that binds its own.
@@ -27,9 +31,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Mapping
-from itertools import islice
 
-from repro.core.descent import Binding, bind, fold, hash_levels
+from repro.core.descent import Binding, bind, fold, unrank
 from repro.core.query import JoinQuery
 from repro.relations.database import DEFAULT_BACKEND, INDEX_BACKENDS, Database
 from repro.relations.relation import Row, Value
@@ -52,6 +55,9 @@ class JoinSampler:
     a binding made elsewhere, in any order.
     """
 
+    #: Rows below each internal search node that has any, by prefix.
+    _counts: dict[Row, int] | None = None
+
     def __init__(
         self,
         query: JoinQuery,
@@ -62,26 +68,20 @@ class JoinSampler:
     ) -> None:
         if not isinstance(backend, Mapping) and backend not in INDEX_BACKENDS:
             backend = DEFAULT_BACKEND
-        self._start(bind(query, None, backend, database, filters))
+        self._binding = bind(query, None, backend, database, filters)
 
     @classmethod
     def over(cls, binding: Binding) -> "JoinSampler":
         """A sampler walking ``binding`` — an executor's own order,
         indexes and filters — so it binds nothing itself."""
         sampler = cls.__new__(cls)
-        sampler._start(binding)
+        sampler._binding = binding
         return sampler
-
-    def _start(self, binding: Binding) -> None:
-        self._binding = binding
-        self._levels = hash_levels(binding)
-        #: Rows below each internal search node that has any, by prefix.
-        self._counts: dict[Row, int] | None = None
 
     def _count(self) -> dict[Row, int]:
         """One fold records each last internal level's counts; each
         shallower level's are its children's, summed."""
-        last = len(self._levels) - 1
+        last = len(self._binding.order) - 1
         counts = fold(self._binding, last + 1, range(last), _record, {})
         tier = counts
         for _depth in range(last):
@@ -92,38 +92,17 @@ class JoinSampler:
             tier = parents
         return counts
 
-    def _unrank(self, rank: int) -> Row:
-        """The row at ``rank`` in the search tree's own order; a level's
-        ``survivors`` opens array nodes in place, so it gets a copy."""
-        nodes, prefix, counts = self._binding.roots(), (), self._counts
-        *inner, last = self._levels
-        for level in inner:
-            state = list(nodes)
-            for value in level.survivors(state, None):
-                below = counts.get(prefix + (value,), 0)
-                if rank < below:
-                    break
-                rank -= below
-            for i in level.participants:
-                state[i] = state[i][value]
-            nodes, prefix = state, prefix + (value,)
-        values = last.survivors(list(nodes), None)
-        return prefix + (next(islice(values, rank, None)),)
-
     def sample(self, k: int, rng: random.Random) -> list[Row]:
         """``min(k, |J|)`` distinct uniform rows (the query's attribute
-        order), in draw order."""
+        order), in draw order: the rows :func:`~repro.core.descent.
+        iter_rows` yields over the binding at the drawn ranks."""
         if k <= 0:
             return []
         if self._counts is None:
             self._counts = self._count()
         total = self._counts.get((), 0)
         ranks = rng.sample(range(total), min(k, total))
-        perm = self._binding.output_perm
-        return [
-            tuple(row[i] for i in perm)
-            for row in map(self._unrank, ranks)
-        ]
+        return unrank(self._binding, self._counts, ranks)
 
 
 def sample_query(
@@ -135,9 +114,11 @@ def sample_query(
     database: Database | None = None,
     filters: Mapping[str, Callable[[Value], bool]] | None = None,
 ) -> list[Row]:
-    """Draw ``min(k, |J|)`` uniform join rows (query attribute order),
-    deterministic for a fixed ``seed``: the draw ``Q(query).sample(k,
-    seed)`` makes, over the order and indexes the planner picks."""
+    """Draw ``min(k, |J|)`` uniform join rows (query attribute order):
+    the draw ``Q(query).sample(k, seed)`` makes, over the order and
+    indexes the planner picks — a fixed ``seed`` repeats it within a
+    process, and across processes where the values hash alike (ints, or
+    strings under one fixed ``PYTHONHASHSEED``)."""
     # Lazy: the engine imports this package at module load.
     from repro.engine.planner import plan_join
 

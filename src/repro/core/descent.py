@@ -1,4 +1,4 @@
-"""The descent kernel: one binding, one loop nest, three sinks, one level.
+"""The descent kernel: one binding, one loop nest, four sinks, one level.
 
 Generic Join is one recursion over a global attribute order — at each
 level, intersect the candidate values of the relations containing the
@@ -13,17 +13,24 @@ module holds the pieces every such search shares:
   that validates the order and consults the catalog's index cache
   (:func:`narrow` derives a shard's binding from it: one more value
   filter per key link, nothing rebuilt);
-* :func:`iter_rows`, :func:`iter_texts` and :func:`fold` are the one
-  descent over a binding, as the loop nest the paper prints — one
-  ``for`` per attribute — *generated* per **shape**: all the loop's
-  text depends on (per level its participants and ``how`` it is read,
-  the number of relations, the stop depth, the sink, whether a probe
-  counts) and nothing its data does.  A shape compiles once per process
-  (:func:`_compile`); levels, predicates, the probe, the root nodes, a
-  fold's state and the text sink's memos are the nest's arguments;
+* :func:`iter_rows`, :func:`iter_texts`, :func:`fold` and
+  :func:`unrank` are the one descent over a binding, as the loop nest
+  the paper prints — one ``for`` per attribute — *generated* per
+  **shape**: all the loop's text depends on (per level its
+  participants and ``how`` it is read, the number of relations, the
+  stop depth, the sink, whether a probe counts) and nothing its data
+  does.  A shape compiles once per process (:func:`_compile`): a shape
+  pass (:func:`_shape`) makes one record per level, one writer
+  (:class:`_Rows`) writes the lines every sink shares and owns the
+  chain cut, and each other sink (:class:`_Texts`, :class:`_Folds`,
+  :class:`_Unranks`) writes only its own leaf and frontier.  Levels,
+  predicates, the probe, the root nodes, a fold's state, the text
+  sink's memos and the sampler's counts are the nest's arguments;
 * :class:`HashLevel` reads one level in Õ(its smallest participant),
   the one primitive the AGM bound needs ("Skew Strikes Back"): over one
-  or two hash-trie nodes the nest reads it in line, with no call.
+  or two hash-trie nodes the nest reads it in line, with no call, and
+  the level has no ``survivors``; any other level is ``opened``, and
+  the nest calls its ``survivors``.
 
 Leapfrog Triejoin enumerates by its own recursion over cursors
 (:mod:`repro.core.leapfrog`); its folds are this nest over its layouts.
@@ -53,12 +60,19 @@ values — under ``if vals2:``, or at the first value a probe keeps, ``if
 pre is None:`` — and yields ``pre + tail[v2]``: its memos hold each
 value's text with its brackets and commas (the server's are JSON), so
 it holds no string.
+An unrank nest walks the rows nest's loops with ``skip``, the rows
+before the next drawn rank: above the leaf it reads each child's count,
+``acc = counts.get((v0, v1, ), 0)``, and passes a child ``skip`` reaches
+(``if skip >= acc: skip -= acc; continue``); at the leaf ``if skip:
+skip -= 1; continue``, else it yields the row and takes the next gap,
+``skip = next(skips)`` — one walk for every draw, in the rows' order.
 
 CPython compiles 20 nested blocks at most: a deeper nest is cut into
 ``def``s chained by ``yield from`` (a fold's by ``acc +=`` or ``state
-=``).  The text holds only names the compiler invents and integers,
-never a caller's string; :mod:`linecache` knows it as ``<repro descent
-N>``, so a raising predicate shows the loop line that called it.  The
+=``, an unrank's by ``skip = yield from``).  The text holds only names
+the compiler invents and integers, never a caller's string;
+:mod:`linecache` knows it as ``<repro descent N>``, so a raising
+predicate shows the loop line that called it.  The
 consumers are ``GenericJoin``, ``fold_executor``, ``JoinSampler`` and
 the server's row texts (``PreparedQuery._texts``); nothing here imports
 ``repro.engine`` or ``repro.aggregate``: both reach back into here.
@@ -69,9 +83,9 @@ from __future__ import annotations
 import itertools
 import linecache
 import weakref
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from repro.core.filters import per_position_filters
@@ -236,9 +250,8 @@ def fold(binding: Binding, stop: int, needed: Sequence[int], add, state):
     — ``multiplicity`` of them.  The nest searches ``stop`` levels, no
     shallower than ``needed``; each level below must be one unfiltered
     relation's (the caller checks), so their (ST2) counts multiply."""
-    indexes, remaining = binding.indexes, {}
-    for (i,) in binding.participants[stop:]:
-        remaining[i] = remaining.get(i, 0) + 1
+    indexes = binding.indexes
+    remaining = Counter([i for (i,) in binding.participants[stop:]])
     # A tail node may be a root, and an empty trie's root has no counts
     # to read — but a join with an empty relation is empty anyway.
     if not all([len(indexes[i]) for i in remaining]):
@@ -251,6 +264,25 @@ def fold(binding: Binding, stop: int, needed: Sequence[int], add, state):
     memos = _memo_keys(kinds, tail, 1 + max(needed, default=-1), stop)
     return nest(levels, None, *binding.roots(), indexes, add, state,
                 *[{} for _memo in memos])
+
+
+class Unrank(NamedTuple):
+    """The unrank sink's shape: the rows' perm."""
+
+    perm: tuple[int, ...]
+
+
+def unrank(binding: Binding, counts: Mapping, ranks: Sequence[int]) -> list[tuple]:
+    """The *unrank* sink: the rows :func:`iter_rows` yields at the
+    distinct ``ranks``, in their order, from one walk in rank order.
+    ``counts`` holds the rows below each prefix of the levels above the
+    last: ``skip``, the rows before the next rank, passes a child whose
+    count it reaches without searching it."""
+    ordered = sorted(ranks)
+    skips = iter([b - a - 1 for a, b in zip([-1, *ordered], ordered)])
+    rows = dict(zip(ordered, _nest(  # zip ends before resuming it past the last
+        Unrank(binding.output_perm), binding, None, counts, skips, next(skips, 0))))
+    return [rows[rank] for rank in ranks]
 
 
 def _nest(sink, binding: Binding, probe, *extra):
@@ -288,159 +320,277 @@ def _memo_keys(kinds: tuple, tail: tuple, cutoff: int, stop: int) -> tuple:
     return tuple(reversed(memos))
 
 
-@lru_cache(maxsize=_NESTS_MAX)
+@lru_cache(maxsize=_NESTS_MAX, typed=True)  # ``Text(p) == Unrank(p)``
 def _compile(sink, width: int, probed: bool, kinds: tuple):
-    """The nest of a shape: ``sink`` is the rows' perm, a :class:`Text`
-    or a :class:`Fold`, ``kinds`` a ``(participants, how)`` per level it
-    searches.  A fold's ``def`` returns ``state``, or the ``acc`` it
-    summed if it starts below the cutoff (its deepest read, plus one),
-    and takes a memo per :func:`_memo_keys` depth after ``state``."""
-    stop = len(kinds)
-    folding = isinstance(sink, Fold)
-    texting = isinstance(sink, Text)
-    extra = "head, mid, tail, " if texting else ""
-    below, counted, memos = set(), False, {}
-    if folding:
-        cutoff = 1 + max(sink.needed, default=-1)
-        adds = f"state = add(state, ({''.join(f'v{p}, ' for p in sink.needed)}), "
-        memos = dict(_memo_keys(kinds, sink.tail, cutoff, stop))
-        extra = "indexes, add, state, " + "".join(f"memo{d}, " for d in memos)
-        below = {i for i, _levels, _mapping in sink.tail}  # read at stop
-        counted = not sink.tail and cutoff < stop  # the last level unlooped
-    cur = [f"n{i}_0" for i in range(width)]  # each relation's node local
-    chunks: list[list[str]] = []  # one ``def`` each
-    closers: list[str] = []  # the memo / ``add`` clauses to write
-    for d in range(stop + 1):
-        ids, how = kinds[d] if d < stop else ((), None)
-        final = d == stop - 1
-        loops = d < stop and not (final and counted)
-        guard = texting and final and stop > 1  # ``if vals<d>:``
-        prefix = "".join(f"v{k}, " for k in range(d))
-        if not chunks or blocks + loops + guard > _MAX_BLOCKS:
-            names = prefix + "".join(f"{name}, " for name in cur) + extra
-            call = f"nest{len(chunks)}(levels, probe, {names})"
-            if chunks:  # the cut: chain to a new def, close what is open
-                chain = ("yield from " if not folding
-                         else "state = " if d <= cutoff else "acc += ")
-                out += [f"{pad}{chain}{call}", *reversed(closers), *returns]
-                closers.clear()
-            chunks.append(out := [f"def {call}:"])
-            pad, blocks, returns = " ", 0, []
-            if folding:
-                returns = [f" return {'state' if d <= cutoff else 'acc'}"]
-                if d > cutoff:
-                    out.append(" acc = 0")
-            if probed:
-                out.append(" partials, candidates, matches = "
-                           "probe.partials, probe.candidates, probe.matches")
-        if folding and d == cutoff < stop:
-            out.append(f"{pad}acc = 0")
-            closers.append(f"{pad}if acc:\n{pad} {adds}acc)")
-        if d in memos:  # the subtree's count is its key's: look it up
-            key = "".join(f"v{k}, " for k in memos[d])
-            key = key[:-2] if len(memos[d]) == 1 else f"({key})"  # v1, (v1, v3, )
-            out += [f"{pad}outer{d} = acc", f"{pad}acc = memo{d}.get({key})",
-                    f"{pad}if acc is None:", f"{pad} acc = 0"]
-            closers.append(f"{pad} memo{d}[{key}] = acc\n{pad}acc += outer{d}")
-            pad += " "
-        if d == stop and not folding:  # the nullary row
-            out.append(f"{pad}yield ()")
-            break
-        if d == stop:  # the frontier: the tail's counts multiply
-            terms = []
-            for i, levels, mapping in sink.tail:
-                if not mapping:
-                    out.insert(1, f" tally{i} = indexes[{i}].count")
-                    terms.append(f"tally{i}({cur[i]}, {levels})")
-                else:
-                    terms.append(f"len({cur[i]})" if levels == 1
-                                 else f"{cur[i]}.counts[{levels}]")
-            product = " * ".join(terms) or "1"
-            out.append(f"{pad}{adds}{product})" if d == cutoff
-                       else f"{pad}acc += {product}")
-            break
-        deeper = {i for later, _how in kinds[d + 1:] for i in later} | below
-        moved = [i for i in ids if i in deeper]
-        if probed:
-            out.append(f"{pad}partials[{d}] += 1")
-        probing = how != "opened" and len(ids) == 2 and loops
-        if how != "opened":
-            nodes = [cur[i] for i in ids]
-            if probed:
-                sizes = ", ".join(f"len({node})" for node in nodes)
-                least = f"min({sizes})" if len(ids) > 1 else sizes
-                out.append(f"{pad}candidates[{d}] += {least}")
-            if how == "filtered":
-                out.insert(1, f" keep{d} = levels[{d}].keep")
-            if probing:  # loop the smaller node (the first on a tie)
-                x, y = nodes
-                out.append(f"{pad}vals{d}, big{d} = ({x}, {y}) "
-                           f"if len({x}) <= len({y}) else ({y}, {x})")
-                values = f"filter(big{d}.__contains__, vals{d})"
-            else:  # one node is the batch; a counted pair, one C-level meet
-                values = (nodes[0] if len(ids) == 1
-                          else f"{nodes[1]}.keys() & {nodes[0]}.keys()")
-            if how == "filtered":  # ``keep`` sees what the probe kept
-                values = f"filter(keep{d}, {values})"
-                if not loops or guard and not probing:  # tested, then looped
-                    values = f"list({values})"
-            if how == "filtered" or not probing:
-                out.append(f"{pad}vals{d} = {values}")
-        else:
-            out.insert(1, f" op{d} = levels[{d}].survivors")
-            state = [cur[i] if i in ids else "None" for i in range(width)]
-            out.append(f"{pad}st = [{', '.join(state)}]")
-            out.append(f"{pad}vals{d} = op{d}(st, {'candidates' if probed else None})")
-            for i in moved:  # array nodes were opened in place: read back
-                cur[i] = f"o{i}_{d}"
-                out.append(f"{pad}{cur[i]} = st[{i}]")
-        if not loops:  # an empty batch adds nothing: skip its ``len``
-            out.append(f"{pad}if vals{d}:\n{pad} acc += len(vals{d})")
-            break
-        join = []
-        if guard:  # the columns bound above the leaf, joined once
-            texts = [f"{'tail' if p == stop - 1 else 'mid' if p else 'head'}"
-                     f"[v{k}]" for p, k in enumerate(sink.perm)]
-            at = sink.perm.index(d)
-            row = texts[at]
-            if at:
-                join.append(f"pre = {' + '.join(texts[:at])}")
-                row = f"pre + {row}"
-            if at < stop - 1:
-                join.append(f"post = {' + '.join(texts[at + 1:])}")
-                row += " + post"
-            if probing:  # ... at the first value the probe keeps
-                unjoined = "pre" if at else "post"
-                out.append(f"{pad}{unjoined} = None")
-                join = [f"if {unjoined} is None:", *[f" {j}" for j in join]]
-            else:
-                out.append(f"{pad}if vals{d}:")
-                out += [f"{pad} {j}" for j in join]
-                pad, blocks, join = pad + " ", blocks + 1, []
-        out.append(f"{pad}for v{d} in vals{d}:")
-        pad, blocks = pad + " ", blocks + 1
-        if probing and how == "meet":
-            out.append(f"{pad}if v{d} not in big{d}: continue")
-        if probed:
-            out.append(f"{pad}matches[{d}] += 1")
-        if final and texting:
-            out += [f"{pad}{j}" for j in join]
-            out.append(f"{pad}yield {row if guard else 'tail[v0]'}")
-            break
-        if final and not folding:
-            out.append(f"{pad}yield ({''.join(f'v{p}, ' for p in sink)})")
-            break
-        for i in moved:
-            out.append(f"{pad}n{i}_{d + 1} = {cur[i]}[v{d}]")
-            cur[i] = f"n{i}_{d + 1}"
-    out += [*reversed(closers), *returns]
-    source = "".join(f"{line}\n" for out in chunks for line in out)
+    """The nest of a shape: ``sink`` is the rows' perm, a :class:`Text`,
+    a :class:`Fold` or an :class:`Unrank`, ``kinds`` a ``(participants,
+    how)`` per level it searches.  A fold's ``def`` returns ``state``,
+    or the ``acc`` it summed if it starts below the cutoff (its deepest
+    read, plus one), and takes a memo per :func:`_memo_keys` depth after
+    ``state``; an unrank's returns the ``skip`` it has left."""
+    source = _WRITERS.get(type(sink), _Rows)(sink, width, probed, kinds).text()
     filename = f"<repro descent {next(_SERIAL)}>"
     linecache.cache[filename] = len(source), None, source.splitlines(True), filename
     exec(compile(source, filename, "exec"), namespace := {})
     nest = namespace["nest0"]  # evicted, it takes its source with it
     weakref.finalize(nest, linecache.cache.pop, filename, None)
     return nest
+
+
+def _vs(depths, name: str = "v") -> str:
+    """The values bound at ``depths`` as a tuple's items, ``v0, v2, ``
+    (or another ``name``'s)."""
+    return "".join(f"{name}{k}, " for k in depths)
+
+
+#: One level of a shape, as every sink's text reads it: its depth, its
+#: participants (``ids``) and ``how`` it is read (None: the frontier,
+#: below the last); the participants whose child is read deeper
+#: (``moved``); whether it ``loops`` (not a fold's counted last level,
+#: one C-level meet); whether it is ``probing`` (two hash nodes: loop
+#: the smaller, probe the other in line); a text leaf's ``guard`` (its
+#: columns joined once per leaf set); a fold's ``memo`` key or None.
+_Level = namedtuple("_Level", "depth ids how moved loops probing guard memo")
+
+
+def _shape(kinds: tuple, sink: _Rows) -> list[_Level]:
+    """The shape pass: a :class:`_Level` per searched level and the
+    frontier's, from what ``sink`` reads below, counts, guards and
+    memoises."""
+    stop, shape = len(kinds), []
+    for d, (ids, how) in enumerate(kinds):
+        loops = d < stop - 1 or not sink.counted
+        deeper = {i for later, _how in kinds[d + 1:] for i in later}
+        moved = tuple([i for i in ids if i in deeper or i in sink.below])
+        shape.append(_Level(
+            d, ids, how, moved, loops, how != "opened" and len(ids) == 2
+            and loops, sink.guards and d == stop - 1 > 0, sink.memos.get(d)))
+    return [*shape, _Level(stop, (), None, (), False, False, False, None)]
+
+
+class _Rows:
+    """The writer every sink's nest is — its ``def``s, the lines all
+    sinks share (the probe's counters, a level's values, its loop, the
+    node steps) and the chain cut — and the rows sink, whose leaf is
+    ``yield (v..)``.  Another sink overrides only its own text: what a
+    ``def`` takes, opens with and returns, and its leaf and frontier."""
+
+    params, below, counted, guards, memos = "", frozenset(), False, False, {}
+
+    def __init__(self, sink, width: int, probed: bool, kinds: tuple) -> None:
+        self.sink, self.probed, self.stop = sink, probed, len(kinds)
+        self.cur = [f"n{i}_0" for i in range(width)]  # each relation's node
+        self.counters = [" partials, candidates, matches = probe.partials, "
+                         "probe.candidates, probe.matches"] * probed
+        # The ``def``s; the memo / ``add`` clauses and the ``return`` to close.
+        self.chunks, self.closers, self.shape = [], [], _shape(kinds, self)
+
+    def text(self) -> str:
+        """Each level's lines, down to the leaf or the frontier."""
+        for level in self.shape:
+            self.start(level)
+            if self.level(level):
+                break
+        self.out += reversed(self.closers)
+        return "".join(f"{line}\n" for out in self.chunks for line in out)
+
+    def line(self, text: str) -> None:
+        self.out.append(f"{self.pad}{text}")
+
+    def start(self, level: _Level) -> None:
+        """Where a level's lines start: open the first ``def`` or — where
+        its blocks would pass CPython's limit — chain to a new one and
+        close what is open."""
+        if self.chunks and self.blocks + level.loops + level.guard <= _MAX_BLOCKS:
+            return
+        names = _vs(range(level.depth)) + "".join(f"{node}, " for node in self.cur)
+        call = f"nest{len(self.chunks)}(levels, probe, {names}{self.params})"
+        chain, opening, closing = self.begin(level.depth)
+        if self.chunks:
+            self.line(f"{chain}{call}")
+            self.out += reversed(self.closers)
+        self.chunks.append(out := [f"def {call}:", *opening, *self.counters])
+        self.out, self.pad, self.blocks, self.closers = out, " ", 0, closing
+
+    def level(self, level: _Level) -> bool:
+        """One level's lines; True where the nest ends."""
+        d, cur = level.depth, self.cur
+        if level.how is None:
+            self.frontier()
+            return True
+        if self.probed:
+            self.line(f"partials[{d}] += 1")
+        if level.how == "opened":
+            self.out.insert(1, f" op{d} = levels[{d}].survivors")
+            state = [cur[i] if i in level.ids else "None" for i in range(len(cur))]
+            self.line(f"st = [{', '.join(state)}]")
+            self.line(f"vals{d} = op{d}(st, {'candidates' if self.probed else None})")
+            for i in level.moved:  # array nodes were opened in place: read back
+                cur[i] = f"o{i}_{d}"
+                self.line(f"{cur[i]} = st[{i}]")
+        else:  # one or two hash nodes, read in line
+            self.meet(level)
+        if level.guard or not level.loops:  # the batch itself is read
+            self.batch(level)
+        if not level.loops:
+            return True
+        self.line(f"for v{d} in vals{d}:")
+        self.pad, self.blocks = self.pad + " ", self.blocks + 1
+        if level.probing and level.how == "meet":
+            self.line(f"if v{d} not in big{d}: continue")
+        if self.probed:
+            self.line(f"matches[{d}] += 1")
+        if d == self.stop - 1 and self.leaf:  # a fold has none
+            self.leaf(level)
+            return True
+        self.child(level)
+        for i in level.moved:
+            self.line(f"n{i}_{d + 1} = {cur[i]}[v{d}]")
+            cur[i] = f"n{i}_{d + 1}"
+        return False
+
+    def meet(self, level: _Level) -> None:
+        """A level over one or two hash nodes, read in line."""
+        d, nodes = level.depth, [self.cur[i] for i in level.ids]
+        if self.probed:
+            sizes = ", ".join(f"len({node})" for node in nodes)
+            self.line(f"candidates[{d}] += {f'min({sizes})' if nodes[1:] else sizes}")
+        if level.probing:  # loop the smaller node (the first on a tie)
+            x, y = nodes
+            self.line(f"vals{d}, big{d} = ({x}, {y}) "
+                      f"if len({x}) <= len({y}) else ({y}, {x})")
+            values = f"filter(big{d}.__contains__, vals{d})"
+        else:  # one node is the batch; a counted pair, one C-level meet
+            values = (nodes[0] if len(nodes) == 1
+                      else f"{nodes[1]}.keys() & {nodes[0]}.keys()")
+        if level.how == "filtered":  # ``keep`` sees what the probe kept
+            self.out.insert(1, f" keep{d} = levels[{d}].keep")
+            values = f"filter(keep{d}, {values})"
+            if not level.loops or level.guard and not level.probing:
+                values = f"list({values})"  # tested, then looped
+        if level.how == "filtered" or not level.probing:
+            self.line(f"vals{d} = {values}")
+
+    # What a sink writes itself; by default, the rows sink's text.
+
+    def begin(self, d: int) -> tuple:
+        """``(how a cut chains to a def at d, its opening, its closing)``."""
+        return "yield from ", [], []
+
+    def batch(self, level: _Level) -> None:
+        """After the values of a level whose batch is tested (a text's
+        guard) or counted (a fold's last level)."""
+
+    def child(self, level: _Level) -> None:
+        """First in the loop of a level above the leaf."""
+
+    def leaf(self, level: _Level) -> None:
+        """In the last level's loop: the row."""
+        self.line(f"yield ({_vs(self.sink)})")
+
+    def frontier(self) -> None:
+        """Below the last level, where a nest has no leaf."""
+        self.line("yield ()")  # the nullary row
+
+
+class _Texts(_Rows):
+    """The text sink: its leaf yields ``pre + tail[v<d>]``, the columns
+    bound above it joined once per leaf set with values."""
+
+    params, guards, join = "head, mid, tail, ", True, ()
+
+    def batch(self, level: _Level) -> None:
+        perm, last, d = self.sink.perm, self.stop - 1, level.depth
+        texts = [f"{'tail' if p == last else 'mid' if p else 'head'}[v{k}]"
+                 for p, k in enumerate(perm)]
+        at = perm.index(d)  # the leaf's column: the others are joined once
+        join = [f"pre = {' + '.join(texts[:at])}"] * (at > 0) + [
+            f"post = {' + '.join(texts[at + 1:])}"] * (at < last)
+        self.row = " + ".join(["pre"] * (at > 0) + [texts[at]] + ["post"] * (at < last))
+        if level.probing:  # ... at the first value the probe keeps
+            unjoined = "pre" if at else "post"
+            self.line(f"{unjoined} = None")
+            self.join = [f"if {unjoined} is None:", *[f" {j}" for j in join]]
+        else:
+            self.out += [f"{self.pad}if vals{d}:", *[f"{self.pad} {j}" for j in join]]
+            self.pad, self.blocks = self.pad + " ", self.blocks + 1
+
+    def leaf(self, level: _Level) -> None:
+        self.out += [f"{self.pad}{j}" for j in self.join]
+        self.line(f"yield {self.row if level.guard else 'tail[v0]'}")
+
+
+class _Folds(_Rows):
+    """The fold sink: ``acc`` sums below the cutoff and ``add``s there;
+    a memo wraps a level; the last level is counted, or the frontier
+    multiplies the tail's counts."""
+
+    leaf = None  # the last level's loop reaches the frontier
+
+    def __init__(self, sink: Fold, width: int, probed: bool, kinds: tuple) -> None:
+        self.cutoff = cutoff = 1 + max(sink.needed, default=-1)
+        self.memos = dict(_memo_keys(kinds, sink.tail, cutoff, len(kinds)))
+        self.params = "indexes, add, state, " + _vs(self.memos, "memo")
+        self.below = {i for i, _levels, _mapping in sink.tail}
+        self.counted = not sink.tail and cutoff < len(kinds)
+        self.adds = f"state = add(state, ({_vs(sink.needed)}), "
+        super().__init__(sink, width, probed, kinds)
+
+    def begin(self, d: int) -> tuple:
+        if d <= self.cutoff:
+            return "state = ", [], [" return state"]
+        return "acc += ", [" acc = 0"], [" return acc"]
+
+    def start(self, level: _Level) -> None:
+        super().start(level)  # then the cutoff's ``acc``, a memo's lookup
+        d, memo, pad = level.depth, level.memo, self.pad
+        if d == self.cutoff < self.stop:
+            self.line("acc = 0")
+            self.closers.append(f"{pad}if acc:\n{pad} {self.adds}acc)")
+        if memo is not None:  # the subtree's count is its key's: look it up
+            key = f"v{memo[0]}" if len(memo) == 1 else f"({_vs(memo)})"
+            self.out += [f"{pad}outer{d} = acc", f"{pad}acc = memo{d}.get({key})",
+                         f"{pad}if acc is None:", f"{pad} acc = 0"]
+            self.closers.append(f"{pad} memo{d}[{key}] = acc\n{pad}acc += outer{d}")
+            self.pad += " "
+
+    def batch(self, level: _Level) -> None:
+        d = level.depth  # an empty batch adds nothing: skip its ``len``
+        self.line(f"if vals{d}:\n{self.pad} acc += len(vals{d})")
+
+    def frontier(self) -> None:
+        terms = []  # the tail's counts multiply
+        for i, levels, mapping in self.sink.tail:
+            node = self.cur[i]
+            count = f"len({node})" if levels == 1 else f"{node}.counts[{levels}]"
+            if not mapping:
+                self.out.insert(1, f" tally{i} = indexes[{i}].count")
+                count = f"tally{i}({node}, {levels})"
+            terms.append(count)
+        product = " * ".join(terms) or "1"
+        last = self.stop == self.cutoff
+        self.line(f"{self.adds}{product})" if last else f"acc += {product}")
+
+
+class _Unranks(_Rows):
+    """The unrank sink: a child whose count ``skip`` reaches is passed
+    whole, and a leaf value yields its row once ``skip`` is spent."""
+
+    params = "counts, skips, skip, "
+
+    def begin(self, d: int) -> tuple:
+        return "skip = yield from ", [], [" return skip"]
+
+    def child(self, level: _Level) -> None:
+        self.line(f"acc = counts.get(({_vs(range(level.depth + 1))}), 0)")
+        self.line("if skip >= acc: skip -= acc; continue")
+
+    def leaf(self, level: _Level) -> None:
+        self.line(f"if skip: skip -= 1; continue\n{self.pad}yield "
+                  f"({_vs(self.sink.perm)})\n{self.pad}skip = next(skips)")
+
+
+_WRITERS = {Text: _Texts, Fold: _Folds, Unrank: _Unranks}
 
 
 class HashLevel:
@@ -451,12 +601,11 @@ class HashLevel:
     One or two :class:`~collections.abc.Mapping` nodes (the hash trie's
     ``value -> child`` dicts): ``"meet"``, read in line by the nest — a
     loop over the smaller probing the other — or ``"filtered"``, the
-    same under ``keep``.  Otherwise
+    same under ``keep``; such a level has no ``survivors``.  Otherwise
     ``"opened"``: ``survivors`` on a state list indexed by relation
     position reads an array range through its index's ``fanout_hint`` /
     ``children`` and *opens it in place* — replaces it by the dict of
-    what the seeks found — so ``node[value]`` steps down every backend.
-    Over a ``meet``, ``survivors`` (the sampler's) is ``_only`` / ``_pair``."""
+    what the seeks found — so ``node[value]`` steps down every backend."""
 
     __slots__ = ("participants", "how", "keep", "survivors")
 
@@ -464,71 +613,42 @@ class HashLevel:
         self, indexes: Sequence, participants: Sequence[int],
         keep: Filter | None, depth: int,
     ) -> None:
-        self.participants = participants
-        self.keep = keep
+        self.participants, self.keep = participants, keep
         mappings = [isinstance(indexes[i].root, Mapping) for i in participants]
         if all(mappings) and len(participants) <= 2:
-            meet = _pair if len(participants) == 2 else _only
             self.how = "meet" if keep is None else "filtered"
-            nodes_of = itemgetter(*participants)  # C-level for a pair
-            if meet is _only:  # ... where it would hand back a bare node
-                nodes_of = lambda state, i=participants[0]: (state[i],)
+            return
+        self.how = "opened"
+        # (position, exact O(1) fanout, batch opener — None: a mapping).
+        operands = [(i, len, None) if mapping
+                    else (i, indexes[i].fanout_hint, indexes[i].children)
+                    for i, mapping in zip(participants, mappings)]
 
-            def survivors(state, candidates):
-                nodes = nodes_of(state)
-                if candidates is not None:
-                    candidates[depth] += min(map(len, nodes))
-                return meet(*nodes)
-        else:
-            self.how = "opened"
-            # (position, exact O(1) fanout, batch opener — None: a mapping).
-            survivors = _smallest_first(depth, [
-                (i, len, None) if mapping
-                else (i, indexes[i].fanout_hint, indexes[i].children)
-                for i, mapping in zip(participants, mappings)
-            ])
-        if keep is not None:
-            def survivors(state, candidates, unfiltered=survivors):
-                return list(filter(keep, unfiltered(state, candidates)))
+        def survivors(state, candidates):
+            # The smallest node's values (exact fanout, first wins a tie)
+            # are the candidates; each other participant narrows them with
+            # its children's key view, probed by value, never enumerated;
+            # array nodes are opened in ``state``; ``keep`` sees the rest.
+            smallest = None
+            for i, hint, opener in operands:
+                size = hint(state[i])
+                if smallest is None or size < least:
+                    smallest, least, first = i, size, opener
+            if candidates is not None:
+                candidates[depth] += least
+            values = state[smallest]
+            if first is not None:
+                values = state[smallest] = first(values)
+            for i, _hint, opener in operands:
+                if not values:
+                    break
+                if i != smallest:
+                    kids = state[i]
+                    if opener is not None:
+                        kids = state[i] = opener(kids, values)
+                    values = kids.keys() & values
+            return values if keep is None else list(filter(keep, values))
         self.survivors = survivors
-
-
-def _only(a):
-    """One mapping participant: the node is the batch."""
-    return a
-
-
-def _pair(a, b):
-    """Two mapping participants: one key-view ``&`` — Õ(min), exactly."""
-    return b.keys() & a.keys()  # iterates the smaller; on a tie, a
-
-
-def _smallest_first(depth: int, operands: list):
-    """Any other level: the smallest node's values (exact fanout, first
-    wins a tie) are the candidates; each other participant narrows them
-    with its children's key view, probed by value, never enumerated;
-    array nodes are opened in ``state``."""
-    def survivors(state, candidates):
-        smallest = None
-        for i, hint, opener in operands:
-            size = hint(state[i])
-            if smallest is None or size < least:
-                smallest, least, first = i, size, opener
-        if candidates is not None:
-            candidates[depth] += least
-        values = state[smallest]
-        if first is not None:
-            values = state[smallest] = first(values)
-        for i, _hint, opener in operands:
-            if not values:
-                break
-            if i != smallest:
-                kids = state[i]
-                if opener is not None:
-                    kids = state[i] = opener(kids, values)
-                values = kids.keys() & values
-        return values
-    return survivors
 
 
 def hash_levels(binding: Binding) -> list[HashLevel]:

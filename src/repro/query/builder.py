@@ -581,9 +581,13 @@ class QueryBuilder:
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
         """``min(k, count)`` distinct uniform result rows, never
         materializing the result: one memoised count of the plan's
-        search tree, then each drawn rank unranked root to leaf
+        search tree, then the drawn ranks unranked in one walk of it
         (:mod:`repro.aggregate.sampling`), uniform over the filtered
-        join.  Deterministic for a fixed ``seed``.
+        join.  A rank names a row by the search's order, which follows
+        the indexes' hash order: a fixed ``seed`` repeats the draw
+        within one process, and across processes where every value
+        hashes alike in each — ints, or any value under one fixed
+        ``PYTHONHASHSEED`` (strings hash differently per process).
 
         With a projection (``select``), uniformity is over the distinct
         projected rows, drawn by seeded reservoir sampling over the

@@ -388,7 +388,8 @@ class PreparedQuery:
 
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
         """``min(k, count)`` distinct uniform result rows, an exact draw
-        (see :meth:`QueryBuilder.sample`) over the frozen plan: a
+        (see :meth:`QueryBuilder.sample`, also for what a fixed ``seed``
+        repeats) over the frozen plan: a
         descent plan's sampler walks the executor's own binding — the
         plan's order, indexes and filters — so it builds nothing.  A
         pinned ``lw`` / ``nprr`` / ``arity2`` plan has no binding; its

@@ -101,8 +101,9 @@ class ResultStream:
         return self._builder.count()
 
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
-        """``min(k, count)`` distinct uniform rows: one count, then each
-        drawn rank unranked; deterministic for a fixed ``seed``."""
+        """``min(k, count)`` distinct uniform rows: one count, then the
+        drawn ranks unranked; a fixed ``seed`` repeats the draw as
+        :meth:`QueryBuilder.sample` says."""
         return self._builder.sample(k, seed)
 
     # -- inspection ---------------------------------------------------------

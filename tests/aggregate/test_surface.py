@@ -10,7 +10,11 @@ broke, not three layers up.
 from __future__ import annotations
 
 import csv
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -224,6 +228,23 @@ def test_cli_join_sample_deterministic(csv_files, capsys):
         tuple(int(v) for v in line.split(",")) for line in lines[1:]
     }
     assert len(parsed) == 3 and parsed <= rows
+
+
+def test_cli_sample_on_ints_is_one_draw_under_any_hash_seed(csv_files):
+    # The draw follows the search's order, which follows the indexes'
+    # hash order: ints hash alike in every process, strings do not.
+    paths, _relations = csv_files
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    draws = set()
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hashseed)
+        draws.add(subprocess.run(
+            [sys.executable, "-m", "repro", "join", *paths,
+             "--sample", "3", "--seed", "7"],
+            capture_output=True, env=env, check=True, text=True,
+        ).stdout)
+    (draw,) = draws
+    assert len(draw.splitlines()) == 4
 
 
 def test_cli_count_and_sample_flags_conflict(csv_files, capsys):

@@ -438,6 +438,64 @@ def test_every_pairwise_plan_is_quadratic_on_example_2_2(n):
 # ---------------------------------------------------------------------------
 
 
+def assert_draws_are_ranked_rows(binding, k, seed):
+    """``JoinSampler.over(binding)`` draws exactly the rows the rows nest
+    yields at the ranks ``Random(seed)`` draws: the unrank sink walks
+    the same nest, in the same order."""
+    rows = list(iter_rows(binding))
+    ranks = random.Random(seed).sample(range(len(rows)), min(k, len(rows)))
+    drawn = JoinSampler.over(binding).sample(k, random.Random(seed))
+    assert drawn == [rows[rank] for rank in ranks]
+
+
+#: The shapes a draw is checked on: cyclic, cyclic without a triangle,
+#: acyclic.
+RANKED_SHAPES = {
+    "triangle": queries.triangle(),
+    "4-cycle": queries.cycle_query(4),
+    "chain": queries.path_query(4),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("filtered", [False, True], ids=["all", "where_in"])
+@pytest.mark.parametrize("shape", RANKED_SHAPES)
+@pytest.mark.parametrize(
+    "cls, backend",
+    [
+        pytest.param(GenericJoin, "trie", id="generic-trie"),
+        pytest.param(GenericJoin, "compact", id="generic-compact"),
+        pytest.param(LeapfrogTriejoin, "sorted", id="leapfrog-sorted"),
+    ],
+)
+def test_a_sample_is_the_nests_rows_at_the_drawn_ranks(
+    cls, backend, shape, filtered, seed
+):
+    rng = random.Random(seed)
+    hypergraph = RANKED_SHAPES[shape]
+    relations = {
+        eid: Relation(
+            eid,
+            attributes := tuple(a for a in hypergraph.vertices if a in members),
+            _rows(rng, len(attributes), 40, 5),
+        )
+        for eid, members in hypergraph.edges.items()
+    }
+    query = JoinQuery.from_hypergraph(hypergraph, relations)
+    order = tuple(rng.sample(query.attributes, len(query.attributes)))
+    kept = frozenset({0, 2, 3}).__contains__
+    executor = cls(
+        query,
+        attribute_order=order,
+        backend=backend,
+        filters={order[1]: kept} if filtered else None,
+    )
+    binding = executor._binding
+    assert sorted(iter_rows(binding)) == sorted(executor.iter_join())
+    for k in (1, 5, 60, 10_000):
+        assert_draws_are_ranked_rows(binding, k, seed=10 * seed + k)
+
+
 class PerValueLevel:
     """The level loop the batch intersection replaced: iterate the
     smallest node's ``items()``, call ``child`` once per candidate per
@@ -646,6 +704,9 @@ def test_survivors_equal_the_brute_force_intersection(bound, rng):
     for binding, links in ((plain, ()), (keyed, key)):
         levels = hash_levels(binding)
         depth = rng.randrange(len(levels))
+        if levels[depth].how != "opened":  # read in line by the nest alone
+            assert not hasattr(levels[depth], "survivors")
+            continue
         allowed = None
         for attribute, values in [*kept.items(), *links]:
             if attribute == binding.order[depth]:
@@ -764,11 +825,11 @@ def _small_beside_big(names, big, wrap=lambda value: value):
     ids="".join,
 )
 def test_hash_intersection_costs_the_smallest_participant(names):
+    # Two hash nodes are met in line by the nest, three by ``survivors``.
     query = _small_beside_big(names, 50_000, Counted)
     binding = bind(query, None, "trie", None, None)
-    (level,) = hash_levels(binding)
     Counted.calls = 0
-    survivors = level.survivors(binding.roots(), None)
+    survivors = [v for (v,) in iter_rows(binding)]
     calls = Counted.calls
     assert sorted(v.value for v in survivors) == [7, 70, 700]
     # A few hashes and comparisons per value of the *small* side per
@@ -810,16 +871,15 @@ def test_a_two_way_level_costs_its_smaller_node_in_every_sink(names):
 @pytest.mark.parametrize("other", [1.0, True], ids=["float", "bool"])
 def test_a_size_tie_yields_the_first_participants_values(other):
     # ``1 == 1.0 == True``: a two-way level of equal sizes loops over
-    # its first participant, as ``survivors`` does, so the rows carry
-    # the very objects it gives.
+    # its first participant's node, so the rows carry the very objects
+    # that node holds.
     for first, second in ((1, other), (other, 1)):
         query = JoinQuery(
             [Relation(name, ("A",), [(value,)])
              for name, value in (("R", first), ("S", second))]
         )
         binding = bind(query, None, "trie", None, None)
-        (level,) = hash_levels(binding)
-        expected = sorted(level.survivors(binding.roots(), None))
+        expected = list(binding.roots()[0])
         rows = list(iter_rows(binding))
         assert [type(v) for (v,) in rows] == [type(first)]
         assert all(v is w for (v,), w in zip(rows, expected, strict=True))
@@ -892,14 +952,23 @@ def test_a_trie_leaf_intersection_makes_no_call_per_candidate():
             ]
         )
         binding = bind(query, None, "trie", None, None)
-        (level,) = hash_levels(binding)
-        roots = binding.roots()
+        list(iter_rows(binding, TelemetryProbe(binding.order)))  # compiled
         probe = TelemetryProbe(binding.order)
-        calls[small], _ = profiled_calls(
-            lambda: level.survivors(roots, probe.candidates)
-        )
+        rows = []
+        gc.disable()  # no collection's callbacks among the calls counted
+        try:
+            made, resumed = profiled_calls(
+                lambda: rows.extend(iter_rows(binding, probe))
+            )
+        finally:
+            gc.enable()
         assert probe.candidates == [small]
-    assert calls[10] == calls[10_000] <= 8
+        # The nest is resumed once per row and once to finish; beyond
+        # that, making the levels, looking the shape up and starting
+        # the nest.
+        assert resumed == len(rows) + 1 == small // 2 + 1
+        calls[small] = made - resumed
+    assert calls[10] == calls[10_000] <= 16
 
 
 def test_a_trie_search_node_makes_no_python_call():
@@ -1487,6 +1556,7 @@ INVENTED = re.compile(
     r"nest\d+|op\d+|keep\d+|vals\d+|big\d+|v\d+|[no]\d+_\d+|st|levels"
     r"|probe|partials|candidates|matches|keys|__contains__|keep|survivors"
     r"|acc|tally\d+|indexes|add|state|counts|count|memo\d+|outer\d+|get"
+    r"|skips?|next"
     r"|head|mid|tail|pre|post"
     r"|len|min|filter|list|None"
 )
@@ -1536,7 +1606,8 @@ def compiles(monkeypatch):
         return compile_shape(*shape)
 
     assert descent._compile.cache_info().maxsize == descent._NESTS_MAX
-    table = functools.lru_cache(maxsize=descent._NESTS_MAX)(counting)
+    # Typed, as ``_compile``'s: a sink's type is part of its shape.
+    table = functools.lru_cache(maxsize=descent._NESTS_MAX, typed=True)(counting)
     monkeypatch.setattr(descent, "_compile", table)
     return compiled
 
@@ -1605,6 +1676,12 @@ def test_a_nest_deeper_than_the_block_limit_is_cut_not_refused(
     stream.close()
     assert_counter_chain(probe, 3)
     assert sorted(executor.iter_join()) == expected
+    # A draw unranks through a nest cut the same way.
+    assert_draws_are_ranked_rows(executor._binding, 40, seed=edges)
+    (unranks,) = [s for s in compiles if isinstance(s[0], descent.Unrank)]
+    nest = descent._compile(*unranks)  # the table's, compiled once
+    text = "".join(linecache.getlines(nest.__code__.co_filename))
+    assert "skip = yield from nest1(" in text and "def nest1(" in text
     # The nests were cut — the rows nest (Generic Join's: Leapfrog
     # enumerates by recursion) and the fold reading the deepest level —
     # and no ``def`` nests more than twenty blocks.
@@ -1705,14 +1782,8 @@ def test_hostile_names_and_values_never_reach_the_source(
     kind = backend if cls is GenericJoin else None
     sample = JoinSampler(query, backend=kind).sample(1000, random.Random(1))
     assert sorted(sample) == expected  # every rank, unranked
-    binding = executor._binding  # filtered; the per-value walk to depth 2
-    levels = hash_levels(binding)
-    assert len(filtered) == sum(
-        len(levels[2].survivors(nodes, None))
-        for _prefix, nodes in per_value_walk(
-            per_value_levels(binding), binding.roots(), 2
-        )
-    )
+    binding = executor._binding  # filtered: unranked through the nest
+    assert_draws_are_ranked_rows(binding, len(filtered), seed=2)
     assert len(compiles) >= 4
     assert_nests_are_legible(*HOSTILE)
 

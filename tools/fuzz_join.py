@@ -46,7 +46,9 @@ attributes), then checks for each instance that
 * ``sample(k, seed=...)`` returns ``min(k, |J|)`` distinct oracle rows
   and is deterministic for the seed, and a sample one past the result
   size — serially, and through a ``where`` section on a random attribute
-  — is exactly the oracle's row set, and
+  — is exactly the oracle's row set; a descent plan's ``sample(k,
+  seed)`` is the rows its loop nest yields at the ranks
+  ``random.Random(seed)`` draws (the summary counts them), and
 * a pinned order that is not a permutation — one pin in five drops,
   repeats or adds an attribute — raises ``QueryError`` from ``plan()``,
   before any work,
@@ -148,6 +150,8 @@ CONFIGS = (
 )
 #: The plans made since the run began and the cover LPs they solved.
 PLANNED = {"plans": 0, "lps": 0}
+#: The descent plans' draws checked against their nest's rows by rank.
+RANKED = {"draws": 0}
 
 
 def deep_instance(rng: random.Random) -> list[Relation]:
@@ -622,7 +626,8 @@ def check_exact_samples(
 ) -> None:
     """A sample one past the result size is the result: serially, and
     through a ``where`` section of the unfiltered join.  Over a catalog,
-    a descent plan's sample walks the indexes its run built: no miss."""
+    a descent plan's sample walks the indexes its run built: no miss; and
+    it draws its nest's rows at the drawn ranks."""
     serial = builder.using(shards=None, mode="serial", scheduler=None)
     database = serial.context.database
     if database is not None:
@@ -636,6 +641,11 @@ def check_exact_samples(
     if database is not None and serial.plan().algorithm in DESCENT_ALGORITHMS:
         added = database.cache_info().misses - misses
         assert not added, f"sample() missed the cache {added} time(s)"
+    prepared = serial.prepare()
+    if prepared._executor is not None and (
+        prepared.plan.algorithm in DESCENT_ALGORITHMS
+    ):
+        check_ranked_sample(prepared, rng.randint(1, len(expected) + 1), seed)
     if not full:
         return
     attributes = builder.query.attributes
@@ -650,6 +660,23 @@ def check_exact_samples(
         f"where({attribute!r}={value!r}).sample({len(section) + 1}) drew "
         f"{len(drawn)} rows, not the oracle's {len(section)}"
     )
+
+
+def check_ranked_sample(prepared: PreparedQuery, k: int, seed: int) -> None:
+    """A descent plan's draw is the rows its loop nest yields at the
+    ranks ``random.Random(seed)`` draws: the sampler unranks through
+    that nest, in its order."""
+    rows = list(descent.iter_rows(prepared._executor._binding))
+    merge = prepared._compiled.merge
+    if merge is not None:
+        rows = [merge(row) for row in rows]
+    ranks = random.Random(seed).sample(range(len(rows)), min(k, len(rows)))
+    drawn = prepared.sample(k, seed=seed)
+    assert drawn == [rows[rank] for rank in ranks], (
+        f"sample({k}, seed={seed}) under {prepared.plan.algorithm} is not "
+        "the nest's rows at the drawn ranks"
+    )
+    RANKED["draws"] += 1
 
 
 def check_aggregates(
@@ -857,6 +884,7 @@ def main(argv: list[str] | None = None) -> int:
 
     master = random.Random(args.seed)
     PLANNED.update(plans=0, lps=0)
+    RANKED.update(draws=0)
     started = time.monotonic()
     iteration = 0
     tables = wide = wires = memos = compares = sequences = 0
@@ -896,6 +924,8 @@ def main(argv: list[str] | None = None) -> int:
         "leapfrog runs counted as generic join counts, "
         f"{sequences} probed generic join runs yielding the unprobed rows "
         "in order, "
+        f"{RANKED['draws']} descent draws equal to the nest's rows at "
+        "their ranks, "
         f"{PLANNED['plans']} plans solving {PLANNED['lps']} cover LPs "
         "(nprr's), no disagreements"
     )

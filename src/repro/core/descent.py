@@ -138,6 +138,30 @@ def resolve_order(
     return order
 
 
+def index_triples(
+    query: JoinQuery,
+    order: Sequence[str],
+    backend: str | Mapping[str, str] = DEFAULT_BACKEND,
+) -> tuple[tuple[str, tuple[str, ...], str], ...]:
+    """The ``(relation, index order, kind)`` triples of a walk over
+    ``order``: each relation's attributes ranked by ``order``, under
+    ``backend`` — one index kind for every relation or a mapping of
+    relation name to kind (absent relations get the default kind).
+    :func:`bind` opens these indexes, and
+    :meth:`~repro.engine.planner.JoinPlan.index_requirements` lists them."""
+    rank = {a: i for i, a in enumerate(order)}.__getitem__
+    if not isinstance(backend, Mapping):
+        backend = dict.fromkeys(query.edge_ids, backend)
+    return tuple(
+        (
+            eid,
+            tuple(sorted(query.relation(eid).attributes, key=rank)),
+            backend.get(eid, DEFAULT_BACKEND),
+        )
+        for eid in query.edge_ids
+    )
+
+
 def bind(
     query: JoinQuery,
     attribute_order: Sequence[str] | None,
@@ -155,14 +179,10 @@ def bind(
     rank = {a: i for i, a in enumerate(order)}
     indexes = []
     participants: list[list[int]] = [[] for _ in order]
-    for position, eid in enumerate(query.edge_ids):
+    for position, (eid, index_order, kind) in enumerate(
+        index_triples(query, order, backend)
+    ):
         relation = query.relation(eid)
-        kind = (
-            backend.get(eid, DEFAULT_BACKEND)
-            if isinstance(backend, Mapping)
-            else backend
-        )
-        index_order = tuple(sorted(relation.attributes, key=rank.__getitem__))
         # The catalog cache is consulted per relation, and only for
         # the exact object catalogued under the name (identity, not
         # equality): an ad-hoc relation — e.g. a section created by

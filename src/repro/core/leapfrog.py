@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 #: Index kinds exposing the ``open/up/key/next/seek`` cursor protocol —
-#: the layouts Leapfrog Triejoin can run over.
+#: the layouts Leapfrog Triejoin can run over, its native one first (the
+#: ``backends`` of its :data:`~repro.engine.executors.EXECUTORS` record).
 CURSOR_BACKENDS = ("sorted", "compact")
 
 

@@ -1,4 +1,4 @@
-"""Executor registry: every join algorithm behind one streaming interface.
+"""Executor registry: one record of facts per join algorithm.
 
 The engine treats an executor as anything with two methods:
 
@@ -10,11 +10,21 @@ All five algorithms of this reproduction conform: Algorithm 2 / NPRR
 (Section 5 of the paper), Algorithm 1 / LW (Section 4), Theorem 7.3's
 arity-2 decomposition (Section 7.1), and the two successor WCOJ
 algorithms, Generic Join ("Skew Strikes Back") and Leapfrog Triejoin
-(Veldhuizen).  :data:`EXECUTORS` maps each public algorithm name to a
-factory with a uniform keyword signature; it is the single source of
-truth consumed by :data:`repro.api.ALGORITHMS` and the CLI's
-``--algorithm`` choices, so adding an algorithm here surfaces it
-everywhere at once.
+(Veldhuizen).  Generic Join meets the bound of every specialist, so the
+planner's ``auto`` picks it (or NPRR, for a caller's cover) and the rest
+are pins.
+
+:data:`EXECUTORS` maps each public algorithm name to an
+:class:`Algorithm` record: how to construct the executor, whether it
+honours a caller's attribute order, the index kinds it runs on, whether
+it is a descent, whether its plan solves the cover LP, and the order its
+indexes are sorted by.  Every algorithm-dependent decision — the
+planner's checks and defaults, :meth:`JoinPlan.index_requirements
+<repro.engine.planner.JoinPlan.index_requirements>`, filter and probe
+attachment here — reads these fields, so a pin is one dict lookup.  The
+keys are the single source of truth for selectable algorithms:
+:data:`repro.api.ALGORITHMS` and the CLI's ``--algorithm`` choices
+derive from them.
 
 **Residual filters.**  The query layer (:mod:`repro.query`) pushes
 single-attribute selection predicates down to the executors.  The
@@ -28,6 +38,7 @@ rows — identical semantics, no early pruning.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 from repro.core.arity_two import ArityTwoJoin
 from repro.core.filters import per_position_filters
@@ -35,12 +46,13 @@ from repro.core.generic_join import GenericJoin
 from repro.core.leapfrog import CURSOR_BACKENDS, LeapfrogTriejoin
 from repro.core.lw import LWJoin
 from repro.core.nprr import NPRRJoin
+from repro.core.qptree import QPTree
 from repro.core.query import JoinQuery
 from repro.errors import QueryError
 from repro.hypergraph.covers import FractionalCover
-from repro.relations.database import DEFAULT_BACKEND, Database
-from repro.relations.relation import Relation, Row, Value
-from repro.relations.sorted_index import SortedArrayIndex
+from repro.relations.database import Database
+from repro.relations.relation import Relation, Value
+from repro.relations.trie import TrieIndex
 
 __all__ = [
     "EXECUTORS",
@@ -53,6 +65,13 @@ __all__ = [
 #: Filter predicates as the query layer hands them down: one
 #: single-value test per filtered attribute.
 Filters = Mapping[str, Callable[[Value], bool]]
+
+#: An attribute order.
+Order = tuple[str, ...]
+
+#: The backend label of a plan whose algorithm builds no per-order
+#: indexes (and of the query layer's executor-free guard plans).
+NO_BACKEND = "none"
 
 
 class RowFilterExecutor:
@@ -91,108 +110,72 @@ class RowFilterExecutor:
         return getattr(self._inner, attribute)
 
 
-def _make_nprr(
-    query: JoinQuery,
-    *,
-    cover: FractionalCover | None,
-    attribute_order: Sequence[str] | None,
-    backend: str,
-    database: Database | None,
-    filters: Filters | None,
-    telemetry=None,
-) -> NPRRJoin:
-    # Algorithm 2's order comes from its query-plan tree; an explicit
-    # attribute order does not apply, and the hash trie's O(1) (ST2)
-    # counts are load-bearing for the per-tuple case analysis.
-    return NPRRJoin(query, cover=cover, database=database)
+class Algorithm(NamedTuple):
+    """What the engine knows about one join algorithm; every fact
+    defaults to the blocking specialist's answer."""
+
+    #: The executor class.  It is called with the query, plus
+    #: ``attribute_order``, ``database``, ``backend``, ``filters`` and
+    #: ``telemetry`` for a descent, ``cover`` when the plan solves the
+    #: cover LP, and ``database`` when it reads indexes.
+    build: type
+    #: Honours a caller's attribute order (the rest derive their own).
+    ordered: bool = False
+    #: The index kinds it runs on, its native kind first; empty when it
+    #: builds no per-order indexes.
+    backends: tuple[str, ...] = ()
+    #: Searches one :class:`~repro.core.descent.Binding` attribute by
+    #: attribute: see :data:`DESCENT_ALGORITHMS`.
+    descent: bool = False
+    #: Its plan solves the cover LP up front (the executor would solve
+    #: the same LP anyway); every other plan defers the AGM bound until
+    #: someone reads it.
+    solves_cover: bool = False
+    #: ``(query, plan order) -> order`` its indexes are sorted by —
+    #: each relation's attributes ranked by it
+    #: (:func:`~repro.core.descent.index_triples`) — or ``None`` when it
+    #: reads no indexes.
+    index_order: Callable[[JoinQuery, Order], Order] | None = None
 
 
-def _make_lw(
-    query: JoinQuery,
-    *,
-    cover: FractionalCover | None,
-    attribute_order: Sequence[str] | None,
-    backend: str,
-    database: Database | None,
-    filters: Filters | None,
-    telemetry=None,
-) -> LWJoin:
-    return LWJoin(query)
+def _plan_order(query: JoinQuery, order: Order) -> Order:
+    return order
 
 
-def _make_generic(
-    query: JoinQuery,
-    *,
-    cover: FractionalCover | None,
-    attribute_order: Sequence[str] | None,
-    backend: str | Mapping[str, str],
-    database: Database | None,
-    filters: Filters | None,
-    telemetry=None,
-) -> GenericJoin:
-    # ``backend`` may be a per-relation mapping (the statistics-driven
-    # planner emits one when skew or cached indexes argue for mixing
-    # kinds); GenericJoin accepts both spellings.
-    return GenericJoin(
-        query,
-        attribute_order=attribute_order,
-        database=database,
-        backend=backend or DEFAULT_BACKEND,
-        filters=filters,
-        telemetry=telemetry,
-    )
+def _qp_tree_order(query: JoinQuery, order: Order) -> Order:
+    # Section 5.3.2: every trie follows the QP-tree's total order.
+    return QPTree(query.hypergraph).total_order
 
 
-def _make_leapfrog(
-    query: JoinQuery,
-    *,
-    cover: FractionalCover | None,
-    attribute_order: Sequence[str] | None,
-    backend: str,
-    database: Database | None,
-    filters: Filters | None,
-    telemetry=None,
-) -> LeapfrogTriejoin:
-    # Leapfrog runs over any cursor-capable layout; non-cursor kinds
-    # (the planner's "trie"/"mixed" labels) fall back to its native
-    # sorted arrays.
-    kind = (
-        backend
-        if isinstance(backend, str) and backend in CURSOR_BACKENDS
-        else SortedArrayIndex.kind
-    )
-    return LeapfrogTriejoin(
-        query,
-        attribute_order=attribute_order,
-        database=database,
-        filters=filters,
-        telemetry=telemetry,
-        backend=kind,
-    )
-
-
-def _make_arity_two(
-    query: JoinQuery,
-    *,
-    cover: FractionalCover | None,
-    attribute_order: Sequence[str] | None,
-    backend: str,
-    database: Database | None,
-    filters: Filters | None,
-    telemetry=None,
-) -> ArityTwoJoin:
-    return ArityTwoJoin(query, cover=cover)
-
-
-#: Algorithm name -> executor factory.  The single source of truth for
+#: Algorithm name -> :class:`Algorithm`.  The single source of truth for
 #: selectable algorithms: ``repro.api.ALGORITHMS`` and the CLI both
 #: derive their choices from these keys (plus the planner's ``"auto"``).
+#: NPRR's per-tuple case analysis needs the trie's O(1) precomputed
+#: counts; a leapfrog intersection needs the ``open/up/next/seek``
+#: cursors of :data:`~repro.core.leapfrog.CURSOR_BACKENDS`.
 EXECUTORS = {
-    "nprr": _make_nprr,
-    "lw": _make_lw,
-    "generic": _make_generic,
-    "leapfrog": _make_leapfrog,
-    "arity2": _make_arity_two,
+    "nprr": Algorithm(
+        NPRRJoin,
+        backends=(TrieIndex.kind,),
+        solves_cover=True,
+        index_order=_qp_tree_order,
+    ),
+    "lw": Algorithm(LWJoin),
+    "generic": Algorithm(
+        GenericJoin,
+        ordered=True,
+        backends=(TrieIndex.kind, *CURSOR_BACKENDS),
+        descent=True,
+        index_order=_plan_order,
+    ),
+    "leapfrog": Algorithm(
+        LeapfrogTriejoin,
+        ordered=True,
+        backends=CURSOR_BACKENDS,
+        descent=True,
+        index_order=_plan_order,
+    ),
+    "arity2": Algorithm(ArityTwoJoin, solves_cover=True),
 }
 
 #: Algorithms that search one :class:`~repro.core.descent.Binding`
@@ -207,7 +190,9 @@ EXECUTORS = {
 #: ``fold(folder)`` — aggregation pushed into the level loops with
 #: factorized subtree pruning (see :mod:`repro.aggregate.fold`;
 #: aggregates over the rest fold the executor's row stream instead).
-DESCENT_ALGORITHMS = frozenset({"generic", "leapfrog"})
+DESCENT_ALGORITHMS = frozenset(
+    name for name, algorithm in EXECUTORS.items() if algorithm.descent
+)
 
 
 def algorithm_names(include_auto: bool = True) -> tuple[str, ...]:
@@ -222,7 +207,7 @@ def build_executor(
     *,
     cover: FractionalCover | None = None,
     attribute_order: Sequence[str] | None = None,
-    backend: str | Mapping[str, str] = DEFAULT_BACKEND,
+    backend: str | Mapping[str, str] | None = None,
     database: Database | None = None,
     filters: Filters | None = None,
     telemetry=None,
@@ -231,29 +216,31 @@ def build_executor(
 
     ``algorithm`` must be a concrete name (``"auto"`` is resolved by the
     planner, not here).  Raises :class:`~repro.errors.QueryError` for an
-    unknown name before touching any relation data.  ``filters`` attach
-    the query layer's residual predicates — natively for the algorithms
-    in :data:`DESCENT_ALGORITHMS`, via :class:`RowFilterExecutor` otherwise.
+    unknown name before touching any relation data.  ``backend``
+    defaults to the algorithm's native kind.  ``filters`` attach the
+    query layer's residual predicates — natively for the algorithms in
+    :data:`DESCENT_ALGORITHMS`, via :class:`RowFilterExecutor` otherwise.
     ``telemetry`` attaches a per-level probe to the algorithms in
     :data:`DESCENT_ALGORITHMS` and is ignored for the rest.
     """
     try:
-        factory = EXECUTORS[algorithm]
+        spec = EXECUTORS[algorithm]
     except KeyError:
         raise QueryError(
             f"unknown algorithm {algorithm!r}; "
             f"choose one of {algorithm_names()}"
         ) from None
-    native = filters if algorithm in DESCENT_ALGORITHMS else None
-    executor = factory(
-        query,
-        cover=cover,
-        attribute_order=attribute_order,
-        backend=backend,
-        database=database,
-        filters=native,
-        telemetry=telemetry if algorithm in DESCENT_ALGORITHMS else None,
-    )
-    if filters and algorithm not in DESCENT_ALGORITHMS:
-        executor = RowFilterExecutor(executor, query, filters)
-    return executor
+    if spec.descent:
+        return spec.build(
+            query,
+            attribute_order=attribute_order,
+            database=database,
+            backend=backend or spec.backends[0],
+            filters=filters,
+            telemetry=telemetry,
+        )
+    options = {"cover": cover} if spec.solves_cover else {}
+    if spec.index_order is not None:
+        options["database"] = database
+    executor = spec.build(query, **options)
+    return RowFilterExecutor(executor, query, filters) if filters else executor

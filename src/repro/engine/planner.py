@@ -9,7 +9,14 @@ hard-coded ``query.attributes``; now order selection, algorithm dispatch,
 and index-backend choice live in one place, modeled on the
 ``JoinOrderOptimizer`` separation PostBOUND uses for classical optimizers.
 
-The product is an inspectable :class:`JoinPlan`:
+Planning is validation followed by three stages — order, backend,
+shards — each returning its choice, its reason lines and the
+:class:`~repro.stats.provider.PlanStatistics` fields it read.  What
+depends on the algorithm (does it honour an order, which index kinds
+it runs on, does its plan solve the cover LP) is read off its record
+in :data:`~repro.engine.executors.EXECUTORS`; the planner names an
+algorithm only in the ``auto`` rule.  The product is an inspectable
+:class:`JoinPlan`:
 
 * **algorithm** — Generic Join for every shape, Loomis-Whitney instances
   and binary relations included: it meets the bound of each of the
@@ -19,7 +26,8 @@ The product is an inspectable :class:`JoinPlan`:
   wall time on a skewed triangle, 4x on Example 2.2) and Theorem 7.3's
   arity-2 decomposition does worst-case work far from the worst case
   (1.4x on a 4-star, 18x on a 4-cycle, 435x on a 3-path), so both are
-  pinnable (``algorithm="lw"`` / ``"arity2"``) and never chosen;
+  pinnable (``algorithm="lw"`` / ``"arity2"``) and never chosen; a
+  caller's cover picks Algorithm 2 (``nprr``);
 * **attribute order** — a greedy descent on *estimated partial-result
   sizes*: each step multiplies the candidate attribute's min-distinct
   count by the exact conditional selectivities against the relations
@@ -31,13 +39,15 @@ The product is an inspectable :class:`JoinPlan`:
   cap.  The chosen prefix stays connected so early levels prune.  A
   caller may pin the order instead (``attribute_order=``); it must be a
   permutation of the query's attributes, checked here;
-* **backend** — ``"sorted"`` flat arrays for leapfrog (its native
-  layout; callers may fix ``"compact"`` for packed runs with radix
-  seeks); for Generic Join a **per-relation** choice driven by cached-
-  index availability in the ``Database`` and each relation's profile:
-  large low-skew relations get the ``"compact"`` packed flat arrays for
-  their size, everything else the hash trie (O(1) probes, precomputed
-  (ST2) counts);
+* **backend** — the caller's, else the algorithm's native kind (the
+  first of its record's ``backends``: leapfrog's ``"sorted"`` runs,
+  NPRR's hash trie, ``"none"`` for the algorithms that build no
+  per-order indexes); an algorithm that runs on every kind — Generic
+  Join — gets a **per-relation** choice driven by cached-index
+  availability in the ``Database`` and each relation's profile: large
+  low-skew relations get the ``"compact"`` packed flat arrays for their
+  size, everything else the hash trie (O(1) probes, precomputed (ST2)
+  counts);
 * **shards** — ``shards="auto"`` sizes the shard count from input size,
   CPU count, *and* the first attribute's heavy-hitter mass, so hot
   values ("Skew Strikes Back"'s heavy side) land in their own shard;
@@ -59,23 +69,27 @@ and the CLI) drives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Callable, Mapping, Sequence
-
 import os
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.core.descent import resolve_order
+from repro.core.descent import index_triples, resolve_order
 from repro.core.query import JoinQuery
 from repro.engine.backends import validate_backend
 from repro.engine.compact import CompactArrayIndex
-from repro.engine.executors import algorithm_names, build_executor
+from repro.engine.executors import (
+    EXECUTORS,
+    NO_BACKEND,
+    algorithm_names,
+    build_executor,
+)
 from repro.errors import PlanError, QueryError, require_positive_int
 from repro.hypergraph.agm import best_agm_bound
 from repro.hypergraph.covers import FractionalCover
 from repro.observe.tracing import maybe_span
-from repro.relations.database import DEFAULT_BACKEND, INDEX_BACKENDS, Database
+from repro.relations.database import INDEX_BACKENDS, Database
 from repro.relations.relation import Relation, Value
-from repro.relations.sorted_index import SortedArrayIndex
 from repro.relations.trie import TrieIndex
 from repro.stats.provider import (
     HEAVY_MASS_THRESHOLD,
@@ -91,22 +105,13 @@ __all__ = [
 ]
 
 
-#: Algorithms that honor a caller-chosen global attribute order.
-ORDER_SENSITIVE = ("generic", "leapfrog")
-
-#: Index-backend kinds each algorithm can actually run on.  Algorithms
-#: absent here (lw, arity2) build no per-order indexes at all.  Leapfrog
-#: needs an ``open/up/next/seek`` cursor, which the sorted and compact
-#: backends provide; NPRR's per-tuple case analysis needs the trie's
-#: O(1) precomputed counts.
-BACKEND_CHOICES = {
-    "generic": ("trie", "sorted", "compact"),
-    "leapfrog": ("sorted", "compact"),
-    "nprr": ("trie",),
+#: Why a plan runs on its algorithm's native index kind (the first of
+#: its ``backends``) when the caller fixed none.
+NATIVE_BACKEND_REASONS = {
+    TrieIndex.kind: "hash-trie backend: O(1) probes and precomputed counts",
+    "sorted": "sorted flat-array backend: leapfrog seeks need sorted runs",
+    NO_BACKEND: "{algorithm} builds no per-order indexes",
 }
-
-#: Placeholder backend for algorithms that build no per-order indexes.
-NO_BACKEND = "none"
 
 #: Below this total input size (``sum_e N_e``) auto-sharding stays serial:
 #: fork/queue overhead dwarfs any parallel win on small queries.
@@ -207,19 +212,23 @@ class JoinPlan:
         executors that support per-level counting (see
         :data:`~repro.engine.executors.DESCENT_ALGORITHMS`).
         """
-        backend: str | dict[str, str] = self.backend
-        if self.relation_backends is not None:
-            backend = dict(self.relation_backends)
         return build_executor(
             self.query,
             self.algorithm,
             cover=self.cover,
             attribute_order=self.attribute_order,
-            backend=backend,
+            backend=self._kinds,
             database=database,
             filters=filters,
             telemetry=telemetry,
         )
+
+    @property
+    def _kinds(self) -> str | dict[str, str]:
+        """The index kind of every relation, or one per relation."""
+        if self.relation_backends is None:
+            return self.backend
+        return dict(self.relation_backends)
 
     def index_requirements(self) -> tuple[tuple[str, tuple[str, ...], str], ...]:
         """The ``(relation name, index order, backend kind)`` triples this
@@ -232,56 +241,19 @@ class JoinPlan:
         that build no per-order indexes (``lw``, ``arity2``) return an
         empty tuple.
 
-        This mirrors how each executor resolves its indexes —
-        GenericJoin's per-relation kinds (``DEFAULT_BACKEND``
-        fallback), Leapfrog's sorted arrays, NPRR's QP-tree relation
-        orders.  Any change to an executor's resolution must land here
-        too, or warmed runs silently miss the cache;
+        The triples come from :func:`~repro.core.descent.index_triples`,
+        the function a descent's :func:`~repro.core.descent.bind` opens
+        its indexes by, over the order the algorithm's record names
+        (:attr:`~repro.engine.executors.Algorithm.index_order`: the
+        plan's attribute order, or NPRR's QP-tree total order);
         ``tests/query/test_warm.py`` asserts the zero-miss contract per
-        algorithm (including the mixed per-relation path) to catch
-        drift.
+        algorithm, the mixed per-relation path included.
         """
-        rank = {a: i for i, a in enumerate(self.attribute_order)}
-        per_relation = (
-            dict(self.relation_backends)
-            if self.relation_backends is not None
-            else None
-        )
-        if self.algorithm in ("generic", "leapfrog"):
-            if self.algorithm == "leapfrog":
-                kind_default = (
-                    self.backend
-                    if self.backend in BACKEND_CHOICES["leapfrog"]
-                    else SortedArrayIndex.kind
-                )
-            else:
-                kind_default = (
-                    self.backend
-                    if self.backend in INDEX_BACKENDS
-                    else DEFAULT_BACKEND
-                )
-            triples = []
-            for eid in self.query.edge_ids:
-                relation = self.query.relation(eid)
-                order = tuple(
-                    sorted(relation.attributes, key=rank.__getitem__)
-                )
-                kind = (
-                    per_relation.get(eid, DEFAULT_BACKEND)
-                    if per_relation is not None
-                    else kind_default
-                )
-                triples.append((eid, order, kind))
-            return tuple(triples)
-        if self.algorithm == "nprr":
-            from repro.core.qptree import QPTree
-
-            tree = QPTree(self.query.hypergraph)
-            return tuple(
-                (eid, tuple(tree.relation_order(eid)), TrieIndex.kind)
-                for eid in self.query.edge_ids
-            )
-        return ()
+        spec = EXECUTORS.get(self.algorithm)
+        if spec is None or spec.index_order is None:
+            return ()
+        order = spec.index_order(self.query, self.attribute_order)
+        return index_triples(self.query, order, self._kinds)
 
     def describe(self, show_stats: bool = False) -> str:
         """A human-readable rendering (the CLI ``explain`` output).
@@ -293,35 +265,24 @@ class JoinPlan:
         sizes = self.query.sizes()
         backend = self.backend
         if self.relation_backends is not None:
-            backend += (
-                " ("
-                + ", ".join(
-                    f"{eid}={kind}" for eid, kind in self.relation_backends
-                )
-                + ")"
-            )
+            pairs = (f"{eid}={kind}" for eid, kind in self.relation_backends)
+            backend += f" ({', '.join(pairs)})"
         lines = [
             f"query: {self.query!r}",
             f"algorithm: {self.algorithm}",
             f"attribute order: {', '.join(self.attribute_order)}",
         ]
         if self.bound:
+            bound = ", ".join(f"{a}={v!r}" for a, v in self.bound)
             lines.append(
-                "bound attributes: "
-                + ", ".join(f"{a}={v!r}" for a, v in self.bound)
-                + " (levels eliminated by sectioning)"
+                f"bound attributes: {bound} (levels eliminated by sectioning)"
             )
         if self.filtered:
-            lines.append(
-                "residual filters: "
-                + "; ".join(description for _a, description in self.filtered)
-            )
+            filtered = "; ".join(text for _a, text in self.filtered)
+            lines.append(f"residual filters: {filtered}")
         if self.selected is not None:
-            lines.append(
-                "select: "
-                + (", ".join(self.selected) if self.selected else "(none)")
-                + " (streamed projection)"
-            )
+            selected = ", ".join(self.selected) if self.selected else "(none)"
+            lines.append(f"select: {selected} (streamed projection)")
         lines += [
             f"index backend: {backend}",
             f"shards: {self.shards}",
@@ -332,13 +293,8 @@ class JoinPlan:
         if show_stats and self.statistics is not None:
             lines.append(self.statistics.describe())
         if self.cover is not None:
-            lines.append(
-                "fractional cover: "
-                + ", ".join(
-                    f"x[{eid}]={weight}"
-                    for eid, weight in self.cover.items()
-                )
-            )
+            weights = (f"x[{eid}]={w}" for eid, w in self.cover.items())
+            lines.append(f"fractional cover: {', '.join(weights)}")
         if self.reasons:
             lines.append("decisions:")
             lines.extend(f"  - {reason}" for reason in self.reasons)
@@ -481,48 +437,14 @@ def plan_attribute_order_selectivity(
     return tuple(order), scores, tuple(estimates), consulted
 
 
-def _choose_algorithm(
-    cover: FractionalCover | None,
-    attribute_order: Sequence[str] | None,
-    backend: str | None,
-    reasons: list[str],
-) -> str:
-    """Algorithm selection for ``"auto"``: what the caller fixed decides.
-
-    A cover means Algorithm 2; anything else means Generic Join, on
-    every query shape.  The shape specialists (``lw``, ``arity2``) meet
-    the same bound but index nothing the ``Database`` can keep, so every
-    warm request repeats their whole cost: pinnable, never chosen.
-    """
-    if cover is not None:
-        reasons.append(
-            "caller supplied a fractional cover: Algorithm 2 (nprr) is the "
-            "cover-driven executor"
-        )
-        return "nprr"
-    if attribute_order is not None or backend is not None:
-        reasons.append(
-            "caller fixed an attribute order or backend: Generic Join "
-            "honors both (the shape specialists derive their own)"
-        )
-        return "generic"
-    reasons.append(
-        "every shape: Generic Join streams attribute-at-a-time within "
-        "the AGM bound"
-    )
-    return "generic"
-
-
 def _unordered_attribute(
     relation: Relation, stats: StatsProvider
 ) -> str | None:
     """The first attribute of ``relation`` whose values do not sort
     (``int`` beside ``str``), or ``None``: the sorted and compact
     backends sort a relation's rows, the hash trie compares nothing."""
-    for profile in stats.profile(relation).attributes:
-        if not profile.orderable:
-            return profile.attribute
-    return None
+    profiles = stats.profile(relation).attributes
+    return next((p.attribute for p in profiles if not p.orderable), None)
 
 
 def _require_orderable(
@@ -537,7 +459,7 @@ def _require_orderable(
     kinds = dict(relation_backends or ())
     for eid, relation in query.relations.items():
         kind = kinds.get(eid, backend)
-        if kind not in (SortedArrayIndex.kind, CompactArrayIndex.kind):
+        if kind in (TrieIndex.kind, NO_BACKEND):
             continue
         unordered = _unordered_attribute(relation, stats)
         if unordered is not None:
@@ -579,19 +501,15 @@ def _relation_backends(
     are ``None`` when every relation landed on the trie default, so
     plans without statistics pressure look exactly like before.
     """
-    rank = {a: i for i, a in enumerate(order)}
     choices: dict[str, str] = {}
     notes: list[str] = []
     kept: list[str] = []
-    for eid, relation in query.relations.items():
-        index_order = tuple(sorted(relation.attributes, key=rank.__getitem__))
+    for eid, index_order, _kind in index_triples(query, order):
+        relation = query.relation(eid)
+        choices[eid] = TrieIndex.kind
         cached = None
         if database is not None and database.is_catalogued(relation):
-            for kind in (
-                TrieIndex.kind,
-                SortedArrayIndex.kind,
-                CompactArrayIndex.kind,
-            ):
+            for kind in INDEX_BACKENDS:
                 if database.has_cached_index(eid, index_order, kind):
                     cached = kind
                     break
@@ -601,7 +519,6 @@ def _relation_backends(
             continue
         profile = stats.profile(relation).attribute(index_order[0])
         if profile.heavy_mass >= HEAVY_MASS_THRESHOLD:
-            choices[eid] = TrieIndex.kind
             notes.append(
                 f"{eid}: trie ({profile.heavy_count} heavy value(s) carry "
                 f"{profile.heavy_mass:.0%} of first level)"
@@ -615,64 +532,202 @@ def _relation_backends(
                     "packed arrays are far leaner than the trie's dicts)"
                 )
             else:
-                choices[eid] = TrieIndex.kind
                 kept.append(
                     f"{eid}: trie kept over compact ({len(relation)} "
                     f"low-skew tuples, but the values of {unordered!r} do "
                     "not order and the flat arrays sort their rows)"
                 )
-        else:
-            choices[eid] = TrieIndex.kind
     kinds = set(choices.values())
     if kinds == {TrieIndex.kind}:
         reasons.append(
-            "; ".join(
-                ["hash-trie backend: O(1) probes and precomputed counts"]
-                + kept
-            )
+            "; ".join([NATIVE_BACKEND_REASONS[TrieIndex.kind]] + kept)
         )
         return TrieIndex.kind, None
-    notes += kept
-    pairs = tuple(sorted(choices.items()))
     reasons.append(
         "per-relation backends from skew, size, and cached indexes: "
-        + "; ".join(notes)
+        + "; ".join(notes + kept)
     )
     if len(kinds) == 1:
         return kinds.pop(), None
-    return "mixed", pairs
+    return "mixed", tuple(sorted(choices.items()))
 
 
-def _auto_shards(
+class _Stage(NamedTuple):
+    """One planning decision: what was chosen, the reason lines recorded
+    for it, and the :class:`~repro.stats.provider.PlanStatistics` fields
+    read for it — ``None`` when it consulted no statistics."""
+
+    choice: object
+    reasons: list[str]
+    statistics: dict | None = None
+
+
+def _validate(
     query: JoinQuery,
+    algorithm: str,
+    cover: FractionalCover | None,
+    attribute_order: Sequence[str] | None,
+    backend: str | None,
+) -> _Stage:
+    """Validation, and the ``auto`` rule: what the caller fixed decides.
+
+    A cover means Algorithm 2; anything else means Generic Join, on
+    every query shape.  The shape specialists (``lw``, ``arity2``) meet
+    the same bound but index nothing the ``Database`` can keep, so every
+    warm request repeats their whole cost: pinnable, never chosen.
+    Requests the executor would silently ignore are plan-time errors:
+    the plan must report what actually runs.
+    """
+    if algorithm not in algorithm_names():
+        raise QueryError(
+            f"unknown algorithm {algorithm!r}; "
+            f"choose one of {algorithm_names()}"
+        )
+    if backend is not None:
+        validate_backend(backend)
+    if algorithm != "auto":
+        reason = f"algorithm {algorithm!r} fixed by caller"
+    elif cover is not None:
+        algorithm, reason = "nprr", (
+            "caller supplied a fractional cover: Algorithm 2 (nprr) is the "
+            "cover-driven executor"
+        )
+    elif attribute_order is not None or backend is not None:
+        algorithm, reason = "generic", (
+            "caller fixed an attribute order or backend: Generic Join "
+            "honors both (the shape specialists derive their own)"
+        )
+    else:
+        algorithm, reason = "generic", (
+            "every shape: Generic Join streams attribute-at-a-time within "
+            "the AGM bound"
+        )
+    if cover is not None:
+        query.validate_cover(cover)
+    spec = EXECUTORS[algorithm]
+    if attribute_order is not None and not spec.ordered:
+        ordered = tuple(name for name, a in EXECUTORS.items() if a.ordered)
+        raise PlanError(
+            f"algorithm {algorithm!r} derives its own attribute order; "
+            f"drop attribute_order or choose one of {ordered}"
+        )
+    if backend is not None and backend not in spec.backends:
+        raise PlanError(
+            f"algorithm {algorithm!r} cannot run on backend {backend!r}"
+            + (
+                f"; it supports {spec.backends}"
+                if spec.backends
+                else " (it builds no per-order indexes)"
+            )
+        )
+    return _Stage(algorithm, [reason])
+
+
+def _order_stage(
+    query: JoinQuery,
+    algorithm: str,
+    attribute_order: Sequence[str] | None,
+    stats: StatsProvider,
+) -> _Stage:
+    """The caller's order, the exact-selectivity descent for an algorithm
+    that honours one, or the query's order for one that derives its
+    own."""
+    if attribute_order is not None:
+        order = resolve_order(query, attribute_order)
+        return _Stage(
+            order, [f"attribute order fixed by caller: {', '.join(order)}"]
+        )
+    if not EXECUTORS[algorithm].ordered:
+        return _Stage(
+            query.attributes,
+            [f"{algorithm} derives its own order; keeping query order"],
+        )
+    with maybe_span("stats-profile"):
+        order, scores, estimates, consulted = (
+            plan_attribute_order_selectivity(query, stats)
+        )
+    reason = "attribute order by exact selectivity descent: " + ", ".join(
+        f"{a}(~{est:.3g})" for a, est in estimates
+    )
+    selectivities = tuple(
+        (src, dst, sel) for (src, dst), sel in sorted(consulted.items())
+    )
+    read = dict(
+        order_estimates=estimates,
+        selectivities=selectivities,
+        distinct_counts=tuple((a, scores[a]) for a in order),
+    )
+    return _Stage(order, [reason], read)
+
+
+def _backend_stage(
+    query: JoinQuery,
+    algorithm: str,
+    order: tuple[str, ...],
+    backend: str | None,
+    stats: StatsProvider,
+    database: Database | None,
+) -> _Stage:
+    """The caller's backend, a per-relation choice for an algorithm that
+    runs on every index kind (:func:`_relation_backends`), or the
+    algorithm's native kind; then every sorting backend's relation must
+    order.  The choice is ``(backend label, per-relation pairs or
+    None)``."""
+    kinds = EXECUTORS[algorithm].backends
+    reasons: list[str] = []
+    pairs, statistics = None, None
+    if backend is not None:
+        reasons.append(f"backend {backend!r} fixed by caller")
+    elif set(kinds) >= set(INDEX_BACKENDS):
+        backend, pairs = _relation_backends(
+            query, order, stats, database, reasons
+        )
+        statistics = {}
+    else:
+        backend = kinds[0] if kinds else NO_BACKEND
+        reasons.append(
+            NATIVE_BACKEND_REASONS[backend].format(algorithm=algorithm)
+        )
+    _require_orderable(query, backend, pairs, stats)
+    return _Stage((backend, pairs), reasons, statistics)
+
+
+def _shard_stage(
+    query: JoinQuery,
+    shards: int | str | None,
     order: tuple[str, ...],
     stats: StatsProvider,
-    reasons: list[str],
-    record: dict,
-) -> int:
-    """Pick a shard count from input size, parallelism, and skew.
+) -> _Stage:
+    """The caller's shard count, serial for ``None``, or for ``"auto"`` a
+    count from input size, parallelism, and skew.
 
-    Serial below :data:`AUTO_SHARD_MIN_TUPLES` total input tuples (fork
-    and queue overhead would dominate); otherwise one shard per available
-    CPU, capped at :data:`MAX_AUTO_SHARDS` — **raised** to one more than
-    the first attribute's heavy-hitter count when its heavy values carry
-    at least :data:`~repro.stats.provider.HEAVY_MASS_THRESHOLD` of its
-    mass, so every hot value can land in a shard of its own (the "Skew
-    Strikes Back" heavy/light split, applied to the LPT partitioner in
+    Auto-sharding is serial below :data:`AUTO_SHARD_MIN_TUPLES` total
+    input tuples (fork and queue overhead would dominate); otherwise one
+    shard per available CPU, capped at :data:`MAX_AUTO_SHARDS` —
+    **raised** to one more than the first attribute's heavy-hitter count
+    when its heavy values carry at least
+    :data:`~repro.stats.provider.HEAVY_MASS_THRESHOLD` of its mass, so
+    every hot value can land in a shard of its own (the "Skew Strikes
+    Back" heavy/light split, applied to the LPT partitioner in
     :mod:`repro.engine.parallel`).
     """
+    if shards is None:
+        return _Stage(1, [])
+    if shards != "auto":
+        require_positive_int(shards, "shards", " or 'auto'")
+        return _Stage(shards, [f"shard count fixed by caller: {shards}"])
     total = query.total_input_size()
     if total < AUTO_SHARD_MIN_TUPLES:
-        reasons.append(
+        reason = (
             f"serial: {total} input tuples < {AUTO_SHARD_MIN_TUPLES} "
             "auto-shard threshold"
         )
-        return 1
+        return _Stage(1, [reason], {})
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity (macOS, Windows)
         cpus = os.cpu_count() or 1
-    shards = max(1, min(MAX_AUTO_SHARDS, cpus))
+    count = max(1, min(MAX_AUTO_SHARDS, cpus))
     first = order[0]
     heavy_count, heavy_mass = 0, 0.0
     for relation in query.relations.values():
@@ -682,43 +737,84 @@ def _auto_shards(
         if profile.heavy_mass > heavy_mass:
             heavy_mass = profile.heavy_mass
             heavy_count = profile.heavy_count
-    record.update(
+    read = dict(
         shard_attribute=first, shard_heavy_mass=heavy_mass, shard_cpus=cpus
     )
     if heavy_count and heavy_mass >= HEAVY_MASS_THRESHOLD:
-        boosted = min(MAX_AUTO_SHARDS, max(shards, heavy_count + 1))
-        if boosted > shards:
-            reasons.append(
+        boosted = min(MAX_AUTO_SHARDS, max(count, heavy_count + 1))
+        if boosted > count:
+            reason = (
                 f"{boosted} shard(s): {heavy_count} heavy value(s) carry "
                 f"{heavy_mass:.0%} of {first}'s tuples — each gets its own "
                 f"shard ({cpus} CPU(s), {total} input tuples)"
             )
-            return boosted
-    reasons.append(
-        f"{shards} shard(s): {total} input tuples across {cpus} "
+            return _Stage(boosted, [reason], read)
+    reason = (
+        f"{count} shard(s): {total} input tuples across {cpus} "
         "available CPU(s)"
     )
-    return shards
-
-
-def _resolve_shards(
-    query: JoinQuery,
-    shards: int | str | None,
-    order: tuple[str, ...],
-    stats: StatsProvider,
-    reasons: list[str],
-    record: dict,
-) -> int:
-    if shards is None:
-        return 1
-    if shards == "auto":
-        return _auto_shards(query, order, stats, reasons, record)
-    require_positive_int(shards, "shards", " or 'auto'")
-    reasons.append(f"shard count fixed by caller: {shards}")
-    return shards
+    return _Stage(count, [reason], read)
 
 
 def _plan_join(
+    query: JoinQuery,
+    algorithm: str = "auto",
+    cover: FractionalCover | None = None,
+    attribute_order: Sequence[str] | None = None,
+    backend: str | None = None,
+    shards: int | str | None = None,
+    database: Database | None = None,
+    stats: StatsProvider | None = None,
+    context=None,
+) -> JoinPlan:
+    """:func:`plan_join`'s decision procedure, outside its ``plan`` span:
+    validation, then the order, backend and shard stages."""
+    if context is not None:
+        algorithm, cover = context.algorithm, context.cover
+        attribute_order, backend = context.attribute_order, context.backend
+        shards, database = context.shards, context.database
+        stats = context.stats
+    # A ShardSpec plans by its count (duck-typed, not isinstance, so this
+    # engine-layer module never imports the query layer).
+    if hasattr(shards, "count") and not isinstance(shards, (int, str)):
+        shards = shards.count
+    chosen = _validate(query, algorithm, cover, attribute_order, backend)
+    algorithm = chosen.choice
+    # One shared resolution rule (with the sharded driver): an explicit
+    # provider as-is, else the database's, else the bounded process-wide
+    # default so repeated ad-hoc plans never rescan.
+    provider = resolve_provider(database, stats)
+    order = _order_stage(query, algorithm, attribute_order, provider)
+    kinds = _backend_stage(
+        query, algorithm, order.choice, backend, provider, database
+    )
+    sharding = _shard_stage(query, shards, order.choice, provider)
+    stages = (chosen, order, kinds, sharding)
+    read = [s.statistics for s in stages if s.statistics is not None]
+    statistics = None
+    if read:
+        statistics = PlanStatistics(
+            heavy_hitters=provider.heavy_hitters(query),
+            **{k: v for fields in read for k, v in fields.items()},
+        )
+    plan_cover, bound = cover, None
+    if EXECUTORS[algorithm].solves_cover and cover is None:
+        plan_cover, bound = best_agm_bound(query.hypergraph, query.sizes())
+    return JoinPlan(
+        query=query,
+        algorithm=algorithm,
+        attribute_order=order.choice,
+        backend=kinds.choice[0],
+        cover=plan_cover,
+        reasons=tuple(reason for stage in stages for reason in stage.reasons),
+        shards=sharding.choice,
+        relation_backends=kinds.choice[1],
+        statistics=statistics,
+        _bound=bound,
+    )
+
+
+def plan_join(
     query: JoinQuery,
     algorithm: str = "auto",
     cover: FractionalCover | None = None,
@@ -760,181 +856,17 @@ def _plan_join(
     This is how the query layer (and anything else carrying a context)
     calls the planner without re-spelling the option list.
     """
-    if context is not None:
-        algorithm = context.algorithm
-        cover = context.cover
-        attribute_order = context.attribute_order
-        backend = context.backend
-        shards = context.shards
-        database = context.database
-        stats = context.stats
-    # ``shards`` may arrive as a ShardSpec (the context normalizes every
-    # spelling to one); the planner consumes only its count.  Duck-typed
-    # (not isinstance) so this engine-layer module never imports the
-    # query layer.
-    if hasattr(shards, "count") and not isinstance(shards, (int, str)):
-        shards = shards.count
-    if algorithm not in algorithm_names():
-        raise QueryError(
-            f"unknown algorithm {algorithm!r}; "
-            f"choose one of {algorithm_names()}"
-        )
-    if backend is not None:
-        validate_backend(backend)
-    # One shared resolution rule (with the sharded driver): an explicit
-    # provider as-is, else the database's, else the bounded process-wide
-    # default so repeated ad-hoc plans never rescan.
-    provider = resolve_provider(database, stats)
-    reasons: list[str] = []
-    if algorithm == "auto":
-        algorithm = _choose_algorithm(
-            cover, attribute_order, backend, reasons
-        )
-    else:
-        reasons.append(f"algorithm {algorithm!r} fixed by caller")
-    if cover is not None:
-        query.validate_cover(cover)
-
-    # Requests the executor would silently ignore are plan-time errors:
-    # the plan must report what actually runs.
-    order_sensitive = algorithm in ORDER_SENSITIVE
-    if attribute_order is not None and not order_sensitive:
-        raise PlanError(
-            f"algorithm {algorithm!r} derives its own attribute order; "
-            f"drop attribute_order or choose one of {ORDER_SENSITIVE}"
-        )
-    allowed_backends = BACKEND_CHOICES.get(algorithm, ())
-    if backend is not None and backend not in allowed_backends:
-        raise PlanError(
-            f"algorithm {algorithm!r} cannot run on backend {backend!r}"
-            + (
-                f"; it supports {allowed_backends}"
-                if allowed_backends
-                else " (it builds no per-order indexes)"
-            )
-        )
-
-    # Everything the statistics machinery contributed, for the plan's
-    # PlanStatistics record; ``used`` flips when any decision consulted
-    # the provider.
-    record: dict = {}
-    used_stats = False
-
-    if attribute_order is not None:
-        order = resolve_order(query, attribute_order)
-        reasons.append(f"attribute order fixed by caller: {', '.join(order)}")
-    elif order_sensitive:
-        used_stats = True
-        with maybe_span("stats-profile"):
-            order, scores, estimates, consulted = (
-                plan_attribute_order_selectivity(query, provider)
-            )
-        record["order_estimates"] = estimates
-        record["selectivities"] = tuple(
-            (src, dst, sel) for (src, dst), sel in sorted(consulted.items())
-        )
-        reasons.append(
-            "attribute order by exact selectivity descent: "
-            + ", ".join(f"{a}(~{est:.3g})" for a, est in estimates)
-        )
-        record["distinct_counts"] = tuple(
-            (a, scores[a]) for a in order
-        )
-    else:
-        order = query.attributes
-        reasons.append(
-            f"{algorithm} derives its own order; keeping query order"
-        )
-
-    relation_backends: tuple[tuple[str, str], ...] | None = None
-    if backend is not None:
-        reasons.append(f"backend {backend!r} fixed by caller")
-    elif algorithm == "leapfrog":
-        backend = SortedArrayIndex.kind
-        reasons.append(
-            "sorted flat-array backend: leapfrog seeks need sorted runs"
-        )
-    elif algorithm == "generic":
-        used_stats = True
-        backend, relation_backends = _relation_backends(
-            query, order, provider, database, reasons
-        )
-    elif algorithm == "nprr":
-        backend = TrieIndex.kind
-        reasons.append(
-            "hash-trie backend: O(1) probes and precomputed counts"
-        )
-    else:
-        backend = NO_BACKEND
-        reasons.append(f"{algorithm} builds no per-order indexes")
-    if backend not in (TrieIndex.kind, NO_BACKEND):
-        _require_orderable(query, backend, relation_backends, provider)
-
-    if shards == "auto":
-        used_stats = True
-    shard_count = _resolve_shards(
-        query, shards, order, provider, reasons, record
-    )
-
-    statistics = None
-    if used_stats:
-        statistics = PlanStatistics(
-            heavy_hitters=provider.heavy_hitters(query),
-            **record,
-        )
-
-    # Only the cover-driven algorithms pay for the cover LP at plan time
-    # (their executors would solve the same LP anyway); everyone else
-    # defers the AGM bound until someone inspects the plan.
-    plan_cover, bound = cover, None
-    if algorithm in ("nprr", "arity2") and cover is None:
-        plan_cover, bound = best_agm_bound(query.hypergraph, query.sizes())
-    return JoinPlan(
-        query=query,
-        algorithm=algorithm,
-        attribute_order=order,
-        backend=backend,
-        cover=plan_cover,
-        reasons=tuple(reasons),
-        shards=shard_count,
-        relation_backends=relation_backends,
-        statistics=statistics,
-        _bound=bound,
-    )
-
-
-def plan_join(
-    query: JoinQuery,
-    algorithm: str = "auto",
-    cover: FractionalCover | None = None,
-    attribute_order: Sequence[str] | None = None,
-    backend: str | None = None,
-    shards: int | str | None = None,
-    database: Database | None = None,
-    stats: StatsProvider | None = None,
-    context=None,
-) -> JoinPlan:
     # The planning phase of any traced execution: one ambient span (one
     # context-variable read when tracing is off) around the whole
     # decision procedure, annotated with the resolved choices.
     with maybe_span("plan") as span:
         plan = _plan_join(
-            query,
-            algorithm,
-            cover=cover,
-            attribute_order=attribute_order,
-            backend=backend,
-            shards=shards,
-            database=database,
-            stats=stats,
-            context=context,
+            query, algorithm, cover, attribute_order, backend, shards,
+            database, stats, context,
         )
         if span is not None:
             span.meta.update(_span_meta(plan))
         return plan
-
-
-plan_join.__doc__ = _plan_join.__doc__
 
 
 def _span_meta(plan: JoinPlan) -> dict:

@@ -63,7 +63,8 @@ from repro.aggregate.specs import (
     grouped,
 )
 from repro.core.query import JoinQuery
-from repro.engine.planner import NO_BACKEND, JoinPlan, _span_meta, plan_join
+from repro.engine.executors import NO_BACKEND
+from repro.engine.planner import JoinPlan, _span_meta, plan_join
 from repro.errors import QueryError
 from repro.observe.tracing import maybe_span
 from repro.query.context import ExecutionContext

@@ -75,6 +75,7 @@ class PreparedQuery:
         "_executor",
         "_probe",
         "_memos",
+        "_sampler",
     )
 
     def __init__(
@@ -147,6 +148,7 @@ class PreparedQuery:
             ("_executor", executor),
             ("_probe", probe),
             ("_memos", None),
+            ("_sampler", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -408,18 +410,26 @@ class PreparedQuery:
         with (
             tracer.span("sample", k=k) if tracer else _nullcontext()
         ), (tracer.activate() if tracer else _nullcontext()):
+            rows = self._join_sampler().sample(k, random.Random(seed))
+        if compiled.merge is not None:
+            rows = [compiled.merge(row) for row in rows]
+        return rows
+
+    def _join_sampler(self) -> JoinSampler:
+        """The sampler every :meth:`sample` draws through, made on the
+        first: it keeps its prefix-count table, and the indexes it
+        counted over are frozen, so the table never goes stale."""
+        if self._sampler is None:
             if self._plan.algorithm in DESCENT_ALGORITHMS:
                 sampler = JoinSampler.over(self._executor._binding)
             else:
                 sampler = JoinSampler(
-                    compiled.residual,
-                    database=builder._execution_database(),
-                    filters=compiled.filters,
+                    self._compiled.residual,
+                    database=self._builder._execution_database(),
+                    filters=self._compiled.filters,
                 )
-            rows = sampler.sample(k, random.Random(seed))
-        if compiled.merge is not None:
-            rows = [compiled.merge(row) for row in rows]
-        return rows
+            object.__setattr__(self, "_sampler", sampler)
+        return self._sampler
 
     def batches(self, size: int | None = None) -> Iterator[list[Row]]:
         """Stream the result in row batches of ``size`` (default

@@ -282,7 +282,10 @@ class JoinServer:
         ):
             pass
         finally:
-            with suppress(Exception):
+            # A second cancel can land while the writer closes: swallow
+            # it too, so the task ends normally — a cancelled one makes
+            # asyncio's own done-callback (3.11) log a CancelledError.
+            with suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
 

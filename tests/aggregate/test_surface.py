@@ -151,6 +151,32 @@ def test_prepared_aggregates_skip_replanning():
     assert sample == Q(*relations).sample(3, seed=8)
 
 
+@pytest.mark.parametrize("algorithm", ["generic", "lw"])
+def test_a_held_prepared_query_counts_once_for_every_sample(
+    algorithm, monkeypatch
+):
+    # The prefix-count table is the sampler's whole set-up cost; the
+    # prepared query's indexes are frozen, so one table serves every
+    # draw, and a draw is still the one a fresh prepared query makes.
+    from repro.aggregate.sampling import JoinSampler
+
+    builder = Q(*_relations()).using(algorithm=algorithm)
+    counted = []
+    count = JoinSampler._count
+
+    def counting(self):
+        counted.append(self)
+        return count(self)
+
+    monkeypatch.setattr(JoinSampler, "_count", counting)
+    prepared = builder.prepare()
+    draws = [prepared.sample(4, seed=seed) for seed in (1, 2, 1)]
+    assert len(counted) == 1
+    assert draws[0] == draws[2] != draws[1]
+    for seed, draw in zip((1, 2, 1), draws):
+        assert draw == builder.prepare().sample(4, seed=seed)
+
+
 def test_prepared_bind_rebinds_aggregates():
     relations = _relations()
     prepared = Q(*relations).where(A=0).prepare()

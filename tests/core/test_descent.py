@@ -923,7 +923,9 @@ def test_array_intersection_never_enumerates_the_probed_side(names, backend):
 
 def profiled_calls(run, resumed=None):
     """``(python calls, generator resumptions)`` while ``run()`` runs;
-    a ``resumed`` counter is filled per generator name."""
+    a ``resumed`` counter is filled per generator name.  The garbage
+    collector is paused meanwhile: a collection's callbacks are Python
+    calls too, and would land among the counted ones at random."""
     tally = Counter()
 
     def profiler(frame, event, _arg):
@@ -934,11 +936,15 @@ def profiled_calls(run, resumed=None):
                 if resumed is not None:
                     resumed[frame.f_code.co_name] += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         run()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return tally["calls"], tally["resumptions"]
 
 
@@ -955,13 +961,9 @@ def test_a_trie_leaf_intersection_makes_no_call_per_candidate():
         list(iter_rows(binding, TelemetryProbe(binding.order)))  # compiled
         probe = TelemetryProbe(binding.order)
         rows = []
-        gc.disable()  # no collection's callbacks among the calls counted
-        try:
-            made, resumed = profiled_calls(
-                lambda: rows.extend(iter_rows(binding, probe))
-            )
-        finally:
-            gc.enable()
+        made, resumed = profiled_calls(
+            lambda: rows.extend(iter_rows(binding, probe))
+        )
         assert probe.candidates == [small]
         # The nest is resumed once per row and once to finish; beyond
         # that, making the levels, looking the shape up and starting

@@ -108,8 +108,11 @@ from repro.distributed import (  # noqa: E402
     DispatchScheduler,
     LoopbackTransport,
 )
-from repro.engine.executors import DESCENT_ALGORITHMS  # noqa: E402
-from repro.engine.planner import ORDER_SENSITIVE, plan_join  # noqa: E402
+from repro.engine.executors import (  # noqa: E402
+    DESCENT_ALGORITHMS,
+    EXECUTORS,
+)
+from repro.engine.planner import plan_join  # noqa: E402
 from repro.errors import QueryError  # noqa: E402
 from repro.hypergraph import agm  # noqa: E402
 from repro.observe.metrics import MetricsRegistry  # noqa: E402
@@ -143,10 +146,10 @@ DEEP = 18
 #: (algorithm, allowed backends) — only planner-valid combinations are
 #: fuzzed; invalid ones are rejected eagerly and tested elsewhere.
 CONFIGS = (
-    ("auto", (None, "trie", "sorted", "compact")),
-    ("generic", (None, "trie", "sorted", "compact")),
-    ("leapfrog", (None, "sorted", "compact")),
-    ("nprr", (None, "trie")),
+    ("auto", (None, *EXECUTORS["generic"].backends)),
+    ("generic", (None, *EXECUTORS["generic"].backends)),
+    ("leapfrog", (None, *EXECUTORS["leapfrog"].backends)),
+    ("nprr", (None, *EXECUTORS["nprr"].backends)),
 )
 #: The plans made since the run began and the cover LPs they solved.
 PLANNED = {"plans": 0, "lps": 0}
@@ -419,7 +422,8 @@ def check_instance(rng: random.Random, relations: list[Relation]) -> tuple:
     # random order of a long path leaves its prefix disconnected, and
     # the cross products of the pieces would outrun any fuzz budget.
     pinned = None
-    if algorithm in ORDER_SENSITIVE and not deep and rng.random() < 0.25:
+    ordered = algorithm in EXECUTORS and EXECUTORS[algorithm].ordered
+    if ordered and not deep and rng.random() < 0.25:
         order = rng.sample(attributes, len(attributes))
         if rng.random() < 0.2:
             check_rejected(relations, options, broken_order(rng, order))

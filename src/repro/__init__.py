@@ -15,16 +15,16 @@ Quickstart::
     r = Relation("R", ("A", "B"), [(0, 1), (1, 2)])
     s = Relation("S", ("B", "C"), [(1, 5), (2, 6)])
     t = Relation("T", ("A", "C"), [(0, 5), (1, 6)])
-    stream = execute([r, s, t])     # worst-case optimal triangle join
-    for row in stream:
+    query = execute([r, s, t])      # worst-case optimal triangle join
+    for row in query:
         print(row)                  # streamed, no materialization
-    print(stream.relation("J"))     # ... or materialized
-    print(stream.count())           # ... or folded, no enumeration
+    print(query.relation("J"))      # ... or materialized
+    print(query.count())            # ... or folded, no enumeration
     print(output_bound([r, s, t]))  # the AGM bound 2^(3/2)
-    print(stream.plan().describe())  # the engine's join plan
+    print(query.plan().describe())  # the engine's join plan
 
     # Selections and projections, pushed into the plan:
-    print(Q(r, s, t).where(A=0).select("C").run())
+    print(Q(r, s, t).where(A=0).select("C").relation())
 
     # Aggregates fold into the search (no enumeration), and sample()
     # draws uniform rows exactly, from one count:
@@ -124,7 +124,6 @@ from repro.query import (
     PreparedQuery,
     Q,
     QueryBuilder,
-    ResultStream,
     ShardSpec,
     StealPolicy,
 )
@@ -206,7 +205,6 @@ __all__ = [
     "Relation",
     "RelaxedJoin",
     "ReproError",
-    "ResultStream",
     "Scheduler",
     "SchemaError",
     "ServerClient",

@@ -572,7 +572,7 @@ def _run_join(builder: QueryBuilder, args: argparse.Namespace) -> int:
         return 0
     if args.stream or builder.context.parallel or args.batch is not None:
         return _stream_join(builder, args)
-    result = builder.run()
+    result = builder.relation()
     if args.output:
         save_relation_csv(result, args.output)
         print(f"{len(result)} tuples -> {args.output}")

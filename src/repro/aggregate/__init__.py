@@ -12,11 +12,7 @@ user-facing surface; these modules are the mechanism.
 """
 
 from repro.aggregate.fold import Folder, fold_executor, fold_rows, fold_state
-from repro.aggregate.sampling import (
-    JoinSampler,
-    reservoir_sample,
-    sample_query,
-)
+from repro.aggregate.sampling import JoinSampler, reservoir_sample
 from repro.aggregate.specs import (
     AggregateSpec,
     Avg,
@@ -47,5 +43,4 @@ __all__ = [
     "fold_state",
     "grouped",
     "reservoir_sample",
-    "sample_query",
 ]

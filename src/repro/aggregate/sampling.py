@@ -37,7 +37,7 @@ from repro.core.query import JoinQuery
 from repro.relations.database import DEFAULT_BACKEND, INDEX_BACKENDS, Database
 from repro.relations.relation import Row, Value
 
-__all__ = ["JoinSampler", "reservoir_sample", "sample_query"]
+__all__ = ["JoinSampler", "reservoir_sample"]
 
 
 def _record(counts: dict, prefix: Row, rows: int) -> dict:
@@ -103,28 +103,6 @@ class JoinSampler:
         total = self._counts.get((), 0)
         ranks = rng.sample(range(total), min(k, total))
         return unrank(self._binding, self._counts, ranks)
-
-
-def sample_query(
-    query: JoinQuery,
-    k: int,
-    seed: int | None = None,
-    *,
-    backend: str | None = None,
-    database: Database | None = None,
-    filters: Mapping[str, Callable[[Value], bool]] | None = None,
-) -> list[Row]:
-    """Draw ``min(k, |J|)`` uniform join rows (query attribute order):
-    the draw ``Q(query).sample(k, seed)`` makes, over the order and
-    indexes the planner picks — a fixed ``seed`` repeats it within a
-    process, and across processes where the values hash alike (ints, or
-    strings under one fixed ``PYTHONHASHSEED``)."""
-    # Lazy: the engine imports this package at module load.
-    from repro.engine.planner import plan_join
-
-    plan = plan_join(query, backend=backend, database=database)
-    executor = plan.executor(database, filters)
-    return JoinSampler.over(executor._binding).sample(k, random.Random(seed))
 
 
 def reservoir_sample(rows, k: int, seed: int | None = None) -> list:

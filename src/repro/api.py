@@ -11,26 +11,26 @@
 :class:`~repro.core.query.JoinQuery`, or a fluent
 :func:`~repro.query.builder.Q` builder) and the *how* (an
 :class:`~repro.query.context.ExecutionContext`, or keyword updates to
-one) and returns a :class:`~repro.query.result.ResultStream` whose
-views cover every consumption style: iterate it, materialize it
-(``.relation()``), batch it (``.batches()``), drive it from an event
-loop (``.astream()``), or fold it without enumeration (``.count()``,
-``.fold(spec)``).  Execution options — algorithm, backend, sharding
-(:class:`~repro.query.shards.ShardSpec`), a distributed
-:class:`~repro.distributed.DispatchScheduler` — live on the context,
-declared once instead of re-spelled per entry point::
+one) and returns the :class:`~repro.query.builder.QueryBuilder` it
+configured, whose views cover every consumption style: iterate it,
+materialize it (``.relation()``), batch it (``.batches()``), drive it
+from an event loop (``.astream()``, ``async for``), or fold it without
+enumeration (``.count()``, ``.fold(spec)``).  Execution options —
+algorithm, backend, sharding (:class:`~repro.query.shards.ShardSpec`),
+a distributed :class:`~repro.distributed.DispatchScheduler` — live on
+the context, declared once instead of re-spelled per entry point::
 
     from repro import ExecutionContext, ShardSpec, execute
 
-    ctx = ExecutionContext(shards=ShardSpec("auto", steal=True))
+    ctx = ExecutionContext(shards=ShardSpec("auto", predictive=True))
     for row in execute([r, s, t], context=ctx):
         ...
 
-Every view of the stream runs through one
+Every view of the builder runs through one
 :class:`~repro.query.prepared.PreparedQuery`; :func:`output_bound`
 computes a bound and runs nothing.  There is no other way to run a
-query (``docs/API.md``, "Migrating from 6.x", maps the removed keyword
-wrappers onto these views).
+query (``docs/API.md``, "Migrating from 6.x" and "Migrating from 7.x",
+maps the removed wrappers onto these views).
 
 Every view validates its arguments when *called* — an incompatible
 algorithm/backend/order combination raises
@@ -48,7 +48,6 @@ from repro.errors import QueryError
 from repro.hypergraph.agm import best_agm_bound
 from repro.query.builder import Q, QueryBuilder
 from repro.query.context import ExecutionContext
-from repro.query.result import ResultStream
 from repro.relations.relation import Relation
 
 #: Algorithms selectable by name in :func:`execute`.  Derived from the
@@ -69,9 +68,9 @@ def execute(
     query: Sequence[Relation] | JoinQuery | QueryBuilder,
     context: ExecutionContext | None = None,
     **options,
-) -> ResultStream:
-    """Execute a join query; return a multi-view
-    :class:`~repro.query.result.ResultStream`.
+) -> QueryBuilder:
+    """Configure a join query for execution; return its
+    :class:`~repro.query.builder.QueryBuilder`.
 
     Parameters
     ----------
@@ -89,8 +88,10 @@ def execute(
         context (``execute(q, shards=ShardSpec(4), mode="thread")``).
         Mutually exclusive with ``context``.
 
-    Nothing runs until a view of the returned stream is consumed; each
+    Nothing runs until a view of the returned builder is consumed; each
     view starts a fresh execution.  Algorithm validation happens now.
+    Without options a builder comes back as it went in, plan memo and
+    all (:meth:`~repro.query.builder.QueryBuilder.plan`).
 
     >>> from repro import Relation
     >>> r = Relation("R", ("A", "B"), [(i, i + 1) for i in range(4)])
@@ -108,16 +109,11 @@ def execute(
         _check_algorithm(context.algorithm)
     elif "algorithm" in options:
         _check_algorithm(options["algorithm"])
-    if isinstance(query, QueryBuilder):
-        builder = query
-    else:
-        builder = Q(query)
-    if context is not None:
-        builder = builder.using(context)
-    elif options:
-        builder = builder.using(**options)
+    builder = query if isinstance(query, QueryBuilder) else Q(query)
+    if context is not None or options:
+        builder = builder.using(context, **options)
     _check_algorithm(builder.context.algorithm)
-    return ResultStream(builder)
+    return builder
 
 
 def output_bound(

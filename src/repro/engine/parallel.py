@@ -621,7 +621,19 @@ def _plan_job(plan: JoinPlan, executor, context, filters) -> ShardJob | None:
     ``ShardSpec.predictive``, shards whose value group holds a
     heavy-hitter value are then split on the next attribute of the
     plan's order (:func:`split_entry`) before anything runs.
+
+    Work stealing is a scheduler's (only ``DispatchScheduler`` claims
+    shards one at a time), so ``ShardSpec.steal`` without a
+    ``scheduler`` raises :class:`~repro.errors.PlanError` here, before
+    any row, instead of splitting nothing.
     """
+    spec = context.shards
+    if spec is not None and spec.steal and context.scheduler is None:
+        raise PlanError(
+            f"{spec!r} asks for work stealing, which needs a scheduler: "
+            "pass scheduler=DispatchScheduler([...]) (the CLI's --workers), "
+            "or drop steal"
+        )
     query, order = plan.query, plan.attribute_order
     # The provider the plan was made under: its cached value-count
     # tables weigh the shards, so a sharded run re-counts no column.
@@ -634,7 +646,6 @@ def _plan_job(plan: JoinPlan, executor, context, filters) -> ShardJob | None:
     ]
     if not entries:
         return None
-    spec = context.shards
     presplits = 0
     if spec is not None and spec.predictive:
         # Lazy import: the distributed package imports this module.

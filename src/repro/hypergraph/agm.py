@@ -30,6 +30,9 @@ from repro.hypergraph.simplex import solve_min_geq
 #: Denominator cap used when approximating log-sizes by rationals.
 LOG_DENOMINATOR_LIMIT = 10**6
 
+#: Bits past which :func:`agm_bound` stops forming the exact product.
+EXACT_BOUND_BITS = 4096
+
 
 def agm_log_bound(
     hypergraph: Hypergraph,
@@ -60,12 +63,33 @@ def agm_bound(
 ) -> float:
     """The AGM bound ``prod_e N_e^{x_e}`` as a float.
 
-    Use :func:`agm_log_bound` when sizes are huge enough to overflow.
+    Computed from the cover's exact weights: with ``L`` the least
+    common denominator, the bound is the ``L``-th root of the integer
+    ``prod_e N_e^{x_e L}``, exact whenever that root is an integer — an
+    integral cover's product, the triangle's ``N^{3/2}`` at square
+    ``N`` — so a tight instance never reads below its own output.
+    Otherwise (or past :data:`EXACT_BOUND_BITS`) it is
+    ``exp`` of :func:`agm_log_bound`, which is also the function to use
+    when sizes are huge enough to overflow a float.
     """
-    log_value = agm_log_bound(hypergraph, sizes, cover)
-    if log_value == -math.inf:
-        return 0.0
-    return math.exp(log_value)
+    powers = []
+    for eid in hypergraph.edges:
+        weight = cover.get(eid)
+        if weight == 0:
+            continue
+        if sizes[eid] == 0:
+            return 0.0
+        powers.append((sizes[eid], Fraction(weight)))
+    root = math.lcm(*(weight.denominator for _size, weight in powers))
+    exponents = [(size, int(weight * root)) for size, weight in powers]
+    bits = sum(e * size.bit_length() for size, e in exponents)
+    if bits <= EXACT_BOUND_BITS:
+        product = math.prod(size**e for size, e in exponents)
+        guess = round(math.exp(math.log(product) / root))
+        for candidate in (guess - 1, guess, guess + 1):
+            if candidate**root == product:
+                return float(candidate)
+    return math.exp(agm_log_bound(hypergraph, sizes, cover))
 
 
 def cover_lp_rows(

@@ -13,19 +13,21 @@ clause, before anything executes.
 how to run it (``rows`` / ``aggregate`` / ``group`` / ``sample`` /
 ``explain`` / ``explain_analyze``), ``columns`` names the output, and
 :meth:`CompiledQuery.run` produces a :class:`QueryResult` — against its
-own builder by default, or against any object sharing the builder's
-execution surface (a :class:`~repro.query.prepared.PreparedQuery`:
-servers pass the cached prepared query so repeated text never replans).
+own builder by default, or against a
+:class:`~repro.query.prepared.PreparedQuery` of it (both answer the same
+views, :class:`~repro.query.builder.QueryViews`: servers pass the cached
+prepared query so repeated text never replans).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.aggregate.specs import AggregateSpec, as_spec
 from repro.errors import CompileError, QueryError
 from repro.lang.nodes import Aggregate, Equals, InSet, Node, Star, Statement
 from repro.lang.parser import parse
-from repro.query.builder import Q, QueryBuilder
+from repro.query.builder import Q, QueryBuilder, QueryViews
 from repro.query.context import ExecutionContext
 
 __all__ = ["CompiledQuery", "QueryResult", "compile_query"]
@@ -44,15 +46,11 @@ class QueryResult:
     text: str | None = None
 
 
-#: ``(method name, needs attribute)`` per aggregate function.
-_AGG_METHODS = {
-    "count": ("count", False),
-    "sum": ("sum", True),
-    "min": ("min", True),
-    "max": ("max", True),
-    "avg": ("avg", True),
-    "count_distinct": ("count_distinct", True),
-}
+def _spec(aggregate: Aggregate) -> AggregateSpec:
+    """The spec one select-list aggregate folds."""
+    if aggregate.func == "count":
+        return as_spec("count")
+    return as_spec((aggregate.func, aggregate.argument))
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class CompiledQuery:
         """The canonical statement text (the server's cache key)."""
         return self.statement.normalized
 
-    def run(self, target: QueryBuilder | None = None) -> QueryResult:
+    def run(self, target: QueryViews | None = None) -> QueryResult:
         """Execute and materialize the result.
 
         ``target`` defaults to :attr:`builder`; passing a
@@ -89,32 +87,26 @@ class CompiledQuery:
             rows = query.sample(statement.sample, seed=statement.sample_seed)
             return QueryResult(self.columns, list(rows))
         if self.kind == "aggregate":
-            values = []
-            for aggregate in statement.aggregates:
-                method, takes_attr = _AGG_METHODS[aggregate.func]
-                bound = getattr(query, method)
-                values.append(
-                    bound(aggregate.argument) if takes_attr else bound()
-                )
-            return QueryResult(self.columns, [tuple(values)])
+            values = tuple(
+                query.fold(_spec(aggregate))
+                for aggregate in statement.aggregates
+            )
+            return QueryResult(self.columns, [values])
         if self.kind == "group":
             keys = tuple(column.name for column in statement.group_by)
-            spec = {
-                aggregate.label: (
-                    "count"
-                    if aggregate.func == "count"
-                    else (aggregate.func, aggregate.argument)
-                )
-                for aggregate in statement.aggregates
-            }
-            grouped = query.group_by(*keys).agg(**spec)
+            grouped = query.group_by(*keys).agg(
+                **{
+                    aggregate.label: _spec(aggregate)
+                    for aggregate in statement.aggregates
+                }
+            )
             labels = self.columns[len(keys):]
             rows = [
                 key + tuple(values[label] for label in labels)
                 for key, values in grouped.items()
             ]
             return QueryResult(self.columns, rows)
-        return QueryResult(self.columns, list(query.stream()))
+        return QueryResult(self.columns, list(query))
 
 
 def _fail(node: Node, message: str, source: str) -> CompileError:

@@ -20,15 +20,19 @@ join.  Three objects:
   rebinding (the prepared-statement contract; pairs with
   ``Database.warm``).
 
-``repro.execute`` is the front door over this package; every view of
-its result runs through one :class:`~repro.query.prepared.PreparedQuery`.
+The builder and the prepared query answer the same terminal views —
+iteration, ``relation()``, ``batches()``, ``astream()``, ``count()``
+and the other folds, ``group_by()``, ``sample()`` — written once on
+their shared base, :class:`~repro.query.builder.QueryViews`.
+``repro.execute`` is the front door over this package: it returns the
+builder it configured, and every view runs through one
+:class:`~repro.query.prepared.PreparedQuery`.
 """
 
 from repro.query.builder import GroupedQuery, Q, QueryBuilder
 from repro.query.context import ExecutionContext
 from repro.query.predicates import Callback, ResidualPredicate, ValueIn
 from repro.query.prepared import PreparedQuery
-from repro.query.result import ResultStream
 from repro.query.shards import ShardSpec, StealPolicy
 
 __all__ = [
@@ -39,7 +43,6 @@ __all__ = [
     "Q",
     "QueryBuilder",
     "ResidualPredicate",
-    "ResultStream",
     "ShardSpec",
     "StealPolicy",
     "ValueIn",

@@ -8,12 +8,11 @@ closes that gap with an immutable builder::
 
     from repro import Q
 
-    rows = (
+    rows = list(
         Q(r, s, t)
         .where(A=1)               # equality: pushed into the plan
         .where_in("B", {2, 3})    # membership: per-level filter hook
         .select("B", "C")         # projection: streamed + deduplicated
-        .stream()
     )
 
 Three pushdown mechanisms, in decreasing strength:
@@ -40,16 +39,23 @@ Three pushdown mechanisms, in decreasing strength:
   join.
 
 Execution options ride in an :class:`~repro.query.context.
-ExecutionContext` (:meth:`QueryBuilder.using` / :meth:`QueryBuilder.on`)
-— one object instead of the six-keyword lists `repro.api` used to copy
-between entry points.  ``prepare()`` freezes the plan and its indexes
-into a :class:`~repro.query.prepared.PreparedQuery` for repeated
-execution.
+ExecutionContext` (:meth:`QueryBuilder.using` / :meth:`QueryBuilder.on`).
+``prepare()`` freezes the plan and its indexes into a
+:class:`~repro.query.prepared.PreparedQuery` for repeated execution;
+both answer the terminal views of :class:`QueryViews`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+import asyncio
+from collections.abc import (
+    AsyncIterator,
+    Callable,
+    Generator,
+    Iterable,
+    Iterator,
+)
+from contextlib import suppress
 from dataclasses import dataclass, replace as _dc_replace
 
 from repro.aggregate.specs import (
@@ -63,6 +69,7 @@ from repro.aggregate.specs import (
     grouped,
 )
 from repro.core.query import JoinQuery
+from repro.engine import parallel as _parallel
 from repro.engine.executors import NO_BACKEND
 from repro.engine.planner import JoinPlan, _span_meta, plan_join
 from repro.errors import QueryError
@@ -77,17 +84,21 @@ from repro.query.predicates import (
 from repro.relations import database as _database
 from repro.relations.relation import Relation, Row, Value
 
-__all__ = ["Q", "QueryBuilder"]
+__all__ = ["Q", "QueryBuilder", "QueryViews"]
 
 
-def _as_query(
-    relations: tuple,
-) -> JoinQuery:
+def _as_query(relations: tuple) -> JoinQuery:
     """Normalize ``Q``'s argument spellings into one ``JoinQuery``."""
     if len(relations) == 1:
         only = relations[0]
         if isinstance(only, JoinQuery):
             return only
+        if isinstance(only, QueryViews):
+            raise QueryError(
+                f"Q() takes relations or a JoinQuery, not {only!r}: a "
+                "builder is refined by its own methods (or passed to "
+                "execute())"
+            )
         if not isinstance(only, Relation) and isinstance(only, Iterable):
             return JoinQuery(list(only))
     return JoinQuery(list(relations))
@@ -123,7 +134,99 @@ def Q(*relations, context: ExecutionContext | None = None) -> "QueryBuilder":
     return QueryBuilder(_as_query(relations), context=context)
 
 
-class QueryBuilder:
+class QueryViews:
+    """Every terminal view of a query's result, written once.
+
+    :class:`QueryBuilder` and :class:`~repro.query.prepared.PreparedQuery`
+    inherit these views and each supplies the three primitives they read
+    — ``stream()``, ``fold(spec)`` and ``sample(k, seed)`` — with
+    ``output_attributes`` and ``_require_attribute``.  A builder's
+    primitives run a one-shot prepared query, so every view of either
+    runs through :class:`~repro.query.prepared.PreparedQuery`; each
+    call starts a fresh run (materialize with :meth:`relation` or
+    ``list(...)`` to reuse a result).
+    """
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Row]:
+        return self.stream()
+
+    def __aiter__(self):
+        return self.astream()
+
+    def relation(self, name: str = "J") -> Relation:
+        """Run and materialize the result as a :class:`Relation`."""
+        return Relation(name, self.output_attributes, self.stream())
+
+    def count(self) -> int:
+        """Number of result rows — *without* enumerating them when the
+        plan allows: the count is folded into the join's level loops and
+        prunable subtrees are counted in O(1) (see
+        :mod:`repro.aggregate.fold`).  Exactly ``sum(1 for _ in self)``,
+        at a fraction of the work."""
+        return self.fold(Count())
+
+    def sum(self, attribute: str):
+        """Sum of ``attribute`` over the result rows (0 when empty)."""
+        return self.fold(Sum(attribute))
+
+    def min(self, attribute: str):
+        """Minimum of ``attribute`` over the result (None when empty)."""
+        return self.fold(Min(attribute))
+
+    def max(self, attribute: str):
+        """Maximum of ``attribute`` over the result (None when empty)."""
+        return self.fold(Max(attribute))
+
+    def avg(self, attribute: str):
+        """Mean of ``attribute`` over the result (None when empty)."""
+        return self.fold(Avg(attribute))
+
+    def count_distinct(self, attribute: str) -> int:
+        """Number of distinct ``attribute`` values in the result (0 when
+        empty).  Multiplicity-insensitive, so subtrees below the
+        attribute's level are pruned without counting completions."""
+        return self.fold(CountDistinct(attribute))
+
+    def group_by(self, *attributes: str) -> "GroupedQuery":
+        """Group the result by ``attributes``; finish with
+        :meth:`GroupedQuery.agg` (or :meth:`GroupedQuery.count`).
+
+        Grouping attributes must be in the output schema.  Keys in the
+        returned mapping are always tuples, even for a single grouping
+        attribute."""
+        if not attributes:
+            raise QueryError("group_by needs at least one attribute")
+        for attribute in attributes:
+            self._require_attribute(attribute, "group_by")
+        return GroupedQuery(self, attributes)
+
+    def batches(self, size: int | None = None) -> Iterator[list[Row]]:
+        """Stream the result in row batches of ``size`` (default
+        :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`)."""
+        if size is None:
+            size = _parallel.DEFAULT_BATCH_SIZE
+        return _parallel.batches(self.stream(), size)
+
+    def astream(self, batch_size: int | None = None):
+        """Async iteration for event-loop servers (``async for row in
+        q.astream()``, or ``async for row in q``): the blocking stream
+        runs on worker threads (:func:`_pump`) and rows reach the loop
+        ``batch_size`` at a time (default
+        :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`).  Planning
+        and validation happen in this synchronous call."""
+        batched = self.batches(batch_size)
+
+        async def rows():
+            async for batch in _pump(batched):
+                for row in batch:
+                    yield row
+
+        return rows()
+
+
+class QueryBuilder(QueryViews):
     """An immutable conjunctive query with selections and a projection.
 
     Holds *what* to compute: the join query, equality bindings, residual
@@ -152,11 +255,9 @@ class QueryBuilder:
         selected: tuple[str, ...] | None = None,
     ) -> None:
         object.__setattr__(self, "query", query)
-        object.__setattr__(
-            self,
-            "context",
-            context if context is not None else ExecutionContext(),
-        )
+        if context is None:
+            context = ExecutionContext()
+        object.__setattr__(self, "context", context)
         object.__setattr__(self, "bindings", bindings)
         object.__setattr__(self, "predicates", predicates)
         object.__setattr__(self, "selected", selected)
@@ -382,17 +483,6 @@ class QueryBuilder:
             ctx = ctx.replace(attribute_order=stripped)
         return ctx
 
-    def _execution_database(self):
-        """The catalog handed to *executors*.
-
-        Always the context's database: executors consult it per
-        relation and only for the exact catalogued object (identity),
-        so sections created by equality pushdown build private indexes
-        while untouched relations in the same residual query still hit
-        the shared cache.
-        """
-        return self.context.database
-
     def _guard_plan(self, compiled: _Compiled) -> JoinPlan:
         """The degenerate plan when no residual query remains."""
         if compiled.satisfiable:
@@ -507,13 +597,13 @@ class QueryBuilder:
         return dedup()
 
     def _one_shot(self):
-        """This query prepared for a single run: every executing view
-        below is one, so the builder, ``prepare()`` and ``EXPLAIN
-        ANALYZE`` plan, measure, batch and fold by the same code (see
-        :mod:`repro.query.prepared`)."""
+        """This query prepared for a single run — what each of the three
+        primitives below runs (see :mod:`repro.query.prepared`)."""
         from repro.query.prepared import PreparedQuery
 
         return PreparedQuery._one_shot(self)
+
+    # -- the three primitives the views read ---------------------------------
 
     def stream(self) -> Iterator[Row]:
         """Stream result rows (schema: :attr:`output_attributes`).
@@ -524,98 +614,25 @@ class QueryBuilder:
         """
         return self._one_shot().stream()
 
-    def run(self, name: str = "J") -> Relation:
-        """Execute and materialize the result as a :class:`Relation`."""
-        return Relation(name, self.output_attributes, self.stream())
-
-    # -- aggregation & sampling ----------------------------------------------
-
-    def _aggregate(self, spec: AggregateSpec, mode: str):
-        """Run one aggregate spec over this query's result (the dispatch
-        table is :meth:`PreparedQuery._aggregate
-        <repro.query.prepared.PreparedQuery._aggregate>`'s)."""
-        return self._one_shot()._aggregate(spec, mode)
-
-    def count(self) -> int:
-        """Number of result rows — *without* enumerating them when the
-        plan allows: the count is folded into the join's level loops and
-        prunable subtrees are counted in O(1) (see
-        :mod:`repro.aggregate.fold`).  Exactly
-        ``sum(1 for _ in self.stream())``, at a fraction of the work."""
-        return self._aggregate(Count(), "count")
-
-    def sum(self, attribute: str):
-        """Sum of ``attribute`` over the result rows (0 when empty)."""
-        return self._aggregate(Sum(attribute), "sum")
-
-    def min(self, attribute: str):
-        """Minimum of ``attribute`` over the result (None when empty)."""
-        return self._aggregate(Min(attribute), "min")
-
-    def max(self, attribute: str):
-        """Maximum of ``attribute`` over the result (None when empty)."""
-        return self._aggregate(Max(attribute), "max")
-
-    def avg(self, attribute: str):
-        """Mean of ``attribute`` over the result (None when empty)."""
-        return self._aggregate(Avg(attribute), "avg")
-
-    def count_distinct(self, attribute: str) -> int:
-        """Number of distinct ``attribute`` values in the result (0 when
-        empty).  Multiplicity-insensitive, so subtrees below the
-        attribute's level are pruned without counting completions."""
-        return self._aggregate(CountDistinct(attribute), "count_distinct")
-
-    def group_by(self, *attributes: str) -> "GroupedQuery":
-        """Group the result by ``attributes``; finish with
-        :meth:`GroupedQuery.agg` (or :meth:`GroupedQuery.count`).
-
-        Grouping attributes must be in the output schema.  Keys in the
-        returned mapping are always tuples, even for a single grouping
-        attribute."""
-        if not attributes:
-            raise QueryError("group_by needs at least one attribute")
-        for attribute in attributes:
-            self._require_attribute(attribute, "group_by")
-        return GroupedQuery(self, tuple(attributes))
+    def fold(self, spec: AggregateSpec):
+        """Fold an :class:`~repro.aggregate.specs.AggregateSpec` over the
+        result without materializing it (:meth:`PreparedQuery.fold
+        <repro.query.prepared.PreparedQuery.fold>` says how)."""
+        return self._one_shot().fold(spec)
 
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
         """``min(k, count)`` distinct uniform result rows, never
-        materializing the result: one memoised count of the plan's
-        search tree, then the drawn ranks unranked in one walk of it
-        (:mod:`repro.aggregate.sampling`), uniform over the filtered
-        join.  A rank names a row by the search's order, which follows
-        the indexes' hash order: a fixed ``seed`` repeats the draw
-        within one process, and across processes where every value
-        hashes alike in each — ints, or any value under one fixed
-        ``PYTHONHASHSEED`` (strings hash differently per process).
-
-        With a projection (``select``), uniformity is over the distinct
-        projected rows, drawn by seeded reservoir sampling over the
-        deduplicated stream.  With ``context.shards`` set the sampler
-        still runs serially — a shard-local sample is not a uniform
-        global one."""
+        materializing the result (:meth:`PreparedQuery.sample
+        <repro.query.prepared.PreparedQuery.sample>` says how, and what
+        a fixed ``seed`` repeats)."""
         return self._one_shot().sample(k, seed)
-
-    def batches(self, size: int | None = None) -> Iterator[list[Row]]:
-        """Stream the result in row batches of ``size`` (default
-        :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`)."""
-        return self._one_shot().batches(size)
-
-    def astream(self, batch_size: int | None = None):
-        """Async iteration for event-loop servers (``async for row in
-        q.astream()``): the blocking stream runs on worker threads and
-        rows reach the loop ``batch_size`` at a time (default
-        :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`).  Planning
-        and validation happen in this synchronous call."""
-        return self._one_shot().astream(batch_size)
 
     def prepare(self) -> "PreparedQuery":
         """Freeze this query into a :class:`~repro.query.prepared.
         PreparedQuery`: the plan is fixed and every index it needs is
         built now (through the context database's bounded cache when the
-        relations are catalogued), so repeated ``run()`` / ``stream()``
-        calls perform zero planning and zero index builds."""
+        relations are catalogued), so its repeated runs perform zero
+        planning and zero index builds."""
         from repro.query.prepared import PreparedQuery
 
         return PreparedQuery(self)
@@ -635,16 +652,15 @@ class QueryBuilder:
 class GroupedQuery:
     """A query grouped by key attributes, awaiting its aggregates.
 
-    Returned by :meth:`QueryBuilder.group_by`; terminal methods run the
-    query.  Immutable and reusable like the builder itself.
+    Returned by :meth:`QueryViews.group_by`; its terminal methods fold
+    over the builder or prepared query it groups.  Immutable and
+    reusable like the builder itself.
     """
 
-    __slots__ = ("_builder", "_keys")
+    __slots__ = ("_query", "_keys")
 
-    def __init__(
-        self, builder: QueryBuilder, keys: tuple[str, ...]
-    ) -> None:
-        object.__setattr__(self, "_builder", builder)
+    def __init__(self, query: QueryViews, keys: tuple[str, ...]) -> None:
+        object.__setattr__(self, "_query", query)
         object.__setattr__(self, "_keys", keys)
 
     def __setattr__(self, key: str, value: object) -> None:
@@ -665,14 +681,38 @@ class GroupedQuery:
         """
         if not aggregates:
             raise QueryError("agg() needs at least one named aggregate")
-        spec = grouped(self._keys, aggregates)
-        return self._builder._aggregate(spec, "group_by")
+        return self._query.fold(grouped(self._keys, aggregates))
 
     def count(self) -> dict:
         """Rows per group: ``{key tuple: count}`` (keys sorted)."""
-        spec = grouped(self._keys, {"count": Count()})
-        result = self._builder._aggregate(spec, "group_by")
+        result = self._query.fold(grouped(self._keys, {"count": Count()}))
         return {key: values["count"] for key, values in result.items()}
 
     def __repr__(self) -> str:
-        return f"{self._builder!r}.group_by({', '.join(self._keys)})"
+        return f"{self._query!r}.group_by({', '.join(self._keys)})"
+
+
+async def _pump(blocking: Generator) -> AsyncIterator:
+    """Iterate a blocking generator from an event loop: the one
+    loop↔worker hand-off, an ``asyncio.to_thread`` hop per item.
+
+    Both async surfaces are this loop — :meth:`QueryViews.astream` over
+    :meth:`QueryViews.batches`, the server over its encoded response
+    lines — so everything ``next(blocking)`` does (descend, batch,
+    encode) runs on the worker and the loop only passes items on.
+    A hop starts when the consumer asks for the next item, never before:
+    a consumer that waits between items (a socket that will not drain)
+    holds the descent where it is.  Closing the pump closes
+    ``blocking``, so an abandoned stream stops descending.
+    """
+    done = object()
+    try:
+        while (
+            item := await asyncio.to_thread(next, blocking, done)
+        ) is not done:
+            yield item
+    finally:
+        # A hop cancelled in flight still runs ``blocking`` on its
+        # worker ("generator already executing"); that item is its last.
+        with suppress(ValueError):
+            blocking.close()

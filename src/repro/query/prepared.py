@@ -1,7 +1,6 @@
 """Prepared queries: plan once, index once, run many times.
 
-The ROADMAP's "cross-query warmup hints" item, realized at the query
-level: :meth:`QueryBuilder.prepare` (or ``Database.prepare``) freezes a
+:meth:`QueryBuilder.prepare` (or ``Database.prepare``) freezes a
 builder into a :class:`PreparedQuery` whose
 
 * **plan** is computed exactly once (algorithm, attribute order,
@@ -10,16 +9,19 @@ builder into a :class:`PreparedQuery` whose
   context database's bounded GreedyDual cache when the relations are
   catalogued (so other queries share them), privately otherwise.
 
-Each ``run()`` / ``stream()`` then re-drives the same executor: zero
-planning, zero index builds — on a warm catalog, ``Database.
-cache_info()`` shows no new misses across any number of runs.
+Every view of it (:class:`~repro.query.builder.QueryViews`: iteration,
+``relation()``, ``batches()``, ``count()``, ``group_by()``, ...) then
+re-drives the same executor through its three primitives —
+:meth:`~PreparedQuery.stream`, :meth:`~PreparedQuery.fold` and
+:meth:`~PreparedQuery.sample`: zero planning, zero index builds — on a
+warm catalog, ``Database.cache_info()`` shows no new misses across any
+number of runs.
 
-This class is also the *only* code that runs a query: the builder's own
-``stream()`` / ``batches()`` / ``count()`` / ``sample()`` and
-``explain(analyze=True)`` are one-shot prepared runs (Remark 5.2's
-split — choose the order and build the indexes ahead of time, then
-join — taken literally), so every surface measures, batches, folds and
-samples by the same rules.
+This class is also the *only* code that runs a query: a builder's
+primitives and ``explain(analyze=True)`` are one-shot prepared runs
+(Remark 5.2's split — choose the order and build the indexes ahead of
+time, then join — taken literally), so every surface measures,
+batches, folds and samples by the same rules.
 
 :meth:`PreparedQuery.bind` rebinds the equality parameters (``where``
 values) *without re-planning*: the residual query has the same shape for
@@ -27,40 +29,36 @@ any parameter values, so the frozen algorithm / order / backend carry
 over and only the sections (and their private indexes) are rebuilt —
 the classical prepared-statement contract.
 
-Sharded execution (a context with ``shards`` set) reuses the same
-frozen plan and the same executor: each run hands both to the sharded
-driver (:func:`repro.engine.parallel.shard_join` / ``shard_fold``),
-which partitions the first attribute's values by the plan's shard count
-and runs every shard as a key over the one executor's indexes — so a
-held prepared query's sharded runs do zero planning and zero index
-builds, exactly as its serial runs do.
+A sharded run (a context with ``shards`` set) hands the same frozen
+plan and executor to the sharded driver
+(:func:`repro.engine.parallel.shard_join` / ``shard_fold``), which runs
+every shard as a key over the one executor's indexes — so it, too, does
+zero planning and zero index builds.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections.abc import AsyncIterator, Generator, Iterator
+from collections.abc import Iterator
 from contextlib import nullcontext as _nullcontext
-from contextlib import suppress as _suppress
 from dataclasses import replace as _dc_replace
 
 from repro.aggregate.fold import Folder, fold_rows
 from repro.aggregate.sampling import JoinSampler, reservoir_sample
-from repro.aggregate.specs import Avg, Count, CountDistinct, Max, Min, Sum
 from repro.core.descent import iter_texts
 from repro.engine import parallel as _parallel
 from repro.engine.executors import DESCENT_ALGORITHMS
 from repro.engine.planner import JoinPlan
 from repro.errors import QueryError
 from repro.observe.telemetry import TelemetryProbe
-from repro.query.builder import GroupedQuery, QueryBuilder
-from repro.relations.relation import Relation, Row, Value
+from repro.query.builder import QueryBuilder, QueryViews
+from repro.relations.relation import Row, Value
 
 __all__ = ["PreparedQuery"]
 
 
-class PreparedQuery:
+class PreparedQuery(QueryViews):
     """A frozen, pre-indexed query ready for repeated execution.
 
     Build via :meth:`QueryBuilder.prepare` or ``Database.prepare`` —
@@ -79,40 +77,25 @@ class PreparedQuery:
     )
 
     def __init__(
-        self, builder: QueryBuilder, _reuse_plan: JoinPlan | None = None
-    ) -> None:
-        self._freeze(builder, _reuse_plan, analyze=False)
-
-    @classmethod
-    def _one_shot(
-        cls, builder: QueryBuilder, analyze: bool = False
-    ) -> "PreparedQuery":
-        """The prepared query behind one builder view or one ``EXPLAIN
-        ANALYZE`` (``analyze`` puts the per-level probe on)."""
-        self = cls.__new__(cls)
-        self._freeze(builder, None, analyze=analyze)
-        return self
-
-    def _freeze(
         self,
         builder: QueryBuilder,
-        reuse_plan: JoinPlan | None,
-        analyze: bool,
+        _reuse_plan: JoinPlan | None = None,
+        _analyze: bool = False,
     ) -> None:
         """Plan → probe → executor, under the context tracer (so the
         ``plan`` / ``stats-profile`` / ``index-build`` spans exist).
-        A sharded run walks the one executor once per shard,
-        concurrently in some modes, so it gets no per-level probe: its
-        measurements are the per-shard ones."""
+        ``_analyze`` puts the per-level probe on, except on a sharded
+        run: that walks the one executor once per shard, concurrently in
+        some modes, so its measurements are the per-shard ones."""
         compiled = builder._compile()
         context = builder.context
         tracer = context.tracer
         with tracer.activate() if tracer else _nullcontext():
-            if reuse_plan is None:
+            if _reuse_plan is None:
                 plan = builder.plan()
             elif compiled.residual is None:
                 plan = builder._guard_plan(compiled)
-            elif reuse_plan.algorithm == "none":
+            elif _reuse_plan.algorithm == "none":
                 # The original prepare was degenerate (a guard proved it
                 # empty before planning), so there is no real plan to
                 # reuse; the rebound values resurrected a residual query
@@ -123,7 +106,7 @@ class PreparedQuery:
                 # the frozen algorithm / order / backend stay valid, only
                 # the data (and the lazily cached AGM bound) changed.
                 plan = _dc_replace(
-                    reuse_plan,
+                    _reuse_plan,
                     query=compiled.residual,
                     bound=compiled.bound,
                     _bound=None,
@@ -131,13 +114,15 @@ class PreparedQuery:
             executor = probe = None
             if compiled.satisfiable and compiled.residual is not None:
                 if (
-                    analyze
+                    _analyze
                     and not context.parallel
                     and plan.algorithm in DESCENT_ALGORITHMS
                 ):
                     probe = TelemetryProbe(plan.attribute_order)
+                # Executors use the catalog only for the exact catalogued
+                # objects, so pushdown's sections build private indexes.
                 executor = plan.executor(
-                    database=builder._execution_database(),
+                    database=context.database,
                     filters=compiled.filters,
                     telemetry=probe,
                 )
@@ -151,6 +136,14 @@ class PreparedQuery:
             ("_sampler", None),
         ):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _one_shot(
+        cls, builder: QueryBuilder, analyze: bool = False
+    ) -> "PreparedQuery":
+        """The prepared query behind one builder view or one ``EXPLAIN
+        ANALYZE`` (``analyze`` puts the per-level probe on)."""
+        return cls(builder, _analyze=analyze)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("PreparedQuery instances are immutable")
@@ -172,6 +165,9 @@ class PreparedQuery:
         """The schema of the rows :meth:`stream` yields."""
         return self._builder.output_attributes
 
+    def _require_attribute(self, attribute: str, what: str) -> None:
+        self._builder._require_attribute(attribute, what)
+
     def describe(self) -> str:
         """The frozen plan's ``explain`` rendering."""
         return self._plan.describe()
@@ -179,26 +175,18 @@ class PreparedQuery:
     # -- execution ----------------------------------------------------------
 
     def stream(self) -> Iterator[Row]:
-        """Stream result rows from the pre-built executor.
-
-        No planning and no index builds happen here — every run walks
-        the indexes frozen at prepare time.  (With a parallel context,
-        each run goes to the sharded driver, which runs one key per
-        shard over the same executor; see the module docstring.)  Unless
-        the run is measured (a probe, metrics, a tracer) the stream is
-        the executor's own generator.
-        """
+        """Stream result rows from the pre-built executor: no planning
+        and no index builds (a sharded run too — see the module
+        docstring).  Unless the run is measured (a probe, metrics, a
+        tracer) the stream is the executor's own generator."""
         compiled = self._compiled
         builder = self._builder
         if not compiled.satisfiable:
             return iter(())
         if compiled.residual is None:
             constants = dict(compiled.bound)
-            return builder._project(
-                iter(
-                    (tuple(constants[a] for a in compiled.output_attributes),)
-                )
-            )
+            row = tuple(constants[a] for a in compiled.output_attributes)
+            return builder._project(iter((row,)))
         context = builder.context
         sharded = context.parallel
         if sharded:
@@ -216,7 +204,7 @@ class PreparedQuery:
             or context.metrics is not None
             or context.tracer is not None
         ):
-            rows = self._measured(rows, self._plan, self._probe)
+            rows = self._measured(rows)
         return builder._project(rows)
 
     def _texts(self) -> Iterator[str] | None:
@@ -251,9 +239,7 @@ class PreparedQuery:
             object.__setattr__(self, "_memos", _json_memos(len(perm)))
         return iter_texts(binding, perm, self._memos)
 
-    def _measured(
-        self, rows: Iterator[Row], plan: JoinPlan, probe
-    ) -> Iterator[Row]:
+    def _measured(self, rows: Iterator[Row]) -> Iterator[Row]:
         """Stream one serial run inside its ``execute`` span, then feed
         the run's measurements to the metrics registry.
 
@@ -265,12 +251,12 @@ class PreparedQuery:
         is shared across runs (reset here), so concurrent streams of one
         prepared query must not overlap when it is on.
         """
-        context = self._builder.context
+        context, probe = self._builder.context, self._probe
         tracer, metrics = context.tracer, context.metrics
         if probe is not None:
             probe.reset()
         with (
-            tracer.span("execute", algorithm=plan.algorithm)
+            tracer.span("execute", algorithm=self._plan.algorithm)
             if tracer
             else _nullcontext()
         ) as span:
@@ -288,14 +274,10 @@ class PreparedQuery:
                 if context.database is not None:
                     metrics.record_cache(context.database.cache_info())
 
-    def run(self, name: str = "J") -> Relation:
-        """Execute and materialize the result as a :class:`Relation`."""
-        return Relation(name, self.output_attributes, self.stream())
-
     # -- aggregation & sampling ----------------------------------------------
 
-    def _aggregate(self, spec, mode: str):
-        """Run one aggregate spec over the result — no re-planning —
+    def fold(self, spec):
+        """Fold one aggregate spec over the result — no re-planning —
         under a ``fold`` span when traced (a streamed fallback's
         ``execute`` span nests inside it).
 
@@ -324,7 +306,11 @@ class PreparedQuery:
         builder = self._builder
         context = builder.context
         tracer = context.tracer
-        with tracer.span("fold", aggregate=mode) if tracer else _nullcontext():
+        with (
+            tracer.span("fold", aggregate=type(spec).__name__)
+            if tracer
+            else _nullcontext()
+        ):
             if not compiled.satisfiable:
                 return spec.finish(spec.start())
             foldable = (
@@ -353,49 +339,24 @@ class PreparedQuery:
                     context.metrics.record_cache(context.database.cache_info())
             return spec.finish(state)
 
-    def count(self) -> int:
-        """Number of result rows, folded into the frozen executor's
-        level loops when the plan allows (no enumeration; see
-        :meth:`QueryBuilder.count`), streamed otherwise."""
-        return self._aggregate(Count(), "count")
-
-    def sum(self, attribute: str):
-        """Sum of ``attribute`` over the result rows (0 when empty)."""
-        return self._aggregate(Sum(attribute), "sum")
-
-    def min(self, attribute: str):
-        """Minimum of ``attribute`` over the result (None when empty)."""
-        return self._aggregate(Min(attribute), "min")
-
-    def max(self, attribute: str):
-        """Maximum of ``attribute`` over the result (None when empty)."""
-        return self._aggregate(Max(attribute), "max")
-
-    def avg(self, attribute: str):
-        """Mean of ``attribute`` over the result (None when empty)."""
-        return self._aggregate(Avg(attribute), "avg")
-
-    def count_distinct(self, attribute: str) -> int:
-        """Number of distinct ``attribute`` values in the result (0 when
-        empty), same no-re-planning contract as :meth:`count`."""
-        return self._aggregate(CountDistinct(attribute), "count_distinct")
-
-    def group_by(self, *attributes: str) -> GroupedQuery:
-        """Group the prepared result by ``attributes``; terminal methods
-        on the returned :class:`~repro.query.builder.GroupedQuery` run
-        against this prepared query (same no-re-planning contract as
-        :meth:`count`)."""
-        self._builder.group_by(*attributes)  # reuse the builder's checks
-        return GroupedQuery(self, tuple(attributes))
-
     def sample(self, k: int, seed: int | None = None) -> list[Row]:
         """``min(k, count)`` distinct uniform result rows, an exact draw
-        (see :meth:`QueryBuilder.sample`, also for what a fixed ``seed``
-        repeats) over the frozen plan: a
-        descent plan's sampler walks the executor's own binding — the
-        plan's order, indexes and filters — so it builds nothing.  A
-        pinned ``lw`` / ``nprr`` / ``arity2`` plan has no binding; its
-        sampler binds the residual query in the query's order."""
+        over the frozen plan, uniform over the filtered join: one
+        memoised count of the search tree, then the drawn ranks
+        unranked in one walk of it (:mod:`repro.aggregate.sampling`).
+        A descent plan's sampler walks the executor's own binding — the
+        plan's order, indexes and filters — so it builds nothing; a
+        pinned ``lw`` / ``nprr`` / ``arity2`` plan's binds the residual
+        query in the query's order.  A rank names a row by the search's
+        order, which follows the indexes' hash order: a fixed ``seed``
+        repeats the draw within one process, and across processes where
+        every value hashes alike — ints, or any value under one fixed
+        ``PYTHONHASHSEED``.
+
+        With a projection (``select``), uniformity is over the distinct
+        projected rows (seeded reservoir sampling of the deduplicated
+        stream).  A sharded context still samples serially — a
+        shard-local sample is not a uniform global one."""
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise QueryError(
                 f"sample size must be a non-negative int, got {k!r}"
@@ -425,33 +386,11 @@ class PreparedQuery:
             else:
                 sampler = JoinSampler(
                     self._compiled.residual,
-                    database=self._builder._execution_database(),
+                    database=self._builder.context.database,
                     filters=self._compiled.filters,
                 )
             object.__setattr__(self, "_sampler", sampler)
         return self._sampler
-
-    def batches(self, size: int | None = None) -> Iterator[list[Row]]:
-        """Stream the result in row batches of ``size`` (default
-        :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`)."""
-        if size is None:
-            size = _parallel.DEFAULT_BATCH_SIZE
-        return _parallel.batches(self.stream(), size)
-
-    def astream(self, batch_size: int | None = None):
-        """Async iteration for event-loop servers (``async for row in
-        q.astream()``): the blocking ``next()`` runs on worker threads
-        (:func:`_pump`) and rows reach the loop ``batch_size`` at a time
-        (default :data:`~repro.engine.parallel.DEFAULT_BATCH_SIZE`).
-        Planning and validation happen in this synchronous call."""
-        batched = self.batches(batch_size)
-
-        async def rows():
-            async for batch in _pump(batched):
-                for row in batch:
-                    yield row
-
-        return rows()
 
     # -- rebinding ----------------------------------------------------------
 
@@ -511,30 +450,3 @@ def _json_memos(arity: int) -> tuple:
     tail = _JsonTexts("[" if arity == 1 else "", "]")
     return _JsonTexts("[", ","), _JsonTexts("", ","), tail
 
-
-async def _pump(blocking: Generator) -> AsyncIterator:
-    """Iterate a blocking generator from an event loop: the one
-    loop↔worker hand-off, an ``asyncio.to_thread`` hop per item.
-
-    Both async surfaces are this loop — :meth:`PreparedQuery.astream`
-    over :meth:`PreparedQuery.batches`, the server over its encoded
-    response lines — so everything ``next(blocking)`` does (descend,
-    batch, encode) runs on the worker and the loop only passes items on.
-    A hop starts when the consumer asks for the next item, never before:
-    a consumer that waits between items (a socket that will not drain)
-    holds the descent where it is.  Closing the pump closes
-    ``blocking``, so an abandoned stream stops descending.
-    """
-    import asyncio
-
-    done = object()
-    try:
-        while (
-            item := await asyncio.to_thread(next, blocking, done)
-        ) is not done:
-            yield item
-    finally:
-        # A hop cancelled in flight still runs ``blocking`` on its
-        # worker ("generator already executing"); that item is its last.
-        with _suppress(ValueError):
-            blocking.close()

@@ -15,15 +15,16 @@ its indexes still resident in the database's GreedyDual cache (its
 budget — ``Database.warm`` semantics — stays the authority on which
 indexes live).
 
-Each entry carries an ``asyncio.Lock``: runs of one prepared query share
-its executor (and its ``TelemetryProbe``, when one is attached), so they
-serialize.  Different entries run fully concurrently — the lock is
-per-plan, not per-server.
+Runs of one entry share its prepared query and run concurrently, like
+runs of different entries: a prepared query keeps no per-run state (it
+is prepared with no telemetry probe), and what it makes lazily — the
+text sink's JSON memos, the sampler's prefix counts — is filled the
+same by whichever run gets there first.  So a client that stops
+reading holds up only its own answer.
 """
 
 from __future__ import annotations
 
-import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -45,15 +46,14 @@ class PreparedCacheInfo:
 
 class CacheEntry:
     """One cached statement: the compiled form, its frozen prepared
-    query, the plan's AGM bound, and the per-plan execution lock."""
+    query and the plan's AGM bound."""
 
-    __slots__ = ("compiled", "prepared", "bound", "lock")
+    __slots__ = ("compiled", "prepared", "bound")
 
     def __init__(self, compiled: CompiledQuery) -> None:
         self.compiled = compiled
         self.prepared = compiled.builder.prepare()
         self.bound = float(self.prepared.plan.estimated_bound)
-        self.lock = asyncio.Lock()
 
 
 class PreparedCache:

@@ -60,7 +60,7 @@ from repro.lang.parser import parse
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracing import Tracer
 from repro.query.context import ExecutionContext
-from repro.query.prepared import _pump
+from repro.query.builder import _pump
 from repro.relations.database import Database
 from repro.relations.relation import Row
 from repro.server.admission import AdmissionController
@@ -102,7 +102,7 @@ def _row_lines(
     """One answer's row lines, ``(row count, encoded line)`` each: at
     most ``first`` rows on the first, then doubling up to ``ceiling``.
 
-    Driven by :func:`~repro.query.prepared._pump`, so a line's descent,
+    Driven by :func:`~repro.query.builder._pump`, so a line's descent,
     batching and JSON encoding are one worker hop and the event loop
     only writes bytes.  ``rows`` are row tuples for :func:`encode`, or
     — ``texts`` — the rows' JSON array texts the loop nest wrote, joined
@@ -523,29 +523,25 @@ class JoinServer:
                 "queued": decision.queued,
                 "normalized": normalized,
             }
-            # The per-entry lock serializes runs of one prepared query
-            # (they share its executor and any telemetry probe);
-            # distinct statements still run fully concurrently.
-            async with entry.lock:
-                with tracer.span("execute", kind=kind) as span:
-                    if kind == "rows":
-                        total = await self._stream_rows(
-                            request_id,
-                            entry,
-                            line_rows,
-                            writer,
-                            write_lock,
-                            span.meta,
-                        )
-                        base["rows_total"] = total
-                    else:
-                        result = await asyncio.to_thread(
-                            compiled.run, entry.prepared
-                        )
-                        if result.text is not None:
-                            base["text"] = result.text
-                        base["rows"] = [list(row) for row in result.rows]
-                        base["rows_total"] = len(result.rows)
+            with tracer.span("execute", kind=kind) as span:
+                if kind == "rows":
+                    total = await self._stream_rows(
+                        request_id,
+                        entry,
+                        line_rows,
+                        writer,
+                        write_lock,
+                        span.meta,
+                    )
+                    base["rows_total"] = total
+                else:
+                    result = await asyncio.to_thread(
+                        compiled.run, entry.prepared
+                    )
+                    if result.text is not None:
+                        base["text"] = result.text
+                    base["rows"] = [list(row) for row in result.rows]
+                    base["rows_total"] = len(result.rows)
         self.metrics.counter(
             "repro_server_rows_sent_total", "result rows sent"
         ).inc(base["rows_total"])

@@ -22,11 +22,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aggregate.sampling import (
-    JoinSampler,
-    reservoir_sample,
-    sample_query,
-)
+from repro.aggregate.sampling import JoinSampler, reservoir_sample
 from repro.core.query import JoinQuery
 from repro.errors import QueryError
 from repro.query.builder import Q
@@ -190,14 +186,6 @@ def test_sample_properties_hold_on_random_instances(instance, k, seed):
     sample = builder.sample(k, seed=seed)
     assert_valid_sample(sample, rows, k)
     assert builder.sample(k, seed=seed) == sample  # seed-deterministic
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(instance=_small_instance(), seed=st.integers(0, 9))
-def test_sample_query_matches_builder(instance, seed):
-    query = JoinQuery(list(instance))
-    direct = sample_query(query, 4, seed)
-    assert direct == Q(*instance).sample(4, seed=seed)
 
 
 def test_reservoir_sample_is_uniform_and_deterministic():

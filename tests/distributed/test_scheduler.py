@@ -80,7 +80,7 @@ class TestLoopbackParity:
         context = ExecutionContext(
             algorithm="generic", shards=ShardSpec(2), scheduler=fleet()
         )
-        assert execute(query, context=context).rows() == []
+        assert list(execute(query, context=context)) == []
 
     def test_early_termination_drains_the_fleet(self):
         query = hub_query()
@@ -131,7 +131,7 @@ class TestWhatCrossesTheWire:
             shards=ShardSpec(2),
             scheduler=DispatchScheduler([slot]),
         )
-        assert len(execute(query, context=context).rows()) == size
+        assert len(list(execute(query, context=context))) == size
         return slot.sent
 
     def test_the_job_once_per_connection_then_keys_alone(self):
@@ -179,6 +179,22 @@ class TestStealing:
         # stolen shard ran as its sub-shards, so more shards ran.
         assert scheduler.last_run["shards"] > 6
 
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_steal_without_a_scheduler_is_refused_before_any_row(self, mode):
+        # Only a scheduler claims shards one at a time; the local pools
+        # would run the shards unsplit and say nothing.  The context is
+        # still built in two steps, the scheduler joining last.
+        policy = StealPolicy(hot_factor=0.01, min_completed=1)
+        spec = ShardSpec(4, steal=policy)
+        builder = Q(hub_query()).using(
+            algorithm="generic", shards=spec, mode=mode
+        )
+        for view in (builder.stream, builder.count):
+            with pytest.raises(PlanError, match="needs a scheduler"):
+                view()
+        serial = sorted(execute(hub_query(), algorithm="generic"))
+        assert sorted(builder.using(scheduler=fleet())) == serial
+
     def test_predictive_presplit_carves_hub_shards(self):
         query = hub_query()
         serial = sorted(execute(query, algorithm="generic"))
@@ -210,8 +226,8 @@ class TestStealing:
         context = ExecutionContext(
             algorithm="generic", shards=ShardSpec(2), scheduler=scheduler
         )
-        execute(query, context=context).rows()
-        execute(query, context=context).rows()
+        list(execute(query, context=context))
+        list(execute(query, context=context))
         assert scheduler.stats["runs"] == 2
         assert scheduler.stats["shards"] >= 2
 
@@ -226,7 +242,7 @@ class TestTelemetryFlowBack:
             scheduler=fleet(),
             tracer=tracer,
         )
-        execute(query, context=context).rows()
+        list(execute(query, context=context))
 
         def spans(roots):
             for span in roots:

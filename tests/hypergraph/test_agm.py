@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import Relation, execute, output_bound
 from repro.errors import QueryError
 from repro.hypergraph.agm import (
     agm_bound,
@@ -46,6 +47,41 @@ class TestBoundEvaluation:
         sizes = {"R": 1, "S": 1, "T": 1}
         cover = FractionalCover.all_ones(triangle)
         assert agm_bound(triangle, sizes, cover) == pytest.approx(1.0)
+
+    # ``exp(sum x_e log N_e)`` read these one ulp low (7.999999999999998,
+    # 63.99999999999998, 27.999999999999996): a bound below an output
+    # that really occurs.
+    @pytest.mark.parametrize("size, bound", [(4, 8.0), (16, 64.0)])
+    def test_a_square_size_gives_the_triangle_its_exact_bound(
+        self, triangle, size, bound
+    ):
+        sizes = dict.fromkeys(("R", "S", "T"), size)
+        cover = FractionalCover.uniform(triangle, Fraction(1, 2))
+        assert agm_bound(triangle, sizes, cover) == bound
+
+    def test_an_integral_cover_gives_the_exact_product(self):
+        cycle = queries.cycle_query(4)
+        sizes = {"R1": 2, "R2": 15, "R3": 14, "R4": 5}
+        cover = FractionalCover({"R1": 1, "R2": 0, "R3": 1, "R4": 0})
+        assert agm_bound(cycle, sizes, cover) == 28.0
+
+    def test_the_tight_product_instance_meets_its_bound(self):
+        pairs = [(a, b) for a in range(2) for b in range(2)]
+        relations = [
+            Relation(name, attributes, pairs)
+            for name, attributes in (
+                ("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))
+            )
+        ]
+        assert len(list(execute(relations))) == 8
+        assert output_bound(relations) == 8.0
+
+    def test_an_inexact_root_is_the_log_formula(self, triangle):
+        sizes = {"R": 5, "S": 7, "T": 11}
+        cover = FractionalCover.uniform(triangle, Fraction(1, 2))
+        assert agm_bound(triangle, sizes, cover) == math.exp(
+            agm_log_bound(triangle, sizes, cover)
+        )
 
 
 class TestOptimalCover:

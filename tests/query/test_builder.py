@@ -167,8 +167,8 @@ class TestSelect:
         with pytest.raises(QueryError, match="twice"):
             Q(*triangle_relations()).select("A", "A")
 
-    def test_run_uses_selected_schema(self):
-        result = Q(*triangle_relations()).select("C", "B").run("P")
+    def test_relation_uses_selected_schema(self):
+        result = Q(*triangle_relations()).select("C", "B").relation("P")
         assert result.name == "P"
         assert result.attributes == ("C", "B")
 

@@ -11,7 +11,8 @@ from repro.errors import PlanError, QueryError
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracing import Tracer
 from repro.query.builder import Q
-from repro.query.prepared import PreparedQuery, _pump
+from repro.query.builder import _pump
+from repro.query.prepared import PreparedQuery
 from repro.relations.database import Database
 from repro.relations.relation import Relation
 from repro.workloads import generators, queries
@@ -58,7 +59,7 @@ class TestPreparedExecution:
         db.warm([builder])
         before = db.cache_info()
         prepared = db.prepare(builder)
-        rows = sorted(prepared.run("J").tuples)
+        rows = sorted(prepared.relation("J").tuples)
         after = db.cache_info()
         assert after.misses == before.misses, "a warm run built an index"
         assert rows == sorted(execute(builder.query).relation().tuples)
@@ -267,7 +268,7 @@ class TestPreparedRunsAreMeasured:
             lambda p: list(p.batches(16)),
         ),
         "count": (lambda b: b.count(), lambda p: p.count()),
-        "run": (lambda b: b.run(), lambda p: p.run()),
+        "relation": (lambda b: b.relation(), lambda p: p.relation()),
     }
 
     @staticmethod

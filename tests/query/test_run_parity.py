@@ -120,17 +120,22 @@ def _flatten(batched) -> list:
 VIEWS = {
     "iter": (
         lambda b, x: sorted(execute(b)),
+        lambda p, x: sorted(p),
+        lambda rows, i: sorted(rows),
+    ),
+    "stream": (
+        lambda b, x: sorted(execute(b).stream()),
         lambda p, x: sorted(p.stream()),
         lambda rows, i: sorted(rows),
     ),
-    "rows": (
-        lambda b, x: sorted(execute(b).rows()),
-        lambda p, x: sorted(list(p.stream())),
+    "aiter": (
+        lambda b, x: sorted(_drain_async(execute(b))),
+        lambda p, x: sorted(_drain_async(p)),
         lambda rows, i: sorted(rows),
     ),
     "relation": (
         lambda b, x: sorted(execute(b).relation().tuples),
-        lambda p, x: sorted(p.run().tuples),
+        lambda p, x: sorted(p.relation().tuples),
         lambda rows, i: sorted(rows),
     ),
     "batches": (
@@ -150,7 +155,7 @@ VIEWS = {
     ),
     "fold": (
         lambda b, x: execute(b).fold(Sum(x)),
-        lambda p, x: p.sum(x),
+        lambda p, x: p.fold(Sum(x)),
         lambda rows, i: sum(r[i] for r in rows),
     ),
     "group_by": (

@@ -587,6 +587,52 @@ class TestConcurrency:
         assert 'type="internal"' not in metrics
         assert "repro_server_rows_sent_total" not in metrics
 
+    def test_a_stalled_reader_does_not_hold_the_same_statement(
+        self, live_server
+    ):
+        # 600 x 800 = 480,000 rows, megabytes of lines: far more than
+        # the socket buffers hold, so a client that stops reading
+        # blocks its own answer's drain for good.
+        r = Relation("R", ("A", "B"), [(a, 0) for a in range(600)])
+        s = Relation("S", ("B", "C"), [(0, c) for c in range(800)])
+        live = live_server(JoinServer(Database([r, s])))
+        request = json.dumps(
+            {"id": 1, "op": "query", "q": "select * from R, S;"}
+        ).encode() + b"\n"
+        answer: dict = {}
+
+        def other_client() -> None:
+            with socket.create_connection(
+                (live.host, live.port), timeout=30
+            ) as raw:
+                raw.sendall(request)
+                rows = 0
+                for line in raw.makefile("rb"):
+                    message = json.loads(line)
+                    if message.get("final"):
+                        answer["final"] = message
+                        break
+                    rows += len(message["rows"])
+                answer["rows"] = rows
+
+        with socket.socket() as stalled:
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled.settimeout(10)
+            stalled.connect((live.host, live.port))
+            stalled.sendall(request)
+            # Its run has started (the statement is cached and its
+            # first line written); it reads nothing more.
+            assert json.loads(stalled.makefile("rb").readline())["rows"]
+            thread = threading.Thread(target=other_client, daemon=True)
+            thread.start()
+            thread.join(timeout=20)
+            assert not thread.is_alive(), (
+                "a client that stopped reading held up another client "
+                "sending the same statement"
+            )
+        assert answer["final"]["cached"] is True
+        assert answer["rows"] == answer["final"]["rows_total"] == 480_000
+
     def test_one_connection_pipelines_requests(self, live_server,
                                                database):
         live = live_server(JoinServer(database))

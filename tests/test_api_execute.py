@@ -1,8 +1,8 @@
-"""The ExecutionContext-first API: execute() and ResultStream.
+"""The ExecutionContext-first API: execute() and the builder it returns.
 
-``execute(query, context=...)`` is the one entry point; every
-consumption style is a view on its :class:`ResultStream`, and views
-agree with each other.
+``execute(query, context=...)`` is the one entry point; it returns the
+:class:`QueryBuilder` it configured, every consumption style is a view
+of that builder, and views agree with each other.
 """
 
 import asyncio
@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from repro import ExecutionContext, Q, ResultStream, ShardSpec, execute
+from repro import ExecutionContext, Q, QueryBuilder, ShardSpec, execute
 from repro.engine.parallel import DEFAULT_BATCH_SIZE
 from repro.errors import PlanError, QueryError
 from tests.helpers import triangle_query
@@ -24,15 +24,18 @@ SERIAL = sorted(execute(QUERY))
 
 
 class TestExecute:
-    def test_returns_a_result_stream(self):
+    def test_returns_the_builder(self):
         stream = execute(QUERY)
-        assert isinstance(stream, ResultStream)
-        assert stream.attributes == ("A", "B", "C")
+        assert isinstance(stream, QueryBuilder)
+        assert stream.output_attributes == ("A", "B", "C")
+        builder = Q(QUERY)
+        assert execute(builder) is builder
+        assert execute(builder, mode="serial") is not builder
 
     def test_views_agree(self):
         stream = execute(QUERY)
         assert sorted(stream) == SERIAL
-        assert sorted(stream.rows()) == SERIAL
+        assert sorted(list(stream)) == SERIAL
         assert sorted(stream.relation("J").tuples) == SERIAL
         batched = [row for batch in stream.batches(7) for row in batch]
         assert sorted(batched) == SERIAL
@@ -47,6 +50,18 @@ class TestExecute:
 
         assert sorted(asyncio.run(drain())) == SERIAL
 
+    def test_async_iteration(self):
+        async def drain():
+            return [row async for row in execute(QUERY)]
+
+        assert sorted(asyncio.run(drain())) == SERIAL
+
+    def test_a_builder_is_not_a_relation_list(self):
+        # Builders iterate their rows now; Q() must not take one for
+        # the relations to join.
+        with pytest.raises(QueryError, match="not Q<"):
+            Q(execute(QUERY))
+
     def test_accepts_builders_and_keeps_their_clauses(self):
         q = Q(QUERY).where(A=1).select("A", "C")
         expected = sorted(q.stream())
@@ -58,7 +73,7 @@ class TestExecute:
 
     def test_options_overlay_the_context(self):
         stream = execute(QUERY, shards=ShardSpec(2), mode="serial")
-        assert stream.builder.context.shards == ShardSpec(2)
+        assert stream.context.shards == ShardSpec(2)
         assert sorted(stream) == SERIAL
 
     def test_bad_algorithm_rejected_before_query_construction(self):
@@ -79,10 +94,10 @@ class TestExecute:
         with pytest.raises(TypeError):
             ShardSpec(2, batch_size=13)
 
-    def test_result_stream_is_immutable_and_reusable(self):
+    def test_the_builder_is_immutable_and_reusable(self):
         stream = execute(QUERY)
         with pytest.raises(AttributeError):
-            stream.builder = None
+            stream.context = None
         assert sorted(stream) == SERIAL
         assert sorted(stream) == SERIAL  # fresh execution, same rows
 

@@ -221,6 +221,18 @@ class TestCLI:
         result = load_relation_csv(out_path, name="J")
         assert len(result) == 3
 
+    def test_steal_without_workers_is_refused_before_any_row(
+        self, triangle_files, capsys
+    ):
+        # Only a fleet (--workers) steals; the local pools would run
+        # the shards unsplit and say nothing.
+        argv = ["join", *triangle_files, "--shards", "2", "--steal"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs a scheduler" in captured.err
+        assert "--workers" in captured.err
+
     @pytest.mark.parametrize("flag,value", [
         ("--shards", "0"), ("--shards", "-1"), ("--shards", "many"),
         ("--batch", "0"), ("--batch", "-3"), ("--batch", "x"),

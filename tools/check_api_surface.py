@@ -47,10 +47,20 @@ def _signature(obj) -> str:
     return _ADDRESS.sub("", text)
 
 
+def _members(cls) -> dict:
+    """``vars(cls)`` over the class and every base this package defines
+    (a view inherited from a shared base is as public as its own)."""
+    members: dict = {}
+    for klass in reversed(cls.__mro__):
+        if klass.__module__.split(".")[0] == "repro":
+            members.update(vars(klass))
+    return members
+
+
 def _class_surface(cls) -> dict:
     """Constructor plus public methods/properties of an exported class."""
     surface = {"__init__": _signature(cls)}
-    for name, member in sorted(vars(cls).items()):
+    for name, member in sorted(_members(cls).items()):
         if name.startswith("_"):
             continue
         if inspect.isfunction(member):

@@ -44,6 +44,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
+from repro.aggregate.specs import as_spec  # noqa: E402
 from repro.errors import LangError  # noqa: E402
 from repro.lang import compile_query, normalize, parse  # noqa: E402
 from repro.lang.lexer import KEYWORDS  # noqa: E402
@@ -204,9 +205,7 @@ def equivalent_builder(spec: dict, database: Database):
 
 
 def run_aggregate(builder, func: str, attr):
-    if func == "count":
-        return builder.count()
-    return getattr(builder, func)(attr)
+    return builder.fold(as_spec("count" if func == "count" else (func, attr)))
 
 
 def check_instance(rng: random.Random, database: Database) -> None:

@@ -47,8 +47,10 @@ after the call.  With a probe, ``partials[d] += 1`` and ``candidates[d]
 += min(len(..), ..)`` stand before a level's values are taken and
 ``matches[d] += 1`` follows the probe in its loop; without one the lines
 are not there.  A fold, never probed, sums ``acc += len(n3_4)`` below
-its cutoff, ``add``s it once there, and counts an unlooped last level
-with one C-level meet, ``vals3 = n2_1.keys() & n1_2.keys()``.
+its cutoff (a deeper trie tail is ``tally3(n3_1, 2)``, the index's
+``count``: trie nodes are plain dicts and carry no counts), ``add``s it
+once there, and counts an unlooped last level with one C-level meet,
+``vals3 = n2_1.keys() & n1_2.keys()``.
 Where the values a level's subtree still reads (:func:`_memo_keys`) are
 fewer than its prefix, the fold memoises the subtree's count on them:
 ``outer3 = acc`` / ``acc = memo3.get(v2)`` / ``if acc is None:`` counts
@@ -272,8 +274,7 @@ def fold(binding: Binding, stop: int, needed: Sequence[int], add, state):
     relation's (the caller checks), so their (ST2) counts multiply."""
     indexes = binding.indexes
     remaining = Counter([i for (i,) in binding.participants[stop:]])
-    # A tail node may be a root, and an empty trie's root has no counts
-    # to read — but a join with an empty relation is empty anyway.
+    # A join with an empty relation is empty: no nest to run.
     if not all([len(indexes[i]) for i in remaining]):
         return state
     tail = tuple([(i, r, isinstance(indexes[i].root, Mapping))
@@ -582,8 +583,8 @@ class _Folds(_Rows):
         terms = []  # the tail's counts multiply
         for i, levels, mapping in self.sink.tail:
             node = self.cur[i]
-            count = f"len({node})" if levels == 1 else f"{node}.counts[{levels}]"
-            if not mapping:
+            count = f"len({node})"
+            if levels > 1 or not mapping:
                 self.out.insert(1, f" tally{i} = indexes[{i}].count")
                 count = f"tally{i}({node}, {levels})"
             terms.append(count)

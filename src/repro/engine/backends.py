@@ -82,7 +82,7 @@ INDEX_BACKENDS.setdefault(CompactArrayIndex.kind, CompactArrayIndex)
 class IndexBackend(Protocol):
     """What a join executor may assume about a per-relation index.
 
-    A *node* is backend-defined (a ``TrieNode`` for the hash trie, a
+    A *node* is backend-defined (a plain ``dict`` for the hash trie, a
     ``(lo, hi, depth)`` row range for the sorted array) and the methods
     below are how executors touch one — except that a node which is a
     ``Mapping`` of value to child (the hash trie's) may be read as one,

@@ -9,7 +9,7 @@ from repro.relations.database import (
 )
 from repro.relations.relation import Relation, Row, Value, union_all
 from repro.relations.sorted_index import SortedArrayIndex, SortedTrieIterator
-from repro.relations.trie import TrieIndex, TrieNode
+from repro.relations.trie import TrieIndex
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -20,7 +20,6 @@ __all__ = [
     "SortedArrayIndex",
     "SortedTrieIterator",
     "TrieIndex",
-    "TrieNode",
     "Value",
     "WarmReport",
     "build_index",

@@ -7,8 +7,8 @@ computed from the query-plan tree, supporting:
 * **(ST1)** deciding ``t_{a_1..a_i} in pi_{a_1..a_i}(R_e)`` in ``O(i)`` time
   — :meth:`TrieIndex.walk` / :meth:`TrieIndex.contains_prefix`;
 * **(ST2)** querying ``|pi_{a_{i+1}..a_j}(R_e[t_{a_1..a_i}])|`` in ``O(i)``
-  time — :meth:`TrieIndex.count` after a walk (the per-node ``counts``
-  vector is precomputed at build time);
+  time — :meth:`TrieIndex.count` after a walk (the counts vectors are
+  precomputed at build time);
 * **(ST3)** listing ``pi_{a_{i+1}..a_j}(R_e[t_{a_1..a_i}])`` in time linear
   in the output — :meth:`TrieIndex.paths`.
 
@@ -17,15 +17,21 @@ hash-index remark in Section 5.1).  Building one relation's trie costs
 ``O(arity * N)``, so indexing a whole database for one total order costs the
 paper's ``O(n^2 sum_e N_e)`` preprocessing term.
 
-A node *is* its ``value -> child`` mapping — :class:`TrieNode` is a
-``dict`` with one slot — so the descent kernel reads it where it stands:
-``node[value]`` is the (ST1) step, ``len(node)`` the fanout,
-``a.keys() & b.keys()`` a level intersection.  The build is what a cold
-request pays before the join does any work, so it allocates one object
-per *interior* node and none per tuple: one pass inserts every row into
-nested nodes whose last level maps each value to one shared childless
-leaf, and one bottom-up sweep fills in their ``counts`` — about 0.2
-microseconds per tuple of a binary relation.
+A node *is* its ``value -> child`` mapping, an exact ``dict`` and
+nothing more, so the descent kernel reads it where it stands, through
+CPython's specialised exact-dict lookup: ``node[value]`` is the (ST1)
+step, ``len(node)`` the fanout, ``a.keys() & b.keys()`` a level
+intersection.  A leaf parent's (ST2) counts vector is ``(1,
+len(node))``; the index tables only the root's and those of the nodes
+two or more levels up, by node identity (a binary trie's root, a
+ternary one's top two levels), and rebuilds the table when unpickled.
+
+A cold request pays the build before the join does any work, so it
+allocates one object per *interior* node and none per tuple: one pass
+inserts every row into nested dicts whose last level maps each value
+to one shared childless leaf, then one bottom-up sweep fills the table
+— about 0.2 microseconds per tuple of a 3,000-tuple binary relation,
+0.5 at 50,000 (CPython 3.11, one x86-64 Xeon core).
 """
 
 from __future__ import annotations
@@ -35,45 +41,20 @@ from collections.abc import Iterable, Iterator
 from repro.errors import SchemaError
 from repro.relations.relation import Relation, Row, Value
 
-#: Bytes per interior TrieNode, fitted to ``tracemalloc`` on binary and
-#: ternary relations: the dict with its one slot (72), its counts list
-#: (~80) and the fixed part of its key table (header, index bytes and
-#: the slack of the minimum 8-slot table).  CPython 3.10-3.12, 64-bit.
-_NODE_BYTES = 256
+#: Bytes per interior node, fitted to ``tracemalloc`` on binary and
+#: ternary relations: the dict object, the fixed part of its key table
+#: (header, index bytes and the slack of the minimum 8-slot table) and,
+#: spread over the nodes, the index's counts table.  CPython 3.11, 64-bit.
+_NODE_BYTES = 208
 
-#: Bytes per parent->child edge, same fit: one 24-byte dict entry and
-#: its index slot at the ~2/3 mean load of CPython's doubling tables.
-#: Keys are the relation's own value objects and cost nothing here.
-_EDGE_BYTES = 32
+#: Bytes per parent->child edge, same fit: a 24-byte dict entry and its
+#: index slot, at the mean load of CPython's doubling tables.  Keys are
+#: the relation's own value objects and cost nothing here.
+_EDGE_BYTES = 28
 
-
-class TrieNode(dict):
-    """One node of a :class:`TrieIndex`: the mapping of an attribute
-    value to the child node below it.
-
-    ``counts[d]`` is the number of *distinct* value-paths of length
-    exactly ``d`` below this node (``counts[0] == 1`` by convention).
-    The counts vector is what makes property (ST2) an O(1) lookup after
-    the (ST1) walk.  Nodes are built once by :class:`TrieIndex` and
-    never mutated afterwards.
-    """
-
-    __slots__ = ("counts",)
-
-    @property
-    def children(self) -> TrieNode:
-        """The ``value -> child`` mapping: the node itself."""
-        return self
-
-    def __repr__(self) -> str:
-        return f"TrieNode(fanout={len(self)}, counts={self.counts})"
-
-
-#: The node below every full tuple, shared by all last-level values of
-#: all tries: no children, one empty path, and nothing writes to a node
-#: after the build.  (A pickled trie carries one copy of its own.)
-_LEAF = TrieNode()
-_LEAF.counts = [1]
+#: The node below every full tuple of every trie, which nothing writes
+#: to (a pickled trie carries one copy of its own).
+_LEAF: dict = {}
 
 
 class TrieIndex:
@@ -89,7 +70,7 @@ class TrieIndex:
         attributes sorted by the query's total order.
     """
 
-    __slots__ = ("attributes", "root", "_source_name")
+    __slots__ = ("attributes", "root", "_source_name", "_counts")
 
     #: Backend registry key (see :mod:`repro.engine.backends`).
     kind = "trie"
@@ -105,7 +86,7 @@ class TrieIndex:
             )
         self.attributes = attrs
         self._source_name = relation.name
-        root = TrieNode()
+        root: dict = {}
         if attrs:
             *inner, last = relation.positions(attrs)
             for row in relation.tuples:
@@ -114,11 +95,19 @@ class TrieIndex:
                     value = row[i]
                     child = level.get(value)
                     if child is None:
-                        child = level[value] = TrieNode()
+                        child = level[value] = {}
                     level = child
                 level[row[last]] = _LEAF
-        _fill_counts(root, len(attrs))
         self.root = root
+        self._counts = _count_table(root, len(attrs))
+
+    # Pickled without the counts table, keyed by node identity: rebuilt.
+    def __getstate__(self) -> tuple:
+        return self.attributes, self.root, self._source_name
+
+    def __setstate__(self, state: tuple) -> None:
+        self.attributes, self.root, self._source_name = state
+        self._counts = _count_table(self.root, len(self.attributes))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -129,8 +118,7 @@ class TrieIndex:
 
     def __len__(self) -> int:
         """Number of indexed tuples (distinct full paths)."""
-        depth = self.arity
-        counts = self.root.counts
+        counts, depth = self._counts[id(self.root)], self.arity
         return counts[depth] if depth < len(counts) else 0
 
     def __repr__(self) -> str:
@@ -141,61 +129,51 @@ class TrieIndex:
 
     # -- (ST1): prefix membership -------------------------------------------
 
-    def walk(self, prefix: Iterable[Value]) -> TrieNode | None:
+    def walk(self, prefix: Iterable[Value]) -> dict | None:
         """Follow ``prefix`` values from the root; ``None`` if absent.
 
         ``prefix`` must align with ``self.attributes[:len(prefix)]``.  This is
         the paper's "stepping down the tree" primitive (ST1).
         """
-        node: TrieNode | None = self.root
-        for value in prefix:
-            node = node.get(value)  # type: ignore[union-attr]
-            if node is None:
-                return None
-        return node
+        return self.descend(self.root, prefix)
 
     def contains_prefix(self, prefix: Iterable[Value]) -> bool:
         """(ST1) membership of a prefix tuple in the projected relation."""
         return self.walk(prefix) is not None
 
-    def child(self, node: TrieNode | None, value: Value) -> TrieNode | None:
+    def child(self, node: dict | None, value: Value) -> dict | None:
         """The child of ``node`` under ``value`` (one (ST1) step)."""
-        if node is None:
-            return None
-        return node.get(value)
+        return None if node is None else node.get(value)
 
-    def items(self, node: TrieNode | None) -> Iterator[tuple[Value, TrieNode]]:
+    def items(self, node: dict | None) -> Iterator[tuple[Value, dict]]:
         """``(value, child)`` pairs below ``node`` (hash order)."""
-        if node is None:
-            return iter(())
-        return iter(node.items())
+        return iter(()) if node is None else iter(node.items())
 
-    def children(self, node: TrieNode | None, values=None) -> dict:
+    def children(self, node: dict | None, values=None) -> dict:
         """The node itself — it is its own ``value -> child`` dict —
         whatever ``values`` asks for: O(1), no copy, not to be mutated.
         Its key view does the narrowing — ``keys() & values`` intersects
         in C, iterating the smaller side."""
         return {} if node is None else node
 
-    def fanout(self, node: TrieNode | None) -> int:
+    def fanout(self, node: dict | None) -> int:
         """Number of distinct next-level values below ``node``."""
         return 0 if node is None else len(node)
 
     #: Already O(1) and exact (the descent kernel reads ``len(node)``).
     fanout_hint = fanout
 
-    def descend(self, node: TrieNode, values: Iterable[Value]) -> TrieNode | None:
+    def descend(self, node: dict, values: Iterable[Value]) -> dict | None:
         """Continue a walk from an interior ``node`` (ST1, resumed)."""
-        current: TrieNode | None = node
         for value in values:
-            current = current.get(value)  # type: ignore[union-attr]
-            if current is None:
+            node = node.get(value)  # type: ignore[assignment]
+            if node is None:
                 return None
-        return current
+        return node
 
     # -- (ST2): projected-section cardinality ---------------------------------
 
-    def count(self, node: TrieNode | None, depth: int) -> int:
+    def count(self, node: dict | None, depth: int) -> int:
         """(ST2) number of distinct length-``depth`` paths below ``node``.
 
         Equals ``|pi_{next 'depth' attributes}(R[prefix])|`` for the prefix
@@ -203,7 +181,9 @@ class TrieIndex:
         """
         if node is None:
             return 0
-        counts = node.counts
+        counts = self._counts.get(id(node))
+        if counts is None:  # a leaf parent or the leaf: one level at most
+            return len(node) if depth == 1 else int(depth == 0)
         return counts[depth] if depth < len(counts) else 0
 
     def prefix_count(self, prefix: Iterable[Value], depth: int) -> int:
@@ -212,7 +192,7 @@ class TrieIndex:
 
     # -- (ST3): enumeration ---------------------------------------------------
 
-    def paths(self, node: TrieNode | None, depth: int) -> Iterator[Row]:
+    def paths(self, node: dict | None, depth: int) -> Iterator[Row]:
         """(ST3) yield every distinct length-``depth`` tuple below ``node``.
 
         Output-linear: each yielded tuple costs ``O(depth)``.  The
@@ -225,9 +205,7 @@ class TrieIndex:
             yield ()
             return
         prefix: list[Value] = []
-        stack: list[Iterator[tuple[Value, TrieNode]]] = [
-            iter(node.items())
-        ]
+        stack: list[Iterator[tuple[Value, dict]]] = [iter(node.items())]
         while stack:
             entry = next(stack[-1], None)
             if entry is None:
@@ -249,42 +227,37 @@ class TrieIndex:
     def nbytes(self) -> int:
         """Estimated resident bytes of the trie structure.
 
-        Node and edge totals come from the root's precomputed counts
-        vector (``counts[d]`` = distinct paths at depth ``d``): every
-        path is an edge, and every path shorter than a full tuple ends
-        in an interior node of its own (full tuples end in the shared
-        leaf).  An estimate, fitted to ``tracemalloc`` (usually within
-        10%) — the dict-heavy layout has no exact cheap measure — so
-        the cache's byte accounting ranks backends fairly.
+        Every path (``count(root, d)`` at depth ``d``) is an edge, and
+        every path shorter than a full tuple ends in an interior node of
+        its own (full tuples end in the shared leaf).  Fitted to
+        ``tracemalloc`` (the dict-heavy layout has no exact cheap
+        measure), so the cache's byte accounting ranks backends fairly.
         """
-        counts = self.root.counts
+        counts = [self.count(self.root, d) for d in range(self.arity + 1)]
         interior = 1 + sum(counts[1:-1])
         edges = sum(counts[1:])
         return _NODE_BYTES * interior + _EDGE_BYTES * edges
 
     def to_relation(self, name: str | None = None) -> Relation:
         """Materialize the trie back into a :class:`Relation`."""
-        return Relation(
-            name if name is not None else self._source_name,
-            self.attributes,
-            self.tuples(),
-        )
+        name = self._source_name if name is None else name
+        return Relation(name, self.attributes, self.tuples())
 
 
-def _fill_counts(root: TrieNode, arity: int) -> None:
-    """Give every interior node of a freshly built trie its ``counts``,
-    deepest level first: a node's vector is the column-wise sum of its
-    children's, shifted one level.  Level by level, not recursive: arity
-    may exceed Python's recursion limit."""
-    if not root:
-        root.counts = [1]
-        return
+def _count_table(root: dict, arity: int) -> dict[int, tuple[int, ...]]:
+    """The counts vectors (``counts[d]`` distinct length-``d`` paths
+    below) of a new trie's root and of its nodes two or more levels
+    above the leaf, by ``id(node)``.  Deepest level first, each vector
+    the column-wise sum of its children's, shifted one level; not
+    recursive, as arity may exceed Python's recursion limit."""
+    table: dict[int, tuple[int, ...]] = {}
     levels = [[root]]
-    for _ in range(arity - 1):
+    for _ in range(arity - 2):
         levels.append([kid for node in levels[-1] for kid in node.values()])
     for node in levels.pop():
-        node.counts = [1, len(node)]
+        table[id(node)] = (1, len(node), sum(map(len, node.values())))
     while levels:
         for node in levels.pop():
-            columns = zip(*[child.counts for child in node.values()])
-            node.counts = [1, *map(sum, columns)]
+            columns = zip(*[table[id(kid)] for kid in node.values()])
+            table[id(node)] = (1, *map(sum, columns))
+    return table

@@ -22,12 +22,14 @@ controller uses it three ways:
 
 The controller is asyncio-native: :meth:`AdmissionController.admit` is
 an async context manager acquiring the concurrency semaphore (and the
-heavy-query lock when applicable) and releasing both on exit.
+heavy-query lock when applicable) and releasing both on exit, and
+giving both back while a streamed line waits on its client.
 """
 
 from __future__ import annotations
 
 import asyncio
+from contextlib import asynccontextmanager
 from dataclasses import dataclass
 
 from repro.server.protocol import AdmissionRejected
@@ -123,8 +125,27 @@ class _Admission:
     ) -> None:
         self.controller = controller
         self.decision = decision
+        self.held = False
 
     async def __aenter__(self) -> AdmissionDecision:
+        await self._acquire()
+        if self.decision.queued:
+            self.controller.queued += 1
+        self.controller.admitted += 1
+        return self.decision
+
+    async def __aexit__(self, *exc_info) -> None:
+        self._release()
+
+    @asynccontextmanager
+    async def released(self):
+        """Give the slot (and heavy lock) back for the block, a line's
+        drain, and take them again after it, unless the block raised."""
+        self._release()
+        yield
+        await self._acquire()
+
+    async def _acquire(self) -> None:
         await self.controller._slots.acquire()
         if self.decision.queued:
             try:
@@ -132,11 +153,11 @@ class _Admission:
             except BaseException:
                 self.controller._slots.release()
                 raise
-            self.controller.queued += 1
-        self.controller.admitted += 1
-        return self.decision
+        self.held = True
 
-    async def __aexit__(self, *exc_info) -> None:
-        if self.decision.queued:
-            self.controller._heavy.release()
-        self.controller._slots.release()
+    def _release(self) -> None:
+        if self.held:
+            self.held = False
+            if self.decision.queued:
+                self.controller._heavy.release()
+            self.controller._slots.release()

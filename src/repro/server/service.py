@@ -20,7 +20,8 @@ Life of a request line:
 3. **admission** (:mod:`repro.server.admission`) — the plan's AGM
    bound against the row budget: reject (typed ``admission`` error
    naming bound and budget), queue (heavy queries serialize), or
-   admit.  Rejection happens *before* any index is built.
+   admit.  Rejection happens *before* any index is built.  A streamed
+   answer is admitted per worker hop, not while its client drains.
 4. **prepared cache** (:mod:`repro.server.cache`) — repeated
    normalized text reuses the frozen plan: zero replanning, zero index
    builds on hits.
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import asyncio
 from collections.abc import Iterator
-from contextlib import aclosing, suppress
+from contextlib import aclosing, nullcontext, suppress
 from itertools import islice
 
 from repro.errors import LangError, ReproError, require_positive_int
@@ -510,7 +511,8 @@ class JoinServer:
         ).inc(outcome="hit" if cached else "miss")
         compiled = entry.compiled
         kind = compiled.kind
-        async with self.admission.admit(kind, entry.bound) as decision:
+        admission = self.admission.admit(kind, entry.bound)
+        async with admission as decision:
             self.metrics.counter(
                 "repro_server_admission_total", "admission outcomes"
             ).inc(outcome=decision.reason)
@@ -532,6 +534,7 @@ class JoinServer:
                         writer,
                         write_lock,
                         span.meta,
+                        admission.released,
                     )
                     base["rows_total"] = total
                 else:
@@ -557,10 +560,12 @@ class JoinServer:
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         meta: dict | None = None,
+        released=nullcontext,
     ) -> int:
         """Stream one answer's row lines; the rows sent.  ``meta`` (the
         ``execute`` span's) records which encoder ran — ``"text"``, the
-        loop nest's row texts, or ``"tuples"`` — and the lines sent."""
+        loop nest's row texts, or ``"tuples"`` — and the lines sent; each
+        is written and drained inside ``released()`` (the admission's)."""
         total = sent = 0
         rows = entry.prepared._texts()
         texts = rows is not None
@@ -575,7 +580,8 @@ class JoinServer:
             async for count, line in lines:
                 total += count
                 sent += 1
-                await self._write_line(writer, write_lock, line)
+                async with released():
+                    await self._write_line(writer, write_lock, line)
         if meta is not None:
             meta.update(rows="text" if texts else "tuples", lines=sent)
         return total

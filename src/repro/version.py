@@ -8,4 +8,4 @@ the zero-dependency observability layer (:mod:`repro.observe`) can
 import it without importing ``repro`` itself.
 """
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"

@@ -53,7 +53,7 @@ class TestST1:
     def test_walk_prefix(self, trie):
         node = trie.walk((1,))
         assert node is not None
-        assert set(node.children) == {1, 2}
+        assert set(trie.children(node)) == {1, 2}
 
     def test_walk_missing(self, trie):
         assert trie.walk((9,)) is None

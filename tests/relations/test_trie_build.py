@@ -1,10 +1,11 @@
 """The trie build kernel against the build it replaced.
 
-``TrieIndex`` builds nested ``TrieNode`` dicts in one pass, shares one
-leaf node below every full tuple and fills ``counts`` in one bottom-up
-sweep.  The build it replaced — one node, one dict and one counts list
-per tuple, then a post-order counts pass — is kept here, test-local, as
-the reference: both must describe the same tree node for node.
+``TrieIndex`` builds nested plain dicts in one pass, shares one leaf
+node below every full tuple and tables the counts vectors of the nodes
+two or more levels up in one bottom-up sweep.  The build it replaced —
+one node, one dict and one counts list per tuple, then a post-order
+counts pass — is kept here, test-local, as the reference: both must
+describe the same tree node for node.
 """
 
 import pickle
@@ -18,7 +19,7 @@ from repro.engine.planner import plan_join
 from repro.relations import trie as trie_module
 from repro.relations.database import Database
 from repro.relations.relation import Relation
-from repro.relations.trie import TrieIndex, TrieNode
+from repro.relations.trie import TrieIndex
 from repro.workloads import generators, instances
 
 
@@ -119,10 +120,16 @@ def assert_same_tree(index, old_root):
     while stack:
         node, old = stack.pop()
         visited += 1
-        assert list(node.counts) == old.counts
+        padded = [*old.counts, 0]  # and nothing one level deeper
+        depths = range(len(padded))
+        if len(padded) > 10:  # the 2000-level relation: a few depths
+            depths = (0, 1, 2, len(padded) - 2, len(padded) - 1)
+        assert [index.count(node, d) for d in depths] == [
+            padded[d] for d in depths
+        ]
         assert index.fanout(node) == len(old.children)
         assert index.fanout_hint(node) == len(old.children)
-        assert set(node.children) == set(old.children)
+        assert set(index.children(node)) == set(old.children)
         for value, child in index.items(node):
             assert index.child(node, value) is child
             stack.append((child, old.children[value]))
@@ -193,32 +200,70 @@ class TestBuildMatchesThePerTupleBuild:
         assert_same_tree(clone, old_build(relation, order))
         assert set(clone.tuples()) == set(index.tuples())
 
-    def test_a_pickled_trie_is_trie_nodes_over_one_leaf(self, name):
-        # What crosses the process-pool and fleet boundaries: a node is
-        # a dict subclass with a slot, and both must survive the trip.
+    def test_every_node_is_an_exact_dict_over_one_leaf(self, name):
+        # What the descent kernel's ``node[value]`` is specialised for,
+        # and what crosses the process-pool and fleet boundaries: the
+        # unpickled clone is exact dicts too, over one leaf of its own.
         relation = CORPUS[name]
         arity = len(relation.attributes)
-        if arity > 100:
-            pytest.skip("pickle recurses per level, as it always did")
         index = TrieIndex(relation, relation.attributes)
-        clone = pickle.loads(pickle.dumps(index))
-        leaves = set()
-        stack = [(clone.root, index.root, 0)]
-        while stack:
-            node, original, depth = stack.pop()
-            assert type(node) is TrieNode and node.children is node
-            assert node.counts == original.counts
-            assert node.keys() == original.keys()
-            if depth == arity and arity:
-                leaves.add(id(node))
-            stack.extend(
-                (child, original[value], depth + 1)
-                for value, child in node.items()
-            )
-        # One leaf object per unpickled trie — its own, not the module's.
-        assert len(leaves) == (1 if relation.tuples and arity else 0)
-        assert id(trie_module._LEAF) not in leaves
-        assert set(clone.tuples()) == set(index.tuples())
+        tries = [index]
+        if arity <= 100:  # pickle recurses per level, as it always did
+            tries.append(pickle.loads(pickle.dumps(index)))
+        leaves = []
+        for trie in tries:
+            leaves.append(set())
+            stack = [(trie.root, 0)]
+            while stack:
+                node, depth = stack.pop()
+                assert type(node) is dict
+                if depth == arity and arity:
+                    leaves[-1].add(id(node))
+                stack.extend((child, depth + 1) for child in node.values())
+            assert len(leaves[-1]) == (1 if relation.tuples and arity else 0)
+            assert set(trie.tuples()) == relation.tuples
+        # The build's leaf is the module's; a clone's is its own.
+        assert leaves[0] <= {id(trie_module._LEAF)}
+        assert all(id(trie_module._LEAF) not in ids for ids in leaves[1:])
+
+    def test_counts_are_the_distinct_paths_below_every_node(self, name):
+        """(ST2) against brute force: for every node and depth (a few
+        depths on the 2000-level relation), the distinct length-``d``
+        paths of the rows through the node's prefix."""
+        relation = CORPUS[name]
+        order = relation.attributes[::-1]
+        arity = len(order)
+        rows = [tuple(row[i] for i in relation.positions(order))
+                for row in relation.tuples]
+        index = TrieIndex(relation, order)
+        tries = [index]
+        if arity <= 100:
+            tries.append(pickle.loads(pickle.dumps(index)))
+        for trie in tries:
+            level = [((), trie.root)]
+            for k in range(arity + 1):
+                below = {(): []}
+                for row in rows:
+                    below.setdefault(row[:k], []).append(row[k:])
+                rest = arity - k
+                depths = range(rest + 2)
+                if arity > 10:
+                    depths = {0, 1, 2, rest - 1, rest, rest + 1} - {-1}
+                for prefix, node in level:
+                    assert trie.walk(prefix) is node
+                    for depth in depths:
+                        brute = {tail[:depth] for tail in below[prefix]}
+                        assert trie.count(node, depth) == (
+                            1 if depth == 0  # the empty path, rows or not
+                            else len(brute) if depth <= rest else 0
+                        ), (prefix, depth)
+                level = [
+                    ((*prefix, value), child)
+                    for prefix, node in level
+                    for value, child in node.items()
+                ]
+            assert len(trie) == len(rows)
+            assert trie.count(None, 0) == 0
 
     def test_shared_leaf_is_never_written(self, name):
         relation = CORPUS[name]
@@ -227,7 +272,7 @@ class TestBuildMatchesThePerTupleBuild:
         leaf = trie_module._LEAF
 
         def untouched():
-            return leaf.children == {} and leaf.counts == [1]
+            return type(leaf) is dict and leaf == {}
 
         assert untouched()
         rows = list(index.tuples())
@@ -239,8 +284,10 @@ class TestBuildMatchesThePerTupleBuild:
             assert index.contains_prefix(row)
             assert index.child(node, "absent") is None
             assert list(index.items(node)) == []
+            assert index.children(node) == {}
             assert index.fanout(node) == index.fanout_hint(node) == 0
             assert index.count(node, 0) == 1 and index.count(node, 1) == 0
+            assert index.count(node, 2) == 0
             assert list(index.paths(node, 0)) == [()]
             assert list(index.paths(node, 1)) == []
             assert index.descend(node, ()) is node
@@ -249,6 +296,7 @@ class TestBuildMatchesThePerTupleBuild:
             assert untouched()
         index.to_relation()
         index.nbytes()
+        len(index)
         if len(order) <= 100:
             pickle.loads(pickle.dumps(index))
         assert untouched()

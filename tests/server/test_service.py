@@ -55,6 +55,49 @@ def wide_oracle():
     return sorted((a, 0, c) for a in (0, 1) for c in range(WIDE_ROWS // 2))
 
 
+def stall_then_ask(live, stalled_text: str, other_text: str,
+                   within: float = 20) -> dict:
+    """Client A sends ``stalled_text``, reads its first row line and
+    stops reading; client B then sends ``other_text`` and reads its
+    answer.  B's rows and final line, or an assertion error if B has
+    no final line ``within`` seconds of A's stall."""
+
+    def request(text):
+        return json.dumps({"id": 1, "op": "query", "q": text}).encode() + b"\n"
+
+    answer: dict = {}
+
+    def other_client() -> None:
+        with socket.create_connection(
+            (live.host, live.port), timeout=30
+        ) as raw:
+            raw.sendall(request(other_text))
+            rows = 0
+            for line in raw.makefile("rb"):
+                message = json.loads(line)
+                if message.get("final"):
+                    answer["final"] = message
+                    break
+                rows += len(message["rows"])
+            answer["rows"] = rows
+
+    with socket.socket() as stalled:
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.settimeout(10)
+        stalled.connect((live.host, live.port))
+        stalled.sendall(request(stalled_text))
+        # Its run has started (its first line is written); it reads
+        # nothing more.
+        assert json.loads(stalled.makefile("rb").readline())["rows"]
+        thread = threading.Thread(target=other_client, daemon=True)
+        thread.start()
+        thread.join(timeout=within)
+        assert not thread.is_alive(), (
+            "a client that stopped reading held up another client"
+        )
+    return answer
+
+
 def counted_stream(monkeypatch):
     """Wrap every ``PreparedQuery.stream`` and ``PreparedQuery._texts``
     (the rows as the loop nest's JSON texts, which the server takes
@@ -468,6 +511,26 @@ class TestAdmission:
             outcome = client.query("select count(*) from R, S, T;")
         assert outcome.rows[0][0] == 40
 
+    def test_a_stalled_reader_does_not_hold_the_heavy_queue(
+        self, live_server
+    ):
+        # Both statements' bounds pass the queue budget, so their runs
+        # share one heavy lock.  A's answer, 480,000 rows, overflows the
+        # socket buffers; B's join has 800 rows.
+        r = Relation("R", ("A", "B"), [(a, 0) for a in range(600)])
+        s = Relation("S", ("B", "C"), [(0, c) for c in range(800)])
+        t = Relation("T", ("C", "D"), [(c, 0) for c in range(800)])
+        admission = AdmissionController(queue_budget=1000)
+        live = live_server(
+            JoinServer(Database([r, s, t]), admission=admission)
+        )
+        answer = stall_then_ask(
+            live, "select * from R, S;", "select * from S, T;", within=5
+        )
+        assert answer["final"]["queued"] is True
+        assert answer["rows"] == answer["final"]["rows_total"] == 800
+        assert admission.queued == 2
+
 
 class TestProtocolOverTheWire:
     def test_ping_stats_metrics(self, live_server, database):
@@ -596,40 +659,8 @@ class TestConcurrency:
         r = Relation("R", ("A", "B"), [(a, 0) for a in range(600)])
         s = Relation("S", ("B", "C"), [(0, c) for c in range(800)])
         live = live_server(JoinServer(Database([r, s])))
-        request = json.dumps(
-            {"id": 1, "op": "query", "q": "select * from R, S;"}
-        ).encode() + b"\n"
-        answer: dict = {}
-
-        def other_client() -> None:
-            with socket.create_connection(
-                (live.host, live.port), timeout=30
-            ) as raw:
-                raw.sendall(request)
-                rows = 0
-                for line in raw.makefile("rb"):
-                    message = json.loads(line)
-                    if message.get("final"):
-                        answer["final"] = message
-                        break
-                    rows += len(message["rows"])
-                answer["rows"] = rows
-
-        with socket.socket() as stalled:
-            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            stalled.settimeout(10)
-            stalled.connect((live.host, live.port))
-            stalled.sendall(request)
-            # Its run has started (the statement is cached and its
-            # first line written); it reads nothing more.
-            assert json.loads(stalled.makefile("rb").readline())["rows"]
-            thread = threading.Thread(target=other_client, daemon=True)
-            thread.start()
-            thread.join(timeout=20)
-            assert not thread.is_alive(), (
-                "a client that stopped reading held up another client "
-                "sending the same statement"
-            )
+        text = "select * from R, S;"
+        answer = stall_then_ask(live, text, text)
         assert answer["final"]["cached"] is True
         assert answer["rows"] == answer["final"]["rows_total"] == 480_000
 

@@ -111,13 +111,13 @@ def test_leapfrog_iterator_matches_trie_model(rows):
 
     def collect(node, it, depth):
         """Recursively compare children at every level."""
-        expected = sorted(node.children)
+        expected = sorted(trie.children(node))
         it.open()
         seen = []
         while not it.at_end:
             seen.append(it.key())
             if depth < 2:
-                collect(node.children[seen[-1]], it, depth + 1)
+                collect(trie.child(node, seen[-1]), it, depth + 1)
             it.next()
         it.up()
         assert seen == expected

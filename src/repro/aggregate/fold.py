@@ -19,8 +19,9 @@ savings are lines of its text:
    each participant's distinct remaining paths (their attribute sets are
    disjoint: no intersection is skipped).  The nest stops searching
    there: ``acc += len(n3_4)`` for one trie level, else an O(1)
-   ``tally2(n2_1, 2)`` — the index's (ST2) ``count``: a trie's table
-   of precomputed subtree tallies, a CSR offset projection.
+   (ST2) count: ``tab2[id(n2_1)][2]`` from a trie's table of
+   precomputed subtree tallies, ``tally2(n2_1, 2)`` (the index's
+   ``count``) over a CSR offset projection.
 3. **Counted leaf batches.**  When nothing prunes (a triangle's last
    attribute has several participants) and the spec does not read the
    deepest value, that level is not looped over: where enumeration

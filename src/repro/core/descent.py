@@ -47,8 +47,10 @@ after the call.  With a probe, ``partials[d] += 1`` and ``candidates[d]
 += min(len(..), ..)`` stand before a level's values are taken and
 ``matches[d] += 1`` follows the probe in its loop; without one the lines
 are not there.  A fold, never probed, sums ``acc += len(n3_4)`` below
-its cutoff (a deeper trie tail is ``tally3(n3_1, 2)``, the index's
-``count``: trie nodes are plain dicts and carry no counts), ``add``s it
+its cutoff (a deeper trie tail is ``tab3[id(n3_1)][2]``, the
+vector the index tables for it: trie nodes are plain dicts and carry
+no counts; another backend's tail is ``tally3(n3_1, 2)``, its
+``count``), ``add``s it
 once there, and counts an unlooped last level with one C-level meet,
 ``vals3 = n2_1.keys() & n1_2.keys()``.
 Where the values a level's subtree still reads (:func:`_memo_keys`) are
@@ -584,7 +586,10 @@ class _Folds(_Rows):
         for i, levels, mapping in self.sink.tail:
             node = self.cur[i]
             count = f"len({node})"
-            if levels > 1 or not mapping:
+            if levels > 1 and mapping:  # a trie's tabled vector, inline
+                self.out.insert(1, f" tab{i} = indexes[{i}].count_table")
+                count = f"tab{i}[id({node})][{levels}]"
+            elif not mapping:
                 self.out.insert(1, f" tally{i} = indexes[{i}].count")
                 count = f"tally{i}({node}, {levels})"
             terms.append(count)

@@ -22,9 +22,10 @@ nothing more, so the descent kernel reads it where it stands, through
 CPython's specialised exact-dict lookup: ``node[value]`` is the (ST1)
 step, ``len(node)`` the fanout, ``a.keys() & b.keys()`` a level
 intersection.  A leaf parent's (ST2) counts vector is ``(1,
-len(node))``; the index tables only the root's and those of the nodes
-two or more levels up, by node identity (a binary trie's root, a
-ternary one's top two levels), and rebuilds the table when unpickled.
+len(node))``; the index's ``count_table`` holds only the root's and
+those of the nodes two or more levels up, by node identity (a binary
+trie's root, a ternary one's top two levels), and is rebuilt when the
+index is unpickled.
 
 A cold request pays the build before the join does any work, so it
 allocates one object per *interior* node and none per tuple: one pass
@@ -68,9 +69,14 @@ class TrieIndex:
         The order the trie levels follow.  Must be a permutation of the
         relation's attributes; in Algorithm 2 this is the relation's
         attributes sorted by the query's total order.
+
+    ``count_table`` maps ``id(node)`` to the node's counts vector
+    (``counts[d]`` distinct length-``d`` paths below it) for the root
+    and every node two or more levels above the leaf; a fold's loop
+    nest reads a deep tail's count there inline.  It is never mutated.
     """
 
-    __slots__ = ("attributes", "root", "_source_name", "_counts")
+    __slots__ = ("attributes", "root", "_source_name", "count_table")
 
     #: Backend registry key (see :mod:`repro.engine.backends`).
     kind = "trie"
@@ -99,7 +105,7 @@ class TrieIndex:
                     level = child
                 level[row[last]] = _LEAF
         self.root = root
-        self._counts = _count_table(root, len(attrs))
+        self.count_table = _count_table(root, len(attrs))
 
     # Pickled without the counts table, keyed by node identity: rebuilt.
     def __getstate__(self) -> tuple:
@@ -107,7 +113,7 @@ class TrieIndex:
 
     def __setstate__(self, state: tuple) -> None:
         self.attributes, self.root, self._source_name = state
-        self._counts = _count_table(self.root, len(self.attributes))
+        self.count_table = _count_table(self.root, len(self.attributes))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -118,7 +124,7 @@ class TrieIndex:
 
     def __len__(self) -> int:
         """Number of indexed tuples (distinct full paths)."""
-        counts, depth = self._counts[id(self.root)], self.arity
+        counts, depth = self.count_table[id(self.root)], self.arity
         return counts[depth] if depth < len(counts) else 0
 
     def __repr__(self) -> str:
@@ -181,7 +187,7 @@ class TrieIndex:
         """
         if node is None:
             return 0
-        counts = self._counts.get(id(node))
+        counts = self.count_table.get(id(node))
         if counts is None:  # a leaf parent or the leaf: one level at most
             return len(node) if depth == 1 else int(depth == 0)
         return counts[depth] if depth < len(counts) else 0

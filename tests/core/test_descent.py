@@ -1589,7 +1589,8 @@ def test_three_kinds_meet_at_a_three_participant_level(kinds):
 INVENTED = re.compile(
     r"nest\d+|op\d+|keep\d+|vals\d+|big\d+|v\d+|[no]\d+_\d+|st|levels"
     r"|probe|partials|candidates|matches|keys|__contains__|keep|survivors"
-    r"|acc|tally\d+|indexes|add|state|counts|count|memo\d+|outer\d+|get"
+    r"|acc|tally\d+|tab\d+|count_table|id|indexes|add|state|counts|count"
+    r"|memo\d+|outer\d+|get"
     r"|skips?|next"
     r"|head|mid|tail|pre|post"
     r"|len|min|filter|list|None"

@@ -11,6 +11,7 @@ describe the same tree node for node.
 import pickle
 import random
 import tracemalloc
+from itertools import repeat
 
 import pytest
 
@@ -121,12 +122,8 @@ def assert_same_tree(index, old_root):
         node, old = stack.pop()
         visited += 1
         padded = [*old.counts, 0]  # and nothing one level deeper
-        depths = range(len(padded))
-        if len(padded) > 10:  # the 2000-level relation: a few depths
-            depths = (0, 1, 2, len(padded) - 2, len(padded) - 1)
-        assert [index.count(node, d) for d in depths] == [
-            padded[d] for d in depths
-        ]
+        counts = map(index.count, repeat(node), range(len(padded)))
+        assert list(counts) == padded
         assert index.fanout(node) == len(old.children)
         assert index.fanout_hint(node) == len(old.children)
         assert set(index.children(node)) == set(old.children)
@@ -227,9 +224,9 @@ class TestBuildMatchesThePerTupleBuild:
         assert all(id(trie_module._LEAF) not in ids for ids in leaves[1:])
 
     def test_counts_are_the_distinct_paths_below_every_node(self, name):
-        """(ST2) against brute force: for every node and depth (a few
-        depths on the 2000-level relation), the distinct length-``d``
-        paths of the rows through the node's prefix."""
+        """(ST2) against brute force: for every node and depth, the
+        distinct length-``d`` paths of the rows through the node's
+        prefix."""
         relation = CORPUS[name]
         order = relation.attributes[::-1]
         arity = len(order)
@@ -246,17 +243,17 @@ class TestBuildMatchesThePerTupleBuild:
                 for row in rows:
                     below.setdefault(row[:k], []).append(row[k:])
                 rest = arity - k
-                depths = range(rest + 2)
-                if arity > 10:
-                    depths = {0, 1, 2, rest - 1, rest, rest + 1} - {-1}
                 for prefix, node in level:
                     assert trie.walk(prefix) is node
-                    for depth in depths:
-                        brute = {tail[:depth] for tail in below[prefix]}
-                        assert trie.count(node, depth) == (
-                            1 if depth == 0  # the empty path, rows or not
-                            else len(brute) if depth <= rest else 0
-                        ), (prefix, depth)
+                    tails = below[prefix]
+                    if len(tails) == 1:  # one row: one path of each length
+                        brute = [1] * (rest + 1)
+                    else:
+                        brute = [len({tail[:depth] for tail in tails})
+                                 for depth in range(rest + 1)]
+                    brute[0] = 1  # the empty path, rows or not
+                    counts = map(trie.count, repeat(node), range(rest + 2))
+                    assert list(counts) == [*brute, 0], prefix
                 level = [
                     ((*prefix, value), child)
                     for prefix, node in level

@@ -18,10 +18,9 @@ savings are lines of its text:
    constrained by one relation only, so they are the cross product of
    each participant's distinct remaining paths (their attribute sets are
    disjoint: no intersection is skipped).  The nest stops searching
-   there: ``acc += len(n3_4)`` for one trie level, else an O(1)
-   (ST2) count: ``tab2[id(n2_1)][2]`` from a trie's table of
-   precomputed subtree tallies, ``tally2(n2_1, 2)`` (the index's
-   ``count``) over a CSR offset projection.
+   there: ``acc += len(n3_4)`` for one trie level, else an O(1) (ST2)
+   count: ``tab2[id(n2_1)][2]`` from a trie's precomputed tallies,
+   ``tally2(n2_1, 2)`` over a CSR offset projection.
 3. **Counted leaf batches.**  When nothing prunes (a triangle's last
    attribute has several participants) and the spec does not read the
    deepest value, that level is not looped over: where enumeration

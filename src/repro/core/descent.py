@@ -47,11 +47,9 @@ after the call.  With a probe, ``partials[d] += 1`` and ``candidates[d]
 += min(len(..), ..)`` stand before a level's values are taken and
 ``matches[d] += 1`` follows the probe in its loop; without one the lines
 are not there.  A fold, never probed, sums ``acc += len(n3_4)`` below
-its cutoff (a deeper trie tail is ``tab3[id(n3_1)][2]``, the
-vector the index tables for it: trie nodes are plain dicts and carry
-no counts; another backend's tail is ``tally3(n3_1, 2)``, its
-``count``), ``add``s it
-once there, and counts an unlooped last level with one C-level meet,
+its cutoff (a deeper tail in line, ``tab3[id(n3_1)][2]`` from a
+trie's ``count_table``, else ``tally3(n3_1, 2)``), ``add``s it once
+there, and counts an unlooped last level with one C-level meet,
 ``vals3 = n2_1.keys() & n1_2.keys()``.
 Where the values a level's subtree still reads (:func:`_memo_keys`) are
 fewer than its prefix, the fold memoises the subtree's count on them:

@@ -22,10 +22,10 @@ nothing more, so the descent kernel reads it where it stands, through
 CPython's specialised exact-dict lookup: ``node[value]`` is the (ST1)
 step, ``len(node)`` the fanout, ``a.keys() & b.keys()`` a level
 intersection.  A leaf parent's (ST2) counts vector is ``(1,
-len(node))``; the index's ``count_table`` holds only the root's and
-those of the nodes two or more levels up, by node identity (a binary
-trie's root, a ternary one's top two levels), and is rebuilt when the
-index is unpickled.
+len(node))``; the index's ``count_table`` maps ``id(node)`` to the
+vectors of the root and of the nodes two or more levels up (a binary
+trie's root, a ternary one's top two levels), for a fold's loop nest to
+read in line, and is rebuilt when the index is unpickled.
 
 A cold request pays the build before the join does any work, so it
 allocates one object per *interior* node and none per tuple: one pass
@@ -69,11 +69,6 @@ class TrieIndex:
         The order the trie levels follow.  Must be a permutation of the
         relation's attributes; in Algorithm 2 this is the relation's
         attributes sorted by the query's total order.
-
-    ``count_table`` maps ``id(node)`` to the node's counts vector
-    (``counts[d]`` distinct length-``d`` paths below it) for the root
-    and every node two or more levels above the leaf; a fold's loop
-    nest reads a deep tail's count there inline.  It is never mutated.
     """
 
     __slots__ = ("attributes", "root", "_source_name", "count_table")
@@ -187,9 +182,8 @@ class TrieIndex:
         """
         if node is None:
             return 0
-        counts = self.count_table.get(id(node))
-        if counts is None:  # a leaf parent or the leaf: one level at most
-            return len(node) if depth == 1 else int(depth == 0)
+        # A leaf parent or the leaf, outside the table: one level at most.
+        counts = self.count_table.get(id(node)) or (1, len(node))
         return counts[depth] if depth < len(counts) else 0
 
     def prefix_count(self, prefix: Iterable[Value], depth: int) -> int:
@@ -251,11 +245,9 @@ class TrieIndex:
 
 
 def _count_table(root: dict, arity: int) -> dict[int, tuple[int, ...]]:
-    """The counts vectors (``counts[d]`` distinct length-``d`` paths
-    below) of a new trie's root and of its nodes two or more levels
-    above the leaf, by ``id(node)``.  Deepest level first, each vector
-    the column-wise sum of its children's, shifted one level; not
-    recursive, as arity may exceed Python's recursion limit."""
+    """A new trie's ``count_table``: ``counts[d]`` distinct length-``d``
+    paths below, deepest level first, each vector its children's column
+    sums shifted one level; not recursive (arity may pass the limit)."""
     table: dict[int, tuple[int, ...]] = {}
     levels = [[root]]
     for _ in range(arity - 2):

@@ -10,10 +10,9 @@ controller uses it three ways:
   budget.  The client knows *why* and by how much — not a timeout half
   an hour in.
 * **Queue**: a query whose bound exceeds ``queue_budget`` (but fits
-  the row budget) is *serialized* — at most one such heavy query's
-  worker hop (a descent and the encoding of one line) runs at a time,
-  so a burst of large-but-legitimate queries degrades to a queue
-  instead of a CPU pile-up.
+  the row budget) is *serialized* — one such heavy query's worker hop
+  (a descent and one line's encoding) runs at a time, so a burst of
+  large-but-legitimate queries degrades to a queue, not a CPU pile-up.
 * **Exempt**: aggregates and samples never enumerate the result (the
   fold prunes subtrees; the sampler counts once and unranks), so by default
   they bypass the row budget — the paper's cheap answers stay cheap
@@ -24,12 +23,8 @@ controller uses it three ways:
 The controller is asyncio-native: :meth:`AdmissionController.admit` is
 an async context manager acquiring the concurrency semaphore (and the
 heavy-query lock when applicable) and releasing both on exit.  A
-streamed answer gives both back while each line waits on its client
-(:meth:`_Admission.released`), so the slot and the lock bound the
-worker hops running at once, not the open streams: a stream that is
-draining counts against neither ``max_concurrent`` nor the queue, and
-any number of streams may be open, each holding its live descent and
-one buffered line.
+streamed answer holds them per worker hop only, so a stream that is
+draining counts against neither ``max_concurrent`` nor the heavy lock.
 """
 
 from __future__ import annotations
@@ -145,8 +140,7 @@ class _Admission:
 
     @asynccontextmanager
     async def released(self):
-        """Give the slot (and heavy lock) back for the block, a line's
-        drain, and take them again after it, unless the block raised."""
+        """Hand the slot (and lock) back for the block; retake them unless it raised."""
         self._release()
         yield
         await self._acquire()

@@ -564,8 +564,7 @@ class JoinServer:
     ) -> int:
         """Stream one answer's row lines; the rows sent.  ``meta`` (the
         ``execute`` span's) records which encoder ran — ``"text"``, the
-        loop nest's row texts, or ``"tuples"`` — and the lines sent; each
-        is written and drained inside ``released()`` (the admission's)."""
+        loop nest's row texts, or ``"tuples"`` — and the lines sent."""
         total = sent = 0
         rows = entry.prepared._texts()
         texts = rows is not None

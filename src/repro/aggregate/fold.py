@@ -23,11 +23,11 @@ savings are lines of its text:
    ``tally2(n2_1, 2)`` over a CSR offset projection.
 3. **Counted leaf batches.**  When nothing prunes (a triangle's last
    attribute has several participants) and the spec does not read the
-   deepest value, that level is not looped over: where enumeration
-   loops over the smaller node and probes the other, the fold makes one
-   C-level meet, ``vals2 = n2_1.keys() & n1_2.keys()``, and ``if vals2:
-   acc += len(vals2)`` — what makes ``count()`` on a dense triangle
-   cheaper than enumeration though the intersections are identical.
+   deepest value, that level is counted, not descended: it loops the
+   smaller node as enumeration does, but adds its hits in the other,
+   ``if v2 in big2: acc += 1``, with no set per parent, and builds no
+   row — what makes ``count()`` on a dense triangle cheaper than
+   enumeration though the intersections are identical.
 4. **Memoised subtrees.**  At or below the cutoff, a level's subtree
    counts the same for every prefix that agrees on the values its
    remaining relations read — the level's *key*.  Where the key is

@@ -49,8 +49,9 @@ after the call.  With a probe, ``partials[d] += 1`` and ``candidates[d]
 are not there.  A fold, never probed, sums ``acc += len(n3_4)`` below
 its cutoff (a deeper tail in line, ``tab3[id(n3_1)][2]`` from a
 trie's ``count_table``, else ``tally3(n3_1, 2)``), ``add``s it once
-there, and counts an unlooped last level with one C-level meet,
-``vals3 = n2_1.keys() & n1_2.keys()``.
+there, and counts a last level over two nodes in line, no set per
+parent: ``for v3 in vals3:`` / ``if v3 in big3: acc += 1`` (filtered,
+``list(filter(keep3, n2_1.keys() & n1_2.keys()))``, then its ``len``).
 Where the values a level's subtree still reads (:func:`_memo_keys`) are
 fewer than its prefix, the fold memoises the subtree's count on them:
 ``outer3 = acc`` / ``acc = memo3.get(v2)`` / ``if acc is None:`` counts
@@ -367,9 +368,9 @@ def _vs(depths, name: str = "v") -> str:
 #: One level of a shape, as every sink's text reads it: its depth, its
 #: participants (``ids``) and ``how`` it is read (None: the frontier,
 #: below the last); the participants whose child is read deeper
-#: (``moved``); whether it ``loops`` (not a fold's counted last level,
-#: one C-level meet); whether it is ``probing`` (two hash nodes: loop
-#: the smaller, probe the other in line); a text leaf's ``guard`` (its
+#: (``moved``); whether it ``loops`` (not a fold's counted last level);
+#: whether it is ``probing`` (two hash nodes, unfiltered where counted:
+#: loop the smaller, probe the other in line); a text leaf's ``guard`` (its
 #: columns joined once per leaf set); a fold's ``memo`` key or None.
 _Level = namedtuple("_Level", "depth ids how moved loops probing guard memo")
 
@@ -383,9 +384,9 @@ def _shape(kinds: tuple, sink: _Rows) -> list[_Level]:
         loops = d < stop - 1 or not sink.counted
         deeper = {i for later, _how in kinds[d + 1:] for i in later}
         moved = tuple([i for i in ids if i in deeper or i in sink.below])
-        shape.append(_Level(
-            d, ids, how, moved, loops, how != "opened" and len(ids) == 2
-            and loops, sink.guards and d == stop - 1 > 0, sink.memos.get(d)))
+        probing = len(ids) == 2 and (how == "meet" or how == "filtered" and loops)
+        shape.append(_Level(d, ids, how, moved, loops, probing,
+                            sink.guards and d == stop - 1 > 0, sink.memos.get(d)))
     return [*shape, _Level(stop, (), None, (), False, False, False, None)]
 
 
@@ -422,7 +423,8 @@ class _Rows:
         """Where a level's lines start: open the first ``def`` or — where
         its blocks would pass CPython's limit — chain to a new one and
         close what is open."""
-        if self.chunks and self.blocks + level.loops + level.guard <= _MAX_BLOCKS:
+        if self.chunks and self.blocks + (
+            level.loops or level.probing) + level.guard <= _MAX_BLOCKS:
             return
         names = _vs(range(level.depth)) + "".join(f"{node}, " for node in self.cur)
         call = f"nest{len(self.chunks)}(levels, probe, {names}{self.params})"
@@ -481,7 +483,7 @@ class _Rows:
             self.line(f"vals{d}, big{d} = ({x}, {y}) "
                       f"if len({x}) <= len({y}) else ({y}, {x})")
             values = f"filter(big{d}.__contains__, vals{d})"
-        else:  # one node is the batch; a counted pair, one C-level meet
+        else:  # one node is the batch; a filtered counted pair, one meet
             values = (nodes[0] if len(nodes) == 1
                       else f"{nodes[1]}.keys() & {nodes[0]}.keys()")
         if level.how == "filtered":  # ``keep`` sees what the probe kept
@@ -577,7 +579,10 @@ class _Folds(_Rows):
 
     def batch(self, level: _Level) -> None:
         d = level.depth  # an empty batch adds nothing: skip its ``len``
-        self.line(f"if vals{d}:\n{self.pad} acc += len(vals{d})")
+        if level.probing:  # a counted pair: the smaller node's hits
+            self.line(f"for v{d} in vals{d}:\n{self.pad} if v{d} in big{d}: acc += 1")
+        else:
+            self.line(f"if vals{d}:\n{self.pad} acc += len(vals{d})")
 
     def frontier(self) -> None:
         terms = []  # the tail's counts multiply

@@ -88,6 +88,20 @@ def _count(relation: Relation, attributes: tuple, tables: Mapping) -> Mapping:
     return _sum_out(tables[held], held, attributes)
 
 
+def _shared_counts(mine: Mapping, theirs: Mapping) -> tuple[int, int]:
+    """Each table's counts summed over the keys both hold, ``(mine's,
+    theirs')``: one walk of the smaller table probing the other, no
+    intersection set."""
+    small, large = (mine, theirs) if len(mine) <= len(theirs) else (theirs, mine)
+    get, ours, yours = large.get, 0, 0
+    for key, count in small.items():
+        other = get(key)
+        if other is not None:
+            ours += count
+            yours += other
+    return (ours, yours) if small is mine else (yours, ours)
+
+
 @dataclass(frozen=True)
 class PlanStatistics:
     """The statistics that justified a plan's decisions.
@@ -258,9 +272,10 @@ class StatsProvider:
 
         The shared attributes are taken from the two schemas, which
         must overlap.  Read off the two relations' :meth:`value_counts`
-        tables over them — the counts of the keys both hold, summed —
-        so both directions of a pair cost one table per relation, and
-        for a single shared attribute that table is the profile's.
+        tables over them — each side's counts of the keys both hold,
+        summed in one pass (:func:`_shared_counts`) — so a pair costs
+        one pass for both directions, each cached under its own key,
+        and for a single shared attribute the tables are the profile's.
         """
         shared = source.attribute_set & target.attribute_set
         if not shared:
@@ -268,42 +283,44 @@ class StatsProvider:
                 f"relations {source.name!r} and {target.name!r} share no "
                 "attributes"
             )
-        key = ("selectivity", target.name, tuple(sorted(shared)))
-
-        def compute() -> float:
-            if not source:
-                return 0.0
-            mine = self.value_counts(source, shared)
-            theirs = self.value_counts(target, shared)
-            return sum(
-                map(mine.__getitem__, mine.keys() & theirs.keys())
-            ) / len(source)
-
+        shared = tuple(sorted(shared))
         # The database cache is only sound when BOTH relations are the
-        # catalogued objects: the key names the target, and the database
-        # invalidates any entry whose key mentions a replaced/dropped
-        # relation, so neither side can go stale.
+        # catalogued objects: the key names the other relation, and the
+        # database invalidates any entry whose key mentions a replaced/
+        # dropped relation, so neither side can go stale.
         db = self.database
-        if (
+        if not (
             db is not None
             and db.is_catalogued(source)
             and db.is_catalogued(target)
         ):
+            db = None
+        key = ("selectivity", target.name, shared)
+        if db is not None:
             payload = db.stats_cache_get(source.name, key)
-            if payload is None:
-                payload = compute()
-                db.stats_cache_put(source.name, key, payload)
+        else:
+            (one, other), payload = self._local.get(
+                (id(source), id(target)) + key, ((None, None), None)
+            )
+            if one is not source or other is not target:
+                payload = None
+        if payload is not None:
             return payload
-        local_key = (id(source), id(target)) + key
-        entry = self._local.get(local_key)
-        if (
-            entry is not None
-            and entry[0][0] is source
-            and entry[0][1] is target
+        payload = reverse = 0.0
+        if source and target:
+            hits, back = _shared_counts(
+                self.value_counts(source, shared),
+                self.value_counts(target, shared),
+            )
+            payload, reverse = hits / len(source), back / len(target)
+        for one, other, value in (
+            (source, target, payload), (target, source, reverse)
         ):
-            return entry[1]
-        payload = compute()
-        self._local_put(local_key, (source, target), payload)
+            key = ("selectivity", other.name, shared)
+            if db is not None:
+                db.stats_cache_put(one.name, key, value)
+            else:
+                self._local_put((id(one), id(other)) + key, (one, other), value)
         return payload
 
     def attribute_scores(self, query: "JoinQuery") -> dict[str, int]:

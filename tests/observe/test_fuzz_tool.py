@@ -47,6 +47,25 @@ class TestReplay:
         with pytest.raises(AssertionError, match="!= scan"):
             fuzz.check_value_counts(relations)
 
+    def test_a_wrong_reverse_selectivity_is_a_finding(
+        self, fuzz, monkeypatch
+    ):
+        import random
+
+        import repro.stats.provider as provider_module
+
+        relations = fuzz.overlap_instance(random.Random(3))
+        fuzz.check_value_counts(relations)
+        real = provider_module._shared_counts
+
+        def wrong_reverse(mine, theirs):
+            ours, yours = real(mine, theirs)
+            return ours, yours + 1
+
+        monkeypatch.setattr(provider_module, "_shared_counts", wrong_reverse)
+        with pytest.raises(AssertionError, match="off the tuples"):
+            fuzz.check_value_counts(relations)
+
     def test_a_planned_non_permutation_is_a_finding(
         self, fuzz, monkeypatch
     ):

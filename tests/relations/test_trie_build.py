@@ -11,7 +11,7 @@ describe the same tree node for node.
 import pickle
 import random
 import tracemalloc
-from itertools import repeat
+from itertools import permutations, repeat
 
 import pytest
 
@@ -297,6 +297,74 @@ class TestBuildMatchesThePerTupleBuild:
         if len(order) <= 100:
             pickle.loads(pickle.dumps(index))
         assert untouched()
+
+
+def assert_same_insertion_order(index, old_root):
+    """Every node's keys in the reference build's insertion order (the
+    descent's candidate order), and every full tuple over the one leaf."""
+    stack = [(index.root, old_root)]
+    while stack:
+        node, old = stack.pop()
+        assert list(node) == list(old.children)
+        for value, child in node.items():
+            if not old.children[value].children:
+                assert child is trie_module._LEAF
+            stack.append((child, old.children[value]))
+
+
+class TestTheBuildIsCompiledPerShape:
+    """One insert loop is generated per ``(arity, positions)`` and is
+    the only build: it must grow the reference build's tree for every
+    shape, and its cache must stay bounded."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_every_position_permutation_of_small_arity(self, arity):
+        rng = random.Random(arity)
+        attributes = tuple("ABCD"[:arity])
+        rows = {
+            tuple(rng.randrange(4) for _ in attributes) for _ in range(60)
+        }
+        relation = Relation("R", attributes, rows)
+        for order in permutations(attributes):
+            index = TrieIndex(relation, order)
+            old_root = old_build(relation, order)
+            assert assert_same_tree(index, old_root) >= 1
+            assert_same_insertion_order(index, old_root)
+            assert len(index) == len(relation)
+
+    @pytest.mark.parametrize(
+        "name", ["empty", "nullary", "unary", "mixed_types", "arity_2000"]
+    )
+    def test_the_corpus_edge_cases(self, name):
+        relation = CORPUS[name]
+        shuffled = list(relation.attributes)
+        random.Random(7).shuffle(shuffled)
+        for order in {*_orders(relation), tuple(shuffled)}:
+            index = TrieIndex(relation, order)
+            old_root = old_build(relation, order)
+            assert assert_same_tree(index, old_root) >= 1
+            assert_same_insertion_order(index, old_root)
+            assert set(index.tuples()) == {
+                tuple(row[i] for i in relation.positions(order))
+                for row in relation.tuples
+            }
+
+    def test_the_builder_cache_stays_bounded(self):
+        size = trie_module._BUILDS_MAX
+        attributes = tuple("ABCDEF")  # 720 orders, more than the cache
+        rows = [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)]
+        relation = Relation("R", attributes, rows)
+        orders = list(permutations(attributes))[: size + 40]
+        assert len(orders) > size
+        trie_module._build.cache_clear()
+        for order in orders:
+            TrieIndex(relation, order)
+            assert trie_module._build.cache_info().currsize <= size
+        assert trie_module._build.cache_info().currsize == size
+        # The oldest shape was evicted; it recompiles to the same tree.
+        index = TrieIndex(relation, orders[0])
+        assert_same_tree(index, old_build(relation, orders[0]))
+        assert trie_module._build.cache_info().currsize == size
 
 
 class TestNbytesEstimate:

@@ -116,6 +116,145 @@ class TestExactSelectivity:
         assert provider.selectivity(full, empty) == 0.0
 
 
+@pytest.fixture
+def pair_passes(monkeypatch):
+    """The two tables of every pair pass the provider ran."""
+    calls = []
+    real = provider_module._shared_counts
+
+    def counting(mine, theirs):
+        calls.append((mine, theirs))
+        return real(mine, theirs)
+
+    monkeypatch.setattr(provider_module, "_shared_counts", counting)
+    return calls
+
+
+def cached_selectivity(db, source, target):
+    shared = tuple(sorted(source.attribute_set & target.attribute_set))
+    return db.stats_cache_get(
+        source.name, ("selectivity", target.name, shared)
+    )
+
+
+class TestOnePassPerPair:
+    """Both directions of a pair are one walk of the smaller table,
+    each direction cached under its own key and by the same rule as
+    the other: in the catalog when both relations are catalogued, in
+    the provider's identity-checked cache otherwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        relation_pairs(),
+        st.booleans(),  # catalogued
+        st.booleans(),  # the reverse direction asked first
+    )
+    def test_both_directions_equal_brute_force(
+        self, pair, catalogued, reverse_first
+    ):
+        source, target = pair
+        db = Database([source, target]) if catalogued else None
+        provider = db.stats() if catalogued else StatsProvider()
+        real, calls = provider_module._shared_counts, []
+
+        def counting(mine, theirs):
+            calls.append(1)
+            return real(mine, theirs)
+
+        provider_module._shared_counts = counting
+        try:
+            first, second = (target, source) if reverse_first else pair
+            asked = provider.selectivity(first, second)
+            answered = provider.selectivity(second, first)
+            again = provider.selectivity(first, second)
+        finally:
+            provider_module._shared_counts = real
+        assert asked == again == brute_force(first, second)
+        assert answered == brute_force(second, first)
+        # One pass for both directions, none where a side is empty.
+        assert len(calls) == (1 if source and target else 0)
+        if catalogued:
+            assert cached_selectivity(db, first, second) == asked
+            assert cached_selectivity(db, second, first) == answered
+
+    def test_the_reverse_is_cached_when_the_forward_is_computed(
+        self, pair_passes
+    ):
+        r = Relation("R", ("A", "B"), [(0, 1), (1, 1), (2, 5)])
+        s = Relation("S", ("B", "C"), [(1, 0), (7, 0)])
+        db = Database([r, s])
+        assert db.stats().selectivity(r, s) == 2 / 3
+        assert cached_selectivity(db, s, r) == 1 / 2
+        assert db.stats().selectivity(s, r) == 1 / 2
+        assert len(pair_passes) == 1
+        # An ad-hoc pair: the provider's cache, by identity.
+        provider = StatsProvider()
+        assert provider.selectivity(s, r) == 1 / 2
+        assert provider.selectivity(r, s) == 2 / 3
+        assert len(pair_passes) == 2
+        twin = Relation("R", ("A", "B"), r.tuples)  # equal, not identical
+        assert provider.selectivity(twin, s) == 2 / 3
+        assert len(pair_passes) == 3
+
+    @pytest.mark.parametrize("change", ["replace", "drop"])
+    @pytest.mark.parametrize("side", ["R", "S"])
+    def test_replacing_or_dropping_either_side_invalidates_both(
+        self, change, side, pair_passes
+    ):
+        r = Relation("R", ("A", "B"), [(0, 1), (1, 1), (2, 5)])
+        s = Relation("S", ("B", "C"), [(1, 0), (7, 0)])
+        db = Database([r, s])
+        provider = db.stats()
+        provider.selectivity(r, s)
+        assert cached_selectivity(db, r, s) is not None
+        assert cached_selectivity(db, s, r) is not None
+        if change == "drop":
+            db.remove(side)
+        else:
+            rows = [(5, 5)] if side == "R" else [(5, 0), (1, 3)]
+            db.add(Relation(side, ("A", "B") if side == "R" else ("B", "C"),
+                            rows), replace=True)
+        assert cached_selectivity(db, r, s) is None
+        assert cached_selectivity(db, s, r) is None
+        if change == "replace":
+            new_r, new_s = db["R"], db["S"]
+            assert provider.selectivity(new_s, new_r) == brute_force(
+                new_s, new_r
+            )
+            assert provider.selectivity(new_r, new_s) == brute_force(
+                new_r, new_s
+            )
+            assert len(pair_passes) == 2
+
+    @pytest.mark.parametrize("shape", [*BENCHMARK_SHAPES, "lw4"])
+    def test_cold_plan_passes_each_pair_once_warm_plan_none(
+        self, shape, pair_passes
+    ):
+        if shape == "lw4":
+            query = generators.random_instance(
+                queries.lw_query(4), 600, 12, seed=3
+            )
+        else:
+            query = BENCHMARK_SHAPES[shape]()
+        db = Database(list(query.relations.values()))
+        first = plan_join(JoinQuery(list(db)), database=db)
+        consulted = first.statistics.selectivities
+        pairs = {frozenset((src, dst)) for src, dst, _sel in consulted}
+        assert len(pairs) >= 2
+        assert len(pair_passes) == len(pairs)
+        tables = {frozenset(map(id, tables)) for tables in pair_passes}
+        assert len(tables) == len(pairs)  # no pair twice
+        for src, dst, selectivity in consulted:
+            assert selectivity == brute_force(db[src], db[dst])
+            assert cached_selectivity(db, db[dst], db[src]) == brute_force(
+                db[dst], db[src]
+            )
+        del pair_passes[:]
+        second = plan_join(JoinQuery(list(db)), database=db)
+        assert pair_passes == []
+        assert second.statistics == first.statistics
+
+
 class TestSelectivityValues:
     """Hand-checkable cases (the sampled estimator's old table, now
     exact at every size)."""

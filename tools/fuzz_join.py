@@ -12,7 +12,9 @@ attributes), then checks for each instance that
 
 * every value-count table a cold plan cached — scanned, or summed out
   of a wider table of the same relation — equals a scan of that
-  relation (``count_values``), items and iteration order,
+  relation (``count_values``), items and iteration order, and every
+  selectivity it cached, in both directions (one pass caches both),
+  equals the matching fraction off the raw tuples,
 * every plan the harness makes solves no cover LP, unless its
   algorithm runs on the cover (``nprr``), which solves that one — the
   order descent reads relation sizes, never an LP optimum (the summary
@@ -155,6 +157,8 @@ CONFIGS = (
 PLANNED = {"plans": 0, "lps": 0}
 #: The descent plans' draws checked against their nest's rows by rank.
 RANKED = {"draws": 0}
+#: The selectivities cold plans cached, checked in both directions.
+SELECTIVITIES = {"checked": 0}
 
 
 def deep_instance(rng: random.Random) -> list[Relation]:
@@ -331,10 +335,22 @@ def counted_plan(make_plan, context):
     return plan
 
 
+def matching_fraction(source: Relation, target: Relation) -> float:
+    """``P(match in target | tuple of source)`` off the raw tuples."""
+    shared = sorted(source.attribute_set & target.attribute_set)
+    theirs = {tuple(row[i] for i in target.positions(shared))
+              for row in target.tuples}
+    hits = sum(tuple(row[i] for i in source.positions(shared)) in theirs
+               for row in source.tuples)
+    return hits / len(source) if len(source) else 0.0
+
+
 def check_value_counts(relations: list[Relation]) -> list[tuple]:
     """Plan cold over a fresh catalog; every value-count table the plan
-    cached must be its relation's scan, items and order.  Returns the
-    attribute sets checked."""
+    cached must be its relation's scan, items and order, and every
+    selectivity it cached, and the reverse direction cached with it,
+    the fraction off the raw tuples.  Returns the attribute sets
+    checked."""
     database = Database(relations)
     counted_plan(
         lambda: plan_join(JoinQuery(list(database)), database=database),
@@ -350,6 +366,21 @@ def check_value_counts(relations: list[Relation]) -> list[tuple]:
                 f"{list(table.items())} != scan {list(scanned.items())}"
             )
             checked.append(attributes)
+        for other in database:
+            shared = tuple(sorted(relation.attribute_set & other.attribute_set))
+            if other is relation or not shared:
+                continue
+            get = database.stats_cache_get
+            cached = get(relation.name, ("selectivity", other.name, shared))
+            reverse = get(other.name, ("selectivity", relation.name, shared))
+            if cached is None and reverse is None:
+                continue  # a pair the plan did not consult
+            exact = matching_fraction(relation, other)
+            assert cached == exact, (
+                f"selectivity {relation.name} -> {other.name}: cached "
+                f"{cached!r} != {exact!r} off the tuples"
+            )
+            SELECTIVITIES["checked"] += 1
     return checked
 
 
@@ -889,6 +920,7 @@ def main(argv: list[str] | None = None) -> int:
     master = random.Random(args.seed)
     PLANNED.update(plans=0, lps=0)
     RANKED.update(draws=0)
+    SELECTIVITIES.update(checked=0)
     started = time.monotonic()
     iteration = 0
     tables = wide = wires = memos = compares = sequences = 0
@@ -930,6 +962,8 @@ def main(argv: list[str] | None = None) -> int:
         "in order, "
         f"{RANKED['draws']} descent draws equal to the nest's rows at "
         "their ranks, "
+        f"{SELECTIVITIES['checked']} cached selectivities equal to the "
+        "fraction off the tuples, "
         f"{PLANNED['plans']} plans solving {PLANNED['lps']} cover LPs "
         "(nprr's), no disagreements"
     )

@@ -43,11 +43,10 @@ algorithm only in the ``auto`` rule.  The product is an inspectable
   first of its record's ``backends``: leapfrog's ``"sorted"`` runs,
   NPRR's hash trie, ``"none"`` for the algorithms that build no
   per-order indexes); an algorithm that runs on every kind — Generic
-  Join — gets a **per-relation** choice driven by cached-index
-  availability in the ``Database`` and each relation's profile: large
-  low-skew relations get the ``"compact"`` packed flat arrays for their
-  size, everything else the hash trie (O(1) probes, precomputed (ST2)
-  counts);
+  Join — gets a **per-relation** choice by one rule: the kind of an
+  index the ``Database`` already holds in the needed order, else the
+  hash trie, the paper's search tree (O(1) probes, precomputed (ST2)
+  counts).  It reads no statistics;
 * **shards** — ``shards="auto"`` sizes the shard count from input size,
   CPU count, *and* the first attribute's heavy-hitter mass, so hot
   values ("Skew Strikes Back"'s heavy side) land in their own shard;
@@ -77,7 +76,6 @@ from typing import NamedTuple
 from repro.core.descent import index_triples, resolve_order
 from repro.core.query import JoinQuery
 from repro.engine.backends import validate_backend
-from repro.engine.compact import CompactArrayIndex
 from repro.engine.executors import (
     EXECUTORS,
     NO_BACKEND,
@@ -120,14 +118,6 @@ AUTO_SHARD_MIN_TUPLES = 4096
 #: Auto-sharding never exceeds this many shards, however many CPUs exist.
 MAX_AUTO_SHARDS = 8
 
-#: Relations at or above this size with a low-skew first index level get
-#: the packed flat-array backend (``"compact"``) when no cached index
-#: exists, for size alone: packed arrays are a small fraction of the
-#: trie's dict weight, and without heavy values the log-factor probes
-#: are not concentrated on hot paths.  The descent is 2-3x slower over
-#: ``compact`` than over the trie, dense integer keys included.
-LARGE_FLAT_RELATION = 32768
-
 
 @dataclass(frozen=True)
 class JoinPlan:
@@ -157,8 +147,8 @@ class JoinPlan:
     #: means every relation uses :attr:`backend`.
     relation_backends: tuple[tuple[str, str], ...] | None = None
     #: The statistics that justified the data-driven decisions, or
-    #: ``None`` when none were consulted (caller fixed everything, or
-    #: the algorithm derives its own order and no sharding was asked
+    #: ``None`` when none were consulted (the caller pinned the order,
+    #: or the algorithm derives its own, and no sharding was asked
     #: for).  See :class:`~repro.stats.provider.PlanStatistics`.
     statistics: PlanStatistics | None = None
     #: Equality-bound attributes the query layer *eliminated* from this
@@ -437,34 +427,23 @@ def plan_attribute_order_selectivity(
     return tuple(order), scores, tuple(estimates), consulted
 
 
-def _unordered_attribute(
-    relation: Relation, stats: StatsProvider
-) -> str | None:
-    """The first attribute of ``relation`` whose values do not sort
-    (``int`` beside ``str``), or ``None``: the sorted and compact
-    backends sort a relation's rows, the hash trie compares nothing."""
-    profiles = stats.profile(relation).attributes
-    return next((p.attribute for p in profiles if not p.orderable), None)
-
-
 def _require_orderable(
-    query: JoinQuery,
-    backend: str,
-    relation_backends: tuple[tuple[str, str], ...] | None,
-    stats: StatsProvider,
+    query: JoinQuery, backend: str, stats: StatsProvider
 ) -> None:
     """Reject a plan that would sort a relation whose values do not
-    order — a typed error at plan time instead of a ``TypeError`` out
-    of the index build."""
-    kinds = dict(relation_backends or ())
+    order (``int`` beside ``str``) — a typed error at plan time instead
+    of a ``TypeError`` out of the index build.  The sorted and compact
+    backends sort a relation's rows, the hash trie compares nothing."""
+    if backend in (TrieIndex.kind, NO_BACKEND):
+        return
     for eid, relation in query.relations.items():
-        kind = kinds.get(eid, backend)
-        if kind in (TrieIndex.kind, NO_BACKEND):
-            continue
-        unordered = _unordered_attribute(relation, stats)
+        profiles = stats.profile(relation).attributes
+        unordered = next(
+            (p.attribute for p in profiles if not p.orderable), None
+        )
         if unordered is not None:
             raise PlanError(
-                f"the {kind!r} backend sorts the rows of {eid!r}, but the "
+                f"the {backend!r} backend sorts the rows of {eid!r}, but the "
                 f"values of its attribute {unordered!r} do not order "
                 f"(mixed types); use backend={TrieIndex.kind!r}"
             )
@@ -473,79 +452,36 @@ def _require_orderable(
 def _relation_backends(
     query: JoinQuery,
     order: tuple[str, ...],
-    stats: StatsProvider,
     database: Database | None,
     reasons: list[str],
 ) -> tuple[str, tuple[tuple[str, str], ...] | None]:
-    """Per-relation backend choice for Generic Join.
+    """Per-relation backend choice for Generic Join, by one rule: the
+    kind of an index the ``Database`` already holds over the relation in
+    the order the plan needs (a free cache hit beats any rebuild), else
+    the hash trie.
 
-    Decision per relation, in priority order:
-
-    1. **Cached-index availability** — if the ``Database`` already holds
-       an index over this relation in the order the plan needs, reuse
-       its kind: a free cache hit beats any rebuild.
-    2. **Skew** — a heavy first index level (heavy-hitter mass at or
-       above :data:`~repro.stats.provider.HEAVY_MASS_THRESHOLD`) gets
-       the hash trie: the hot values are probed over and over, and the
-       trie answers in O(1) where the flat backends pay a log factor
-       per probe.
-    3. **Size** — large low-skew relations
-       (>= :data:`LARGE_FLAT_RELATION` tuples) get the compact flat
-       array: packed arrays are a fraction of the trie's dict weight,
-       and without hot values the log-factor probes stay spread.  Size
-       is the only thing that picks ``compact``: the descent over it is
-       2-3x slower than over the trie however dense the keys are.
-    4. Default: the hash trie.
-
-    Returns ``(backend label, per-relation pairs or None)`` — the pairs
-    are ``None`` when every relation landed on the trie default, so
-    plans without statistics pressure look exactly like before.
+    Reads no statistics: a held sorted or compact index was built, so
+    its rows sort, and the trie compares nothing.  Returns ``(backend
+    label, per-relation pairs or None)`` — the pairs are ``None`` when
+    every relation landed on one kind.
     """
     choices: dict[str, str] = {}
     notes: list[str] = []
-    kept: list[str] = []
     for eid, index_order, _kind in index_triples(query, order):
-        relation = query.relation(eid)
         choices[eid] = TrieIndex.kind
-        cached = None
-        if database is not None and database.is_catalogued(relation):
-            for kind in INDEX_BACKENDS:
-                if database.has_cached_index(eid, index_order, kind):
-                    cached = kind
-                    break
-        if cached is not None:
-            choices[eid] = cached
-            notes.append(f"{eid}: cached {cached} index")
+        if database is None or not database.is_catalogued(query.relation(eid)):
             continue
-        profile = stats.profile(relation).attribute(index_order[0])
-        if profile.heavy_mass >= HEAVY_MASS_THRESHOLD:
-            notes.append(
-                f"{eid}: trie ({profile.heavy_count} heavy value(s) carry "
-                f"{profile.heavy_mass:.0%} of first level)"
-            )
-        elif len(relation) >= LARGE_FLAT_RELATION:
-            unordered = _unordered_attribute(relation, stats)
-            if unordered is None:
-                choices[eid] = CompactArrayIndex.kind
-                notes.append(
-                    f"{eid}: compact ({len(relation)} low-skew tuples: "
-                    "packed arrays are far leaner than the trie's dicts)"
-                )
-            else:
-                kept.append(
-                    f"{eid}: trie kept over compact ({len(relation)} "
-                    f"low-skew tuples, but the values of {unordered!r} do "
-                    "not order and the flat arrays sort their rows)"
-                )
+        for kind in INDEX_BACKENDS:
+            if database.has_cached_index(eid, index_order, kind):
+                choices[eid] = kind
+                notes.append(f"{eid}: cached {kind} index")
+                break
     kinds = set(choices.values())
     if kinds == {TrieIndex.kind}:
-        reasons.append(
-            "; ".join([NATIVE_BACKEND_REASONS[TrieIndex.kind]] + kept)
-        )
+        reasons.append(NATIVE_BACKEND_REASONS[TrieIndex.kind])
         return TrieIndex.kind, None
     reasons.append(
-        "per-relation backends from skew, size, and cached indexes: "
-        + "; ".join(notes + kept)
+        "per-relation backends from cached indexes: " + "; ".join(notes)
     )
     if len(kinds) == 1:
         return kinds.pop(), None
@@ -670,26 +606,23 @@ def _backend_stage(
 ) -> _Stage:
     """The caller's backend, a per-relation choice for an algorithm that
     runs on every index kind (:func:`_relation_backends`), or the
-    algorithm's native kind; then every sorting backend's relation must
-    order.  The choice is ``(backend label, per-relation pairs or
-    None)``."""
+    algorithm's native kind.  A pinned or native sorting backend's
+    relations must order; the per-relation choice reads nothing.  The
+    choice is ``(backend label, per-relation pairs or None)``."""
     kinds = EXECUTORS[algorithm].backends
     reasons: list[str] = []
-    pairs, statistics = None, None
     if backend is not None:
         reasons.append(f"backend {backend!r} fixed by caller")
     elif set(kinds) >= set(INDEX_BACKENDS):
-        backend, pairs = _relation_backends(
-            query, order, stats, database, reasons
-        )
-        statistics = {}
+        choice = _relation_backends(query, order, database, reasons)
+        return _Stage(choice, reasons)
     else:
         backend = kinds[0] if kinds else NO_BACKEND
         reasons.append(
             NATIVE_BACKEND_REASONS[backend].format(algorithm=algorithm)
         )
-    _require_orderable(query, backend, pairs, stats)
-    return _Stage((backend, pairs), reasons, statistics)
+    _require_orderable(query, backend, stats)
+    return _Stage((backend, None), reasons)
 
 
 def _shard_stage(

@@ -462,16 +462,21 @@ class Database:
         return self._stats_cache.get((name, key))
 
     def stats_cache_put(self, name: str, key: tuple, payload: object) -> None:
-        """Cache a statistics payload for relation ``name``.
+        """Cache a statistics payload for relation ``name``, unless one
+        is cached under ``key`` already: the first put wins, so planning
+        threads that computed the same payload together all read back
+        (:meth:`stats_cache_get`) the one the cache holds.
 
         The cache is bounded: above the budget the oldest entry is
         dropped (FIFO — statistics are cheap to recompute relative to
         index builds, so no cost weighting here).
         """
-        while len(self._stats_cache) >= self._stats_cache_budget:
-            evicted = next(iter(self._stats_cache))
-            del self._stats_cache[evicted]
-        self._stats_cache[(name, key)] = payload
+        cache = self._stats_cache
+        if (name, key) in cache:
+            return
+        while len(cache) >= self._stats_cache_budget:
+            cache.pop(next(iter(cache)), None)
+        cache.setdefault((name, key), payload)
 
     def cached_stats_count(self) -> int:
         """Number of cached statistics payloads (observability hook)."""

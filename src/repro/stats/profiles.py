@@ -77,9 +77,10 @@ def heavy_threshold(total: int) -> int:
 
 
 class _DerivedOnRead:
-    """An :class:`AttributeProfile` field no default plan reads: it may
-    be handed over as a zero-argument callable, called on first read
-    (``==``, ``hash``, ``repr`` and pickling read it too)."""
+    """An :class:`AttributeProfile` field no ``auto`` plan reads (only a
+    pinned sorting backend's orderable check reads ``orderable``): it
+    may be handed over as a zero-argument callable, called on first
+    read (``==``, ``hash``, ``repr`` and pickling read it too)."""
 
     def __init__(self, default: object = MISSING) -> None:
         self.default = default

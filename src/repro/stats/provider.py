@@ -55,8 +55,10 @@ __all__ = [
 #: eviction is FIFO — recomputation is always safe.
 LOCAL_CACHE_BUDGET = 512
 
-#: Heavy-hitter mass at or above which adaptive decisions trigger
-#: (per-relation trie backends, extra heavy-value shards).
+#: Heavy-hitter mass at or above which a column counts as skewed:
+#: ``shards="auto"`` then gives each heavy value a shard of its own, and
+#: :meth:`StatsProvider.heavy_hitters` lists the column in a plan's
+#: evidence.
 HEAVY_MASS_THRESHOLD = 0.25
 
 
@@ -205,30 +207,39 @@ class StatsProvider:
         # long-lived provider cannot accumulate relations forever.
         self._local: dict[tuple, tuple[object, object]] = {}
 
-    def _local_put(self, key: tuple, ref: object, payload: object) -> None:
+    def _local_put(self, key: tuple, ref: object, payload: object) -> object:
+        """Cache ``payload`` under ``key`` unless an entry is there, and
+        return the payload the cache holds: the first put wins, so
+        threads that missed together serve one record.  The key names
+        ``ref`` by ``id`` and an entry holds ``ref``, so a held entry
+        is ``ref``'s."""
         while len(self._local) >= LOCAL_CACHE_BUDGET:
-            evicted = next(iter(self._local))
-            del self._local[evicted]
-        self._local[key] = (ref, payload)
+            self._local.pop(next(iter(self._local)), None)
+        return self._local.setdefault(key, (ref, payload))[1]
 
     # -- cache plumbing -----------------------------------------------------
 
     def _cached(self, relation: Relation, key: tuple, compute):
-        """Fetch-or-compute ``key`` for ``relation`` (identity-checked)."""
+        """Fetch-or-compute ``key`` for ``relation`` (identity-checked).
+
+        Planning threads that miss together each compute, and all of
+        them get the payload put first: a record (the value-count
+        tables, filled as they are read) is one object per cache."""
         db = self.database
         if db is not None and db.is_catalogued(relation):
             payload = db.stats_cache_get(relation.name, key)
             if payload is None:
                 payload = compute()
                 db.stats_cache_put(relation.name, key, payload)
+                held = db.stats_cache_get(relation.name, key)
+                if held is not None:  # None: evicted since the put
+                    payload = held
             return payload
         local_key = (id(relation),) + key
         entry = self._local.get(local_key)
         if entry is not None and entry[0] is relation:
             return entry[1]
-        payload = compute()
-        self._local_put(local_key, relation, payload)
-        return payload
+        return self._local_put(local_key, relation, compute())
 
     # -- statistics ---------------------------------------------------------
 

@@ -212,11 +212,25 @@ class TestPerRelationBackends:
         assert plan.backend == "trie"
         assert plan.relation_backends is None
 
-    def test_dense_first_level_gets_compact(self):
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        """Every column whose ``orderable`` type check ran."""
+        import repro.stats.profiles as profiles_module
+
+        calls = []
+        real_orderable = profiles_module._orderable
+
+        def orderable(values):
+            calls.append("orderable")
+            return real_orderable(values)
+
+        monkeypatch.setattr(profiles_module, "_orderable", orderable)
+        return calls
+
+    def test_dense_first_level_plans_the_trie(self, derivations):
         """Density picks nothing: R's first index level (B = i % 977) is
-        a full integer interval at both sizes, and only the relation the
-        size rule covers gets compact."""
-        import repro.engine.planner as planner_module
+        a full integer interval at both sizes, and both plan the trie,
+        the 40,000-tuple relation included."""
 
         def plan_for(size):
             dense = Relation(
@@ -227,41 +241,32 @@ class TestPerRelationBackends:
             )
             return plan_join(JoinQuery([dense, small]), "generic")
 
-        assert 4000 < planner_module.LARGE_FLAT_RELATION <= 40000
-        large = plan_for(40000)
-        assert large.backend == "mixed"
-        assert ("R", "compact") in large.relation_backends
-        assert ("S", "trie") in large.relation_backends
-        assert any("low-skew tuples" in r for r in large.reasons)
-        assert not any("dense integer" in r for r in large.reasons)
-        medium = plan_for(4000)
-        assert medium.backend == "trie"
-        assert medium.relation_backends is None
+        for size in (40000, 4000):
+            plan = plan_for(size)
+            assert plan.backend == "trie"
+            assert plan.relation_backends is None
+            assert not any("dense integer" in r for r in plan.reasons)
+        assert derivations == []
 
-    def test_large_low_skew_relation_gets_compact(self):
-        import repro.engine.planner as planner_module
-
+    def test_large_low_skew_relation_plans_the_trie(self, derivations):
         # B = (i % 977) * 5 leaves gaps: 977 distinct over a span of
-        # 4881 (~20% dense) — the size rule does not look at density.
+        # 4881 (~20% dense), 40,000 tuples with no heavy value.
         big = Relation(
             "R", ("A", "B"), [(i, (i % 977) * 5) for i in range(40000)]
         )
         small = Relation(
             "S", ("B", "C"), [((i % 977) * 5, i) for i in range(500)]
         )
-        q = JoinQuery([big, small])
-        assert len(big) >= planner_module.LARGE_FLAT_RELATION
-        plan = plan_join(q, "generic")
-        assert plan.backend == "mixed"
-        assert ("R", "compact") in plan.relation_backends
-        assert ("S", "trie") in plan.relation_backends
-        assert any("low-skew tuples" in r for r in plan.reasons)
+        plan = plan_join(JoinQuery([big, small]), "generic")
+        assert plan.backend == "trie"
+        assert plan.relation_backends is None
+        assert derivations == []
 
-    def test_unorderable_column_keeps_the_trie(self):
-        """The size rule picks ``compact`` only for relations whose rows
-        sort: ``B`` mixes ``int`` and ``str``, so both 40,000-tuple
-        relations stay on the trie, the plan says why, and the query
-        answers (it used to die in ``CompactArrayIndex.__init__``)."""
+    def test_unorderable_column_keeps_the_trie(self, derivations):
+        """``B`` mixes ``int`` and ``str``: both 40,000-tuple relations
+        plan the trie, which compares nothing, no column is typed, and
+        the query answers (it used to die in
+        ``CompactArrayIndex.__init__``)."""
 
         def b(i):
             i %= 20000
@@ -273,25 +278,18 @@ class TestPerRelationBackends:
         plan = plan_join(q)
         assert (plan.algorithm, plan.backend) == ("generic", "trie")
         assert plan.relation_backends is None
-        notes = [reason for reason in plan.reasons if "trie kept" in reason]
-        assert len(notes) == 1
-        assert "R: trie kept over compact" in notes[0]
-        assert "S: trie kept over compact" in notes[0]
-        assert "'B' do not order" in notes[0]
+        assert derivations == []
         # Every B value joins its 2 tuples of R with its 2 of S.
         rows = set(plan.executor().execute().tuples)
         assert len(rows) == 80000
         assert {row for row in rows if row[0] in (6, 7)} == {
             (6, "b6", -6), (6, "b6", -20006), (7, 7, -7), (7, 7, -20007),
         }
-        # Only the relation that cannot sort loses compact.
+        # A third large relation whose rows sort plans the trie too.
         t = Relation("T", ("C", "D"), [(-i, i) for i in range(40000)])
-        mixed = plan_join(JoinQuery([r, s, t]), "generic")
-        assert mixed.backend == "mixed"
-        assert dict(mixed.relation_backends) == {
-            "R": "trie", "S": "trie", "T": "compact",
-        }
-        assert any("R: trie kept over compact" in x for x in mixed.reasons)
+        wider = plan_join(JoinQuery([r, s, t]), "generic")
+        assert (wider.backend, wider.relation_backends) == ("trie", None)
+        assert derivations == []
 
     @pytest.mark.parametrize(
         "pinned",

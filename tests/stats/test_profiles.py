@@ -9,7 +9,7 @@ import pytest
 import repro.stats.profiles as profiles_module
 from repro.core.query import JoinQuery
 from repro.distributed.stealing import _holds_heavy_value
-from repro.engine.planner import LARGE_FLAT_RELATION, plan_join
+from repro.engine.planner import plan_join
 from repro.errors import PlanError
 from repro.relations.database import Database
 from repro.relations.relation import Relation
@@ -314,10 +314,10 @@ class TestTopIsDerivedOnFirstRead:
 
 
 class TestTypeFieldsAreDerivedOnFirstRead:
-    """``orderable`` is read by no default stage on these shapes: a cold
-    plan types no column.
-    The stages that do read them — a pinned sorting backend, the size
-    rule past ``LARGE_FLAT_RELATION`` — still get them."""
+    """``orderable`` is read by no ``auto`` stage: a cold plan types no
+    column, however large its relations.  The one stage that does read
+    it — the orderable check of a pinned sorting backend — still gets
+    it."""
 
     @pytest.fixture
     def derivations(self, monkeypatch):
@@ -353,14 +353,15 @@ class TestTypeFieldsAreDerivedOnFirstRead:
             plan_join(query, backend=backend, stats=StatsProvider())
         assert "orderable" in derivations
 
-    def test_a_large_flat_relation_has_orderable_read(self, derivations):
-        big = Relation(
-            "R", ("A", "B"), [(i, i) for i in range(LARGE_FLAT_RELATION)]
-        )
+    def test_a_large_flat_relation_plans_the_trie_and_types_nothing(
+        self, derivations
+    ):
+        # 32,768 low-skew tuples: the size a removed rule gave compact.
+        big = Relation("R", ("A", "B"), [(i, i) for i in range(32768)])
         small = Relation("S", ("B", "C"), [(i, -i) for i in range(97)])
         plan = plan_join(JoinQuery([big, small]), stats=StatsProvider())
-        assert dict(plan.relation_backends) == {"R": "compact", "S": "trie"}
-        assert derivations == ["orderable", "orderable"]  # R's A and B
+        assert (plan.backend, plan.relation_backends) == ("trie", None)
+        assert derivations == []
 
     def test_the_constructor_keeps_its_defaults(self):
         profile = AttributeProfile("A", 1, 1, ((0, 1),), 2, 0, 0.0)

@@ -592,6 +592,28 @@ def test_summed_tables_plan_as_scanned_ones(shape, request):
     assert plan_of(SHAPES[shape]()) == summed
 
 
+@pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
+def test_a_pinned_order_plan_reads_no_statistics(shape, counting_passes):
+    """With the order pinned, a serial ``auto`` plan decides nothing
+    from the data: the backend stage reads which indexes the catalog
+    holds, not the tables.  No table is scanned or cached, and the plan
+    carries no statistics, with or without a held index."""
+    query = BENCHMARK_SHAPES[shape]()
+    db = Database(query.relations.values())
+    pinned = JoinQuery(list(db))
+    order = tuple(reversed(pinned.attributes))
+    plan = plan_join(pinned, attribute_order=order, database=db)
+    assert (plan.backend, plan.relation_backends) == ("trie", None)
+    assert plan.statistics is None
+    name, index_order, _kind = plan.index_requirements()[0]
+    db.sorted_index(name, index_order)
+    held = plan_join(pinned, attribute_order=order, database=db)
+    assert (name, "sorted") in held.relation_backends
+    assert held.statistics is None
+    assert counting_passes == []
+    assert db.cached_stats_count() == 0
+
+
 @st.composite
 def relations_and_chains(draw):
     arity = draw(st.integers(1, 4))
